@@ -1,14 +1,22 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored as coordinate vectors in the power basis
-``1, z, ..., z^(phi(N)-1)`` of Q(zeta_N), reduced modulo the N-th
-cyclotomic polynomial, with rational coordinates.  The complex embedding
-used throughout is ``zeta_N = exp(2*pi*i/N)``.
+An element is a triple ``(conductor, num, den)`` of integers standing for
+``(num[0] + num[1] z + ... + num[phi-1] z^(phi-1)) / den``: integer
+numerators on the power basis of Q(zeta_N), reduced modulo the N-th
+cyclotomic polynomial Phi_N, over one common denominator (the form ANTIC
+and FLINT use for number-field elements).  The form is normal:
+``den > 0``, ``gcd(den, *num) == 1``, and zero is stored with ``den == 1``,
+so two equal elements at the same conductor have identical ``(num, den)``.
+Operands at different conductors are coerced to the lcm conductor first.
+The complex embedding used throughout is ``zeta_N = exp(2*pi*i/N)``.
 
-Two equal elements at the same conductor always have identical coordinate
-vectors; operands at different conductors are coerced to the lcm conductor
-first.  Division goes through the extended gcd of polynomials over Q, so
-no numeric inversion is ever involved.
+Phi_N is monic, so every power z^k reduces to an integer vector; addition,
+multiplication, coercion and the Galois action therefore run on Python
+integers alone, through one integer power-reduction table per conductor.
+``Fraction`` appears only at the edges: the public constructor, the
+``coeffs`` view, ``reduced_key``, the spec encoding, and division, which
+goes through the extended gcd of polynomials over Q, so no numeric
+inversion is ever involved.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import mpmath
 
@@ -58,51 +67,56 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_reduction(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows k = 0..2*phi-2 giving z^k on the power basis mod Phi_n."""
+def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k = 0..n-1: the nonzero (index, coefficient) pairs of z^k mod Phi_n."""
     phi = euler_phi(n)
-    rows = []
-    for k in range(phi):
-        row = [_F0] * phi
-        row[k] = _F1
-        rows.append(row)
     mod = cyclotomic_polynomial(n)
-    for k in range(phi, 2 * phi - 1):
-        # z^k = z * z^(k-1), then fold the overflow back with Phi_n
-        prev = rows[k - 1]
-        row = [_F0] + list(prev[: phi - 1])
-        top = prev[phi - 1]
+    row = [1] + [0] * (phi - 1)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        # z^(k+1) = z * z^k, folding the overflow z^phi back with Phi_n
+        top = row[-1]
+        row = [0] + row[:-1]
         if top:
             for i in range(phi):
                 row[i] -= top * mod[i]
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+    return tuple(rows)
 
 
-def _reduce_power(n: int, k: int) -> tuple[Fraction, ...]:
-    """Coordinates of z^k (k >= 0, arbitrary) at conductor n."""
-    k %= n
+@lru_cache(maxsize=None)
+def _mul_plan(n: int):
+    """(phi, folds): folds lists (k, row of z^k) for the product overflow."""
     phi = euler_phi(n)
-    if k < 2 * phi - 1:
-        return _power_reduction(n)[k]
-    # fall back to repeated folding for the rare large-k case
-    coeffs = [_F0] * (k + 1)
-    coeffs[k] = _F1
-    mod = cyclotomic_polynomial(n)
-    for j in range(k, phi - 1, -1):
-        c = coeffs[j]
+    table = _power_table(n)
+    return phi, tuple((k, table[k % n]) for k in range(phi, 2 * phi - 1))
+
+
+def _reduce_power(n: int, k: int) -> list[int]:
+    """Integer coordinates of z^k (any integer k) at conductor n."""
+    row = [0] * euler_phi(n)
+    for i, c in _power_table(n)[k % n]:
+        row[i] = c
+    return row
+
+
+def _image(num, n: int, step: int) -> list[int]:
+    """Numerators of sum_j num[j] z_n^(j*step) on the power basis at n."""
+    table = _power_table(n)
+    out = [0] * euler_phi(n)
+    for j, c in enumerate(num):
         if c:
-            coeffs[j] = _F0
-            for i in range(phi):
-                coeffs[j - phi + i] -= c * mod[i]
-    return tuple(coeffs[:phi])
+            for i, r in table[j * step % n]:
+                out[i] += c * r
+    return out
 
 
 def _solve_rational(columns, target):
     """Solve sum_j x_j * columns[j] = target over Q; None if inconsistent."""
     rows = len(target)
     ncols = len(columns)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
+    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
+           for i in range(rows)]
     piv_cols = []
     r = 0
     for c in range(ncols):
@@ -134,26 +148,41 @@ def _solve_rational(columns, target):
 
 
 class Cyc:
-    """An exact element of Q(zeta_N)."""
+    """An exact element of Q(zeta_N): integer numerators over one denominator."""
 
-    __slots__ = ("conductor", "coeffs", "_reduced")
+    __slots__ = ("conductor", "num", "den", "_reduced")
 
     def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"cyclotomic coordinates must be int or Fraction, got {c!r}")
         if len(coeffs) != euler_phi(conductor):
             raise ValueError("coefficient vector has wrong length for conductor")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_reduced", None)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        g = gcd(den, *num)
+        _set_conductor(self, conductor)
+        _set_num(self, tuple(x // g for x in num))
+        _set_den(self, den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc values are immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational power-basis coordinates (a read-only view)."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def rational(q) -> "Cyc":
-        return Cyc(1, (Fraction(q),))
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"cannot interpret {q!r} as a rational number")
+        return _raw(1, (int(q.numerator),), q.denominator)
 
     @staticmethod
     def zero() -> "Cyc":
@@ -172,15 +201,7 @@ class Cyc:
             return self
         if m % n:
             raise ValueError("can only coerce to a multiple of the conductor")
-        phi_m = euler_phi(m)
-        step = m // n
-        out = [_F0] * phi_m
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = _reduce_power(m, j * step)
-                for i in range(phi_m):
-                    out[i] += c * row[i]
-        return Cyc(m, out)
+        return _make(m, _image(self.num, m, m // n), self.den)
 
     @staticmethod
     def _common(a: "Cyc", b: "Cyc"):
@@ -193,30 +214,44 @@ class Cyc:
     def _promote(x) -> "Cyc":
         if isinstance(x, Cyc):
             return x
-        if isinstance(x, (int, Fraction)):
-            return Cyc.rational(x)
-        raise TypeError(f"cannot interpret {x!r} as a cyclotomic number")
+        return Cyc.rational(x)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = Cyc._promote(other)
-        if other.conductor == 1:
-            c = other.coeffs[0]
-            if not c:
-                return self
-            out = list(self.coeffs)
-            out[0] += c
-            return Cyc(self.conductor, out)
-        if self.conductor == 1:
-            return other + self
-        a, b = Cyc._common(self, other)
-        return Cyc(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if other.__class__ is not Cyc:
+            other = Cyc._promote(other)
+        a, b = (other, self) if self.conductor == 1 else (self, other)
+        if b.conductor == 1:
+            # adding a rational p/q moves only the constant coordinate
+            p, q = b.num[0], b.den
+            if not p:
+                return a
+            num, d = list(a.num), a.den
+            if q == d:
+                num[0] += p
+            else:
+                g = gcd(d, q)
+                num = [x * (q // g) for x in num]
+                num[0] += p * (d // g)
+                d *= q // g
+            return _make(a.conductor, num, d)
+        if a.conductor != b.conductor:
+            a, b = Cyc._common(a, b)
+        da, db = a.den, b.den
+        if da == db:
+            num = [x + y for x, y in zip(a.num, b.num)]
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            num = [x * fa + y * fb for x, y in zip(a.num, b.num)]
+            da *= fa
+        return _make(a.conductor, num, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.conductor, [-c for c in self.coeffs])
+        return _raw(self.conductor, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
         return self + (-Cyc._promote(other))
@@ -225,33 +260,32 @@ class Cyc:
         return Cyc._promote(other) - self
 
     def __mul__(self, other):
-        other = Cyc._promote(other)
-        if other.conductor == 1:
-            c = other.coeffs[0]
-            if c == 1:
-                return self
-            return Cyc(self.conductor, [x * c for x in self.coeffs])
-        if self.conductor == 1:
-            return other * self
-        a, b = Cyc._common(self, other)
+        if other.__class__ is not Cyc:
+            other = Cyc._promote(other)
+        a, b = (other, self) if self.conductor == 1 else (self, other)
+        if b.conductor == 1:
+            p, q = b.num[0], b.den
+            if p == 1 and q == 1:
+                return a
+            return _make(a.conductor, [x * p for x in a.num], a.den * q)
+        if a.conductor != b.conductor:
+            a, b = Cyc._common(a, b)
         n = a.conductor
-        phi = euler_phi(n)
-        conv = [_F0] * (2 * phi - 1)
-        ac, bc = a.coeffs, b.coeffs
-        for i, x in enumerate(ac):
+        phi, folds = _mul_plan(n)
+        conv = [0] * (2 * phi - 1)
+        bn = b.num
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(bc):
+                for k, y in enumerate(bn, i):
                     if y:
-                        conv[i + j] += x * y
-        red = _power_reduction(n)
-        out = list(conv[:phi])
-        for k in range(phi, 2 * phi - 1):
+                        conv[k] += x * y
+        for k, row in folds:
             c = conv[k]
             if c:
-                row = red[k]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return Cyc(n, out)
+                for i, r in row:
+                    conv[i] += c * r
+        del conv[phi:]
+        return _make(n, conv, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -260,7 +294,8 @@ class Cyc:
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
         n = self.conductor
         if n == 1:
-            return Cyc(1, (1 / self.coeffs[0],))
+            p, q = self.num[0], self.den
+            return _raw(1, (q,), p) if p > 0 else _raw(1, (-q,), -p)
         mod = [Fraction(c) for c in cyclotomic_polynomial(n)]
         # extended gcd of selfs polynomial with Phi_n; Phi_n irreducible over Q
         r0, r1 = mod, _trim(list(self.coeffs))
@@ -282,8 +317,6 @@ class Cyc:
         other = Cyc._promote(other)
         if not other:
             raise ZeroDivisionError("division by zero in a cyclotomic field")
-        if other.conductor == 1:
-            return self * Cyc(1, (1 / other.coeffs[0],))
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -304,37 +337,45 @@ class Cyc:
     # -- comparisons / hashing ----------------------------------------
 
     def __eq__(self, other):
-        try:
-            other = Cyc._promote(other)
-        except TypeError:
-            return NotImplemented
-        a, b = Cyc._common(self, other)
-        return a.coeffs == b.coeffs
+        if other.__class__ is int:
+            num = self.num
+            return self.den == 1 and num[0] == other and not any(num[1:])
+        if other.__class__ is not Cyc:
+            try:
+                other = Cyc._promote(other)
+            except TypeError:
+                return NotImplemented
+        a, b = self, other
+        if a.conductor != b.conductor:
+            a, b = Cyc._common(a, b)
+        return a.den == b.den and a.num == b.num
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __hash__(self):
         return hash(("Cyc",) + self.reduced_key())
 
     def reduced_key(self):
-        """(minimal conductor, coordinates) -- equal elements share this key."""
-        cached = object.__getattribute__(self, "_reduced")
-        if cached is not None:
-            return cached
+        """(minimal conductor, Fraction coordinates) -- equal elements share it."""
+        try:
+            return self._reduced
+        except AttributeError:
+            pass
         n, coeffs = self.conductor, self.coeffs
-        for d in sorted(d for d in range(1, n) if n % d == 0):
-            cols = [_reduce_power(n, j * (n // d)) for j in range(euler_phi(d))]
-            x = _solve_rational(cols, coeffs)
-            if x is not None:
-                n, coeffs = d, tuple(x)
-                break
+        if not any(self.num[1:]):
+            key = (1, coeffs[:1])
         else:
             key = (n, coeffs)
-            object.__setattr__(self, "_reduced", key)
-            return key
-        key = Cyc(n, coeffs).reduced_key()
-        object.__setattr__(self, "_reduced", key)
+            for d in range(2, n):
+                if n % d:
+                    continue
+                cols = [_reduce_power(n, j * (n // d)) for j in range(euler_phi(d))]
+                x = _solve_rational(cols, coeffs)
+                if x is not None:
+                    key = (d, tuple(x))
+                    break
+        _set_reduced(self, key)
         return key
 
     def reduced(self) -> "Cyc":
@@ -349,14 +390,7 @@ class Cyc:
         n = self.conductor
         if math.gcd(k, n) != 1:
             raise ValueError("Galois maps need gcd(k, conductor) = 1")
-        phi = euler_phi(n)
-        out = [_F0] * phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = _reduce_power(n, j * k)
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return Cyc(n, out)
+        return _make(n, _image(self.num, n, k), self.den)
 
     def conjugate(self) -> "Cyc":
         """Complex conjugation, realized as zeta_N -> zeta_N^(N-1)."""
@@ -368,26 +402,27 @@ class Cyc:
 
     def embed(self) -> complex:
         """Evaluate at zeta_N = exp(2*pi*i/N) as a complex double."""
+        coeffs = self.coeffs
         height = 1
-        for c in self.coeffs:
+        for c in coeffs:
             height = max(height, abs(c.numerator), c.denominator)
         dps = 25 + len(str(height))
         with mpmath.workdps(dps):
             z = mpmath.e ** (2j * mpmath.pi / self.conductor)
             acc = mpmath.mpc(0)
-            for c in reversed(self.coeffs):
+            for c in reversed(coeffs):
                 acc = acc * z + mpmath.mpf(c.numerator) / c.denominator
         return complex(float(acc.real), float(acc.imag))
 
     # -- misc -----------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def encode(self) -> dict:
         """Spec-file encoding {"N": conductor, "c": rational strings}."""
@@ -420,8 +455,36 @@ class Cyc:
         return "Cyc(" + " + ".join(terms) + ")"
 
 
-_ZERO = Cyc(1, (_F0,))
-_ONE = Cyc(1, (_F1,))
+# Results are built through these slot setters, which skip both __init__
+# (and its Fraction parsing) and the immutability guard in __setattr__.
+_set_conductor = Cyc.conductor.__set__
+_set_num = Cyc.num.__set__
+_set_den = Cyc.den.__set__
+_set_reduced = Cyc._reduced.__set__
+_new = object.__new__
+
+
+def _raw(n: int, num: tuple, den: int) -> Cyc:
+    """Element from numerators and a denominator already in normal form."""
+    x = _new(Cyc)
+    _set_conductor(x, n)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _make(n: int, num: list, den: int) -> Cyc:
+    """Element from integer numerators over den > 0, normalised."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
+    return _raw(n, tuple(num), den)
+
+
+_ZERO = _raw(1, (0,), 1)
+_ONE = _raw(1, (1,), 1)
 
 
 def _trim(poly):
@@ -488,7 +551,7 @@ def root_of_unity(n: int, k: int) -> Cyc:
     """zeta_n^k in canonical form at conductor n."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    return Cyc(n, _reduce_power(n, k % n))
+    return _raw(n, tuple(_reduce_power(n, k)), 1)
 
 
 def galois_conjugate(a: Cyc) -> Cyc:

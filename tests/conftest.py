@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from fscat.specio import bundled_names, load_bundled
+
+# Property tests run the same examples everywhere, never time out on a
+# loaded host, and write no example database.
+settings.register_profile("fscat", derandomize=True, deadline=None,
+                          max_examples=40, database=None)
+settings.load_profile("fscat")
 
 _CACHE = {}
 

@@ -146,3 +146,18 @@ def test_pow_and_inverse():
     assert a ** 3 == a * a * a
     assert a ** -2 == (a * a).inverse()
     assert a ** 0 == 1
+
+
+def test_coordinates_must_be_exact_rationals():
+    # floats would be stored as their binary expansion, strings parsed
+    with pytest.raises(TypeError):
+        Cyc(4, [0.1, 0])
+    with pytest.raises(TypeError):
+        Cyc(4, ["1/3", 0])
+    with pytest.raises(TypeError):
+        Cyc.rational(0.5)
+    with pytest.raises(TypeError):
+        Cyc.one() * 0.1
+    v = Cyc(4, [Fraction(1, 3), 2])
+    assert v.coeffs == (Fraction(1, 3), Fraction(2))
+    assert (v.num, v.den) == ((1, 6), 3)

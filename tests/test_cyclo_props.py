@@ -1,0 +1,263 @@
+"""Property tests of the Cyc kernel against an independent reference.
+
+The reference keeps an element as ``(conductor, Fraction coordinates)`` and
+does everything with plain polynomial arithmetic modulo Phi_n, where Phi_n
+is rebuilt here from its numeric roots (not from ``cyclotomic_polynomial``).
+Every ``Cyc`` result is compared with the reference, and every ``Cyc`` value
+the tests see must be in the integer normal form.
+"""
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import mpmath
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fscat.cyclo import Cyc
+
+CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 24)
+
+
+# -- reference: Fraction polynomials modulo Phi_n --------------------------
+
+
+@lru_cache(maxsize=None)
+def ref_phi(n):
+    """Integer coefficients of prod (x - e^(2 pi i k/n)) over k prime to n."""
+    with mpmath.workdps(60):
+        poly = [mpmath.mpc(1)]
+        for k in range(1, n + 1):
+            if math.gcd(k, n) == 1:
+                root = mpmath.exp(2j * mpmath.pi * k / n)
+                poly = [(poly[i - 1] if i else 0)
+                        - root * (poly[i] if i < len(poly) else 0)
+                        for i in range(len(poly) + 1)]
+        return tuple(int(mpmath.nint(c.real)) for c in poly)
+
+
+def ref_reduce(n, poly):
+    """Remainder of a polynomial (ascending Fractions) modulo Phi_n."""
+    mod = ref_phi(n)
+    deg = len(mod) - 1
+    poly = list(poly) + [Fraction(0)] * max(0, deg - len(poly))
+    for k in range(len(poly) - 1, deg - 1, -1):
+        c = poly[k]
+        if c:
+            for i in range(deg + 1):
+                poly[k - deg + i] -= c * mod[i]
+    return tuple(poly[:deg])
+
+
+def ref(x):
+    return x.conductor, x.coeffs
+
+
+def ref_subst(r, m, step):
+    """sum_j c_j z^(j*step) at conductor m."""
+    _, coords = r
+    poly = [Fraction(0)] * ((len(coords) - 1) * step + 1)
+    for j, c in enumerate(coords):
+        poly[j * step] += c
+    return m, ref_reduce(m, poly)
+
+
+def ref_lift(r, m):
+    return ref_subst(r, m, m // r[0])
+
+
+def ref_common(r, s):
+    m = math.lcm(r[0], s[0])
+    return ref_lift(r, m), ref_lift(s, m)
+
+
+def ref_add(r, s):
+    (m, a), (_, b) = ref_common(r, s)
+    return m, tuple(x + y for x, y in zip(a, b))
+
+
+def ref_mul(r, s):
+    (m, a), (_, b) = ref_common(r, s)
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return m, ref_reduce(m, prod)
+
+
+def ref_galois(r, k):
+    n, coords = r
+    return ref_subst((n, coords), n, k % n)
+
+
+def ref_eq(r, s):
+    (_, a), (_, b) = ref_common(r, s)
+    return a == b
+
+
+def ref_rational(q):
+    return 1, (Fraction(q),)
+
+
+# -- strategies -----------------------------------------------------------
+
+coordinates = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def elements(draw, conductors=CONDUCTORS):
+    n = draw(st.sampled_from(conductors))
+    phi = len(ref_phi(n)) - 1
+    return Cyc(n, draw(st.lists(coordinates, min_size=phi, max_size=phi)))
+
+
+@st.composite
+def related_triples(draw):
+    """Three elements whose conductors divide one conductor of the list."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    divisors = tuple(d for d in CONDUCTORS if n % d == 0)
+    return tuple(draw(elements(divisors)) for _ in range(3))
+
+
+def assert_normal(x):
+    n, num, den = x.conductor, x.num, x.den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int for c in num)
+    assert len(num) == len(ref_phi(n)) - 1
+    assert math.gcd(den, *num) == 1
+    if not any(num):
+        assert den == 1
+
+
+def check(x, expected):
+    assert_normal(x)
+    assert ref_eq(ref(x), expected), (x, expected)
+
+
+# -- properties -------------------------------------------------------------
+
+
+@given(elements(), elements())
+def test_add_sub_mul_neg_match_reference(a, b):
+    check(a + b, ref_add(ref(a), ref(b)))
+    check(a * b, ref_mul(ref(a), ref(b)))
+    check(-a, (a.conductor, tuple(-c for c in ref(a)[1])))
+    check(a - b, ref_add(ref(a), ref_mul(ref(b), ref_rational(-1))))
+
+
+@given(elements(), st.integers(-20, 20),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_mixed_operands_match_reference(a, k, q):
+    for s in (k, q):
+        check(a + s, ref_add(ref(a), ref_rational(s)))
+        check(s + a, ref_add(ref(a), ref_rational(s)))
+        check(a * s, ref_mul(ref(a), ref_rational(s)))
+        check(s * a, ref_mul(ref(a), ref_rational(s)))
+        check(s - a, ref_add(ref_rational(s), ref_mul(ref(a), ref_rational(-1))))
+
+
+@given(related_triples())
+def test_ring_axioms(triple):
+    a, b, c = triple
+    zero, one = Cyc.zero(), Cyc.one()
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert not (a + (-a))
+    assert_normal(a * (b + c))
+
+
+@given(elements(), elements())
+def test_inverse_and_division(a, b):
+    if not a:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        with pytest.raises(ZeroDivisionError):
+            b / a
+        return
+    inv = a.inverse()
+    assert_normal(inv)
+    assert ref_eq(ref_mul(ref(a), ref(inv)), ref_rational(1))
+    quotient = b / a
+    check(quotient, ref_mul(ref(b), ref(inv)))
+    assert quotient * a == b
+    assert a ** -1 == inv
+
+
+@given(elements(), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_division_by_rationals(a, q):
+    if not q:
+        with pytest.raises(ZeroDivisionError):
+            a / q
+        return
+    check(a / q, ref_mul(ref(a), ref_rational(1 / q)))
+    check(Cyc.rational(q).inverse(), ref_rational(1 / q))
+
+
+@given(st.sampled_from(CONDUCTORS).flatmap(
+    lambda n: st.tuples(elements((n,)), elements((n,)),
+                        st.sampled_from([k for k in range(1, 2 * n + 1)
+                                         if math.gcd(k, n) == 1]))))
+def test_galois_action_is_a_homomorphism(args):
+    a, b, k = args
+    check(a.galois(k), ref_galois(ref(a), k))
+    assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+    assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+    assert a.conjugate().conjugate() == a
+
+
+@given(elements(), st.sampled_from((1, 2, 3, 5)))
+def test_at_conductor_and_cross_conductor_identity(a, factor):
+    m = a.conductor * factor
+    lifted = a.at_conductor(m)
+    check(lifted, ref_lift(ref(a), m))
+    assert lifted.conductor == m
+    assert lifted == a and a == lifted
+    assert hash(lifted) == hash(a)
+    assert lifted.reduced_key() == a.reduced_key()
+    low = a.reduced()
+    assert_normal(low)
+    assert low == a and hash(low) == hash(a)
+    assert a.conductor % low.conductor == 0
+    assert all(type(c) is Fraction for c in a.reduced_key()[1])
+    # minimal: low lies in no Q(zeta_e) for a proper divisor e, i.e. some
+    # Galois map fixing Q(zeta_e) moves it
+    d = low.conductor
+    for e in range(1, d):
+        if d % e == 0:
+            assert any(low.galois(k) != low for k in range(1, d + 1)
+                       if math.gcd(k, d) == 1 and k % e == 1 % e), (a, e)
+
+
+@given(elements(), elements())
+def test_equality_matches_reference(a, b):
+    assert (a == b) == ref_eq(ref(a), ref(b))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(elements())
+def test_encode_decode_round_trip(a):
+    enc = a.encode()
+    back = Cyc.decode(enc)
+    assert_normal(back)
+    assert back == a and hash(back) == hash(a)
+    assert back.encode() == enc
+
+
+@given(elements(), st.integers(-12, 12))
+def test_int_equality_agrees_with_rational(a, k):
+    rational = Cyc.rational(k)
+    assert (a == k) == (a == rational) == (k == a)
+    head = a.num[0]
+    assert (a == head) == (a == Cyc.rational(head))
+    assert (rational == k) and not (rational != k)

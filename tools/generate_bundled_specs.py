@@ -4,6 +4,10 @@
 Every file is produced by a generator, gets a pivotal structure from the
 enumerator (canonical when one exists), and must pass full validation
 before being written.
+
+    python3 tools/generate_bundled_specs.py [OUT_DIR]
+
+OUT_DIR defaults to ``src/fscat/specs``.
 """
 
 from __future__ import annotations
@@ -58,16 +62,18 @@ def build_all():
     return specs
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(out_dir=OUT):
+    """Write every bundled spec into out_dir (default: the package specs)."""
+    out_dir = pathlib.Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, cat in build_all().items():
         report = validate(cat)
         if not report.valid:
             raise SystemExit(f"{name}: {report.first_failure()}")
-        save_category(cat, OUT / f"{name}.json")
+        save_category(cat, out_dir / f"{name}.json")
         print(f"wrote {name}.json  ({len(cat.labels)} simples, "
               f"conductor {cat.conductor})")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])
