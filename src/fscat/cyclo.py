@@ -14,9 +14,9 @@ Phi_N is monic, so every power z^k reduces to an integer vector; addition,
 multiplication, coercion and the Galois action therefore run on Python
 integers alone, through one integer power-reduction table per conductor.
 ``Fraction`` appears only at the edges: the public constructor, the
-``coeffs`` view, ``reduced_key``, the spec encoding, and division, which
-goes through the extended gcd of polynomials over Q, so no numeric
-inversion is ever involved.
+``coeffs`` view, ``reduced_key`` and the spec encoding.  Division is exact
+too: the inverse of x is the product c of its other Galois conjugates over
+the field norm c * x, a nonzero rational.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import mpmath
 Rational = Fraction
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -296,21 +295,17 @@ class Cyc:
         if n == 1:
             p, q = self.num[0], self.den
             return _raw(1, (q,), p) if p > 0 else _raw(1, (-q,), -p)
-        mod = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        # extended gcd of selfs polynomial with Phi_n; Phi_n irreducible over Q
-        r0, r1 = mod, _trim(list(self.coeffs))
-        s0, s1 = [], [_F1]
-        while True:
-            q, r = _polydivmod(r0, r1)
-            if not r:
-                break
-            s = _polysub(s0, _polymul(q, s1))
-            r0, s0, r1, s1 = r1, s1, r, s
-        lead = r1[-1]
-        inv_coeffs = [c / lead for c in s1]
-        inv_coeffs += [_F0] * (euler_phi(n) - len(inv_coeffs))
-        out = Cyc(n, inv_coeffs[: euler_phi(n)])
-        assert (out * self) == 1, "polynomial xgcd produced a wrong inverse"
+        c = _ONE
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                c = c * self.galois(k)
+        # the norm c * self = p / q is a nonzero rational
+        norm = c * self
+        p, q = norm.num[0], norm.den
+        if p < 0:
+            p, q = -p, -q
+        out = _make(n, [x * q for x in c.num], c.den * p)
+        assert (out * self) == 1, "norm division produced a wrong inverse"
         return out
 
     def __truediv__(self, other):
@@ -354,7 +349,16 @@ class Cyc:
         return any(self.num)
 
     def __hash__(self):
+        num = self.num
+        if not any(num[1:]):
+            # equal to the Fraction (or int) of the same value, so equal hash
+            return hash(Fraction(num[0], self.den))
         return hash(("Cyc",) + self.reduced_key())
+
+    def __reduce__(self):
+        # through the validating constructor; the default slot-state restore
+        # would hit the immutability guard in __setattr__
+        return Cyc, (self.conductor, self.coeffs)
 
     def reduced_key(self):
         """(minimal conductor, Fraction coordinates) -- equal elements share it."""
@@ -485,47 +489,6 @@ def _make(n: int, num: list, den: int) -> Cyc:
 
 _ZERO = _raw(1, (0,), 1)
 _ONE = _raw(1, (1,), 1)
-
-
-def _trim(poly):
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _polydivmod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    if len(num) <= dd:
-        return [], _trim(num)
-    q = [_F0] * (len(num) - dd)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + dd] / den[dd]
-        q[k] = c
-        if c:
-            for i in range(dd + 1):
-                num[k + i] -= c * den[i]
-    return q, _trim(num)
-
-
-def _polymul(a, b):
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _polysub(a, b):
-    out = [_F0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
 
 
 def _fraction_str(c: Fraction) -> str:

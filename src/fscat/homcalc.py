@@ -21,10 +21,15 @@ rotation maps of the indicator machinery) exist only on the unit root.
 Operations that extend or bend a map (``close_loop``, ``dual_morphism``)
 require morphism-backed inputs.
 
-Internally every matrix is assembled from one audited coefficient kernel:
-a chain of elementary F-moves re-associating a grafted subword into the
-running fusion path (``_graft_coeffs``), plus single-vertex fuse and split
-steps.  Degenerate words (hom dimension 0) yield 0x0 blocks that compose
+Every local move on fusion paths becomes a matrix through one kernel,
+``_path_matrix``: the move sends each source path to weighted target paths,
+and the kernel lays the weights out on the two path bases.  The moves are
+single-vertex F-moves (fuse, split, unit letters, evaluation and
+coevaluation pairs) and one graft routine (``_graft_moves``), which
+re-associates a unit-rooted subword into the running path by a chain of
+elementary inverse F-moves (``_graft_coeffs``).  ``insert_vector_matrix``
+and ``splice_host_matrix`` are that graft with the guest or the host vector
+fixed.  Degenerate words (hom dimension 0) yield 0x0 blocks that compose
 legally.
 """
 
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 from .category import Category
 from .cyclo import Cyc
-from .linalg import eye, mat_inv, mat_mul, zeros
+from .linalg import eye, mat_inv, mat_mul, mat_vec, zeros
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -246,6 +251,36 @@ def _path_index(cat, letters, root):
     return cat.cached(("pidx", tuple(letters), root), build)
 
 
+def _path_matrix(cat, src, tgt, root, moves):
+    """Matrix on Hom(root, -) path bases of a local move from src to tgt.
+
+    ``moves(p)`` yields ``(q, coeff)`` pairs for the source path ``p``;
+    column ``p`` accumulates ``coeff`` at row ``q``.  Zero coefficients and
+    target paths that are not admissible are dropped.
+    """
+    sp = paths(cat, src, root)
+    out = zeros(len(paths(cat, tgt, root)), len(sp))
+    tidx = _path_index(cat, tgt, root)
+    for ci, p in enumerate(sp):
+        for q, val in moves(p):
+            if val:
+                row = tidx.get(q)
+                if row is not None:
+                    out[row][ci] = out[row][ci] + val
+    return out
+
+
+def _graft_moves(cat, i, guest_letters, terms):
+    """Moves of a unit-rooted guest grafted at position i of a host path.
+
+    ``terms`` lists ``(host path, guest path, weight)``; each grafted
+    ``_graft_coeffs`` chain lands on the combined path, scaled by weight.
+    """
+    for p, rho, c in terms:
+        for chain, coeff in _graft_coeffs(cat, p[i], guest_letters, rho):
+            yield p[:i + 1] + chain[1:] + p[i + 1:], c * coeff
+
+
 def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest_vec):
     """Matrix of v -> (id (x) u (x) id) o v on Hom(root, -) bases.
 
@@ -255,22 +290,12 @@ def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest_vec):
     host_letters = tuple(host_letters)
     guest_letters = tuple(guest_letters)
     comb = host_letters[:i] + guest_letters + host_letters[i:]
-    hp = paths(cat, host_letters, root)
-    gp = paths(cat, guest_letters, cat.unit)
-    out = zeros(len(paths(cat, comb, root)), len(hp))
-    cidx = _path_index(cat, comb, root)
-    for hi, p in enumerate(hp):
-        lam = p[i]
-        for gi, rho in enumerate(gp):
-            c0 = guest_vec[gi]
-            if not c0:
-                continue
-            for chain, coeff in _graft_coeffs(cat, lam, guest_letters, rho):
-                q = p[:i + 1] + chain[1:] + p[i + 1:]
-                row = cidx.get(q)
-                if row is not None:
-                    out[row][hi] = out[row][hi] + c0 * coeff
-    return out
+    guest = [(rho, c) for rho, c in
+             zip(paths(cat, guest_letters, cat.unit), guest_vec) if c]
+    return _path_matrix(
+        cat, host_letters, comb, root,
+        lambda p: _graft_moves(cat, i, guest_letters,
+                               [(p, rho, c) for rho, c in guest]))
 
 
 def splice_host_matrix(cat, host_letters, host_vec, i, guest_letters, root=None):
@@ -285,22 +310,12 @@ def splice_host_matrix(cat, host_letters, host_vec, i, guest_letters, root=None)
     if root != cat.unit:
         raise ValueError("splice_host_matrix works on unit-rooted vectors")
     comb = host_letters[:i] + guest_letters + host_letters[i:]
-    hp = paths(cat, host_letters, cat.unit)
-    gp = paths(cat, guest_letters, cat.unit)
-    out = zeros(len(paths(cat, comb, cat.unit)), len(gp))
-    cidx = _path_index(cat, comb, cat.unit)
-    for hi, p in enumerate(hp):
-        c_host = host_vec[hi]
-        if not c_host:
-            continue
-        lam = p[i]
-        for gi, rho in enumerate(gp):
-            for chain, coeff in _graft_coeffs(cat, lam, guest_letters, rho):
-                q = p[:i + 1] + chain[1:] + p[i + 1:]
-                row = cidx.get(q)
-                if row is not None:
-                    out[row][gi] = out[row][gi] + c_host * coeff
-    return out
+    host = [(p, c) for p, c in
+            zip(paths(cat, host_letters, cat.unit), host_vec) if c]
+    return _path_matrix(
+        cat, guest_letters, comb, root,
+        lambda rho: _graft_moves(cat, i, guest_letters,
+                                 [(p, rho, c) for p, c in host]))
 
 
 # -- elementary vertex steps -------------------------------------------------
@@ -310,18 +325,10 @@ def fuse_step_matrix(cat, letters, root, i, w):
     """Fuse adjacent letters (x_i, x_{i+1}) into the channel w."""
     letters = tuple(letters)
     u, v = letters[i], letters[i + 1]
-    tgt_letters = letters[:i] + (w,) + letters[i + 2:]
-    sp = paths(cat, letters, root)
-    out = zeros(len(paths(cat, tgt_letters, root)), len(sp))
-    tidx = _path_index(cat, tgt_letters, root)
-    for ci, p in enumerate(sp):
-        val = cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], w)
-        if val:
-            q = p[:i + 1] + p[i + 2:]
-            row = tidx.get(q)
-            if row is not None:
-                out[row][ci] = out[row][ci] + val
-    return out
+    return _path_matrix(
+        cat, letters, letters[:i] + (w,) + letters[i + 2:], root,
+        lambda p: [(p[:i + 1] + p[i + 2:],
+                    cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], w))])
 
 
 def split_step_matrix(cat, letters, root, i, u, v):
@@ -330,42 +337,28 @@ def split_step_matrix(cat, letters, root, i, u, v):
     x = letters[i]
     if not cat.n(u, v, x):
         raise ValueError(f"({u},{v}) is not an admissible splitting of {x}")
-    tgt_letters = letters[:i] + (u, v) + letters[i + 1:]
-    sp = paths(cat, letters, root)
-    out = zeros(len(paths(cat, tgt_letters, root)), len(sp))
-    tidx = _path_index(cat, tgt_letters, root)
-    for ci, p in enumerate(sp):
-        for s in cat.channels(p[i], u):
-            val = cat.f_inv_entry(p[i], u, v, p[i + 1], x, s)
-            if val:
-                q = p[:i + 1] + (s,) + p[i + 1:]
-                row = tidx.get(q)
-                if row is not None:
-                    out[row][ci] = out[row][ci] + val
-    return out
+    return _path_matrix(
+        cat, letters, letters[:i] + (u, v) + letters[i + 1:], root,
+        lambda p: [(p[:i + 1] + (s,) + p[i + 1:],
+                    cat.f_inv_entry(p[i], u, v, p[i + 1], x, s))
+                   for s in cat.channels(p[i], u)])
 
 
 def add_unit_letter_matrix(cat, letters, root, i):
+    """Insert a unit letter at position i; the path repeats its stage p_i."""
     letters = tuple(letters)
-    tgt = letters[:i] + (cat.unit,) + letters[i:]
-    sp = paths(cat, letters, root)
-    out = zeros(len(paths(cat, tgt, root)), len(sp))
-    tidx = _path_index(cat, tgt, root)
-    for ci, p in enumerate(sp):
-        out[tidx[p[:i + 1] + (p[i],) + p[i + 1:]]][ci] = ONE
-    return out
+    return _path_matrix(
+        cat, letters, letters[:i] + (cat.unit,) + letters[i:], root,
+        lambda p: [(p[:i + 1] + p[i:], ONE)])
 
 
 def drop_unit_letter_matrix(cat, letters, root, i):
+    """Remove the unit letter at position i (inverse of the insertion)."""
     letters = tuple(letters)
     assert letters[i] == cat.unit
-    tgt = letters[:i] + letters[i + 1:]
-    sp = paths(cat, letters, root)
-    out = zeros(len(paths(cat, tgt, root)), len(sp))
-    tidx = _path_index(cat, tgt, root)
-    for ci, p in enumerate(sp):
-        out[tidx[p[:i + 1] + p[i + 2:]]][ci] = ONE
-    return out
+    return _path_matrix(
+        cat, letters, letters[:i] + letters[i + 1:], root,
+        lambda p: [(p[:i + 1] + p[i + 2:], ONE)])
 
 
 def contract_pair_matrix(cat, letters, root, i):
@@ -380,37 +373,22 @@ def contract_pair_matrix(cat, letters, root, i):
     if cat.dual(u) != v:
         raise ValueError(f"letters ({u},{v}) are not a dual pair")
     mu = cat.ev_coefficient(v)
-    tgt = letters[:i] + letters[i + 2:]
-    sp = paths(cat, letters, root)
-    out = zeros(len(paths(cat, tgt, root)), len(sp))
-    tidx = _path_index(cat, tgt, root)
-    for ci, p in enumerate(sp):
-        if p[i + 2] != p[i]:
-            continue
-        val = cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], cat.unit)
-        if val:
-            row = tidx.get(p[:i + 1] + p[i + 3:])
-            if row is not None:
-                out[row][ci] = out[row][ci] + mu * val
-    return out
+    return _path_matrix(
+        cat, letters, letters[:i] + letters[i + 2:], root,
+        lambda p: [(p[:i + 1] + p[i + 3:],
+                    mu * cat.f_entry(p[i], u, v, p[i], p[i + 1], cat.unit))]
+        if p[i + 2] == p[i] else ())
 
 
 def attach_pair_matrix(cat, letters, root, i, b):
     """Coevaluation insertion of the pair (b, dual b) at position i."""
     letters = tuple(letters)
     bstar = cat.dual(b)
-    tgt = letters[:i] + (b, bstar) + letters[i:]
-    sp = paths(cat, letters, root)
-    out = zeros(len(paths(cat, tgt, root)), len(sp))
-    tidx = _path_index(cat, tgt, root)
-    for ci, p in enumerate(sp):
-        for e in cat.channels(p[i], b):
-            val = cat.f_inv_entry(p[i], b, bstar, p[i], cat.unit, e)
-            if val:
-                row = tidx.get(p[:i + 1] + (e, p[i]) + p[i + 1:])
-                if row is not None:
-                    out[row][ci] = out[row][ci] + val
-    return out
+    return _path_matrix(
+        cat, letters, letters[:i] + (b, bstar) + letters[i:], root,
+        lambda p: [(p[:i + 1] + (e,) + p[i:],
+                    cat.f_inv_entry(p[i], b, bstar, p[i], cat.unit, e))
+                   for e in cat.channels(p[i], b)])
 
 
 # -- coevaluation vectors ----------------------------------------------------
@@ -422,9 +400,7 @@ def db_vector(cat, letters):
     vec = [ONE]
     cur = ()
     for j, y in enumerate(letters):
-        mat = attach_pair_matrix(cat, cur, cat.unit, j, y)
-        vec = [sum((row[k] * vec[k] for k in range(len(vec)) if row[k] and vec[k]),
-                   ZERO) for row in mat]
+        vec = mat_vec(attach_pair_matrix(cat, cur, cat.unit, j, y), vec)
         cur = cur[:j] + (y, cat.dual(y)) + cur[j:]
     return cur, vec
 
@@ -439,9 +415,7 @@ def db_prime_vector(cat, letters):
         hp = paths(cat, host, cat.unit)
         host_vec = [ONE if p == (cat.unit, cat.dual(y), cat.unit) else ZERO
                     for p in hp]
-        mat = splice_host_matrix(cat, host, host_vec, 1, cur)
-        vec = [sum((row[k] * vec[k] for k in range(len(vec)) if row[k] and vec[k]),
-                   ZERO) for row in mat]
+        vec = mat_vec(splice_host_matrix(cat, host, host_vec, 1, cur), vec)
         cur = (cat.dual(y),) + cur + (y,)
     return cur, vec
 
@@ -852,15 +826,3 @@ def assoc_matrix(cat, letters, paren_from, paren_to) -> LinMap:
 
 def _safe_inv(mat):
     return mat_inv(mat) if mat else []
-
-
-def transport_to_paths(cat, letters, paren, root):
-    """Matrix from paren-intrinsic labels to the canonical path basis."""
-    route, comb = _comb_route(paren)
-    dim = len(_labelings(cat, letters, paren, root))
-    mat = eye(dim)
-    cur = paren
-    for at, direction in route:
-        step, cur = _rotation_matrix(cat, letters, cur, at, direction, root)
-        mat = mat_mul(step, mat)
-    return mat

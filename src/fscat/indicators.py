@@ -251,10 +251,6 @@ def is_spherical(cat: Category) -> bool:
 # -- Frobenius-Schur endomorphisms ---------------------------------------------
 
 
-def _vec_apply(mat, vec):
-    return mat_vec(mat, vec)
-
-
 def _accumulate(state, word, vec):
     if not vec or not any(vec):
         return
@@ -275,19 +271,19 @@ def _extract_insert(cat, word, root, src, length, dst, state_vec):
         cur = word
         for j in range(length - 1):
             mat = fuse_step_matrix(cat, cur, root, src, pi[j + 2])
-            vec = _vec_apply(mat, vec)
+            vec = mat_vec(mat, vec)
             cur = cur[:src] + (pi[j + 2],) + cur[src + 2:]
             if not any(vec):
                 break
         else:
-            vec = _vec_apply(drop_unit_letter_matrix(cat, cur, root, src), vec)
+            vec = mat_vec(drop_unit_letter_matrix(cat, cur, root, src), vec)
             cur = cur[:src] + cur[src + 1:]
             # rebuild the same chunk along pi at the destination
-            vec2 = _vec_apply(add_unit_letter_matrix(cat, cur, root, dst), vec)
+            vec2 = mat_vec(add_unit_letter_matrix(cat, cur, root, dst), vec)
             cur2 = cur[:dst] + (cat.unit,) + cur[dst:]
             for j in range(length - 1, 0, -1):
                 mat = split_step_matrix(cat, cur2, root, dst, pi[j], chunk[j])
-                vec2 = _vec_apply(mat, vec2)
+                vec2 = mat_vec(mat, vec2)
                 cur2 = cur2[:dst] + (pi[j], chunk[j]) + cur2[dst + 1:]
             # after the splits the leading inserted letter carries pi[1] = chunk[0]
             _accumulate(out, cur2, vec2)
@@ -324,7 +320,7 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
                 for word, vec in state.items():
                     mat = insert_vector_matrix(cat, word, c, 1, g_letters, g_vec)
                     _accumulate(new, word[:1] + g_letters + word[1:],
-                                _vec_apply(mat, vec))
+                                mat_vec(mat, vec))
             state = new
         combos = []
         for ua in itertools.product(support, repeat=l):
@@ -338,7 +334,7 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
                 if l:
                     mat = splice_host_matrix(cat, a_letters, a_vec, l, b_letters)
                     comb_letters = a_letters[:l] + b_letters + a_letters[l:]
-                    comb_vec = _vec_apply(mat, b_vec)
+                    comb_vec = mat_vec(mat, b_vec)
                 else:
                     comb_letters, comb_vec = b_letters, b_vec
                 combos.append((comb_letters, comb_vec))
@@ -347,7 +343,7 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
             for word, vec in state.items():
                 mat = insert_vector_matrix(cat, word, c, 0, comb_letters, comb_vec)
                 _accumulate(new, comb_letters + word,
-                            _vec_apply(mat, vec))
+                            mat_vec(mat, vec))
         state = new
         # transport the trivial component of the middle n letters
         src = l + nk
@@ -357,40 +353,20 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
             for w2, v2 in moved.items():
                 _accumulate(new, w2, v2)
         state = new
-        # close the three loops
+        # close the three loops: the left one (positions l-1 .. 0), then the
+        # middle and the right ones, which stand next to each other
+        closing = [*range(l - 1, -1, -1), *range(r + nk, 0, -1)]
         final = {}
         for word, vec in state.items():
             cur, v = word, vec
-            ok = True
-            for step in range(l):
-                pos = l - 1 - step
+            for pos in closing:
                 if cat.dual(cur[pos]) != cur[pos + 1]:
-                    ok = False
                     break
-                v = _vec_apply(contract_pair_matrix(cat, cur, c, pos), v)
+                v = mat_vec(contract_pair_matrix(cat, cur, c, pos), v)
                 cur = cur[:pos] + cur[pos + 2:]
-            if not ok:
-                continue
-            for step in range(nk):
-                pos = r + nk - step
-                if cat.dual(cur[pos]) != cur[pos + 1]:
-                    ok = False
-                    break
-                v = _vec_apply(contract_pair_matrix(cat, cur, c, pos), v)
-                cur = cur[:pos] + cur[pos + 2:]
-            if not ok:
-                continue
-            for step in range(r):
-                pos = r - step
-                if cat.dual(cur[pos]) != cur[pos + 1]:
-                    ok = False
-                    break
-                v = _vec_apply(contract_pair_matrix(cat, cur, c, pos), v)
-                cur = cur[:pos] + cur[pos + 2:]
-            if not ok:
-                continue
-            assert len(cur) == 1
-            _accumulate(final, cur, v)
+            else:
+                assert len(cur) == 1
+                _accumulate(final, cur, v)
         for word, vec in final.items():
             val = vec[0] if vec else ZERO
             if val or word == (c,):

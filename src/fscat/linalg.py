@@ -40,24 +40,6 @@ def mat_vec(a, v):
     return [sum((x * y for x, y in zip(row, v) if x and y), ZERO) for row in a]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def mat_trace(a):
     return sum((a[i][i] for i in range(len(a))), ZERO)
 
@@ -74,10 +56,6 @@ def is_identity(a):
     if any(len(row) != n for row in a):
         return False
     return all(a[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
-
-
-def is_zero(a):
-    return all(not x for row in a for x in row)
 
 
 def mat_inv(a):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -146,6 +148,14 @@ def test_pow_and_inverse():
     assert a ** 3 == a * a * a
     assert a ** -2 == (a * a).inverse()
     assert a ** 0 == 1
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_pickle_and_copy_round_trip(n):
+    a = Cyc(n, [Fraction(k + 1, 3) for k in range(euler_phi(n))])
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert b == a and hash(b) == hash(a)
+        assert (b.conductor, b.num, b.den) == (a.conductor, a.num, a.den)
 
 
 def test_coordinates_must_be_exact_rationals():

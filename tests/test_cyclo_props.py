@@ -261,3 +261,6 @@ def test_int_equality_agrees_with_rational(a, k):
     head = a.num[0]
     assert (a == head) == (a == Cyc.rational(head))
     assert (rational == k) and not (rational != k)
+    # equal values hash equally, at any conductor and for Fraction operands
+    assert hash(rational) == hash(k) and (a != head or hash(a) == hash(head))
+    assert hash(Cyc.rational(Fraction(k, 7))) == hash(Fraction(k, 7))

@@ -5,10 +5,13 @@ import pytest
 from conftest import ALL_BUNDLED, bundled
 
 from fscat.cyclo import Cyc
-from fscat.homcalc import (LinMap, TensorWord, assoc_matrix, coev_matrix,
-                           close_loop, double_dual_coefficient, dual_morphism,
-                           ev_matrix, hom_basis, hom_dimension, left_nested,
-                           paths, pivotal_matrix, pivotal_trace, right_nested)
+from fscat.homcalc import (LinMap, TensorWord, add_unit_letter_matrix,
+                           assoc_matrix, coev_matrix, close_loop,
+                           double_dual_coefficient, drop_unit_letter_matrix,
+                           dual_morphism, ev_matrix, fuse_step_matrix,
+                           hom_basis, hom_dimension, left_nested, paths,
+                           pivotal_matrix, pivotal_trace, right_nested,
+                           split_step_matrix)
 from fscat.linalg import is_identity, mat_equal, mat_mul
 
 
@@ -306,3 +309,35 @@ def test_degenerate_word_blocks_compose():
     att = attach_pair_matrix(v2, ("g", "g", "g"), "1", 0, "g")
     con = contract_pair_matrix(v2, ("g", "g", "g", "g", "g"), "1", 0)
     assert mat_mul(con, att) == []
+
+
+def _words(cat, max_len):
+    for n in range(max_len + 1):
+        yield from itertools.product(cat.labels, repeat=n)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_fuse_undoes_split(name):
+    cat = bundled(name)
+    for word in _words(cat, 3):
+        for i, x in enumerate(word):
+            for u, v in itertools.product(cat.labels, repeat=2):
+                if not cat.n(u, v, x):
+                    continue
+                split = word[:i] + (u, v) + word[i + 1:]
+                for root in cat.labels:
+                    m = mat_mul(fuse_step_matrix(cat, split, root, i, x),
+                                split_step_matrix(cat, word, root, i, u, v))
+                    assert is_identity(m), (word, i, u, v, root)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_drop_undoes_add_unit_letter(name):
+    cat = bundled(name)
+    for word in _words(cat, 3):
+        for i in range(len(word) + 1):
+            padded = word[:i] + (cat.unit,) + word[i:]
+            for root in cat.labels:
+                m = mat_mul(drop_unit_letter_matrix(cat, padded, root, i),
+                            add_unit_letter_matrix(cat, word, root, i))
+                assert is_identity(m), (word, i, root)
