@@ -16,7 +16,7 @@ import math
 import sys
 
 from .category import (Category, ObjectExpr, gauge_transform, validate)
-from .cyclo import Cyc, root_of_unity
+from .cyclo import Cyc, galois_conjugate, root_of_unity
 from .indicators import (DimensionGuardError, check_fs_theorems,
                          check_power_identity, check_reversal_symmetry,
                          e_map, indicator, indicator_report,
@@ -57,10 +57,6 @@ def _parse_range(text: str):
     return tuple(range(lo, hi + 1))
 
 
-def _load(path) -> Category:
-    return load_category(path)
-
-
 def _ensure_pivotal(cat: Category, choice) -> Category:
     if cat.pivotal is not None and choice is None:
         return cat
@@ -82,7 +78,7 @@ def _value_csv(value: Cyc) -> str:
 
 
 def cmd_validate(args) -> int:
-    cat = _load(args.spec)
+    cat = load_category(args.spec)
     report = validate(cat)
     for line in report.lines():
         print(line)
@@ -90,7 +86,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ind(args) -> int:
-    cat = _load(args.spec)
+    cat = load_category(args.spec)
     report_v = validate(cat)
     if not report_v.valid:
         raise _Semantic(f"spec invalid: {report_v.first_failure()}")
@@ -148,7 +144,7 @@ def cmd_ind(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cat = _load(args.spec)
+    cat = load_category(args.spec)
     report_v = validate(cat)
     if not report_v.valid:
         print(f"FAIL validate: {report_v.first_failure()}")
@@ -176,7 +172,6 @@ def cmd_check(args) -> int:
     record(f"power identity (E^n)^n = id, n <= {n_max}", ok)
 
     ok = True
-    from .cyclo import galois_conjugate
     for a in cat.labels:
         for n in range(1, n_max + 1):
             for r in range(n + 1):
@@ -220,7 +215,7 @@ def _random_gauge(cat: Category, rng: SplitMix64):
 
 
 def cmd_gauge_check(args) -> int:
-    cat = _load(args.spec)
+    cat = load_category(args.spec)
     report_v = validate(cat)
     if not report_v.valid:
         raise _Semantic(f"spec invalid: {report_v.first_failure()}")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .category import Category
 from .cyclo import Cyc
-from .linalg import eye, mat_inv, mat_mul, mat_vec, zeros
+from .linalg import eye, is_identity, mat_inv, mat_mul, mat_vec, zeros
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -194,7 +194,7 @@ class LinMap:
     def is_identity(self) -> bool:
         if self.source.letters != self.target.letters:
             return False
-        return all(_is_eye(blk) for blk in self.blocks.values())
+        return all(is_identity(blk) for blk in self.blocks.values())
 
     def render(self) -> str:
         lines = [f"LinMap {self.source.letters} -> {self.target.letters}"]
@@ -210,12 +210,6 @@ class LinMap:
         roots = cat.labels if roots is None else roots
         blocks = {r: eye(len(paths(cat, letters, r))) for r in roots}
         return LinMap(cat, TensorWord.of(letters), TensorWord.of(letters), blocks)
-
-
-def _is_eye(blk):
-    n = len(blk)
-    return all(len(row) == n for row in blk) and \
-        all(blk[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
 
 # -- the grafting kernel -----------------------------------------------------

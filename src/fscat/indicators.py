@@ -3,7 +3,9 @@
 The rotation map on Hom(1, x_1 ... x_n) bends the leftmost strand over the
 top: coevaluation wraps for the bent block, evaluations closing it on the
 left, and the inverse pivotal scalar on the bent letters.  Indicators are
-exact traces of its powers.  The Frobenius-Schur endomorphisms are built
+exact traces of its powers, and each rotation orbit's powers are walked
+once: the walk records every trace the indicators read and whether the n-th
+power is the identity.  The Frobenius-Schur endomorphisms are built
 independently, from dual bases of the composition pairing transported
 through the trivial component, so the trace formula is a genuine
 cross-check between two routes and not a definition.
@@ -69,13 +71,14 @@ def e_map_matrix(cat: Category, letters, k: int):
     def build():
         cat.require_pivotal()
         cur = letters
-        m = eye(len(paths(cat, letters, cat.unit)))
+        m = None
         for j in range(k):
             b = cat.dual(letters[j])
             host = (b, letters[j])
             hp = paths(cat, host, cat.unit)
             hv = [ONE if p == (cat.unit, b, cat.unit) else ZERO for p in hp]
-            m = mat_mul(splice_host_matrix(cat, host, hv, 1, cur), m)
+            splice = splice_host_matrix(cat, host, hv, 1, cur)
+            m = splice if m is None else mat_mul(splice, m)
             cur = (b,) + cur + (letters[j],)
         for j in range(k):
             pos = k - 1 - j
@@ -103,17 +106,37 @@ def e_map(cat: Category, word, k: int) -> LinMap:
                   {cat.unit: mat})
 
 
-def _rotation_chain(cat, word, steps):
-    """Composite of `steps` single-letter rotations starting from `word`."""
-    n = len(word)
-    m = eye(len(paths(cat, word, cat.unit)))
-    cur = word
-    for _ in range(steps):
-        if n == 1:
-            break  # rotating one letter over the top is the identity
-        m = mat_mul(e_map_matrix(cat, cur, 1), m)
-        cur = _rot(cur, 1)
-    return m
+def _orbit_walk(cat, word):
+    """Walk the single-letter rotation n times from `word`; cached per word.
+
+    Returns ({r: trace of the r-step composite} for every r at which the
+    walk is back at `word`, whether the n-step composite is the identity).
+    Trace is invariant under cyclic shifts of the factors, so every word of
+    an orbit has the same traces.
+    """
+    def build():
+        n = len(word)
+        if n == 1:  # rotating one letter over the top is the identity
+            return {1: len(paths(cat, word, cat.unit))}, True
+        traces = {}
+        m, cur = None, word
+        for r in range(1, n + 1):
+            e = e_map_matrix(cat, cur, 1)
+            m = e if m is None else mat_mul(e, m)
+            cur = _rot(cur, 1)
+            if cur == word:
+                traces[r] = mat_trace(m)
+        return traces, is_identity(m)
+
+    return cat.cached(("walk", word), build)
+
+
+def _orbit_rep(cat, word):
+    """The least rotation of `word` in label order, which is the first word
+    of its orbit in `RotationOperator.words`."""
+    idx = cat.label_index
+    return min((_rot(word, j) for j in range(len(word))),
+               key=lambda v: [idx(x) for x in v])
 
 
 @dataclass
@@ -124,20 +147,13 @@ class RotationOperator:
     obj: ObjectExpr
     n: int
     words: tuple
-    blocks: dict  # word -> unit-root matrix H(word) -> H(rot_1(word))
-
-    @property
-    def total_dimension(self) -> int:
-        dims = 0
-        for w in self.words:
-            mult = 1
-            for x in w:
-                mult *= self.obj.multiplicity(x)
-            dims += mult * len(paths(self.category, w, self.category.unit))
-        return dims
+    total_dimension: int
 
     def block(self, word):
-        return self.blocks[tuple(word)]
+        """Unit-root matrix H(word) -> H(rot_1(word))."""
+        if self.n == 1:
+            return eye(len(paths(self.category, word, self.category.unit)))
+        return e_map_matrix(self.category, word, 1)
 
 
 def rotation_operator(cat: Category, obj, n: int) -> RotationOperator:
@@ -146,40 +162,29 @@ def rotation_operator(cat: Category, obj, n: int) -> RotationOperator:
         raise ValueError("n must be positive")
     cat.require_pivotal()
     support = sorted(obj.support(), key=cat.label_index)
-    words = tuple(itertools.product(support, repeat=n))
-    op = RotationOperator(cat, obj, n, words, {})
+    # dim Hom(1, V^(x)n) = (N_V)^n[unit, unit] with N_V = sum_a m_a N_a,
+    # counted before any word or path list is built
+    counts = {cat.unit: 1}
+    for _ in range(n):
+        step = {}
+        for a, k in counts.items():
+            for x in support:
+                for c in cat.channels(a, x):
+                    step[c] = step.get(c, 0) + k * obj.multiplicity(x)
+        counts = step
+    total = counts.get(cat.unit, 0)
     guard = _dim_guard()
-    total = 0
-    for w in words:
-        mult = 1
-        for x in w:
-            mult *= obj.multiplicity(x)
-        total += mult * len(paths(cat, w, cat.unit))
-        if total > guard:
-            raise DimensionGuardError(
-                f"hom dimension {total} exceeds {DIM_GUARD_ENV}={guard}")
-    for w in words:
-        if n == 1:
-            op.blocks[w] = eye(len(paths(cat, w, cat.unit)))
-        else:
-            op.blocks[w] = e_map_matrix(cat, w, 1)
-    return op
+    if total > guard:
+        raise DimensionGuardError(
+            f"hom dimension {total} exceeds {DIM_GUARD_ENV}={guard}")
+    words = tuple(itertools.product(support, repeat=n))
+    return RotationOperator(cat, obj, n, words, total)
 
 
 def _fixed_slot_count(obj: ObjectExpr, word, r: int) -> int:
-    """Multiplicity-slot assignments fixed by rotation by r positions."""
-    n = len(word)
-    seen = [False] * n
-    count = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = (j + r) % n
-        count *= obj.multiplicity(word[i])
-    return count
+    """Multiplicity-slot assignments fixed by rotation by r positions; the
+    cycles of the rotation start at positions 0 .. gcd(n, r) - 1."""
+    return math.prod(obj.multiplicity(x) for x in word[:math.gcd(len(word), r)])
 
 
 def indicator(cat: Category, obj, n: int, r: int) -> Cyc:
@@ -194,7 +199,7 @@ def indicator(cat: Category, obj, n: int, r: int) -> Cyc:
     for w in op.words:
         if _rot(w, rr) != w:
             continue
-        tr = mat_trace(_rotation_chain(cat, w, rr))
+        tr = _orbit_walk(cat, _orbit_rep(cat, w))[0][rr]
         if tr:
             total = total + _fixed_slot_count(obj, w, rr) * tr
     return total
@@ -216,9 +221,8 @@ def check_power_identity(cat: Category, obj, n: int) -> bool:
     for w in op.words:
         if w in seen:
             continue
-        orbit = {_rot(w, j) for j in range(n)}
-        seen |= orbit
-        if not is_identity(_rotation_chain(cat, w, n)):
+        seen.update(_rot(w, j) for j in range(n))
+        if not _orbit_walk(cat, w)[1]:  # w is its orbit's least rotation
             return False
         if 2 <= n <= 5:
             for k in range(1, n):

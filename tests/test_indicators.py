@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -7,13 +8,15 @@ from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled
 from fscat.category import MissingPivotalError, ObjectExpr, gauge_transform
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
-from fscat.homcalc import LinMap, pivotal_trace
+from fscat.homcalc import LinMap, hom_dimension, pivotal_trace
 from fscat.indicators import (DimensionGuardError, check_fs_theorems,
                               check_power_identity, check_reversal_symmetry,
-                              e_map, fs_scalar, indicator, indicator_report,
-                              is_spherical, qn_distance, rotation_operator)
-from fscat.linalg import is_identity, mat_mul
+                              e_map, e_map_matrix, fs_scalar, indicator,
+                              indicator_report, is_spherical, qn_distance,
+                              rotation_operator)
+from fscat.linalg import eye, is_identity, mat_mul, mat_trace
 from fscat.oracles import char_indicator, d4_table, q8_table, s3_table
+from fscat.specio import load_bundled
 
 
 def test_e_map_examples():
@@ -275,13 +278,54 @@ def test_indicator_report_flags():
 
 
 def test_dimension_guard():
-    fib = bundled("fibonacci")
+    # a fresh category, so any path list in its cache was built by this call
+    fib = load_bundled("fibonacci")
+    both = ObjectExpr({"1": 1, "t": 1})
     os.environ["FSCAT_NMAX_GUARD"] = "1"
     try:
         with pytest.raises(DimensionGuardError):
             rotation_operator(fib, "t", 6)
+        assert ("paths", ("t",) * 6, "1") not in fib._cache
+        with pytest.raises(DimensionGuardError) as err:
+            rotation_operator(fib, both, 6)
     finally:
         del os.environ["FSCAT_NMAX_GUARD"]
+    assert not any(key[0] == "paths" for key in fib._cache)
+    full = sum(hom_dimension(fib, w) for w in itertools.product(("1", "t"), repeat=6))
+    assert str(err.value) == f"hom dimension {full} exceeds FSCAT_NMAX_GUARD=1"
+
+
+def _walked_trace(cat, word, r):
+    """Trace of r single-letter rotations walked from `word` itself."""
+    m = eye(hom_dimension(cat, word))
+    for _ in range(r if len(word) > 1 else 0):
+        m = mat_mul(e_map_matrix(cat, word, 1), m)
+        word = word[1:] + word[:1]
+    return mat_trace(m)
+
+
+def _brute_fixed_slots(obj, word, r):
+    """Slot tuples (one multiplicity slot per letter) fixed by rotation by r."""
+    slots = itertools.product(*(range(obj.multiplicity(x)) for x in word))
+    return sum(1 for s in slots if s[r:] + s[:r] == s)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_indicator_of_sums_every_r(name):
+    # nu_(n,r)(2a + b) as a sum over rotation-fixed words, each word's own
+    # walk times its brute-force slot count; periodic words such as
+    # (a, b, a, b) at r = 2 pin the orbit-shared traces
+    cat = bundled(name)
+    for a, b in itertools.combinations(cat.labels, 2):
+        obj = ObjectExpr({a: 2, b: 1})
+        for n in range(1, 5):
+            for r in range(n + 1):
+                want = Cyc.zero()
+                for w in itertools.product((a, b), repeat=n):
+                    if w[r:] + w[:r] == w:
+                        want = want + _brute_fixed_slots(obj, w, r) * \
+                            _walked_trace(cat, w, r)
+                assert indicator(cat, obj, n, r) == want, (a, b, n, r)
 
 
 def test_zero_object_rejected_by_indicators():

@@ -2,16 +2,16 @@
 
 ``perfbench/tracing.py`` wraps fscat functions by name and its self-check
 needs some of them to receive calls.  This test installs the tracer, runs a
-power-identity check and an FS scalar on a freshly loaded category (so no
-cached matrix hides a call), and asserts that the spans the benchmark
-depends on were entered.
+power-identity check, an indicator report and an FS scalar on a freshly
+loaded category (so no cached matrix hides a call), and asserts that the
+spans the benchmark depends on were entered.
 """
 
 import os
 import sys
 
 import fscat.cli  # noqa: F401  (the tracer wraps names in every layer)
-from fscat.indicators import check_power_identity, fs_scalar
+from fscat.indicators import check_power_identity, fs_scalar, indicator_report
 from fscat.specio import load_bundled
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -27,10 +27,14 @@ def test_traced_spans_receive_calls():
     try:
         tracer.active = True
         assert check_power_identity(fib, "t", 3)
+        indicator_report(fib, "t", (3,))
         fs_scalar(fib, "t", 3, 1, 1)
     finally:
         tracer.active = False
         tracer.uninstall()
     for span in ("homcalc.splice", "homcalc.insert", "homcalc.step",
-                 "homcalc.contract", "linalg.mat_vec"):
+                 "homcalc.contract", "linalg.mat_vec",
+                 "indicators.e_map_matrix", "indicators.indicator",
+                 "indicators.rotation_operator", "linalg.mat_mul",
+                 "linalg.check"):
         assert tracer.span_calls(span) > 0, span
