@@ -20,6 +20,7 @@ Conventions used by the whole package:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .cyclo import Cyc
@@ -56,6 +57,10 @@ class FusionRing:
         self.N = {k: int(v) for k, v in multiplicities.items() if v}
         self._index = {a: i for i, a in enumerate(self.labels)}
         self._channels = {}
+        # {x: the most channels c of any product a (x) x}
+        per_pair = Counter((a, b) for a, b, _ in self.N)
+        self.fanout = {x: max(per_pair[(a, x)] for a in self.labels)
+                       for x in self.labels}
 
     def index(self, a):
         return self._index[a]

@@ -17,6 +17,10 @@ integers alone, through one integer power-reduction table per conductor.
 ``coeffs`` view, ``reduced_key`` and the spec encoding.  Division is exact
 too: the inverse of x is the product c of its other Galois conjugates over
 the field norm c * x, a nonzero rational.
+
+The same numerator layout, evaluated at z = 2^s (Kronecker substitution),
+packs whole matrices into Python integers for ``linalg.mat_mul``; the
+packing, the slot-width bound and the unpacking live here.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 import mpmath
@@ -89,6 +94,135 @@ def _mul_plan(n: int):
     phi = euler_phi(n)
     table = _power_table(n)
     return phi, tuple((k, table[k % n]) for k in range(phi, 2 * phi - 1))
+
+
+# -- Kronecker packing for exact matrix products --------------------------
+#
+# A numerator vector v at conductor n packs into the one integer v(2^s) =
+# sum_i v[i] 2^(s*i).  Sums of products of packed integers are the packed
+# unreduced convolutions: slot k holds the coefficient of z^k, k < 2 phi - 1,
+# before folding mod Phi_n.  A dot product of length `terms` has at most
+# terms * phi products per slot, so terms * phi * h_a * h_b < 2^(s-1) keeps
+# every slot inside the signed range and the unpacking exact.  Such a value
+# v then has |v| < 2^(w-1) with w = (2 phi - 1) s, so packed values placed
+# w bits apart (one matrix row) split back into signed w-bit chunks.
+
+
+def kron_operands(a, b, terms: int):
+    """Pack the operands of the matrix product a @ b of inner dimension terms.
+
+    Returns (unpack, w, packed_a, packed_b): the mapping from a packed dot
+    product to its ``Cyc`` value, the bit width w of one packed dot product,
+    and each operand's entries as packed integers (0 for a zero entry).
+    """
+    n_a, den_a = _scan(a)
+    n_b, den_b = _scan(b)
+    n = math.lcm(n_a, n_b)
+    h_a, num_a = _scaled_numerators(a, n, den_a)
+    h_b, num_b = _scaled_numerators(b, n, den_b)
+    # the least s with terms * phi * h_a * h_b < 2^(s-1)
+    s = (terms * euler_phi(n) * h_a * h_b).bit_length() + 1
+    if n != 1:  # at n = 1 an entry packs to its one numerator
+        num_a = [[kron_pack(v, s) if v else 0 for v in row] for row in num_a]
+        num_b = [[kron_pack(v, s) if v else 0 for v in row] for row in num_b]
+    return (KronUnpacker(n, s, den_a * den_b), (2 * euler_phi(n) - 1) * s,
+            num_a, num_b)
+
+
+def _scan(matrix):
+    """(least common conductor of the irrational entries, lcm of the
+    denominators) of a matrix."""
+    n = den = 1
+    for row in matrix:
+        for x in row:
+            if den % x.den:
+                den = math.lcm(den, x.den)
+            if n % x.conductor and any(x.num[1:]):
+                n = math.lcm(n, x.conductor)
+    return n, den
+
+
+def _scaled_numerators(matrix, n: int, den: int):
+    """(height, rows): each entry's numerators at conductor n scaled to den,
+    one integer per entry when n == 1, else a tuple (empty for a zero
+    entry), and the largest absolute value among them."""
+    if n == 1:
+        rows = [[x.num[0] * (den // x.den) for x in row] for row in matrix]
+        return max(map(abs, chain.from_iterable(rows)), default=0), rows
+    pad = (0,) * (euler_phi(n) - 1)
+    rows = []
+    for row in matrix:
+        vecs = []
+        for x in row:
+            num = x.num
+            if not any(num):
+                vecs.append(())
+                continue
+            if x.conductor != n:
+                if any(num[1:]):
+                    num = _image(num, n, n // x.conductor)
+                else:
+                    num = (num[0],) + pad
+            f = den // x.den
+            vecs.append(tuple([y * f for y in num]) if f != 1 else num)
+        rows.append(vecs)
+    coords = chain.from_iterable(chain.from_iterable(rows))
+    return max(map(abs, coords), default=0), rows
+
+
+def kron_pack(coeffs, s: int) -> int:
+    """The integer vector evaluated at z = 2^s."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << s) + c
+    return acc
+
+
+def signed_slots(v: int, s: int, count: int) -> list:
+    """The first count coefficients of v in base 2^s, each in the signed
+    range [-2^(s-1), 2^(s-1)): the inverse of kron_pack."""
+    mask = (1 << s) - 1
+    half = 1 << (s - 1)
+    out = []
+    for _ in range(count):
+        c = v & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        v = (v - c) >> s
+    return out
+
+
+class KronUnpacker(dict):
+    """Packed dot product -> its Cyc value, for the layout of one product.
+
+    A value splits into 2 phi - 1 signed slots, which fold mod Phi_n over
+    den; a rational result comes back at conductor 1.  Each distinct value
+    is unpacked once and the immutable result shared.
+    """
+
+    __slots__ = ("n", "s", "den")
+
+    def __init__(self, n: int, s: int, den: int):
+        super().__init__()
+        self.n, self.s, self.den = n, s, den
+
+    def __missing__(self, v):
+        n, den = self.n, self.den
+        phi, folds = _mul_plan(n)
+        if phi == 1:
+            x = _make(1, [v], den)
+        else:
+            conv = signed_slots(v, self.s, 2 * phi - 1)
+            for k, row in folds:
+                c = conv[k]
+                if c:
+                    for i, r in row:
+                        conv[i] += c * r
+            del conv[phi:]
+            x = _make(n, conv, den) if any(conv[1:]) else _make(1, conv[:1], den)
+        self[v] = x
+        return x
 
 
 def _reduce_power(n: int, k: int) -> list[int]:

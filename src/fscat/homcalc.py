@@ -35,6 +35,8 @@ legally.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 from .category import Category
@@ -43,6 +45,25 @@ from .linalg import eye, is_identity, mat_inv, mat_mul, mat_vec, zeros
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
+
+DIM_GUARD_ENV = "FSCAT_NMAX_GUARD"
+
+
+class DimensionGuardError(RuntimeError):
+    """Hom-space dimension exceeded the runaway-growth guard."""
+
+
+def dimension_guard() -> int:
+    """The largest hom dimension allowed: FSCAT_NMAX_GUARD, default 4096."""
+    return int(os.environ.get(DIM_GUARD_ENV, "4096"))
+
+
+def check_dimension_guard(dim: int) -> None:
+    """Raise DimensionGuardError for a hom dimension above the guard."""
+    guard = dimension_guard()
+    if dim > guard:
+        raise DimensionGuardError(
+            f"hom dimension {dim} exceeds {DIM_GUARD_ENV}={guard}")
 
 
 # -- parenthesizations ----------------------------------------------------
@@ -110,11 +131,38 @@ def _letters_of(word) -> tuple:
     return tuple(word)
 
 
+def path_counts(cat: Category, steps) -> dict:
+    """{c: number of fusion paths from the unit to c}, by integer propagation.
+
+    Each step is a dict {letter: multiplicity}, the object tensored on at
+    that position; no path is listed.
+    """
+    counts = {cat.unit: 1}
+    for step in steps:
+        nxt = {}
+        for a, k in counts.items():
+            for x, m in step.items():
+                for c in cat.channels(a, x):
+                    nxt[c] = nxt.get(c, 0) + k * m
+        counts = nxt
+    return counts
+
+
 def paths(cat: Category, letters, root) -> tuple:
-    """All admissible fusion paths through ``letters`` from unit to root."""
+    """All admissible fusion paths through ``letters`` from unit to root.
+
+    The dimension guard is checked on the counted dimension before any path
+    is listed, so the path list of a refused hom space is never built.
+    """
     letters = _letters_of(letters)
 
     def build():
+        # a path branches at most fanout[x] ways at a letter x, so a word
+        # whose product of fanouts is within the guard needs no count
+        bound = math.prod(map(cat.ring.fanout.__getitem__, letters))
+        if bound > dimension_guard():
+            check_dimension_guard(
+                path_counts(cat, ({x: 1} for x in letters)).get(root, 0))
         partial = [(cat.unit,)]
         for x in letters:
             partial = [p + (c,) for p in partial for c in cat.channels(p[-1], x)]

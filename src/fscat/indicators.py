@@ -15,30 +15,21 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 from .category import Category, ObjectExpr, reverse_category
 from .cyclo import Cyc, galois_conjugate
-from .homcalc import (LinMap, TensorWord, add_unit_letter_matrix,
+# DimensionGuardError is re-exported: callers import it from here
+from .homcalc import (DimensionGuardError, LinMap, TensorWord,
+                      add_unit_letter_matrix, check_dimension_guard,
                       contract_pair_matrix, db_prime_vector, db_vector,
                       drop_unit_letter_matrix, fuse_step_matrix,
-                      insert_vector_matrix, paths, pivotal_trace,
+                      insert_vector_matrix, path_counts, paths, pivotal_trace,
                       splice_host_matrix, split_step_matrix)
 from .linalg import eye, is_identity, mat_equal, mat_mul, mat_trace, mat_vec
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
-
-DIM_GUARD_ENV = "FSCAT_NMAX_GUARD"
-
-
-class DimensionGuardError(RuntimeError):
-    """Hom-space dimension exceeded the runaway-growth guard."""
-
-
-def _dim_guard() -> int:
-    return int(os.environ.get(DIM_GUARD_ENV, "4096"))
 
 
 def _as_expr(cat, obj) -> ObjectExpr:
@@ -164,19 +155,9 @@ def rotation_operator(cat: Category, obj, n: int) -> RotationOperator:
     support = sorted(obj.support(), key=cat.label_index)
     # dim Hom(1, V^(x)n) = (N_V)^n[unit, unit] with N_V = sum_a m_a N_a,
     # counted before any word or path list is built
-    counts = {cat.unit: 1}
-    for _ in range(n):
-        step = {}
-        for a, k in counts.items():
-            for x in support:
-                for c in cat.channels(a, x):
-                    step[c] = step.get(c, 0) + k * obj.multiplicity(x)
-        counts = step
-    total = counts.get(cat.unit, 0)
-    guard = _dim_guard()
-    if total > guard:
-        raise DimensionGuardError(
-            f"hom dimension {total} exceeds {DIM_GUARD_ENV}={guard}")
+    step = {x: obj.multiplicity(x) for x in support}
+    total = path_counts(cat, [step] * n).get(cat.unit, 0)
+    check_dimension_guard(total)
     words = tuple(itertools.product(support, repeat=n))
     return RotationOperator(cat, obj, n, words, total)
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .category import Category, FSymbolSet, FusionRing, SpecError
 from .cyclo import Cyc, root_of_unity
+from .linalg import eye, mat_mul
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -297,11 +298,8 @@ class MatrixRep:
 
 
 def _rep_from_generators(group: _Group, gens: dict, name: str) -> MatrixRep:
-    from .linalg import mat_mul
-
     degree = len(next(iter(gens.values())))
-    eye = [[ONE if i == j else ZERO for j in range(degree)] for i in range(degree)]
-    mats = {group.identity: eye}
+    mats = {group.identity: eye(degree)}
     frontier = [group.identity]
     while frontier:
         nxt = []

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import fscat
 from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled
 
 from fscat.category import MissingPivotalError, ObjectExpr, gauge_transform
@@ -293,6 +294,21 @@ def test_dimension_guard():
     assert not any(key[0] == "paths" for key in fib._cache)
     full = sum(hom_dimension(fib, w) for w in itertools.product(("1", "t"), repeat=6))
     assert str(err.value) == f"hom dimension {full} exceeds FSCAT_NMAX_GUARD=1"
+
+
+@pytest.mark.parametrize("call", [
+    lambda cat: fs_scalar(cat, "t", 5, 2, 2),
+    lambda cat: e_map_matrix(cat, ("t",) * 5, 2),  # bends through 9 letters
+], ids=["fs_scalar", "e_map_matrix_k2"])
+def test_dimension_guard_every_hom_space(call, monkeypatch):
+    # Hom(1, t^5) has dimension 3, so the refusal comes from the longer
+    # words the request builds on the way
+    fib = load_bundled("fibonacci")
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", "3")
+    with pytest.raises(fscat.DimensionGuardError):
+        call(fib)
+    assert max((len(v) for k, v in fib._cache.items() if k[0] == "paths"),
+               default=0) <= 3
 
 
 def _walked_trace(cat, word, r):

@@ -1,0 +1,142 @@
+"""Property tests of ``linalg.mat_mul`` against a plain triple loop.
+
+The reference below multiplies entry by entry with ``Cyc`` arithmetic (which
+``test_cyclo_props`` pins to an independent Fraction reference), so any
+difference comes from the packed integer kernel: its scan, slot width,
+signed unpacking, folding mod Phi_N or denominators.  Each property runs
+both through the module's size selection and forced through the packed
+kernel.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fscat import linalg
+from fscat.cyclo import Cyc, euler_phi, root_of_unity
+
+CONDUCTOR_PAIRS = ((1, 1), (3, 3), (4, 4), (5, 5), (8, 8), (12, 12), (24, 24),
+                   (1, 8), (5, 1), (3, 4), (8, 12), (24, 3))
+
+
+def triple_loop(a, b):
+    cols = len(b[0]) if b else 0
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Cyc.zero())
+             for j in range(cols)] for i in range(len(a))]
+
+
+def packed_mat_mul(a, b):
+    """mat_mul with the product forced through the packed kernel."""
+    saved = linalg._PACK_MIN
+    linalg._PACK_MIN = 0
+    try:
+        return linalg.mat_mul(a, b)
+    finally:
+        linalg._PACK_MIN = saved
+
+
+def check_product(a, b):
+    want = triple_loop(a, b)
+    size = len(a) * len(b) * (len(b[0]) if b else 0)
+    for got, packed in ((linalg.mat_mul(a, b), size >= linalg._PACK_MIN),
+                        (packed_mat_mul(a, b), True)):
+        assert got == want
+        for row in got:
+            for x in row:
+                assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+                assert len(x.num) == euler_phi(x.conductor)
+                if packed and x.is_rational():
+                    assert x.conductor == 1, x
+
+
+# -- strategies -------------------------------------------------------------
+
+coordinates = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    # wide numerators and denominators need wide slots
+    st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 40)),
+)
+
+
+@st.composite
+def entries(draw, n):
+    kind = draw(st.sampled_from(("zero", "rational", "rational at n", "field")))
+    phi = euler_phi(n)
+    if kind == "zero":
+        return Cyc.zero()
+    if kind == "field":
+        return Cyc(n, draw(st.lists(coordinates, min_size=phi, max_size=phi)))
+    q = draw(coordinates)
+    if kind == "rational":
+        return Cyc.rational(q)
+    return Cyc(n, [q] + [0] * (phi - 1))
+
+
+@st.composite
+def matrices(draw, rows, cols, n):
+    m = [[draw(entries(n)) for _ in range(cols)] for _ in range(rows)]
+    if rows and cols and draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [Cyc.zero()] * cols
+    if rows and cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[j] = Cyc.zero()
+    return m
+
+
+@st.composite
+def operands(draw, conductors):
+    na, nb = conductors
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    return (draw(matrices(rows, inner, na)), draw(matrices(inner, cols, nb)))
+
+
+# -- properties -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("conductors", CONDUCTOR_PAIRS,
+                         ids=[f"{a}x{b}" for a, b in CONDUCTOR_PAIRS])
+@given(data=st.data())
+def test_product_matches_triple_loop(conductors, data):
+    a, b = data.draw(operands(conductors))
+    check_product(a, b)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0),
+                                   (1, 1, 1), (4, 4, 4), (64, 1, 1)])
+def test_empty_and_edge_shapes(shape):
+    rows, inner, cols = shape
+    z = root_of_unity(8, 3)
+    a = [[z + k for k in range(inner)] for _ in range(rows)]
+    b = [[z * j - k for j in range(cols)] for k in range(inner)]
+    check_product(a, b)
+    assert linalg.mat_mul(a, [[Cyc.zero()] * cols] * inner) == \
+        [[0] * (cols if inner else 0)] * rows
+
+
+@given(st.sampled_from((3, 4, 5, 8, 12, 24)), st.integers(1, 8),
+       st.integers(1, 2 ** 64), st.integers(1, 2 ** 64))
+def test_slots_hold_the_worst_case(n, inner, ha, hb):
+    # every coordinate at the height, one sign: the middle unreduced
+    # coefficient of each entry is exactly inner * phi * ha * hb
+    phi = euler_phi(n)
+    a = [[Cyc(n, [ha] * phi)] * inner for _ in range(8)]
+    b = [[Cyc(n, [hb] * phi)] * 8 for _ in range(inner)]
+    assert linalg.mat_mul(a, b) == triple_loop(a, b)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 8, 12, 24))
+def test_rational_results_come_back_at_conductor_one(n):
+    # (a b)[i][j] = sum_k z^(i+k) z^-(k+j) = 6 z^(i-j): rational on the diagonal
+    z = root_of_unity
+    a = [[z(n, i + k) for k in range(6)] for i in range(6)]
+    b = [[z(n, -k - j) for j in range(6)] for k in range(6)]
+    out = linalg.mat_mul(a, b)
+    assert out == triple_loop(a, b)
+    for i in range(6):
+        assert out[i][i].conductor == 1 and out[i][i] == 6
