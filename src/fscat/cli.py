@@ -259,9 +259,10 @@ def cmd_emit(args) -> int:
         cat = solve_pentagon_rank2()[args.index]
     else:
         raise _Semantic(f"unknown family {args.family!r}")
-    if args.pivotal != "none":
-        cat = attach_pivotal(cat, args.pivotal)
     report = validate(cat)
+    if report.valid and args.pivotal != "none":
+        cat = attach_pivotal(cat, args.pivotal)
+        report = validate(cat)
     if not report.valid:
         raise _Semantic(f"generated spec invalid: {report.first_failure()}")
     save_category(cat, args.output)

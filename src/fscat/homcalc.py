@@ -615,34 +615,33 @@ def dual_morphism(cat, m: LinMap) -> LinMap:
     return LinMap(cat, TensorWord.of(dw2), TensorWord.of(dw1), blocks)
 
 
-def vertex_linmap(cat, a, b, c) -> LinMap:
-    """The chosen basis vector of Hom(c, a (x) b) as a morphism c -> a (x) b."""
-    if not cat.n(a, b, c):
-        raise ValueError(f"channel ({a},{b};{c}) is inadmissible")
-    blocks = {}
-    for r in cat.labels:
-        src = paths(cat, (c,), r)
-        tgt = paths(cat, (a, b), r)
-        mat = zeros(len(tgt), len(src))
-        if r == c:
-            mat[_path_index(cat, (a, b), r)[(cat.unit, a, c)]][0] = ONE
-        blocks[r] = mat
-    return LinMap(cat, TensorWord.of((c,)), TensorWord.of((a, b)), blocks)
+def double_dual_inverse(cat, a, b, c) -> Cyc:
+    """1 / ``double_dual_coefficient(cat, a, b, c)``, from three F-symbols.
+
+    With x* the dual of x and 1 the unit, the product is
+    [F^{a,b,c*}_1]_{c,a*} [F^{b,c*,a}_1]_{a*,b*} [F^{c*,a,b}_1]_{b*,c}.
+    Each factor is the only entry of a 1x1 block, so it is nonzero whenever
+    every F-block is invertible.  The form holds on pentagon solutions
+    only; ``oracles.nested_double_dual_coefficient`` is the route through
+    the evaluation/coevaluation machinery that it is tested against.
+    """
+    unit, ad, bd, cd = cat.unit, cat.dual(a), cat.dual(b), cat.dual(c)
+    return (cat.f_entry(a, b, cd, unit, c, ad)
+            * cat.f_entry(b, cd, a, unit, ad, bd)
+            * cat.f_entry(cd, a, b, unit, bd, c))
 
 
 def double_dual_coefficient(cat, a, b, c) -> Cyc:
     """Scalar of the skeletal double-dual tensorator on the (a, b; c) channel.
 
-    Computed by double dualization of the channel vertex through the nested
-    evaluation/coevaluation machinery.  The orientation (the inverse of the
-    raw double-dual scalar) is the one that makes pivotal monoidality
+    The inverse of the raw double dual of the channel vertex, which is the
+    orientation that makes pivotal monoidality t(a) t(b) delta = t(c)
     transform consistently with the rotation maps under gauge changes; for
-    dual-pair-symmetric data the two orientations agree.
+    dual-pair-symmetric data the two orientations agree.  Closed form in
+    F-symbols (``double_dual_inverse``), valid on data that passes the
+    pentagon.
     """
-    def build():
-        dd = dual_morphism(cat, dual_morphism(cat, vertex_linmap(cat, a, b, c)))
-        return dd.block(c)[0][0].inverse()
-    return cat.cached(("ddual", a, b, c), build)
+    return double_dual_inverse(cat, a, b, c).inverse()
 
 
 def close_loop(cat, m: LinMap, side: str, count: int) -> LinMap:

@@ -2,10 +2,11 @@
 
 The character-theoretic indicator and the brute-force tensor-invariant
 oracle know nothing about F-symbols; they provide the classical values the
-categorical machinery must reproduce.  The constructors build pointed
-categories, Tambara-Yamagami categories and the rank-2 pentagon solutions
-as exact category data, and never assume the pentagon: generated data is
-certified by the validator.
+categorical machinery must reproduce.  The nested double-dual route is the
+reference for the closed-form double-dual scalar.  The constructors build
+pointed categories, Tambara-Yamagami categories and the rank-2 pentagon
+solutions as exact category data, and never assume the pentagon: generated
+data is certified by the validator.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from fractions import Fraction
 
 from .category import Category, FSymbolSet, FusionRing, SpecError
 from .cyclo import Cyc, root_of_unity
-from .linalg import eye, mat_mul
+from .homcalc import LinMap, TensorWord, dual_morphism, paths
+from .linalg import eye, mat_mul, zeros
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -417,6 +419,30 @@ def brute_force_indicator(rep: MatrixRep, n: int, r: int) -> Cyc:
             row = rotate(row)
         acc = acc + proj[row][t]
     return acc
+
+
+# -- the nested double-dual route ---------------------------------------------
+
+
+def vertex_linmap(cat, a, b, c) -> LinMap:
+    """The chosen basis vector of Hom(c, a (x) b) as a morphism c -> a (x) b."""
+    if not cat.n(a, b, c):
+        raise ValueError(f"channel ({a},{b};{c}) is inadmissible")
+    blocks = {}
+    for r in cat.labels:
+        tgt = paths(cat, (a, b), r)
+        mat = zeros(len(tgt), len(paths(cat, (c,), r)))
+        if r == c:
+            mat[tgt.index((cat.unit, a, c))][0] = ONE
+        blocks[r] = mat
+    return LinMap(cat, TensorWord.of((c,)), TensorWord.of((a, b)), blocks)
+
+
+def nested_double_dual_coefficient(cat, a, b, c) -> Cyc:
+    """``homcalc.double_dual_coefficient`` by double dualization of the
+    channel vertex through the evaluation/coevaluation machinery."""
+    dd = dual_morphism(cat, dual_morphism(cat, vertex_linmap(cat, a, b, c)))
+    return dd.block(c)[0][0].inverse()
 
 
 # -- category constructors ---------------------------------------------------

@@ -3,9 +3,11 @@
 A pivotal structure on skeletal data is one nonzero scalar per simple,
 constrained multiplicatively by t(unit) = 1, t(dual a) = t(a)^-1, and the
 monoidality condition t(a) t(b) delta(a,b,c) = t(c) on every fusion
-channel, where delta is the double-dual tensorator scalar computed by the
-hom calculus.  The system is solved exactly: write the exponent lattice of
-the relations, diagonalize over the integers, extract the required roots
+channel, where delta is the double-dual tensorator scalar.  delta is read
+in closed form from three F-symbols (``homcalc.double_dual_inverse``),
+which is exact on F-data that passes the pentagon, so enumeration expects
+validated F-data.  The system is solved exactly: write the exponent lattice
+of the relations, diagonalize over the integers, extract the required roots
 (which are roots of unity for these systems), and enumerate the finite
 character torsor on top of one particular solution.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from .category import Category, PivotalData
 from .cyclo import Cyc, root_of_unity
-from .homcalc import LinMap, double_dual_coefficient, pivotal_trace
+from .homcalc import LinMap, double_dual_inverse, pivotal_trace
 from .snf import diagonalize
 
 ONE = Cyc.one()
@@ -49,7 +51,9 @@ def enumerate_pivotal_structures(category: Category):
     """All pivotal coefficient families on the category's ring and F-data.
 
     Returns a canonically sorted list of PivotalData, possibly empty; each
-    returned family satisfies every defining relation exactly.
+    returned family satisfies every defining relation exactly.  The F-data
+    must already pass ``validate``: the relations use the closed-form
+    double-dual scalar, which holds only on pentagon solutions.
     """
     ring = category.ring
     unit = ring.unit
@@ -64,12 +68,11 @@ def enumerate_pivotal_structures(category: Category):
         rhs.append(value)
 
     for (a, b, c) in ring.admissible_triples():
-        delta = double_dual_coefficient(category, a, b, c)
         exps = [0] * len(unknowns)
         for x, s in ((a, 1), (b, 1), (c, -1)):
             if x != unit:
                 exps[pos[x]] += s
-        add_relation(exps, delta.inverse())
+        add_relation(exps, double_dual_inverse(category, a, b, c))
     for a in unknowns:
         exps = [0] * len(unknowns)
         exps[pos[a]] += 1

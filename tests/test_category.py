@@ -5,8 +5,8 @@ import pytest
 from conftest import ALL_BUNDLED, bundled
 
 from fscat.category import (Category, FSymbolSet, GaugeError, ObjectExpr,
-                            fp_dimension, gauge_transform, pentagon_failures,
-                            reverse_category, validate)
+                            ValidationReport, fp_dimension, gauge_transform,
+                            pentagon_failures, reverse_category, validate)
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, root_of_unity
 from fscat.indicators import indicator
@@ -45,6 +45,94 @@ def test_mutated_pentagon_reports_failing_tuple():
 
 def test_vec_z2_trivial_is_valid():
     assert validate(bundled("vec_z2")).valid
+
+
+def _single_entry_mutations(cat):
+    """Every stored F-entry negated, doubled or deleted (deleted means 1)."""
+    for key, val in cat.F.entries.items():
+        for kind in ("negated", "doubled", "deleted"):
+            entries = dict(cat.F.entries)
+            if kind == "deleted":
+                del entries[key]
+            else:
+                entries[key] = -val if kind == "negated" else val + val
+            yield (key, kind), Category(cat.name + "~mut", cat.ring,
+                                        FSymbolSet(entries), cat.pivotal,
+                                        cat.conductor)
+
+
+def _reference_pentagon_failures(category, stop_after=None):
+    """Five nested label loops over (a, b, c, d, e), skipping inadmissible
+    tuples, with every factor read through ``Category.f_entry``."""
+    ring = category.ring
+    fails = []
+    for a in ring.labels:
+        for b in ring.labels:
+            if not ring.channels(a, b):
+                continue
+            for c in ring.labels:
+                for d in ring.labels:
+                    for e in ring.labels:
+                        sources = [(f, g) for f in ring.channels(a, b)
+                                   for g in ring.channels(f, c) if ring.n(g, d, e)]
+                        if not sources:
+                            continue
+                        targets = [(l, k) for l in ring.channels(c, d)
+                                   for k in ring.channels(b, l) if ring.n(a, k, e)]
+                        bad = False
+                        for f, g in sources:
+                            for l, k in targets:
+                                lhs = category.f_entry(f, c, d, e, g, l) * \
+                                    category.f_entry(a, b, l, e, f, k)
+                                rhs = Cyc.zero()
+                                for h in ring.channels(b, c):
+                                    rhs = rhs + (category.f_entry(a, b, c, g, f, h)
+                                                 * category.f_entry(a, h, d, e, g, k)
+                                                 * category.f_entry(b, c, d, k, h, l))
+                                if lhs != rhs:
+                                    bad = True
+                                    break
+                            if bad:
+                                break
+                        if bad:
+                            fails.append((a, b, c, d, e))
+                            if stop_after and len(fails) >= stop_after:
+                                return fails
+    return fails
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_pentagon_failures_match_the_five_loop_reference(name):
+    cat = bundled(name)
+    cases = [(None, cat), (None, reverse_category(cat)),
+             *_single_entry_mutations(cat)]
+    for what, c in cases:
+        for stop in (None, 1):
+            assert pentagon_failures(c, stop_after=stop) == \
+                _reference_pentagon_failures(c, stop_after=stop), (what, stop)
+
+
+def _same_f_table(c1, c2):
+    def table(c):
+        return {k: v for k, v in c.F.entries.items() if v != 1}
+    return c1.ring.N == c2.ring.N and table(c1) == table(c2)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_f_mutations_give_a_report_not_an_exception(name):
+    # a mutation is valid exactly when its F-table is certified data: a
+    # deleted entry that was 1, or semion turned into the trivial Z2 table
+    cat = bundled(name)
+    certified = [bundled(n) for n in ALL_BUNDLED]
+    for what, mutated in _single_entry_mutations(cat):
+        expect_valid = any(_same_f_table(mutated, c) for c in certified)
+        for c in (mutated, mutated.with_pivotal(None)):
+            report = validate(c)
+            assert isinstance(report, ValidationReport)
+            assert report.valid == expect_valid, (what, report.first_failure())
+            if c.pivotal is not None and not expect_valid:
+                mono = report.items[-1]
+                assert mono.name == "monoidality" and not mono.ok
 
 
 # -- Frobenius-Perron ---------------------------------------------------------

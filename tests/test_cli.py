@@ -1,11 +1,19 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from fscat.specio import bundled_path
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(*args, env=None):
+    """Run ``python -m fscat.cli`` with this checkout's ``src`` on the path."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "fscat.cli", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
@@ -130,7 +138,6 @@ def test_emit_families(tmp_path):
 
 
 def test_dimension_guard_env(tmp_path):
-    import os
     env = dict(os.environ)
     env["FSCAT_NMAX_GUARD"] = "1"
     out = run_cli("ind", spec("fibonacci"), "--object", "t", "--n", "5",

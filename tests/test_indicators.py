@@ -72,15 +72,18 @@ def test_indicator_vec_z2_alternates():
 
 
 def test_indicator_matches_group_characters():
-    # the TY categories at tau = -1/2 and +1/2 realize the Q8 and D4 fusion
-    # data; nu_2 of the two-dimensional simple must match the character oracle
+    # TY(Z2 x Z2) with the diagonal bicharacter at tau = -1/2 and +1/2 has
+    # the fusion rules of Rep(Q8) and Rep(D4), and nu_2(sigma) matches their
+    # two-dimensional characters; it is neither category, since
+    # nu_4(sigma) = 0 where both characters give 2
     tym = bundled("ty_z2z2_minus")
     typ = bundled("ty_z2z2_plus")
     assert indicator(tym, "sigma", 2, 1) == \
         char_indicator(q8_table(), "dim2", 2, 1) == Cyc.rational(-1)
     assert indicator(typ, "sigma", 2, 1) == \
         char_indicator(d4_table(), "dim2", 2, 1) == Cyc.rational(1)
-    # Rep(S3) as a TY category over Z3
+    # rep_s3 is TY(Z3), rank 4 with nu_4(sigma) = -i, so not Rep(S3) (rank 3,
+    # integer indicators); only its nu_2(sigma) matches the S3 character
     reps3 = bundled("rep_s3")
     assert indicator(reps3, "sigma", 2, 1) == \
         char_indicator(s3_table(), "std", 2, 1) == Cyc.rational(1)
