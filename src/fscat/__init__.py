@@ -14,7 +14,7 @@ from .indicators import (DimensionGuardError, IndicatorReport,
                          RotationOperator, check_fs_theorems,
                          check_power_identity, check_reversal_symmetry, e_map,
                          fs_scalar, indicator, indicator_report, is_spherical,
-                         ptr, qn_distance, rotation_operator)
+                         qn_distance, rotation_operator)
 from .pivotal import (attach_pivotal, canonical_flags,
                       enumerate_pivotal_structures, global_dimension,
                       is_pseudo_unitary, normed_square)

@@ -130,12 +130,19 @@ class FusionRing:
         for a in self.labels:
             for b in self.labels:
                 for c in self.labels:
-                    for d in self.labels:
-                        lhs = sum(self.n(a, b, e) * self.n(e, c, d) for e in self.labels)
-                        rhs = sum(self.n(b, c, f) * self.n(a, f, d) for f in self.labels)
-                        if lhs != rhs:
-                            assoc_ok = False
-                            assoc_bad = f"associativity fails at ({a},{b},{c})->{d}"
+                    # {d: multiplicity of d in (a b) c}, and in a (b c)
+                    lhs, rhs = Counter(), Counter()
+                    for e in self.channels(a, b):
+                        for d in self.channels(e, c):
+                            lhs[d] += self.n(a, b, e) * self.n(e, c, d)
+                    for f in self.channels(b, c):
+                        for d in self.channels(a, f):
+                            rhs[d] += self.n(b, c, f) * self.n(a, f, d)
+                    bad = [d for d in lhs.keys() | rhs.keys() if lhs[d] != rhs[d]]
+                    if bad:
+                        d = max(bad, key=self.index)
+                        assoc_ok = False
+                        assoc_bad = f"associativity fails at ({a},{b},{c})->{d}"
         out.append(("associativity", assoc_ok, assoc_bad))
         return out
 

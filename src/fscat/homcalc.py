@@ -8,9 +8,10 @@ left-to-right fusion paths ``(p_0, p_1, ..., p_n)`` anchored at the unit
 with the category's label order as alphabet.  This basis is intrinsic to
 the left-nested parenthesization and is transported to every other
 parenthesization along the unique coherence isomorphism, so maps between
-canonical hom-spaces never need explicit bracket bookkeeping.  The one
-operation expressed in parenthesization-intrinsic labeled-tree bases is
-``assoc_matrix``, which is exactly the coherence transport.
+canonical hom-spaces never need explicit bracket bookkeeping.  The
+associator is grafted too: ``assoc_matrix`` carries each labeled-tree basis
+to the path basis through ``_graft_coeffs``, the one re-association
+primitive.
 
 Morphisms versus hom-space maps
 -------------------------------
@@ -228,16 +229,6 @@ class LinMap:
         return LinMap(self.cat, self.source, self.target,
                       {r: [[c * x for x in row] for row in blk]
                        for r, blk in self.blocks.items()})
-
-    def add(self, other: "LinMap") -> "LinMap":
-        if (other.source.letters, other.target.letters) != \
-           (self.source.letters, self.target.letters):
-            raise ValueError("sum word mismatch")
-        roots = [r for r in self.blocks if r in other.blocks]
-        return LinMap(self.cat, self.source, self.target,
-                      {r: [[x + y for x, y in zip(ra, rb)]
-                           for ra, rb in zip(self.blocks[r], other.blocks[r])]
-                       for r in roots})
 
     def is_identity(self) -> bool:
         if self.source.letters != self.target.letters:
@@ -467,28 +458,14 @@ def db_prime_vector(cat, letters):
 
 def _right_extend_blocks(cat, src_letters, tgt_letters, blocks, b):
     """Blocks of (m (x) id_b) from blocks of m, for every root."""
-    out = {}
-    for r in cat.labels:
-        src_p = paths(cat, src_letters + (b,), r)
-        tgt_p = paths(cat, tgt_letters + (b,), r)
-        tidx = {p: i for i, p in enumerate(tgt_p)}
-        mat = zeros(len(tgt_p), len(src_p))
-        for ci, p in enumerate(src_p):
-            s = p[-2]
-            if s not in blocks:
-                continue
-            blk = blocks[s]
-            inner = _path_index(cat, src_letters, s)
-            col = inner[p[:-1]]
-            tgt_inner = paths(cat, tgt_letters, s)
-            for ri, q in enumerate(tgt_inner):
-                val = blk[ri][col]
-                if val:
-                    row = tidx.get(q + (r,))
-                    if row is not None:
-                        mat[row][ci] = mat[row][ci] + val
-        out[r] = mat
-    return out
+    def moves(p):
+        s = p[-2]
+        col = _path_index(cat, src_letters, s)[p[:-1]]
+        return [(q + (p[-1],), row[col])
+                for q, row in zip(paths(cat, tgt_letters, s), blocks[s])]
+    return {r: _path_matrix(cat, src_letters + (b,), tgt_letters + (b,), r,
+                            moves)
+            for r in cat.labels}
 
 
 def _merge_basis_matrix(cat, b, letters, root):
@@ -689,181 +666,76 @@ def pivotal_trace(cat, m: LinMap, side: str) -> Cyc:
     return closed.block(cat.unit)[0][0]
 
 
-# -- coherence layer (parenthesization-intrinsic bases) ----------------------
+# -- the associator ----------------------------------------------------------
 
 
-def _labelings(cat, letters, paren, root):
-    """Admissible labelings of a paren tree; keys are node paths (0/1 tuples)."""
-    def rec(p):
-        if isinstance(p, int):
-            return [({(): letters[p]}, letters[p])]
-        out = []
-        for lab_l, cl in rec(p[0]):
-            for lab_r, cr in rec(p[1]):
-                for c in cat.channels(cl, cr):
-                    lab = {(0,) + k: v for k, v in lab_l.items()}
-                    lab.update({(1,) + k: v for k, v in lab_r.items()})
-                    lab[()] = c
-                    out.append((lab, c))
-        return out
-    labs = [lab for lab, c in rec(paren) if c == root]
-    return sorted(labs, key=lambda lab: _labeling_key(cat, paren, lab))
+def _trees(cat, letters, paren):
+    """(labeled tree, root) pairs of a paren tree over ``letters``.
+
+    A leaf is its letter and a node is ``(left, right, channel)``.
+    """
+    if isinstance(paren, int):
+        return [(letters[paren], letters[paren])]
+    return [((left, right, c), c)
+            for left, cl in _trees(cat, letters, paren[0])
+            for right, cr in _trees(cat, letters, paren[1])
+            for c in cat.channels(cl, cr)]
 
 
-def _labeling_key(cat, paren, lab):
-    order = []
-
-    def inorder(p, at):
-        if isinstance(p, int):
-            order.append(at)
-            return
-        inorder(p[0], at + (0,))
-        order.append(at)
-        inorder(p[1], at + (1,))
-
-    inorder(paren, ())
-    return tuple(cat.label_index(lab[k]) for k in order)
+def _inorder_key(cat, tree):
+    if not isinstance(tree, tuple):
+        return (cat.label_index(tree),)
+    left, right, c = tree
+    return (_inorder_key(cat, left) + (cat.label_index(c),)
+            + _inorder_key(cat, right))
 
 
-def _rotate_paren(paren, at, direction):
-    if not at:
-        if direction == "R":
-            (a, b), c = paren
-            return (a, (b, c))
-        a, (b, c) = paren
-        return ((a, b), c)
-    head, rest = at[0], at[1:]
-    if head == 0:
-        return (_rotate_paren(paren[0], rest, direction), paren[1])
-    return (paren[0], _rotate_paren(paren[1], rest, direction))
+def _tree_paths(cat, tree):
+    """(letters, {path: coeff}): a labeled tree in the fusion-path basis.
 
-
-def _rotation_matrix(cat, letters, paren, at, direction, root):
-    """Elementary associator instance at one node, on labeled-tree bases."""
-    src = _labelings(cat, letters, paren, root)
-    tgt_paren = _rotate_paren(paren, at, direction)
-    tgt = _labelings(cat, letters, tgt_paren, root)
-    tidx = {_lab_frozen(l): i for i, l in enumerate(tgt)}
-    out = zeros(len(tgt), len(src))
-    for ci, lab in enumerate(src):
-        if direction == "R":
-            a = lab[at + (0, 0)]
-            b = lab[at + (0, 1)]
-            c = lab[at + (1,)]
-            d = lab[at]
-            e = lab[at + (0,)]
-            moved = _remap_labels(lab, at, "R")
-            es, fs = cat.f_rowcols(a, b, c, d)
-            for f in fs:
-                val = cat.f_entry(a, b, c, d, e, f)
-                if val:
-                    new = dict(moved)
-                    new[at + (1,)] = f
-                    row = tidx.get(_lab_frozen(new))
-                    if row is not None:
-                        out[row][ci] = out[row][ci] + val
-        else:
-            a = lab[at + (0,)]
-            b = lab[at + (1, 0)]
-            c = lab[at + (1, 1)]
-            d = lab[at]
-            f = lab[at + (1,)]
-            moved = _remap_labels(lab, at, "L")
-            es, fs = cat.f_rowcols(a, b, c, d)
-            for e in es:
-                val = cat.f_inv_entry(a, b, c, d, f, e)
-                if val:
-                    new = dict(moved)
-                    new[at + (0,)] = e
-                    row = tidx.get(_lab_frozen(new))
-                    if row is not None:
-                        out[row][ci] = out[row][ci] + val
-    return out, tgt_paren
-
-
-def _remap_labels(lab, at, direction):
-    """Carry labels through one rotation; the freed inner node is dropped."""
+    The right subtree's paths are grafted into each path of the left
+    subtree; the chains that end at the node's channel are kept.
+    """
+    if not isinstance(tree, tuple):
+        return (tree,), {(cat.unit, tree): ONE}
+    left, right, c = tree
+    lx, lterms = _tree_paths(cat, left)
+    rx, rterms = _tree_paths(cat, right)
     out = {}
-    n = len(at)
-    for key, val in lab.items():
-        if key[:n] != at or key == at:
-            out[key] = val
-            continue
-        rest = key[n:]
-        if direction == "R":
-            if rest == (0,):
-                continue  # the (a(x)b) node disappears
-            if rest[:2] == (0, 0):
-                out[at + (0,) + rest[2:]] = val
-            elif rest[:2] == (0, 1):
-                out[at + (1, 0) + rest[2:]] = val
-            elif rest[0] == 1:
-                out[at + (1, 1) + rest[1:]] = val
-        else:
-            if rest == (1,):
-                continue  # the (b(x)c) node disappears
-            if rest[:2] == (1, 1):
-                out[at + (1,) + rest[2:]] = val
-            elif rest[:2] == (1, 0):
-                out[at + (0, 1) + rest[2:]] = val
-            elif rest[0] == 0:
-                out[at + (0, 0) + rest[1:]] = val
+    for p, a in lterms.items():
+        for rho, b in rterms.items():
+            for chain, coeff in _graft_coeffs(cat, p[-1], rx, rho):
+                if chain[-1] == c:
+                    q = p + chain[1:]
+                    out[q] = out.get(q, ZERO) + a * b * coeff
+    return lx + rx, out
+
+
+def _tree_matrix(cat, letters, paren, root):
+    """Columns: the labeled trees of ``paren`` at ``root`` in in-order label
+    order; rows: the fusion paths of ``letters`` at ``root``."""
+    trees = sorted((t for t, c in _trees(cat, letters, paren) if c == root),
+                   key=lambda t: _inorder_key(cat, t))
+    tidx = _path_index(cat, letters, root)
+    out = zeros(len(tidx), len(trees))
+    for ci, tree in enumerate(trees):
+        for q, val in _tree_paths(cat, tree)[1].items():
+            out[tidx[q]][ci] = val
     return out
-
-
-def _lab_frozen(lab):
-    return tuple(sorted(lab.items()))
-
-
-def _comb_route(paren):
-    """Rotations (node path, 'L') taking paren to the left comb."""
-    route = []
-    cur = paren
-
-    def find(p, at):
-        if isinstance(p, int):
-            return None
-        if not isinstance(p[1], int):
-            return at
-        return find(p[0], at + (0,))
-
-    while True:
-        spot = find(cur, ())
-        if spot is None:
-            return route, cur
-        route.append((spot, "L"))
-        cur = _rotate_paren(cur, spot, "L")
 
 
 def assoc_matrix(cat, letters, paren_from, paren_to) -> LinMap:
     """The unique coherence composite between two parenthesizations.
 
     Expressed in the parenthesization-intrinsic labeled-tree bases (which
-    coincide with the fusion-path bases on left-nested words); assembled
-    from elementary F-moves along the canonical route through the left comb.
+    coincide with the fusion-path bases on left-nested words).  Each tree
+    basis is carried to the path basis by grafting (``_tree_matrix``), so
+    the composite is T_to^-1 T_from at every root; Mac Lane coherence makes
+    it the composite of F-moves along any route.
     """
     letters = tuple(letters)
-    blocks = {}
-    for r in cat.labels:
-        dim_from = len(_labelings(cat, letters, paren_from, r))
-        mat = eye(dim_from)
-        cur = paren_from
-        route, comb = _comb_route(paren_from)
-        for at, direction in route:
-            step, cur = _rotation_matrix(cat, letters, cur, at, direction, r)
-            mat = mat_mul(step, mat)
-        back_route, _ = _comb_route(paren_to)
-        inv_steps = []
-        cur_to = paren_to
-        for at, direction in back_route:
-            step, cur_to = _rotation_matrix(cat, letters, cur_to, at, direction, r)
-            inv_steps.append(step)
-        for step in reversed(inv_steps):
-            mat = mat_mul(_safe_inv(step), mat)
-        blocks[r] = mat
+    blocks = {r: mat_mul(mat_inv(_tree_matrix(cat, letters, paren_to, r)),
+                         _tree_matrix(cat, letters, paren_from, r))
+              for r in cat.labels}
     return LinMap(cat, TensorWord.of(letters, paren_from),
                   TensorWord.of(letters, paren_to), blocks)
-
-
-def _safe_inv(mat):
-    return mat_inv(mat) if mat else []

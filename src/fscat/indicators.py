@@ -218,11 +218,6 @@ def check_power_identity(cat: Category, obj, n: int) -> bool:
 # -- pivotal traces and sphericity --------------------------------------------
 
 
-def ptr(cat: Category, m: LinMap, side: str) -> Cyc:
-    """Full left or right pivotal trace of a morphism-backed endomorphism."""
-    return pivotal_trace(cat, m, side)
-
-
 def is_spherical(cat: Category) -> bool:
     """Equality of left and right traces on identities of simples, which
     determines it on all endomorphisms in the semisimple skeletal setting."""

@@ -1,12 +1,14 @@
 import math
+import random
 
 import pytest
 
 from conftest import ALL_BUNDLED, bundled
 
-from fscat.category import (Category, FSymbolSet, GaugeError, ObjectExpr,
-                            ValidationReport, fp_dimension, gauge_transform,
-                            pentagon_failures, reverse_category, validate)
+from fscat.category import (Category, FSymbolSet, FusionRing, GaugeError,
+                            ObjectExpr, ValidationReport, fp_dimension,
+                            gauge_transform, pentagon_failures,
+                            reverse_category, validate)
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, root_of_unity
 from fscat.indicators import indicator
@@ -110,6 +112,43 @@ def test_pentagon_failures_match_the_five_loop_reference(name):
         for stop in (None, 1):
             assert pentagon_failures(c, stop_after=stop) == \
                 _reference_pentagon_failures(c, stop_after=stop), (what, stop)
+
+
+def _reference_associativity(ring):
+    """The associativity item from five label loops over ``FusionRing.n``."""
+    ok, bad = True, ""
+    labels = ring.labels
+    for a in labels:
+        for b in labels:
+            for c in labels:
+                for d in labels:
+                    lhs = sum(ring.n(a, b, e) * ring.n(e, c, d) for e in labels)
+                    rhs = sum(ring.n(b, c, f) * ring.n(a, f, d) for f in labels)
+                    if lhs != rhs:
+                        ok, bad = False, f"associativity fails at ({a},{b},{c})->{d}"
+    return ("associativity", ok, bad)
+
+
+def _ring_mutations(ring, count, rng):
+    """Rings with one multiplicity N_{ab}^c set to another value of 0, 1, 2."""
+    for _ in range(count):
+        key = tuple(rng.choice(ring.labels) for _ in range(3))
+        value = rng.choice([v for v in (0, 1, 2) if v != ring.n(*key)])
+        yield key, FusionRing(ring.labels, ring.unit, ring.dual,
+                              {**ring.N, key: value})
+
+
+def test_ring_associativity_matches_the_five_loop_reference():
+    failing = 0
+    for name in ALL_BUNDLED:
+        ring = bundled(name).ring
+        rng = random.Random(name)
+        for what, r in [(None, ring), *_ring_mutations(ring, 30, rng)]:
+            got = [item for item in r.ring_axiom_checks()
+                   if item[0] == "associativity"]
+            assert got == [_reference_associativity(r)], (name, what)
+            failing += not got[0][1]
+    assert failing  # some mutations break associativity
 
 
 def _same_f_table(c1, c2):

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from conftest import ALL_BUNDLED, bundled
 
-from fscat.cyclo import Cyc
+from fscat.category import gauge_transform, reverse_category
+from fscat.cyclo import Cyc, root_of_unity
 from fscat.homcalc import (LinMap, TensorWord, add_unit_letter_matrix,
                            assoc_matrix, coev_matrix, close_loop,
                            double_dual_coefficient, drop_unit_letter_matrix,
@@ -100,9 +102,7 @@ def test_assoc_left_to_right_is_single_f_entry():
 def _all_parens(n):
     if n == 1:
         return [0]
-    out = []
-    for k in range(1, n):
-        pass
+
     def rec(lo, hi):
         if hi - lo == 1:
             return [lo]
@@ -139,6 +139,19 @@ def test_pentagon_word_two_routes_agree(any_bundled):
     direct = assoc_matrix(cat, letters, lhs, rhs)
     for r in cat.labels:
         assert mat_equal(two.block(r), direct.block(r))
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_assoc_left_to_right_is_the_f_block(name):
+    # ((ab)c -> a(bc)) on the channel bases is [F^{abc}_d] transposed:
+    # columns are the left channels e, rows the right channels f
+    cat = bundled(name)
+    for letters in itertools.product(cat.labels, repeat=3):
+        m = assoc_matrix(cat, letters, left_nested(3), right_nested(3))
+        for d in cat.labels:
+            es, fs = cat.f_rowcols(*letters, d)
+            want = [[cat.f_entry(*letters, d, e, f) for e in es] for f in fs]
+            assert m.block(d) == want, (letters, d)
 
 
 # -- duality -------------------------------------------------------------------
@@ -282,6 +295,30 @@ def test_ptr_left_of_dual_is_ptr_right(any_bundled):
         lhs = pivotal_trace(cat, dual_morphism(cat, f), "left")
         rhs = pivotal_trace(cat, f, "right")
         assert lhs == rhs
+
+
+def _unit_root_gauge(cat, rng):
+    return gauge_transform(cat, {
+        (a, b, c): root_of_unity(cat.conductor, rng.randrange(cat.conductor))
+        for (a, b, c) in cat.ring.admissible_triples()
+        if cat.unit not in (a, b)})
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_pivotal_traces_of_simples_match_closed_forms(name):
+    # ptr_left(id_a) = ev(a) / t(a) and ptr_right(id_a) = t(a) ev(a*), with
+    # ev the evaluation scalar fixed by the zig-zags
+    base = bundled(name)
+    rng = random.Random(name)
+    cats = [base, reverse_category(base),
+            *(_unit_root_gauge(base, rng) for _ in range(3))]
+    for cat in cats:
+        for a in cat.labels:
+            ident = LinMap.identity(cat, (a,))
+            assert pivotal_trace(cat, ident, "left") == \
+                cat.ev_coefficient(a) / cat.t(a), (cat.name, a)
+            assert pivotal_trace(cat, ident, "right") == \
+                cat.t(a) * cat.ev_coefficient(cat.dual(a)), (cat.name, a)
 
 
 def test_close_loop_count_out_of_range():
