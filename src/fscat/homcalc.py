@@ -30,12 +30,18 @@ coevaluation pairs) and one graft routine (``_graft_moves``), which
 re-associates a unit-rooted subword into the running path by a chain of
 elementary inverse F-moves (``_graft_coeffs``).  ``insert_vector_matrix``
 and ``splice_host_matrix`` are that graft with the guest or the host vector
-fixed.  Degenerate words (hom dimension 0) yield 0x0 blocks that compose
-legally.
+fixed.  A graft chain can also be pinned (``_pinned_graft_coeffs``): at
+given positions its next stage is forced to repeat an earlier one, or to be
+the unit, instead of branching over every channel.  The last splice of a
+k-strand bend is built that way (``_pinned_splice_matrix``): the loop
+closures that follow it keep only the paths that retrace their stages
+around each closed pair, so only those chains are generated.  Degenerate
+words (hom dimension 0) yield 0x0 blocks that compose legally.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -254,7 +260,7 @@ class LinMap:
 # -- the grafting kernel -----------------------------------------------------
 
 
-def _graft_coeffs(cat: Category, lam, letters, path):
+def _graft_coeffs(cat: Category, lam, letters, path, states=None):
     """Re-associate a subword, fused along ``path``, into a running stage.
 
     Given a stage label ``lam`` and a fusion path ``path`` through
@@ -263,8 +269,11 @@ def _graft_coeffs(cat: Category, lam, letters, path):
     letters contribute to the ambient path and ``coeff`` is the product of
     inverse-F factors of the elementary moves.  ``sigma_m`` fuses
     ``lam (x) path[-1]``; for a unit-rooted graft it is forced back to lam.
+    ``states`` continues given ``(chain, coeff)`` pairs instead, when
+    ``letters`` and ``path`` are a later piece of the grafted word.
     """
-    states = [((lam,), ONE)]
+    if states is None:
+        states = [((lam,), ONE)]
     for j, y in enumerate(letters, start=1):
         prev_rho, rho = path[j - 1], path[j]
         new = []
@@ -276,6 +285,31 @@ def _graft_coeffs(cat: Category, lam, letters, path):
                     new.append((chain + (s,), coeff * val))
         states = new
     return states
+
+
+def _pinned_graft_coeffs(cat, lam, letters, path, pins):
+    """``_graft_coeffs`` with the stage forced at every pinned position.
+
+    ``pins`` maps a letter position j to the earlier chain position i whose
+    stage ``sigma_j`` must repeat, or to None when ``sigma_j`` must be the
+    unit.  A chain takes only its forced stage there (if admissible), so the
+    chains that break a pin are never built.
+    """
+    states = [((lam,), ONE)]
+    done = 0
+    for j in sorted(pins):
+        states = _graft_coeffs(cat, lam, letters[done:j - 1], path[done:j],
+                               states)
+        y, prev_rho, rho, i = letters[j - 1], path[j - 1], path[j], pins[j]
+        new = []
+        for chain, coeff in states:
+            s = cat.unit if i is None else chain[i]
+            val = cat.f_inv_entry(lam, prev_rho, y, s, rho, chain[-1])
+            if val:
+                new.append((chain + (s,), coeff * val))
+        states = new
+        done = j
+    return _graft_coeffs(cat, lam, letters[done:], path[done:], states)
 
 
 def _path_index(cat, letters, root):
@@ -349,6 +383,50 @@ def splice_host_matrix(cat, host_letters, host_vec, i, guest_letters, root=None)
         cat, guest_letters, comb, root,
         lambda rho: _graft_moves(cat, i, guest_letters,
                                  [(p, rho, c) for p, c in host]))
+
+
+def _pinned_splice_matrix(cat, letters, k):
+    """Last splice of a k-strand bend of ``letters``, with its inner closures.
+
+    A bend splices the word x_1 ... x_n into the host pairs (x_j*, x_j),
+    j = 1..k, and then closes the pairs (x_i*, x_i) innermost first.  Here
+    the source is the word after k-1 splices,
+    (x_{k-1}*, ..., x_1*, x_1, ..., x_n, x_1, ..., x_{k-1}).  A path P of
+    the fully spliced word survives the k closures only if
+    P[k+i] = P[k-i] for i = 1..k, with P[0] the unit; each condition names
+    an earlier stage, so the graft chains are pinned there as they are
+    built, and rows the closures would kill are never generated.  Closure
+    i < k contributes mu(x_i) [F^{a, x_i*, x_i}_a]_{b, 1} with a = P[k-i]
+    and b = P[k-i+1], as in ``contract_pair_matrix``.  The target is the
+    (n+2)-letter word (x_k*, x_k, x_{k+1}, ..., x_n, x_1, ..., x_k), whose
+    host loop (x_k*, x_k) is left for the caller to close.  Returns the
+    target word and the matrix.
+    """
+    letters = tuple(letters)
+    src = dual_word(cat, letters[:k - 1]) + letters + letters[:k - 1]
+    tgt = (cat.dual(letters[k - 1]),) + letters[k - 1:] + letters[:k]
+    unit, lam = cat.unit, tgt[0]
+    # chain position j carries P[j+1]; P[0] is the unit
+    pins = {k + i - 1: k - i - 1 for i in range(1, k)}
+    pins[2 * k - 1] = None
+
+    @functools.cache
+    def closure_scalar(stages):
+        # the k-1 inner closures read only the first k stages of a chain
+        val = ONE
+        for i, x in enumerate(letters[:k - 1], start=1):
+            a = stages[k - i - 1]
+            val = val * cat.ev_coefficient(x) * cat.f_entry(
+                a, cat.dual(x), x, a, stages[k - i], unit)
+        return val
+
+    def moves(rho):
+        for chain, coeff in _pinned_graft_coeffs(cat, lam, src, rho, pins):
+            if k > 1:
+                coeff = coeff * closure_scalar(chain[:k])
+            yield (unit, lam) + chain[2 * k - 1:] + (unit,), coeff
+
+    return tgt, _path_matrix(cat, src, tgt, unit, moves)
 
 
 # -- elementary vertex steps -------------------------------------------------

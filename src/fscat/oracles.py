@@ -3,7 +3,8 @@
 The character-theoretic indicator and the brute-force tensor-invariant
 oracle know nothing about F-symbols; they provide the classical values the
 categorical machinery must reproduce.  The nested double-dual route is the
-reference for the closed-form double-dual scalar.  The constructors build
+reference for the closed-form double-dual scalar, and the spliced bend the
+reference for the pinned rotation kernel.  The constructors build
 pointed categories, Tambara-Yamagami categories and the rank-2 pentagon
 solutions as exact category data, and never assume the pentagon: generated
 data is certified by the validator.
@@ -17,7 +18,8 @@ from fractions import Fraction
 
 from .category import Category, FSymbolSet, FusionRing, SpecError
 from .cyclo import Cyc, root_of_unity
-from .homcalc import LinMap, TensorWord, dual_morphism, paths
+from .homcalc import (LinMap, TensorWord, contract_pair_matrix, dual_morphism,
+                      paths, splice_host_matrix)
 from .linalg import eye, mat_mul, zeros
 
 ONE = Cyc.one()
@@ -443,6 +445,39 @@ def nested_double_dual_coefficient(cat, a, b, c) -> Cyc:
     channel vertex through the evaluation/coevaluation machinery."""
     dd = dual_morphism(cat, dual_morphism(cat, vertex_linmap(cat, a, b, c)))
     return dd.block(c)[0][0].inverse()
+
+
+# -- the spliced bend ---------------------------------------------------------
+
+
+def spliced_e_map_matrix(cat, letters, k):
+    """``indicators.e_map_matrix`` without pinning: every splice, then every
+    closure.
+
+    The word is spliced into the host pairs (x_j*, x_j), j = 1..k, as whole
+    ``splice_host_matrix`` products over every fusion path; then the k pairs
+    (x_i*, x_i) are closed innermost first by ``contract_pair_matrix``, and
+    the product is scaled by 1 / (t(x_1) ... t(x_k)).
+    """
+    letters = tuple(letters)
+    cat.require_pivotal()
+    cur, m = letters, None
+    for j in range(k):
+        b = cat.dual(letters[j])
+        host = (b, letters[j])
+        hv = [ONE if p == (cat.unit, b, cat.unit) else ZERO
+              for p in paths(cat, host, cat.unit)]
+        splice = splice_host_matrix(cat, host, hv, 1, cur)
+        m = splice if m is None else mat_mul(splice, m)
+        cur = (b,) + cur + (letters[j],)
+    for pos in range(k - 1, -1, -1):
+        m = mat_mul(contract_pair_matrix(cat, cur, cat.unit, pos), m)
+        cur = cur[:pos] + cur[pos + 2:]
+    scale = ONE
+    for x in letters[:k]:
+        scale = scale * cat.t(x)
+    scale = scale.inverse()
+    return [[scale * x for x in row] for row in m]
 
 
 # -- category constructors ---------------------------------------------------

@@ -6,17 +6,19 @@ import pytest
 import fscat
 from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled
 
-from fscat.category import MissingPivotalError, ObjectExpr, gauge_transform
+from fscat.category import (MissingPivotalError, ObjectExpr, gauge_transform,
+                            reverse_category)
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
-from fscat.homcalc import LinMap, hom_dimension, pivotal_trace
+from fscat.homcalc import LinMap, hom_dimension, path_counts, pivotal_trace
 from fscat.indicators import (DimensionGuardError, check_fs_theorems,
                               check_power_identity, check_reversal_symmetry,
                               e_map, e_map_matrix, fs_scalar, indicator,
                               indicator_report, is_spherical, qn_distance,
                               rotation_operator)
 from fscat.linalg import eye, is_identity, mat_mul, mat_trace
-from fscat.oracles import char_indicator, d4_table, q8_table, s3_table
+from fscat.oracles import (char_indicator, d4_table, q8_table, s3_table,
+                           spliced_e_map_matrix)
 from fscat.specio import load_bundled
 
 
@@ -33,6 +35,49 @@ def test_e_map_examples():
         e_map(fib, ("t",), 1)  # no valid split position on one letter
     with pytest.raises(ValueError):
         e_map(fib, ("t", "t"), 2)
+
+
+def _bend_words(cat, nmax):
+    """Every word of every simple and every two-term sum, 2 <= n <= nmax."""
+    objs = [ObjectExpr.simple(a) for a in cat.labels]
+    objs += [ObjectExpr({a: 1, b: 1})
+             for a, b in itertools.combinations(cat.labels, 2)]
+    return sorted({w for obj in objs for n in range(2, nmax + 1)
+                   for w in rotation_operator(cat, obj, n).words})
+
+
+def _root_gauge(cat, seed):
+    rng = SplitMix64(seed)
+    return gauge_transform(cat, {
+        (a, b, c): root_of_unity(cat.conductor, rng.next() % cat.conductor)
+        for (a, b, c) in cat.ring.admissible_triples()
+        if cat.unit not in (a, b)})
+
+
+# the oracle builds the whole spliced word of n + 2k letters; at dimension
+# 256 and above (62 of the 11,006 bends, all on the TY(Z2xZ2) pair) it
+# takes over 80 s, so those bends are left out
+SPLICED_DIM_CAP = 256
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_pinned_bend_matches_spliced_oracle(name):
+    # e_map_matrix prunes its last splice by the loop closures; the oracle
+    # splices every host pair over every fusion path and then closes them
+    cat = bundled(name)
+    compared = 0
+    for c, nmax in ((cat, 5), (reverse_category(cat), 4),
+                    (_root_gauge(cat, 2 + ALL_BUNDLED.index(name)), 4)):
+        for w in _bend_words(c, nmax):
+            for k in range(1, len(w)):
+                spliced = tuple(c.dual(x) for x in reversed(w[:k])) + w + w[:k]
+                steps = ({x: 1} for x in spliced)
+                if path_counts(c, steps).get(c.unit, 0) >= SPLICED_DIM_CAP:
+                    continue
+                want = spliced_e_map_matrix(c, w, k)
+                assert e_map_matrix(c, w, k) == want, (c.name, w, k)
+                compared += 1
+    assert compared
 
 
 def test_e_map_requires_pivotal():
@@ -301,7 +346,7 @@ def test_dimension_guard():
 
 @pytest.mark.parametrize("call", [
     lambda cat: fs_scalar(cat, "t", 5, 2, 2),
-    lambda cat: e_map_matrix(cat, ("t",) * 5, 2),  # bends through 9 letters
+    lambda cat: e_map_matrix(cat, ("t",) * 5, 2),  # builds 7-letter words
 ], ids=["fs_scalar", "e_map_matrix_k2"])
 def test_dimension_guard_every_hom_space(call, monkeypatch):
     # Hom(1, t^5) has dimension 3, so the refusal comes from the longer
@@ -312,6 +357,16 @@ def test_dimension_guard_every_hom_space(call, monkeypatch):
         call(fib)
     assert max((len(v) for k, v in fib._cache.items() if k[0] == "paths"),
                default=0) <= 3
+
+
+def test_two_strand_bend_within_guard(monkeypatch):
+    # the pinned last splice never builds the n + 2k = 9-letter word, whose
+    # hom dimension 21 is above the guard; the 7-letter words have 8
+    want = e_map_matrix(load_bundled("fibonacci"), ("t",) * 5, 2)
+    fib = load_bundled("fibonacci")
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", "8")
+    assert e_map_matrix(fib, ("t",) * 5, 2) == want
+    assert max(len(k[1]) for k in fib._cache if k[0] == "paths") == 7
 
 
 def _walked_trace(cat, word, r):

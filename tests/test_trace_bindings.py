@@ -1,12 +1,14 @@
 """The benchmark's traced run binds its wrappers to library names.
 
-``perfbench/tracing.py`` wraps fscat functions by name and its self-check
-needs some of them to receive calls.  This test installs the tracer, runs a
-power-identity check, an indicator report and an FS scalar on a freshly
-loaded category (so no cached matrix hides a call), and asserts that the
-spans the benchmark depends on were entered.  A second test reads every
-``from fscat.<mod> import <names>`` in the benchmark scripts, without running
-them, and asserts that each name resolves.
+``perfbench/tracing.py`` wraps fscat functions by name, and the self-check
+of ``perfbench/run.py`` needs the spans it lists (``REQUIRED_SPANS`` per
+workload, ``SETUP_SPANS`` for all) to receive calls.  This test installs the
+tracer, runs the workload set-up on Fibonacci and one miniature request of
+each workload, and runs that self-check, so a library change that leaves a
+listed span unreachable fails here and not only in a traced benchmark run.
+A second test reads every ``from fscat.<mod> import <names>`` in the
+benchmark scripts, without running them, and asserts that each name
+resolves.
 """
 
 import ast
@@ -16,34 +18,41 @@ import os
 import sys
 
 import fscat.cli  # noqa: F401  (the tracer wraps names in every layer)
-from fscat.indicators import check_power_identity, fs_scalar, indicator_report
-from fscat.specio import load_bundled
+from fscat import indicators
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
 
+import workloads  # noqa: E402
+from run import REQUIRED_SPANS, self_check  # noqa: E402
 from tracing import Tracer  # noqa: E402
+
+# one small request per workload, on the set-up category; library functions
+# are looked up on their module at call time, where the tracer rebinds them
+MINIATURES = {
+    "ind-cli": lambda cat: workloads.run_cli(
+        workloads.ind_argv("fibonacci", "t", 3)),
+    "power-identity": lambda cat: indicators.check_power_identity(cat, "t", 3),
+    "fs-endo": lambda cat: indicators.fs_scalar(workloads.fresh(cat), "t", 3,
+                                                1, 1),
+    "gauge-cold": lambda cat: workloads.gauge_request(
+        cat, workloads.GaugeCold(1).gauge(cat), (("t", 3, 1),)),
+}
 
 
 def test_traced_spans_receive_calls():
-    fib = load_bundled("fibonacci")
-    tracer = Tracer()
-    tracer.install()  # raises if any wrapper is left unbound
-    try:
-        tracer.active = True
-        assert check_power_identity(fib, "t", 3)
-        indicator_report(fib, "t", (3,))
-        fs_scalar(fib, "t", 3, 1, 1)
-    finally:
-        tracer.active = False
-        tracer.uninstall()
-    for span in ("homcalc.splice", "homcalc.insert", "homcalc.step",
-                 "homcalc.contract", "linalg.mat_vec",
-                 "indicators.e_map_matrix", "indicators.indicator",
-                 "indicators.rotation_operator", "linalg.mat_mul",
-                 "linalg.check"):
-        assert tracer.span_calls(span) > 0, span
+    assert set(MINIATURES) == set(REQUIRED_SPANS)
+    for name, request in MINIATURES.items():
+        tracer = Tracer()
+        tracer.install()  # raises if any wrapper is left unbound
+        try:
+            tracer.active = True
+            request(workloads.setup_category("fibonacci"))
+        finally:
+            tracer.active = False
+            tracer.uninstall()
+        assert self_check(name, tracer) == [], name
 
 
 def test_perfbench_imports_resolve():
