@@ -219,7 +219,14 @@ class Category:
 
     Instances are immutable after construction; derived data (fusion-path
     bases, F-blocks, structural matrices) is memoized in ``_cache``, whose
-    writers are idempotent, so concurrent readers are safe.
+    writers are idempotent, so concurrent readers are safe.  Single F and
+    F^-1 entries have their own memos, ``_f_entries`` and ``_f_inv_entries``,
+    keyed by the accessor's 6-tuple: each key is filled from the blocks on
+    its first lookup (exact zero when inadmissible), because the
+    hom-space kernels read the same few hundred entries many thousand
+    times.  Every memo fills on demand and belongs to one instance;
+    ``with_pivotal``, ``gauge_transform`` and ``reverse_category`` start
+    empty ones.
     """
 
     def __init__(self, name, ring, f_symbols, pivotal=None, conductor=1):
@@ -229,6 +236,8 @@ class Category:
         self.pivotal = pivotal
         self.conductor = int(conductor)
         self._cache = {}
+        self._f_entries = {}
+        self._f_inv_entries = {}
 
     # -- basic views ----------------------------------------------------
 
@@ -296,16 +305,29 @@ class Category:
 
     def f_entry(self, a, b, c, d, e, f) -> Cyc:
         """[F^{abc}_d]_{ef}, or exact zero when the tuple is inadmissible."""
-        es, fs = self.f_rowcols(a, b, c, d)
-        if e not in es or f not in fs:
-            return ZERO
-        return self.F.get((a, b, c, d, e, f))
+        key = (a, b, c, d, e, f)
+        got = self._f_entries.get(key)
+        if got is None:
+            es, fs = self.f_rowcols(a, b, c, d)
+            got = self.F.get(key) if e in es and f in fs else ZERO
+            self._f_entries[key] = got
+        return got
 
     def f_inv_entry(self, a, b, c, d, f, e) -> Cyc:
-        es, fs = self.f_rowcols(a, b, c, d)
-        if e not in es or f not in fs:
-            return ZERO
-        return self.f_inv_block(a, b, c, d)[fs.index(f)][es.index(e)]
+        """[(F^{abc}_d)^-1]_{fe}, or exact zero when inadmissible.
+
+        The index order is (..., f, e): the inverse block's rows are the
+        f-list and its columns the e-list, the transpose of ``f_entry``.
+        """
+        key = (a, b, c, d, f, e)
+        got = self._f_inv_entries.get(key)
+        if got is None:
+            es, fs = self.f_rowcols(a, b, c, d)
+            got = ZERO
+            if e in es and f in fs:
+                got = self.f_inv_block(a, b, c, d)[fs.index(f)][es.index(e)]
+            self._f_inv_entries[key] = got
+        return got
 
     def ev_coefficient(self, a) -> Cyc:
         """Scalar on evaluation dual(a) (x) a -> unit fixed by the zig-zags."""

@@ -37,6 +37,16 @@ k-strand bend is built that way (``_pinned_splice_matrix``): the loop
 closures that follow it keep only the paths that retrace their stages
 around each closed pair, so only those chains are generated.  Degenerate
 words (hom dimension 0) yield 0x0 blocks that compose legally.
+
+The builders whose arguments are labels and positions (fuse and split
+steps, unit letters, evaluation and coevaluation pairs, and the
+coevaluation vectors ``db_vector`` and ``db_prime_vector``) are memoised
+per category in ``cat.cached``: in a sweep of Frobenius-Schur
+endomorphisms about three calls in four repeat an earlier one.  Their
+results are shared, so callers must not mutate them.
+``insert_vector_matrix`` and ``splice_host_matrix`` are not memoised: their
+key would hold a ``Cyc`` vector, and hashing an irrational ``Cyc`` reduces
+it, which solves a linear system.
 """
 
 from __future__ import annotations
@@ -432,9 +442,26 @@ def _pinned_splice_matrix(cat, letters, k):
 # -- elementary vertex steps -------------------------------------------------
 
 
+def _memoised(build):
+    """Memoise the label-keyed builder ``build(cat, letters, *args)``.
+
+    The result is kept in ``cat.cached`` under the builder's name, its
+    letters and its label and position arguments, and it is shared by every
+    later call: callers must not mutate it.
+    """
+    kind = build.__name__
+
+    @functools.wraps(build)
+    def builder(cat, letters, *args):
+        letters = tuple(letters)
+        return cat.cached((kind, letters, *args),
+                          lambda: build(cat, letters, *args))
+    return builder
+
+
+@_memoised
 def fuse_step_matrix(cat, letters, root, i, w):
     """Fuse adjacent letters (x_i, x_{i+1}) into the channel w."""
-    letters = tuple(letters)
     u, v = letters[i], letters[i + 1]
     return _path_matrix(
         cat, letters, letters[:i] + (w,) + letters[i + 2:], root,
@@ -442,9 +469,9 @@ def fuse_step_matrix(cat, letters, root, i, w):
                     cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], w))])
 
 
+@_memoised
 def split_step_matrix(cat, letters, root, i, u, v):
     """Split the letter x_i into the admissible pair (u, v)."""
-    letters = tuple(letters)
     x = letters[i]
     if not cat.n(u, v, x):
         raise ValueError(f"({u},{v}) is not an admissible splitting of {x}")
@@ -455,23 +482,24 @@ def split_step_matrix(cat, letters, root, i, u, v):
                    for s in cat.channels(p[i], u)])
 
 
+@_memoised
 def add_unit_letter_matrix(cat, letters, root, i):
     """Insert a unit letter at position i; the path repeats its stage p_i."""
-    letters = tuple(letters)
     return _path_matrix(
         cat, letters, letters[:i] + (cat.unit,) + letters[i:], root,
         lambda p: [(p[:i + 1] + p[i:], ONE)])
 
 
+@_memoised
 def drop_unit_letter_matrix(cat, letters, root, i):
     """Remove the unit letter at position i (inverse of the insertion)."""
-    letters = tuple(letters)
     assert letters[i] == cat.unit
     return _path_matrix(
         cat, letters, letters[:i] + letters[i + 1:], root,
         lambda p: [(p[:i + 1] + p[i + 2:], ONE)])
 
 
+@_memoised
 def contract_pair_matrix(cat, letters, root, i):
     """Evaluation on the adjacent dual pair at positions (i, i+1).
 
@@ -479,7 +507,6 @@ def contract_pair_matrix(cat, letters, root, i):
     is the zig-zag normalization of the evaluation whose shape matches,
     i.e. mu of the second letter.
     """
-    letters = tuple(letters)
     u, v = letters[i], letters[i + 1]
     if cat.dual(u) != v:
         raise ValueError(f"letters ({u},{v}) are not a dual pair")
@@ -491,9 +518,9 @@ def contract_pair_matrix(cat, letters, root, i):
         if p[i + 2] == p[i] else ())
 
 
+@_memoised
 def attach_pair_matrix(cat, letters, root, i, b):
     """Coevaluation insertion of the pair (b, dual b) at position i."""
-    letters = tuple(letters)
     bstar = cat.dual(b)
     return _path_matrix(
         cat, letters, letters[:i] + (b, bstar) + letters[i:], root,
@@ -505,9 +532,9 @@ def attach_pair_matrix(cat, letters, root, i, b):
 # -- coevaluation vectors ----------------------------------------------------
 
 
+@_memoised
 def db_vector(cat, letters):
     """Coevaluation of a word: unit-rooted vector over letters + dual word."""
-    letters = tuple(letters)
     vec = [ONE]
     cur = ()
     for j, y in enumerate(letters):
@@ -516,9 +543,9 @@ def db_vector(cat, letters):
     return cur, vec
 
 
+@_memoised
 def db_prime_vector(cat, letters):
     """Right-dual coevaluation: unit-rooted vector over dual word + letters."""
-    letters = tuple(letters)
     cur = ()
     vec = [ONE]
     for y in letters:

@@ -23,6 +23,10 @@ Products of fewer than ``_PACK_MIN`` multiply-adds (rows * inner * cols)
 keep the entrywise ``Cyc`` loop: for them the scan and the packing cost
 more than the loop saves (square products at conductors 1, 5, 8 and 12
 broke even between 27 and 64 multiply-adds).
+
+``mat_vec`` collects the vector's nonzero coordinates once and visits only
+those in each row: the path-move matrices it is applied to are sparse, and
+so are the vectors they move.
 """
 
 from __future__ import annotations
@@ -73,7 +77,12 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v) if x and y), ZERO) for row in a]
+    """a v, summed over the nonzero coordinates of v only."""
+    n = len(v)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix shape mismatch")
+    nz = [(j, y) for j, y in enumerate(v) if y]
+    return [sum((row[j] * y for j, y in nz if row[j]), ZERO) for row in a]
 
 
 def mat_trace(a):

@@ -293,6 +293,34 @@ def test_randomized_gauges_preserve_validity(name):
         assert report.valid, (name, report.first_failure())
 
 
+# -- the F-entry memo ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_f_entry_memo_matches_the_blocks(name):
+    from fscat.category import _admissible_f_tuples
+    cat = bundled(name)
+    gauged = gauge_transform(cat, _random_gauge(cat, SplitMix64(11)))
+    # each category starts with an empty memo; the first sweep over a block
+    # fills it and the second reads it back
+    for c in (cat.with_pivotal(cat.pivotal), reverse_category(cat), gauged):
+        for (a, b, x, d) in _admissible_f_tuples(c):
+            es, fs = c.f_rowcols(a, b, x, d)
+            blk, inv = c.f_block(a, b, x, d), c.f_inv_block(a, b, x, d)
+            outside = [(e, fs[0]) for e in c.labels if e not in es] + \
+                [(es[0], f) for f in c.labels if f not in fs]
+            for _ in range(2):
+                for e in es:
+                    for f in fs:
+                        assert c.f_entry(a, b, x, d, e, f) == \
+                            blk[es.index(e)][fs.index(f)], (c.name, a, b, x, d, e, f)
+                        assert c.f_inv_entry(a, b, x, d, f, e) == \
+                            inv[fs.index(f)][es.index(e)], (c.name, a, b, x, d, f, e)
+                for e, f in outside[:1]:
+                    assert c.f_entry(a, b, x, d, e, f) == 0
+                    assert c.f_inv_entry(a, b, x, d, f, e) == 0
+
+
 # -- reversal -----------------------------------------------------------------
 
 

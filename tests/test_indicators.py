@@ -255,6 +255,34 @@ def test_fs_scalar_bad_arguments():
         fs_scalar(fib, "q", 2, 0, 0)
 
 
+# the label-keyed builders that ``homcalc`` memoises in ``cat.cached``
+MEMOISED_BUILDERS = ("fuse_step_matrix", "split_step_matrix",
+                     "add_unit_letter_matrix", "drop_unit_letter_matrix",
+                     "contract_pair_matrix", "attach_pair_matrix",
+                     "db_vector", "db_prime_vector")
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_shared_memos_give_cold_results(name):
+    # a caller that mutated a shared matrix or vector would change the
+    # second warm pass, or the cached builds, against cold categories
+    cat = bundled(name)
+    cases = [(a, n, l, r) for a in cat.labels for n in range(1, 5)
+             for l in range(n) for r in range(n - l)]
+    warm = cat.with_pivotal(cat.pivotal)
+    first = [fs_scalar(warm, *case) for case in cases]
+    second = [fs_scalar(warm, *case) for case in cases]
+    cold = [fs_scalar(cat.with_pivotal(cat.pivotal), *case) for case in cases]
+    assert first == second == cold
+    kinds = set()
+    for key, got in warm._cache.items():
+        if key[0] in MEMOISED_BUILDERS:
+            kinds.add(key[0])
+            build = getattr(fscat.homcalc, key[0])
+            assert got == build(cat.with_pivotal(cat.pivotal), *key[1:]), key
+    assert kinds == set(MEMOISED_BUILDERS)
+
+
 def test_trace_formula_routes_agree(any_bundled):
     cat = any_bundled
     for a in cat.labels:

@@ -1,11 +1,12 @@
-"""Property tests of ``linalg.mat_mul`` against a plain triple loop.
+"""Property tests of ``linalg.mat_mul`` and ``mat_vec`` against plain loops.
 
 The reference below multiplies entry by entry with ``Cyc`` arithmetic (which
 ``test_cyclo_props`` pins to an independent Fraction reference), so any
 difference comes from the packed integer kernel: its scan, slot width,
 signed unpacking, folding mod Phi_N or denominators.  Each property runs
 both through the module's size selection and forced through the packed
-kernel.
+kernel.  ``mat_vec`` skips the vector's zero coordinates, so its reference
+loop visits every coordinate.
 """
 
 import math
@@ -140,3 +141,60 @@ def test_rational_results_come_back_at_conductor_one(n):
     assert out == triple_loop(a, b)
     for i in range(6):
         assert out[i][i].conductor == 1 and out[i][i] == 6
+
+
+# -- mat_vec ------------------------------------------------------------------
+
+
+def reference_mat_vec(a, v):
+    return [sum((row[j] * v[j] for j in range(len(v))), Cyc.zero()) for row in a]
+
+
+@st.composite
+def mat_vec_operands(draw, conductors):
+    na, nv = conductors
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):  # zero-heavy, like the path-move matrices
+        cell = st.one_of(st.just(Cyc.zero()), st.just(Cyc.zero()),
+                         st.just(Cyc.zero()), entries(na))
+    else:
+        cell = entries(na)
+    a = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    kind = draw(st.sampled_from(("any", "zero", "one nonzero")))
+    v = [Cyc.zero()] * cols
+    if kind == "any":
+        v = [draw(entries(nv)) for _ in range(cols)]
+    elif kind == "one nonzero" and cols:
+        v[draw(st.integers(0, cols - 1))] = draw(entries(nv).filter(bool))
+    return a, v
+
+
+@pytest.mark.parametrize("conductors", CONDUCTOR_PAIRS,
+                         ids=[f"{a}x{b}" for a, b in CONDUCTOR_PAIRS])
+@given(data=st.data())
+def test_mat_vec_matches_reference_loop(conductors, data):
+    a, v = data.draw(mat_vec_operands(conductors))
+    assert linalg.mat_vec(a, v) == reference_mat_vec(a, v)
+
+
+def test_mat_vec_reads_every_nonzero_coordinate():
+    a = [[root_of_unity(5, i + 2 * j) for j in range(4)] for i in range(3)]
+    for j in range(4):
+        v = [Cyc.zero()] * 4
+        v[j] = root_of_unity(8, j) + 2
+        assert linalg.mat_vec(a, v) == reference_mat_vec(a, v)
+    v = [root_of_unity(8, j) + 2 for j in range(4)]
+    assert linalg.mat_vec(a, v) == reference_mat_vec(a, v)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+def test_mat_vec_empty_shapes(rows, cols):
+    a = [[root_of_unity(8, 1)] * cols for _ in range(rows)]
+    assert linalg.mat_vec(a, [Cyc.one()] * cols) == [0] * rows
+
+
+@pytest.mark.parametrize("a, v", [([[1, 1]], [1]), ([[1]], [1, 1]),
+                                  ([[1, 1], [1]], [1, 1])])
+def test_mat_vec_rejects_shape_mismatch(a, v):
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        linalg.mat_vec(a, v)
