@@ -30,13 +30,12 @@ coevaluation pairs) and one graft routine (``_graft_moves``), which
 re-associates a unit-rooted subword into the running path by a chain of
 elementary inverse F-moves (``_graft_coeffs``).  ``insert_vector_matrix``
 and ``splice_host_matrix`` are that graft with the guest or the host vector
-fixed.  A graft chain can also be pinned (``_pinned_graft_coeffs``): at
-given positions its next stage is forced to repeat an earlier one, or to be
-the unit, instead of branching over every channel.  The last splice of a
-k-strand bend is built that way (``_pinned_splice_matrix``): the loop
-closures that follow it keep only the paths that retrace their stages
-around each closed pair, so only those chains are generated.  Degenerate
-words (hom dimension 0) yield 0x0 blocks that compose legally.
+fixed.  A k-strand bend is one such graft too (``_bend_matrix``): the word
+is spliced once into the nested coevaluation of its first k letters, and
+the loop closures that follow keep only the paths that retrace their
+stages around each closed pair, so the first k stages of each graft chain
+are pinned to the host path's and only those chains are generated.
+Degenerate words (hom dimension 0) yield 0x0 blocks that compose legally.
 
 The builders whose arguments are labels and positions (fuse and split
 steps, unit letters, evaluation and coevaluation pairs, and the
@@ -297,31 +296,6 @@ def _graft_coeffs(cat: Category, lam, letters, path, states=None):
     return states
 
 
-def _pinned_graft_coeffs(cat, lam, letters, path, pins):
-    """``_graft_coeffs`` with the stage forced at every pinned position.
-
-    ``pins`` maps a letter position j to the earlier chain position i whose
-    stage ``sigma_j`` must repeat, or to None when ``sigma_j`` must be the
-    unit.  A chain takes only its forced stage there (if admissible), so the
-    chains that break a pin are never built.
-    """
-    states = [((lam,), ONE)]
-    done = 0
-    for j in sorted(pins):
-        states = _graft_coeffs(cat, lam, letters[done:j - 1], path[done:j],
-                               states)
-        y, prev_rho, rho, i = letters[j - 1], path[j - 1], path[j], pins[j]
-        new = []
-        for chain, coeff in states:
-            s = cat.unit if i is None else chain[i]
-            val = cat.f_inv_entry(lam, prev_rho, y, s, rho, chain[-1])
-            if val:
-                new.append((chain + (s,), coeff * val))
-        states = new
-        done = j
-    return _graft_coeffs(cat, lam, letters[done:], path[done:], states)
-
-
 def _path_index(cat, letters, root):
     def build():
         return {p: i for i, p in enumerate(paths(cat, letters, root))}
@@ -393,50 +367,6 @@ def splice_host_matrix(cat, host_letters, host_vec, i, guest_letters, root=None)
         cat, guest_letters, comb, root,
         lambda rho: _graft_moves(cat, i, guest_letters,
                                  [(p, rho, c) for p, c in host]))
-
-
-def _pinned_splice_matrix(cat, letters, k):
-    """Last splice of a k-strand bend of ``letters``, with its inner closures.
-
-    A bend splices the word x_1 ... x_n into the host pairs (x_j*, x_j),
-    j = 1..k, and then closes the pairs (x_i*, x_i) innermost first.  Here
-    the source is the word after k-1 splices,
-    (x_{k-1}*, ..., x_1*, x_1, ..., x_n, x_1, ..., x_{k-1}).  A path P of
-    the fully spliced word survives the k closures only if
-    P[k+i] = P[k-i] for i = 1..k, with P[0] the unit; each condition names
-    an earlier stage, so the graft chains are pinned there as they are
-    built, and rows the closures would kill are never generated.  Closure
-    i < k contributes mu(x_i) [F^{a, x_i*, x_i}_a]_{b, 1} with a = P[k-i]
-    and b = P[k-i+1], as in ``contract_pair_matrix``.  The target is the
-    (n+2)-letter word (x_k*, x_k, x_{k+1}, ..., x_n, x_1, ..., x_k), whose
-    host loop (x_k*, x_k) is left for the caller to close.  Returns the
-    target word and the matrix.
-    """
-    letters = tuple(letters)
-    src = dual_word(cat, letters[:k - 1]) + letters + letters[:k - 1]
-    tgt = (cat.dual(letters[k - 1]),) + letters[k - 1:] + letters[:k]
-    unit, lam = cat.unit, tgt[0]
-    # chain position j carries P[j+1]; P[0] is the unit
-    pins = {k + i - 1: k - i - 1 for i in range(1, k)}
-    pins[2 * k - 1] = None
-
-    @functools.cache
-    def closure_scalar(stages):
-        # the k-1 inner closures read only the first k stages of a chain
-        val = ONE
-        for i, x in enumerate(letters[:k - 1], start=1):
-            a = stages[k - i - 1]
-            val = val * cat.ev_coefficient(x) * cat.f_entry(
-                a, cat.dual(x), x, a, stages[k - i], unit)
-        return val
-
-    def moves(rho):
-        for chain, coeff in _pinned_graft_coeffs(cat, lam, src, rho, pins):
-            if k > 1:
-                coeff = coeff * closure_scalar(chain[:k])
-            yield (unit, lam) + chain[2 * k - 1:] + (unit,), coeff
-
-    return tgt, _path_matrix(cat, src, tgt, unit, moves)
 
 
 # -- elementary vertex steps -------------------------------------------------
@@ -556,6 +486,74 @@ def db_prime_vector(cat, letters):
         vec = mat_vec(splice_host_matrix(cat, host, host_vec, 1, cur), vec)
         cur = (cat.dual(y),) + cur + (y,)
     return cur, vec
+
+
+# -- the bend ----------------------------------------------------------------
+
+
+def _bend_matrix(cat, letters, k):
+    """Unit-root matrix of the k-strand bend E(w, k) of the word w = x_1 ... x_n.
+
+    The bend splices w into the host pairs (x_j*, x_j), j = 1..k, closes the
+    pairs (x_i*, x_i) innermost first and scales by 1 / (t(x_1) ... t(x_k)).
+    Grafting is associative, so the k splices are one splice of w at
+    position k into the nested coevaluation (H, h) = ``db_prime_vector`` of
+    x_1 ... x_k, H = (x_k*, ..., x_1*, x_1, ..., x_k).  A combined path P
+    survives the closures only if P[k+i] = P[k-i] for i = 1..k, so for a
+    host path p the first k graft stages are pinned to p[k-1], ..., p[0]
+    (the unit): each is one inverse-F factor, and the rest of w grafts on
+    from the unit.  What survives is the graft chain followed by p[k+1:], a
+    path of w[k:] + w[:k].  Closure i < k contributes
+    mu(x_i) [F^{a, x_i*, x_i}_a]_{b, 1} with a = p[k-i], b = p[k-i+1], as
+    in ``contract_pair_matrix``, which also gives the outer closure on
+    Hom(1, x_k* x_k).  The closures and the pivotal scale read only
+    p[:k+1], so they make one weight per such top, which seeds its graft
+    chains; h[p] scales each chain as it lands.  No word longer than
+    max(n, 2k) letters is built.
+    """
+    letters = tuple(letters)
+    head, tail = letters[:k], letters[k:]
+    unit = cat.unit
+    if not paths(cat, letters, unit):
+        return []  # the rotation of a zero space; its host is never built
+    host, hvec = db_prime_vector(cat, head)
+    last = head[-1]
+    outer = contract_pair_matrix(cat, (cat.dual(last), last), unit, 0)[0][0]
+    scale = ONE
+    for x in head:
+        scale = scale * cat.t(x)
+    outer = outer * scale.inverse()
+    # host paths by their first k+1 stages, which the pins and the inner
+    # closures read; each keeps its tails p[k+1:] with their h[p]
+    tops = {}
+    for p, c in zip(paths(cat, host, unit), hvec):
+        if c:
+            tops.setdefault(p[:k + 1], []).append((p[k + 1:], c))
+    weighted = []
+    for top, tails in tops.items():
+        w = outer
+        for i, x in enumerate(head[:-1], start=1):
+            a = top[k - i]
+            w = w * cat.ev_coefficient(x) * cat.f_entry(
+                a, cat.dual(x), x, a, top[k - i + 1], unit)
+        if w:
+            weighted.append((top, w, tails))
+
+    def moves(rho):
+        for top, coeff, tails in weighted:
+            lam = top[k]
+            for j, x in enumerate(head, start=1):
+                coeff = coeff * cat.f_inv_entry(
+                    lam, rho[j - 1], x, top[k - j], rho[j], top[k - j + 1])
+                if not coeff:
+                    break
+            else:
+                for chain, g in _graft_coeffs(cat, lam, tail, rho[k:],
+                                              [((unit,), coeff)]):
+                    for q, c in tails:
+                        yield chain + q, g * c
+
+    return _path_matrix(cat, letters, tail + head, unit, moves)
 
 
 # -- operator extension ------------------------------------------------------

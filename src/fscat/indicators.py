@@ -21,7 +21,7 @@ from .category import Category, ObjectExpr, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, TensorWord,
-                      _pinned_splice_matrix, add_unit_letter_matrix,
+                      _bend_matrix, add_unit_letter_matrix,
                       check_dimension_guard, contract_pair_matrix,
                       db_prime_vector, db_vector, drop_unit_letter_matrix,
                       fuse_step_matrix, insert_vector_matrix, path_counts,
@@ -59,13 +59,13 @@ def e_map_matrix(cat: Category, letters, k: int):
     With x_1 ... x_n the word, the bend is
     t(x_1)^-1 ... t(x_k)^-1 C_1 ... C_k S_k ... S_1: S_j splices the
     current word into the host pair (x_j*, x_j), and C_i closes the pair
-    (x_i*, x_i), innermost first.  S_1 ... S_{k-1} are whole splice
-    matrices.  The last splice S_k is built together with the k-1 inner
-    closures as one pinned kernel (``homcalc._pinned_splice_matrix``), so
-    no hom space longer than n+2k-2 letters is built; the host loop
-    (x_k*, x_k) is then closed by ``contract_pair_matrix``.  Every splice
-    runs before any closure, so a k-strand bend is not a product of
-    single-strand rotations.
+    (x_i*, x_i), innermost first.  It is built as one path-basis kernel
+    (``homcalc._bend_matrix``): the k splices are one splice into the
+    nested coevaluation of x_1 ... x_k, and the closures pin its graft
+    chains, so the matrix goes straight from the paths of the word to those
+    of its rotation and no hom space longer than max(n, 2k) letters is
+    built.  The bend is genuine: it is not a product of single-strand
+    rotations.
     """
     letters = tuple(letters)
     n = len(letters)
@@ -74,21 +74,7 @@ def e_map_matrix(cat: Category, letters, k: int):
 
     def build():
         cat.require_pivotal()
-        cur, m = letters, None
-        for x in letters[:k - 1]:
-            b = cat.dual(x)
-            # Hom(1, x* x) is spanned by the one path (unit, x*, unit)
-            splice = splice_host_matrix(cat, (b, x), [ONE], 1, cur)
-            m = splice if m is None else mat_mul(splice, m)
-            cur = (b,) + cur + (x,)
-        host, last = _pinned_splice_matrix(cat, letters, k)
-        m = last if m is None else mat_mul(last, m)
-        m = mat_mul(contract_pair_matrix(cat, host, cat.unit, 0), m)
-        scale = ONE
-        for x in letters[:k]:
-            scale = scale * cat.t(x)
-        scale = scale.inverse()
-        return [[scale * x for x in row] for row in m]
+        return _bend_matrix(cat, letters, k)
 
     return cat.cached(("emap", letters, k), build)
 
@@ -201,8 +187,8 @@ def check_power_identity(cat: Category, obj, n: int) -> bool:
     checked once per rotation orbit (conjugate chains are simultaneously
     the identity).  Block monoidality checks that rotating k letters and
     then m equals rotating k+m in one genuine block bend; the bend builds
-    hom spaces of up to n+2k-2 letters, which grow like FPdim^(n+2k-2),
-    so this part runs at word lengths up to 5.
+    hom spaces of up to max(n, 2k) letters, which grow like
+    FPdim^max(n, 2k), so this part runs at word lengths up to 5.
     """
     obj = _as_expr(cat, obj)
     op = rotation_operator(cat, obj, n)

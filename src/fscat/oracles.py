@@ -4,7 +4,7 @@ The character-theoretic indicator and the brute-force tensor-invariant
 oracle know nothing about F-symbols; they provide the classical values the
 categorical machinery must reproduce.  The nested double-dual route is the
 reference for the closed-form double-dual scalar, and the spliced bend the
-reference for the pinned rotation kernel.  The constructors build
+reference for the one-graft bend kernel.  The constructors build
 pointed categories, Tambara-Yamagami categories and the rank-2 pentagon
 solutions as exact category data, and never assume the pentagon: generated
 data is certified by the validator.
@@ -451,7 +451,7 @@ def nested_double_dual_coefficient(cat, a, b, c) -> Cyc:
 
 
 def spliced_e_map_matrix(cat, letters, k):
-    """``indicators.e_map_matrix`` without pinning: every splice, then every
+    """``indicators.e_map_matrix`` the long way: every splice, then every
     closure.
 
     The word is spliced into the host pairs (x_j*, x_j), j = 1..k, as whole

@@ -61,9 +61,10 @@ SPLICED_DIM_CAP = 256
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
-def test_pinned_bend_matches_spliced_oracle(name):
-    # e_map_matrix prunes its last splice by the loop closures; the oracle
-    # splices every host pair over every fusion path and then closes them
+def test_bend_matches_spliced_oracle(name):
+    # e_map_matrix splices once into the nested coevaluation and keeps only
+    # the graft chains the loop closures keep; the oracle splices every host
+    # pair over every fusion path and then closes them
     cat = bundled(name)
     compared = 0
     for c, nmax in ((cat, 5), (reverse_category(cat), 4),
@@ -90,7 +91,7 @@ def test_rotation_operator_structure():
     fib = bundled("fibonacci")
     op = rotation_operator(fib, "1", 3)
     assert op.total_dimension == 1
-    assert is_identity(op.block(("1", "1", "1"))) or True  # block maps to itself
+    assert is_identity(op.block(("1", "1", "1")))  # block maps to itself
     op = rotation_operator(fib, "t", 4)
     m = op.block(("t",) * 4)
     # M is 2x2 with M^4 = id
@@ -374,8 +375,8 @@ def test_dimension_guard():
 
 @pytest.mark.parametrize("call", [
     lambda cat: fs_scalar(cat, "t", 5, 2, 2),
-    lambda cat: e_map_matrix(cat, ("t",) * 5, 2),  # builds 7-letter words
-], ids=["fs_scalar", "e_map_matrix_k2"])
+    lambda cat: e_map_matrix(cat, ("t",) * 5, 4),  # builds the host t^8
+], ids=["fs_scalar", "e_map_matrix_k4"])
 def test_dimension_guard_every_hom_space(call, monkeypatch):
     # Hom(1, t^5) has dimension 3, so the refusal comes from the longer
     # words the request builds on the way
@@ -388,13 +389,22 @@ def test_dimension_guard_every_hom_space(call, monkeypatch):
 
 
 def test_two_strand_bend_within_guard(monkeypatch):
-    # the pinned last splice never builds the n + 2k = 9-letter word, whose
-    # hom dimension 21 is above the guard; the 7-letter words have 8
+    # the bend builds no word longer than max(n, 2k) = 5 letters, whose hom
+    # dimensions are at most 3; the spliced words of 7 and 9 letters, with
+    # dimensions 8 and 21, are never built
     want = e_map_matrix(load_bundled("fibonacci"), ("t",) * 5, 2)
     fib = load_bundled("fibonacci")
-    monkeypatch.setenv("FSCAT_NMAX_GUARD", "8")
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", "3")
     assert e_map_matrix(fib, ("t",) * 5, 2) == want
-    assert max(len(k[1]) for k in fib._cache if k[0] == "paths") == 7
+    assert max(len(k[1]) for k in fib._cache if k[0] == "paths") == 5
+
+
+def test_zero_space_bend_builds_no_host(monkeypatch):
+    # Hom(1, sigma^3) is zero, so its bend is the empty matrix; the nested
+    # host sigma^4, of dimension 4 above the guard, is never built
+    ty = load_bundled("ty_z2z2_plus")
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", "3")
+    assert e_map_matrix(ty, ("sigma",) * 3, 2) == []
 
 
 def _walked_trace(cat, word, r):
