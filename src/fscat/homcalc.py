@@ -39,13 +39,16 @@ Degenerate words (hom dimension 0) yield 0x0 blocks that compose legally.
 
 The builders whose arguments are labels and positions (fuse and split
 steps, unit letters, evaluation and coevaluation pairs, and the
-coevaluation vectors ``db_vector`` and ``db_prime_vector``) are memoised
-per category in ``cat.cached``: in a sweep of Frobenius-Schur
-endomorphisms about three calls in four repeat an earlier one.  Their
-results are shared, so callers must not mutate them.
-``insert_vector_matrix`` and ``splice_host_matrix`` are not memoised: their
-key would hold a ``Cyc`` vector, and hashing an irrational ``Cyc`` reduces
-it, which solves a linear system.
+coevaluation vectors ``db_vector`` and ``db_prime_vector``, the latter
+spliced outermost pair first into the running vector as the fixed host)
+are memoised per category in ``cat.cached``, and so are the right
+coevaluation blocks of the Frobenius-Schur endomorphisms
+(``indicators._right_block``): in a sweep of those endomorphisms about
+three calls in four repeat an earlier one.  The results are shared, so
+callers must not mutate them.  ``insert_vector_matrix`` and
+``splice_host_matrix`` are not memoised: their key would hold a ``Cyc``
+vector, and hashing an irrational ``Cyc`` reduces it, which solves a
+linear system.
 """
 
 from __future__ import annotations
@@ -349,7 +352,7 @@ def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest_vec):
                                [(p, rho, c) for rho, c in guest]))
 
 
-def splice_host_matrix(cat, host_letters, host_vec, i, guest_letters, root=None):
+def splice_host_matrix(cat, host_letters, host_vec, i, guest_letters):
     """Matrix of v -> (id (x) v (x) id) o u, with the host vector u fixed.
 
     Both the host and the variable guest are unit-rooted; this is the shape
@@ -357,14 +360,11 @@ def splice_host_matrix(cat, host_letters, host_vec, i, guest_letters, root=None)
     """
     host_letters = tuple(host_letters)
     guest_letters = tuple(guest_letters)
-    root = cat.unit if root is None else root
-    if root != cat.unit:
-        raise ValueError("splice_host_matrix works on unit-rooted vectors")
     comb = host_letters[:i] + guest_letters + host_letters[i:]
     host = [(p, c) for p, c in
             zip(paths(cat, host_letters, cat.unit), host_vec) if c]
     return _path_matrix(
-        cat, guest_letters, comb, root,
+        cat, guest_letters, comb, cat.unit,
         lambda rho: _graft_moves(cat, i, guest_letters,
                                  [(p, rho, c) for p, c in host]))
 
@@ -475,16 +475,20 @@ def db_vector(cat, letters):
 
 @_memoised
 def db_prime_vector(cat, letters):
-    """Right-dual coevaluation: unit-rooted vector over dual word + letters."""
+    """Right-dual coevaluation: unit-rooted vector over dual word + letters.
+
+    Grafting is associative, so the pairs (y*, y) are spliced outermost
+    first, each into the middle of the running vector as the fixed host:
+    every splice matrix has one column.  ``oracles.spliced_db_prime_vector``
+    splices innermost first.
+    """
     cur = ()
     vec = [ONE]
-    for y in letters:
-        host = (cat.dual(y), y)
-        hp = paths(cat, host, cat.unit)
-        host_vec = [ONE if p == (cat.unit, cat.dual(y), cat.unit) else ZERO
-                    for p in hp]
-        vec = mat_vec(splice_host_matrix(cat, host, host_vec, 1, cur), vec)
-        cur = (cat.dual(y),) + cur + (y,)
+    for y in reversed(letters):
+        mid = len(cur) // 2
+        pair = (cat.dual(y), y)
+        vec = mat_vec(splice_host_matrix(cat, cur, vec, mid, pair), [ONE])
+        cur = cur[:mid] + pair + cur[mid:]
     return cur, vec
 
 
@@ -518,11 +522,8 @@ def _bend_matrix(cat, letters, k):
         return []  # the rotation of a zero space; its host is never built
     host, hvec = db_prime_vector(cat, head)
     last = head[-1]
-    outer = contract_pair_matrix(cat, (cat.dual(last), last), unit, 0)[0][0]
-    scale = ONE
-    for x in head:
-        scale = scale * cat.t(x)
-    outer = outer * scale.inverse()
+    outer = (contract_pair_matrix(cat, (cat.dual(last), last), unit, 0)[0][0]
+             * math.prod(map(cat.t, head), start=ONE).inverse())
     # host paths by their first k+1 stages, which the pins and the inner
     # closures read; each keeps its tails p[k+1:] with their h[p]
     tops = {}
@@ -645,9 +646,7 @@ def pivotal_matrix(cat, word) -> LinMap:
     """Diagonal action of the pivotal isomorphism on a tensor word."""
     cat.require_pivotal()
     letters = _letters_of(word)
-    coeff = ONE
-    for x in letters:
-        coeff = coeff * cat.t(x)
+    coeff = math.prod(map(cat.t, letters), start=ONE)
     blocks = {}
     for r in cat.labels:
         n = len(paths(cat, letters, r))

@@ -21,12 +21,12 @@ from .category import Category, ObjectExpr, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, TensorWord,
-                      _bend_matrix, add_unit_letter_matrix,
-                      check_dimension_guard, contract_pair_matrix,
-                      db_prime_vector, db_vector, drop_unit_letter_matrix,
-                      fuse_step_matrix, insert_vector_matrix, path_counts,
-                      paths, pivotal_trace, splice_host_matrix,
-                      split_step_matrix)
+                      _bend_matrix, _memoised, add_unit_letter_matrix,
+                      attach_pair_matrix, check_dimension_guard,
+                      contract_pair_matrix, db_prime_vector,
+                      drop_unit_letter_matrix, dual_word, fuse_step_matrix,
+                      insert_vector_matrix, path_counts, paths,
+                      pivotal_trace, split_step_matrix)
 from .linalg import eye, is_identity, mat_equal, mat_mul, mat_trace, mat_vec
 
 ONE = Cyc.one()
@@ -234,11 +234,10 @@ def _accumulate(state, word, vec):
         state[word] = vec
 
 
-def _extract_insert(cat, word, root, src, length, dst, state_vec):
+def _extract_insert(cat, word, root, src, length, dst, state_vec, out):
     """Transport the trivial component of the letters [src, src+length)
-    to position dst (to the left of src), summing over dual bases."""
+    to position dst (left of src), summing over dual bases into `out`."""
     chunk = word[src:src + length]
-    out = {}
     for pi in paths(cat, chunk, cat.unit):
         # tear the chunk down along pi
         vec = state_vec
@@ -261,13 +260,32 @@ def _extract_insert(cat, word, root, src, length, dst, state_vec):
                 cur2 = cur2[:dst] + (pi[j], chunk[j]) + cur2[dst + 1:]
             # after the splits the leading inserted letter carries pi[1] = chunk[0]
             _accumulate(out, cur2, vec2)
-    return out
+
+
+@_memoised
+def _right_block(cat: Category, support, c, r: int):
+    """{word: vector} on Hom(c, -) after the right block of r coevaluations;
+    shared, so read-only.  By associativity, it is the state for r - 1 with
+    each pair (y, y*) attached at position r and scaled by t(y)."""
+    if not r:
+        return {(c,): [ONE]}
+    state = {}
+    for word, vec in _right_block(cat, support, c, r - 1).items():
+        for y in support:
+            got = mat_vec(attach_pair_matrix(cat, word, c, r, y), vec)
+            _accumulate(state, word[:r] + (y, cat.dual(y)) + word[r:],
+                        [cat.t(y) * x for x in got])
+    return state
 
 
 def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
     """Matrix of FS^{(n,l,r)} on Hom(c, V) blocks, V the sum of `support`.
 
-    Returns {(c_in, c_out): Cyc}; multiplicity-free direct sums only.
+    The left coevaluation block, with the middle one spliced into it, is one
+    ``db_prime_vector``, inserted in front of the right block
+    (``_right_block``); those words of 2n - 1 letters, the longest built,
+    are counted against the guard first.  Returns {(c_in, c_out): Cyc};
+    multiplicity-free direct sums only.
     """
     k = l + r + 1
     if not (l >= 0 and r >= 0 and k <= n):
@@ -275,57 +293,32 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
     cat.require_pivotal()
     support = tuple(sorted(support, key=cat.label_index))
     nk = n - k
-    out = {}
-    piv = cat.pivotal
     for c in support:
-        state = {(c,): [ONE]}
-        # surround with the three coevaluation blocks; the left and right
-        # side loops of the diagram are left- and right-closure shaped, so
-        # they carry the inverse and direct pivotal scalars of their letters
-        # (the middle loop is chirality-matched and carries none)
-        if r:
-            new = {}
-            for u in itertools.product(support, repeat=r):
-                g_letters, g_vec = db_vector(cat, u)
-                scale = ONE
-                for y in u:
-                    scale = scale * piv.t[y]
-                g_vec = [scale * x for x in g_vec]
-                for word, vec in state.items():
-                    mat = insert_vector_matrix(cat, word, c, 1, g_letters, g_vec)
-                    _accumulate(new, word[:1] + g_letters + word[1:],
-                                mat_vec(mat, vec))
-            state = new
-        combos = []
+        for s in itertools.product(support, repeat=n - 1):
+            head, u = s[:l + nk], s[l + nk:]
+            word = dual_word(cat, head) + head + (c,) + u + dual_word(cat, u)
+            check_dimension_guard(
+                path_counts(cat, ({x: 1} for x in word)).get(c, 0))
+    out = {}
+    for c in support:
+        # the left and right side loops of the diagram are left- and
+        # right-closure shaped, so their coevaluations carry the inverse and
+        # direct pivotal scalars of their letters (the middle loop is
+        # chirality-matched and carries none)
+        state = {}
         for ua in itertools.product(support, repeat=l):
-            a_letters, a_vec = db_prime_vector(cat, ua)
-            scale = ONE
-            for y in ua:
-                scale = scale * piv.t[y].inverse()
-            a_vec = [scale * x for x in a_vec]
+            scale = math.prod((cat.t(y).inverse() for y in ua), start=ONE)
             for ub in itertools.product(support, repeat=nk):
-                b_letters, b_vec = db_prime_vector(cat, ub)
-                if l:
-                    mat = splice_host_matrix(cat, a_letters, a_vec, l, b_letters)
-                    comb_letters = a_letters[:l] + b_letters + a_letters[l:]
-                    comb_vec = mat_vec(mat, b_vec)
-                else:
-                    comb_letters, comb_vec = b_letters, b_vec
-                combos.append((comb_letters, comb_vec))
-        new = {}
-        for comb_letters, comb_vec in combos:
-            for word, vec in state.items():
-                mat = insert_vector_matrix(cat, word, c, 0, comb_letters, comb_vec)
-                _accumulate(new, comb_letters + word,
-                            mat_vec(mat, vec))
-        state = new
+                comb_letters, comb_vec = db_prime_vector(cat, ub + ua)
+                comb_vec = [scale * x for x in comb_vec] if ua else comb_vec
+                for word, vec in _right_block(cat, support, c, r).items():
+                    mat = insert_vector_matrix(cat, word, c, 0, comb_letters,
+                                               comb_vec)
+                    _accumulate(state, comb_letters + word, mat_vec(mat, vec))
         # transport the trivial component of the middle n letters
-        src = l + nk
         new = {}
         for word, vec in state.items():
-            moved = _extract_insert(cat, word, c, src, n, l, vec)
-            for w2, v2 in moved.items():
-                _accumulate(new, w2, v2)
+            _extract_insert(cat, word, c, l + nk, n, l, vec, new)
         state = new
         # close the three loops: the left one (positions l-1 .. 0), then the
         # middle and the right ones, which stand next to each other
@@ -342,15 +335,15 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
                 assert len(cur) == 1
                 _accumulate(final, cur, v)
         for word, vec in final.items():
-            val = vec[0] if vec else ZERO
-            if val or word == (c,):
-                out[(c, word[0])] = out.get((c, word[0]), ZERO) + val
+            if vec[0] or word == (c,):
+                out[(c, word[0])] = vec[0]
         out.setdefault((c, c), ZERO)
     return out
 
 
 def fs_scalar(cat: Category, a, n: int, l: int, r: int) -> Cyc:
-    """The scalar by which FS^{(n,l,r)} acts on the simple object a."""
+    """The scalar of FS^{(n,l,r)} on the simple a; refused before any build
+    when its longest word is above the dimension guard."""
     if a not in cat.ring._index:
         raise ValueError(f"unknown label {a!r}")
     blocks = _fs_blocks(cat, (a,), n, l, r)

@@ -3,11 +3,12 @@
 The character-theoretic indicator and the brute-force tensor-invariant
 oracle know nothing about F-symbols; they provide the classical values the
 categorical machinery must reproduce.  The nested double-dual route is the
-reference for the closed-form double-dual scalar, and the spliced bend the
-reference for the one-graft bend kernel.  The constructors build
-pointed categories, Tambara-Yamagami categories and the rank-2 pentagon
-solutions as exact category data, and never assume the pentagon: generated
-data is certified by the validator.
+reference for the closed-form double-dual scalar, the spliced bend for the
+one-graft bend kernel, and the innermost-first nested coevaluation for
+``homcalc.db_prime_vector``.  The constructors build pointed categories,
+Tambara-Yamagami categories and the rank-2 pentagon solutions as exact
+category data, and never assume the pentagon: generated data is certified
+by the validator.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .category import Category, FSymbolSet, FusionRing, SpecError
 from .cyclo import Cyc, root_of_unity
 from .homcalc import (LinMap, TensorWord, contract_pair_matrix, dual_morphism,
                       paths, splice_host_matrix)
-from .linalg import eye, mat_mul, zeros
+from .linalg import eye, mat_mul, mat_vec, zeros
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -463,21 +464,28 @@ def spliced_e_map_matrix(cat, letters, k):
     cat.require_pivotal()
     cur, m = letters, None
     for j in range(k):
-        b = cat.dual(letters[j])
-        host = (b, letters[j])
-        hv = [ONE if p == (cat.unit, b, cat.unit) else ZERO
-              for p in paths(cat, host, cat.unit)]
-        splice = splice_host_matrix(cat, host, hv, 1, cur)
+        # Hom(1, x* x) is spanned by its one path (1, x*, 1)
+        host = (cat.dual(letters[j]), letters[j])
+        splice = splice_host_matrix(cat, host, [ONE], 1, cur)
         m = splice if m is None else mat_mul(splice, m)
-        cur = (b,) + cur + (letters[j],)
+        cur = host[:1] + cur + host[1:]
     for pos in range(k - 1, -1, -1):
         m = mat_mul(contract_pair_matrix(cat, cur, cat.unit, pos), m)
         cur = cur[:pos] + cur[pos + 2:]
-    scale = ONE
-    for x in letters[:k]:
-        scale = scale * cat.t(x)
-    scale = scale.inverse()
+    scale = math.prod(map(cat.t, letters[:k]), start=ONE).inverse()
     return [[scale * x for x in row] for row in m]
+
+
+def spliced_db_prime_vector(cat, letters):
+    """``homcalc.db_prime_vector`` innermost pair first: the running word
+    is the guest of a whole ``splice_host_matrix`` into each new outer pair
+    (y*, y)."""
+    cur, vec = (), [ONE]
+    for y in letters:
+        host = (cat.dual(y), y)
+        vec = mat_vec(splice_host_matrix(cat, host, [ONE], 1, cur), vec)
+        cur = host[:1] + cur + host[1:]
+    return cur, vec
 
 
 # -- category constructors ---------------------------------------------------

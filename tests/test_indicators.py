@@ -10,15 +10,18 @@ from fscat.category import (MissingPivotalError, ObjectExpr, gauge_transform,
                             reverse_category)
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
-from fscat.homcalc import LinMap, hom_dimension, path_counts, pivotal_trace
-from fscat.indicators import (DimensionGuardError, check_fs_theorems,
+from fscat.homcalc import (LinMap, db_prime_vector, db_vector, dual_morphism,
+                           hom_dimension, insert_vector_matrix, path_counts,
+                           pivotal_trace, splice_host_matrix)
+from fscat.indicators import (DimensionGuardError, _right_block,
+                              check_fs_theorems,
                               check_power_identity, check_reversal_symmetry,
                               e_map, e_map_matrix, fs_scalar, indicator,
                               indicator_report, is_spherical, qn_distance,
                               rotation_operator)
-from fscat.linalg import eye, is_identity, mat_mul, mat_trace
+from fscat.linalg import eye, is_identity, mat_mul, mat_trace, mat_vec
 from fscat.oracles import (char_indicator, d4_table, q8_table, s3_table,
-                           spliced_e_map_matrix)
+                           spliced_db_prime_vector, spliced_e_map_matrix)
 from fscat.specio import load_bundled
 
 
@@ -79,6 +82,77 @@ def test_bend_matches_spliced_oracle(name):
                 assert e_map_matrix(c, w, k) == want, (c.name, w, k)
                 compared += 1
     assert compared
+
+
+def _scaled(scale, vec):
+    return [scale * x for x in vec]
+
+
+def _t_product(cat, letters, inverse=False):
+    scale = Cyc.one()
+    for y in letters:
+        scale = scale * (cat.t(y).inverse() if inverse else cat.t(y))
+    return scale
+
+
+def _stage_cats(name):
+    """A bundled spec, its reversal and one root-of-unity gauge of it."""
+    cat = bundled(name)
+    return (cat, reverse_category(cat),
+            _root_gauge(cat, 2 + ALL_BUNDLED.index(name)))
+
+
+# the three coevaluation stages of the FS endomorphisms, each against the
+# route it replaced; every equality is exact
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_db_prime_vector_matches_spliced_oracle(name):
+    # outermost pair first, against innermost pair first
+    for cat in _stage_cats(name):
+        for m in range(5):
+            for head in itertools.product(cat.labels, repeat=m):
+                assert db_prime_vector(cat, head) == \
+                    spliced_db_prime_vector(cat, head), (cat.name, head)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_fs_combo_is_one_nested_coevaluation(name):
+    # db'(ub) spliced into the t^-1-scaled db'(ua) at l = |ua| is the
+    # t^-1-scaled db'(ub + ua)
+    for cat in _stage_cats(name):
+        for m in range(1, 5):
+            for word in itertools.product(cat.labels, repeat=m):
+                for l in range(1, m + 1):
+                    ub, ua = word[:m - l], word[m - l:]
+                    scale = _t_product(cat, ua, inverse=True)
+                    a_letters, a_vec = db_prime_vector(cat, ua)
+                    b_letters, b_vec = db_prime_vector(cat, ub)
+                    mat = splice_host_matrix(cat, a_letters,
+                                             _scaled(scale, a_vec), l, b_letters)
+                    letters, vec = db_prime_vector(cat, ub + ua)
+                    assert a_letters[:l] + b_letters + a_letters[l:] == letters
+                    assert mat_vec(mat, b_vec) == _scaled(scale, vec), \
+                        (cat.name, ua, ub)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_right_block_is_the_inserted_coevaluation(name):
+    # the right block by attached pairs is the insertion of the t-scaled
+    # coevaluation of the whole block at position 1
+    for cat in _stage_cats(name):
+        for c in cat.labels:
+            for r in range(5):
+                want = {}
+                for u in itertools.product(cat.labels, repeat=r):
+                    g_letters, g_vec = db_vector(cat, u)
+                    g_vec = _scaled(_t_product(cat, u), g_vec)
+                    mat = insert_vector_matrix(cat, (c,), c, 1, g_letters, g_vec)
+                    vec = mat_vec(mat, [Cyc.one()])
+                    if any(vec):
+                        want[(c,) + g_letters] = vec
+                assert _right_block(cat, cat.labels, c, r) == want, \
+                    (cat.name, c, r)
 
 
 def test_e_map_requires_pivotal():
@@ -256,17 +330,20 @@ def test_fs_scalar_bad_arguments():
         fs_scalar(fib, "q", 2, 0, 0)
 
 
-# the label-keyed builders that ``homcalc`` memoises in ``cat.cached``
-MEMOISED_BUILDERS = ("fuse_step_matrix", "split_step_matrix",
-                     "add_unit_letter_matrix", "drop_unit_letter_matrix",
-                     "contract_pair_matrix", "attach_pair_matrix",
-                     "db_vector", "db_prime_vector")
+# the label-keyed builders memoised in ``cat.cached``, by their memo kind
+MEMOISED_BUILDERS = {name: getattr(fscat.homcalc, name) for name in (
+    "fuse_step_matrix", "split_step_matrix", "add_unit_letter_matrix",
+    "drop_unit_letter_matrix", "contract_pair_matrix", "attach_pair_matrix",
+    "db_vector", "db_prime_vector")}
+MEMOISED_BUILDERS["_right_block"] = _right_block
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_shared_memos_give_cold_results(name):
-    # a caller that mutated a shared matrix or vector would change the
-    # second warm pass, or the cached builds, against cold categories
+    # a caller that mutated a shared matrix, vector or right-block state
+    # would change the second warm pass, or the cached builds, against cold
+    # categories; the FS sweep reaches every builder but ``db_vector``,
+    # which the dual of the identity on (a, a) reaches
     cat = bundled(name)
     cases = [(a, n, l, r) for a in cat.labels for n in range(1, 5)
              for l in range(n) for r in range(n - l)]
@@ -275,11 +352,15 @@ def test_shared_memos_give_cold_results(name):
     second = [fs_scalar(warm, *case) for case in cases]
     cold = [fs_scalar(cat.with_pivotal(cat.pivotal), *case) for case in cases]
     assert first == second == cold
+    duals = [dual_morphism(warm, LinMap.identity(warm, (a, a))).blocks
+             for a in cat.labels]
+    assert duals == [dual_morphism(warm, LinMap.identity(warm, (a, a))).blocks
+                     for a in cat.labels]
     kinds = set()
     for key, got in warm._cache.items():
         if key[0] in MEMOISED_BUILDERS:
             kinds.add(key[0])
-            build = getattr(fscat.homcalc, key[0])
+            build = MEMOISED_BUILDERS[key[0]]
             assert got == build(cat.with_pivotal(cat.pivotal), *key[1:]), key
     assert kinds == set(MEMOISED_BUILDERS)
 
@@ -290,6 +371,21 @@ def test_trace_formula_routes_agree(any_bundled):
         ptrl = pivotal_trace(cat, LinMap.identity(cat, (a,)), "left")
         for n in range(1, 5):
             assert indicator(cat, a, n, 1) == ptrl * fs_scalar(cat, a, n, 0, 0)
+
+
+@pytest.mark.parametrize("name,a,ns", [
+    ("ty_z2z2_plus", "sigma", (6, 7)),
+    ("ty_z2z2_minus", "sigma", (6, 7)),
+    ("fibonacci", "t", range(5, 10)),
+    ("ising", "sigma", range(5, 11)),
+], ids=["ty_z2z2_plus", "ty_z2z2_minus", "fibonacci", "ising"])
+def test_trace_formula_routes_agree_further_out(name, a, ns):
+    # nu_n = ptr_l(id) FS^(n) past the n <= 4 sweep: the rotation walk
+    # against the nested coevaluations of up to n - 1 pairs
+    cat = bundled(name).with_pivotal(bundled(name).pivotal)
+    ptrl = pivotal_trace(cat, LinMap.identity(cat, (a,)), "left")
+    for n in ns:
+        assert indicator(cat, a, n, 1) == ptrl * fs_scalar(cat, a, n, 0, 0), n
 
 
 def test_generalized_trace_formula():
@@ -386,6 +482,21 @@ def test_dimension_guard_every_hom_space(call, monkeypatch):
         call(fib)
     assert max((len(v) for k, v in fib._cache.items() if k[0] == "paths"),
                default=0) <= 3
+
+
+def test_fs_refusal_builds_nothing(monkeypatch):
+    # FS^(6) of t inserts into a word of 11 letters, and Hom(t, t^11) has
+    # dimension 89; the request is refused from the counts before any path
+    # list or coevaluation is built
+    fib = load_bundled("fibonacci")
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", "88")
+    with pytest.raises(DimensionGuardError) as err:
+        fs_scalar(fib, "t", 6, 0, 0)
+    assert str(err.value) == "hom dimension 89 exceeds FSCAT_NMAX_GUARD=88"
+    assert not any(key[0] == "paths" for key in fib._cache)
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", "89")
+    assert fs_scalar(fib, "t", 6, 0, 0) == fs_scalar(bundled("fibonacci"),
+                                                     "t", 6, 0, 0)
 
 
 def test_two_strand_bend_within_guard(monkeypatch):

@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload fs-endo \\
         --pairs 10 --seed0 1
 
-Pair i runs ``perfbench/run.py --workload W --seed SEED0+i`` once in each
-checkout, for the ``run_seconds`` that CHANGE_DIR's ``BENCHMARK.json``
-sets; even pairs run the parent first and odd pairs the change, so a drift
-in host load falls on both sides.  Each checkout runs its own ``perfbench/``
-on its own ``src/``.  For every end-to-end metric of ``BENCHMARK.json`` the
-report gives each side's median and quartiles, the relative change of the
-median against the metric's regression bound, and the number of pairs the
-change wins (ties count for neither side).  A gain holds when the change
-wins at least nine tenths of the pairs and the medians differ by more than
-the parent's interquartile range.  The exit status is 1 when any run
-reports ``correct: false`` or exits non-zero.
+``--workload`` may be given more than once, or as ``all`` for every
+workload of CHANGE_DIR's ``BENCHMARK.json``; the workloads run one after
+the other, each with its own pairs and its own report table.  Pair i runs
+``perfbench/run.py --workload W --seed SEED0+i`` once in each checkout, for
+the ``run_seconds`` that CHANGE_DIR's ``BENCHMARK.json`` sets; even pairs
+run the parent first and odd pairs the change, so a drift in host load
+falls on both sides.  Each checkout runs its own ``perfbench/`` on its own
+``src/``.  For every end-to-end metric of ``BENCHMARK.json`` the report
+gives each side's median and quartiles, the relative change of the median
+against the metric's regression bound, and the number of pairs the change
+wins (ties count for neither side).  A gain holds when the change wins at
+least nine tenths of the pairs and the medians differ by more than the
+parent's interquartile range.  The exit status is 1 when any run of any
+workload reports ``correct: false`` or exits non-zero.
 """
 
 from __future__ import annotations
@@ -70,40 +73,62 @@ def report(spec, results):
     return lines
 
 
+def compare(spec, dirs, workload, pairs, seed0):
+    """Run the pairs of one workload and print its report; False when a run
+    failed or reported ``correct: false``."""
+    results, ok = [], True
+    for i in range(pairs):
+        seed = seed0 + i
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        pair = [None, None]
+        for side in order:
+            pair[side] = got = run_once(dirs[side], workload, seed,
+                                        spec["run_seconds"])
+            if got is None or not got["correct"]:
+                ok = False
+            if got is not None:
+                wall = got["metrics"]["wall_s"]["value"]
+                print(f"{workload} pair {i + 1}/{pairs} seed {seed} "
+                      f"{('parent', 'change')[side]}: wall_s {wall:.4g} "
+                      f"correct {got['correct']} failed {got['failed']}",
+                      file=sys.stderr)
+        if None not in pair:
+            results.append(pair)
+    print(f"workload {workload}: {len(results)} pairs, seeds "
+          f"{seed0}..{seed0 + pairs - 1}")
+    if results:
+        print("\n".join(report(spec, results)))
+    return ok
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_dir")
     p.add_argument("change_dir")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", action="append", required=True,
+                   help="a workload name, or all; may be repeated")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed0", type=int, required=True)
     args = p.parse_args(argv)
 
     with open(os.path.join(args.change_dir, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = []
+    for name in args.workload:
+        for w in known if name == "all" else [name]:
+            if w not in workloads:
+                workloads.append(w)
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        p.error(f"unknown workload {', '.join(unknown)}; choose from "
+                f"{', '.join(known)} or all")
     dirs = (args.parent_dir, args.change_dir)
-    results, ok = [], True
-    for i in range(args.pairs):
-        seed = args.seed0 + i
-        order = (0, 1) if i % 2 == 0 else (1, 0)
-        pair = [None, None]
-        for side in order:
-            pair[side] = got = run_once(dirs[side], args.workload, seed,
-                                        spec["run_seconds"])
-            if got is None or not got["correct"]:
-                ok = False
-            if got is not None:
-                wall = got["metrics"]["wall_s"]["value"]
-                print(f"pair {i + 1}/{args.pairs} seed {seed} "
-                      f"{('parent', 'change')[side]}: wall_s {wall:.4g} "
-                      f"correct {got['correct']} failed {got['failed']}",
-                      file=sys.stderr)
-        if None not in pair:
-            results.append(pair)
-    print(f"workload {args.workload}: {len(results)} pairs, seeds "
-          f"{args.seed0}..{args.seed0 + args.pairs - 1}")
-    if results:
-        print("\n".join(report(spec, results)))
+    ok = True
+    for i, workload in enumerate(workloads):
+        if i:
+            print()
+        ok = compare(spec, dirs, workload, args.pairs, args.seed0) and ok
     if not ok:
         print("error: a run failed or reported correct: false", file=sys.stderr)
     return 0 if ok else 1
