@@ -35,6 +35,8 @@ is spliced once into the nested coevaluation of its first k letters, and
 the loop closures that follow keep only the paths that retrace their
 stages around each closed pair, so the first k stages of each graft chain
 are pinned to the host path's and only those chains are generated.
+``_bend_entries`` pins the rest of each chain to one target path as well,
+so it makes single entries of a bend (its diagonal, say) and nothing else.
 Degenerate words (hom dimension 0) yield 0x0 blocks that compose legally.
 
 The builders whose arguments are labels and positions (fuse and split
@@ -272,7 +274,7 @@ class LinMap:
 # -- the grafting kernel -----------------------------------------------------
 
 
-def _graft_coeffs(cat: Category, lam, letters, path, states=None):
+def _graft_coeffs(cat: Category, lam, letters, path, states=None, pin=None):
     """Re-associate a subword, fused along ``path``, into a running stage.
 
     Given a stage label ``lam`` and a fusion path ``path`` through
@@ -283,6 +285,8 @@ def _graft_coeffs(cat: Category, lam, letters, path, states=None):
     ``lam (x) path[-1]``; for a unit-rooted graft it is forced back to lam.
     ``states`` continues given ``(chain, coeff)`` pairs instead, when
     ``letters`` and ``path`` are a later piece of the grafted word.
+    ``pin``, a path through ``letters`` from the chains' first stage, keeps
+    only the chain that follows it: sigma_j = pin[j].
     """
     if states is None:
         states = [((lam,), ONE)]
@@ -291,7 +295,7 @@ def _graft_coeffs(cat: Category, lam, letters, path, states=None):
         new = []
         for chain, coeff in states:
             s_prev = chain[-1]
-            for s in cat.channels(s_prev, y):
+            for s in cat.channels(s_prev, y) if pin is None else (pin[j],):
                 val = cat.f_inv_entry(lam, prev_rho, y, s, rho, s_prev)
                 if val:
                     new.append((chain + (s,), coeff * val))
@@ -511,21 +515,33 @@ def _bend_matrix(cat, letters, k):
     mu(x_i) [F^{a, x_i*, x_i}_a]_{b, 1} with a = p[k-i], b = p[k-i+1], as
     in ``contract_pair_matrix``, which also gives the outer closure on
     Hom(1, x_k* x_k).  The closures and the pivotal scale read only
-    p[:k+1], so they make one weight per such top, which seeds its graft
-    chains; h[p] scales each chain as it lands.  No word longer than
-    max(n, 2k) letters is built.
+    p[:k+1], so they make one weight per such top (``_bend_tops``), which
+    seeds its graft chains; h[p] scales each chain as it lands
+    (``_bend_terms``).  No word longer than max(n, 2k) letters is built.
     """
     letters = tuple(letters)
-    head, tail = letters[:k], letters[k:]
-    unit = cat.unit
-    if not paths(cat, letters, unit):
+    if not paths(cat, letters, cat.unit):
         return []  # the rotation of a zero space; its host is never built
+    tops = _bend_tops(cat, letters[:k])
+    return _path_matrix(cat, letters, letters[k:] + letters[:k], cat.unit,
+                        lambda rho: _bend_terms(cat, letters, k, tops, rho))
+
+
+def _bend_tops(cat, head):
+    """The nested coevaluation host of a bend of ``head``, by top.
+
+    Returns [(top, weight, tails)], one per distinct p[:k+1] of a host path
+    p of ``db_prime_vector(cat, head)`` with h[p] != 0 (k = len(head)):
+    ``weight`` is the product of the loop closures and the pivotal scale,
+    which read only the top, and ``tails`` lists (p[k+1:], h[p]).  Tops of
+    weight zero are left out.
+    """
+    k = len(head)
+    unit = cat.unit
     host, hvec = db_prime_vector(cat, head)
     last = head[-1]
     outer = (contract_pair_matrix(cat, (cat.dual(last), last), unit, 0)[0][0]
              * math.prod(map(cat.t, head), start=ONE).inverse())
-    # host paths by their first k+1 stages, which the pins and the inner
-    # closures read; each keeps its tails p[k+1:] with their h[p]
     tops = {}
     for p, c in zip(paths(cat, host, unit), hvec):
         if c:
@@ -539,22 +555,55 @@ def _bend_matrix(cat, letters, k):
                 a, cat.dual(x), x, a, top[k - i + 1], unit)
         if w:
             weighted.append((top, w, tails))
+    return weighted
 
-    def moves(rho):
-        for top, coeff, tails in weighted:
-            lam = top[k]
-            for j, x in enumerate(head, start=1):
-                coeff = coeff * cat.f_inv_entry(
-                    lam, rho[j - 1], x, top[k - j], rho[j], top[k - j + 1])
-                if not coeff:
-                    break
-            else:
-                for chain, g in _graft_coeffs(cat, lam, tail, rho[k:],
-                                              [((unit,), coeff)]):
-                    for q, c in tails:
-                        yield chain + q, g * c
 
-    return _path_matrix(cat, letters, tail + head, unit, moves)
+def _bend_terms(cat, letters, k, tops, rho, pin=None):
+    """(target path, coefficient) terms of E(w, k) on the source path rho.
+
+    ``tops`` is ``_bend_tops`` of w[:k] or a part of it.  With ``pin``, a
+    path of the rotated word, the graft chain follows pin's stages, so only
+    terms landing on pin are made when every tail in ``tops`` is pin's.
+    """
+    head, tail = letters[:k], letters[k:]
+    for top, coeff, tails in tops:
+        lam = top[k]
+        for j, x in enumerate(head, start=1):
+            coeff = coeff * cat.f_inv_entry(
+                lam, rho[j - 1], x, top[k - j], rho[j], top[k - j + 1])
+            if not coeff:
+                break
+        else:
+            for chain, g in _graft_coeffs(cat, lam, tail, rho[k:],
+                                          [((cat.unit,), coeff)], pin):
+                for q, c in tails:
+                    yield chain + q, g * c
+
+
+def _bend_entries(cat, letters, k, pairs):
+    """Sum of wt * E(w, k)[q, rho] over the (rho, q, wt) triples in pairs.
+
+    rho is a path of w and q one of its rotation.  Each entry is made by
+    the terms of ``_bend_matrix`` that land on q alone: the host tails are
+    kept only where they equal q's last k stages, and the graft chain is
+    pinned to q's first n - k + 1 stages, so no other entry is generated.
+    The diagonal of a bend with rot_k w = w is the pairs (p, p, 1).
+    """
+    letters = tuple(letters)
+    pairs = list(pairs)
+    if not pairs:
+        return ZERO  # a zero space; its host is never built
+    m = len(letters) - k
+    by_tail = {}
+    for top, w, tails in _bend_tops(cat, letters[:k]):
+        for q, c in tails:
+            by_tail.setdefault(q, []).append((top, w, ((q, c),)))
+    total = ZERO
+    for rho, q, wt in pairs:
+        for _, g in _bend_terms(cat, letters, k, by_tail.get(q[m + 1:], ()),
+                                rho, q):
+            total = total + wt * g
+    return total
 
 
 # -- operator extension ------------------------------------------------------

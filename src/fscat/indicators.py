@@ -3,12 +3,18 @@
 The rotation map on Hom(1, x_1 ... x_n) bends the leftmost strand over the
 top: coevaluation wraps for the bent block, evaluations closing it on the
 left, and the inverse pivotal scalar on the bent letters.  Indicators are
-exact traces of its powers, and each rotation orbit's powers are walked
-once: the walk records every trace the indicators read and whether the n-th
-power is the identity.  The Frobenius-Schur endomorphisms are built
-independently, from dual bases of the composition pairing transported
-through the trivial component, so the trace formula is a genuine
-cross-check between two routes and not a definition.
+exact traces of its powers, taken once per rotation orbit of words.  Up to
+n = WALK_MAX_N (6) each orbit's single-strand powers are walked once: the
+walk records every trace the indicators read and whether the n-th power is
+the identity.  Above, by block monoidality, the r-th power is the genuine
+r-strand bend, so a trace is read off bends without any power: the pinned
+diagonal of E(w, r) for r <= h, and for r > h the entries of
+E(rot_h w, r - h) at the nonzeros of E(w, h), h = ``_split(n)``; the power
+identity is one split product E(rot_h w, n - h) E(w, h) = id per orbit.
+Block monoidality itself is checked at n <= 5.  The Frobenius-Schur
+endomorphisms are built independently, from dual bases of the composition
+pairing transported through the trivial component, so the trace formula is
+a genuine cross-check between two routes and not a definition.
 """
 
 from __future__ import annotations
@@ -21,12 +27,12 @@ from .category import Category, ObjectExpr, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, TensorWord,
-                      _bend_matrix, _memoised, add_unit_letter_matrix,
-                      attach_pair_matrix, check_dimension_guard,
-                      contract_pair_matrix, db_prime_vector,
-                      drop_unit_letter_matrix, dual_word, fuse_step_matrix,
-                      insert_vector_matrix, path_counts, paths,
-                      pivotal_trace, split_step_matrix)
+                      _bend_entries, _bend_matrix, _memoised,
+                      add_unit_letter_matrix, attach_pair_matrix,
+                      check_dimension_guard, contract_pair_matrix,
+                      db_prime_vector, drop_unit_letter_matrix, dual_word,
+                      fuse_step_matrix, insert_vector_matrix, path_counts,
+                      paths, pivotal_trace, split_step_matrix)
 from .linalg import eye, is_identity, mat_equal, mat_mul, mat_trace, mat_vec
 
 ONE = Cyc.one()
@@ -97,7 +103,8 @@ def _orbit_walk(cat, word):
     Returns ({r: trace of the r-step composite} for every r at which the
     walk is back at `word`, whether the n-step composite is the identity).
     Trace is invariant under cyclic shifts of the factors, so every word of
-    an orbit has the same traces.
+    an orbit has the same traces.  Used up to n = WALK_MAX_N, and as the
+    reference of the bend route above it.
     """
     def build():
         n = len(word)
@@ -114,6 +121,50 @@ def _orbit_walk(cat, word):
         return traces, is_identity(m)
 
     return cat.cached(("walk", word), build)
+
+
+# the largest n whose indicators and power identity walk the single-strand
+# rotation; above it they are read off genuine bends
+WALK_MAX_N = 6
+
+
+def _split(n):
+    """The split h of the bend route at n: the least even h >= n / 2.
+
+    Every r <= n / 2 is then a diagonal read, and for r > h the first
+    factor E(rot_h w, r - h) bends fewer than n / 2 strands, so it builds
+    no word longer than n letters; E(w, h) builds at most n + 3.  h is
+    even because the even bends of a self-dual object can be monomial,
+    as on TY(Z2xZ2) sigma, while its odd bends are dense there: at n = 10,
+    h = 5 makes the dense E(sigma^10, 5) and is slower than the walk.
+    """
+    return 2 * -(-n // 4)
+
+
+def _bend_trace(cat, word, r):
+    """tr E^r on the block of `word`, where rot_r(word) = word, read off
+    genuine bends; cached per word.
+
+    By block monoidality the r-step composite of single-strand rotations is
+    E(word, r), and for r > h = ``_split(n)`` it is
+    E(rot_h word, r - h) E(word, h).  For r <= h the trace is the pinned
+    diagonal of E(word, r).  Otherwise E(word, h) is built and only the
+    entries of the first factor that meet its nonzeros are made, so the
+    product is never formed.
+    """
+    def build():
+        h = _split(len(word))
+        tgt = paths(cat, word, cat.unit)
+        if r <= h:
+            return _bend_entries(cat, word, r, [(p, p, ONE) for p in tgt])
+        mid = _rot(word, h)
+        src = paths(cat, mid, cat.unit)
+        b = e_map_matrix(cat, word, h)
+        return _bend_entries(cat, mid, r - h,
+                             [(src[i], tgt[j], x) for i, row in enumerate(b)
+                              for j, x in enumerate(row) if x])
+
+    return cat.cached(("bendtr", word, r), build)
 
 
 def _orbit_rep(cat, word):
@@ -164,7 +215,14 @@ def _fixed_slot_count(obj: ObjectExpr, word, r: int) -> int:
 
 def indicator(cat: Category, obj, n: int, r: int) -> Cyc:
     """The (n, r) Frobenius-Schur indicator: exact trace of the r-th power
-    of the rotation operator; r is reduced modulo n."""
+    of the rotation operator; r is reduced modulo n.
+
+    Each word fixed by rot_r contributes the trace of its orbit's r-step
+    composite.  Up to n = WALK_MAX_N it is read off the single-strand walk
+    (``_orbit_walk``); above, off genuine bends (``_bend_trace``): the
+    pinned diagonal of E(w, r) for r <= h, and the entries of
+    E(rot_h w, r - h) at the nonzeros of E(w, h) for r > h, h = ``_split(n)``.
+    """
     obj = _as_expr(cat, obj)
     op = rotation_operator(cat, obj, n)
     rr = r % n
@@ -174,7 +232,9 @@ def indicator(cat: Category, obj, n: int, r: int) -> Cyc:
     for w in op.words:
         if _rot(w, rr) != w:
             continue
-        tr = _orbit_walk(cat, _orbit_rep(cat, w))[0][rr]
+        rep = _orbit_rep(cat, w)
+        tr = (_orbit_walk(cat, rep)[0][rr] if n <= WALK_MAX_N
+              else _bend_trace(cat, rep, rr))
         if tr:
             total = total + _fixed_slot_count(obj, w, rr) * tr
     return total
@@ -183,11 +243,14 @@ def indicator(cat: Category, obj, n: int, r: int) -> Cyc:
 def check_power_identity(cat: Category, obj, n: int) -> bool:
     """Exact (E^(n))^n = id, plus the block-monoidality of rotations.
 
-    The full operator is block-cyclic over words, so the n-fold chain is
+    The full operator is block-cyclic over words, so the identity is
     checked once per rotation orbit (conjugate chains are simultaneously
-    the identity).  Block monoidality checks that rotating k letters and
-    then m equals rotating k+m in one genuine block bend; the bend builds
-    hom spaces of up to max(n, 2k) letters, which grow like
+    the identity).  Up to n = WALK_MAX_N it is the n-fold single-strand
+    chain.  Above, it is one split product of genuine bends,
+    E(rot_h w, n - h) E(w, h) = id with h = ``_split(n)``, which is E^n = id
+    given block monoidality.  Block monoidality checks that rotating k
+    letters and then m equals rotating k+m in one genuine block bend; the
+    bend builds hom spaces of up to max(n, 2k) letters, which grow like
     FPdim^max(n, 2k), so this part runs at word lengths up to 5.
     """
     obj = _as_expr(cat, obj)
@@ -197,7 +260,13 @@ def check_power_identity(cat: Category, obj, n: int) -> bool:
         if w in seen:
             continue
         seen.update(_rot(w, j) for j in range(n))
-        if not _orbit_walk(cat, w)[1]:  # w is its orbit's least rotation
+        if n <= WALK_MAX_N:
+            ok = _orbit_walk(cat, w)[1]  # w is its orbit's least rotation
+        else:
+            h = _split(n)
+            ok = is_identity(mat_mul(e_map_matrix(cat, _rot(w, h), n - h),
+                                     e_map_matrix(cat, w, h)))
+        if not ok:
             return False
         if 2 <= n <= 5:
             for k in range(1, n):

@@ -13,8 +13,10 @@ from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
 from fscat.homcalc import (LinMap, db_prime_vector, db_vector, dual_morphism,
                            hom_dimension, insert_vector_matrix, path_counts,
                            pivotal_trace, splice_host_matrix)
-from fscat.indicators import (DimensionGuardError, _right_block,
-                              check_fs_theorems,
+from fscat.homcalc import _bend_entries, paths
+from fscat.indicators import (WALK_MAX_N, DimensionGuardError,
+                              _fixed_slot_count, _orbit_rep, _orbit_walk,
+                              _right_block, _split, check_fs_theorems,
                               check_power_identity, check_reversal_symmetry,
                               e_map, e_map_matrix, fs_scalar, indicator,
                               indicator_report, is_spherical, qn_distance,
@@ -153,6 +155,69 @@ def test_right_block_is_the_inserted_coevaluation(name):
                         want[(c,) + g_letters] = vec
                 assert _right_block(cat, cat.labels, c, r) == want, \
                     (cat.name, c, r)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_bend_entries_match_the_built_bend(name):
+    # the pinned kernel against the matrix it pins: the diagonal where
+    # rot_k w = w, each entry weighted apart, and the pairs at the nonzeros
+    # of E(rot_k w, n - k), the factor that follows E(w, k) back to w
+    compared = 0
+    for c in _stage_cats(name):
+        for w in _bend_words(c, 6):
+            ps = paths(c, w, c.unit)
+            for k in range(1, len(w)):
+                e = e_map_matrix(c, w, k)
+                rw = w[k:] + w[:k]
+                if rw == w:
+                    weights = [Cyc.rational(i + 1) for i in range(len(ps))]
+                    got = _bend_entries(c, w, k, zip(ps, ps, weights))
+                    want = sum((x * e[i][i] for i, x in enumerate(weights)),
+                               Cyc.zero())
+                    assert got == want, (c.name, w, k)
+                b = e_map_matrix(c, rw, len(w) - k)
+                qs = paths(c, rw, c.unit)
+                pairs = [(ps[i], qs[j], x) for i, row in enumerate(b)
+                         for j, x in enumerate(row) if x]
+                want = sum((x * e[qs.index(q)][ps.index(p)]
+                            for p, q, x in pairs), Cyc.zero())
+                assert _bend_entries(c, w, k, pairs) == want, (c.name, w, k)
+                compared += 1
+    assert compared
+
+
+def _walk_indicator(cat, obj, n, r):
+    """nu_(n,r) from the single-strand walk alone."""
+    op = rotation_operator(cat, obj, n)
+    if r % n == 0:
+        return Cyc.rational(op.total_dimension)
+    total = Cyc.zero()
+    for w in op.words:
+        if w[r:] + w[:r] == w:
+            total = total + _fixed_slot_count(obj, w, r) * \
+                _orbit_walk(cat, _orbit_rep(cat, w))[0][r]
+    return total
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_bend_route_matches_the_walk(name):
+    # above WALK_MAX_N every indicator cell and power-identity flag is read
+    # off genuine bends; the walk is the reference, called directly
+    assert WALK_MAX_N == 6 and [_split(n) for n in (7, 8)] == [4, 4]
+    for c in _stage_cats(name):
+        objs = [ObjectExpr.simple(a) for a in c.labels]
+        objs += [ObjectExpr({a: 1, b: 1})
+                 for a, b in itertools.combinations(c.labels, 2)]
+        for obj in objs:
+            for n in (7, 8):
+                op = rotation_operator(c, obj, n)
+                walked = all(_orbit_walk(c, _orbit_rep(c, w))[1]
+                             for w in op.words)
+                assert check_power_identity(c, obj, n) == walked, \
+                    (c.name, str(obj), n)
+                for r in range(n + 1):
+                    assert indicator(c, obj, n, r) == \
+                        _walk_indicator(c, obj, n, r), (c.name, str(obj), n, r)
 
 
 def test_e_map_requires_pivotal():
@@ -386,6 +451,34 @@ def test_trace_formula_routes_agree_further_out(name, a, ns):
     ptrl = pivotal_trace(cat, LinMap.identity(cat, (a,)), "left")
     for n in ns:
         assert indicator(cat, a, n, 1) == ptrl * fs_scalar(cat, a, n, 0, 0), n
+
+
+def test_indicators_reach_n_14_under_the_default_guard(monkeypatch):
+    # Hom(1, sigma^14) has dimension 4,096, the default guard; each r <= 7
+    # is the pinned diagonal of a bend of r strands, whose host has 2r <= 14
+    # letters.  The full report stays out of reach: its power identity
+    # needs E(sigma^14, 8), whose host of 16 letters is above the guard
+    monkeypatch.delenv("FSCAT_NMAX_GUARD", raising=False)
+    ty = load_bundled("ty_z2z2_plus")
+    values = [indicator(ty, "sigma", 14, r) for r in range(1, 8)]
+    assert values[0] == 1  # nu_2 = nu_6 = nu_10 = nu_14 on this spec
+    assert values[0] == indicator(ty, "sigma", 10, 1)
+    assert max(len(k[1]) for k in ty._cache if k[0] == "paths") == 14
+
+
+@pytest.mark.parametrize("name,a,period,nmax", [
+    ("fibonacci", "t", 5, 16),
+    ("ising", "sigma", 16, 26),
+], ids=["fibonacci", "ising"])
+def test_indicators_are_periodic_in_the_fs_exponent(name, a, period, nmax):
+    # for a modular category the FS exponent is ord(T) (Ng-Schauenburg,
+    # Adv. Math. 211, 2007): 5 for Fibonacci, 16 for Ising, so n -> nu_n
+    # has that period; above n = 6 each value is the pinned diagonal of
+    # E(a^n, 1), and Hom(1, sigma^26) has dimension 4,096, the default guard
+    cat = bundled(name)
+    nu = {n: indicator(cat, a, n, 1) for n in range(1, nmax + 1)}
+    for n in range(period + 1, nmax + 1):
+        assert nu[n] == nu[n - period], n
 
 
 def test_generalized_trace_formula():

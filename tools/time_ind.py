@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Raw wall time and peak memory of `fscat ind`, one fresh process per run.
+
+    python3 tools/time_ind.py ty_z2z2_plus --object sigma --n 12 --runs 3 \\
+        PARENT_DIR CHANGE_DIR
+
+Each run is ``python -m fscat.cli ind SPEC --object X --n N --format json``
+in a new subprocess on the checkout's own ``src/``; with two checkouts the
+runs alternate between them (the first checkout starts).  SPEC is a path, or
+the name of a spec bundled in each checkout.  For each checkout it prints
+the run count, the minimum, median and maximum wall time, and the peak
+resident set size of the runs (from ``os.wait4``, so only this script's own
+children are measured).  Last it says whether stdout was byte-identical
+across every run of every checkout.  The exit status is 1 when a run exits
+non-zero.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+
+def spec_path(checkout, spec):
+    if os.path.exists(spec):
+        return os.path.abspath(spec)
+    return os.path.join(checkout, "src", "fscat", "specs", f"{spec}.json")
+
+
+def run_once(checkout, argv):
+    """(wall seconds, peak RSS in MB, exit code, stdout bytes) of one run."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "fscat.cli", *argv],
+                            cwd=checkout, env=env, stdout=subprocess.PIPE)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    # ru_maxrss is in kilobytes on Linux
+    return wall, usage.ru_maxrss / 1024, proc.returncode, out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("spec")
+    p.add_argument("checkouts", nargs="+", metavar="CHECKOUT",
+                   help="one or two checkout directories")
+    p.add_argument("--object", required=True)
+    p.add_argument("--n", required=True, help="as `fscat ind --n`")
+    p.add_argument("--runs", type=int, default=3)
+    args = p.parse_args(argv)
+    if len(args.checkouts) > 2:
+        p.error("give one or two checkouts")
+
+    runs = {c: [] for c in args.checkouts}
+    outputs = set()
+    ok = True
+    for i in range(args.runs):
+        for checkout in args.checkouts:
+            wall, rss, code, out = run_once(checkout, [
+                "ind", spec_path(checkout, args.spec), "--object", args.object,
+                "--n", args.n, "--format", "json"])
+            print(f"run {i + 1}/{args.runs} {checkout}: {wall:.3f} s, "
+                  f"{rss:.1f} MB, exit {code}", file=sys.stderr)
+            ok = ok and code == 0
+            runs[checkout].append((wall, rss))
+            outputs.add(out)
+    print(f"fscat ind {args.spec} --object {args.object} --n {args.n}")
+    for checkout, got in runs.items():
+        walls = sorted(w for w, _ in got)
+        print(f"{checkout}: {len(got)} runs, wall min {walls[0]:.3f} / "
+              f"median {statistics.median(walls):.3f} / max {walls[-1]:.3f} s, "
+              f"peak RSS {max(r for _, r in got):.1f} MB")
+    print("stdout byte-identical across all runs: "
+          f"{'yes' if len(outputs) == 1 else 'no'}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
