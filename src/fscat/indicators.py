@@ -124,7 +124,11 @@ def _orbit_walk(cat, word):
 
 
 # the largest n whose indicators and power identity walk the single-strand
-# rotation; above it they are read off genuine bends
+# rotation; above it they are read off genuine bends.  On cold reports
+# (power identity, nu_{n,1}, nu_{n,n-1}) of every simple and two-term sum
+# of the bundled specs, the two routes tie at n = 4 and 5; at n = 6 the
+# walk is faster on hom spaces of dimension <= 16 and slower above; at
+# n = 7 and 8 the bends take half the time
 WALK_MAX_N = 6
 
 
@@ -165,6 +169,29 @@ def _bend_trace(cat, word, r):
                               for j, x in enumerate(row) if x])
 
     return cat.cached(("bendtr", word, r), build)
+
+
+def _check_bend_hosts(cat, words, n, r):
+    """Count against the guard, before any is built, the hosts of the bends
+    that the bend route makes for tr E^r on `words` (r = n: the power
+    identity).
+
+    Those bends are E(w, r) for r <= h = ``_split(n)``, and E(w, h) with
+    E(rot_h w, r - h) otherwise.  The host of E(v, k) is the nested
+    coevaluation of v[:k], of 2k <= 2h letters, which can be longer than
+    the n letters counted by ``rotation_operator``; a word whose hom space
+    is zero builds none.
+    """
+    h = _split(n)
+    bends = ((0, r),) if r <= h else ((0, h), (h, r - h))
+    for w in words:
+        if not path_counts(cat, ({x: 1} for x in w)).get(cat.unit, 0):
+            continue
+        for j, k in bends:
+            head = _rot(w, j)[:k]
+            host = dual_word(cat, head) + head
+            check_dimension_guard(
+                path_counts(cat, ({x: 1} for x in host)).get(cat.unit, 0))
 
 
 def _orbit_rep(cat, word):
@@ -222,19 +249,21 @@ def indicator(cat: Category, obj, n: int, r: int) -> Cyc:
     (``_orbit_walk``); above, off genuine bends (``_bend_trace``): the
     pinned diagonal of E(w, r) for r <= h, and the entries of
     E(rot_h w, r - h) at the nonzeros of E(w, h) for r > h, h = ``_split(n)``.
+    Their longest words are hosts of up to 2h <= n + 3 letters, counted
+    against the guard before any bend is built (``_check_bend_hosts``).
     """
     obj = _as_expr(cat, obj)
     op = rotation_operator(cat, obj, n)
     rr = r % n
     if rr == 0:
         return Cyc.rational(op.total_dimension)
+    reps = {w: _orbit_rep(cat, w) for w in op.words if _rot(w, rr) == w}
+    walk = n <= WALK_MAX_N
+    if not walk:
+        _check_bend_hosts(cat, set(reps.values()), n, rr)
     total = ZERO
-    for w in op.words:
-        if _rot(w, rr) != w:
-            continue
-        rep = _orbit_rep(cat, w)
-        tr = (_orbit_walk(cat, rep)[0][rr] if n <= WALK_MAX_N
-              else _bend_trace(cat, rep, rr))
+    for w, rep in reps.items():
+        tr = _orbit_walk(cat, rep)[0][rr] if walk else _bend_trace(cat, rep, rr)
         if tr:
             total = total + _fixed_slot_count(obj, w, rr) * tr
     return total
@@ -248,20 +277,25 @@ def check_power_identity(cat: Category, obj, n: int) -> bool:
     the identity).  Up to n = WALK_MAX_N it is the n-fold single-strand
     chain.  Above, it is one split product of genuine bends,
     E(rot_h w, n - h) E(w, h) = id with h = ``_split(n)``, which is E^n = id
-    given block monoidality.  Block monoidality checks that rotating k
-    letters and then m equals rotating k+m in one genuine block bend; the
-    bend builds hom spaces of up to max(n, 2k) letters, which grow like
-    FPdim^max(n, 2k), so this part runs at word lengths up to 5.
+    given block monoidality; its longest word, the host of E(w, h), has
+    2h <= n + 3 letters and is counted against the guard before any bend
+    is built.  Block monoidality checks that rotating k letters and then m
+    equals rotating k+m in one genuine block bend; the bend builds hom
+    spaces of up to max(n, 2k) letters, which grow like FPdim^max(n, 2k),
+    so this part runs at word lengths up to 5.
     """
     obj = _as_expr(cat, obj)
     op = rotation_operator(cat, obj, n)
-    seen = set()
+    reps, seen = [], set()
     for w in op.words:
-        if w in seen:
-            continue
-        seen.update(_rot(w, j) for j in range(n))
+        if w not in seen:
+            seen.update(_rot(w, j) for j in range(n))
+            reps.append(w)  # its orbit's least rotation
+    if n > WALK_MAX_N:
+        _check_bend_hosts(cat, reps, n, n)
+    for w in reps:
         if n <= WALK_MAX_N:
-            ok = _orbit_walk(cat, w)[1]  # w is its orbit's least rotation
+            ok = _orbit_walk(cat, w)[1]
         else:
             h = _split(n)
             ok = is_identity(mat_mul(e_map_matrix(cat, _rot(w, h), n - h),

@@ -14,13 +14,12 @@ from fscat.homcalc import (LinMap, db_prime_vector, db_vector, dual_morphism,
                            hom_dimension, insert_vector_matrix, path_counts,
                            pivotal_trace, splice_host_matrix)
 from fscat.homcalc import _bend_entries, paths
-from fscat.indicators import (WALK_MAX_N, DimensionGuardError,
-                              _fixed_slot_count, _orbit_rep, _orbit_walk,
-                              _right_block, _split, check_fs_theorems,
-                              check_power_identity, check_reversal_symmetry,
-                              e_map, e_map_matrix, fs_scalar, indicator,
-                              indicator_report, is_spherical, qn_distance,
-                              rotation_operator)
+from fscat import indicators
+from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _right_block,
+                              _split, check_fs_theorems, check_power_identity,
+                              check_reversal_symmetry, e_map, e_map_matrix,
+                              fs_scalar, indicator, indicator_report,
+                              is_spherical, qn_distance, rotation_operator)
 from fscat.linalg import eye, is_identity, mat_mul, mat_trace, mat_vec
 from fscat.oracles import (char_indicator, d4_table, q8_table, s3_table,
                            spliced_db_prime_vector, spliced_e_map_matrix)
@@ -186,23 +185,11 @@ def test_bend_entries_match_the_built_bend(name):
     assert compared
 
 
-def _walk_indicator(cat, obj, n, r):
-    """nu_(n,r) from the single-strand walk alone."""
-    op = rotation_operator(cat, obj, n)
-    if r % n == 0:
-        return Cyc.rational(op.total_dimension)
-    total = Cyc.zero()
-    for w in op.words:
-        if w[r:] + w[:r] == w:
-            total = total + _fixed_slot_count(obj, w, r) * \
-                _orbit_walk(cat, _orbit_rep(cat, w))[0][r]
-    return total
-
-
 @pytest.mark.parametrize("name", ALL_BUNDLED)
-def test_bend_route_matches_the_walk(name):
+def test_bend_route_matches_the_walk(name, monkeypatch):
     # above WALK_MAX_N every indicator cell and power-identity flag is read
-    # off genuine bends; the walk is the reference, called directly
+    # off genuine bends; the reference is the same production loop with the
+    # threshold raised, so it reads them off the single-strand walk
     assert WALK_MAX_N == 6 and [_split(n) for n in (7, 8)] == [4, 4]
     for c in _stage_cats(name):
         objs = [ObjectExpr.simple(a) for a in c.labels]
@@ -210,14 +197,13 @@ def test_bend_route_matches_the_walk(name):
                  for a, b in itertools.combinations(c.labels, 2)]
         for obj in objs:
             for n in (7, 8):
-                op = rotation_operator(c, obj, n)
-                walked = all(_orbit_walk(c, _orbit_rep(c, w))[1]
-                             for w in op.words)
-                assert check_power_identity(c, obj, n) == walked, \
-                    (c.name, str(obj), n)
-                for r in range(n + 1):
-                    assert indicator(c, obj, n, r) == \
-                        _walk_indicator(c, obj, n, r), (c.name, str(obj), n, r)
+                monkeypatch.setattr(indicators, "WALK_MAX_N", WALK_MAX_N)
+                got = [check_power_identity(c, obj, n)]
+                got += [indicator(c, obj, n, r) for r in range(n + 1)]
+                monkeypatch.setattr(indicators, "WALK_MAX_N", 99)
+                want = [check_power_identity(c, obj, n)]
+                want += [indicator(c, obj, n, r) for r in range(n + 1)]
+                assert got == want, (c.name, str(obj), n)
 
 
 def test_e_map_requires_pivotal():
@@ -464,6 +450,21 @@ def test_indicators_reach_n_14_under_the_default_guard(monkeypatch):
     assert values[0] == 1  # nu_2 = nu_6 = nu_10 = nu_14 on this spec
     assert values[0] == indicator(ty, "sigma", 10, 1)
     assert max(len(k[1]) for k in ty._cache if k[0] == "paths") == 14
+
+
+def test_bend_route_refusal_builds_nothing(monkeypatch):
+    # the power identity at n = 14 and nu_{14,9} both need E(sigma^14, 8),
+    # whose host sigma^16 has dimension 16,384; it is counted before any
+    # bend or path list is built
+    monkeypatch.delenv("FSCAT_NMAX_GUARD", raising=False)
+    ty = load_bundled("ty_z2z2_plus")
+    for call in (lambda: check_power_identity(ty, "sigma", 14),
+                 lambda: indicator(ty, "sigma", 14, 9)):
+        with pytest.raises(DimensionGuardError) as err:
+            call()
+        assert str(err.value) == \
+            "hom dimension 16384 exceeds FSCAT_NMAX_GUARD=4096"
+    assert not any(key[0] == "paths" for key in ty._cache)
 
 
 @pytest.mark.parametrize("name,a,period,nmax", [
