@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .cyclo import Cyc
+from .cyclo import Cyc, triple_residues
 from .linalg import mat_inv
 
 ONE = Cyc.one()
@@ -408,7 +408,9 @@ def validate(category: Category) -> ValidationReport:
                 and ring.n(a, f, d)):
             errs.append(f"F entry {key} is inadmissible for the fusion rules")
     for key, value in category.F.entries.items():
-        if value.reduced_key()[0] and category.conductor % value.reduced_key()[0]:
+        # a stored conductor dividing N already places the value in Q(zeta_N)
+        if category.conductor % value.conductor and \
+                category.conductor % value.reduced_key()[0]:
             errs.append(f"F entry {key} does not lie in Q(zeta_{category.conductor})")
     if category.pivotal is not None:
         for a in ring.labels:
@@ -439,6 +441,10 @@ def validate(category: Category) -> ValidationReport:
         es, fs = category.f_rowcols(a, b, c, d)
         if len(es) != len(fs):
             ok, detail = False, f"[F^({a},{b},{c})_{d}] is not square"
+            continue
+        if len(es) == 1:  # nonzero entry; its inverse is built on first read
+            if not category.F.get((a, b, c, d, es[0], fs[0])):
+                ok, detail = False, f"[F^({a},{b},{c})_{d}] is singular"
             continue
         try:
             category.f_inv_block(a, b, c, d)
@@ -494,10 +500,27 @@ def pentagon_failures(category: Category, stop_after=None):
     read from the F-table, and a factor is zero unless its four fusion
     conditions hold, as in ``Category.f_entry``.  Failures are listed in
     label order of (a, b, c, d, e).
+
+    Tuples with the unit 1 among a, b, c, d are skipped when (i) N(1,x,y)
+    = N(x,1,y) = delta_xy for all labels and (ii) every stored entry with 1
+    among its first three labels is 1 (unit normalization; unit blocks are
+    1x1).  Then (i) pins the inner labels (a = 1: f = b, k = e, h = g;
+    b = 1: f = a, k = l, h = c; c = 1: g = f, l = d, h = b; d = 1: e = g,
+    l = c, h = k), and both sides are one and the same entry times unit
+    entries, which (ii) makes 1.  Otherwise every tuple is checked.  An
+    equation is a signed sum of at most W + 1 triple products (the left
+    side is 1 times two entries; W is the most channels of any b (x) c),
+    decided exactly on the integer residues of ``cyclo.triple_residues``.
     """
     ring = category.ring
-    labels, ch, N = ring.labels, ring.channels, ring.N
+    ch, N, unit = ring.channels, ring.N, ring.unit
     F = category.F.entries
+    m, one, res = triple_residues(list(F.values()),
+                                  max(ring.fanout.values()) + 1)
+    R = dict(zip(F, res))
+    labels = ring.labels
+    if _unit_tuples_implied(ring, F):
+        labels = tuple(x for x in labels if x != unit)
     fails = []
     for a in labels:
         for b in labels:
@@ -516,8 +539,8 @@ def pentagon_failures(category: Category, stop_after=None):
                     for e in sorted(sources, key=ring.index):
                         targets = [(l, k) for l in cd for k in ch(b, l)
                                    if (a, k, e) in N]
-                        if _pentagon_holds(F, N, a, b, c, d, e, sources[e],
-                                           targets, bc):
+                        if _pentagon_holds(R, one, m, N, a, b, c, d, e,
+                                           sources[e], targets, bc):
                             continue
                         fails.append((a, b, c, d, e))
                         if stop_after and len(fails) >= stop_after:
@@ -525,18 +548,28 @@ def pentagon_failures(category: Category, stop_after=None):
     return fails
 
 
-def _pentagon_holds(F, N, a, b, c, d, e, sources, targets, bc):
+def _unit_tuples_implied(ring: FusionRing, F) -> bool:
+    """Conditions (i) and (ii) of ``pentagon_failures``."""
+    u, N = ring.unit, ring.N
+    return all(ring.channels(u, x) == (x,) == ring.channels(x, u)
+               and N[(u, x, x)] == 1 == N[(x, u, x)] for x in ring.labels) \
+        and all(v == 1 for key, v in F.items() if u in key[:3])
+
+
+def _pentagon_holds(R, one, m, N, a, b, c, d, e, sources, targets, bc):
+    """The equations of one 5-tuple on residues mod m; R maps an F key to
+    its residue, and an omitted entry is 1 (residue ``one``)."""
+    get = R.get
     for f, g in sources:
         for l, k in targets:
-            lhs = F.get((f, c, d, e, g, l), ONE) * F.get((a, b, l, e, f, k), ONE) \
-                if (f, l, e) in N else ZERO
-            rhs = ZERO
+            acc = one * get((f, c, d, e, g, l), one) * get((a, b, l, e, f, k), one) \
+                if (f, l, e) in N else 0
             for h in bc:
                 if (a, h, g) in N and (h, d, k) in N:
-                    rhs = rhs + (F.get((a, b, c, g, f, h), ONE)
-                                 * F.get((a, h, d, e, g, k), ONE)
-                                 * F.get((b, c, d, k, h, l), ONE))
-            if lhs != rhs:
+                    acc -= (get((a, b, c, g, f, h), one)
+                            * get((a, h, d, e, g, k), one)
+                            * get((b, c, d, k, h, l), one))
+            if acc % m:
                 return False
     return True
 
@@ -664,7 +697,9 @@ def gauge_transform(category: Category, u) -> Category:
                     entries[(a, b, c, d, e, f)] = val
     conductor = category.conductor
     for val in entries.values():
-        conductor = math.lcm(conductor, val.reduced_key()[0])
+        # a stored conductor dividing N leaves the lcm of reduced ones at N
+        if conductor % val.conductor:
+            conductor = math.lcm(conductor, val.reduced_key()[0])
     out = Category(f"{category.name}~gauged", ring, FSymbolSet(entries),
                    None, conductor)
     if category.pivotal is not None:

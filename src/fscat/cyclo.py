@@ -193,6 +193,37 @@ def signed_slots(v: int, s: int, count: int) -> list:
     return out
 
 
+def triple_residues(values, terms: int):
+    """(m, one, residues): a ring map Z[zeta_n] -> Z/m that decides whether
+    a signed sum of at most ``terms`` products of three of ``values`` (or 1)
+    is zero.
+
+    Each value is scaled by the common denominator D of ``values``, taken
+    at the lcm conductor n of the irrational ones, and its numerator vector
+    is evaluated at z = 2^s modulo m = Phi_n(2^s).  Value i maps to
+    ``residues[i]`` and 1 to ``one`` (= D), so a sum of triple products
+    maps to D^3 times itself.
+
+    Exactness: let L be the largest L1 norm of a scaled numerator vector
+    (at least D), T the largest |coefficient| of ``_power_table(n)`` and H
+    that of Phi_n.  A triple product reduces term by term through one table
+    row, so the reduced sum r has coefficients at most B = terms T L^3.
+    With s = bitlen(2 (B + H)) + 1, 2^s > 4 (B + H): a nonzero r has
+    r(2^s) != 0 (its top coefficient outweighs the rest), and |r(2^s)| <
+    2 B 2^(s (phi - 1)) <= 2^(s phi) - 2 H 2^(s (phi - 1)) < m.
+    """
+    n, den = _scan([values])
+    _, (nums,) = _scaled_numerators([values], n, den)
+    if n == 1:
+        nums = [(v,) for v in nums]
+    norm = max(den, max((sum(map(abs, v)) for v in nums), default=0))
+    top = max(abs(c) for row in _power_table(n) for _, c in row)
+    phi_n = cyclotomic_polynomial(n)
+    s = (2 * (terms * top * norm ** 3 + max(map(abs, phi_n)))).bit_length() + 1
+    m = kron_pack(phi_n, s)
+    return m, den % m, [kron_pack(v, s) % m for v in nums]
+
+
 class KronUnpacker(dict):
     """Packed dot product -> its Cyc value, for the layout of one product.
 

@@ -1,13 +1,15 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import ALL_BUNDLED, bundled
 
 from fscat.category import (Category, FSymbolSet, FusionRing, GaugeError,
-                            ObjectExpr, ValidationReport, fp_dimension,
-                            gauge_transform, pentagon_failures,
+                            ObjectExpr, ValidationReport,
+                            _admissible_f_tuples, _unit_tuples_implied,
+                            fp_dimension, gauge_transform, pentagon_failures,
                             reverse_category, validate)
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, root_of_unity
@@ -109,9 +111,70 @@ def test_pentagon_failures_match_the_five_loop_reference(name):
     cases = [(None, cat), (None, reverse_category(cat)),
              *_single_entry_mutations(cat)]
     for what, c in cases:
-        for stop in (None, 1):
-            assert pentagon_failures(c, stop_after=stop) == \
-                _reference_pentagon_failures(c, stop_after=stop), (what, stop)
+        _assert_pentagon_matches_reference(c, what)
+
+
+def _assert_pentagon_matches_reference(c, what):
+    for stop in (None, 1):
+        assert pentagon_failures(c, stop_after=stop) == \
+            _reference_pentagon_failures(c, stop_after=stop), (what, stop)
+
+
+def _unit_keys(cat):
+    """Every admissible F key with the unit among its first three labels."""
+    for (a, b, c, d) in _admissible_f_tuples(cat):
+        if cat.unit in (a, b, c):
+            es, fs = cat.f_rowcols(a, b, c, d)
+            yield from ((a, b, c, d, e, f) for e in es for f in fs)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_unit_skip_refused_on_a_non_normalized_unit_entry(name):
+    # condition (ii) fails, so every unit tuple is checked, as the reference does
+    cat = bundled(name)
+    assert _unit_tuples_implied(cat.ring, cat.F.entries)
+    keys = list(_unit_keys(cat))
+    for key in random.Random(name).sample(keys, min(4, len(keys))):
+        for value in (-1, 2):
+            entries = {**cat.F.entries, key: Cyc.rational(value)}
+            mutated = Category(cat.name + "~unit", cat.ring,
+                               FSymbolSet(entries), cat.pivotal, cat.conductor)
+            assert not _unit_tuples_implied(mutated.ring, entries)
+            _assert_pentagon_matches_reference(mutated, (key, value))
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_BUNDLED if n != "trivial"])
+def test_unit_skip_refused_on_a_broken_unit_row(name):
+    # condition (i) fails: the unit times x has a second channel y != x
+    cat = bundled(name)
+    u, x = cat.unit, cat.labels[-1]
+    for key in ((u, x, u), (x, u, u), (u, u, x)):
+        ring = FusionRing(cat.labels, u, cat.ring.dual, {**cat.ring.N, key: 1})
+        broken = Category(cat.name + "~row", ring, cat.F, cat.pivotal,
+                          cat.conductor)
+        assert not _unit_tuples_implied(ring, cat.F.entries)
+        _assert_pentagon_matches_reference(broken, key)
+
+
+def _wide_gauge(cat):
+    """Gauge entries 2, 3/5 and 1 + zeta_N in turn: not roots of unity, so
+    the gauged table has larger heights and denominators."""
+    values = (Cyc.rational(2), Cyc.rational(Fraction(3, 5)),
+              1 + root_of_unity(cat.conductor, 1))
+    triples = [t for t in cat.ring.admissible_triples()
+               if cat.unit not in t[:2]]
+    return {t: values[i % 3] for i, t in enumerate(triples)}
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_pentagon_on_wide_gauges_matches_the_reference(name):
+    # every mutation of a small table, 40 drawn ones of a larger table
+    gauged = gauge_transform(bundled(name), _wide_gauge(bundled(name)))
+    mutations = list(_single_entry_mutations(gauged))
+    if len(mutations) > 40:
+        mutations = random.Random(name).sample(mutations, 40)
+    for what, c in [(None, gauged), *mutations]:
+        _assert_pentagon_matches_reference(c, what)
 
 
 def _reference_associativity(ring):
@@ -238,7 +301,6 @@ def _random_gauge(cat, rng):
 
 def _same_f_data(c1, c2):
     # omitted admissible entries default to 1, so compare semantically
-    from fscat.category import _admissible_f_tuples
     for (a, b, c, d) in _admissible_f_tuples(c1):
         es, fs = c1.f_rowcols(a, b, c, d)
         for e in es:
@@ -291,6 +353,88 @@ def test_randomized_gauges_preserve_validity(name):
         out = gauge_transform(cat, _random_gauge(cat, rng))
         report = validate(out)
         assert report.valid, (name, report.first_failure())
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_gauged_conductor_is_the_lcm_of_reduced_conductors(name):
+    # gauges at zeta_2N store entries outside Q(zeta_N), which takes the
+    # reduced_key branch of the conductor update
+    cat = bundled(name)
+    rng = SplitMix64(20261018)
+    for order in (cat.conductor, 2 * cat.conductor):
+        u = {t: root_of_unity(order, rng.next() % order)
+             for t in cat.ring.admissible_triples() if cat.unit not in t[:2]}
+        out = gauge_transform(cat, u)
+        want = math.lcm(cat.conductor, *(v.reduced_key()[0]
+                                         for v in out.F.entries.values()))
+        assert out.conductor == want, (name, order)
+
+
+# -- validate report text ---------------------------------------------------------
+
+
+def _fib_with(changes):
+    """Fibonacci with some F entries replaced; a key is its six one-letter
+    labels as a string."""
+    fib = bundled("fibonacci")
+    entries = dict(fib.F.entries)
+    entries.update({tuple(k): v for k, v in changes.items()})
+    return Category("fibonacci", fib.ring, FSymbolSet(entries), fib.pivotal,
+                    fib.conductor)
+
+
+def _report_lines(*middle, pentagon="", pivotal=""):
+    head = ["category: fibonacci", "PASS ring: unit", "PASS ring: dual",
+            "PASS ring: associativity", "PASS F: unit normalization"]
+    return head + list(middle) + [
+        "PASS F: duality normalization",
+        "FAIL pentagon: pentagon identity  [first failing 5-tuple "
+        f"(a,b,c,d,e) = {pentagon}]",
+        "PASS pivotal: t(unit) = 1", "PASS pivotal: coefficients nonzero",
+        "PASS pivotal: dual-inverse",
+        f"FAIL pivotal: monoidality  [not checked: {pivotal}]", "INVALID"]
+
+
+def test_report_names_a_zero_one_by_one_block_singular():
+    cat = _fib_with({"ttt1tt": Cyc.zero()})
+    assert validate(cat).lines() == _report_lines(
+        "FAIL F: invertibility  [[F^(t,t,t)_1] is singular]",
+        pentagon="('t', 't', 't', 't', '1')", pivotal="F/invertibility")
+
+
+def test_report_names_a_two_by_two_block_with_proportional_rows_singular():
+    fib = bundled("fibonacci")
+    cat = _fib_with({"ttttt1": fib.F.get(tuple("tttt11")),
+                     "tttttt": fib.F.get(tuple("tttt1t"))})
+    assert validate(cat).lines() == _report_lines(
+        "FAIL F: invertibility  [[F^(t,t,t)_t] is singular]",
+        pentagon="('t', 't', 't', 't', '1')", pivotal="F/invertibility")
+
+
+ISING_KEY = ("g", "sigma", "g", "sigma", "sigma", "sigma")
+
+
+def _ising_with(change):
+    """Ising (conductor 8) with the entry at ISING_KEY mapped by change."""
+    ising = bundled("ising")
+    entries = {**ising.F.entries, ISING_KEY: change(ising.F.get(ISING_KEY))}
+    return Category("ising", ising.ring, FSymbolSet(entries), ising.pivotal,
+                    ising.conductor)
+
+
+def test_entry_stored_at_twice_the_conductor_passes_membership():
+    cat = _ising_with(lambda x: x.at_conductor(16))
+    assert cat.F.get(ISING_KEY).conductor == 16
+    assert validate(cat).lines() == validate(bundled("ising")).lines()
+
+
+def test_entry_outside_the_field_fails_membership():
+    cat = _ising_with(lambda x: x * root_of_unity(16, 1))
+    assert validate(cat).lines() == [
+        "category: ising",
+        "STRUCTURAL F entry ('g', 'sigma', 'g', 'sigma', 'sigma', 'sigma') "
+        "does not lie in Q(zeta_8)",
+        "INVALID"]
 
 
 # -- the F-entry memo ------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fscat.cyclo import Cyc
+from fscat.cyclo import Cyc, triple_residues
 
 CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 24)
 
@@ -111,10 +111,10 @@ coordinates = st.one_of(
 
 
 @st.composite
-def elements(draw, conductors=CONDUCTORS):
+def elements(draw, conductors=CONDUCTORS, coords=coordinates):
     n = draw(st.sampled_from(conductors))
     phi = len(ref_phi(n)) - 1
-    return Cyc(n, draw(st.lists(coordinates, min_size=phi, max_size=phi)))
+    return Cyc(n, draw(st.lists(coords, min_size=phi, max_size=phi)))
 
 
 @st.composite
@@ -264,3 +264,56 @@ def test_int_equality_agrees_with_rational(a, k):
     # equal values hash equally, at any conductor and for Fraction operands
     assert hash(rational) == hash(k) and (a != head or hash(a) == hash(head))
     assert hash(Cyc.rational(Fraction(k, 7))) == hash(Fraction(k, 7))
+
+
+# -- residues of sums of triple products ------------------------------------
+
+RESIDUE_CONDUCTORS = (1, 3, 4, 5, 8, 12)
+
+
+def _triple_sum(values, products):
+    """sum of sign * x_i x_j x_k; an index None stands for 1."""
+    total = Cyc.zero()
+    for sign, *idx in products:
+        term = Cyc.rational(sign)
+        for i in idx:
+            term = term if i is None else term * values[i]
+        total = total + term
+    return total
+
+
+@st.composite
+def triple_sums(draw):
+    """(values, terms, products) for a signed sum of at most terms triple
+    products; half the sums vanish, through the value -sum and the term
+    (-sum) * 1 * 1."""
+    n = draw(st.sampled_from(RESIDUE_CONDUCTORS))
+    divisors = tuple(d for d in RESIDUE_CONDUCTORS if n % d == 0)
+    height = draw(st.sampled_from((1, 9, 10 ** 4)))
+    den = draw(st.sampled_from((1, 6, 35, 1024)))
+    coords = st.fractions(min_value=-height, max_value=height,
+                          max_denominator=den)
+    values = draw(st.lists(elements(divisors, coords), min_size=1, max_size=5))
+    terms = draw(st.integers(2, 5))
+    vanish = draw(st.booleans())
+    index = st.one_of(st.none(), st.integers(0, len(values) - 1))
+    products = draw(st.lists(
+        st.tuples(st.sampled_from((1, -1)), index, index, index),
+        min_size=1, max_size=terms - vanish))
+    if vanish:
+        values.append(-_triple_sum(values, products))
+        products.append((1, len(values) - 1, None, None))
+    return values, terms, products
+
+
+@given(triple_sums())
+def test_triple_residues_vanish_exactly_with_the_sum(case):
+    values, terms, products = case
+    m, one, res = triple_residues(values, terms)
+    acc = 0
+    for sign, *idx in products:
+        term = sign
+        for i in idx:
+            term *= one if i is None else res[i]
+        acc += term
+    assert (acc % m == 0) == (_triple_sum(values, products) == 0)
