@@ -34,10 +34,6 @@ class SpecError(ValueError):
     """Structurally malformed category data."""
 
 
-class MultiplicityError(SpecError):
-    """Fusion multiplicities above 1, which the F-symbol machinery rejects."""
-
-
 class MissingPivotalError(ValueError):
     """An operation needed pivotal data that the category does not carry."""
 
@@ -423,34 +419,34 @@ def validate(category: Category) -> ValidationReport:
     for name, ok, detail in ring.ring_axiom_checks():
         report.items.append(CheckItem("ring", name, ok, detail))
 
-    # F-matrix sanity: unit normalization, invertibility, duality entries
+    # F-matrix sanity: unit normalization and invertibility in one walk of
+    # the admissible blocks (each detail names its item's last failure),
+    # then the duality entries
     unit = ring.unit
-    ok, detail = True, ""
+    unit_fail = inv_fail = ""
     for (a, b, c, d) in _admissible_f_tuples(category):
         es, fs = category.f_rowcols(a, b, c, d)
+        square = len(es) == len(fs)
         if unit in (a, b, c):
-            blk = category.f_block(a, b, c, d)
-            if len(es) != len(fs) or any(
-                    blk[i][j] != (1 if i == j else 0)
-                    for i in range(len(es)) for j in range(len(fs))):
-                ok, detail = False, f"unit block [F^({a},{b},{c})_{d}] is not the identity"
-    report.items.append(CheckItem("F", "unit normalization", ok, detail))
-
-    ok, detail = True, ""
-    for (a, b, c, d) in _admissible_f_tuples(category):
-        es, fs = category.f_rowcols(a, b, c, d)
-        if len(es) != len(fs):
-            ok, detail = False, f"[F^({a},{b},{c})_{d}] is not square"
-            continue
-        if len(es) == 1:  # nonzero entry; its inverse is built on first read
+            m = category.f_block(a, b, c, d)
+            if not square or any(m[i][j] != (1 if i == j else 0)
+                                 for i in range(len(es))
+                                 for j in range(len(fs))):
+                unit_fail = f"unit block [F^({a},{b},{c})_{d}] is not the identity"
+        if not square:
+            inv_fail = f"[F^({a},{b},{c})_{d}] is not square"
+        elif len(es) == 1:  # nonzero entry; its inverse is built on first read
             if not category.F.get((a, b, c, d, es[0], fs[0])):
-                ok, detail = False, f"[F^({a},{b},{c})_{d}] is singular"
-            continue
-        try:
-            category.f_inv_block(a, b, c, d)
-        except ValueError:
-            ok, detail = False, f"[F^({a},{b},{c})_{d}] is singular"
-    report.items.append(CheckItem("F", "invertibility", ok, detail))
+                inv_fail = f"[F^({a},{b},{c})_{d}] is singular"
+        else:
+            try:
+                category.f_inv_block(a, b, c, d)
+            except ValueError:
+                inv_fail = f"[F^({a},{b},{c})_{d}] is singular"
+    report.items.append(CheckItem("F", "unit normalization", not unit_fail,
+                                  unit_fail))
+    report.items.append(CheckItem("F", "invertibility", not inv_fail,
+                                  inv_fail))
 
     ok, detail = True, ""
     for a in ring.labels:
@@ -717,8 +713,10 @@ def reverse_category(category: Category) -> Category:
     """The same data with the tensor product taken in the reverse order.
 
     Fusion multiplicities transpose and each F-block becomes the inverse of
-    the block with the outer labels swapped; pivotal coefficients carry over
-    unchanged.
+    the block with the outer labels swapped.  The pivotal coefficients
+    invert, t_rev(a) = t(a)^-1 = t(a*): reversal exchanges left and right
+    duals, so the left trace of the reversed category is the right trace of
+    the original, and nu_{n,k} of the reversal is nu_{n,n-k}.
     """
     ring = category.ring
     n_rev = {(a, b, c): v for (b, a, c), v in ring.N.items()}
@@ -746,6 +744,7 @@ def reverse_category(category: Category) -> Category:
                             val = inv[i][j]
                             if val != 1:
                                 entries[(a, b, c, d, e, f)] = val
-    out = Category(f"{category.name}~rev", rev_ring, FSymbolSet(entries),
-                   category.pivotal, category.conductor)
-    return out
+    pivotal = None if category.pivotal is None else PivotalData(
+        {a: t.inverse() for a, t in category.pivotal.t.items()})
+    return Category(f"{category.name}~rev", rev_ring, FSymbolSet(entries),
+                    pivotal, category.conductor)

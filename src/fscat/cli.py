@@ -11,17 +11,16 @@ byte-identical json and csv output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 from .category import (Category, ObjectExpr, gauge_transform, validate)
-from .cyclo import Cyc, galois_conjugate, root_of_unity
-from .indicators import (DimensionGuardError, check_fs_theorems,
-                         check_power_identity, check_reversal_symmetry,
-                         e_map, indicator, indicator_report,
-                         rotation_operator)
-from .pivotal import attach_pivotal, is_pseudo_unitary
+from .cyclo import Cyc, root_of_unity
+from .indicators import (DimensionGuardError, check_fs_theorems, e_map,
+                         indicator, indicator_report, rotation_operator)
+from .pivotal import attach_pivotal
 from .specio import SpecFormatError, load_category, save_category
 
 
@@ -151,57 +150,14 @@ def cmd_check(args) -> int:
         return 1
     if cat.pivotal is None:
         raise _Semantic("spec has no pivotal data; attach one first")
-    n_max = args.nmax
-    lines = []
-    all_ok = True
-
-    def record(name, ok, skipped=False, detail=""):
-        nonlocal all_ok
-        mark = "SKIP" if skipped else ("PASS" if ok else "FAIL")
-        suffix = f"  [{detail}]" if detail and not ok else \
-            (f"  ({detail})" if detail and skipped else "")
-        lines.append(f"{mark} {name}{suffix}")
-        if not skipped and not ok:
-            all_ok = False
-
-    ok = True
-    for a in cat.labels:
-        for n in range(1, n_max + 1):
-            if not check_power_identity(cat, a, n):
-                ok = False
-    record(f"power identity (E^n)^n = id, n <= {n_max}", ok)
-
-    ok = True
-    for a in cat.labels:
-        for n in range(1, n_max + 1):
-            for r in range(n + 1):
-                if galois_conjugate(indicator(cat, a, n, r)) != \
-                        indicator(cat, a, n, n - r):
-                    ok = False
-    record("conjugation symmetry nu(n,n-r) = conj nu(n,r)", ok)
-
-    for item in check_fs_theorems(cat, n_max=n_max):
-        record(item.name, item.ok, skipped=item.skipped, detail=item.detail)
-
-    record("reversal symmetry nu(n,k)(reverse) = nu(n,n-k)",
-           check_reversal_symmetry(cat, n_max=min(n_max, 4)))
-
-    pu, gap = is_pseudo_unitary(cat)
-    if pu:
-        ok = True
-        for a in cat.labels:
-            v = indicator(cat, a, 2, 1)
-            if v not in (Cyc.rational(0), Cyc.rational(1), Cyc.rational(-1)):
-                ok = False
-        record("nu_2 takes values in {0, +1, -1}", ok)
-    else:
-        record("nu_2 takes values in {0, +1, -1}", True, skipped=True,
-               detail=f"not pseudo-unitary, gap {gap:.3g}")
-
-    for line in lines:
-        print(line)
-    print("all checks pass" if all_ok else "CHECK FAILURES")
-    return 0 if all_ok else 1
+    checks = check_fs_theorems(cat, n_max=args.nmax)
+    for c in checks:
+        mark = "SKIP" if c.skipped else "PASS" if c.ok else "FAIL"
+        note = f"  ({c.detail})" if c.skipped else f"  [{c.detail}]"
+        print(f"{mark} {c.name}{note if c.detail else ''}")
+    ok = all(c.ok for c in checks)
+    print("all checks pass" if ok else "CHECK FAILURES")
+    return 0 if ok else 1
 
 
 def _random_gauge(cat: Category, rng: SplitMix64):
@@ -270,6 +226,7 @@ def cmd_emit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="fscat", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

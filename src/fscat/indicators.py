@@ -19,6 +19,7 @@ a genuine cross-check between two routes and not a definition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .homcalc import (DimensionGuardError, LinMap, TensorWord,
                       fuse_step_matrix, insert_vector_matrix, path_counts,
                       paths, pivotal_trace, split_step_matrix)
 from .linalg import eye, is_identity, mat_equal, mat_mul, mat_trace, mat_vec
+from .pivotal import is_pseudo_unitary
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -467,106 +469,103 @@ class TheoremCheck:
     skipped: bool = False
 
 
+def _theorem(name, cases, holds, detail=None, skip=None):
+    """`holds(*case)` on every case, in order; a failure's detail is
+    `detail(*case)` of the last failing case.  With `skip`, nothing is
+    tested and `skip` is the note."""
+    if skip:
+        return TheoremCheck(name, True, skip, skipped=True)
+    failed = [case for case in cases if not holds(*case)]
+    return TheoremCheck(name, not failed,
+                        detail(*failed[-1]) if failed and detail else "")
+
+
 def check_fs_theorems(cat: Category, n_max: int = 5):
-    """Executable forms of the trace/endomorphism theorems; exact checks.
+    """The ``fscat check`` suite: the power identity, conjugation symmetry,
+    the trace/endomorphism theorems, reversal symmetry and the range of
+    nu_2, each an exact check over its cases, in that order.
 
     Spherical-only clauses are skipped with a note when the category is not
-    spherical.  Failures are report entries, never exceptions.
+    spherical, and the nu_2 range when it is not pseudo-unitary.  Failures
+    are report entries, never exceptions.  Each FS scalar is computed once
+    per call.
     """
     cat.require_pivotal()
-    checks = []
-    spherical = is_spherical(cat)
-    ptr_l_id = {a: pivotal_trace(cat, LinMap.identity(cat, (a,)), "left")
-                for a in cat.labels}
-    ptr_r_id = {a: pivotal_trace(cat, LinMap.identity(cat, (a,)), "right")
-                for a in cat.labels}
+    labels = cat.labels
+    ns = range(1, n_max + 1)
+    by_n = list(itertools.product(labels, ns))
+    # (a, n, k) with 1 <= k < n: the FS^(n,k) of the generalized formula
+    splits = [(a, n, k) for a, n in by_n for k in range(1, n)]
+    pairs = list(itertools.combinations(labels, 2))
+    fs = functools.cache(lambda a, n, l, r: fs_scalar(cat, a, n, l, r))
 
-    ok, detail = True, ""
-    for a in cat.labels:
-        for n in range(1, n_max + 1):
-            if indicator(cat, a, n, 1) != ptr_l_id[a] * fs_scalar(cat, a, n, 0, 0):
-                ok, detail = False, f"trace formula fails at ({a}, n={n})"
-    checks.append(TheoremCheck("trace formula nu_n = ptr_l(FS^(n))", ok, detail))
+    def nu(a, n, r=1):
+        return indicator(cat, a, n, r)
 
-    ok, detail = True, ""
-    for a in cat.labels:
-        for n in range(2, n_max + 1):
-            for kk in range(1, n):
-                lhs = indicator(cat, a, n, kk)
-                rhs = ptr_l_id[a] * fs_scalar(cat, a, n, kk - 1, 0)
-                if lhs != rhs:
-                    ok, detail = False, f"nu_(n,k) = ptr_l(FS^(n,k)) fails at ({a},{n},{kk})"
-    checks.append(TheoremCheck("generalized trace formula", ok, detail))
-
-    ok, detail = True, ""
-    for a in cat.labels:
-        for n in range(2, n_max + 1):
-            for kk in range(1, n):
-                for ll in range(kk):
-                    rr = kk - 1 - ll
-                    if rr < 1:
-                        continue
-                    lhs = ptr_l_id[a] * fs_scalar(cat, a, n, ll, rr)
-                    rhs = ptr_r_id[a] * fs_scalar(cat, a, n, ll + 1, rr - 1)
-                    if lhs != rhs:
-                        ok, detail = False, \
-                            f"trace shift fails at ({a},{n},{ll},{rr})"
-    checks.append(TheoremCheck(
-        "trace shift ptr_l FS^(n,l,r) = ptr_r FS^(n,l+1,r-1)", ok, detail))
-
-    if spherical:
-        ok, detail = True, ""
-        for a in cat.labels:
-            for n in range(2, n_max + 1):
-                for kk in range(1, n):
-                    base = fs_scalar(cat, a, n, kk - 1, 0)
-                    for ll in range(kk):
-                        if fs_scalar(cat, a, n, ll, kk - 1 - ll) != base:
-                            ok, detail = False, \
-                                f"FS^(n,l,r) != FS^(n,k) at ({a},{n},{ll})"
-        checks.append(TheoremCheck(
-            "spherical: FS^(n,l,r) depends only on l+r+1", ok, detail))
-        ok, detail = True, ""
-        for a in cat.labels:
-            for n in range(1, n_max + 1):
-                if indicator(cat, a, n, 1) != indicator(cat, cat.dual(a), n, 1):
-                    ok, detail = False, f"nu_n({a}) != nu_n(dual)"
-        checks.append(TheoremCheck("spherical: nu_n(V) = nu_n(dual V)", ok, detail))
-    else:
-        checks.append(TheoremCheck(
-            "spherical: FS^(n,l,r) depends only on l+r+1", True,
-            "not spherical", skipped=True))
-        checks.append(TheoremCheck(
-            "spherical: nu_n(V) = nu_n(dual V)", True, "not spherical",
-            skipped=True))
-
-    ok, detail = True, ""
-    for a, b in itertools.combinations(cat.labels, 2):
-        expr = ObjectExpr({a: 1, b: 1})
-        for n in range(1, min(n_max, 4) + 1):
-            lhs = indicator(cat, expr, n, 1)
-            rhs = indicator(cat, a, n, 1) + indicator(cat, b, n, 1)
-            if lhs != rhs:
-                ok, detail = False, f"additivity fails at ({a}+{b}, n={n})"
-    checks.append(TheoremCheck("additivity nu_n(V+W) = nu_n(V)+nu_n(W)", ok, detail))
-
-    ok, detail = True, ""
-    for a, b in itertools.combinations(cat.labels, 2):
-        for n in range(2, min(n_max, 4) + 1):
-            for kk in range(1, n):
-                if math.gcd(n, kk) != 1:
-                    continue
-                blocks = _fs_blocks(cat, (a, b), n, kk - 1, 0)
-                for (ci, co), val in blocks.items():
-                    if ci != co:
-                        if val:
-                            ok, detail = False, \
-                                f"FS not block-diagonal at ({a}+{b},{n},{kk})"
-                    elif val != fs_scalar(cat, ci, n, kk - 1, 0):
-                        ok, detail = False, \
-                            f"FS block scalar differs at ({ci} in {a}+{b},{n},{kk})"
-    checks.append(TheoremCheck(
-        "naturality: FS block scalars on sums (gcd(n,k)=1)", ok, detail))
+    checks = [
+        _theorem(f"power identity (E^n)^n = id, n <= {n_max}", by_n,
+                 lambda a, n: check_power_identity(cat, a, n)),
+        _theorem("conjugation symmetry nu(n,n-r) = conj nu(n,r)",
+                 [(a, n, r) for a, n in by_n for r in range(n + 1)],
+                 lambda a, n, r:
+                     galois_conjugate(nu(a, n, r)) == nu(a, n, n - r)),
+    ]
+    not_spherical = None if is_spherical(cat) else "not spherical"
+    ptr_l = {a: pivotal_trace(cat, LinMap.identity(cat, (a,)), "left")
+             for a in labels}
+    ptr_r = {a: pivotal_trace(cat, LinMap.identity(cat, (a,)), "right")
+             for a in labels}
+    checks += [
+        _theorem("trace formula nu_n = ptr_l(FS^(n))", by_n,
+                 lambda a, n: nu(a, n) == ptr_l[a] * fs(a, n, 0, 0),
+                 lambda a, n: f"trace formula fails at ({a}, n={n})"),
+        _theorem("generalized trace formula", splits,
+                 lambda a, n, k: nu(a, n, k) == ptr_l[a] * fs(a, n, k - 1, 0),
+                 lambda a, n, k:
+                     f"nu_(n,k) = ptr_l(FS^(n,k)) fails at ({a},{n},{k})"),
+        _theorem("trace shift ptr_l FS^(n,l,r) = ptr_r FS^(n,l+1,r-1)",
+                 [(a, n, l, k - 1 - l) for a, n, k in splits
+                  for l in range(k - 1)],
+                 lambda a, n, l, r: ptr_l[a] * fs(a, n, l, r)
+                     == ptr_r[a] * fs(a, n, l + 1, r - 1),
+                 lambda a, n, l, r: f"trace shift fails at ({a},{n},{l},{r})"),
+        _theorem("spherical: FS^(n,l,r) depends only on l+r+1",
+                 [(a, n, k, l) for a, n, k in splits for l in range(k)],
+                 lambda a, n, k, l:
+                     fs(a, n, l, k - 1 - l) == fs(a, n, k - 1, 0),
+                 lambda a, n, k, l: f"FS^(n,l,r) != FS^(n,k) at ({a},{n},{l})",
+                 skip=not_spherical),
+        _theorem("spherical: nu_n(V) = nu_n(dual V)", by_n,
+                 lambda a, n: nu(a, n) == nu(cat.dual(a), n),
+                 lambda a, n: f"nu_n({a}) != nu_n(dual)", skip=not_spherical),
+        _theorem("additivity nu_n(V+W) = nu_n(V)+nu_n(W)",
+                 [(a, b, n) for a, b in pairs
+                  for n in range(1, min(n_max, 4) + 1)],
+                 lambda a, b, n:
+                     nu(ObjectExpr({a: 1, b: 1}), n) == nu(a, n) + nu(b, n),
+                 lambda a, b, n: f"additivity fails at ({a}+{b}, n={n})"),
+        # one case per block of FS^(n,k) on a + b, built pair by pair
+        _theorem("naturality: FS block scalars on sums (gcd(n,k)=1)",
+                 ((a, b, n, k, ci, co, val) for a, b in pairs
+                  for n in range(2, min(n_max, 4) + 1) for k in range(1, n)
+                  if math.gcd(n, k) == 1
+                  for (ci, co), val in
+                  _fs_blocks(cat, (a, b), n, k - 1, 0).items()),
+                 lambda a, b, n, k, ci, co, val:
+                     not val if ci != co else val == fs(ci, n, k - 1, 0),
+                 lambda a, b, n, k, ci, co, val:
+                     f"FS not block-diagonal at ({a}+{b},{n},{k})" if ci != co
+                     else
+                     f"FS block scalar differs at ({ci} in {a}+{b},{n},{k})"),
+        # one case: check_reversal_symmetry decides the whole symmetry
+        _theorem("reversal symmetry nu(n,k)(reverse) = nu(n,n-k)", [()],
+                 lambda: check_reversal_symmetry(cat, n_max=min(n_max, 4))),
+    ]
+    pseudo_unitary, gap = is_pseudo_unitary(cat)
+    checks.append(_theorem(
+        "nu_2 takes values in {0, +1, -1}", [(a,) for a in labels],
+        lambda a: nu(a, 2) in (ZERO, ONE, -ONE),
+        skip=None if pseudo_unitary else f"not pseudo-unitary, gap {gap:.3g}"))
     return checks
 
 

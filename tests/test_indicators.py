@@ -23,6 +23,7 @@ from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _right_block,
 from fscat.linalg import eye, is_identity, mat_mul, mat_trace, mat_vec
 from fscat.oracles import (char_indicator, d4_table, q8_table, s3_table,
                            spliced_db_prime_vector, spliced_e_map_matrix)
+from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
 from fscat.specio import load_bundled
 
 
@@ -50,10 +51,12 @@ def _bend_words(cat, nmax):
                    for w in rotation_operator(cat, obj, n).words})
 
 
-def _root_gauge(cat, seed):
+def _root_gauge(cat, seed, order=None):
+    """A seeded gauge by order-th roots of unity (default: the conductor)."""
     rng = SplitMix64(seed)
+    order = order or cat.conductor
     return gauge_transform(cat, {
-        (a, b, c): root_of_unity(cat.conductor, rng.next() % cat.conductor)
+        (a, b, c): root_of_unity(order, rng.next() % order)
         for (a, b, c) in cat.ring.admissible_triples()
         if cat.unit not in (a, b)})
 
@@ -500,6 +503,48 @@ def test_check_fs_theorems_all_pass():
             assert item.ok, (name, item.name, item.detail)
 
 
+def test_check_fs_theorems_names_the_last_failing_case(monkeypatch):
+    # double FS^(2,0,0)(t) and FS^(3,0,1)(t): each FS item that reads one of
+    # them fails and names its last failing case; every other item passes
+    doubled = {("t", 2, 0, 0), ("t", 3, 0, 1)}
+    real = indicators.fs_scalar
+
+    def wrong(cat, a, n, l, r):
+        val = real(cat, a, n, l, r)
+        return val + val if (a, n, l, r) in doubled else val
+
+    monkeypatch.setattr(indicators, "fs_scalar", wrong)
+    got = {item.name: item.detail
+           for item in check_fs_theorems(load_bundled("fibonacci"), 4)
+           if not item.ok}
+    assert got == {
+        "trace formula nu_n = ptr_l(FS^(n))":
+            "trace formula fails at (t, n=2)",
+        "generalized trace formula":
+            "nu_(n,k) = ptr_l(FS^(n,k)) fails at (t,2,1)",
+        "trace shift ptr_l FS^(n,l,r) = ptr_r FS^(n,l+1,r-1)":
+            "trace shift fails at (t,3,0,1)",
+        "spherical: FS^(n,l,r) depends only on l+r+1":
+            "FS^(n,l,r) != FS^(n,k) at (t,3,0)",
+        "naturality: FS block scalars on sums (gcd(n,k)=1)":
+            "FS block scalar differs at (t in 1+t,2,1)",
+    }
+
+
+def test_check_computes_each_fs_scalar_once(monkeypatch):
+    calls = []
+    real = indicators._fs_blocks
+
+    def counted(cat, support, n, l, r):
+        calls.append((tuple(support), n, l, r))
+        return real(cat, support, n, l, r)
+
+    monkeypatch.setattr(indicators, "_fs_blocks", counted)
+    items = check_fs_theorems(load_bundled("fibonacci"), 5)
+    assert all(item.ok for item in items)
+    assert len(calls) == len(set(calls)) == 47
+
+
 def test_additivity():
     fib = bundled("fibonacci")
     expr = ObjectExpr({"1": 1, "t": 1})
@@ -516,6 +561,26 @@ def test_additivity():
 
 def test_reversal_symmetry(any_bundled):
     assert check_reversal_symmetry(any_bundled, n_max=3)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_reversal_swaps_left_and_right(name):
+    # on every pivotal structure, and on two gauges by 2N-th roots of unity
+    # of each (there the transported t need not be +-1), the reversal's
+    # left trace is the original's right trace and back, and
+    # nu_{n,k}(reverse) = nu_{n,n-k}
+    base = bundled(name)
+    for i in range(len(enumerate_pivotal_structures(base))):
+        cat = attach_pivotal(base, i)
+        gauges = (_root_gauge(cat, seed, 2 * cat.conductor) for seed in (1, 2))
+        for c in (cat, *gauges):
+            rev = reverse_category(c)
+            for a in c.labels:
+                assert pivotal_trace(rev, LinMap.identity(rev, (a,)), "left") \
+                    == pivotal_trace(c, LinMap.identity(c, (a,)), "right")
+                assert pivotal_trace(rev, LinMap.identity(rev, (a,)), "right") \
+                    == pivotal_trace(c, LinMap.identity(c, (a,)), "left")
+            assert check_reversal_symmetry(c, n_max=4), (c.name, i)
 
 
 def test_gauge_invariance_sampled():
