@@ -412,6 +412,9 @@ def validate(category: Category) -> ValidationReport:
         for a in ring.labels:
             if a not in category.pivotal.t:
                 errs.append(f"pivotal coefficient missing for {a!r}")
+        for a in category.pivotal.t:
+            if a not in ring._index:
+                errs.append(f"pivotal coefficient for unknown label {a!r}")
     report.structural_errors = errs
     if errs:
         return report

@@ -602,10 +602,12 @@ class Cyc:
     def decode(data) -> "Cyc":
         if not isinstance(data, dict) or set(data) != {"N", "c"}:
             raise ValueError(f"bad cyclotomic encoding: {data!r}")
-        n = data["N"]
-        if not isinstance(n, int) or n < 1:
+        n, coeffs = data["N"], data["c"]
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"bad conductor in encoding: {n!r}")
-        coeffs = [_parse_fraction(s) for s in data["c"]]
+        if not isinstance(coeffs, list):
+            raise ValueError(f"encoding field 'c' must be a list: {coeffs!r}")
+        coeffs = [_parse_fraction(s) for s in coeffs]
         return Cyc(n, coeffs)
 
     def __repr__(self):

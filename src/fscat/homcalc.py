@@ -24,27 +24,26 @@ require morphism-backed inputs.
 
 Every local move on fusion paths becomes a matrix through one kernel,
 ``_path_matrix``: the move sends each source path to weighted target paths,
-and the kernel lays the weights out on the two path bases.  The moves are
-single-vertex F-moves (fuse, split, unit letters, evaluation and
-coevaluation pairs) and one graft routine (``_graft_moves``), which
-re-associates a unit-rooted subword into the running path by a chain of
-elementary inverse F-moves (``_graft_coeffs``).  ``insert_vector_matrix``
-and ``splice_host_matrix`` are that graft with the guest or the host vector
-fixed.  A k-strand bend is one such graft too (``_bend_matrix``): the word
-is spliced once into the nested coevaluation of its first k letters, and
-the loop closures that follow keep only the paths that retrace their
-stages around each closed pair, so the first k stages of each graft chain
-are pinned to the host path's and only those chains are generated.
-``_bend_entries`` pins the rest of each chain to one target path as well,
-so it makes single entries of a bend (its diagonal, say) and nothing else.
+and the kernel lays the weights out on the two path bases.  Removals are
+single-vertex moves (fuse, drop a unit letter, evaluation).  Every
+insertion is a graft, which re-associates a unit-rooted guest subword into
+the running path by a chain of elementary inverse F-moves
+(``_graft_coeffs``): ``graft_path_matrix`` grafts one guest path (a
+coevaluation pair is its path (1, b, 1)), and ``insert_vector_matrix`` and
+``splice_host_matrix`` graft with the guest or the host vector fixed.  A
+k-strand bend is one graft too (``_bend_matrix``): the word is spliced once
+into the nested coevaluation of its first k letters, and the loop closures
+that follow keep only the paths that retrace their stages around each
+closed pair, so the first k stages of each graft chain are pinned to the
+host path's and only those chains are generated.  ``_bend_entries`` pins
+the rest of each chain to one target path as well, so it makes single
+entries of a bend (its diagonal, say) and nothing else.
 Degenerate words (hom dimension 0) yield 0x0 blocks that compose legally.
 
 The builders whose arguments are labels and positions (fuse and split
-steps, unit letters, evaluation and coevaluation pairs, and the
-coevaluation vectors ``db_vector`` and ``db_prime_vector``, the latter
-spliced outermost pair first into the running vector as the fixed host)
-are memoised per category in ``cat.cached``, and so are the right
-coevaluation blocks of the Frobenius-Schur endomorphisms
+steps, dropped unit letters, evaluation pairs, guest-path grafts and the
+coevaluation vectors) are memoised per category in ``cat.cached``, and so
+are the right coevaluation blocks of the Frobenius-Schur endomorphisms
 (``indicators._right_block``): in a sweep of those endomorphisms about
 three calls in four repeat an earlier one.  The results are shared, so
 callers must not mutate them.  ``insert_vector_matrix`` and
@@ -75,8 +74,13 @@ class DimensionGuardError(RuntimeError):
 
 
 def dimension_guard() -> int:
-    """The largest hom dimension allowed: FSCAT_NMAX_GUARD, default 4096."""
-    return int(os.environ.get(DIM_GUARD_ENV, "4096"))
+    """The largest hom dimension allowed: FSCAT_NMAX_GUARD, default 4096;
+    a ValueError names the variable unless it is a positive integer."""
+    text = os.environ.get(DIM_GUARD_ENV, "4096")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(
+            f"{DIM_GUARD_ENV} must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def check_dimension_guard(dim: int) -> None:
@@ -274,7 +278,7 @@ class LinMap:
 # -- the grafting kernel -----------------------------------------------------
 
 
-def _graft_coeffs(cat: Category, lam, letters, path, states=None, pin=None):
+def _graft_coeffs(cat: Category, lam, letters, path, pin=(), coeff=ONE):
     """Re-associate a subword, fused along ``path``, into a running stage.
 
     Given a stage label ``lam`` and a fusion path ``path`` through
@@ -283,23 +287,22 @@ def _graft_coeffs(cat: Category, lam, letters, path, states=None, pin=None):
     letters contribute to the ambient path and ``coeff`` is the product of
     inverse-F factors of the elementary moves.  ``sigma_m`` fuses
     ``lam (x) path[-1]``; for a unit-rooted graft it is forced back to lam.
-    ``states`` continues given ``(chain, coeff)`` pairs instead, when
-    ``letters`` and ``path`` are a later piece of the grafted word.
-    ``pin``, a path through ``letters`` from the chains' first stage, keeps
-    only the chain that follows it: sigma_j = pin[j].
+    ``pin[j]`` fixes sigma_j for 0 < j < len(pin), so only the chains that
+    follow it are made; later stages are free.  ``coeff`` seeds every chain.
     """
-    if states is None:
-        states = [((lam,), ONE)]
+    states = [((lam,), coeff)]
     for j, y in enumerate(letters, start=1):
         prev_rho, rho = path[j - 1], path[j]
         new = []
         for chain, coeff in states:
             s_prev = chain[-1]
-            for s in cat.channels(s_prev, y) if pin is None else (pin[j],):
+            for s in (pin[j],) if j < len(pin) else cat.channels(s_prev, y):
                 val = cat.f_inv_entry(lam, prev_rho, y, s, rho, s_prev)
                 if val:
                     new.append((chain + (s,), coeff * val))
         states = new
+        if not states:  # a pinned stage no chain reaches
+            break
     return states
 
 
@@ -331,12 +334,13 @@ def _path_matrix(cat, src, tgt, root, moves):
 def _graft_moves(cat, i, guest_letters, terms):
     """Moves of a unit-rooted guest grafted at position i of a host path.
 
-    ``terms`` lists ``(host path, guest path, weight)``; each grafted
-    ``_graft_coeffs`` chain lands on the combined path, scaled by weight.
+    ``terms`` lists ``(host path, guest path, weight)``; each
+    ``_graft_coeffs`` chain, seeded with its weight, lands on the joined path.
     """
     for p, rho, c in terms:
-        for chain, coeff in _graft_coeffs(cat, p[i], guest_letters, rho):
-            yield p[:i + 1] + chain[1:] + p[i + 1:], c * coeff
+        for chain, coeff in _graft_coeffs(cat, p[i], guest_letters, rho,
+                                          coeff=c):
+            yield p[:i + 1] + chain[1:] + p[i + 1:], coeff
 
 
 def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest_vec):
@@ -405,7 +409,8 @@ def fuse_step_matrix(cat, letters, root, i, w):
 
 @_memoised
 def split_step_matrix(cat, letters, root, i, u, v):
-    """Split the letter x_i into the admissible pair (u, v)."""
+    """Split the letter x_i into the admissible pair (u, v).  The library
+    inserts by grafts; this inverse of the fuse step is a test reference."""
     x = letters[i]
     if not cat.n(u, v, x):
         raise ValueError(f"({u},{v}) is not an admissible splitting of {x}")
@@ -417,16 +422,8 @@ def split_step_matrix(cat, letters, root, i, u, v):
 
 
 @_memoised
-def add_unit_letter_matrix(cat, letters, root, i):
-    """Insert a unit letter at position i; the path repeats its stage p_i."""
-    return _path_matrix(
-        cat, letters, letters[:i] + (cat.unit,) + letters[i:], root,
-        lambda p: [(p[:i + 1] + p[i:], ONE)])
-
-
-@_memoised
 def drop_unit_letter_matrix(cat, letters, root, i):
-    """Remove the unit letter at position i (inverse of the insertion)."""
+    """Remove the unit letter at position i; the path drops its stage p_i."""
     assert letters[i] == cat.unit
     return _path_matrix(
         cat, letters, letters[:i] + letters[i + 1:], root,
@@ -453,47 +450,50 @@ def contract_pair_matrix(cat, letters, root, i):
 
 
 @_memoised
-def attach_pair_matrix(cat, letters, root, i, b):
-    """Coevaluation insertion of the pair (b, dual b) at position i."""
-    bstar = cat.dual(b)
+def graft_path_matrix(cat, letters, root, i, guest_letters, rho):
+    """Graft the unit-rooted guest path rho through ``guest_letters`` at
+    position i: ``insert_vector_matrix`` with that basis vector as guest.
+    It equals inserting a unit letter and splitting it along rho."""
     return _path_matrix(
-        cat, letters, letters[:i] + (b, bstar) + letters[i:], root,
-        lambda p: [(p[:i + 1] + (e,) + p[i:],
-                    cat.f_inv_entry(p[i], b, bstar, p[i], cat.unit, e))
-                   for e in cat.channels(p[i], b)])
+        cat, letters, letters[:i] + guest_letters + letters[i:], root,
+        lambda p: _graft_moves(cat, i, guest_letters, [(p, rho, ONE)]))
+
+
+def attach_pair_matrix(cat, letters, root, i, b):
+    """Coevaluation insertion of the pair (b, dual b) at position i: the
+    graft of the pair's one path (1, b, 1)."""
+    return graft_path_matrix(cat, letters, root, i, (b, cat.dual(b)),
+                             (cat.unit, b, cat.unit))
 
 
 # -- coevaluation vectors ----------------------------------------------------
 
 
+def _nested_coevaluation(cat, pairs):
+    """(word, unit-rooted vector) of nested coevaluations of ``pairs``,
+    spliced outermost first into the middle of the running vector as the
+    fixed host (grafting is associative): each splice has one column."""
+    cur = ()
+    vec = [ONE]
+    for pair in pairs:
+        mid = len(cur) // 2
+        vec = mat_vec(splice_host_matrix(cat, cur, vec, mid, pair), [ONE])
+        cur = cur[:mid] + pair + cur[mid:]
+    return cur, vec
+
+
 @_memoised
 def db_vector(cat, letters):
     """Coevaluation of a word: unit-rooted vector over letters + dual word."""
-    vec = [ONE]
-    cur = ()
-    for j, y in enumerate(letters):
-        vec = mat_vec(attach_pair_matrix(cat, cur, cat.unit, j, y), vec)
-        cur = cur[:j] + (y, cat.dual(y)) + cur[j:]
-    return cur, vec
+    return _nested_coevaluation(cat, [(y, cat.dual(y)) for y in letters])
 
 
 @_memoised
 def db_prime_vector(cat, letters):
     """Right-dual coevaluation: unit-rooted vector over dual word + letters.
-
-    Grafting is associative, so the pairs (y*, y) are spliced outermost
-    first, each into the middle of the running vector as the fixed host:
-    every splice matrix has one column.  ``oracles.spliced_db_prime_vector``
-    splices innermost first.
-    """
-    cur = ()
-    vec = [ONE]
-    for y in reversed(letters):
-        mid = len(cur) // 2
-        pair = (cat.dual(y), y)
-        vec = mat_vec(splice_host_matrix(cat, cur, vec, mid, pair), [ONE])
-        cur = cur[:mid] + pair + cur[mid:]
-    return cur, vec
+    ``oracles.spliced_db_prime_vector`` splices its pairs innermost first."""
+    return _nested_coevaluation(cat, [(cat.dual(y), y)
+                                      for y in reversed(letters)])
 
 
 # -- the bend ----------------------------------------------------------------
@@ -508,10 +508,10 @@ def _bend_matrix(cat, letters, k):
     position k into the nested coevaluation (H, h) = ``db_prime_vector`` of
     x_1 ... x_k, H = (x_k*, ..., x_1*, x_1, ..., x_k).  A combined path P
     survives the closures only if P[k+i] = P[k-i] for i = 1..k, so for a
-    host path p the first k graft stages are pinned to p[k-1], ..., p[0]
-    (the unit): each is one inverse-F factor, and the rest of w grafts on
-    from the unit.  What survives is the graft chain followed by p[k+1:], a
-    path of w[k:] + w[:k].  Closure i < k contributes
+    host path p the graft of w is one ``_graft_coeffs`` call whose first k
+    stages are pinned to p[k-1], ..., p[0] (the unit).  What survives is the
+    graft chain from stage k on, followed by p[k+1:], a path of
+    w[k:] + w[:k].  Closure i < k contributes
     mu(x_i) [F^{a, x_i*, x_i}_a]_{b, 1} with a = p[k-i], b = p[k-i+1], as
     in ``contract_pair_matrix``, which also gives the outer closure on
     Hom(1, x_k* x_k).  The closures and the pivotal scale read only
@@ -558,26 +558,20 @@ def _bend_tops(cat, head):
     return weighted
 
 
-def _bend_terms(cat, letters, k, tops, rho, pin=None):
+def _bend_terms(cat, letters, k, tops, rho, pin=()):
     """(target path, coefficient) terms of E(w, k) on the source path rho.
 
-    ``tops`` is ``_bend_tops`` of w[:k] or a part of it.  With ``pin``, a
-    path of the rotated word, the graft chain follows pin's stages, so only
-    terms landing on pin are made when every tail in ``tops`` is pin's.
+    ``tops`` is ``_bend_tops`` of w[:k] or a part of it.  Each top seeds one
+    graft of w along rho whose first k stages are pinned to the top,
+    reversed.  With ``pin``, a path of the rotated word, the later stages
+    follow pin's too, so only terms landing on pin are made when every tail
+    in ``tops`` is pin's.
     """
-    head, tail = letters[:k], letters[k:]
-    for top, coeff, tails in tops:
-        lam = top[k]
-        for j, x in enumerate(head, start=1):
-            coeff = coeff * cat.f_inv_entry(
-                lam, rho[j - 1], x, top[k - j], rho[j], top[k - j + 1])
-            if not coeff:
-                break
-        else:
-            for chain, g in _graft_coeffs(cat, lam, tail, rho[k:],
-                                          [((cat.unit,), coeff)], pin):
-                for q, c in tails:
-                    yield chain + q, g * c
+    for top, weight, tails in tops:
+        for chain, g in _graft_coeffs(cat, top[k], letters, rho,
+                                      top[k::-1] + pin[1:], weight):
+            for q, c in tails:
+                yield chain[k:] + q, g * c
 
 
 def _bend_entries(cat, letters, k, pairs):

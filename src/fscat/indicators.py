@@ -3,14 +3,16 @@
 The rotation map on Hom(1, x_1 ... x_n) bends the leftmost strand over the
 top: coevaluation wraps for the bent block, evaluations closing it on the
 left, and the inverse pivotal scalar on the bent letters.  Indicators are
-exact traces of its powers, taken once per rotation orbit of words.  Up to
-n = WALK_MAX_N (6) each orbit's single-strand powers are walked once: the
-walk records every trace the indicators read and whether the n-th power is
-the identity.  Above, by block monoidality, the r-th power is the genuine
-r-strand bend, so a trace is read off bends without any power: the pinned
-diagonal of E(w, r) for r <= h, and for r > h the entries of
-E(rot_h w, r - h) at the nonzeros of E(w, h), h = ``_split(n)``; the power
-identity is one split product E(rot_h w, n - h) E(w, h) = id per orbit.
+exact traces of its powers, taken once per rotation orbit of words
+(``_orbits``), and ``_orbit_values`` is the one place that picks the route
+for an orbit.  Up to n = WALK_MAX_N (6) each orbit's single-strand powers
+are walked once: the walk records every trace the indicators read and
+whether the n-th power is the identity.  Above, by block monoidality, the
+r-th power is the genuine r-strand bend, so a trace is read off bends
+without any power: the pinned diagonal of E(w, r) for r <= h, and for
+r > h the entries of E(rot_h w, r - h) at the nonzeros of E(w, h),
+h = ``_split(n)``; the power identity is one split product
+E(rot_h w, n - h) E(w, h) = id per orbit (``_bend_value``).
 Block monoidality itself is checked at n <= 5.  The Frobenius-Schur
 endomorphisms are built independently, from dual bases of the composition
 pairing transported through the trivial component, so the trace formula is
@@ -29,11 +31,11 @@ from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, TensorWord,
                       _bend_entries, _bend_matrix, _memoised,
-                      add_unit_letter_matrix, attach_pair_matrix,
-                      check_dimension_guard, contract_pair_matrix,
-                      db_prime_vector, drop_unit_letter_matrix, dual_word,
-                      fuse_step_matrix, insert_vector_matrix, path_counts,
-                      paths, pivotal_trace, split_step_matrix)
+                      attach_pair_matrix, check_dimension_guard,
+                      contract_pair_matrix, db_prime_vector,
+                      drop_unit_letter_matrix, dual_word, fuse_step_matrix,
+                      graft_path_matrix, insert_vector_matrix, path_counts,
+                      paths, pivotal_trace)
 from .linalg import eye, is_identity, mat_equal, mat_mul, mat_trace, mat_vec
 from .pivotal import is_pseudo_unitary
 
@@ -147,25 +149,27 @@ def _split(n):
     return 2 * -(-n // 4)
 
 
-def _bend_trace(cat, word, r):
+def _bend_value(cat, word, r):
     """tr E^r on the block of `word`, where rot_r(word) = word, read off
-    genuine bends; cached per word.
+    genuine bends, or for r = n whether E^n = id there; cached per word.
 
     By block monoidality the r-step composite of single-strand rotations is
     E(word, r), and for r > h = ``_split(n)`` it is
     E(rot_h word, r - h) E(word, h).  For r <= h the trace is the pinned
-    diagonal of E(word, r).  Otherwise E(word, h) is built and only the
-    entries of the first factor that meet its nonzeros are made, so the
-    product is never formed.
+    diagonal of E(word, r).  Otherwise E(word, h) is built: for r < n only
+    the entries of the first factor that meet its nonzeros are made, and
+    for r = n the product is formed and compared with the identity.
     """
     def build():
-        h = _split(len(word))
+        n, h = len(word), _split(len(word))
         tgt = paths(cat, word, cat.unit)
         if r <= h:
             return _bend_entries(cat, word, r, [(p, p, ONE) for p in tgt])
         mid = _rot(word, h)
-        src = paths(cat, mid, cat.unit)
         b = e_map_matrix(cat, word, h)
+        if r == n:
+            return is_identity(mat_mul(e_map_matrix(cat, mid, n - h), b))
+        src = paths(cat, mid, cat.unit)
         return _bend_entries(cat, mid, r - h,
                              [(src[i], tgt[j], x) for i, row in enumerate(b)
                               for j, x in enumerate(row) if x])
@@ -173,35 +177,46 @@ def _bend_trace(cat, word, r):
     return cat.cached(("bendtr", word, r), build)
 
 
-def _check_bend_hosts(cat, words, n, r):
-    """Count against the guard, before any is built, the hosts of the bends
-    that the bend route makes for tr E^r on `words` (r = n: the power
-    identity).
+def _orbits(op):
+    """(least rotation, orbit length) of each rotation orbit of op.words,
+    in label order: an orbit's first word in op.words is its least one."""
+    seen, out = set(), []
+    for w in op.words:
+        if w not in seen:
+            orbit = {_rot(w, j) for j in range(op.n)}
+            seen |= orbit
+            out.append((w, len(orbit)))
+    return out
 
-    Those bends are E(w, r) for r <= h = ``_split(n)``, and E(w, h) with
-    E(rot_h w, r - h) otherwise.  The host of E(v, k) is the nested
-    coevaluation of v[:k], of 2k <= 2h letters, which can be longer than
-    the n letters counted by ``rotation_operator``; a word whose hom space
-    is zero builds none.
+
+def _orbit_values(cat, orbits, n, r):
+    """Per (word, length) of `orbits`, lazily: tr E^r on the word's block
+    (each length divides r < n), or for r = n whether E^n = id there.
+
+    The one place the route is chosen: up to n = WALK_MAX_N the walk
+    (``_orbit_walk``), above it genuine bends (``_bend_value``).  Before the
+    first value, the hosts of every bend are counted against the guard:
+    the host of E(v, k) is the nested coevaluation of v[:k], of
+    2k <= n + 3 letters; a zero hom space builds none.
     """
-    h = _split(n)
-    bends = ((0, r),) if r <= h else ((0, h), (h, r - h))
-    for w in words:
-        if not path_counts(cat, ({x: 1} for x in w)).get(cat.unit, 0):
-            continue
-        for j, k in bends:
-            head = _rot(w, j)[:k]
-            host = dual_word(cat, head) + head
-            check_dimension_guard(
-                path_counts(cat, ({x: 1} for x in host)).get(cat.unit, 0))
-
-
-def _orbit_rep(cat, word):
-    """The least rotation of `word` in label order, which is the first word
-    of its orbit in `RotationOperator.words`."""
-    idx = cat.label_index
-    return min((_rot(word, j) for j in range(len(word))),
-               key=lambda v: [idx(x) for x in v])
+    walk = n <= WALK_MAX_N
+    if not walk:
+        h = _split(n)
+        bends = ((0, r),) if r <= h else ((0, h), (h, r - h))
+        for w, _ in orbits:
+            if not path_counts(cat, ({x: 1} for x in w)).get(cat.unit, 0):
+                continue
+            for j, k in bends:
+                head = _rot(w, j)[:k]
+                host = dual_word(cat, head) + head
+                check_dimension_guard(
+                    path_counts(cat, ({x: 1} for x in host)).get(cat.unit, 0))
+    for w, _ in orbits:
+        if walk:
+            traces, ident = _orbit_walk(cat, w)
+            yield ident if r == n else traces[r]
+        else:
+            yield _bend_value(cat, w, r)
 
 
 @dataclass
@@ -246,28 +261,20 @@ def indicator(cat: Category, obj, n: int, r: int) -> Cyc:
     """The (n, r) Frobenius-Schur indicator: exact trace of the r-th power
     of the rotation operator; r is reduced modulo n.
 
-    Each word fixed by rot_r contributes the trace of its orbit's r-step
-    composite.  Up to n = WALK_MAX_N it is read off the single-strand walk
-    (``_orbit_walk``); above, off genuine bends (``_bend_trace``): the
-    pinned diagonal of E(w, r) for r <= h, and the entries of
-    E(rot_h w, r - h) at the nonzeros of E(w, h) for r > h, h = ``_split(n)``.
-    Their longest words are hosts of up to 2h <= n + 3 letters, counted
-    against the guard before any bend is built (``_check_bend_hosts``).
+    The words fixed by rot_r are the orbits whose length divides r, and
+    every word of an orbit contributes its trace (``_orbit_values``) times
+    its fixed slot count, which is the same on the whole orbit.
     """
     obj = _as_expr(cat, obj)
     op = rotation_operator(cat, obj, n)
     rr = r % n
     if rr == 0:
         return Cyc.rational(op.total_dimension)
-    reps = {w: _orbit_rep(cat, w) for w in op.words if _rot(w, rr) == w}
-    walk = n <= WALK_MAX_N
-    if not walk:
-        _check_bend_hosts(cat, set(reps.values()), n, rr)
+    orbits = [(w, d) for w, d in _orbits(op) if rr % d == 0]
     total = ZERO
-    for w, rep in reps.items():
-        tr = _orbit_walk(cat, rep)[0][rr] if walk else _bend_trace(cat, rep, rr)
+    for (w, d), tr in zip(orbits, _orbit_values(cat, orbits, n, rr)):
         if tr:
-            total = total + _fixed_slot_count(obj, w, rr) * tr
+            total = total + d * _fixed_slot_count(obj, w, rr) * tr
     return total
 
 
@@ -276,32 +283,14 @@ def check_power_identity(cat: Category, obj, n: int) -> bool:
 
     The full operator is block-cyclic over words, so the identity is
     checked once per rotation orbit (conjugate chains are simultaneously
-    the identity).  Up to n = WALK_MAX_N it is the n-fold single-strand
-    chain.  Above, it is one split product of genuine bends,
-    E(rot_h w, n - h) E(w, h) = id with h = ``_split(n)``, which is E^n = id
-    given block monoidality; its longest word, the host of E(w, h), has
-    2h <= n + 3 letters and is counted against the guard before any bend
-    is built.  Block monoidality checks that rotating k letters and then m
-    equals rotating k+m in one genuine block bend; the bend builds hom
-    spaces of up to max(n, 2k) letters, which grow like FPdim^max(n, 2k),
-    so this part runs at word lengths up to 5.
+    the identity), by ``_orbit_values``.  Block monoidality checks that
+    rotating k letters and then m equals rotating k+m in one genuine block
+    bend; the bend builds hom spaces of up to max(n, 2k) letters, which
+    grow like FPdim^max(n, 2k), so this part runs at word lengths up to 5.
     """
     obj = _as_expr(cat, obj)
-    op = rotation_operator(cat, obj, n)
-    reps, seen = [], set()
-    for w in op.words:
-        if w not in seen:
-            seen.update(_rot(w, j) for j in range(n))
-            reps.append(w)  # its orbit's least rotation
-    if n > WALK_MAX_N:
-        _check_bend_hosts(cat, reps, n, n)
-    for w in reps:
-        if n <= WALK_MAX_N:
-            ok = _orbit_walk(cat, w)[1]
-        else:
-            h = _split(n)
-            ok = is_identity(mat_mul(e_map_matrix(cat, _rot(w, h), n - h),
-                                     e_map_matrix(cat, w, h)))
+    orbits = _orbits(rotation_operator(cat, obj, n))
+    for (w, _), ok in zip(orbits, _orbit_values(cat, orbits, n, n)):
         if not ok:
             return False
         if 2 <= n <= 5:
@@ -357,14 +346,9 @@ def _extract_insert(cat, word, root, src, length, dst, state_vec, out):
             vec = mat_vec(drop_unit_letter_matrix(cat, cur, root, src), vec)
             cur = cur[:src] + cur[src + 1:]
             # rebuild the same chunk along pi at the destination
-            vec2 = mat_vec(add_unit_letter_matrix(cat, cur, root, dst), vec)
-            cur2 = cur[:dst] + (cat.unit,) + cur[dst:]
-            for j in range(length - 1, 0, -1):
-                mat = split_step_matrix(cat, cur2, root, dst, pi[j], chunk[j])
-                vec2 = mat_vec(mat, vec2)
-                cur2 = cur2[:dst] + (pi[j], chunk[j]) + cur2[dst + 1:]
-            # after the splits the leading inserted letter carries pi[1] = chunk[0]
-            _accumulate(out, cur2, vec2)
+            graft = graft_path_matrix(cat, cur, root, dst, chunk, pi)
+            _accumulate(out, cur[:dst] + chunk + cur[dst:],
+                        mat_vec(graft, vec))
 
 
 @_memoised

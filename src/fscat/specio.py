@@ -49,6 +49,19 @@ def category_to_dict(cat: Category) -> dict:
     return out
 
 
+def _is_count(value) -> bool:
+    """An integer that is not a JSON boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _labels(field, *values):
+    """Raise SpecFormatError naming `field` unless every value is a string."""
+    for x in values:
+        if not isinstance(x, str):
+            raise SpecFormatError(
+                f"{field}: expected a label string, got {x!r}")
+
+
 def category_from_dict(data) -> Category:
     if not isinstance(data, dict):
         raise SpecFormatError("top level must be a JSON object")
@@ -62,20 +75,26 @@ def category_from_dict(data) -> Category:
     conductor = data["conductor"]
     if not isinstance(name, str):
         raise SpecFormatError("name must be a string")
-    if not isinstance(conductor, int) or conductor < 1:
+    if not _is_count(conductor) or conductor < 1:
         raise SpecFormatError("conductor must be a positive integer")
     simples = data["simples"]
     if not isinstance(simples, list) or \
             any(not isinstance(x, str) for x in simples):
         raise SpecFormatError("simples must be a list of label strings")
+    _labels("unit", data["unit"])
     dual = data["dual"]
     if not isinstance(dual, dict):
         raise SpecFormatError("dual must be a mapping")
+    _labels("dual", *dual.values())
+    for key in ("fusion", "F"):
+        if not isinstance(data[key], list):
+            raise SpecFormatError(f"{key} must be a list")
     fusion = {}
     for row in data["fusion"]:
         if not (isinstance(row, list) and len(row) == 4 and
-                isinstance(row[3], int)):
+                _is_count(row[3])):
             raise SpecFormatError(f"bad fusion row {row!r}")
+        _labels("fusion rows", *row[:3])
         if row[3] < 1:
             raise SpecFormatError(f"fusion rows carry N >= 1 only: {row!r}")
         key = (row[0], row[1], row[2])
@@ -92,6 +111,7 @@ def category_from_dict(data) -> Category:
         if set(rec) != _F_KEYS:
             raise SpecFormatError(f"incomplete F record {rec!r}")
         key = (rec["a"], rec["b"], rec["c"], rec["d"], rec["e"], rec["f"])
+        _labels("F records", *key)
         if key in entries:
             raise SpecFormatError(f"duplicate F record for {key}")
         try:

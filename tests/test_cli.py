@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fscat.specio import bundled_path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -135,6 +137,61 @@ def test_emit_families(tmp_path):
                   "-o", str(target))
     assert out.returncode == 0
     assert run_cli("validate", str(target)).returncode == 0
+
+
+def _fib_doc():
+    return json.loads(open(spec("fibonacci")).read())
+
+
+# malformed spec documents, each a parse failure that names its field
+MALFORMED = {
+    "unit_list": (lambda d: d.update(unit=["1"]), "unit"),
+    "dual_list": (lambda d: d["dual"].update(t=["t"]), "dual"),
+    "fusion_row_list": (lambda d: d["fusion"][0].__setitem__(0, ["1"]),
+                        "fusion"),
+    "f_record_list": (lambda d: d["F"][0].update(a=["t"]), "F record"),
+    "fusion_not_list": (lambda d: d.update(fusion=5), "fusion"),
+    "encoded_c_int": (lambda d: d["F"][0]["value"].update(c=7), "'c'"),
+    "conductor_true": (lambda d: d.update(conductor=True), "conductor"),
+    "multiplicity_true": (lambda d: d["fusion"][0].__setitem__(3, True),
+                          "fusion row"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_spec_exits_2(tmp_path, case):
+    mutate, field = MALFORMED[case]
+    doc = _fib_doc()
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for args in (("validate", str(bad)),
+                 ("ind", str(bad), "--object", "t", "--n", "2")):
+        out = run_cli(*args)
+        assert out.returncode == 2, (args[0], out.stderr)
+        assert out.stderr.startswith("error: ") and field in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_pivotal_on_unknown_label_is_structural(tmp_path):
+    doc = _fib_doc()
+    doc["pivotal"]["q"] = {"N": 1, "c": ["1"]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = run_cli("validate", str(bad))
+    assert out.returncode == 1
+    assert "STRUCTURAL pivotal coefficient for unknown label 'q'" in out.stdout
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_malformed_dimension_guard(value):
+    env = dict(os.environ)
+    env["FSCAT_NMAX_GUARD"] = value
+    out = run_cli("ind", spec("fibonacci"), "--object", "t", "--n", "2",
+                  env=env)
+    assert out.returncode == 1
+    assert out.stderr == (f"error: FSCAT_NMAX_GUARD must be a positive "
+                          f"integer, got {value!r}\n")
 
 
 def test_dimension_guard_env(tmp_path):

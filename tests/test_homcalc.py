@@ -7,13 +7,12 @@ from conftest import ALL_BUNDLED, bundled
 
 from fscat.category import gauge_transform, reverse_category
 from fscat.cyclo import Cyc, root_of_unity
-from fscat.homcalc import (LinMap, TensorWord, add_unit_letter_matrix,
-                           assoc_matrix, coev_matrix, close_loop,
-                           double_dual_coefficient, drop_unit_letter_matrix,
-                           dual_morphism, ev_matrix, fuse_step_matrix,
-                           hom_basis, hom_dimension, left_nested, paths,
-                           pivotal_matrix, pivotal_trace, right_nested,
-                           split_step_matrix)
+from fscat.homcalc import (LinMap, TensorWord, assoc_matrix, coev_matrix,
+                           close_loop, double_dual_coefficient,
+                           drop_unit_letter_matrix, dual_morphism, ev_matrix,
+                           fuse_step_matrix, graft_path_matrix, hom_basis,
+                           hom_dimension, left_nested, paths, pivotal_matrix,
+                           pivotal_trace, right_nested, split_step_matrix)
 from fscat.linalg import is_identity, mat_equal, mat_mul
 
 
@@ -370,11 +369,14 @@ def test_fuse_undoes_split(name):
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_drop_undoes_add_unit_letter(name):
+    # a unit letter is inserted as the graft of its one path (1, 1)
     cat = bundled(name)
+    unit = cat.unit
     for word in _words(cat, 3):
         for i in range(len(word) + 1):
-            padded = word[:i] + (cat.unit,) + word[i:]
+            padded = word[:i] + (unit,) + word[i:]
             for root in cat.labels:
-                m = mat_mul(drop_unit_letter_matrix(cat, padded, root, i),
-                            add_unit_letter_matrix(cat, word, root, i))
+                add = graft_path_matrix(cat, word, root, i, (unit,),
+                                        (unit, unit))
+                m = mat_mul(drop_unit_letter_matrix(cat, padded, root, i), add)
                 assert is_identity(m), (word, i, root)

@@ -10,9 +10,11 @@ from fscat.category import (MissingPivotalError, ObjectExpr, gauge_transform,
                             reverse_category)
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
-from fscat.homcalc import (LinMap, db_prime_vector, db_vector, dual_morphism,
+from fscat.homcalc import (LinMap, attach_pair_matrix, db_prime_vector,
+                           db_vector, dual_morphism, graft_path_matrix,
                            hom_dimension, insert_vector_matrix, path_counts,
-                           pivotal_trace, splice_host_matrix)
+                           pivotal_trace, splice_host_matrix,
+                           split_step_matrix)
 from fscat.homcalc import _bend_entries, paths
 from fscat import indicators
 from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _right_block,
@@ -20,7 +22,7 @@ from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _right_block,
                               check_reversal_symmetry, e_map, e_map_matrix,
                               fs_scalar, indicator, indicator_report,
                               is_spherical, qn_distance, rotation_operator)
-from fscat.linalg import eye, is_identity, mat_mul, mat_trace, mat_vec
+from fscat.linalg import eye, is_identity, mat_mul, mat_trace, mat_vec, zeros
 from fscat.oracles import (char_indicator, d4_table, q8_table, s3_table,
                            spliced_db_prime_vector, spliced_e_map_matrix)
 from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
@@ -157,6 +159,57 @@ def test_right_block_is_the_inserted_coevaluation(name):
                         want[(c,) + g_letters] = vec
                 assert _right_block(cat, cat.labels, c, r) == want, \
                     (cat.name, c, r)
+
+
+def _pair_by_closed_form(cat, letters, root, i, b):
+    """The coevaluation pair (b, b*) inserted at position i, entry by entry:
+    the path p goes to (.., p_i, e, p_i, ..) with f_inv(p_i, b, b*, p_i, 1, e)."""
+    bstar = cat.dual(b)
+    src = paths(cat, letters, root)
+    tgt = paths(cat, letters[:i] + (b, bstar) + letters[i:], root)
+    out = zeros(len(tgt), len(src))
+    for col, p in enumerate(src):
+        for e in cat.channels(p[i], b):
+            out[tgt.index(p[:i + 1] + (e,) + p[i:])][col] = \
+                cat.f_inv_entry(p[i], b, bstar, p[i], cat.unit, e)
+    return out
+
+
+def _unit_letter_split(cat, letters, root, i, chunk, pi):
+    """A unit letter inserted at position i (the path repeats p_i), then
+    split along pi, last letter first, until it is the chunk."""
+    src = paths(cat, letters, root)
+    cur = letters[:i] + (cat.unit,) + letters[i:]
+    tgt = paths(cat, cur, root)
+    m = zeros(len(tgt), len(src))
+    for col, p in enumerate(src):
+        m[tgt.index(p[:i + 1] + p[i:])][col] = Cyc.one()
+    for j in range(len(chunk) - 1, 0, -1):
+        m = mat_mul(split_step_matrix(cat, cur, root, i, pi[j], chunk[j]), m)
+        cur = cur[:i] + (pi[j], chunk[j]) + cur[i + 1:]
+    return m
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_insertions_are_grafts(name):
+    # every insertion is the graft of one guest path: a coevaluation pair
+    # is its path (1, b, 1), and the FS transport's chunk along pi is pi
+    for cat in _stage_cats(name):
+        chunks = [(chunk, pi) for m in range(1, 4)
+                  for chunk in itertools.product(cat.labels, repeat=m)
+                  for pi in paths(cat, chunk, cat.unit)]
+        for m in range(3):
+            for word in itertools.product(cat.labels, repeat=m):
+                for i, root in itertools.product(range(m + 1), cat.labels):
+                    for b in cat.labels:
+                        assert attach_pair_matrix(cat, word, root, i, b) == \
+                            _pair_by_closed_form(cat, word, root, i, b), \
+                            (cat.name, word, root, i, b)
+                    for chunk, pi in chunks:
+                        assert graft_path_matrix(cat, word, root, i, chunk,
+                                                 pi) == _unit_letter_split(
+                            cat, word, root, i, chunk, pi), \
+                            (cat.name, word, root, i, pi)
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
@@ -386,9 +439,8 @@ def test_fs_scalar_bad_arguments():
 
 # the label-keyed builders memoised in ``cat.cached``, by their memo kind
 MEMOISED_BUILDERS = {name: getattr(fscat.homcalc, name) for name in (
-    "fuse_step_matrix", "split_step_matrix", "add_unit_letter_matrix",
-    "drop_unit_letter_matrix", "contract_pair_matrix", "attach_pair_matrix",
-    "db_vector", "db_prime_vector")}
+    "fuse_step_matrix", "drop_unit_letter_matrix", "contract_pair_matrix",
+    "graft_path_matrix", "db_vector", "db_prime_vector")}
 MEMOISED_BUILDERS["_right_block"] = _right_block
 
 
@@ -694,13 +746,15 @@ def _brute_fixed_slots(obj, word, r):
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_indicator_of_sums_every_r(name):
-    # nu_(n,r)(2a + b) as a sum over rotation-fixed words, each word's own
-    # walk times its brute-force slot count; periodic words such as
-    # (a, b, a, b) at r = 2 pin the orbit-shared traces
+    # nu_(n,r)(V) as a sum over rotation-fixed words, each word's own walk
+    # times its brute-force slot count; periodic words such as (a, b, a, b)
+    # at r = 2 pin the orbit weighting, which n = 7 and 8 check on the
+    # bend route
     cat = bundled(name)
     for a, b in itertools.combinations(cat.labels, 2):
-        obj = ObjectExpr({a: 2, b: 1})
-        for n in range(1, 5):
+        cases = [({a: 2, b: 1}, n) for n in (1, 2, 3, 4, 7)]
+        for terms, n in cases + [({a: 1, b: 1}, 8)]:
+            obj = ObjectExpr(terms)
             for r in range(n + 1):
                 want = Cyc.zero()
                 for w in itertools.product((a, b), repeat=n):
