@@ -99,47 +99,67 @@ class FusionRing:
         return errs
 
     def ring_axiom_checks(self):
-        """Exact checks of the fusion-ring axioms, as (name, ok, detail)."""
-        out = []
-        unit_ok, unit_bad = True, ""
-        for a in self.labels:
-            for b in self.labels:
-                if self.n(self.unit, a, b) != (1 if a == b else 0) or \
-                   self.n(a, self.unit, b) != (1 if a == b else 0):
-                    unit_ok, unit_bad = False, f"unit row fails at ({a},{b})"
-        out.append(("unit", unit_ok, unit_bad))
+        """Exact checks of the fusion-ring axioms, as (name, ok, detail).
 
-        dual_ok, dual_bad = True, ""
-        for a in self.labels:
-            if self.dual.get(self.dual.get(a)) != a:
-                dual_ok, dual_bad = False, f"dual not involutive at {a}"
-        for a in self.labels:
-            for b in self.labels:
-                want = 1 if b == self.dual.get(a) else 0
-                if self.n(a, b, self.unit) != want:
-                    dual_ok, dual_bad = False, f"N_({a},{b})^unit != {want}"
-        if self.dual.get(self.unit) != self.unit:
-            dual_ok, dual_bad = False, "dual(unit) != unit"
-        out.append(("dual", dual_ok, dual_bad))
+        One pass over the stored rows finds every failing case; a detail
+        names the last one in label order (pairs (a, b), triples (a, b, c)).
+        The ring must be free of structural errors.
+        """
+        unit, dual, labels = self.unit, self.dual, self.labels
 
-        assoc_ok, assoc_bad = True, ""
-        for a in self.labels:
-            for b in self.labels:
-                for c in self.labels:
-                    # {d: multiplicity of d in (a b) c}, and in a (b c)
-                    lhs, rhs = Counter(), Counter()
-                    for e in self.channels(a, b):
-                        for d in self.channels(e, c):
-                            lhs[d] += self.n(a, b, e) * self.n(e, c, d)
-                    for f in self.channels(b, c):
-                        for d in self.channels(a, f):
-                            rhs[d] += self.n(b, c, f) * self.n(a, f, d)
-                    bad = [d for d in lhs.keys() | rhs.keys() if lhs[d] != rhs[d]]
-                    if bad:
-                        d = max(bad, key=self.index)
-                        assoc_ok = False
-                        assoc_bad = f"associativity fails at ({a},{b},{c})->{d}"
-        out.append(("associativity", assoc_ok, assoc_bad))
+        def last(cases):
+            return max(cases, key=lambda k: tuple(map(self.index, k)))
+
+        # N(1, a, b) = N(a, 1, b) = delta_ab, and N(a, b, 1) = delta_{b, a*}
+        unit_bad = {(a, a) for a in labels
+                    if self.n(unit, a, a) != 1 or self.n(a, unit, a) != 1}
+        pair_bad = {(a, dual[a]) for a in labels
+                    if dual.get(a) in self._index
+                    and self.n(a, dual[a], unit) != 1}
+        # {d: multiplicity of d in (a b) c} - {d: ... in a (b c)}, keyed
+        # (a, b, c, d), from the rows (a, b, e) (e, c, d) and (b, c, f)
+        # (a, f, d) that meet at their shared label
+        by_first, by_middle = {}, {}
+        for (a, b, c), m in self.N.items():
+            by_first.setdefault(a, []).append((b, c, m))
+            by_middle.setdefault(b, []).append((a, c, m))
+        excess = Counter()
+        for (a, b, c), m in self.N.items():
+            if a == unit and b != c:
+                unit_bad.add((b, c))
+            if b == unit and a != c:
+                unit_bad.add((a, c))
+            if c == unit and b != dual.get(a):
+                pair_bad.add((a, b))
+            for x, d, k in by_first.get(c, ()):
+                excess[(a, b, x, d)] += m * k
+            for x, d, k in by_middle.get(c, ()):
+                excess[(x, a, b, d)] -= m * k
+        out = [("unit", not unit_bad,
+                "unit row fails at ({},{})".format(*last(unit_bad))
+                if unit_bad else "")]
+
+        dual_bad = ""
+        involution_bad = [a for a in labels if dual.get(dual.get(a)) != a]
+        if involution_bad:
+            dual_bad = f"dual not involutive at {involution_bad[-1]}"
+        if pair_bad:
+            a, b = last(pair_bad)
+            dual_bad = f"N_({a},{b})^unit != {1 if b == dual.get(a) else 0}"
+        if dual.get(unit) != unit:
+            dual_bad = "dual(unit) != unit"
+        out.append(("dual", not dual_bad, dual_bad))
+
+        assoc_bad = {}
+        for (a, b, c, d), k in excess.items():
+            if k:
+                assoc_bad.setdefault((a, b, c), []).append(d)
+        assoc = ""
+        if assoc_bad:
+            a, b, c = last(assoc_bad)
+            d = max(assoc_bad[(a, b, c)], key=self.index)
+            assoc = f"associativity fails at ({a},{b},{c})->{d}"
+        out.append(("associativity", not assoc, assoc))
         return out
 
 

@@ -67,7 +67,17 @@ def _exact_polydiv(num, den):
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    """phi(n), the degree of Phi_n, from the prime factors of n."""
+    if n < 1:
+        raise ValueError("conductor must be positive")
+    phi, m, p = n, n, 2
+    while p * p <= m:
+        if not m % p:
+            phi -= phi // p
+            while not m % p:
+                m //= p
+        p += 1
+    return phi - phi // m if m > 1 else phi
 
 
 @lru_cache(maxsize=None)
@@ -607,6 +617,11 @@ class Cyc:
             raise ValueError(f"bad conductor in encoding: {n!r}")
         if not isinstance(coeffs, list):
             raise ValueError(f"encoding field 'c' must be a list: {coeffs!r}")
+        # phi(N) >= sqrt(N / 2), so a larger N cannot have len(c)
+        # coordinates; refusing it here keeps phi(N) from factoring N
+        if n > 2 * len(coeffs) ** 2:
+            raise ValueError(f"encoding field 'N' = {n} is too large for "
+                             f"{len(coeffs)} coordinates")
         coeffs = [_parse_fraction(s) for s in coeffs]
         return Cyc(n, coeffs)
 

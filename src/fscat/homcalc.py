@@ -41,11 +41,13 @@ entries of a bend (its diagonal, say) and nothing else.
 Degenerate words (hom dimension 0) yield 0x0 blocks that compose legally.
 
 The builders whose arguments are labels and positions (fuse and split
-steps, dropped unit letters, evaluation pairs, guest-path grafts and the
-coevaluation vectors) are memoised per category in ``cat.cached``, and so
-are the right coevaluation blocks of the Frobenius-Schur endomorphisms
-(``indicators._right_block``): in a sweep of those endomorphisms about
-three calls in four repeat an earlier one.  The results are shared, so
+steps, dropped unit letters, evaluation pairs, guest-path grafts, the
+coevaluation vectors and the bend hosts ``_bend_tops``) are memoised per
+category in ``cat.cached``, and so are the right coevaluation blocks of
+the Frobenius-Schur endomorphisms (``indicators._right_block``): in a
+sweep of those endomorphisms about three calls in four repeat an earlier
+one, and a bend host depends only on the bent letters, so every bend of a
+word with the same head shares it.  The results are shared, so
 callers must not mutate them.  ``insert_vector_matrix`` and
 ``splice_host_matrix`` are not memoised: their key would hold a ``Cyc``
 vector, and hashing an irrational ``Cyc`` reduces it, which solves a
@@ -527,14 +529,16 @@ def _bend_matrix(cat, letters, k):
                         lambda rho: _bend_terms(cat, letters, k, tops, rho))
 
 
+@_memoised
 def _bend_tops(cat, head):
     """The nested coevaluation host of a bend of ``head``, by top.
 
-    Returns [(top, weight, tails)], one per distinct p[:k+1] of a host path
-    p of ``db_prime_vector(cat, head)`` with h[p] != 0 (k = len(head)):
+    Returns ((top, weight, tails), ...), one per distinct p[:k+1] of a host
+    path p of ``db_prime_vector(cat, head)`` with h[p] != 0 (k = len(head)):
     ``weight`` is the product of the loop closures and the pivotal scale,
     which read only the top, and ``tails`` lists (p[k+1:], h[p]).  Tops of
-    weight zero are left out.
+    weight zero are left out.  Every bend of a word starting with ``head``
+    shares this result, so it is read-only.
     """
     k = len(head)
     unit = cat.unit
@@ -554,8 +558,8 @@ def _bend_tops(cat, head):
             w = w * cat.ev_coefficient(x) * cat.f_entry(
                 a, cat.dual(x), x, a, top[k - i + 1], unit)
         if w:
-            weighted.append((top, w, tails))
-    return weighted
+            weighted.append((top, w, tuple(tails)))
+    return tuple(weighted)
 
 
 def _bend_terms(cat, letters, k, tops, rho, pin=()):

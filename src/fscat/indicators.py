@@ -4,10 +4,12 @@ The rotation map on Hom(1, x_1 ... x_n) bends the leftmost strand over the
 top: coevaluation wraps for the bent block, evaluations closing it on the
 left, and the inverse pivotal scalar on the bent letters.  Indicators are
 exact traces of its powers, taken once per rotation orbit of words
-(``_orbits``), and ``_orbit_values`` is the one place that picks the route
-for an orbit.  Up to n = WALK_MAX_N (6) each orbit's single-strand powers
-are walked once: the walk records every trace the indicators read and
-whether the n-th power is the identity.  Above, by block monoidality, the
+(``_orbits``) whose block is nonzero: a zero block has zero traces and
+satisfies the power identity vacuously, so it is never walked or bent.
+``_orbit_values`` is the one place that picks the route for an orbit.
+Up to n = WALK_MAX_N (6) each orbit's single-strand powers are walked
+once: the walk records every trace the indicators read and whether the
+n-th power is the identity.  Above, by block monoidality, the
 r-th power is the genuine r-strand bend, so a trace is read off bends
 without any power: the pinned diagonal of E(w, r) for r <= h, and for
 r > h the entries of E(rot_h w, r - h) at the nonzeros of E(w, h),
@@ -149,6 +151,19 @@ def _split(n):
     return 2 * -(-n // 4)
 
 
+@_memoised
+def _split_nonzeros(cat, word):
+    """((rho, q, x), ...) over the nonzero entries x = E(word, h)[rho, q],
+    rho a path of rot_h word and q one of word, h = ``_split(len(word))``;
+    kept per word for every r > h, so read-only."""
+    h = _split(len(word))
+    src = paths(cat, _rot(word, h), cat.unit)
+    tgt = paths(cat, word, cat.unit)
+    return tuple((src[i], tgt[j], x)
+                 for i, row in enumerate(e_map_matrix(cat, word, h))
+                 for j, x in enumerate(row) if x)
+
+
 def _bend_value(cat, word, r):
     """tr E^r on the block of `word`, where rot_r(word) = word, read off
     genuine bends, or for r = n whether E^n = id there; cached per word.
@@ -157,35 +172,43 @@ def _bend_value(cat, word, r):
     E(word, r), and for r > h = ``_split(n)`` it is
     E(rot_h word, r - h) E(word, h).  For r <= h the trace is the pinned
     diagonal of E(word, r).  Otherwise E(word, h) is built: for r < n only
-    the entries of the first factor that meet its nonzeros are made, and
-    for r = n the product is formed and compared with the identity.
+    the entries of the first factor that meet its nonzeros
+    (``_split_nonzeros``, listed once per word) are made, and for r = n the
+    product is formed and compared with the identity.
     """
     def build():
         n, h = len(word), _split(len(word))
-        tgt = paths(cat, word, cat.unit)
         if r <= h:
-            return _bend_entries(cat, word, r, [(p, p, ONE) for p in tgt])
+            return _bend_entries(cat, word, r, [
+                (p, p, ONE) for p in paths(cat, word, cat.unit)])
         mid = _rot(word, h)
-        b = e_map_matrix(cat, word, h)
         if r == n:
-            return is_identity(mat_mul(e_map_matrix(cat, mid, n - h), b))
-        src = paths(cat, mid, cat.unit)
-        return _bend_entries(cat, mid, r - h,
-                             [(src[i], tgt[j], x) for i, row in enumerate(b)
-                              for j, x in enumerate(row) if x])
+            return is_identity(mat_mul(e_map_matrix(cat, mid, n - h),
+                                       e_map_matrix(cat, word, h)))
+        return _bend_entries(cat, mid, r - h, _split_nonzeros(cat, word))
 
     return cat.cached(("bendtr", word, r), build)
 
 
 def _orbits(op):
-    """(least rotation, orbit length) of each rotation orbit of op.words,
-    in label order: an orbit's first word in op.words is its least one."""
+    """(least rotation, orbit length) of each rotation orbit of op.words
+    whose block is nonzero, in label order: an orbit's first word in
+    op.words is its least one.
+
+    A zero block has every trace 0 and satisfies E^n = id vacuously, so it
+    is dropped before anything is walked, bent or multiplied.  Dimension
+    is constant along an orbit, dim Hom(1, xY) = dim Hom(1, Yx) being the
+    multiplicity of x* in Y, so the least word decides it, from integer
+    fusion counts: no path list of a zero block is built.
+    """
+    cat = op.category
     seen, out = set(), []
     for w in op.words:
         if w not in seen:
             orbit = {_rot(w, j) for j in range(op.n)}
             seen |= orbit
-            out.append((w, len(orbit)))
+            if path_counts(cat, ({x: 1} for x in w)).get(cat.unit, 0):
+                out.append((w, len(orbit)))
     return out
 
 
@@ -193,19 +216,18 @@ def _orbit_values(cat, orbits, n, r):
     """Per (word, length) of `orbits`, lazily: tr E^r on the word's block
     (each length divides r < n), or for r = n whether E^n = id there.
 
-    The one place the route is chosen: up to n = WALK_MAX_N the walk
+    The orbits come from ``_orbits``, so every block is nonzero.  This is
+    the one place the route is chosen: up to n = WALK_MAX_N the walk
     (``_orbit_walk``), above it genuine bends (``_bend_value``).  Before the
     first value, the hosts of every bend are counted against the guard:
     the host of E(v, k) is the nested coevaluation of v[:k], of
-    2k <= n + 3 letters; a zero hom space builds none.
+    2k <= n + 3 letters.
     """
     walk = n <= WALK_MAX_N
     if not walk:
         h = _split(n)
         bends = ((0, r),) if r <= h else ((0, h), (h, r - h))
         for w, _ in orbits:
-            if not path_counts(cat, ({x: 1} for x in w)).get(cat.unit, 0):
-                continue
             for j, k in bends:
                 head = _rot(w, j)[:k]
                 host = dual_word(cat, head) + head
@@ -263,7 +285,8 @@ def indicator(cat: Category, obj, n: int, r: int) -> Cyc:
 
     The words fixed by rot_r are the orbits whose length divides r, and
     every word of an orbit contributes its trace (``_orbit_values``) times
-    its fixed slot count, which is the same on the whole orbit.
+    its fixed slot count, which is the same on the whole orbit.  Orbits of
+    zero blocks contribute 0 and are dropped by ``_orbits`` unvisited.
     """
     obj = _as_expr(cat, obj)
     op = rotation_operator(cat, obj, n)
@@ -283,7 +306,9 @@ def check_power_identity(cat: Category, obj, n: int) -> bool:
 
     The full operator is block-cyclic over words, so the identity is
     checked once per rotation orbit (conjugate chains are simultaneously
-    the identity), by ``_orbit_values``.  Block monoidality checks that
+    the identity), by ``_orbit_values``.  Both hold vacuously on a zero
+    block, so ``_orbits`` drops those orbits and none of their bends is
+    built or multiplied.  Block monoidality checks that
     rotating k letters and then m equals rotating k+m in one genuine block
     bend; the bend builds hom spaces of up to max(n, 2k) letters, which
     grow like FPdim^max(n, 2k), so this part runs at word lengths up to 5.

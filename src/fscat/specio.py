@@ -117,16 +117,19 @@ def category_from_dict(data) -> Category:
         try:
             entries[key] = Cyc.decode(rec["value"])
         except ValueError as exc:
-            raise SpecFormatError(str(exc)) from None
+            raise SpecFormatError(f"F record {key}: {exc}") from None
     pivotal = None
     if "pivotal" in data:
         if not isinstance(data["pivotal"], dict):
             raise SpecFormatError("pivotal must be a mapping")
-        try:
-            pivotal = PivotalData(
-                {a: Cyc.decode(v) for a, v in data["pivotal"].items()})
-        except ValueError as exc:
-            raise SpecFormatError(str(exc)) from None
+        t = {}
+        for a, value in data["pivotal"].items():
+            try:
+                t[a] = Cyc.decode(value)
+            except ValueError as exc:
+                raise SpecFormatError(
+                    f"pivotal value of {a!r}: {exc}") from None
+        pivotal = PivotalData(t)
     ring = FusionRing(simples, data["unit"], dual, fusion)
     return Category(name, ring, FSymbolSet(entries), pivotal, conductor)
 

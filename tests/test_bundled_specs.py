@@ -2,6 +2,8 @@
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import fscat
 
@@ -17,9 +19,26 @@ def load_generator():
     return module
 
 
+def assert_same_specs(out_dir):
+    names = sorted(p.name for p in SPECS.glob("*.json"))
+    assert len(names) == 10
+    assert sorted(p.name for p in out_dir.glob("*.json")) == names
+    for name in names:
+        assert (out_dir / name).read_bytes() == (SPECS / name).read_bytes(), name
+
+
 def test_bundled_specs_regenerate_byte_for_byte(tmp_path):
     load_generator().main(tmp_path)
-    names = sorted(p.name for p in SPECS.glob("*.json"))
-    assert sorted(p.name for p in tmp_path.glob("*.json")) == names
-    for name in names:
-        assert (tmp_path / name).read_bytes() == (SPECS / name).read_bytes(), name
+    assert_same_specs(tmp_path)
+
+
+def test_generator_command_reproduces_the_bundled_specs(tmp_path):
+    # the documented command, run from another directory on a fresh
+    # interpreter: it finds the sources itself and writes OUT_DIR only
+    out = tmp_path / "specs"
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "generate_bundled_specs.py"),
+         str(out)], cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert_same_specs(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["specs"]

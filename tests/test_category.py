@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,91 @@ def test_ring_associativity_matches_the_five_loop_reference():
             assert got == [_reference_associativity(r)], (name, what)
             failing += not got[0][1]
     assert failing  # some mutations break associativity
+
+
+def _reference_ring_axiom_checks(ring):
+    """The ring items from all-pairs and all-triples label loops over
+    ``FusionRing.n`` and ``channels``; each detail is the loop's last
+    failure."""
+    out = []
+    unit_ok, unit_bad = True, ""
+    for a in ring.labels:
+        for b in ring.labels:
+            if ring.n(ring.unit, a, b) != (1 if a == b else 0) or \
+               ring.n(a, ring.unit, b) != (1 if a == b else 0):
+                unit_ok, unit_bad = False, f"unit row fails at ({a},{b})"
+    out.append(("unit", unit_ok, unit_bad))
+
+    dual_ok, dual_bad = True, ""
+    for a in ring.labels:
+        if ring.dual.get(ring.dual.get(a)) != a:
+            dual_ok, dual_bad = False, f"dual not involutive at {a}"
+    for a in ring.labels:
+        for b in ring.labels:
+            want = 1 if b == ring.dual.get(a) else 0
+            if ring.n(a, b, ring.unit) != want:
+                dual_ok, dual_bad = False, f"N_({a},{b})^unit != {want}"
+    if ring.dual.get(ring.unit) != ring.unit:
+        dual_ok, dual_bad = False, "dual(unit) != unit"
+    out.append(("dual", dual_ok, dual_bad))
+
+    assoc_ok, assoc_bad = True, ""
+    for a in ring.labels:
+        for b in ring.labels:
+            for c in ring.labels:
+                lhs, rhs = Counter(), Counter()
+                for e in ring.channels(a, b):
+                    for d in ring.channels(e, c):
+                        lhs[d] += ring.n(a, b, e) * ring.n(e, c, d)
+                for f in ring.channels(b, c):
+                    for d in ring.channels(a, f):
+                        rhs[d] += ring.n(b, c, f) * ring.n(a, f, d)
+                bad = [d for d in lhs.keys() | rhs.keys() if lhs[d] != rhs[d]]
+                if bad:
+                    d = max(bad, key=ring.index)
+                    assoc_ok = False
+                    assoc_bad = f"associativity fails at ({a},{b},{c})->{d}"
+    out.append(("associativity", assoc_ok, assoc_bad))
+    return out
+
+
+def _ring_breakages(ring, rng):
+    """Rings with one axiom broken on purpose: a unit row, the dual
+    involution, N(a, a*, 1) and, through the multiplicities, associativity."""
+    labels, unit, dual = ring.labels, ring.unit, ring.dual
+    others = [a for a in labels if a != unit]
+    for a in others:
+        for b in labels:
+            yield f"unit row ({a},{b})", FusionRing(
+                labels, unit, dual, {**ring.N, (unit, a, b): int(a != b)})
+            yield f"right unit row ({a},{b})", FusionRing(
+                labels, unit, dual, {**ring.N, (a, unit, b): int(a != b)})
+        for b in labels:
+            if b != dual[a]:
+                yield f"dual of {a} -> {b}", FusionRing(
+                    labels, unit, {**dual, a: b}, ring.N)
+        yield f"N({a},{a}*,1) = 2", FusionRing(
+            labels, unit, dual, {**ring.N, (a, dual[a], unit): 2})
+        yield f"N({a},{a}*,1) = 0", FusionRing(
+            labels, unit, dual, {**ring.N, (a, dual[a], unit): 0})
+    yield "dual(unit)", FusionRing(labels, unit, {**dual, unit: labels[-1]},
+                                   ring.N)
+    yield from _ring_mutations(ring, 20, rng)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_ring_axiom_checks_match_the_label_loops(name):
+    # one pass over the stored rows decides each item and names the same
+    # last failure as the loops over every label pair and triple
+    ring = bundled(name).ring
+    rng = random.Random(name)
+    failing = set()
+    for what, r in [(None, ring), *_ring_breakages(ring, rng)]:
+        got = r.ring_axiom_checks()
+        assert got == _reference_ring_axiom_checks(r), (name, what)
+        failing |= {item for item, ok, _ in got if not ok}
+    if len(ring.labels) > 1:
+        assert failing == {"unit", "dual", "associativity"}, name
 
 
 def _same_f_table(c1, c2):

@@ -155,6 +155,13 @@ MALFORMED = {
     "conductor_true": (lambda d: d.update(conductor=True), "conductor"),
     "multiplicity_true": (lambda d: d["fusion"][0].__setitem__(3, True),
                           "fusion row"),
+    # conductors far above what their coordinate lists can encode
+    "f_conductor_2_40": (
+        lambda d: d["F"][0].update(value={"N": 2 ** 40, "c": ["1"]}),
+        "'N' = 1099511627776"),
+    "pivotal_conductor_prime": (
+        lambda d: d["pivotal"].update(t={"N": 2 ** 61 - 1, "c": ["1"]}),
+        "pivotal value of 't'"),
 }
 
 

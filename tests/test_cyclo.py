@@ -22,6 +22,23 @@ def test_cyclotomic_polynomials():
     assert [euler_phi(n) for n in (1, 2, 3, 4, 8, 9, 12)] == [1, 1, 2, 2, 4, 6, 4]
 
 
+def test_euler_phi_is_the_degree_of_the_cyclotomic_polynomial():
+    for n in range(1, 301):
+        assert euler_phi(n) == len(cyclotomic_polynomial(n)) - 1, n
+    with pytest.raises(ValueError):
+        euler_phi(0)
+
+
+@pytest.mark.parametrize("n", [2 ** 40, 2 ** 61 - 1], ids=["2^40", "prime"])
+def test_decode_refuses_a_conductor_too_large_for_its_coordinates(n):
+    # phi(N) >= sqrt(N / 2), so one coordinate cannot encode these; the
+    # refusal comes before phi(N) is computed or N factored
+    with pytest.raises(ValueError, match="encoding field 'N'"):
+        Cyc.decode({"N": n, "c": ["1"]})
+    assert Cyc.decode({"N": 2, "c": ["1"]}) == 1
+    assert Cyc.decode({"N": 8, "c": ["0", "0", "1", "0"]}) == z(4)
+
+
 def test_root_of_unity_identities():
     assert z(1, 0) == 1
     assert z(4, 2) == -1

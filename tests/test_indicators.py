@@ -18,10 +18,11 @@ from fscat.homcalc import (LinMap, attach_pair_matrix, db_prime_vector,
 from fscat.homcalc import _bend_entries, paths
 from fscat import indicators
 from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _right_block,
-                              _split, check_fs_theorems, check_power_identity,
-                              check_reversal_symmetry, e_map, e_map_matrix,
-                              fs_scalar, indicator, indicator_report,
-                              is_spherical, qn_distance, rotation_operator)
+                              _split, _split_nonzeros, check_fs_theorems,
+                              check_power_identity, check_reversal_symmetry,
+                              e_map, e_map_matrix, fs_scalar, indicator,
+                              indicator_report, is_spherical, qn_distance,
+                              rotation_operator)
 from fscat.linalg import eye, is_identity, mat_mul, mat_trace, mat_vec, zeros
 from fscat.oracles import (char_indicator, d4_table, q8_table, s3_table,
                            spliced_db_prime_vector, spliced_e_map_matrix)
@@ -262,6 +263,65 @@ def test_bend_route_matches_the_walk(name, monkeypatch):
                 assert got == want, (c.name, str(obj), n)
 
 
+def _rotation_pass(cat, cases):
+    """The power identity and every indicator of each (object, n) case."""
+    return [(check_power_identity(cat, obj, n),
+             [indicator(cat, obj, n, r) for r in range(n + 1)])
+            for obj, n in cases]
+
+
+def _walk_every_orbit(cat, obj, n):
+    """(power identity, [nu_{n,r} for r = 0..n]) of a multiplicity-free
+    object, walking every rotation orbit, zero blocks included, and at
+    2 <= n <= 5 checking block monoidality on each of them."""
+    op = rotation_operator(cat, obj, n)
+    seen, orbits = set(), []
+    for w in op.words:
+        if w not in seen:
+            orbit = {w[j:] + w[:j] for j in range(n)}
+            seen |= orbit
+            orbits.append((w, len(orbit)))
+    walks = [indicators._orbit_walk(cat, w) for w, _ in orbits]
+    ident = all(ok for _, ok in walks)
+    for w, _ in orbits if n <= 5 else ():
+        for k in range(1, n):
+            for m in range(1, n - k):
+                ident &= mat_mul(e_map_matrix(cat, w[k:] + w[:k], m),
+                                 e_map_matrix(cat, w, k)) == \
+                    e_map_matrix(cat, w, k + m)
+    values = [Cyc.rational(op.total_dimension)]
+    for r in range(1, n):
+        values.append(sum((d * traces[r] for (_, d), (traces, _)
+                           in zip(orbits, walks) if r % d == 0), Cyc.zero()))
+    values.append(values[0])
+    return ident, values
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_zero_blocks_are_dropped_not_walked(name):
+    # a zero block has zero traces and satisfies E^n = id vacuously, so
+    # dropping it changes no value; the warm category then holds no walk,
+    # bend or split key of a zero-dimensional word
+    cat = bundled(name)
+    objs = [ObjectExpr.simple(a) for a in cat.labels]
+    objs += [ObjectExpr({a: 1, b: 1})
+             for a, b in itertools.combinations(cat.labels, 2)]
+    warm, ref = (cat.with_pivotal(cat.pivotal) for _ in range(2))
+    zero_words = 0
+    for obj in objs:
+        for n in range(1, 7):
+            got = _rotation_pass(warm, [(obj, n)])[0]
+            assert got == _walk_every_orbit(ref, obj, n), (str(obj), n)
+            zero_words += sum(not hom_dimension(cat, w)
+                              for w in rotation_operator(cat, obj, n).words)
+    assert zero_words or name == "trivial"
+    for key in warm._cache:
+        if key[0] in ("emap", "walk", "bendtr", "_split_nonzeros"):
+            assert path_counts(cat, ({x: 1} for x in key[1])).get(
+                cat.unit, 0), key
+    assert any(key[0] == "walk" for key in warm._cache)
+
+
 def test_e_map_requires_pivotal():
     bare = bundled("fibonacci").with_pivotal(None)
     with pytest.raises(MissingPivotalError):
@@ -440,16 +500,20 @@ def test_fs_scalar_bad_arguments():
 # the label-keyed builders memoised in ``cat.cached``, by their memo kind
 MEMOISED_BUILDERS = {name: getattr(fscat.homcalc, name) for name in (
     "fuse_step_matrix", "drop_unit_letter_matrix", "contract_pair_matrix",
-    "graft_path_matrix", "db_vector", "db_prime_vector")}
+    "graft_path_matrix", "db_vector", "db_prime_vector", "_bend_tops")}
 MEMOISED_BUILDERS["_right_block"] = _right_block
+MEMOISED_BUILDERS["_split_nonzeros"] = _split_nonzeros
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_shared_memos_give_cold_results(name):
-    # a caller that mutated a shared matrix, vector or right-block state
-    # would change the second warm pass, or the cached builds, against cold
-    # categories; the FS sweep reaches every builder but ``db_vector``,
-    # which the dual of the identity on (a, a) reaches
+    # a caller that mutated a shared matrix, vector, bend host or
+    # right-block state would change the second warm pass, or the cached
+    # builds, against cold categories; the FS sweep reaches the FS
+    # builders but ``db_vector``, which the dual of the identity on (a, a)
+    # reaches, and the rotation pass reaches the bend hosts, and at n = 7
+    # and 8 the split nonzeros (every spec has a nonzero a^7 or a^8 of
+    # dimension <= 16, the unit's at least)
     cat = bundled(name)
     cases = [(a, n, l, r) for a in cat.labels for n in range(1, 5)
              for l in range(n) for r in range(n - l)]
@@ -458,6 +522,13 @@ def test_shared_memos_give_cold_results(name):
     second = [fs_scalar(warm, *case) for case in cases]
     cold = [fs_scalar(cat.with_pivotal(cat.pivotal), *case) for case in cases]
     assert first == second == cold
+    turns = [(ObjectExpr.simple(a), n) for a in cat.labels
+             for n in range(1, 6)]
+    turns += [(ObjectExpr.simple(a), n) for a in cat.labels for n in (7, 8)
+              if 0 < hom_dimension(cat, (a,) * n) <= 16]
+    first = _rotation_pass(warm, turns)
+    assert first == _rotation_pass(warm, turns)
+    assert first == _rotation_pass(cat.with_pivotal(cat.pivotal), turns)
     duals = [dual_morphism(warm, LinMap.identity(warm, (a, a))).blocks
              for a in cat.labels]
     assert duals == [dual_morphism(warm, LinMap.identity(warm, (a, a))).blocks

@@ -4,9 +4,10 @@
     python3 tools/time_ind.py ty_z2z2_plus --object sigma --n 12 --runs 3 \\
         PARENT_DIR CHANGE_DIR
 
-Each run is ``python -m fscat.cli ind SPEC --object X --n N --format json``
-in a new subprocess on the checkout's own ``src/``; with two checkouts the
-runs alternate between them (the first checkout starts).  SPEC is a path, or
+Each run is ``python -m fscat.cli ind SPEC --object X --n N --format json``,
+with ``--r R`` when given, in a new subprocess on the checkout's own
+``src/``; with two checkouts the runs alternate between them (the first
+checkout starts).  SPEC is a path, or
 the name of a spec bundled in each checkout.  For each checkout it prints
 the run count, the minimum, median and maximum wall time, and the peak
 resident set size of the runs (from ``os.wait4``, so only this script's own
@@ -53,6 +54,7 @@ def main(argv=None) -> int:
                    help="one or two checkout directories")
     p.add_argument("--object", required=True)
     p.add_argument("--n", required=True, help="as `fscat ind --n`")
+    p.add_argument("--r", help="as `fscat ind --r`")
     p.add_argument("--runs", type=int, default=3)
     args = p.parse_args(argv)
     if len(args.checkouts) > 2:
@@ -65,13 +67,15 @@ def main(argv=None) -> int:
         for checkout in args.checkouts:
             wall, rss, code, out = run_once(checkout, [
                 "ind", spec_path(checkout, args.spec), "--object", args.object,
-                "--n", args.n, "--format", "json"])
+                "--n", args.n, *(("--r", args.r) if args.r else ()),
+                "--format", "json"])
             print(f"run {i + 1}/{args.runs} {checkout}: {wall:.3f} s, "
                   f"{rss:.1f} MB, exit {code}", file=sys.stderr)
             ok = ok and code == 0
             runs[checkout].append((wall, rss))
             outputs.add(out)
-    print(f"fscat ind {args.spec} --object {args.object} --n {args.n}")
+    print(f"fscat ind {args.spec} --object {args.object} --n {args.n}"
+          + (f" --r {args.r}" if args.r else ""))
     for checkout, got in runs.items():
         walls = sorted(w for w, _ in got)
         print(f"{checkout}: {len(got)} runs, wall min {walls[0]:.3f} / "
