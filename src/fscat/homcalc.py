@@ -22,33 +22,41 @@ rotation maps of the indicator machinery) exist only on the unit root.
 Operations that extend or bend a map (``close_loop``, ``dual_morphism``)
 require morphism-backed inputs.
 
-Every local move on fusion paths becomes a matrix through one kernel,
-``_path_matrix``: the move sends each source path to weighted target paths,
-and the kernel lays the weights out on the two path bases.  Removals are
+Every local move on fusion paths becomes a matrix through the path-basis
+kernel: the move sends each source path to weighted target paths, and
+``_path_columns`` lays the weights out on the two path bases, one column of
+nonzero ``(row, coeff)`` pairs per source path (the column form of
+``linalg``).  The move builders return that form, because nearly all of
+them are applied to one vector (``mat_vec``); the ``LinMap`` blocks and
+every operand of ``mat_mul`` are dense rows, converted once by
+``linalg.dense``.  ``_path_matrix`` fills dense rows in place from the same
+moves, for the matrices that are only multiplied whole: the walk's
+rotations, the right operator extension and the split step.  Removals are
 single-vertex moves (fuse, drop a unit letter, evaluation).  Every
 insertion is a graft, which re-associates a unit-rooted guest subword into
 the running path by a chain of elementary inverse F-moves
 (``_graft_coeffs``): ``graft_path_matrix`` grafts one guest path (a
 coevaluation pair is its path (1, b, 1)), and ``insert_vector_matrix`` and
 ``splice_host_matrix`` graft with the guest or the host vector fixed.  A
-k-strand bend is one graft too (``_bend_matrix``): the word is spliced once
-into the nested coevaluation of its first k letters, and the loop closures
-that follow keep only the paths that retrace their stages around each
-closed pair, so the first k stages of each graft chain are pinned to the
-host path's and only those chains are generated.  ``_bend_entries`` pins
-the rest of each chain to one target path as well, so it makes single
-entries of a bend (its diagonal, say) and nothing else.
-Degenerate words (hom dimension 0) yield 0x0 blocks that compose legally.
+k-strand bend is one graft too (``_bend_matrix``, by columns
+``_bend_columns``): the word is spliced once into the nested coevaluation
+of its first k letters, and the loop closures that follow keep only the
+paths that retrace their stages around each closed pair, so the first k
+stages of each graft chain are pinned to the host path's and only those
+chains are generated.  ``_bend_entries`` pins the rest of each chain to one
+target path as well, so it makes single entries of a bend (its diagonal,
+say) and nothing else.  Degenerate words (hom dimension 0) yield 0x0 blocks that compose legally.
 
 The builders whose arguments are labels and positions (fuse and split
 steps, dropped unit letters, evaluation pairs, guest-path grafts, the
-coevaluation vectors and the bend hosts ``_bend_tops``) are memoised per
-category in ``cat.cached``, and so are the right coevaluation blocks of
-the Frobenius-Schur endomorphisms (``indicators._right_block``): in a
-sweep of those endomorphisms about three calls in four repeat an earlier
-one, and a bend host depends only on the bent letters, so every bend of a
-word with the same head shares it.  The results are shared, so
-callers must not mutate them.  ``insert_vector_matrix`` and
+coevaluation vectors, the bend hosts ``_bend_tops`` and the bends by
+columns ``_bend_columns``) are memoised per category in ``cat.cached``,
+and so are the right coevaluation blocks of the Frobenius-Schur
+endomorphisms (``indicators._right_block``): in a sweep of those
+endomorphisms about three calls in four repeat an earlier one, and a bend
+host depends only on the bent letters, so every bend of a word with the
+same head shares it.  The results are shared, so callers must not mutate
+them.  ``insert_vector_matrix`` and
 ``splice_host_matrix`` are not memoised: their key would hold a ``Cyc``
 vector, and hashing an irrational ``Cyc`` reduces it, which solves a
 linear system.
@@ -63,7 +71,7 @@ from dataclasses import dataclass
 
 from .category import Category
 from .cyclo import Cyc
-from .linalg import eye, is_identity, mat_inv, mat_mul, mat_vec, zeros
+from .linalg import dense, eye, is_identity, mat_inv, mat_mul, mat_vec, zeros
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -314,13 +322,30 @@ def _path_index(cat, letters, root):
     return cat.cached(("pidx", tuple(letters), root), build)
 
 
-def _path_matrix(cat, src, tgt, root, moves):
-    """Matrix on Hom(root, -) path bases of a local move from src to tgt.
+def _path_columns(cat, src, tgt, root, moves):
+    """Column form (``linalg``) on Hom(root, -) path bases of a local move
+    from src to tgt.
 
     ``moves(p)`` yields ``(q, coeff)`` pairs for the source path ``p``;
-    column ``p`` accumulates ``coeff`` at row ``q``.  Zero coefficients and
-    target paths that are not admissible are dropped.
+    column ``p`` accumulates ``coeff`` at row ``q``.  Zero coefficients,
+    sums that cancel and target paths that are not admissible are dropped.
     """
+    tidx = _path_index(cat, tgt, root)
+    cols = []
+    for p in paths(cat, src, root):
+        col = {}
+        for q, val in moves(p):
+            if val:
+                row = tidx.get(q)
+                if row is not None:
+                    col[row] = col[row] + val if row in col else val
+        cols.append(tuple((i, x) for i, x in col.items() if x))
+    return len(tidx), tuple(cols)
+
+
+def _path_matrix(cat, src, tgt, root, moves):
+    """``_path_columns`` as dense rows, filled in place: for the matrices
+    that are multiplied whole, the walk's rotations and the extensions."""
     sp = paths(cat, src, root)
     out = zeros(len(paths(cat, tgt, root)), len(sp))
     tidx = _path_index(cat, tgt, root)
@@ -356,7 +381,7 @@ def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest_vec):
     comb = host_letters[:i] + guest_letters + host_letters[i:]
     guest = [(rho, c) for rho, c in
              zip(paths(cat, guest_letters, cat.unit), guest_vec) if c]
-    return _path_matrix(
+    return _path_columns(
         cat, host_letters, comb, root,
         lambda p: _graft_moves(cat, i, guest_letters,
                                [(p, rho, c) for rho, c in guest]))
@@ -373,7 +398,7 @@ def splice_host_matrix(cat, host_letters, host_vec, i, guest_letters):
     comb = host_letters[:i] + guest_letters + host_letters[i:]
     host = [(p, c) for p, c in
             zip(paths(cat, host_letters, cat.unit), host_vec) if c]
-    return _path_matrix(
+    return _path_columns(
         cat, guest_letters, comb, cat.unit,
         lambda rho: _graft_moves(cat, i, guest_letters,
                                  [(p, rho, c) for p, c in host]))
@@ -403,7 +428,7 @@ def _memoised(build):
 def fuse_step_matrix(cat, letters, root, i, w):
     """Fuse adjacent letters (x_i, x_{i+1}) into the channel w."""
     u, v = letters[i], letters[i + 1]
-    return _path_matrix(
+    return _path_columns(
         cat, letters, letters[:i] + (w,) + letters[i + 2:], root,
         lambda p: [(p[:i + 1] + p[i + 2:],
                     cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], w))])
@@ -411,8 +436,9 @@ def fuse_step_matrix(cat, letters, root, i, w):
 
 @_memoised
 def split_step_matrix(cat, letters, root, i, u, v):
-    """Split the letter x_i into the admissible pair (u, v).  The library
-    inserts by grafts; this inverse of the fuse step is a test reference."""
+    """Split the letter x_i into the admissible pair (u, v), as dense rows.
+    The library inserts by grafts; this inverse of the fuse step is a test
+    reference."""
     x = letters[i]
     if not cat.n(u, v, x):
         raise ValueError(f"({u},{v}) is not an admissible splitting of {x}")
@@ -427,7 +453,7 @@ def split_step_matrix(cat, letters, root, i, u, v):
 def drop_unit_letter_matrix(cat, letters, root, i):
     """Remove the unit letter at position i; the path drops its stage p_i."""
     assert letters[i] == cat.unit
-    return _path_matrix(
+    return _path_columns(
         cat, letters, letters[:i] + letters[i + 1:], root,
         lambda p: [(p[:i + 1] + p[i + 2:], ONE)])
 
@@ -444,7 +470,7 @@ def contract_pair_matrix(cat, letters, root, i):
     if cat.dual(u) != v:
         raise ValueError(f"letters ({u},{v}) are not a dual pair")
     mu = cat.ev_coefficient(v)
-    return _path_matrix(
+    return _path_columns(
         cat, letters, letters[:i] + letters[i + 2:], root,
         lambda p: [(p[:i + 1] + p[i + 3:],
                     mu * cat.f_entry(p[i], u, v, p[i], p[i + 1], cat.unit))]
@@ -456,7 +482,7 @@ def graft_path_matrix(cat, letters, root, i, guest_letters, rho):
     """Graft the unit-rooted guest path rho through ``guest_letters`` at
     position i: ``insert_vector_matrix`` with that basis vector as guest.
     It equals inserting a unit letter and splitting it along rho."""
-    return _path_matrix(
+    return _path_columns(
         cat, letters, letters[:i] + guest_letters + letters[i:], root,
         lambda p: _graft_moves(cat, i, guest_letters, [(p, rho, ONE)]))
 
@@ -520,13 +546,31 @@ def _bend_matrix(cat, letters, k):
     p[:k+1], so they make one weight per such top (``_bend_tops``), which
     seeds its graft chains; h[p] scales each chain as it lands
     (``_bend_terms``).  No word longer than max(n, 2k) letters is built.
+    The matrix is filled in place, for the walk that multiplies it whole;
+    ``_bend_columns`` makes the same moves in column form.
     """
     letters = tuple(letters)
     if not paths(cat, letters, cat.unit):
         return []  # the rotation of a zero space; its host is never built
-    tops = _bend_tops(cat, letters[:k])
     return _path_matrix(cat, letters, letters[k:] + letters[:k], cat.unit,
-                        lambda rho: _bend_terms(cat, letters, k, tops, rho))
+                        _bend_moves(cat, letters, k))
+
+
+@_memoised
+def _bend_columns(cat, letters, k):
+    """E(w, k) in column form, by the moves of ``_bend_matrix``; kept per
+    word and k for the split reads of the indicators, so read-only."""
+    if not paths(cat, letters, cat.unit):
+        return 0, ()  # the rotation of a zero space; its host is never built
+    return _path_columns(cat, letters, letters[k:] + letters[:k], cat.unit,
+                         _bend_moves(cat, letters, k))
+
+
+def _bend_moves(cat, letters, k):
+    """The moves of E(w, k) on the source path rho: its ``_bend_terms``
+    over the host of w[:k]."""
+    tops = _bend_tops(cat, letters[:k])
+    return lambda rho: _bend_terms(cat, letters, k, tops, rho)
 
 
 @_memoised
@@ -544,7 +588,8 @@ def _bend_tops(cat, head):
     unit = cat.unit
     host, hvec = db_prime_vector(cat, head)
     last = head[-1]
-    outer = (contract_pair_matrix(cat, (cat.dual(last), last), unit, 0)[0][0]
+    outer = (mat_vec(contract_pair_matrix(cat, (cat.dual(last), last), unit, 0),
+                     [ONE])[0]
              * math.prod(map(cat.t, head), start=ONE).inverse())
     tops = {}
     for p, c in zip(paths(cat, host, unit), hvec):
@@ -705,14 +750,15 @@ def pivotal_matrix(cat, word) -> LinMap:
 def ev_matrix(cat, a) -> LinMap:
     """Evaluation dual(a) (x) a -> empty word, on all roots."""
     letters = (cat.dual(a), a)
-    blocks = {r: contract_pair_matrix(cat, letters, r, 0) for r in cat.labels}
+    blocks = {r: dense(contract_pair_matrix(cat, letters, r, 0))
+              for r in cat.labels}
     return LinMap(cat, TensorWord.of(letters), TensorWord.of(()), blocks)
 
 
 def coev_matrix(cat, a) -> LinMap:
     """Coevaluation: empty word -> a (x) dual(a), on all roots."""
     letters = (a, cat.dual(a))
-    blocks = {r: attach_pair_matrix(cat, (), r, 0, a) for r in cat.labels}
+    blocks = {r: dense(attach_pair_matrix(cat, (), r, 0, a)) for r in cat.labels}
     return LinMap(cat, TensorWord.of(()), TensorWord.of(letters), blocks)
 
 
@@ -728,13 +774,13 @@ def dual_morphism(cat, m: LinMap) -> LinMap:
     blocks = {}
     for r in cat.labels:
         ins = insert_vector_matrix(cat, dw2, r, len(dw2), db_letters, db_vec)
-        mat = mat_mul(mid.block(r), ins)
+        mat = mat_mul(mid.block(r), dense(ins))
         cur = dw2 + w2 + dw1
         k = len(w2)
         for j in range(k):
             pos = k - 1 - j
             step = contract_pair_matrix(cat, cur, r, pos)
-            mat = mat_mul(step, mat)
+            mat = mat_mul(dense(step), mat)
             cur = cur[:pos] + cur[pos + 2:]
         assert cur == dw1
         blocks[r] = mat
@@ -789,7 +835,8 @@ def close_loop(cat, m: LinMap, side: str, count: int) -> LinMap:
             for r in cat.labels:
                 att = attach_pair_matrix(cat, rest, r, 0, cat.dual(b))
                 con = contract_pair_matrix(cat, (cat.dual(b),) + letters, r, 0)
-                blocks[r] = mat_mul(con, mat_mul(ext.block(r), att))
+                blocks[r] = mat_mul(dense(con), mat_mul(ext.block(r),
+                                                        dense(att)))
             scale = piv.t[b].inverse()
             out = LinMap(cat, TensorWord.of(rest), TensorWord.of(rest),
                          blocks).scaled(scale)
@@ -801,7 +848,8 @@ def close_loop(cat, m: LinMap, side: str, count: int) -> LinMap:
                 att = attach_pair_matrix(cat, rest, r, len(rest), b)
                 con = contract_pair_matrix(cat, letters + (cat.dual(b),), r,
                                            len(letters) - 1)
-                blocks[r] = mat_mul(con, mat_mul(ext.block(r), att))
+                blocks[r] = mat_mul(dense(con), mat_mul(ext.block(r),
+                                                        dense(att)))
             out = LinMap(cat, TensorWord.of(rest), TensorWord.of(rest),
                          blocks).scaled(piv.t[b])
         else:

@@ -14,11 +14,14 @@ r-th power is the genuine r-strand bend, so a trace is read off bends
 without any power: the pinned diagonal of E(w, r) for r <= h, and for
 r > h the entries of E(rot_h w, r - h) at the nonzeros of E(w, h),
 h = ``_split(n)``; the power identity is one split product
-E(rot_h w, n - h) E(w, h) = id per orbit (``_bend_value``).
-Block monoidality itself is checked at n <= 5.  The Frobenius-Schur
-endomorphisms are built independently, from dual bases of the composition
-pairing transported through the trivial component, so the trace formula is
-a genuine cross-check between two routes and not a definition.
+E(rot_h w, n - h) E(w, h) = id per orbit (``_bend_value``), formed from the
+two bends by columns (``homcalc._bend_columns``) one column at a time over
+their nonzeros, each column compared with e_j: no dense bend is built
+above the walk.  Block monoidality itself is checked at n <= 5.  The
+Frobenius-Schur endomorphisms are built independently, from dual bases of
+the composition pairing transported through the trivial component, so the
+trace formula is a genuine cross-check between two routes and not a
+definition.
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ from .category import Category, ObjectExpr, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, TensorWord,
-                      _bend_entries, _bend_matrix, _memoised,
+                      _bend_columns, _bend_entries, _bend_matrix, _memoised,
                       attach_pair_matrix, check_dimension_guard,
                       contract_pair_matrix, db_prime_vector,
                       drop_unit_letter_matrix, dual_word, fuse_step_matrix,
                       graft_path_matrix, insert_vector_matrix, path_counts,
                       paths, pivotal_trace)
-from .linalg import eye, is_identity, mat_equal, mat_mul, mat_trace, mat_vec
+from .linalg import (eye, is_identity, is_identity_product, mat_equal, mat_mul,
+                     mat_trace, mat_vec)
 from .pivotal import is_pseudo_unitary
 
 ONE = Cyc.one()
@@ -154,14 +158,15 @@ def _split(n):
 @_memoised
 def _split_nonzeros(cat, word):
     """((rho, q, x), ...) over the nonzero entries x = E(word, h)[rho, q],
-    rho a path of rot_h word and q one of word, h = ``_split(len(word))``;
-    kept per word for every r > h, so read-only."""
+    rho a path of rot_h word and q one of word, h = ``_split(len(word))``,
+    read off the columns of the bend (``_bend_columns``); kept per word for
+    every r > h, so read-only."""
     h = _split(len(word))
-    src = paths(cat, _rot(word, h), cat.unit)
-    tgt = paths(cat, word, cat.unit)
-    return tuple((src[i], tgt[j], x)
-                 for i, row in enumerate(e_map_matrix(cat, word, h))
-                 for j, x in enumerate(row) if x)
+    rows = paths(cat, _rot(word, h), cat.unit)
+    _, cols = _bend_columns(cat, word, h)
+    return tuple((rows[i], q, x)
+                 for q, col in zip(paths(cat, word, cat.unit), cols)
+                 for i, x in col)
 
 
 def _bend_value(cat, word, r):
@@ -171,10 +176,11 @@ def _bend_value(cat, word, r):
     By block monoidality the r-step composite of single-strand rotations is
     E(word, r), and for r > h = ``_split(n)`` it is
     E(rot_h word, r - h) E(word, h).  For r <= h the trace is the pinned
-    diagonal of E(word, r).  Otherwise E(word, h) is built: for r < n only
-    the entries of the first factor that meet its nonzeros
+    diagonal of E(word, r).  Otherwise E(word, h) is built by columns: for
+    r < n only the entries of the first factor that meet its nonzeros
     (``_split_nonzeros``, listed once per word) are made, and for r = n the
-    product is formed and compared with the identity.
+    first factor is built by columns too and the product is formed column by
+    column over the nonzeros, each column compared with e_j exactly.
     """
     def build():
         n, h = len(word), _split(len(word))
@@ -183,8 +189,8 @@ def _bend_value(cat, word, r):
                 (p, p, ONE) for p in paths(cat, word, cat.unit)])
         mid = _rot(word, h)
         if r == n:
-            return is_identity(mat_mul(e_map_matrix(cat, mid, n - h),
-                                       e_map_matrix(cat, word, h)))
+            return is_identity_product(_bend_columns(cat, mid, n - h),
+                                       _bend_columns(cat, word, h))
         return _bend_entries(cat, mid, r - h, _split_nonzeros(cat, word))
 
     return cat.cached(("bendtr", word, r), build)
@@ -199,17 +205,24 @@ def _orbits(op):
     is dropped before anything is walked, bent or multiplied.  Dimension
     is constant along an orbit, dim Hom(1, xY) = dim Hom(1, Yx) being the
     multiplicity of x* in Y, so the least word decides it, from integer
-    fusion counts: no path list of a zero block is built.
+    fusion counts: no path list of a zero block is built.  The words are
+    every word over op's support, so the orbits are kept in ``cat.cached``
+    per (support, n); the result is shared, so read-only.
     """
     cat = op.category
-    seen, out = set(), []
-    for w in op.words:
-        if w not in seen:
-            orbit = {_rot(w, j) for j in range(op.n)}
-            seen |= orbit
-            if path_counts(cat, ({x: 1} for x in w)).get(cat.unit, 0):
-                out.append((w, len(orbit)))
-    return out
+
+    def build():
+        seen, out = set(), []
+        for w in op.words:
+            if w not in seen:
+                orbit = {_rot(w, j) for j in range(op.n)}
+                seen |= orbit
+                if path_counts(cat, ({x: 1} for x in w)).get(cat.unit, 0):
+                    out.append((w, len(orbit)))
+        return tuple(out)
+
+    support = tuple(sorted(op.obj.support(), key=cat.label_index))
+    return cat.cached(("orbits", support, op.n), build)
 
 
 def _orbit_values(cat, orbits, n, r):

@@ -1,4 +1,11 @@
-"""Dense exact matrices of Cyc values (lists of lists, treated immutably).
+"""Exact matrices of Cyc values, dense or by columns, treated immutably.
+
+A dense matrix is a list of rows.  The column form ``(rows, columns)`` keeps
+only the nonzeros: ``columns[j]`` is a tuple of the ``(row, coeff)`` pairs of
+column j with coeff != 0.  The path-move builders of ``homcalc`` make their
+matrices column by column, and nearly all of them are applied to one
+vector, so they return the column form; whatever multiplies or inverts
+whole matrices converts once with ``dense``.
 
 ``mat_mul`` multiplies whole matrices on Python integers by Kronecker
 substitution, the packed layout ANTIC and FLINT use for number-field
@@ -24,9 +31,9 @@ keep the entrywise ``Cyc`` loop: for them the scan and the packing cost
 more than the loop saves (square products at conductors 1, 5, 8 and 12
 broke even between 27 and 64 multiply-adds).
 
-``mat_vec`` collects the vector's nonzero coordinates once and visits only
-those in each row: the path-move matrices it is applied to are sparse, and
-so are the vectors they move.
+``mat_vec`` takes the column form and does one multiply-add per stored
+nonzero that meets a nonzero coordinate of the vector: the path-move
+matrices it is applied to are sparse, and so are the vectors they move.
 """
 
 from __future__ import annotations
@@ -76,13 +83,46 @@ def mat_mul(a, b):
     return out
 
 
+def dense(a):
+    """The dense rows of the column form ``a``."""
+    rows, cols = a
+    out = zeros(rows, len(cols))
+    for j, col in enumerate(cols):
+        for i, x in col:
+            out[i][j] = x
+    return out
+
+
 def mat_vec(a, v):
-    """a v, summed over the nonzero coordinates of v only."""
-    n = len(v)
-    if any(len(row) != n for row in a):
+    """a v for ``a`` in column form, over the nonzeros of a and of v only."""
+    rows, cols = a
+    if len(cols) != len(v):
         raise ValueError("matrix shape mismatch")
-    nz = [(j, y) for j, y in enumerate(v) if y]
-    return [sum((row[j] * y for j, y in nz if row[j]), ZERO) for row in a]
+    out = [ZERO] * rows
+    for col, y in zip(cols, v):
+        if y:
+            for i, x in col:
+                out[i] = out[i] + x * y
+    return out
+
+
+def is_identity_product(a, b):
+    """Whether a b is the identity, for a and b in column form.
+
+    Column j of a b is a applied to column j of b, formed over the nonzeros
+    of both; it must be e_j exactly.  For monomial factors this is O(n).
+    """
+    (rows, a_cols), (inner, b_cols) = a, b
+    if len(a_cols) != inner or rows != len(b_cols):
+        return False
+    for j, col in enumerate(b_cols):
+        acc = {}
+        for k, y in col:
+            for i, x in a_cols[k]:
+                acc[i] = acc[i] + x * y if i in acc else x * y
+        if {i: x for i, x in acc.items() if x} != {j: 1}:
+            return False
+    return True
 
 
 def mat_trace(a):

@@ -21,7 +21,7 @@ from .category import Category, FSymbolSet, FusionRing, SpecError
 from .cyclo import Cyc, root_of_unity
 from .homcalc import (LinMap, TensorWord, contract_pair_matrix, dual_morphism,
                       paths, splice_host_matrix)
-from .linalg import eye, mat_mul, mat_vec, zeros
+from .linalg import dense, eye, mat_mul, mat_vec, zeros
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -466,11 +466,11 @@ def spliced_e_map_matrix(cat, letters, k):
     for j in range(k):
         # Hom(1, x* x) is spanned by its one path (1, x*, 1)
         host = (cat.dual(letters[j]), letters[j])
-        splice = splice_host_matrix(cat, host, [ONE], 1, cur)
+        splice = dense(splice_host_matrix(cat, host, [ONE], 1, cur))
         m = splice if m is None else mat_mul(splice, m)
         cur = host[:1] + cur + host[1:]
     for pos in range(k - 1, -1, -1):
-        m = mat_mul(contract_pair_matrix(cat, cur, cat.unit, pos), m)
+        m = mat_mul(dense(contract_pair_matrix(cat, cur, cat.unit, pos)), m)
         cur = cur[:pos] + cur[pos + 2:]
     scale = math.prod(map(cat.t, letters[:k]), start=ONE).inverse()
     return [[scale * x for x in row] for row in m]

@@ -7,13 +7,15 @@ from conftest import ALL_BUNDLED, bundled
 
 from fscat.category import gauge_transform, reverse_category
 from fscat.cyclo import Cyc, root_of_unity
+from fscat import homcalc
 from fscat.homcalc import (LinMap, TensorWord, assoc_matrix, coev_matrix,
-                           close_loop, double_dual_coefficient,
+                           close_loop, db_prime_vector, db_vector,
+                           double_dual_coefficient,
                            drop_unit_letter_matrix, dual_morphism, ev_matrix,
                            fuse_step_matrix, graft_path_matrix, hom_basis,
                            hom_dimension, left_nested, paths, pivotal_matrix,
                            pivotal_trace, right_nested, split_step_matrix)
-from fscat.linalg import is_identity, mat_equal, mat_mul
+from fscat.linalg import dense, is_identity, mat_equal, mat_mul
 
 
 def brute_hom_dimension(cat, letters):
@@ -164,10 +166,12 @@ def test_zigzag_identities(any_bundled):
         for r in cat.labels:
             att = attach_pair_matrix(cat, (a,), r, 0, a)
             con = contract_pair_matrix(cat, (a, ast, a), r, 1)
-            assert is_identity(mat_mul(con, att)), (a, r, "zigzag 1")
+            assert is_identity(mat_mul(dense(con), dense(att))), \
+                (a, r, "zigzag 1")
             att = attach_pair_matrix(cat, (ast,), r, 1, a)
             con = contract_pair_matrix(cat, (ast, a, ast), r, 0)
-            assert is_identity(mat_mul(con, att)), (a, r, "zigzag 2")
+            assert is_identity(mat_mul(dense(con), dense(att))), \
+                (a, r, "zigzag 2")
 
 
 def test_ev_coev_vec_z2():
@@ -344,7 +348,7 @@ def test_degenerate_word_blocks_compose():
     from fscat.homcalc import attach_pair_matrix, contract_pair_matrix
     att = attach_pair_matrix(v2, ("g", "g", "g"), "1", 0, "g")
     con = contract_pair_matrix(v2, ("g", "g", "g", "g", "g"), "1", 0)
-    assert mat_mul(con, att) == []
+    assert mat_mul(dense(con), dense(att)) == []
 
 
 def _words(cat, max_len):
@@ -362,7 +366,7 @@ def test_fuse_undoes_split(name):
                     continue
                 split = word[:i] + (u, v) + word[i + 1:]
                 for root in cat.labels:
-                    m = mat_mul(fuse_step_matrix(cat, split, root, i, x),
+                    m = mat_mul(dense(fuse_step_matrix(cat, split, root, i, x)),
                                 split_step_matrix(cat, word, root, i, u, v))
                     assert is_identity(m), (word, i, u, v, root)
 
@@ -378,5 +382,82 @@ def test_drop_undoes_add_unit_letter(name):
             for root in cat.labels:
                 add = graft_path_matrix(cat, word, root, i, (unit,),
                                         (unit, unit))
-                m = mat_mul(drop_unit_letter_matrix(cat, padded, root, i), add)
+                m = mat_mul(dense(drop_unit_letter_matrix(cat, padded, root, i)),
+                            dense(add))
                 assert is_identity(m), (word, i, root)
+
+
+def reference_path_matrix(cat, src, tgt, root, moves):
+    """A local move as dense rows, filled in place: column p accumulates
+    each coefficient of moves(p) at the row of its admissible target."""
+    sp = paths(cat, src, root)
+    tidx = {q: i for i, q in enumerate(paths(cat, tgt, root))}
+    out = [[Cyc.zero()] * len(sp) for _ in tidx]
+    for ci, p in enumerate(sp):
+        for q, val in moves(p):
+            if val:
+                row = tidx.get(q)
+                if row is not None:
+                    out[row][ci] = out[row][ci] + val
+    return out
+
+
+def _path_move_calls(cat):
+    """{builder name: argument tuples} of every path-move builder applied to
+    vectors, over words of at most two letters (three for the removals and
+    four for the bends) and guests of at most two."""
+    unit, dual = cat.unit, cat.dual
+    short, guests = list(_words(cat, 2)), list(_words(cat, 2))[1:]
+    calls = {name: [] for name in (
+        "fuse_step_matrix", "drop_unit_letter_matrix", "contract_pair_matrix",
+        "graft_path_matrix", "attach_pair_matrix", "insert_vector_matrix",
+        "splice_host_matrix", "_bend_columns")}
+    for word, root in itertools.product(_words(cat, 3), cat.labels):
+        for i in range(len(word) - 1):
+            calls["fuse_step_matrix"] += [
+                (word, root, i, w) for w in cat.channels(word[i], word[i + 1])]
+            if dual(word[i]) == word[i + 1]:
+                calls["contract_pair_matrix"].append((word, root, i))
+        calls["drop_unit_letter_matrix"] += [
+            (word, root, i) for i, x in enumerate(word) if x == unit]
+    for word, root in itertools.product(short, cat.labels):
+        for i in range(len(word) + 1):
+            calls["attach_pair_matrix"] += [(word, root, i, b)
+                                            for b in cat.labels]
+            calls["graft_path_matrix"] += [
+                (word, root, i, g, rho) for g in guests
+                for rho in paths(cat, g, unit)]
+            calls["insert_vector_matrix"] += [
+                (word, root, i, *db_vector(cat, u)) for u in guests]
+    for u, g in itertools.product(guests, short):
+        host, vec = db_prime_vector(cat, u)
+        calls["splice_host_matrix"] += [(host, vec, i, g)
+                                        for i in range(len(host) + 1)]
+    calls["_bend_columns"] = [(w, k) for w in _words(cat, 4)
+                              for k in range(1, len(w))]
+    return calls
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_path_columns_match_the_dense_loop(name, monkeypatch):
+    # every builder that is applied to vectors makes its columns with
+    # _path_columns; each build must densify to the in-place loop over the
+    # same moves, and every builder must make at least one nonzero entry
+    kernel = homcalc._path_columns
+    nonzeros = []
+
+    def checked(cat, src, tgt, root, moves):
+        got = kernel(cat, src, tgt, root, moves)
+        assert dense(got) == reference_path_matrix(cat, src, tgt, root, moves), \
+            (src, tgt, root)
+        nonzeros.append(sum(map(len, got[1])))
+        return got
+
+    monkeypatch.setattr(homcalc, "_path_columns", checked)
+    cat = bundled(name)
+    for builder, calls in _path_move_calls(cat).items():
+        fresh = cat.with_pivotal(cat.pivotal)  # no memoised build is reused
+        nonzeros.clear()
+        for args in calls:
+            getattr(homcalc, builder)(fresh, *args)
+        assert any(nonzeros), builder

@@ -15,15 +15,16 @@ from fscat.homcalc import (LinMap, attach_pair_matrix, db_prime_vector,
                            hom_dimension, insert_vector_matrix, path_counts,
                            pivotal_trace, splice_host_matrix,
                            split_step_matrix)
-from fscat.homcalc import _bend_entries, paths
+from fscat.homcalc import _bend_columns, _bend_entries, paths
 from fscat import indicators
-from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _right_block,
-                              _split, _split_nonzeros, check_fs_theorems,
-                              check_power_identity, check_reversal_symmetry,
-                              e_map, e_map_matrix, fs_scalar, indicator,
-                              indicator_report, is_spherical, qn_distance,
-                              rotation_operator)
-from fscat.linalg import eye, is_identity, mat_mul, mat_trace, mat_vec, zeros
+from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _bend_value,
+                              _right_block, _split, _split_nonzeros,
+                              check_fs_theorems, check_power_identity,
+                              check_reversal_symmetry, e_map, e_map_matrix,
+                              fs_scalar, indicator, indicator_report,
+                              is_spherical, qn_distance, rotation_operator)
+from fscat.linalg import (dense, eye, is_identity, mat_mul, mat_trace, mat_vec,
+                          zeros)
 from fscat.oracles import (char_indicator, d4_table, q8_table, s3_table,
                            spliced_db_prime_vector, spliced_e_map_matrix)
 from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
@@ -203,12 +204,12 @@ def test_insertions_are_grafts(name):
             for word in itertools.product(cat.labels, repeat=m):
                 for i, root in itertools.product(range(m + 1), cat.labels):
                     for b in cat.labels:
-                        assert attach_pair_matrix(cat, word, root, i, b) == \
-                            _pair_by_closed_form(cat, word, root, i, b), \
-                            (cat.name, word, root, i, b)
+                        got = attach_pair_matrix(cat, word, root, i, b)
+                        assert dense(got) == _pair_by_closed_form(
+                            cat, word, root, i, b), (cat.name, word, root, i, b)
                     for chunk, pi in chunks:
-                        assert graft_path_matrix(cat, word, root, i, chunk,
-                                                 pi) == _unit_letter_split(
+                        got = graft_path_matrix(cat, word, root, i, chunk, pi)
+                        assert dense(got) == _unit_letter_split(
                             cat, word, root, i, chunk, pi), \
                             (cat.name, word, root, i, pi)
 
@@ -217,13 +218,15 @@ def test_insertions_are_grafts(name):
 def test_bend_entries_match_the_built_bend(name):
     # the pinned kernel against the matrix it pins: the diagonal where
     # rot_k w = w, each entry weighted apart, and the pairs at the nonzeros
-    # of E(rot_k w, n - k), the factor that follows E(w, k) back to w
+    # of E(rot_k w, n - k), the factor that follows E(w, k) back to w; the
+    # bend by columns is the same matrix
     compared = 0
     for c in _stage_cats(name):
         for w in _bend_words(c, 6):
             ps = paths(c, w, c.unit)
             for k in range(1, len(w)):
                 e = e_map_matrix(c, w, k)
+                assert dense(_bend_columns(c, w, k)) == e, (c.name, w, k)
                 rw = w[k:] + w[:k]
                 if rw == w:
                     weights = [Cyc.rational(i + 1) for i in range(len(ps))]
@@ -261,6 +264,38 @@ def test_bend_route_matches_the_walk(name, monkeypatch):
                 want = [check_power_identity(c, obj, n)]
                 want += [indicator(c, obj, n, r) for r in range(n + 1)]
                 assert got == want, (c.name, str(obj), n)
+
+
+@pytest.mark.parametrize("name,a,n", [("fibonacci", "t", 7),
+                                      ("ty_z2z2_plus", "sigma", 10)])
+def test_power_identity_sees_one_perturbed_entry(name, a, n):
+    # above the walk E^n = id is the split product E(w, n - h) E(w, h) = id
+    # of the bends by columns (w = a^n, so rot_h w = w); the factors are
+    # distinct bends and invertible, so adding 1 to any one entry of either,
+    # stored or not, makes some column of the product differ from e_j.  On
+    # the monomial TY bends a new entry leaves the diagonal as it was
+    cat = bundled(name)
+    word, h = (a,) * n, _split(n)
+    assert h != n - h
+    assert _bend_value(cat.with_pivotal(cat.pivotal), word, n) is True
+    fresh = cat.with_pivotal(cat.pivotal)
+    perturbed = 0
+    for k in (h, n - h):
+        rows, cols = _bend_columns(cat, word, k)
+        for j, col in enumerate(cols):
+            bad = [col[:e] + ((i, x + 1),) + col[e + 1:]
+                   for e, (i, x) in enumerate(col)]
+            held = {i for i, _ in col}
+            bad += [col + ((i, Cyc.one()),) for i in range(rows)
+                    if i not in held][:1]
+            for got in bad:
+                fresh._cache[("_bend_columns", word, k)] = (
+                    rows, cols[:j] + (got,) + cols[j + 1:])
+                fresh._cache.pop(("bendtr", word, n), None)
+                assert _bend_value(fresh, word, n) is False, (k, j, got)
+                perturbed += 1
+        fresh._cache[("_bend_columns", word, k)] = (rows, cols)
+    assert perturbed >= 2 * len(paths(cat, word, cat.unit))
 
 
 def _rotation_pass(cat, cases):
@@ -316,10 +351,33 @@ def test_zero_blocks_are_dropped_not_walked(name):
                               for w in rotation_operator(cat, obj, n).words)
     assert zero_words or name == "trivial"
     for key in warm._cache:
-        if key[0] in ("emap", "walk", "bendtr", "_split_nonzeros"):
+        if key[0] in ("emap", "walk", "bendtr", "_split_nonzeros",
+                      "_bend_columns"):
             assert path_counts(cat, ({x: 1} for x in key[1])).get(
                 cat.unit, 0), key
     assert any(key[0] == "walk" for key in warm._cache)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_nonzero_orbits_are_kept_per_support(name):
+    # the orbits depend on the support and n alone: a request at another
+    # multiplicity reads the kept ones, and they are the least words of the
+    # nonzero blocks, each with its orbit length
+    cat = bundled(name)
+    warm = cat.with_pivotal(cat.pivotal)
+    for a, b in itertools.combinations(cat.labels, 2):
+        for n in range(1, 5):
+            got = indicators._orbits(
+                rotation_operator(warm, ObjectExpr({a: 1, b: 1}), n))
+            assert indicators._orbits(
+                rotation_operator(warm, ObjectExpr({a: 2, b: 1}), n)) is got
+            want = []
+            for w in itertools.product((a, b), repeat=n):
+                orbit = {w[j:] + w[:j] for j in range(n)}
+                least = min(orbit, key=lambda v: list(map(cat.label_index, v)))
+                if w == least and hom_dimension(cat, w):
+                    want.append((w, len(orbit)))
+            assert sorted(got) == sorted(want), (a, b, n)
 
 
 def test_e_map_requires_pivotal():
@@ -500,7 +558,8 @@ def test_fs_scalar_bad_arguments():
 # the label-keyed builders memoised in ``cat.cached``, by their memo kind
 MEMOISED_BUILDERS = {name: getattr(fscat.homcalc, name) for name in (
     "fuse_step_matrix", "drop_unit_letter_matrix", "contract_pair_matrix",
-    "graft_path_matrix", "db_vector", "db_prime_vector", "_bend_tops")}
+    "graft_path_matrix", "db_vector", "db_prime_vector", "_bend_tops",
+    "_bend_columns")}
 MEMOISED_BUILDERS["_right_block"] = _right_block
 MEMOISED_BUILDERS["_split_nonzeros"] = _split_nonzeros
 

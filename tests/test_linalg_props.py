@@ -5,8 +5,10 @@ The reference below multiplies entry by entry with ``Cyc`` arithmetic (which
 difference comes from the packed integer kernel: its scan, slot width,
 signed unpacking, folding mod Phi_N or denominators.  Each property runs
 both through the module's size selection and forced through the packed
-kernel.  ``mat_vec`` skips the vector's zero coordinates, so its reference
-loop visits every coordinate.
+kernel.  ``mat_vec`` takes the column form and skips the vector's zero
+coordinates, so its reference loop runs over the dense rows and visits every
+coordinate; ``columns`` below turns those rows into the column form, and
+``linalg.dense`` must turn it back.
 """
 
 import math
@@ -150,6 +152,17 @@ def reference_mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v))), Cyc.zero()) for row in a]
 
 
+def columns(a, width=None):
+    """The column form of the dense rows ``a``, ``width`` columns wide (the
+    first row's length by default); a ragged row is a shape mismatch."""
+    if width is None:
+        width = len(a[0]) if a else 0
+    if any(len(row) != width for row in a):
+        raise ValueError("matrix shape mismatch")
+    return len(a), tuple(tuple((i, row[j]) for i, row in enumerate(a) if row[j])
+                         for j in range(width))
+
+
 @st.composite
 def mat_vec_operands(draw, conductors):
     na, nv = conductors
@@ -174,7 +187,9 @@ def mat_vec_operands(draw, conductors):
 @given(data=st.data())
 def test_mat_vec_matches_reference_loop(conductors, data):
     a, v = data.draw(mat_vec_operands(conductors))
-    assert linalg.mat_vec(a, v) == reference_mat_vec(a, v)
+    cols = columns(a, len(v))
+    assert linalg.dense(cols) == a
+    assert linalg.mat_vec(cols, v) == reference_mat_vec(a, v)
 
 
 def test_mat_vec_reads_every_nonzero_coordinate():
@@ -182,19 +197,19 @@ def test_mat_vec_reads_every_nonzero_coordinate():
     for j in range(4):
         v = [Cyc.zero()] * 4
         v[j] = root_of_unity(8, j) + 2
-        assert linalg.mat_vec(a, v) == reference_mat_vec(a, v)
+        assert linalg.mat_vec(columns(a), v) == reference_mat_vec(a, v)
     v = [root_of_unity(8, j) + 2 for j in range(4)]
-    assert linalg.mat_vec(a, v) == reference_mat_vec(a, v)
+    assert linalg.mat_vec(columns(a), v) == reference_mat_vec(a, v)
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
 def test_mat_vec_empty_shapes(rows, cols):
     a = [[root_of_unity(8, 1)] * cols for _ in range(rows)]
-    assert linalg.mat_vec(a, [Cyc.one()] * cols) == [0] * rows
+    assert linalg.mat_vec(columns(a, cols), [Cyc.one()] * cols) == [0] * rows
 
 
 @pytest.mark.parametrize("a, v", [([[1, 1]], [1]), ([[1]], [1, 1]),
                                   ([[1, 1], [1]], [1, 1])])
 def test_mat_vec_rejects_shape_mismatch(a, v):
     with pytest.raises(ValueError, match="matrix shape mismatch"):
-        linalg.mat_vec(a, v)
+        linalg.mat_vec(columns(a), v)

@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Raw time and peak memory of one FS endomorphism scalar, one fresh process
+per run.
+
+    python3 tools/time_fs.py fibonacci --object t --n 9 --runs 3 \\
+        PARENT_DIR CHANGE_DIR
+
+Each run loads SPEC (a path, or the name of a spec bundled in each
+checkout) with its own pivotal data and computes
+``fs_scalar(cat, OBJECT, N, L, R)`` (``--l`` and ``--r`` default to 0) in a
+new subprocess on the checkout's own ``src/``; with two checkouts the runs
+alternate between them (the first checkout starts).  For each checkout it
+prints the run count, the minimum, median and maximum seconds of the
+``fs_scalar`` call alone and of the whole process, and the peak resident
+set size of the runs (from ``os.wait4``, so only this script's own children
+are measured).  Last it says whether the scalar's ``repr`` was identical
+across every run of every checkout.  The exit status is 1 when a run exits
+non-zero.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+
+from time_ind import run_once, spec_path
+
+# prints the seconds of the fs_scalar call, then the scalar's repr
+CHILD = """
+import sys, time
+from fscat.indicators import fs_scalar
+from fscat.specio import load_category
+cat = load_category(sys.argv[1])
+args = sys.argv[2], *map(int, sys.argv[3:])
+start = time.perf_counter()
+value = fs_scalar(cat, *args)
+print(time.perf_counter() - start)
+print(repr(value))
+"""
+
+
+def spread(values):
+    values = sorted(values)
+    return (f"min {values[0]:.3f} / median {statistics.median(values):.3f} / "
+            f"max {values[-1]:.3f} s")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("spec")
+    p.add_argument("checkouts", nargs="+", metavar="CHECKOUT",
+                   help="one or two checkout directories")
+    p.add_argument("--object", required=True, help="a simple label")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--l", type=int, default=0)
+    p.add_argument("--r", type=int, default=0)
+    p.add_argument("--runs", type=int, default=3)
+    args = p.parse_args(argv)
+    if len(args.checkouts) > 2:
+        p.error("give one or two checkouts")
+
+    runs = {c: [] for c in args.checkouts}
+    values = set()
+    ok = True
+    for i in range(args.runs):
+        for checkout in args.checkouts:
+            wall, rss, code, out = run_once(checkout, [
+                "-c", CHILD, spec_path(checkout, args.spec), args.object,
+                str(args.n), str(args.l), str(args.r)])
+            seconds, _, value = out.decode().partition("\n")
+            call = float(seconds) if code == 0 else float("nan")
+            print(f"run {i + 1}/{args.runs} {checkout}: fs_scalar {call:.3f} s, "
+                  f"process {wall:.3f} s, {rss:.1f} MB, exit {code}",
+                  file=sys.stderr)
+            ok = ok and code == 0
+            runs[checkout].append((call, wall, rss))
+            values.add(value)
+    print(f"fs_scalar({args.spec}, {args.object}, n={args.n}, l={args.l}, "
+          f"r={args.r})")
+    for checkout, got in runs.items():
+        print(f"{checkout}: {len(got)} runs, fs_scalar "
+              f"{spread([c for c, _, _ in got])}, process "
+              f"{spread([w for _, w, _ in got])}, peak RSS "
+              f"{max(r for _, _, r in got):.1f} MB")
+    print(f"scalar identical across all runs: {'yes' if len(values) == 1 else 'no'}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,10 +33,11 @@ def spec_path(checkout, spec):
 
 
 def run_once(checkout, argv):
-    """(wall seconds, peak RSS in MB, exit code, stdout bytes) of one run."""
+    """(wall seconds, peak RSS in MB, exit code, stdout bytes) of one run of
+    ``python ARGV`` on the checkout's own ``src/``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "fscat.cli", *argv],
+    proc = subprocess.Popen([sys.executable, *argv],
                             cwd=checkout, env=env, stdout=subprocess.PIPE)
     out = proc.stdout.read()
     proc.stdout.close()
@@ -66,9 +67,9 @@ def main(argv=None) -> int:
     for i in range(args.runs):
         for checkout in args.checkouts:
             wall, rss, code, out = run_once(checkout, [
-                "ind", spec_path(checkout, args.spec), "--object", args.object,
-                "--n", args.n, *(("--r", args.r) if args.r else ()),
-                "--format", "json"])
+                "-m", "fscat.cli", "ind", spec_path(checkout, args.spec),
+                "--object", args.object, "--n", args.n,
+                *(("--r", args.r) if args.r else ()), "--format", "json"])
             print(f"run {i + 1}/{args.runs} {checkout}: {wall:.3f} s, "
                   f"{rss:.1f} MB, exit {code}", file=sys.stderr)
             ok = ok and code == 0
