@@ -22,30 +22,30 @@ rotation maps of the indicator machinery) exist only on the unit root.
 Operations that extend or bend a map (``close_loop``, ``dual_morphism``)
 require morphism-backed inputs.
 
-Every local move on fusion paths becomes a matrix through the path-basis
-kernel: the move sends each source path to weighted target paths, and
-``_path_columns`` lays the weights out on the two path bases, one column of
-nonzero ``(row, coeff)`` pairs per source path (the column form of
-``linalg``).  The move builders return that form, because nearly all of
-them are applied to one vector (``mat_vec``); the ``LinMap`` blocks and
-every operand of ``mat_mul`` are dense rows, converted once by
-``linalg.dense``.  ``_path_matrix`` fills dense rows in place from the same
-moves, for the matrices that are only multiplied whole: the walk's
-rotations, the right operator extension and the split step.  Removals are
-single-vertex moves (fuse, drop a unit letter, evaluation).  Every
+Every path-basis matrix is laid out by one kernel, ``_path_columns``: a
+local move sends each source path to weighted target paths, and the kernel
+lays the weights out on the target path basis, one column of nonzero
+``(row, coeff)`` pairs per source path (the column form of ``linalg``).
+The same loop takes other source bases by their keys: the merged (s, p)
+pairs of the left operator extension and the labeled trees of the
+associator.  The move builders return the column form, because nearly all
+of them are applied to one vector (``mat_vec``); the ``LinMap`` blocks, the
+walk's rotations (``indicators.e_map_matrix``) and every operand of
+``mat_mul`` are dense rows, converted once by ``linalg.dense``.  Removals
+are single-vertex moves (fuse, drop a unit letter, evaluation).  Every
 insertion is a graft, which re-associates a unit-rooted guest subword into
 the running path by a chain of elementary inverse F-moves
 (``_graft_coeffs``): ``graft_path_matrix`` grafts one guest path (a
 coevaluation pair is its path (1, b, 1)), and ``insert_vector_matrix`` and
 ``splice_host_matrix`` graft with the guest or the host vector fixed.  A
-k-strand bend is one graft too (``_bend_matrix``, by columns
-``_bend_columns``): the word is spliced once into the nested coevaluation
-of its first k letters, and the loop closures that follow keep only the
-paths that retrace their stages around each closed pair, so the first k
-stages of each graft chain are pinned to the host path's and only those
-chains are generated.  ``_bend_entries`` pins the rest of each chain to one
-target path as well, so it makes single entries of a bend (its diagonal,
-say) and nothing else.  Degenerate words (hom dimension 0) yield 0x0 blocks that compose legally.
+k-strand bend is one graft too (``_bend_columns``): the word is spliced
+once into the nested coevaluation of its first k letters, and the loop
+closures that follow keep only the paths that retrace their stages around
+each closed pair, so the first k stages of each graft chain are pinned to
+the host path's and only those chains are generated.  ``_bend_entries``
+pins the rest of each chain to one target path as well, so it makes single
+entries of a bend (its diagonal, say) and nothing else.  Degenerate words
+(hom dimension 0) yield 0x0 blocks that compose legally.
 
 The builders whose arguments are labels and positions (fuse and split
 steps, dropped unit letters, evaluation pairs, guest-path grafts, the
@@ -95,7 +95,24 @@ def dimension_guard() -> int:
 
 def check_dimension_guard(dim: int) -> None:
     """Raise DimensionGuardError for a hom dimension above the guard."""
+    _refuse_above(dim, dimension_guard())
+
+
+def check_word_guard(cat: Category, letters, root) -> None:
+    """Raise DimensionGuardError when Hom(root, letters) is above the guard.
+
+    The guard is read once.  A path branches at most fanout[x] ways at a
+    letter x, so a word whose product of fanouts is within the guard needs
+    no count; otherwise the dimension is counted from integer fusion counts
+    (``path_counts``), before any path list is built.
+    """
     guard = dimension_guard()
+    if math.prod(map(cat.ring.fanout.__getitem__, letters)) > guard:
+        _refuse_above(path_counts(cat, ({x: 1} for x in letters)).get(root, 0),
+                      guard)
+
+
+def _refuse_above(dim, guard):
     if dim > guard:
         raise DimensionGuardError(
             f"hom dimension {dim} exceeds {DIM_GUARD_ENV}={guard}")
@@ -192,12 +209,7 @@ def paths(cat: Category, letters, root) -> tuple:
     letters = _letters_of(letters)
 
     def build():
-        # a path branches at most fanout[x] ways at a letter x, so a word
-        # whose product of fanouts is within the guard needs no count
-        bound = math.prod(map(cat.ring.fanout.__getitem__, letters))
-        if bound > dimension_guard():
-            check_dimension_guard(
-                path_counts(cat, ({x: 1} for x in letters)).get(root, 0))
+        check_word_guard(cat, letters, root)
         partial = [(cat.unit,)]
         for x in letters:
             partial = [p + (c,) for p in partial for c in cat.channels(p[-1], x)]
@@ -322,40 +334,27 @@ def _path_index(cat, letters, root):
     return cat.cached(("pidx", tuple(letters), root), build)
 
 
-def _path_columns(cat, src, tgt, root, moves):
-    """Column form (``linalg``) on Hom(root, -) path bases of a local move
-    from src to tgt.
+def _path_columns(cat, keys, tgt, root, moves):
+    """Column form (``linalg``) of a map into the Hom(root, tgt) path basis,
+    one column per key of ``keys``.
 
-    ``moves(p)`` yields ``(q, coeff)`` pairs for the source path ``p``;
-    column ``p`` accumulates ``coeff`` at row ``q``.  Zero coefficients,
+    The keys are the source paths of a local move, or any other source
+    basis (the merged (s, p) pairs of ``_merge_basis_matrix``, the labeled
+    trees of ``_tree_matrix``).  ``moves(key)`` yields ``(q, coeff)`` pairs;
+    column ``key`` accumulates ``coeff`` at row ``q``.  Zero coefficients,
     sums that cancel and target paths that are not admissible are dropped.
     """
     tidx = _path_index(cat, tgt, root)
     cols = []
-    for p in paths(cat, src, root):
+    for key in keys:
         col = {}
-        for q, val in moves(p):
+        for q, val in moves(key):
             if val:
                 row = tidx.get(q)
                 if row is not None:
                     col[row] = col[row] + val if row in col else val
         cols.append(tuple((i, x) for i, x in col.items() if x))
     return len(tidx), tuple(cols)
-
-
-def _path_matrix(cat, src, tgt, root, moves):
-    """``_path_columns`` as dense rows, filled in place: for the matrices
-    that are multiplied whole, the walk's rotations and the extensions."""
-    sp = paths(cat, src, root)
-    out = zeros(len(paths(cat, tgt, root)), len(sp))
-    tidx = _path_index(cat, tgt, root)
-    for ci, p in enumerate(sp):
-        for q, val in moves(p):
-            if val:
-                row = tidx.get(q)
-                if row is not None:
-                    out[row][ci] = out[row][ci] + val
-    return out
 
 
 def _graft_moves(cat, i, guest_letters, terms):
@@ -382,7 +381,7 @@ def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest_vec):
     guest = [(rho, c) for rho, c in
              zip(paths(cat, guest_letters, cat.unit), guest_vec) if c]
     return _path_columns(
-        cat, host_letters, comb, root,
+        cat, paths(cat, host_letters, root), comb, root,
         lambda p: _graft_moves(cat, i, guest_letters,
                                [(p, rho, c) for rho, c in guest]))
 
@@ -399,7 +398,7 @@ def splice_host_matrix(cat, host_letters, host_vec, i, guest_letters):
     host = [(p, c) for p, c in
             zip(paths(cat, host_letters, cat.unit), host_vec) if c]
     return _path_columns(
-        cat, guest_letters, comb, cat.unit,
+        cat, paths(cat, guest_letters, cat.unit), comb, cat.unit,
         lambda rho: _graft_moves(cat, i, guest_letters,
                                  [(p, rho, c) for p, c in host]))
 
@@ -429,21 +428,22 @@ def fuse_step_matrix(cat, letters, root, i, w):
     """Fuse adjacent letters (x_i, x_{i+1}) into the channel w."""
     u, v = letters[i], letters[i + 1]
     return _path_columns(
-        cat, letters, letters[:i] + (w,) + letters[i + 2:], root,
+        cat, paths(cat, letters, root),
+        letters[:i] + (w,) + letters[i + 2:], root,
         lambda p: [(p[:i + 1] + p[i + 2:],
                     cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], w))])
 
 
 @_memoised
 def split_step_matrix(cat, letters, root, i, u, v):
-    """Split the letter x_i into the admissible pair (u, v), as dense rows.
-    The library inserts by grafts; this inverse of the fuse step is a test
-    reference."""
+    """Split the letter x_i into the admissible pair (u, v).  The library
+    inserts by grafts; this inverse of the fuse step is a test reference."""
     x = letters[i]
     if not cat.n(u, v, x):
         raise ValueError(f"({u},{v}) is not an admissible splitting of {x}")
-    return _path_matrix(
-        cat, letters, letters[:i] + (u, v) + letters[i + 1:], root,
+    return _path_columns(
+        cat, paths(cat, letters, root),
+        letters[:i] + (u, v) + letters[i + 1:], root,
         lambda p: [(p[:i + 1] + (s,) + p[i + 1:],
                     cat.f_inv_entry(p[i], u, v, p[i + 1], x, s))
                    for s in cat.channels(p[i], u)])
@@ -454,7 +454,7 @@ def drop_unit_letter_matrix(cat, letters, root, i):
     """Remove the unit letter at position i; the path drops its stage p_i."""
     assert letters[i] == cat.unit
     return _path_columns(
-        cat, letters, letters[:i] + letters[i + 1:], root,
+        cat, paths(cat, letters, root), letters[:i] + letters[i + 1:], root,
         lambda p: [(p[:i + 1] + p[i + 2:], ONE)])
 
 
@@ -471,7 +471,7 @@ def contract_pair_matrix(cat, letters, root, i):
         raise ValueError(f"letters ({u},{v}) are not a dual pair")
     mu = cat.ev_coefficient(v)
     return _path_columns(
-        cat, letters, letters[:i] + letters[i + 2:], root,
+        cat, paths(cat, letters, root), letters[:i] + letters[i + 2:], root,
         lambda p: [(p[:i + 1] + p[i + 3:],
                     mu * cat.f_entry(p[i], u, v, p[i], p[i + 1], cat.unit))]
         if p[i + 2] == p[i] else ())
@@ -483,7 +483,8 @@ def graft_path_matrix(cat, letters, root, i, guest_letters, rho):
     position i: ``insert_vector_matrix`` with that basis vector as guest.
     It equals inserting a unit letter and splitting it along rho."""
     return _path_columns(
-        cat, letters, letters[:i] + guest_letters + letters[i:], root,
+        cat, paths(cat, letters, root),
+        letters[:i] + guest_letters + letters[i:], root,
         lambda p: _graft_moves(cat, i, guest_letters, [(p, rho, ONE)]))
 
 
@@ -519,7 +520,7 @@ def db_vector(cat, letters):
 @_memoised
 def db_prime_vector(cat, letters):
     """Right-dual coevaluation: unit-rooted vector over dual word + letters.
-    ``oracles.spliced_db_prime_vector`` splices its pairs innermost first."""
+    The tests check it against splicing the pairs innermost first."""
     return _nested_coevaluation(cat, [(cat.dual(y), y)
                                       for y in reversed(letters)])
 
@@ -527,8 +528,11 @@ def db_prime_vector(cat, letters):
 # -- the bend ----------------------------------------------------------------
 
 
-def _bend_matrix(cat, letters, k):
-    """Unit-root matrix of the k-strand bend E(w, k) of the word w = x_1 ... x_n.
+@_memoised
+def _bend_columns(cat, letters, k):
+    """E(w, k), the k-strand bend of the word w = x_1 ... x_n, in column
+    form on the unit-root path bases; kept per word and k for the bend
+    route of the indicators, so read-only.
 
     The bend splices w into the host pairs (x_j*, x_j), j = 1..k, closes the
     pairs (x_i*, x_i) innermost first and scales by 1 / (t(x_1) ... t(x_k)).
@@ -546,31 +550,13 @@ def _bend_matrix(cat, letters, k):
     p[:k+1], so they make one weight per such top (``_bend_tops``), which
     seeds its graft chains; h[p] scales each chain as it lands
     (``_bend_terms``).  No word longer than max(n, 2k) letters is built.
-    The matrix is filled in place, for the walk that multiplies it whole;
-    ``_bend_columns`` makes the same moves in column form.
     """
-    letters = tuple(letters)
-    if not paths(cat, letters, cat.unit):
-        return []  # the rotation of a zero space; its host is never built
-    return _path_matrix(cat, letters, letters[k:] + letters[:k], cat.unit,
-                        _bend_moves(cat, letters, k))
-
-
-@_memoised
-def _bend_columns(cat, letters, k):
-    """E(w, k) in column form, by the moves of ``_bend_matrix``; kept per
-    word and k for the split reads of the indicators, so read-only."""
     if not paths(cat, letters, cat.unit):
         return 0, ()  # the rotation of a zero space; its host is never built
-    return _path_columns(cat, letters, letters[k:] + letters[:k], cat.unit,
-                         _bend_moves(cat, letters, k))
-
-
-def _bend_moves(cat, letters, k):
-    """The moves of E(w, k) on the source path rho: its ``_bend_terms``
-    over the host of w[:k]."""
     tops = _bend_tops(cat, letters[:k])
-    return lambda rho: _bend_terms(cat, letters, k, tops, rho)
+    return _path_columns(cat, paths(cat, letters, cat.unit),
+                         letters[k:] + letters[:k], cat.unit,
+                         lambda rho: _bend_terms(cat, letters, k, tops, rho))
 
 
 @_memoised
@@ -627,7 +613,7 @@ def _bend_entries(cat, letters, k, pairs):
     """Sum of wt * E(w, k)[q, rho] over the (rho, q, wt) triples in pairs.
 
     rho is a path of w and q one of its rotation.  Each entry is made by
-    the terms of ``_bend_matrix`` that land on q alone: the host tails are
+    the terms of ``_bend_columns`` that land on q alone: the host tails are
     kept only where they equal q's last k stages, and the graft chain is
     pinned to q's first n - k + 1 stages, so no other entry is generated.
     The diagonal of a bend with rot_k w = w is the pairs (p, p, 1).
@@ -659,34 +645,22 @@ def _right_extend_blocks(cat, src_letters, tgt_letters, blocks, b):
         col = _path_index(cat, src_letters, s)[p[:-1]]
         return [(q + (p[-1],), row[col])
                 for q, row in zip(paths(cat, tgt_letters, s), blocks[s])]
-    return {r: _path_matrix(cat, src_letters + (b,), tgt_letters + (b,), r,
-                            moves)
+    return {r: dense(_path_columns(cat, paths(cat, src_letters + (b,), r),
+                                   tgt_letters + (b,), r, moves))
             for r in cat.labels}
 
 
 def _merge_basis_matrix(cat, b, letters, root):
     """Change of basis identifying Hom(root, b (x) W) with channel-summed
     Hom(s, W) blocks; columns are (inner path) pairs, rows are paths of
-    (b,) + letters."""
+    (b,) + letters.  Each inner path p is grafted after b."""
     letters = tuple(letters)
-    cols = []
-    for s in cat.labels:
-        if not cat.n(b, s, root):
-            continue
-        for p in paths(cat, letters, s):
-            cols.append((s, p))
-    rows = paths(cat, (b,) + letters, root)
-    ridx = {q: i for i, q in enumerate(rows)}
-    mat = zeros(len(rows), len(cols))
-    for ci, (s, p) in enumerate(cols):
-        for chain, coeff in _graft_coeffs(cat, b, letters, p):
-            if chain[-1] != root:
-                continue
-            q = (cat.unit, b) + chain[1:]
-            row = ridx.get(q)
-            if row is not None:
-                mat[row][ci] = mat[row][ci] + coeff
-    return cols, mat
+    cols = [(s, p) for s in cat.labels if cat.n(b, s, root)
+            for p in paths(cat, letters, s)]
+    return cols, dense(_path_columns(
+        cat, cols, (b,) + letters, root,
+        lambda col: [((cat.unit, b) + chain[1:], coeff) for chain, coeff
+                     in _graft_coeffs(cat, b, letters, col[1])]))
 
 
 def _left_extend_blocks(cat, src_letters, tgt_letters, blocks, b):
@@ -794,8 +768,9 @@ def double_dual_inverse(cat, a, b, c) -> Cyc:
     [F^{a,b,c*}_1]_{c,a*} [F^{b,c*,a}_1]_{a*,b*} [F^{c*,a,b}_1]_{b*,c}.
     Each factor is the only entry of a 1x1 block, so it is nonzero whenever
     every F-block is invertible.  The form holds on pentagon solutions
-    only; ``oracles.nested_double_dual_coefficient`` is the route through
-    the evaluation/coevaluation machinery that it is tested against.
+    only; the tests check it against the route through the
+    evaluation/coevaluation machinery (double dualization of the channel
+    vertex).
     """
     unit, ad, bd, cd = cat.unit, cat.dual(a), cat.dual(b), cat.dual(c)
     return (cat.f_entry(a, b, cd, unit, c, ad)
@@ -913,12 +888,8 @@ def _tree_matrix(cat, letters, paren, root):
     order; rows: the fusion paths of ``letters`` at ``root``."""
     trees = sorted((t for t, c in _trees(cat, letters, paren) if c == root),
                    key=lambda t: _inorder_key(cat, t))
-    tidx = _path_index(cat, letters, root)
-    out = zeros(len(tidx), len(trees))
-    for ci, tree in enumerate(trees):
-        for q, val in _tree_paths(cat, tree)[1].items():
-            out[tidx[q]][ci] = val
-    return out
+    return dense(_path_columns(cat, trees, letters, root,
+                               lambda tree: _tree_paths(cat, tree)[1].items()))
 
 
 def assoc_matrix(cat, letters, paren_from, paren_to) -> LinMap:

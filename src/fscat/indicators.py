@@ -35,14 +35,14 @@ from .category import Category, ObjectExpr, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, TensorWord,
-                      _bend_columns, _bend_entries, _bend_matrix, _memoised,
+                      _bend_columns, _bend_entries, _memoised,
                       attach_pair_matrix, check_dimension_guard,
-                      contract_pair_matrix, db_prime_vector,
+                      check_word_guard, contract_pair_matrix, db_prime_vector,
                       drop_unit_letter_matrix, dual_word, fuse_step_matrix,
                       graft_path_matrix, insert_vector_matrix, path_counts,
                       paths, pivotal_trace)
-from .linalg import (eye, is_identity, is_identity_product, mat_equal, mat_mul,
-                     mat_trace, mat_vec)
+from .linalg import (dense, eye, is_identity, is_identity_product, mat_equal,
+                     mat_mul, mat_trace, mat_vec)
 from .pivotal import is_pseudo_unitary
 
 ONE = Cyc.one()
@@ -75,13 +75,15 @@ def e_map_matrix(cat: Category, letters, k: int):
     With x_1 ... x_n the word, the bend is
     t(x_1)^-1 ... t(x_k)^-1 C_1 ... C_k S_k ... S_1: S_j splices the
     current word into the host pair (x_j*, x_j), and C_i closes the pair
-    (x_i*, x_i), innermost first.  It is built as one path-basis kernel
-    (``homcalc._bend_matrix``): the k splices are one splice into the
-    nested coevaluation of x_1 ... x_k, and the closures pin its graft
-    chains, so the matrix goes straight from the paths of the word to those
-    of its rotation and no hom space longer than max(n, 2k) letters is
+    (x_i*, x_i), innermost first.  It is the dense form of the bend's
+    column build (``homcalc._bend_columns``): the k splices are one splice
+    into the nested coevaluation of x_1 ... x_k, and the closures pin its
+    graft chains, so the matrix goes straight from the paths of the word to
+    those of its rotation and no hom space longer than max(n, 2k) letters is
     built.  The bend is genuine: it is not a product of single-strand
-    rotations.
+    rotations.  Only the dense form is kept, under its own key: the walk
+    multiplies it whole, and the memo of ``_bend_columns`` serves the bend
+    route above the walk.
     """
     letters = tuple(letters)
     n = len(letters)
@@ -90,7 +92,7 @@ def e_map_matrix(cat: Category, letters, k: int):
 
     def build():
         cat.require_pivotal()
-        return _bend_matrix(cat, letters, k)
+        return dense(_bend_columns.__wrapped__(cat, letters, k))
 
     return cat.cached(("emap", letters, k), build)
 
@@ -243,9 +245,7 @@ def _orbit_values(cat, orbits, n, r):
         for w, _ in orbits:
             for j, k in bends:
                 head = _rot(w, j)[:k]
-                host = dual_word(cat, head) + head
-                check_dimension_guard(
-                    path_counts(cat, ({x: 1} for x in host)).get(cat.unit, 0))
+                check_word_guard(cat, dual_word(cat, head) + head, cat.unit)
     for w, _ in orbits:
         if walk:
             traces, ident = _orbit_walk(cat, w)
@@ -423,9 +423,8 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
     for c in support:
         for s in itertools.product(support, repeat=n - 1):
             head, u = s[:l + nk], s[l + nk:]
-            word = dual_word(cat, head) + head + (c,) + u + dual_word(cat, u)
-            check_dimension_guard(
-                path_counts(cat, ({x: 1} for x in word)).get(c, 0))
+            check_word_guard(cat, dual_word(cat, head) + head + (c,) + u
+                             + dual_word(cat, u), c)
     out = {}
     for c in support:
         # the left and right side loops of the diagram are left- and

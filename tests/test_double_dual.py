@@ -7,14 +7,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import ALL_BUNDLED, bundled
+from references import nested_double_dual_coefficient
 
 from fscat import pivotal
 from fscat.category import gauge_transform, reverse_category, validate
 from fscat.cyclo import Cyc, root_of_unity
 from fscat.homcalc import double_dual_coefficient, double_dual_inverse
 from fscat.oracles import (build_pointed, build_tambara_yamagami,
-                           nested_double_dual_coefficient, solve_pentagon_rank2,
-                           sqrt_int, standard_bicharacter, standard_cocycle)
+                           solve_pentagon_rank2, sqrt_int, standard_bicharacter,
+                           standard_cocycle)
 from fscat.pivotal import enumerate_pivotal_structures
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,13 +9,15 @@ from conftest import ALL_BUNDLED, bundled
 from fscat.category import gauge_transform, reverse_category
 from fscat.cyclo import Cyc, root_of_unity
 from fscat import homcalc
-from fscat.homcalc import (LinMap, TensorWord, assoc_matrix, coev_matrix,
+from fscat.homcalc import (DimensionGuardError, LinMap, TensorWord,
+                           assoc_matrix, check_word_guard, coev_matrix,
                            close_loop, db_prime_vector, db_vector,
                            double_dual_coefficient,
                            drop_unit_letter_matrix, dual_morphism, ev_matrix,
                            fuse_step_matrix, graft_path_matrix, hom_basis,
-                           hom_dimension, left_nested, paths, pivotal_matrix,
-                           pivotal_trace, right_nested, split_step_matrix)
+                           hom_dimension, left_nested, path_counts, paths,
+                           pivotal_matrix, pivotal_trace, right_nested,
+                           split_step_matrix)
 from fscat.linalg import dense, is_identity, mat_equal, mat_mul
 
 
@@ -367,7 +370,7 @@ def test_fuse_undoes_split(name):
                 split = word[:i] + (u, v) + word[i + 1:]
                 for root in cat.labels:
                     m = mat_mul(dense(fuse_step_matrix(cat, split, root, i, x)),
-                                split_step_matrix(cat, word, root, i, u, v))
+                                dense(split_step_matrix(cat, word, root, i, u, v)))
                     assert is_identity(m), (word, i, u, v, root)
 
 
@@ -387,14 +390,14 @@ def test_drop_undoes_add_unit_letter(name):
                 assert is_identity(m), (word, i, root)
 
 
-def reference_path_matrix(cat, src, tgt, root, moves):
-    """A local move as dense rows, filled in place: column p accumulates
-    each coefficient of moves(p) at the row of its admissible target."""
-    sp = paths(cat, src, root)
+def reference_path_matrix(cat, keys, tgt, root, moves):
+    """A path-basis matrix as dense rows, filled in place: column key
+    accumulates each coefficient of moves(key) at the row of its admissible
+    target."""
     tidx = {q: i for i, q in enumerate(paths(cat, tgt, root))}
-    out = [[Cyc.zero()] * len(sp) for _ in tidx]
-    for ci, p in enumerate(sp):
-        for q, val in moves(p):
+    out = [[Cyc.zero()] * len(keys) for _ in tidx]
+    for ci, key in enumerate(keys):
+        for q, val in moves(key):
             if val:
                 row = tidx.get(q)
                 if row is not None:
@@ -402,16 +405,27 @@ def reference_path_matrix(cat, src, tgt, root, moves):
     return out
 
 
+def _parens(n, first=0):
+    """Every parenthesization of the n leaves first, ..., first + n - 1."""
+    if n == 1:
+        yield first
+    for k in range(1, n):
+        for left in _parens(k, first):
+            for right in _parens(n - k, first + k):
+                yield left, right
+
+
 def _path_move_calls(cat):
-    """{builder name: argument tuples} of every path-move builder applied to
-    vectors, over words of at most two letters (three for the removals and
-    four for the bends) and guests of at most two."""
+    """{builder name: argument tuples} of every builder of a path-basis
+    matrix, over words of at most two letters (three for the removals, four
+    for the bends and the labeled trees) and guests of at most two."""
     unit, dual = cat.unit, cat.dual
     short, guests = list(_words(cat, 2)), list(_words(cat, 2))[1:]
     calls = {name: [] for name in (
-        "fuse_step_matrix", "drop_unit_letter_matrix", "contract_pair_matrix",
-        "graft_path_matrix", "attach_pair_matrix", "insert_vector_matrix",
-        "splice_host_matrix", "_bend_columns")}
+        "fuse_step_matrix", "split_step_matrix", "drop_unit_letter_matrix",
+        "contract_pair_matrix", "graft_path_matrix", "attach_pair_matrix",
+        "insert_vector_matrix", "splice_host_matrix", "_bend_columns",
+        "_tree_matrix", "_merge_basis_matrix")}
     for word, root in itertools.product(_words(cat, 3), cat.labels):
         for i in range(len(word) - 1):
             calls["fuse_step_matrix"] += [
@@ -421,6 +435,11 @@ def _path_move_calls(cat):
         calls["drop_unit_letter_matrix"] += [
             (word, root, i) for i, x in enumerate(word) if x == unit]
     for word, root in itertools.product(short, cat.labels):
+        calls["split_step_matrix"] += [
+            (word, root, i, u, v) for i, x in enumerate(word)
+            for u, v in itertools.product(cat.labels, repeat=2)
+            if cat.n(u, v, x)]
+        calls["_merge_basis_matrix"] += [(b, word, root) for b in cat.labels]
         for i in range(len(word) + 1):
             calls["attach_pair_matrix"] += [(word, root, i, b)
                                             for b in cat.labels]
@@ -435,21 +454,25 @@ def _path_move_calls(cat):
                                         for i in range(len(host) + 1)]
     calls["_bend_columns"] = [(w, k) for w in _words(cat, 4)
                               for k in range(1, len(w))]
+    calls["_tree_matrix"] = [(w, paren, root) for w in _words(cat, 4) if w
+                             for paren in _parens(len(w))
+                             for root in cat.labels]
     return calls
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_path_columns_match_the_dense_loop(name, monkeypatch):
-    # every builder that is applied to vectors makes its columns with
+    # every builder of a path-basis matrix makes its columns with
     # _path_columns; each build must densify to the in-place loop over the
-    # same moves, and every builder must make at least one nonzero entry
+    # same keys and moves, and every builder must make at least one nonzero
+    # entry
     kernel = homcalc._path_columns
     nonzeros = []
 
-    def checked(cat, src, tgt, root, moves):
-        got = kernel(cat, src, tgt, root, moves)
-        assert dense(got) == reference_path_matrix(cat, src, tgt, root, moves), \
-            (src, tgt, root)
+    def checked(cat, keys, tgt, root, moves):
+        got = kernel(cat, keys, tgt, root, moves)
+        assert dense(got) == reference_path_matrix(cat, keys, tgt, root,
+                                                   moves), (keys, tgt, root)
         nonzeros.append(sum(map(len, got[1])))
         return got
 
@@ -461,3 +484,29 @@ def test_path_columns_match_the_dense_loop(name, monkeypatch):
         for args in calls:
             getattr(homcalc, builder)(fresh, *args)
         assert any(nonzeros), builder
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_word_guard_refuses_exactly_above_the_guard(name, monkeypatch):
+    # a word whose product of fanouts exceeds the guard is counted and
+    # refused exactly when its dimension exceeds the guard; within the
+    # product its dimension is within the guard too, so the skipped count
+    # could not have refused it
+    cat = bundled(name)
+    refused = 0
+    for guard in (1, 2, 3):
+        monkeypatch.setenv("FSCAT_NMAX_GUARD", str(guard))
+        for word, root in itertools.product(_words(cat, 4), cat.labels):
+            dim = path_counts(cat, ({x: 1} for x in word)).get(root, 0)
+            if math.prod(cat.ring.fanout[x] for x in word) <= guard:
+                assert dim <= guard, (word, root)
+            if dim > guard:
+                with pytest.raises(DimensionGuardError) as err:
+                    check_word_guard(cat, word, root)
+                assert str(err.value) == \
+                    f"hom dimension {dim} exceeds FSCAT_NMAX_GUARD={guard}"
+                refused += 1
+            else:
+                check_word_guard(cat, word, root)
+    # the pointed specs have fanout 1 everywhere: every dimension is 0 or 1
+    assert refused or max(cat.ring.fanout.values()) == 1

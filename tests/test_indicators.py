@@ -5,6 +5,7 @@ import pytest
 
 import fscat
 from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled
+from references import spliced_db_prime_vector, spliced_e_map_matrix
 
 from fscat.category import (MissingPivotalError, ObjectExpr, gauge_transform,
                             reverse_category)
@@ -25,8 +26,7 @@ from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _bend_value,
                               is_spherical, qn_distance, rotation_operator)
 from fscat.linalg import (dense, eye, is_identity, mat_mul, mat_trace, mat_vec,
                           zeros)
-from fscat.oracles import (char_indicator, d4_table, q8_table, s3_table,
-                           spliced_db_prime_vector, spliced_e_map_matrix)
+from fscat.oracles import char_indicator, d4_table, q8_table, s3_table
 from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
 from fscat.specio import load_bundled
 
@@ -187,7 +187,8 @@ def _unit_letter_split(cat, letters, root, i, chunk, pi):
     for col, p in enumerate(src):
         m[tgt.index(p[:i + 1] + p[i:])][col] = Cyc.one()
     for j in range(len(chunk) - 1, 0, -1):
-        m = mat_mul(split_step_matrix(cat, cur, root, i, pi[j], chunk[j]), m)
+        m = mat_mul(dense(split_step_matrix(cat, cur, root, i, pi[j], chunk[j])),
+                    m)
         cur = cur[:i] + (pi[j], chunk[j]) + cur[i + 1:]
     return m
 
@@ -838,6 +839,29 @@ def test_fs_refusal_builds_nothing(monkeypatch):
     monkeypatch.setenv("FSCAT_NMAX_GUARD", "89")
     assert fs_scalar(fib, "t", 6, 0, 0) == fs_scalar(bundled("fibonacci"),
                                                      "t", 6, 0, 0)
+
+
+@pytest.mark.parametrize("call,word,root", [
+    (lambda cat: paths(cat, ("t",) * 8, "1"), ("t",) * 8, "1"),
+    # nu_{7,4} bends four strands, whose nested host is t^8
+    (lambda cat: indicator(cat, "t", 7, 4), ("t",) * 8, "1"),
+    # FS^(6) inserts in front of the right block, into Hom(t, t^11)
+    (lambda cat: fs_scalar(cat, "t", 6, 0, 0), ("t",) * 11, "t"),
+], ids=["paths", "bend_host", "fs_word"])
+def test_every_word_guard_site_refuses_alike(call, word, root, monkeypatch):
+    # paths, the bend hosts and the FS words are counted by one check: one
+    # below the checked word's dimension refuses it with the same message,
+    # before any path list is built, and at its dimension the call runs
+    dim = path_counts(bundled("fibonacci"), ({x: 1} for x in word))[root]
+    fib = load_bundled("fibonacci")
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", str(dim - 1))
+    with pytest.raises(DimensionGuardError) as err:
+        call(fib)
+    assert str(err.value) == \
+        f"hom dimension {dim} exceeds FSCAT_NMAX_GUARD={dim - 1}"
+    assert not any(key[0] == "paths" for key in fib._cache)
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", str(dim))
+    call(fib)
 
 
 def test_two_strand_bend_within_guard(monkeypatch):

@@ -16,8 +16,19 @@ gives each side's median and quartiles, the relative change of the median
 against the metric's regression bound, and the number of pairs the change
 wins (ties count for neither side).  A gain holds when the change wins at
 least nine tenths of the pairs and the medians differ by more than the
-parent's interquartile range.  The exit status is 1 when any run of any
-workload reports ``correct: false`` or exits non-zero.
+parent's interquartile range.
+
+Each metric also gets a no-regression verdict:
+
+* ``regress``: the change's median is worse than the parent's by more
+  than the metric's bound;
+* ``unresolved``: the parent's interquartile range, relative to its
+  median, is wider than the bound, and not every change run is better than
+  every parent run;
+* ``ok``: otherwise.
+
+The exit status is 1 when any metric of any workload regresses, or when
+any run reports ``correct: false`` or exits non-zero.
 """
 
 from __future__ import annotations
@@ -51,12 +62,28 @@ def quartiles(values):
     return q1, q3
 
 
+def regression_verdict(parent, change, bound, sign):
+    """``regress``, ``unresolved`` or ``ok`` for one metric's runs; sign is
+    1 when lower is better and -1 when higher is."""
+    p_med = statistics.median(parent)
+    if sign * (statistics.median(change) - p_med) > bound * abs(p_med):
+        return "regress"
+    q1, q3 = quartiles(parent)
+    # sign * value is lower for the better run on either kind of metric
+    all_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if q3 - q1 > bound * abs(p_med) and not all_better:
+        return "unresolved"
+    return "ok"
+
+
 def report(spec, results):
-    """Lines of the per-metric comparison; results is [(parent, change)]."""
+    """Lines of the per-metric comparison and the names of the metrics that
+    regress; results is [(parent, change)]."""
     n = len(results)
     lines = [f"{'metric':<12} {'parent median [q1, q3]':>28} "
              f"{'change median [q1, q3]':>28} {'change':>7} {'bound':>5} "
-             f"{'wins':>6}  gain"]
+             f"{'wins':>6}  gain  verdict"]
+    regressed = []
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         sides = [[r[k]["metrics"][name]["value"] for r in results]
@@ -66,16 +93,19 @@ def report(spec, results):
         wins = sum(sign * (p - c) > 0 for p, c in zip(*sides))
         rel = (c_med - p_med) / p_med if p_med else 0.0
         gain = wins >= 0.9 * n and sign * (p_med - c_med) > p_q3 - p_q1
+        verdict = regression_verdict(*sides, metric["bound"], sign)
+        if verdict == "regress":
+            regressed.append(name)
         lines.append(f"{name:<12} {f'{p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]':>28} "
                      f"{f'{c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]':>28} "
                      f"{rel:>+7.1%} {metric['bound']:>5.0%} {wins:>3}/{n:<2}  "
-                     f"{'yes' if gain else 'no'}")
-    return lines
+                     f"{'yes' if gain else 'no':<4}  {verdict}")
+    return lines, regressed
 
 
 def compare(spec, dirs, workload, pairs, seed0):
     """Run the pairs of one workload and print its report; False when a run
-    failed or reported ``correct: false``."""
+    failed or reported ``correct: false``, or a metric regressed."""
     results, ok = [], True
     for i in range(pairs):
         seed = seed0 + i
@@ -97,7 +127,12 @@ def compare(spec, dirs, workload, pairs, seed0):
     print(f"workload {workload}: {len(results)} pairs, seeds "
           f"{seed0}..{seed0 + pairs - 1}")
     if results:
-        print("\n".join(report(spec, results)))
+        lines, regressed = report(spec, results)
+        print("\n".join(lines))
+        if regressed:
+            print(f"error: {workload} regresses on {', '.join(regressed)}",
+                  file=sys.stderr)
+            ok = False
     return ok
 
 
@@ -130,7 +165,8 @@ def main(argv=None) -> int:
             print()
         ok = compare(spec, dirs, workload, args.pairs, args.seed0) and ok
     if not ok:
-        print("error: a run failed or reported correct: false", file=sys.stderr)
+        print("error: a run failed, reported correct: false, or a metric "
+              "regressed", file=sys.stderr)
     return 0 if ok else 1
 
 
