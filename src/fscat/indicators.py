@@ -7,17 +7,20 @@ exact traces of its powers, taken once per rotation orbit of words
 (``_orbits``) whose block is nonzero: a zero block has zero traces and
 satisfies the power identity vacuously, so it is never walked or bent.
 ``_orbit_values`` is the one place that picks the route for an orbit.
-Up to n = WALK_MAX_N (6) each orbit's single-strand powers are walked
+Up to n = WALK_MAX_N (5) each orbit's single-strand powers are walked
 once: the walk records every trace the indicators read and whether the
-n-th power is the identity.  Above, by block monoidality, the
-r-th power is the genuine r-strand bend, so a trace is read off bends
-without any power: the pinned diagonal of E(w, r) for r <= h, and for
-r > h the entries of E(rot_h w, r - h) at the nonzeros of E(w, h),
-h = ``_split(n)``; the power identity is one split product
-E(rot_h w, n - h) E(w, h) = id per orbit (``_bend_value``), formed from the
-two bends by columns (``homcalc._bend_columns``) one column at a time over
-their nonzeros, each column compared with e_j: no dense bend is built
-above the walk.  Block monoidality itself is checked at n <= 5.  The
+n-th power is the identity.  Above, by block monoidality, the r-th power
+is a product of genuine bends of at most 2 strands (``_factors``): the
+prefix P_m of m = (r - 1) // 2 bends E(rot_2i w, 2), built by columns and
+kept per word for every r, then a last bend of r - 2m strands.  A trace is
+read off without forming the power: the pinned diagonal of E(w, r) for
+r <= 2, and for 2 < r < n the entries of the last bend at the nonzeros of
+P_m.  Above the walk the power identity certifies one product per orbit:
+E(rot_2m w, n - 2m) E(rot_2(m-1) w, 2) ... E(w, 2) = id, m = (n - 1) // 2,
+formed over the nonzeros of the factors' columns, or on packed integers
+where the product is dense (``linalg.col_mul``), and compared with the
+identity exactly (``_bend_value``).  No bend builds a word longer than n
+letters.  Block monoidality itself is checked at n <= 5.  The
 Frobenius-Schur endomorphisms are built independently, from dual bases of
 the composition pairing transported through the trivial component, so the
 trace formula is a genuine cross-check between two routes and not a
@@ -41,8 +44,8 @@ from .homcalc import (DimensionGuardError, LinMap, TensorWord,
                       drop_unit_letter_matrix, dual_word, fuse_step_matrix,
                       graft_path_matrix, insert_vector_matrix, path_counts,
                       paths, pivotal_trace)
-from .linalg import (dense, eye, is_identity, is_identity_product, mat_equal,
-                     mat_mul, mat_trace, mat_vec)
+from .linalg import (col_mul, dense, eye, is_identity, is_identity_product,
+                     mat_equal, mat_mul, mat_trace, mat_vec)
 from .pivotal import is_pseudo_unitary
 
 ONE = Cyc.one()
@@ -136,39 +139,29 @@ def _orbit_walk(cat, word):
 
 
 # the largest n whose indicators and power identity walk the single-strand
-# rotation; above it they are read off genuine bends.  On cold reports
-# (power identity, nu_{n,1}, nu_{n,n-1}) of every simple and two-term sum
-# of the bundled specs, the two routes tie at n = 4 and 5; at n = 6 the
-# walk is faster on hom spaces of dimension <= 16 and slower above; at
-# n = 7 and 8 the bends take half the time
-WALK_MAX_N = 6
+# rotation; above it they are read off products of 2-strand bends.  Over the
+# 65 cold power identities at n = 6 (every simple and two-term sum of the
+# bundled specs, best of three), the product of three 2-strand bends took
+# 0.135 s against the walk's 0.202 s; it was faster on 41, and at most
+# 0.5 ms slower on the others, 22 of them one-dimensional blocks
+WALK_MAX_N = 5
 
 
-def _split(n):
-    """The split h of the bend route at n: the least even h >= n / 2.
-
-    Every r <= n / 2 is then a diagonal read, and for r > h the first
-    factor E(rot_h w, r - h) bends fewer than n / 2 strands, so it builds
-    no word longer than n letters; E(w, h) builds at most n + 3.  h is
-    even because the even bends of a self-dual object can be monomial,
-    as on TY(Z2xZ2) sigma, while its odd bends are dense there: at n = 10,
-    h = 5 makes the dense E(sigma^10, 5) and is slower than the walk.
-    """
-    return 2 * -(-n // 4)
+def _factors(r):
+    """(offset, strands) of the bends whose product is the r-th rotation
+    power: E(rot_2i w, 2) for i < m = (r - 1) // 2, then
+    E(rot_2m w, r - 2m), whose 1 or 2 strands finish the turn."""
+    m = (r - 1) // 2
+    return tuple((2 * i, 2) for i in range(m)) + ((2 * m, r - 2 * m),)
 
 
 @_memoised
-def _split_nonzeros(cat, word):
-    """((rho, q, x), ...) over the nonzero entries x = E(word, h)[rho, q],
-    rho a path of rot_h word and q one of word, h = ``_split(len(word))``,
-    read off the columns of the bend (``_bend_columns``); kept per word for
-    every r > h, so read-only."""
-    h = _split(len(word))
-    rows = paths(cat, _rot(word, h), cat.unit)
-    _, cols = _bend_columns(cat, word, h)
-    return tuple((rows[i], q, x)
-                 for q, col in zip(paths(cat, word, cat.unit), cols)
-                 for i, x in col)
+def _prefix_product(cat, word, m):
+    """P_m = F_m ... F_1 in column form, F_i = E(rot_2(i-1) word, 2), a map
+    from the paths of word to those of rot_2m word; kept per word and m for
+    every r of the orbit, so read-only."""
+    f = _bend_columns(cat, _rot(word, 2 * m - 2), 2)
+    return f if m == 1 else col_mul(f, _prefix_product(cat, word, m - 1))
 
 
 def _bend_value(cat, word, r):
@@ -176,24 +169,28 @@ def _bend_value(cat, word, r):
     genuine bends, or for r = n whether E^n = id there; cached per word.
 
     By block monoidality the r-step composite of single-strand rotations is
-    E(word, r), and for r > h = ``_split(n)`` it is
-    E(rot_h word, r - h) E(word, h).  For r <= h the trace is the pinned
-    diagonal of E(word, r).  Otherwise E(word, h) is built by columns: for
-    r < n only the entries of the first factor that meet its nonzeros
-    (``_split_nonzeros``, listed once per word) are made, and for r = n the
-    first factor is built by columns too and the product is formed column by
-    column over the nonzeros, each column compared with e_j exactly.
+    L P_m, the product of the bends ``_factors(r)``: the prefix
+    P_m = ``_prefix_product(word, m)`` of 2-strand bends, then the last
+    factor L = E(rot_2m word, r - 2m).  For r <= 2, m = 0 and the trace is
+    the pinned diagonal of E(word, r).  For 2 < r < n only the entries of L
+    that meet the nonzeros of P_m are made; for r = n, L is built by columns
+    too and L P_m (``linalg.col_mul``) is compared with the identity
+    exactly (``linalg.is_identity_product``).  No bend has more than 2
+    strands, so none builds a word longer than n letters.
     """
     def build():
-        n, h = len(word), _split(len(word))
-        if r <= h:
-            return _bend_entries(cat, word, r, [
-                (p, p, ONE) for p in paths(cat, word, cat.unit)])
-        mid = _rot(word, h)
-        if r == n:
-            return is_identity_product(_bend_columns(cat, mid, n - h),
-                                       _bend_columns(cat, word, h))
-        return _bend_entries(cat, mid, r - h, _split_nonzeros(cat, word))
+        j, k = _factors(r)[-1]
+        m = j // 2
+        ps = paths(cat, word, cat.unit)
+        if not m:
+            return _bend_entries(cat, word, r, [(p, p, ONE) for p in ps])
+        last = _rot(word, j)
+        prefix = _prefix_product(cat, word, m)
+        if r == len(word):
+            return is_identity_product(_bend_columns(cat, last, k), prefix)
+        rows = paths(cat, last, cat.unit)
+        return _bend_entries(cat, last, k, [
+            (rows[i], q, x) for q, col in zip(ps, prefix[1]) for i, x in col])
 
     return cat.cached(("bendtr", word, r), build)
 
@@ -233,19 +230,19 @@ def _orbit_values(cat, orbits, n, r):
 
     The orbits come from ``_orbits``, so every block is nonzero.  This is
     the one place the route is chosen: up to n = WALK_MAX_N the walk
-    (``_orbit_walk``), above it genuine bends (``_bend_value``).  Before the
-    first value, the hosts of every bend are counted against the guard:
-    the host of E(v, k) is the nested coevaluation of v[:k], of
-    2k <= n + 3 letters.
+    (``_orbit_walk``), above it products of 2-strand bends
+    (``_bend_value``).  Before the first value, the host of every bend is
+    counted against the guard, once per distinct head: the host of E(v, k)
+    is the nested coevaluation of v[:k], of 2k <= 4 letters.  It is counted
+    apart from Hom(1, V^n), as for a support not closed under duals the
+    host is no word of V^n.
     """
     walk = n <= WALK_MAX_N
     if not walk:
-        h = _split(n)
-        bends = ((0, r),) if r <= h else ((0, h), (h, r - h))
-        for w, _ in orbits:
-            for j, k in bends:
-                head = _rot(w, j)[:k]
-                check_word_guard(cat, dual_word(cat, head) + head, cat.unit)
+        heads = dict.fromkeys(_rot(w, j)[:k] for w, _ in orbits
+                              for j, k in _factors(r))
+        for head in heads:
+            check_word_guard(cat, dual_word(cat, head) + head, cat.unit)
     for w, _ in orbits:
         if walk:
             traces, ident = _orbit_walk(cat, w)

@@ -34,6 +34,14 @@ broke even between 27 and 64 multiply-adds).
 ``mat_vec`` takes the column form and does one multiply-add per stored
 nonzero that meets a nonzero coordinate of the vector: the path-move
 matrices it is applied to are sparse, and so are the vectors they move.
+``col_mul`` multiplies two column forms the same way, one multiply-add per
+pair of stored nonzeros that meet, unless that count reaches
+``_PACK_FRACTION`` of rows * inner * cols: then it converts both with
+``dense`` and runs ``mat_mul``; ``is_identity_product`` reads its
+result.  On random square operands of width 8 to 64 at conductors 1, 5, 8
+and 12, the summed time of both routes was least with the switch at 0.015
+to 0.025 (the packed product wins from about 0.15 at width 8, 0.05 at 16
+and 0.01 at 64).
 """
 
 from __future__ import annotations
@@ -56,6 +64,9 @@ def eye(n: int):
 
 # rows * inner * cols from which a product runs on packed integers
 _PACK_MIN = 64
+# multiply-adds over the nonzeros, as a fraction of rows * inner * cols, from
+# which a product of column forms runs on packed integers (``_packs``)
+_PACK_FRACTION = 0.02
 
 
 def mat_mul(a, b):
@@ -106,23 +117,45 @@ def mat_vec(a, v):
     return out
 
 
-def is_identity_product(a, b):
-    """Whether a b is the identity, for a and b in column form.
+def _packs(a, b):
+    """Whether the product a b of column forms goes to the packed
+    ``mat_mul``: when its multiply-adds over the nonzeros reach
+    ``_PACK_FRACTION`` of the dense count, which is at least ``_PACK_MIN``."""
+    (rows, a_cols), (inner, b_cols) = a, b
+    size = rows * inner * len(b_cols)
+    work = sum(len(a_cols[k]) for col in b_cols for k, _ in col)
+    return 0 < work and size >= _PACK_MIN and work >= _PACK_FRACTION * size
+
+
+def col_mul(a, b):
+    """a b in column form, for a and b in column form.
 
     Column j of a b is a applied to column j of b, formed over the nonzeros
-    of both; it must be e_j exactly.  For monomial factors this is O(n).
-    """
+    of both, unless the product is dense enough to pack (``_packs``)."""
     (rows, a_cols), (inner, b_cols) = a, b
-    if len(a_cols) != inner or rows != len(b_cols):
-        return False
-    for j, col in enumerate(b_cols):
+    if len(a_cols) != inner:
+        raise ValueError("matrix shape mismatch")
+    if _packs(a, b):
+        out = mat_mul(dense(a), dense(b))
+        return rows, tuple(tuple((i, row[j]) for i, row in enumerate(out)
+                                 if row[j]) for j in range(len(b_cols)))
+    cols = []
+    for col in b_cols:
         acc = {}
         for k, y in col:
             for i, x in a_cols[k]:
                 acc[i] = acc[i] + x * y if i in acc else x * y
-        if {i: x for i, x in acc.items() if x} != {j: 1}:
-            return False
-    return True
+        cols.append(tuple((i, x) for i, x in acc.items() if x))
+    return rows, tuple(cols)
+
+
+def is_identity_product(a, b):
+    """Whether a b is the identity, for a and b in column form: column j of
+    the product ``col_mul`` forms must be e_j exactly.  For monomial
+    factors this is O(n)."""
+    rows, cols = col_mul(a, b)
+    return rows == len(cols) and all(col == ((j, 1),)
+                                     for j, col in enumerate(cols))
 
 
 def mat_trace(a):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 
 import pytest
@@ -19,13 +20,13 @@ from fscat.homcalc import (LinMap, attach_pair_matrix, db_prime_vector,
 from fscat.homcalc import _bend_columns, _bend_entries, paths
 from fscat import indicators
 from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _bend_value,
-                              _right_block, _split, _split_nonzeros,
+                              _factors, _prefix_product, _right_block,
                               check_fs_theorems, check_power_identity,
                               check_reversal_symmetry, e_map, e_map_matrix,
                               fs_scalar, indicator, indicator_report,
                               is_spherical, qn_distance, rotation_operator)
-from fscat.linalg import (dense, eye, is_identity, mat_mul, mat_trace, mat_vec,
-                          zeros)
+from fscat.linalg import (_packs, dense, eye, is_identity, mat_mul, mat_trace,
+                          mat_vec, zeros)
 from fscat.oracles import char_indicator, d4_table, q8_table, s3_table
 from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
 from fscat.specio import load_bundled
@@ -249,15 +250,19 @@ def test_bend_entries_match_the_built_bend(name):
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_bend_route_matches_the_walk(name, monkeypatch):
     # above WALK_MAX_N every indicator cell and power-identity flag is read
-    # off genuine bends; the reference is the same production loop with the
-    # threshold raised, so it reads them off the single-strand walk
-    assert WALK_MAX_N == 6 and [_split(n) for n in (7, 8)] == [4, 4]
+    # off products of 2-strand bends; the reference is the same production
+    # loop with the threshold raised, so it reads them off the
+    # single-strand walk
+    assert WALK_MAX_N == 5
+    assert [_factors(r) for r in (1, 2, 6, 7, 8)] == [
+        ((0, 1),), ((0, 2),), ((0, 2), (2, 2), (4, 2)),
+        ((0, 2), (2, 2), (4, 2), (6, 1)), ((0, 2), (2, 2), (4, 2), (6, 2))]
     for c in _stage_cats(name):
         objs = [ObjectExpr.simple(a) for a in c.labels]
         objs += [ObjectExpr({a: 1, b: 1})
                  for a, b in itertools.combinations(c.labels, 2)]
         for obj in objs:
-            for n in (7, 8):
+            for n in (6, 7, 8):
                 monkeypatch.setattr(indicators, "WALK_MAX_N", WALK_MAX_N)
                 got = [check_power_identity(c, obj, n)]
                 got += [indicator(c, obj, n, r) for r in range(n + 1)]
@@ -269,33 +274,55 @@ def test_bend_route_matches_the_walk(name, monkeypatch):
 
 @pytest.mark.parametrize("name,a,n", [("fibonacci", "t", 7),
                                       ("ty_z2z2_plus", "sigma", 10)])
-def test_power_identity_sees_one_perturbed_entry(name, a, n):
-    # above the walk E^n = id is the split product E(w, n - h) E(w, h) = id
-    # of the bends by columns (w = a^n, so rot_h w = w); the factors are
-    # distinct bends and invertible, so adding 1 to any one entry of either,
-    # stored or not, makes some column of the product differ from e_j.  On
-    # the monomial TY bends a new entry leaves the diagonal as it was
-    cat = bundled(name)
-    word, h = (a,) * n, _split(n)
-    assert h != n - h
-    assert _bend_value(cat.with_pivotal(cat.pivotal), word, n) is True
-    fresh = cat.with_pivotal(cat.pivotal)
+def test_power_identity_sees_one_perturbed_entry(name, a, n, monkeypatch):
+    # above the walk E^n = id is the product L F_m ... F_1 = id of the
+    # bends by columns (``_factors``); w = a^n, so every F_i is E(w, 2) and
+    # L is E(w, n - 2m).  The factors are invertible, so adding 1 to any one
+    # entry of any one of them, stored or not, makes the product differ
+    # from the identity.  The bends are fetched once per factor, F_m first
+    # and L last, so a spy on the fetch perturbs one factor at a time;
+    # column j of fetch c is perturbed where j = c mod the factor count, so
+    # every factor and every column is.  Fibonacci's products are dense
+    # enough to pack, the monomial TY ones are formed over their nonzeros
+    cat = bundled(name).with_pivotal(bundled(name).pivotal)
+    word, count = (a,) * n, len(_factors(n))
+    real = indicators._bend_columns
+
+    def product_is_identity(c, change):
+        fetched = []
+
+        def spy(cat, letters, k):
+            got = real(cat, letters, k)
+            fetched.append(k)
+            return change(got) if len(fetched) == c + 1 else got
+
+        monkeypatch.setattr(indicators, "_bend_columns", spy)
+        for key in [key for key in cat._cache
+                    if key[0] in ("_prefix_product", "bendtr")]:
+            del cat._cache[key]
+        ok = _bend_value(cat, word, n)
+        assert fetched == [k for _, k in _factors(n)], fetched
+        return ok
+
+    assert product_is_identity(0, lambda got: got) is True
+    m = count - 1
+    last = real(cat, word, n - 2 * m)
+    assert _packs(last, _prefix_product(cat, word, m)) == (name == "fibonacci")
     perturbed = 0
-    for k in (h, n - h):
-        rows, cols = _bend_columns(cat, word, k)
-        for j, col in enumerate(cols):
+    for c in range(count):
+        rows, cols = real(cat, word, 2 if c < m else n - 2 * m)
+        for j in range(c, len(cols), count):
+            col = cols[j]
             bad = [col[:e] + ((i, x + 1),) + col[e + 1:]
                    for e, (i, x) in enumerate(col)]
             held = {i for i, _ in col}
             bad += [col + ((i, Cyc.one()),) for i in range(rows)
                     if i not in held][:1]
             for got in bad:
-                fresh._cache[("_bend_columns", word, k)] = (
-                    rows, cols[:j] + (got,) + cols[j + 1:])
-                fresh._cache.pop(("bendtr", word, n), None)
-                assert _bend_value(fresh, word, n) is False, (k, j, got)
+                assert product_is_identity(c, lambda _, j=j, got=got: (
+                    rows, cols[:j] + (got,) + cols[j + 1:])) is False, \
+                    (c, j, got)
                 perturbed += 1
-        fresh._cache[("_bend_columns", word, k)] = (rows, cols)
     assert perturbed >= 2 * len(paths(cat, word, cat.unit))
 
 
@@ -337,7 +364,7 @@ def _walk_every_orbit(cat, obj, n):
 def test_zero_blocks_are_dropped_not_walked(name):
     # a zero block has zero traces and satisfies E^n = id vacuously, so
     # dropping it changes no value; the warm category then holds no walk,
-    # bend or split key of a zero-dimensional word
+    # bend or prefix-product key of a zero-dimensional word
     cat = bundled(name)
     objs = [ObjectExpr.simple(a) for a in cat.labels]
     objs += [ObjectExpr({a: 1, b: 1})
@@ -352,7 +379,7 @@ def test_zero_blocks_are_dropped_not_walked(name):
                               for w in rotation_operator(cat, obj, n).words)
     assert zero_words or name == "trivial"
     for key in warm._cache:
-        if key[0] in ("emap", "walk", "bendtr", "_split_nonzeros",
+        if key[0] in ("emap", "walk", "bendtr", "_prefix_product",
                       "_bend_columns"):
             assert path_counts(cat, ({x: 1} for x in key[1])).get(
                 cat.unit, 0), key
@@ -562,7 +589,7 @@ MEMOISED_BUILDERS = {name: getattr(fscat.homcalc, name) for name in (
     "graft_path_matrix", "db_vector", "db_prime_vector", "_bend_tops",
     "_bend_columns")}
 MEMOISED_BUILDERS["_right_block"] = _right_block
-MEMOISED_BUILDERS["_split_nonzeros"] = _split_nonzeros
+MEMOISED_BUILDERS["_prefix_product"] = _prefix_product
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
@@ -572,7 +599,7 @@ def test_shared_memos_give_cold_results(name):
     # builds, against cold categories; the FS sweep reaches the FS
     # builders but ``db_vector``, which the dual of the identity on (a, a)
     # reaches, and the rotation pass reaches the bend hosts, and at n = 7
-    # and 8 the split nonzeros (every spec has a nonzero a^7 or a^8 of
+    # and 8 the prefix products (every spec has a nonzero a^7 or a^8 of
     # dimension <= 16, the unit's at least)
     cat = bundled(name)
     cases = [(a, n, l, r) for a in cat.labels for n in range(1, 5)
@@ -626,31 +653,35 @@ def test_trace_formula_routes_agree_further_out(name, a, ns):
 
 
 def test_indicators_reach_n_14_under_the_default_guard(monkeypatch):
-    # Hom(1, sigma^14) has dimension 4,096, the default guard; each r <= 7
-    # is the pinned diagonal of a bend of r strands, whose host has 2r <= 14
-    # letters.  The full report stays out of reach: its power identity
-    # needs E(sigma^14, 8), whose host of 16 letters is above the guard
+    # Hom(1, sigma^14) has dimension 4,096, the default guard, and every
+    # factor of the bend route bends at most 2 strands, so no word longer
+    # than 14 letters is built.  For r <= 2 the value is a pinned diagonal,
+    # above it pinned entries of a product, so nu_{14,14-r} = conj nu_{14,r}
+    # and nu_{14,r} = nu_{14,gcd(14,r)} (the values are rational, so Galois
+    # conjugation fixes them) compare the two reads.  One below the
+    # dimension refuses at Hom(1, sigma^14) before any path list is built
     monkeypatch.delenv("FSCAT_NMAX_GUARD", raising=False)
-    ty = load_bundled("ty_z2z2_plus")
-    values = [indicator(ty, "sigma", 14, r) for r in range(1, 8)]
-    assert values[0] == 1  # nu_2 = nu_6 = nu_10 = nu_14 on this spec
-    assert values[0] == indicator(ty, "sigma", 10, 1)
-    assert max(len(k[1]) for k in ty._cache if k[0] == "paths") == 14
-
-
-def test_bend_route_refusal_builds_nothing(monkeypatch):
-    # the power identity at n = 14 and nu_{14,9} both need E(sigma^14, 8),
-    # whose host sigma^16 has dimension 16,384; it is counted before any
-    # bend or path list is built
-    monkeypatch.delenv("FSCAT_NMAX_GUARD", raising=False)
-    ty = load_bundled("ty_z2z2_plus")
-    for call in (lambda: check_power_identity(ty, "sigma", 14),
-                 lambda: indicator(ty, "sigma", 14, 9)):
-        with pytest.raises(DimensionGuardError) as err:
-            call()
-        assert str(err.value) == \
-            "hom dimension 16384 exceeds FSCAT_NMAX_GUARD=4096"
-    assert not any(key[0] == "paths" for key in ty._cache)
+    for name, sign in (("ty_z2z2_plus", 1), ("ty_z2z2_minus", -1)):
+        ty = load_bundled(name)
+        nu = [indicator(ty, "sigma", 14, r) for r in range(15)]
+        assert nu[0] == nu[14] == 4096
+        assert (nu[1], nu[2], nu[7]) == (sign, 1, 64 * sign)
+        assert nu[1] == indicator(ty, "sigma", 10, 1)
+        for r in range(1, 14):
+            assert nu[14 - r] == galois_conjugate(nu[r]), (name, r)
+            assert nu[r] == nu[math.gcd(14, r)], (name, r)
+        assert check_power_identity(ty, "sigma", 14)
+        assert max(len(k[1]) for k in ty._cache if k[0] == "paths") == 14
+        monkeypatch.setenv("FSCAT_NMAX_GUARD", "4095")
+        ty = load_bundled(name)
+        for call in (lambda: check_power_identity(ty, "sigma", 14),
+                     lambda: indicator(ty, "sigma", 14, 9)):
+            with pytest.raises(DimensionGuardError) as err:
+                call()
+            assert str(err.value) == \
+                "hom dimension 4096 exceeds FSCAT_NMAX_GUARD=4095"
+        assert not any(key[0] == "paths" for key in ty._cache)
+        monkeypatch.delenv("FSCAT_NMAX_GUARD")
 
 
 @pytest.mark.parametrize("name,a,period,nmax", [
@@ -660,7 +691,7 @@ def test_bend_route_refusal_builds_nothing(monkeypatch):
 def test_indicators_are_periodic_in_the_fs_exponent(name, a, period, nmax):
     # for a modular category the FS exponent is ord(T) (Ng-Schauenburg,
     # Adv. Math. 211, 2007): 5 for Fibonacci, 16 for Ising, so n -> nu_n
-    # has that period; above n = 6 each value is the pinned diagonal of
+    # has that period; above n = 5 each value is the pinned diagonal of
     # E(a^n, 1), and Hom(1, sigma^26) has dimension 4,096, the default guard
     cat = bundled(name)
     nu = {n: indicator(cat, a, n, 1) for n in range(1, nmax + 1)}
@@ -843,8 +874,10 @@ def test_fs_refusal_builds_nothing(monkeypatch):
 
 @pytest.mark.parametrize("call,word,root", [
     (lambda cat: paths(cat, ("t",) * 8, "1"), ("t",) * 8, "1"),
-    # nu_{7,4} bends four strands, whose nested host is t^8
-    (lambda cat: indicator(cat, "t", 7, 4), ("t",) * 8, "1"),
+    # the first factor of E^7 on t t 1 1 1 1 1 bends (t, t), whose nested
+    # host t^4 has dimension 2, above the word's own dimension 1
+    (lambda cat: list(indicators._orbit_values(
+        cat, [(("t", "t") + ("1",) * 5, 7)], 7, 7)), ("t",) * 4, "1"),
     # FS^(6) inserts in front of the right block, into Hom(t, t^11)
     (lambda cat: fs_scalar(cat, "t", 6, 0, 0), ("t",) * 11, "t"),
 ], ids=["paths", "bend_host", "fs_word"])
@@ -862,6 +895,27 @@ def test_every_word_guard_site_refuses_alike(call, word, root, monkeypatch):
     assert not any(key[0] == "paths" for key in fib._cache)
     monkeypatch.setenv("FSCAT_NMAX_GUARD", str(dim))
     call(fib)
+
+
+def test_bend_hosts_are_counted_once_per_head(monkeypatch):
+    # above the walk every factor bends at most 2 strands, so the hosts
+    # counted are those of the distinct heads of at most 2 letters, each
+    # once per call, however many orbits and factors share it
+    ty = load_bundled("ty_z2z2_plus")
+    obj = ObjectExpr({"a": 1, "sigma": 1})
+    orbits = indicators._orbits(rotation_operator(ty, obj, 8))
+    for call, r in ((lambda: check_power_identity(ty, obj, 8), 8),
+                    (lambda: indicator(ty, obj, 8, 5), 5)):
+        counted = []
+        monkeypatch.setattr(indicators, "check_word_guard",
+                            lambda cat, letters, root: counted.append(letters))
+        call()
+        assert len(counted) == len(set(counted)) <= 2 + 4, counted
+        assert all(len(h) in (2, 4) and h[len(h) // 2:] in
+                   itertools.product(("a", "sigma"), repeat=len(h) // 2)
+                   for h in counted), counted
+        sites = [(w, j) for w, d in orbits if r % d == 0 for j in _factors(r)]
+        assert len(sites) > len(counted), (r, len(sites))
 
 
 def test_two_strand_bend_within_guard(monkeypatch):

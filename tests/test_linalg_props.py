@@ -1,4 +1,4 @@
-"""Property tests of ``linalg.mat_mul`` and ``mat_vec`` against plain loops.
+"""Property tests of ``linalg`` products against plain loops.
 
 The reference below multiplies entry by entry with ``Cyc`` arithmetic (which
 ``test_cyclo_props`` pins to an independent Fraction reference), so any
@@ -8,10 +8,13 @@ both through the module's size selection and forced through the packed
 kernel.  ``mat_vec`` takes the column form and skips the vector's zero
 coordinates, so its reference loop runs over the dense rows and visits every
 coordinate; ``columns`` below turns those rows into the column form, and
-``linalg.dense`` must turn it back.
+``linalg.dense`` must turn it back.  The product of two column forms,
+``col_mul``, and ``is_identity_product`` must agree with the dense product
+and ``is_identity`` on both sides of their packed switch.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -213,3 +216,95 @@ def test_mat_vec_empty_shapes(rows, cols):
 def test_mat_vec_rejects_shape_mismatch(a, v):
     with pytest.raises(ValueError, match="matrix shape mismatch"):
         linalg.mat_vec(columns(a), v)
+
+
+# -- products of column forms ---------------------------------------------------
+
+
+@contextmanager
+def pack_switch(packed):
+    """Force products of column forms through the packed ``mat_mul``
+    (whenever they have a multiply-add) or over their nonzeros."""
+    saved = linalg._PACK_FRACTION, linalg._PACK_MIN
+    linalg._PACK_FRACTION, linalg._PACK_MIN = (0, 0) if packed else (math.inf, 0)
+    try:
+        yield
+    finally:
+        linalg._PACK_FRACTION, linalg._PACK_MIN = saved
+
+
+def check_column_product(a, b, inner, cols):
+    """col_mul and is_identity_product of the column forms of the dense
+    ``a`` (rows x inner) and ``b`` (inner x cols) against the dense loop."""
+    want = [[sum((a[i][k] * b[k][j] for k in range(inner)), Cyc.zero())
+             for j in range(cols)] for i in range(len(a))]
+    want_identity = len(a) == cols and linalg.is_identity(want)
+    ca, cb = columns(a, inner), columns(b, cols)
+    work = sum(len(ca[1][k]) for col in cb[1] for k, _ in col)
+    for packed in (None, False, True):
+        if packed is None:  # the measured switch
+            got = linalg.col_mul(ca, cb), linalg.is_identity_product(ca, cb)
+        else:
+            with pack_switch(packed):
+                assert linalg._packs(ca, cb) == (packed and work > 0)
+                got = linalg.col_mul(ca, cb), linalg.is_identity_product(ca, cb)
+        (rows, got_cols), identity = got
+        assert (rows, len(got_cols)) == (len(a), cols)
+        assert linalg.dense(got[0]) == want
+        assert all(x for col in got_cols for _, x in col)
+        assert identity == want_identity
+
+
+@st.composite
+def monomial(draw, d, n):
+    perm = draw(st.permutations(range(d)))
+    return [[draw(entries(n).filter(bool)) if perm[i] == j else Cyc.zero()
+             for j in range(d)] for i in range(d)]
+
+
+@st.composite
+def column_operands(draw, conductors):
+    """(a, b, inner, cols): monomial, dense or empty-column operands, b
+    often a's inverse, sometimes with one entry moved off it."""
+    na, nb = conductors
+    kind = draw(st.sampled_from(("monomial", "dense", "empty columns")))
+    if kind == "empty columns":
+        rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+        a, b = draw(matrices(rows, inner, na)), draw(matrices(inner, cols, nb))
+        for m, width in ((a, inner), (b, cols)):
+            for j in draw(st.sets(st.integers(0, width - 1))) if width else ():
+                for row in m:
+                    row[j] = Cyc.zero()
+        return a, b, inner, cols
+    d = draw(st.integers(0, 6))
+    a = draw(monomial(d, na) if kind == "monomial" else matrices(d, d, na))
+    try:
+        b = linalg.mat_inv(a) if draw(st.booleans()) else None
+    except ValueError:  # singular
+        b = None
+    if b is None:
+        b = draw(monomial(d, nb) if kind == "monomial" else matrices(d, d, nb))
+    if d and draw(st.booleans()):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        b[i][j] = b[i][j] + 1
+    return a, b, d, d
+
+
+@pytest.mark.parametrize("conductors", CONDUCTOR_PAIRS,
+                         ids=[f"{a}x{b}" for a, b in CONDUCTOR_PAIRS])
+@given(data=st.data())
+def test_column_product_matches_mat_mul(conductors, data):
+    check_column_product(*data.draw(column_operands(conductors)))
+
+
+@pytest.mark.parametrize("shape", [(0, 0, 0), (0, 3, 0), (3, 0, 3), (0, 3, 4),
+                                   (4, 3, 0), (1, 1, 1), (8, 8, 8)])
+def test_column_product_edge_shapes(shape):
+    rows, inner, cols = shape
+    z = root_of_unity(8, 3)
+    a = [[z + k for k in range(inner)] for _ in range(rows)]
+    b = [[z * j - k for j in range(cols)] for k in range(inner)]
+    check_column_product(a, b, inner, cols)
+    eye = linalg.eye(rows)
+    check_column_product(eye, eye, rows, rows)
+    assert linalg.is_identity_product((0, ()), (0, ()))

@@ -9,11 +9,12 @@ with ``--r R`` when given, in a new subprocess on the checkout's own
 ``src/``; with two checkouts the runs alternate between them (the first
 checkout starts).  SPEC is a path, or
 the name of a spec bundled in each checkout.  For each checkout it prints
-the run count, the minimum, median and maximum wall time, and the peak
-resident set size of the runs (from ``os.wait4``, so only this script's own
-children are measured).  Last it says whether stdout was byte-identical
-across every run of every checkout.  The exit status is 1 when a run exits
-non-zero.
+the run count, how many runs exited non-zero, and over the runs that exited
+0 the minimum, median and maximum wall time and the peak resident set size
+(from ``os.wait4``, so only this script's own children are measured): a
+refused request is not a timing.  Last it says whether stdout was
+byte-identical across every run of every checkout.  The exit status is 1
+when a run exits non-zero.
 """
 
 from __future__ import annotations
@@ -73,15 +74,21 @@ def main(argv=None) -> int:
             print(f"run {i + 1}/{args.runs} {checkout}: {wall:.3f} s, "
                   f"{rss:.1f} MB, exit {code}", file=sys.stderr)
             ok = ok and code == 0
-            runs[checkout].append((wall, rss))
+            runs[checkout].append((wall, rss, code))
             outputs.add(out)
     print(f"fscat ind {args.spec} --object {args.object} --n {args.n}"
           + (f" --r {args.r}" if args.r else ""))
     for checkout, got in runs.items():
-        walls = sorted(w for w, _ in got)
-        print(f"{checkout}: {len(got)} runs, wall min {walls[0]:.3f} / "
-              f"median {statistics.median(walls):.3f} / max {walls[-1]:.3f} s, "
-              f"peak RSS {max(r for _, r in got):.1f} MB")
+        passed = [(w, r) for w, r, code in got if code == 0]
+        line = (f"{checkout}: {len(got)} runs, "
+                f"{len(got) - len(passed)} exited non-zero")
+        if passed:
+            walls = sorted(w for w, _ in passed)
+            line += (f"; over the {len(passed)} that exited 0: wall min "
+                     f"{walls[0]:.3f} / median {statistics.median(walls):.3f} / "
+                     f"max {walls[-1]:.3f} s, peak RSS "
+                     f"{max(r for _, r in passed):.1f} MB")
+        print(line)
     print("stdout byte-identical across all runs: "
           f"{'yes' if len(outputs) == 1 else 'no'}")
     return 0 if ok else 1
