@@ -658,8 +658,7 @@ def test_indicators_reach_n_14_under_the_default_guard(monkeypatch):
     # than 14 letters is built.  For r <= 2 the value is a pinned diagonal,
     # above it pinned entries of a product, so nu_{14,14-r} = conj nu_{14,r}
     # and nu_{14,r} = nu_{14,gcd(14,r)} (the values are rational, so Galois
-    # conjugation fixes them) compare the two reads.  One below the
-    # dimension refuses at Hom(1, sigma^14) before any path list is built
+    # conjugation fixes them) compare the two reads
     monkeypatch.delenv("FSCAT_NMAX_GUARD", raising=False)
     for name, sign in (("ty_z2z2_plus", 1), ("ty_z2z2_minus", -1)):
         ty = load_bundled(name)
@@ -672,7 +671,15 @@ def test_indicators_reach_n_14_under_the_default_guard(monkeypatch):
             assert nu[r] == nu[math.gcd(14, r)], (name, r)
         assert check_power_identity(ty, "sigma", 14)
         assert max(len(k[1]) for k in ty._cache if k[0] == "paths") == 14
-        monkeypatch.setenv("FSCAT_NMAX_GUARD", "4095")
+
+
+def test_bend_route_refusal_builds_nothing(monkeypatch):
+    # no factor of the bend route has a host longer than the word, so one
+    # below dim Hom(1, sigma^14) = 4,096 refuses the power identity at
+    # n = 14 and nu_{14,9} at Hom(1, sigma^14), before any bend or path
+    # list is built
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", "4095")
+    for name in ("ty_z2z2_plus", "ty_z2z2_minus"):
         ty = load_bundled(name)
         for call in (lambda: check_power_identity(ty, "sigma", 14),
                      lambda: indicator(ty, "sigma", 14, 9)):
@@ -680,8 +687,7 @@ def test_indicators_reach_n_14_under_the_default_guard(monkeypatch):
                 call()
             assert str(err.value) == \
                 "hom dimension 4096 exceeds FSCAT_NMAX_GUARD=4095"
-        assert not any(key[0] == "paths" for key in ty._cache)
-        monkeypatch.delenv("FSCAT_NMAX_GUARD")
+        assert not any(key[0] == "paths" for key in ty._cache), name
 
 
 @pytest.mark.parametrize("name,a,period,nmax", [
