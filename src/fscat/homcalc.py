@@ -51,15 +51,16 @@ The builders whose arguments are labels and positions (fuse and split
 steps, dropped unit letters, evaluation pairs, guest-path grafts, the
 coevaluation vectors, the bend hosts ``_bend_tops`` and the bends by
 columns ``_bend_columns``) are memoised per category in ``cat.cached``,
-and so are the right coevaluation blocks of the Frobenius-Schur
-endomorphisms (``indicators._right_block``): in a sweep of those
-endomorphisms about three calls in four repeat an earlier one, and a bend
-host depends only on the bent letters, so every bend of a word with the
-same head shares it.  The results are shared, so callers must not mutate
-them.  ``insert_vector_matrix`` and
-``splice_host_matrix`` are not memoised: their key would hold a ``Cyc``
-vector, and hashing an irrational ``Cyc`` reduces it, which solves a
-linear system.
+and so are two stages of the Frobenius-Schur endomorphisms: the right
+coevaluation blocks (``indicators._right_block``) and the torn-down middle
+that every l of an (n, r) shares (``indicators._torn_down``).  In a sweep
+of those endomorphisms about three calls in four repeat an earlier one,
+and a bend host depends only on the bent letters, so every bend of a word
+with the same head shares it.  The results are shared, so callers must not
+mutate them.  ``insert_vector_matrix`` and ``splice_host_matrix`` are not
+memoised: their key would hold a ``Cyc`` vector, and hashing an irrational
+``Cyc`` reduces it, which solves a linear system.  The Frobenius-Schur
+insertions are reached once per (n, r), through the shared middle.
 """
 
 from __future__ import annotations

@@ -363,29 +363,6 @@ def _accumulate(state, word, vec):
         state[word] = vec
 
 
-def _extract_insert(cat, word, root, src, length, dst, state_vec, out):
-    """Transport the trivial component of the letters [src, src+length)
-    to position dst (left of src), summing over dual bases into `out`."""
-    chunk = word[src:src + length]
-    for pi in paths(cat, chunk, cat.unit):
-        # tear the chunk down along pi
-        vec = state_vec
-        cur = word
-        for j in range(length - 1):
-            mat = fuse_step_matrix(cat, cur, root, src, pi[j + 2])
-            vec = mat_vec(mat, vec)
-            cur = cur[:src] + (pi[j + 2],) + cur[src + 2:]
-            if not any(vec):
-                break
-        else:
-            vec = mat_vec(drop_unit_letter_matrix(cat, cur, root, src), vec)
-            cur = cur[:src] + cur[src + 1:]
-            # rebuild the same chunk along pi at the destination
-            graft = graft_path_matrix(cat, cur, root, dst, chunk, pi)
-            _accumulate(out, cur[:dst] + chunk + cur[dst:],
-                        mat_vec(graft, vec))
-
-
 @_memoised
 def _right_block(cat: Category, support, c, r: int):
     """{word: vector} on Hom(c, -) after the right block of r coevaluations;
@@ -402,50 +379,93 @@ def _right_block(cat: Category, support, c, r: int):
     return state
 
 
+@_memoised
+def _torn_down(cat: Category, support, c, n: int, r: int):
+    """The middle of FS^{(n,l,r)} on Hom(c, -), shared by every l of (n, r);
+    read-only.
+
+    For each word u of the m = n - 1 - r left and middle letters, the
+    nested coevaluation ``db_prime_vector(u)`` is inserted in front of each
+    word of the right block (``_right_block``), and the n letters from
+    position m on, the middle loop's chunk, are torn down to the unit along
+    each path pi of the chunk: fuse steps, then the unit letter dropped.
+    Returns a tuple of (u, torn word, chunk, pi, vector), one per surviving
+    tear-down.  No pivotal scalar of u is applied: it depends on l.
+    """
+    m = n - 1 - r
+    out = []
+    for u in itertools.product(support, repeat=m):
+        comb_letters, comb_vec = db_prime_vector(cat, u)
+        for word, vec in _right_block(cat, support, c, r).items():
+            state = mat_vec(insert_vector_matrix(cat, word, c, 0, comb_letters,
+                                                 comb_vec), vec)
+            if not any(state):
+                continue
+            word = comb_letters + word
+            chunk = word[m:m + n]
+            for pi in paths(cat, chunk, cat.unit):
+                vec, cur = state, word
+                for j in range(n - 1):
+                    vec = mat_vec(fuse_step_matrix(cat, cur, c, m, pi[j + 2]),
+                                  vec)
+                    cur = cur[:m] + (pi[j + 2],) + cur[m + 2:]
+                    if not any(vec):
+                        break
+                else:
+                    vec = mat_vec(drop_unit_letter_matrix(cat, cur, c, m), vec)
+                    out.append((u, cur[:m] + cur[m + 1:], chunk, pi, vec))
+    return tuple(out)
+
+
 def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
     """Matrix of FS^{(n,l,r)} on Hom(c, V) blocks, V the sum of `support`.
 
     The left coevaluation block, with the middle one spliced into it, is one
     ``db_prime_vector``, inserted in front of the right block
-    (``_right_block``); those words of 2n - 1 letters, the longest built,
-    are counted against the guard first.  Returns {(c_in, c_out): Cyc};
-    multiplicity-free direct sums only.
+    (``_right_block``), and the middle loop's n letters are torn down to the
+    unit.  None of that depends on l, only on m = n - 1 - r = l + (n - k),
+    so it is built once per (n, r) and shared by every l (``_torn_down``);
+    each l scales a torn state by the inverse pivotal scalars of its left
+    letters, grafts the chunk back at position l and closes the three
+    loops.  The inserted words of 2n - 1 letters are still the longest
+    built, and they are counted against the guard on every request, before
+    the shared middle is read or built.  Returns {(c_in, c_out): Cyc};
+    multiplicity-free direct sums only, so a repeated label is refused.
     """
     k = l + r + 1
     if not (l >= 0 and r >= 0 and k <= n):
         raise ValueError("need l, r >= 0 and l + r + 1 <= n")
     cat.require_pivotal()
     support = tuple(sorted(support, key=cat.label_index))
+    for a, b in zip(support, support[1:]):
+        if a == b:
+            raise ValueError(f"repeated label {a!r}: FS blocks need a "
+                             "multiplicity-free direct sum")
     nk = n - k
     for c in support:
         for s in itertools.product(support, repeat=n - 1):
             head, u = s[:l + nk], s[l + nk:]
             check_word_guard(cat, dual_word(cat, head) + head + (c,) + u
                              + dual_word(cat, u), c)
+    # the left and right side loops of the diagram are left- and
+    # right-closure shaped, so their coevaluations carry the inverse and
+    # direct pivotal scalars of their letters (the middle loop is
+    # chirality-matched and carries none)
+    scale = functools.cache(lambda ua: math.prod(
+        (cat.t(y).inverse() for y in ua), start=ONE))
+    # close the three loops: the left one (positions l-1 .. 0), then the
+    # middle and the right ones, which stand next to each other
+    closing = [*range(l - 1, -1, -1), *range(r + nk, 0, -1)]
     out = {}
     for c in support:
-        # the left and right side loops of the diagram are left- and
-        # right-closure shaped, so their coevaluations carry the inverse and
-        # direct pivotal scalars of their letters (the middle loop is
-        # chirality-matched and carries none)
+        # rebuild each torn chunk along its pi at position l
         state = {}
-        for ua in itertools.product(support, repeat=l):
-            scale = math.prod((cat.t(y).inverse() for y in ua), start=ONE)
-            for ub in itertools.product(support, repeat=nk):
-                comb_letters, comb_vec = db_prime_vector(cat, ub + ua)
-                comb_vec = [scale * x for x in comb_vec] if ua else comb_vec
-                for word, vec in _right_block(cat, support, c, r).items():
-                    mat = insert_vector_matrix(cat, word, c, 0, comb_letters,
-                                               comb_vec)
-                    _accumulate(state, comb_letters + word, mat_vec(mat, vec))
-        # transport the trivial component of the middle n letters
-        new = {}
-        for word, vec in state.items():
-            _extract_insert(cat, word, c, l + nk, n, l, vec, new)
-        state = new
-        # close the three loops: the left one (positions l-1 .. 0), then the
-        # middle and the right ones, which stand next to each other
-        closing = [*range(l - 1, -1, -1), *range(r + nk, 0, -1)]
+        for u, cur, chunk, pi, vec in _torn_down(cat, support, c, n, r):
+            if nk < len(u):
+                vec = [scale(u[nk:]) * x for x in vec]
+            graft = graft_path_matrix(cat, cur, c, l, chunk, pi)
+            word = cur[:l] + chunk + cur[l:]
+            state[word] = mat_vec(graft, vec, state.get(word))
         final = {}
         for word, vec in state.items():
             cur, v = word, vec

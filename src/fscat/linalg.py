@@ -104,12 +104,14 @@ def dense(a):
     return out
 
 
-def mat_vec(a, v):
-    """a v for ``a`` in column form, over the nonzeros of a and of v only."""
+def mat_vec(a, v, out=None):
+    """a v for ``a`` in column form, over the nonzeros of a and of v only;
+    with ``out``, a v is added into that list in place, which is returned."""
     rows, cols = a
-    if len(cols) != len(v):
+    if len(cols) != len(v) or out is not None and len(out) != rows:
         raise ValueError("matrix shape mismatch")
-    out = [ZERO] * rows
+    if out is None:
+        out = [ZERO] * rows
     for col, y in zip(cols, v):
         if y:
             for i, x in col:

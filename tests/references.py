@@ -3,21 +3,28 @@
 The nested double-dual route is the reference for the closed-form
 double-dual scalar (``homcalc.double_dual_coefficient``), the spliced bend
 for the one-graft bend kernel (``indicators.e_map_matrix``), and the
-innermost-first nested coevaluation for ``homcalc.db_prime_vector``.  Each
-takes the long way on purpose: whole splice and contraction matrices, and
-the evaluation/coevaluation machinery applied twice.
+innermost-first nested coevaluation for ``homcalc.db_prime_vector``, and
+the per-l build of the Frobenius-Schur blocks for the shared middle of
+``indicators._fs_blocks``.  Each takes the long way on purpose: whole
+splice and contraction matrices, the evaluation/coevaluation machinery
+applied twice, and every insertion and tear-down redone for each l.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from fscat.cyclo import Cyc
 from fscat.homcalc import (LinMap, TensorWord, contract_pair_matrix,
-                           dual_morphism, paths, splice_host_matrix)
+                           db_prime_vector, drop_unit_letter_matrix,
+                           dual_morphism, fuse_step_matrix, graft_path_matrix,
+                           insert_vector_matrix, paths, splice_host_matrix)
+from fscat.indicators import _accumulate, _right_block
 from fscat.linalg import dense, mat_mul, mat_vec, zeros
 
 ONE = Cyc.one()
+ZERO = Cyc.zero()
 
 
 # -- the nested double-dual route ---------------------------------------------
@@ -82,3 +89,70 @@ def spliced_db_prime_vector(cat, letters):
         vec = mat_vec(splice_host_matrix(cat, host, [ONE], 1, cur), vec)
         cur = host[:1] + cur + host[1:]
     return cur, vec
+
+
+# -- the Frobenius-Schur blocks, one l at a time ------------------------------
+
+
+def _extract_insert(cat, word, root, src, length, dst, state_vec, out):
+    """Transport the trivial component of the letters [src, src+length)
+    to position dst (left of src), summing over dual bases into `out`."""
+    chunk = word[src:src + length]
+    for pi in paths(cat, chunk, cat.unit):
+        # tear the chunk down along pi
+        vec = state_vec
+        cur = word
+        for j in range(length - 1):
+            mat = fuse_step_matrix(cat, cur, root, src, pi[j + 2])
+            vec = mat_vec(mat, vec)
+            cur = cur[:src] + (pi[j + 2],) + cur[src + 2:]
+            if not any(vec):
+                break
+        else:
+            vec = mat_vec(drop_unit_letter_matrix(cat, cur, root, src), vec)
+            cur = cur[:src] + cur[src + 1:]
+            # rebuild the same chunk along pi at the destination
+            graft = graft_path_matrix(cat, cur, root, dst, chunk, pi)
+            _accumulate(out, cur[:dst] + chunk + cur[dst:],
+                        mat_vec(graft, vec))
+
+
+def unshared_fs_blocks(cat, support, n, l, r):
+    """``indicators._fs_blocks`` with nothing shared between the l of one
+    (n, r): each left/middle combo is scaled by its pivotal product, then
+    inserted in front of the right block and torn down for this l alone."""
+    cat.require_pivotal()
+    support = tuple(sorted(support, key=cat.label_index))
+    nk = n - l - r - 1
+    out = {}
+    for c in support:
+        state = {}
+        for ua in itertools.product(support, repeat=l):
+            scale = math.prod((cat.t(y).inverse() for y in ua), start=ONE)
+            for ub in itertools.product(support, repeat=nk):
+                comb_letters, comb_vec = db_prime_vector(cat, ub + ua)
+                comb_vec = [scale * x for x in comb_vec] if ua else comb_vec
+                for word, vec in _right_block(cat, support, c, r).items():
+                    mat = insert_vector_matrix(cat, word, c, 0, comb_letters,
+                                               comb_vec)
+                    _accumulate(state, comb_letters + word, mat_vec(mat, vec))
+        new = {}
+        for word, vec in state.items():
+            _extract_insert(cat, word, c, l + nk, n, l, vec, new)
+        closing = [*range(l - 1, -1, -1), *range(r + nk, 0, -1)]
+        final = {}
+        for word, vec in new.items():
+            cur, v = word, vec
+            for pos in closing:
+                if cat.dual(cur[pos]) != cur[pos + 1]:
+                    break
+                v = mat_vec(contract_pair_matrix(cat, cur, c, pos), v)
+                cur = cur[:pos] + cur[pos + 2:]
+            else:
+                assert len(cur) == 1
+                _accumulate(final, cur, v)
+        for word, vec in final.items():
+            if vec[0] or word == (c,):
+                out[(c, word[0])] = vec[0]
+        out.setdefault((c, c), ZERO)
+    return out

@@ -6,7 +6,8 @@ import pytest
 
 import fscat
 from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled
-from references import spliced_db_prime_vector, spliced_e_map_matrix
+from references import (spliced_db_prime_vector, spliced_e_map_matrix,
+                        unshared_fs_blocks)
 
 from fscat.category import (MissingPivotalError, ObjectExpr, gauge_transform,
                             reverse_category)
@@ -20,7 +21,8 @@ from fscat.homcalc import (LinMap, attach_pair_matrix, db_prime_vector,
 from fscat.homcalc import _bend_columns, _bend_entries, paths
 from fscat import indicators
 from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _bend_value,
-                              _factors, _prefix_product, _right_block,
+                              _factors, _fs_blocks, _prefix_product,
+                              _right_block, _torn_down,
                               check_fs_theorems, check_power_identity,
                               check_reversal_symmetry, e_map, e_map_matrix,
                               fs_scalar, indicator, indicator_report,
@@ -583,6 +585,69 @@ def test_fs_scalar_bad_arguments():
         fs_scalar(fib, "q", 2, 0, 0)
 
 
+def test_fs_blocks_refuse_a_repeated_label():
+    # t + t is not multiplicity-free: its blocks would count t twice
+    fib = bundled("fibonacci")
+    with pytest.raises(ValueError, match="repeated label 't'"):
+        _fs_blocks(fib, ("t", "t"), 2, 0, 0)
+    with pytest.raises(ValueError, match="repeated label '1'"):
+        _fs_blocks(fib, ("t", "1", "1"), 2, 0, 0)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_fs_blocks_match_the_unshared_route(name):
+    # the middle shared by every l of an (n, r) against the per-l build,
+    # block for block: every simple at n <= 5, every two-term sum at n <= 4
+    cat = bundled(name).with_pivotal(bundled(name).pivotal)
+    supports = [((a,), 5) for a in cat.labels]
+    supports += [(pair, 4) for pair in itertools.combinations(cat.labels, 2)]
+    for support, nmax in supports:
+        for n in range(1, nmax + 1):
+            for l in range(n):
+                for r in range(n - l):
+                    assert _fs_blocks(cat, support, n, l, r) == \
+                        unshared_fs_blocks(cat, support, n, l, r), \
+                        (support, n, l, r)
+
+
+def test_fs_middle_is_built_once_per_n_and_r(monkeypatch):
+    # the 15 (l, r) of Fibonacci t at n = 5 share five middles, one per r,
+    # and each inserts one comb into the one word of its right block
+    calls = []
+    real = indicators.insert_vector_matrix
+
+    def counted(*args):
+        calls.append(args[:4])
+        return real(*args)
+
+    monkeypatch.setattr(indicators, "insert_vector_matrix", counted)
+    fib = load_bundled("fibonacci")
+    cases = [(l, r) for r in range(5) for l in range(5 - r)]
+    assert len(cases) == 15
+    for l, r in cases:
+        fs_scalar(fib, "t", 5, l, r)
+    assert len(calls) == 5
+    assert sorted(key[1:] for key in fib._cache if key[0] == "_torn_down") \
+        == [(("t",), "t", 5, r) for r in range(5)]
+
+
+def test_fs_guard_applies_on_a_memo_hit(monkeypatch):
+    # FS^(5,1,0) reads the middle FS^(5,0,0) built, but its words of 9
+    # letters are still counted against the guard on the request
+    fib = load_bundled("fibonacci")
+    monkeypatch.delenv("FSCAT_NMAX_GUARD", raising=False)
+    fs_scalar(fib, "t", 5, 0, 0)
+    assert ("_torn_down", ("t",), "t", 5, 0) in fib._cache
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", "3")
+    with pytest.raises(DimensionGuardError):
+        fs_scalar(fib, "t", 5, 1, 0)
+    # a refused request builds no middle of its own
+    with pytest.raises(DimensionGuardError):
+        fs_scalar(fib, "t", 5, 0, 1)
+    assert [key for key in fib._cache if key[0] == "_torn_down"] == \
+        [("_torn_down", ("t",), "t", 5, 0)]
+
+
 # the label-keyed builders memoised in ``cat.cached``, by their memo kind
 MEMOISED_BUILDERS = {name: getattr(fscat.homcalc, name) for name in (
     "fuse_step_matrix", "drop_unit_letter_matrix", "contract_pair_matrix",
@@ -590,6 +655,7 @@ MEMOISED_BUILDERS = {name: getattr(fscat.homcalc, name) for name in (
     "_bend_columns")}
 MEMOISED_BUILDERS["_right_block"] = _right_block
 MEMOISED_BUILDERS["_prefix_product"] = _prefix_product
+MEMOISED_BUILDERS["_torn_down"] = _torn_down
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
