@@ -98,12 +98,35 @@ class FusionRing:
                 errs.append(f"negative multiplicity at {(a, b, c)}")
         return errs
 
-    def ring_axiom_checks(self):
+    def block_shapes(self):
+        """(rows, columns) of the F-blocks, two Counters keyed (a, b, c, d):
+        rows = sum_e N_ab^e N_ec^d counts the channels of (a b) c -> d and
+        columns = sum_f N_bc^f N_af^d those of a (b c) -> d.
+
+        One pass pairs the stored rows (a, b, e) (e, c, d) and (b, c, f)
+        (a, f, d) that meet at their shared label, so a key is stored
+        exactly when its count is positive.
+        """
+        by_first, by_middle = {}, {}
+        for (a, b, c), m in self.N.items():
+            by_first.setdefault(a, []).append((b, c, m))
+            by_middle.setdefault(b, []).append((a, c, m))
+        rows, cols = Counter(), Counter()
+        for (a, b, c), m in self.N.items():
+            for x, d, k in by_first.get(c, ()):
+                rows[(a, b, x, d)] += m * k
+            for x, d, k in by_middle.get(c, ()):
+                cols[(x, a, b, d)] += m * k
+        return rows, cols
+
+    def ring_axiom_checks(self, shapes=None):
         """Exact checks of the fusion-ring axioms, as (name, ok, detail).
 
         One pass over the stored rows finds every failing case; a detail
         names the last one in label order (pairs (a, b), triples (a, b, c)).
-        The ring must be free of structural errors.
+        Associativity compares the two sides of ``shapes``, which is
+        ``block_shapes()`` and is formed here when not given.  The ring
+        must be free of structural errors.
         """
         unit, dual, labels = self.unit, self.dual, self.labels
 
@@ -116,25 +139,13 @@ class FusionRing:
         pair_bad = {(a, dual[a]) for a in labels
                     if dual.get(a) in self._index
                     and self.n(a, dual[a], unit) != 1}
-        # {d: multiplicity of d in (a b) c} - {d: ... in a (b c)}, keyed
-        # (a, b, c, d), from the rows (a, b, e) (e, c, d) and (b, c, f)
-        # (a, f, d) that meet at their shared label
-        by_first, by_middle = {}, {}
-        for (a, b, c), m in self.N.items():
-            by_first.setdefault(a, []).append((b, c, m))
-            by_middle.setdefault(b, []).append((a, c, m))
-        excess = Counter()
-        for (a, b, c), m in self.N.items():
+        for (a, b, c) in self.N:
             if a == unit and b != c:
                 unit_bad.add((b, c))
             if b == unit and a != c:
                 unit_bad.add((a, c))
             if c == unit and b != dual.get(a):
                 pair_bad.add((a, b))
-            for x, d, k in by_first.get(c, ()):
-                excess[(a, b, x, d)] += m * k
-            for x, d, k in by_middle.get(c, ()):
-                excess[(x, a, b, d)] -= m * k
         out = [("unit", not unit_bad,
                 "unit row fails at ({},{})".format(*last(unit_bad))
                 if unit_bad else "")]
@@ -150,10 +161,12 @@ class FusionRing:
             dual_bad = "dual(unit) != unit"
         out.append(("dual", not dual_bad, dual_bad))
 
+        # (a b) c and a (b c) hold d with the same multiplicity
+        rows, cols = shapes or self.block_shapes()
         assoc_bad = {}
-        for (a, b, c, d), k in excess.items():
-            if k:
-                assoc_bad.setdefault((a, b, c), []).append(d)
+        for key in rows.keys() | cols.keys():
+            if rows[key] != cols[key]:
+                assoc_bad.setdefault(key[:3], []).append(key[3])
         assoc = ""
         if assoc_bad:
             a, b, c = last(assoc_bad)
@@ -404,7 +417,16 @@ class ValidationReport:
 
 def validate(category: Category) -> ValidationReport:
     """Exact validation of all axiom groups; see the spec file loader for
-    the structural layer that runs before this on raw input."""
+    the structural layer that runs before this on raw input.
+
+    F sanity lays out only the blocks it must.  The block shapes are the
+    two sides that associativity compares (``FusionRing.block_shapes``).
+    Under the conditions that let ``pentagon_failures`` skip the unit
+    tuples, every unit block is [1]; otherwise the unit blocks are walked.
+    A 1x1 block is singular exactly when its entry is a stored zero, and a
+    larger square block is inverted.  Each detail names its item's last
+    failure in label order.
+    """
     report = ValidationReport(category=category.name)
     errs = list(category.ring.structural_errors())
     ring = category.ring
@@ -439,35 +461,15 @@ def validate(category: Category) -> ValidationReport:
     if errs:
         return report
 
-    for name, ok, detail in ring.ring_axiom_checks():
+    shapes = ring.block_shapes()
+    for name, ok, detail in ring.ring_axiom_checks(shapes):
         report.items.append(CheckItem("ring", name, ok, detail))
 
-    # F-matrix sanity: unit normalization and invertibility in one walk of
-    # the admissible blocks (each detail names its item's last failure),
-    # then the duality entries
-    unit = ring.unit
-    unit_fail = inv_fail = ""
-    for (a, b, c, d) in _admissible_f_tuples(category):
-        es, fs = category.f_rowcols(a, b, c, d)
-        square = len(es) == len(fs)
-        if unit in (a, b, c):
-            m = category.f_block(a, b, c, d)
-            if not square or any(m[i][j] != (1 if i == j else 0)
-                                 for i in range(len(es))
-                                 for j in range(len(fs))):
-                unit_fail = f"unit block [F^({a},{b},{c})_{d}] is not the identity"
-        if not square:
-            inv_fail = f"[F^({a},{b},{c})_{d}] is not square"
-        elif len(es) == 1:  # nonzero entry; its inverse is built on first read
-            if not category.F.get((a, b, c, d, es[0], fs[0])):
-                inv_fail = f"[F^({a},{b},{c})_{d}] is singular"
-        else:
-            try:
-                category.f_inv_block(a, b, c, d)
-            except ValueError:
-                inv_fail = f"[F^({a},{b},{c})_{d}] is singular"
+    unit_fail = "" if _unit_tuples_implied(ring, category.F.entries) \
+        else _unit_block_failure(category)
     report.items.append(CheckItem("F", "unit normalization", not unit_fail,
                                   unit_fail))
+    inv_fail = _invertibility_failure(category, *shapes)
     report.items.append(CheckItem("F", "invertibility", not inv_fail,
                                   inv_fail))
 
@@ -487,6 +489,46 @@ def validate(category: Category) -> ValidationReport:
     if category.pivotal is not None:
         report.items.extend(_pivotal_checks(category, report.items))
     return report
+
+
+def _unit_block_failure(category: Category) -> str:
+    """The last unit block in label order that is not the identity, from a
+    walk that lays out every admissible block with the unit among its first
+    three labels; '' when there is none."""
+    fail = ""
+    for key in _admissible_f_tuples(category):
+        if category.unit in key[:3]:
+            m = category.f_block(*key)
+            if m != [[ONE if i == j else ZERO for j in range(len(m))]
+                     for i in range(len(m))]:
+                fail = "unit block [F^({},{},{})_{}] is not the identity" \
+                    .format(*key)
+    return fail
+
+
+def _invertibility_failure(category: Category, rows, cols) -> str:
+    """The last admissible block in label order that is not square or is
+    singular, from ``FusionRing.block_shapes``; '' when there is none.
+
+    A 1x1 block is singular exactly when its entry is a stored zero (an
+    omitted entry is 1); a larger square block is inverted, and the
+    inverse stays in the memo that the kernels read."""
+    bad = {}
+    for key, r in rows.items():
+        if r != cols[key]:
+            bad[key] = "not square"
+        elif r > 1:
+            try:
+                category.f_inv_block(*key)
+            except ValueError:
+                bad[key] = "singular"
+    for key, value in category.F.entries.items():
+        if not value and rows[key[:4]] == 1 == cols[key[:4]]:
+            bad[key[:4]] = "singular"
+    if not bad:
+        return ""
+    a, b, c, d = max(bad, key=lambda k: tuple(map(category.label_index, k)))
+    return f"[F^({a},{b},{c})_{d}] is {bad[(a, b, c, d)]}"
 
 
 def _admissible_f_tuples(category: Category):

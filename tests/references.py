@@ -5,9 +5,11 @@ double-dual scalar (``homcalc.double_dual_coefficient``), the spliced bend
 for the one-graft bend kernel (``indicators.e_map_matrix``), and the
 innermost-first nested coevaluation for ``homcalc.db_prime_vector``, and
 the per-l build of the Frobenius-Schur blocks for the shared middle of
-``indicators._fs_blocks``.  Each takes the long way on purpose: whole
-splice and contraction matrices, the evaluation/coevaluation machinery
-applied twice, and every insertion and tear-down redone for each l.
+``indicators._fs_blocks``, and the walk over every admissible F-block for
+the F-sanity items of ``category.validate``.  Each takes the long way on
+purpose: whole splice and contraction matrices, the
+evaluation/coevaluation machinery applied twice, every insertion and
+tear-down redone for each l, and every F-block laid out.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from fscat.category import CheckItem, _admissible_f_tuples
 from fscat.cyclo import Cyc
 from fscat.homcalc import (LinMap, TensorWord, contract_pair_matrix,
                            db_prime_vector, drop_unit_letter_matrix,
@@ -156,3 +159,38 @@ def unshared_fs_blocks(cat, support, n, l, r):
                 out[(c, word[0])] = vec[0]
         out.setdefault((c, c), ZERO)
     return out
+
+
+# -- the F-sanity walk ----------------------------------------------------------
+
+
+def walked_f_items(cat):
+    """The "unit normalization" and "invertibility" items of
+    ``category.validate`` from one walk of the admissible F-blocks in label
+    order: each unit block is laid out and compared with the identity,
+    and each block is checked square and then inverted (a 1x1 block by
+    its entry).  Each detail names its item's last failure.  The category
+    must be free of structural errors."""
+    unit = cat.unit
+    unit_fail = inv_fail = ""
+    for (a, b, c, d) in _admissible_f_tuples(cat):
+        es, fs = cat.f_rowcols(a, b, c, d)
+        square = len(es) == len(fs)
+        if unit in (a, b, c):
+            m = cat.f_block(a, b, c, d)
+            if not square or any(m[i][j] != (1 if i == j else 0)
+                                 for i in range(len(es))
+                                 for j in range(len(fs))):
+                unit_fail = f"unit block [F^({a},{b},{c})_{d}] is not the identity"
+        if not square:
+            inv_fail = f"[F^({a},{b},{c})_{d}] is not square"
+        elif len(es) == 1:
+            if not cat.F.get((a, b, c, d, es[0], fs[0])):
+                inv_fail = f"[F^({a},{b},{c})_{d}] is singular"
+        else:
+            try:
+                cat.f_inv_block(a, b, c, d)
+            except ValueError:
+                inv_fail = f"[F^({a},{b},{c})_{d}] is singular"
+    return [CheckItem("F", "unit normalization", not unit_fail, unit_fail),
+            CheckItem("F", "invertibility", not inv_fail, inv_fail)]

@@ -15,6 +15,8 @@ from fscat.category import (Category, FSymbolSet, FusionRing, GaugeError,
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, root_of_unity
 from fscat.indicators import indicator
+from fscat.specio import load_bundled
+from references import walked_f_items
 
 
 def test_all_bundled_specs_validate(any_bundled):
@@ -300,6 +302,52 @@ def test_ring_axiom_checks_match_the_label_loops(name):
         assert failing == {"unit", "dual", "associativity"}, name
 
 
+def _with_entries(cat, changes):
+    return Category(cat.name, cat.ring, FSymbolSet({**cat.F.entries,
+                                                    **changes}),
+                    cat.pivotal, cat.conductor)
+
+
+def _f_sanity_cases(name):
+    """The spec, its reversal and a wide gauge; every ring breakage; every
+    admissible F entry set to 0, and every unit entry set to -1 and 2."""
+    cat = bundled(name)
+    yield "spec", cat
+    yield "reversed", reverse_category(cat)
+    yield "wide gauge", gauge_transform(cat, _wide_gauge(cat))
+    for what, ring in _ring_breakages(cat.ring, random.Random(name)):
+        yield what, Category(cat.name, ring, cat.F, cat.pivotal, cat.conductor)
+    for (a, b, c, d) in _admissible_f_tuples(cat):
+        es, fs = cat.f_rowcols(a, b, c, d)
+        for key in ((a, b, c, d, e, f) for e in es for f in fs):
+            yield (key, 0), _with_entries(cat, {key: Cyc.zero()})
+    for key in _unit_keys(cat):
+        for value in (-1, 2):
+            yield (key, value), _with_entries(cat, {key: Cyc.rational(value)})
+    if name == "fibonacci":  # a 2x2 block with proportional rows
+        yield "proportional rows", _with_entries(cat, {
+            tuple("ttttt1"): cat.F.get(tuple("tttt11")),
+            tuple("tttttt"): cat.F.get(tuple("tttt1t"))})
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_f_sanity_matches_the_walk(name):
+    # decided from the block shapes and the stored entries, the two items
+    # name the same last failure as the walk that lays out every block
+    details = set()
+    for what, c in _f_sanity_cases(name):
+        report = validate(c)
+        if report.structural_errors:
+            continue
+        got = [i for i in report.items if i.group == "F"
+               and i.name in ("unit normalization", "invertibility")]
+        want = walked_f_items(c)
+        assert got == want, (name, what)
+        details |= {i.detail.rpartition(" ")[2] for i in got if not i.ok}
+    if len(bundled(name).labels) > 1:
+        assert details == {"identity", "square", "singular"}, name
+
+
 def _same_f_table(c1, c2):
     def table(c):
         return {k: v for k, v in c.F.entries.items() if v != 1}
@@ -497,6 +545,44 @@ def test_report_names_a_two_by_two_block_with_proportional_rows_singular():
         pentagon="('t', 't', 't', 't', '1')", pivotal="F/invertibility")
 
 
+def test_report_names_a_unit_block_that_is_not_the_identity():
+    cat = _fib_with({"1ttttt": Cyc.rational(2)})
+    assert validate(cat).lines() == [
+        "category: fibonacci", "PASS ring: unit", "PASS ring: dual",
+        "PASS ring: associativity",
+        "FAIL F: unit normalization  [unit block [F^(1,t,t)_t] is not the "
+        "identity]",
+        "PASS F: invertibility", "PASS F: duality normalization",
+        "FAIL pentagon: pentagon identity  [first failing 5-tuple "
+        "(a,b,c,d,e) = ('1', '1', 't', 't', 't')]",
+        "PASS pivotal: t(unit) = 1", "PASS pivotal: coefficients nonzero",
+        "PASS pivotal: dual-inverse",
+        "FAIL pivotal: monoidality  [not checked: F/unit normalization]",
+        "INVALID"]
+
+
+def test_report_names_a_block_that_is_not_square():
+    # g (x) g = 1 + g: (sigma sigma) g -> g has two channels, sigma (sigma g)
+    # -> g one
+    ising = bundled("ising")
+    ring = FusionRing(ising.labels, ising.unit, ising.ring.dual,
+                      {**ising.ring.N, ("g", "g", "g"): 1})
+    assert ring.is_multiplicity_free()
+    cat = Category("ising", ring, ising.F, ising.pivotal, ising.conductor)
+    assert validate(cat).lines() == [
+        "category: ising", "PASS ring: unit", "PASS ring: dual",
+        "FAIL ring: associativity  [associativity fails at (sigma,sigma,g)->g]",
+        "PASS F: unit normalization",
+        "FAIL F: invertibility  [[F^(sigma,sigma,g)_g] is not square]",
+        "PASS F: duality normalization",
+        "FAIL pentagon: pentagon identity  [first failing 5-tuple "
+        "(a,b,c,d,e) = ('g', 'g', 'g', 'g', '1')]",
+        "PASS pivotal: t(unit) = 1", "PASS pivotal: coefficients nonzero",
+        "PASS pivotal: dual-inverse",
+        "FAIL pivotal: monoidality  [not checked: ring/associativity]",
+        "INVALID"]
+
+
 ISING_KEY = ("g", "sigma", "g", "sigma", "sigma", "sigma")
 
 
@@ -521,6 +607,29 @@ def test_entry_outside_the_field_fails_membership():
         "STRUCTURAL F entry ('g', 'sigma', 'g', 'sigma', 'sigma', 'sigma') "
         "does not lie in Q(zeta_8)",
         "INVALID"]
+
+
+def test_validate_lays_out_only_the_multi_channel_blocks(monkeypatch):
+    # unit normalization and the 1x1 blocks are decided from the fusion
+    # counts and the stored entries; each larger block is laid out once, to
+    # be inverted
+    calls = []
+    real = Category.f_block
+
+    def counted(self, *key):
+        calls.append(key)
+        return real(self, *key)
+
+    monkeypatch.setattr(Category, "f_block", counted)
+    for name in ALL_BUNDLED:
+        cat = load_bundled(name)
+        calls.clear()
+        assert validate(cat).valid, name
+        rows, _ = cat.ring.block_shapes()
+        assert sorted(calls) == sorted(k for k, r in rows.items() if r > 1), \
+            name
+        if name == "ty_z2z2_plus":
+            assert calls == [("sigma", "sigma", "sigma", "sigma")]
 
 
 # -- the F-entry memo ------------------------------------------------------------
