@@ -19,15 +19,17 @@ Conventions used by the whole package:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .cyclo import Cyc, triple_residues
-from .linalg import mat_inv
+from .linalg import eye, mat_inv
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
+NO_BLOCK = ((), ())  # the layout of an inadmissible (a, b, c, d)
 
 
 class SpecError(ValueError):
@@ -98,40 +100,47 @@ class FusionRing:
                 errs.append(f"negative multiplicity at {(a, b, c)}")
         return errs
 
-    def block_shapes(self):
-        """(rows, columns) of the F-blocks, two Counters keyed (a, b, c, d):
-        rows = sum_e N_ab^e N_ec^d counts the channels of (a b) c -> d and
-        columns = sum_f N_bc^f N_af^d those of a (b c) -> d.
+    @functools.cached_property
+    def blocks(self):
+        """The F-block layout {(a, b, c, d): (es, fs)}: es lists the
+        channels e of a (x) b with N_ec^d > 0, fs the channels f of b (x) c
+        with N_af^d > 0, each in label order.  A key is stored when either
+        list is nonempty; the two lists are the sides of (a b) c = a (b c)
+        that associativity compares.  Every category on this ring reads the
+        one layout, so the lists must not be mutated.
 
-        One pass pairs the stored rows (a, b, e) (e, c, d) and (b, c, f)
-        (a, f, d) that meet at their shared label, so a key is stored
-        exactly when its count is positive.
+        One pass over the stored rows (x, y, z), taken in label order of z,
+        appends z to es of each (x, y, c, d) with N_zc^d > 0 and to fs of
+        each (a, x, y, d) with N_az^d > 0, so no list is sorted.
         """
-        by_first, by_middle = {}, {}
-        for (a, b, c), m in self.N.items():
-            by_first.setdefault(a, []).append((b, c, m))
-            by_middle.setdefault(b, []).append((a, c, m))
-        rows, cols = Counter(), Counter()
-        for (a, b, c), m in self.N.items():
-            for x, d, k in by_first.get(c, ()):
-                rows[(a, b, x, d)] += m * k
-            for x, d, k in by_middle.get(c, ()):
-                cols[(x, a, b, d)] += m * k
-        return rows, cols
+        by_first, by_middle, by_last = {}, {}, {}
+        for (a, b, c) in self.N:
+            by_first.setdefault(a, []).append((b, c))
+            by_middle.setdefault(b, []).append((a, c))
+            by_last.setdefault(c, []).append((a, b))
+        out = {}
+        for z in self.labels:
+            for x, y in by_last.get(z, ()):
+                for c, d in by_first.get(z, ()):
+                    out.setdefault((x, y, c, d), ([], []))[0].append(z)
+                for a, d in by_middle.get(z, ()):
+                    out.setdefault((a, x, y, d), ([], []))[1].append(z)
+        return out
 
-    def ring_axiom_checks(self, shapes=None):
+    def last(self, keys):
+        """The last of ``keys`` (tuples of labels) in label order."""
+        return max(keys, key=lambda k: tuple(map(self.index, k)))
+
+    def ring_axiom_checks(self):
         """Exact checks of the fusion-ring axioms, as (name, ok, detail).
 
         One pass over the stored rows finds every failing case; a detail
         names the last one in label order (pairs (a, b), triples (a, b, c)).
-        Associativity compares the two sides of ``shapes``, which is
-        ``block_shapes()`` and is formed here when not given.  The ring
-        must be free of structural errors.
+        Associativity compares the two sides of each block of ``blocks``:
+        their lengths on a multiplicity-free ring, their N-weighted sums
+        otherwise.  The ring must be free of structural errors.
         """
-        unit, dual, labels = self.unit, self.dual, self.labels
-
-        def last(cases):
-            return max(cases, key=lambda k: tuple(map(self.index, k)))
+        unit, dual, labels, N = self.unit, self.dual, self.labels, self.N
 
         # N(1, a, b) = N(a, 1, b) = delta_ab, and N(a, b, 1) = delta_{b, a*}
         unit_bad = {(a, a) for a in labels
@@ -139,7 +148,7 @@ class FusionRing:
         pair_bad = {(a, dual[a]) for a in labels
                     if dual.get(a) in self._index
                     and self.n(a, dual[a], unit) != 1}
-        for (a, b, c) in self.N:
+        for (a, b, c) in N:
             if a == unit and b != c:
                 unit_bad.add((b, c))
             if b == unit and a != c:
@@ -147,7 +156,7 @@ class FusionRing:
             if c == unit and b != dual.get(a):
                 pair_bad.add((a, b))
         out = [("unit", not unit_bad,
-                "unit row fails at ({},{})".format(*last(unit_bad))
+                "unit row fails at ({},{})".format(*self.last(unit_bad))
                 if unit_bad else "")]
 
         dual_bad = ""
@@ -155,21 +164,23 @@ class FusionRing:
         if involution_bad:
             dual_bad = f"dual not involutive at {involution_bad[-1]}"
         if pair_bad:
-            a, b = last(pair_bad)
+            a, b = self.last(pair_bad)
             dual_bad = f"N_({a},{b})^unit != {1 if b == dual.get(a) else 0}"
         if dual.get(unit) != unit:
             dual_bad = "dual(unit) != unit"
         out.append(("dual", not dual_bad, dual_bad))
 
         # (a b) c and a (b c) hold d with the same multiplicity
-        rows, cols = shapes or self.block_shapes()
+        free = self.is_multiplicity_free()
         assoc_bad = {}
-        for key in rows.keys() | cols.keys():
-            if rows[key] != cols[key]:
-                assoc_bad.setdefault(key[:3], []).append(key[3])
+        for (a, b, c, d), (es, fs) in self.blocks.items():
+            if (len(es) != len(fs)) if free else (
+                    sum(N[(a, b, e)] * N[(e, c, d)] for e in es)
+                    != sum(N[(b, c, f)] * N[(a, f, d)] for f in fs)):
+                assoc_bad.setdefault((a, b, c), []).append(d)
         assoc = ""
         if assoc_bad:
-            a, b, c = last(assoc_bad)
+            a, b, c = self.last(assoc_bad)
             d = max(assoc_bad[(a, b, c)], key=self.index)
             assoc = f"associativity fails at ({a},{b},{c})->{d}"
         out.append(("associativity", not assoc, assoc))
@@ -255,7 +266,9 @@ class Category:
     hom-space kernels read the same few hundred entries many thousand
     times.  Every memo fills on demand and belongs to one instance;
     ``with_pivotal``, ``gauge_transform`` and ``reverse_category`` start
-    empty ones.
+    empty ones.  The F-block layout is not a memo of the category: it
+    belongs to the fusion ring (``FusionRing.blocks``), which
+    ``with_pivotal`` and ``gauge_transform`` share.
     """
 
     def __init__(self, name, ring, f_symbols, pivotal=None, conductor=1):
@@ -312,12 +325,9 @@ class Category:
     # -- F-symbol access --------------------------------------------------
 
     def f_rowcols(self, a, b, c, d):
-        """(e-list, f-list) of admissible channels for the block [F^{abc}_d]."""
-        def build():
-            es = tuple(e for e in self.channels(a, b) if self.n(e, c, d))
-            fs = tuple(f for f in self.channels(b, c) if self.n(a, f, d))
-            return es, fs
-        return self.cached(("frc", a, b, c, d), build)
+        """(e-list, f-list) of admissible channels for the block [F^{abc}_d],
+        read from the ring's layout (``FusionRing.blocks``)."""
+        return self.ring.blocks.get((a, b, c, d), NO_BLOCK)
 
     def f_block(self, a, b, c, d):
         """The matrix [F^{abc}_d] over (e-list, f-list)."""
@@ -419,9 +429,9 @@ def validate(category: Category) -> ValidationReport:
     """Exact validation of all axiom groups; see the spec file loader for
     the structural layer that runs before this on raw input.
 
-    F sanity lays out only the blocks it must.  The block shapes are the
-    two sides that associativity compares (``FusionRing.block_shapes``).
-    Under the conditions that let ``pentagon_failures`` skip the unit
+    F sanity lays out only the blocks it must.  The shape of a block is
+    read off the ring's layout (``FusionRing.blocks``), whose two channel
+    lists are the sides that associativity compares.  Under the conditions that let ``pentagon_failures`` skip the unit
     tuples, every unit block is [1]; otherwise the unit blocks are walked.
     A 1x1 block is singular exactly when its entry is a stored zero, and a
     larger square block is inverted.  Each detail names its item's last
@@ -461,15 +471,14 @@ def validate(category: Category) -> ValidationReport:
     if errs:
         return report
 
-    shapes = ring.block_shapes()
-    for name, ok, detail in ring.ring_axiom_checks(shapes):
+    for name, ok, detail in ring.ring_axiom_checks():
         report.items.append(CheckItem("ring", name, ok, detail))
 
     unit_fail = "" if _unit_tuples_implied(ring, category.F.entries) \
         else _unit_block_failure(category)
     report.items.append(CheckItem("F", "unit normalization", not unit_fail,
                                   unit_fail))
-    inv_fail = _invertibility_failure(category, *shapes)
+    inv_fail = _invertibility_failure(category)
     report.items.append(CheckItem("F", "invertibility", not inv_fail,
                                   inv_fail))
 
@@ -495,58 +504,39 @@ def _unit_block_failure(category: Category) -> str:
     """The last unit block in label order that is not the identity, from a
     walk that lays out every admissible block with the unit among its first
     three labels; '' when there is none."""
-    fail = ""
-    for key in _admissible_f_tuples(category):
-        if category.unit in key[:3]:
-            m = category.f_block(*key)
-            if m != [[ONE if i == j else ZERO for j in range(len(m))]
-                     for i in range(len(m))]:
-                fail = "unit block [F^({},{},{})_{}] is not the identity" \
-                    .format(*key)
-    return fail
+    fails = [key for key, (es, _) in category.ring.blocks.items()
+             if es and category.unit in key[:3]
+             and category.f_block(*key) != eye(len(es))]
+    return "unit block [F^({},{},{})_{}] is not the identity".format(
+        *category.ring.last(fails)) if fails else ""
 
 
-def _invertibility_failure(category: Category, rows, cols) -> str:
+def _invertibility_failure(category: Category) -> str:
     """The last admissible block in label order that is not square or is
-    singular, from ``FusionRing.block_shapes``; '' when there is none.
+    singular, from the layout ``FusionRing.blocks``; '' when there is none.
 
-    A 1x1 block is singular exactly when its entry is a stored zero (an
-    omitted entry is 1); a larger square block is inverted, and the
-    inverse stays in the memo that the kernels read."""
+    A block is admissible when it has a row.  A 1x1 block is singular
+    exactly when its entry is a stored zero (an omitted entry is 1); a
+    larger square block is inverted, and the inverse stays in the memo that
+    the kernels read."""
+    blocks = category.ring.blocks
     bad = {}
-    for key, r in rows.items():
-        if r != cols[key]:
+    for key, (es, fs) in blocks.items():
+        if es and len(es) != len(fs):
             bad[key] = "not square"
-        elif r > 1:
+        elif len(es) > 1:
             try:
                 category.f_inv_block(*key)
             except ValueError:
                 bad[key] = "singular"
     for key, value in category.F.entries.items():
-        if not value and rows[key[:4]] == 1 == cols[key[:4]]:
+        es, fs = blocks[key[:4]]
+        if not value and len(es) == 1 == len(fs):
             bad[key[:4]] = "singular"
     if not bad:
         return ""
-    a, b, c, d = max(bad, key=lambda k: tuple(map(category.label_index, k)))
+    a, b, c, d = category.ring.last(bad)
     return f"[F^({a},{b},{c})_{d}] is {bad[(a, b, c, d)]}"
-
-
-def _admissible_f_tuples(category: Category):
-    def build():
-        ring = category.ring
-        out = []
-        for a in ring.labels:
-            for b in ring.labels:
-                chab = ring.channels(a, b)
-                if not chab:
-                    continue
-                for c in ring.labels:
-                    ds = sorted({d for e in chab for d in ring.channels(e, c)},
-                                key=ring.index)
-                    for d in ds:
-                        out.append((a, b, c, d))
-        return tuple(out)
-    return category.cached(("ftuples",), build)
 
 
 def pentagon_failures(category: Category, stop_after=None):
@@ -745,15 +735,14 @@ def gauge_transform(category: Category, u) -> Category:
     times the gauge entry on the (dual a, a; unit) channel.
     """
     ring = category.ring
+    # read every entry first, so a bad one is named in label order
+    g = {key: _gauge_value(u, ring, *key) for key in ring.admissible_triples()}
     entries = {}
-    for (a, b, c, d) in _admissible_f_tuples(category):
-        es, fs = category.f_rowcols(a, b, c, d)
+    for (a, b, c, d), (es, fs) in ring.blocks.items():
         for e in es:
             for f in fs:
                 val = category.F.get((a, b, c, d, e, f)) \
-                    * _gauge_value(u, ring, a, b, e) \
-                    * _gauge_value(u, ring, e, c, d) \
-                    / (_gauge_value(u, ring, b, c, f) * _gauge_value(u, ring, a, f, d))
+                    * g[(a, b, e)] * g[(e, c, d)] / (g[(b, c, f)] * g[(a, f, d)])
                 if val != 1:
                     entries[(a, b, c, d, e, f)] = val
     conductor = category.conductor
@@ -787,28 +776,16 @@ def reverse_category(category: Category) -> Category:
     n_rev = {(a, b, c): v for (b, a, c), v in ring.N.items()}
     rev_ring = FusionRing(ring.labels, ring.unit, ring.dual, n_rev)
     entries = {}
-    for a in ring.labels:
-        for b in ring.labels:
-            if not rev_ring.channels(a, b):
-                continue
-            for c in ring.labels:
-                ds = sorted({d for e in rev_ring.channels(a, b)
-                             for d in rev_ring.channels(e, c)}, key=ring.index)
-                for d in ds:
-                    es = tuple(e for e in rev_ring.channels(a, b)
-                               if rev_ring.n(e, c, d))
-                    fs = tuple(f for f in rev_ring.channels(b, c)
-                               if rev_ring.n(a, f, d))
-                    inv = category.f_inv_block(c, b, a, d)
-                    r_es, r_fs = category.f_rowcols(c, b, a, d)
-                    # rows of inv are indexed by r_fs (= the reversed e-list),
-                    # columns by r_es (= the reversed f-list)
-                    assert r_fs == es and r_es == fs
-                    for i, e in enumerate(es):
-                        for j, f in enumerate(fs):
-                            val = inv[i][j]
-                            if val != 1:
-                                entries[(a, b, c, d, e, f)] = val
+    # block (a, b, c, d) of the reversal has the channel lists of (c, b, a, d)
+    # swapped: its e-list indexes the rows of the inverse of [F^{cba}_d]
+    # and its f-list the columns
+    for (c, b, a, d), (fs, es) in ring.blocks.items():
+        inv = category.f_inv_block(c, b, a, d)
+        for i, e in enumerate(es):
+            for j, f in enumerate(fs):
+                val = inv[i][j]
+                if val != 1:
+                    entries[(a, b, c, d, e, f)] = val
     pivotal = None if category.pivotal is None else PivotalData(
         {a: t.inverse() for a, t in category.pivotal.t.items()})
     return Category(f"{category.name}~rev", rev_ring, FSymbolSet(entries),

@@ -56,6 +56,13 @@ def _parse_range(text: str):
     return tuple(range(lo, hi + 1))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _ensure_pivotal(cat: Category, choice) -> Category:
     if cat.pivotal is not None and choice is None:
         return cat
@@ -249,13 +256,13 @@ def build_parser():
 
     c = sub.add_parser("check", help="run the theorem suite")
     c.add_argument("spec")
-    c.add_argument("--nmax", type=int, default=5)
+    c.add_argument("--nmax", type=_positive_int, default=5)
     c.set_defaults(fn=cmd_check)
 
     g = sub.add_parser("gauge-check", help="seeded random gauge trials")
     g.add_argument("spec")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--trials", type=int, default=20)
+    g.add_argument("--trials", type=_positive_int, default=20)
     g.set_defaults(fn=cmd_gauge_check)
 
     e = sub.add_parser("emit", help="write a generated spec file")

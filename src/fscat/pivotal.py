@@ -193,7 +193,10 @@ def attach_pivotal(category: Category, choice="canonical") -> Category:
     elif choice == "first":
         piv = sols[0]
     else:
-        piv = sols[int(choice)]
+        k = int(choice)
+        if not 0 <= k < len(sols):
+            raise IndexError(f"pivotal index {k} is not in 0..{len(sols) - 1}")
+        piv = sols[k]
     return category.with_pivotal(piv)
 
 

@@ -5,11 +5,13 @@ double-dual scalar (``homcalc.double_dual_coefficient``), the spliced bend
 for the one-graft bend kernel (``indicators.e_map_matrix``), and the
 innermost-first nested coevaluation for ``homcalc.db_prime_vector``, and
 the per-l build of the Frobenius-Schur blocks for the shared middle of
-``indicators._fs_blocks``, and the walk over every admissible F-block for
-the F-sanity items of ``category.validate``.  Each takes the long way on
-purpose: whole splice and contraction matrices, the
+``indicators._fs_blocks``, the label loops over every (a, b, c, d) for the
+F-block layout ``FusionRing.blocks``, and the walk over every admissible
+F-block for the F-sanity items of ``category.validate``.  Each takes the
+long way on purpose: whole splice and contraction matrices, the
 evaluation/coevaluation machinery applied twice, every insertion and
-tear-down redone for each l, and every F-block laid out.
+tear-down redone for each l, every channel list filtered label by label,
+and every F-block laid out.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from fscat.category import CheckItem, _admissible_f_tuples
+from fscat.category import CheckItem
 from fscat.cyclo import Cyc
 from fscat.homcalc import (LinMap, TensorWord, contract_pair_matrix,
                            db_prime_vector, drop_unit_letter_matrix,
@@ -161,7 +163,25 @@ def unshared_fs_blocks(cat, support, n, l, r):
     return out
 
 
-# -- the F-sanity walk ----------------------------------------------------------
+# -- the F-block layout and the F-sanity walk -----------------------------------
+
+
+def walked_f_layout(ring):
+    """The F-block layout {(a, b, c, d): (es, fs)} from label loops, keys in
+    label order: for each (a, b, c) and each d reached through a (x) b or
+    b (x) c, es lists the channels e of a (x) b with N_ec^d > 0 and fs the
+    channels f of b (x) c with N_af^d > 0."""
+    out = {}
+    for a in ring.labels:
+        for b in ring.labels:
+            for c in ring.labels:
+                ab, bc = ring.channels(a, b), ring.channels(b, c)
+                ds = {d for e in ab for d in ring.channels(e, c)} | \
+                    {d for f in bc for d in ring.channels(a, f)}
+                for d in sorted(ds, key=ring.index):
+                    out[(a, b, c, d)] = ([e for e in ab if ring.n(e, c, d)],
+                                         [f for f in bc if ring.n(a, f, d)])
+    return out
 
 
 def walked_f_items(cat):
@@ -173,8 +193,9 @@ def walked_f_items(cat):
     must be free of structural errors."""
     unit = cat.unit
     unit_fail = inv_fail = ""
-    for (a, b, c, d) in _admissible_f_tuples(cat):
-        es, fs = cat.f_rowcols(a, b, c, d)
+    for (a, b, c, d), (es, fs) in walked_f_layout(cat.ring).items():
+        if not es:
+            continue
         square = len(es) == len(fs)
         if unit in (a, b, c):
             m = cat.f_block(a, b, c, d)

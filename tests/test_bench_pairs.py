@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools"))
 
-from bench_pairs import regression_verdict  # noqa: E402
+from bench_pairs import main, regression_verdict  # noqa: E402
 
 TIGHT = [1.0, 0.99, 1.01, 1.0, 1.02, 0.98]   # interquartile range 1.5 %
 WIDE = [1.0, 0.6, 1.4, 0.7, 1.3, 1.0]        # interquartile range 45 %
@@ -30,3 +30,12 @@ WIDE = [1.0, 0.6, 1.4, 0.7, 1.3, 1.0]        # interquartile range 45 %
         "higher_regress", "higher_all_better", "higher_unresolved"])
 def test_regression_verdict(parent, change, sign, want):
     assert regression_verdict(parent, change, 0.2, sign) == want
+
+
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+def test_no_pairs_is_refused_before_any_run(pairs, tmp_path):
+    # an empty table would read as a no-regression verdict
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path), str(tmp_path), "--workload", "all",
+              "--pairs", pairs, "--seed0", "1"])
+    assert exc.value.code == 2

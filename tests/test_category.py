@@ -8,15 +8,14 @@ import pytest
 from conftest import ALL_BUNDLED, bundled
 
 from fscat.category import (Category, FSymbolSet, FusionRing, GaugeError,
-                            ObjectExpr, ValidationReport,
-                            _admissible_f_tuples, _unit_tuples_implied,
+                            ObjectExpr, ValidationReport, _unit_tuples_implied,
                             fp_dimension, gauge_transform, pentagon_failures,
                             reverse_category, validate)
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, root_of_unity
 from fscat.indicators import indicator
 from fscat.specio import load_bundled
-from references import walked_f_items
+from references import walked_f_items, walked_f_layout
 
 
 def test_all_bundled_specs_validate(any_bundled):
@@ -125,9 +124,8 @@ def _assert_pentagon_matches_reference(c, what):
 
 def _unit_keys(cat):
     """Every admissible F key with the unit among its first three labels."""
-    for (a, b, c, d) in _admissible_f_tuples(cat):
+    for (a, b, c, d), (es, fs) in walked_f_layout(cat.ring).items():
         if cat.unit in (a, b, c):
-            es, fs = cat.f_rowcols(a, b, c, d)
             yield from ((a, b, c, d, e, f) for e in es for f in fs)
 
 
@@ -302,6 +300,20 @@ def test_ring_axiom_checks_match_the_label_loops(name):
         assert failing == {"unit", "dual", "associativity"}, name
 
 
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_block_layout_matches_the_label_loops(name):
+    # one pass over the stored rows lays out every block with both channel
+    # lists in label order, on broken and multiplicity-2 rings too
+    cat = bundled(name)
+    gauged = gauge_transform(cat, _random_gauge(cat, SplitMix64(5)))
+    assert gauged.ring.blocks is cat.ring.blocks
+    rings = [("spec", cat.ring), ("reversed", reverse_category(cat).ring),
+             *_ring_breakages(cat.ring, random.Random(name))]
+    for what, ring in rings:
+        assert ring.blocks == walked_f_layout(ring), (name, what)
+    assert any(not r.is_multiplicity_free() for _, r in rings)
+
+
 def _with_entries(cat, changes):
     return Category(cat.name, cat.ring, FSymbolSet({**cat.F.entries,
                                                     **changes}),
@@ -317,8 +329,7 @@ def _f_sanity_cases(name):
     yield "wide gauge", gauge_transform(cat, _wide_gauge(cat))
     for what, ring in _ring_breakages(cat.ring, random.Random(name)):
         yield what, Category(cat.name, ring, cat.F, cat.pivotal, cat.conductor)
-    for (a, b, c, d) in _admissible_f_tuples(cat):
-        es, fs = cat.f_rowcols(a, b, c, d)
+    for (a, b, c, d), (es, fs) in walked_f_layout(cat.ring).items():
         for key in ((a, b, c, d, e, f) for e in es for f in fs):
             yield (key, 0), _with_entries(cat, {key: Cyc.zero()})
     for key in _unit_keys(cat):
@@ -435,8 +446,7 @@ def _random_gauge(cat, rng):
 
 def _same_f_data(c1, c2):
     # omitted admissible entries default to 1, so compare semantically
-    for (a, b, c, d) in _admissible_f_tuples(c1):
-        es, fs = c1.f_rowcols(a, b, c, d)
+    for (a, b, c, d), (es, fs) in walked_f_layout(c1.ring).items():
         for e in es:
             for f in fs:
                 if c1.f_entry(a, b, c, d, e, f) != c2.f_entry(a, b, c, d, e, f):
@@ -625,9 +635,8 @@ def test_validate_lays_out_only_the_multi_channel_blocks(monkeypatch):
         cat = load_bundled(name)
         calls.clear()
         assert validate(cat).valid, name
-        rows, _ = cat.ring.block_shapes()
-        assert sorted(calls) == sorted(k for k, r in rows.items() if r > 1), \
-            name
+        assert sorted(calls) == sorted(
+            k for k, (es, _) in cat.ring.blocks.items() if len(es) > 1), name
         if name == "ty_z2z2_plus":
             assert calls == [("sigma", "sigma", "sigma", "sigma")]
 
@@ -637,14 +646,12 @@ def test_validate_lays_out_only_the_multi_channel_blocks(monkeypatch):
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_f_entry_memo_matches_the_blocks(name):
-    from fscat.category import _admissible_f_tuples
     cat = bundled(name)
     gauged = gauge_transform(cat, _random_gauge(cat, SplitMix64(11)))
     # each category starts with an empty memo; the first sweep over a block
     # fills it and the second reads it back
     for c in (cat.with_pivotal(cat.pivotal), reverse_category(cat), gauged):
-        for (a, b, x, d) in _admissible_f_tuples(c):
-            es, fs = c.f_rowcols(a, b, x, d)
+        for (a, b, x, d), (es, fs) in walked_f_layout(c.ring).items():
             blk, inv = c.f_block(a, b, x, d), c.f_inv_block(a, b, x, d)
             outside = [(e, fs[0]) for e in c.labels if e not in es] + \
                 [(es[0], f) for f in c.labels if f not in fs]

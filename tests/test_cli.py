@@ -118,6 +118,26 @@ def test_gauge_check():
     assert "PASS" in out.stdout
 
 
+@pytest.mark.parametrize("choice", ["-1", "index -1", "7"])
+def test_ind_refuses_a_pivotal_index_out_of_range(choice):
+    out = run_cli("ind", spec("vec_z3"), "--object", "g", "--n", "1..2",
+                  "--pivotal", choice)
+    assert out.returncode == 1
+    assert "pivotal index" in out.stderr and not out.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("check", spec("trivial"), "--nmax", "0"),
+    ("check", spec("trivial"), "--nmax", "-3"),
+    ("gauge-check", spec("semion"), "--trials", "0"),
+    ("gauge-check", spec("semion"), "--trials", "-5"),
+])
+def test_vacuous_runs_are_refused_at_parse_time(args):
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert "is not a positive integer" in out.stderr and not out.stdout
+
+
 def test_emit_families(tmp_path):
     target = tmp_path / "z3.json"
     out = run_cli("emit", "pointed", "--order", "3", "--level", "0",

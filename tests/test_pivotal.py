@@ -62,6 +62,15 @@ def test_attach_pivotal_choices():
     assert attach_pivotal(yl, "first").pivotal is not None
 
 
+def test_attach_pivotal_refuses_an_index_out_of_range():
+    v3 = bundled("vec_z3").with_pivotal(None)
+    count = len(enumerate_pivotal_structures(v3))
+    assert attach_pivotal(v3, str(count - 1)).pivotal is not None
+    for index in (-1, "-1", -count, count):
+        with pytest.raises(IndexError):
+            attach_pivotal(v3, index)
+
+
 # -- dimension theory -----------------------------------------------------------
 
 

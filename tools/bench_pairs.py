@@ -136,13 +136,20 @@ def compare(spec, dirs, workload, pairs, seed0):
     return ok
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_dir")
     p.add_argument("change_dir")
     p.add_argument("--workload", action="append", required=True,
                    help="a workload name, or all; may be repeated")
-    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--pairs", type=positive_int, required=True)
     p.add_argument("--seed0", type=int, required=True)
     args = p.parse_args(argv)
 
