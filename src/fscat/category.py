@@ -136,9 +136,9 @@ class FusionRing:
 
         One pass over the stored rows finds every failing case; a detail
         names the last one in label order (pairs (a, b), triples (a, b, c)).
-        Associativity compares the two sides of each block of ``blocks``:
-        their lengths on a multiplicity-free ring, their N-weighted sums
-        otherwise.  The ring must be free of structural errors.
+        Associativity compares the N-weighted sums over the two sides of
+        each block of ``blocks``.  The ring must be free of structural
+        errors.
         """
         unit, dual, labels, N = self.unit, self.dual, self.labels, self.N
 
@@ -171,11 +171,9 @@ class FusionRing:
         out.append(("dual", not dual_bad, dual_bad))
 
         # (a b) c and a (b c) hold d with the same multiplicity
-        free = self.is_multiplicity_free()
         assoc_bad = {}
         for (a, b, c, d), (es, fs) in self.blocks.items():
-            if (len(es) != len(fs)) if free else (
-                    sum(N[(a, b, e)] * N[(e, c, d)] for e in es)
+            if (sum(N[(a, b, e)] * N[(e, c, d)] for e in es)
                     != sum(N[(b, c, f)] * N[(a, f, d)] for f in fs)):
                 assoc_bad.setdefault((a, b, c), []).append(d)
         assoc = ""
@@ -431,8 +429,9 @@ def validate(category: Category) -> ValidationReport:
 
     F sanity lays out only the blocks it must.  The shape of a block is
     read off the ring's layout (``FusionRing.blocks``), whose two channel
-    lists are the sides that associativity compares.  Under the conditions that let ``pentagon_failures`` skip the unit
-    tuples, every unit block is [1]; otherwise the unit blocks are walked.
+    lists are the sides that associativity compares.  Under the conditions
+    that let ``pentagon_failures`` skip the unit tuples, every unit block
+    is [1]; otherwise the unit blocks are walked.
     A 1x1 block is singular exactly when its entry is a stored zero, and a
     larger square block is inverted.  Each detail names its item's last
     failure in label order.

@@ -74,7 +74,7 @@ def _ensure_pivotal(cat: Category, choice) -> Category:
         if choice.startswith("index"):
             return attach_pivotal(cat, int(choice.split()[-1].replace("index", "") or 0))
         return attach_pivotal(cat, choice)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise _Semantic(f"pivotal data absent and not derivable: {exc}") from None
 
 

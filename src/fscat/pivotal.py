@@ -195,7 +195,7 @@ def attach_pivotal(category: Category, choice="canonical") -> Category:
     else:
         k = int(choice)
         if not 0 <= k < len(sols):
-            raise IndexError(f"pivotal index {k} is not in 0..{len(sols) - 1}")
+            raise ValueError(f"pivotal index {k} is not in 0..{len(sols) - 1}")
         piv = sols[k]
     return category.with_pivotal(piv)
 

@@ -126,6 +126,16 @@ def test_ind_refuses_a_pivotal_index_out_of_range(choice):
     assert "pivotal index" in out.stderr and not out.stdout
 
 
+@pytest.mark.parametrize("choice", ["-1", "7"])
+def test_emit_refuses_a_pivotal_index_out_of_range(tmp_path, choice):
+    target = tmp_path / "z3.json"
+    out = run_cli("emit", "pointed", "--order", "3", "-o", str(target),
+                  "--pivotal", choice)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: pivotal index")
+    assert not out.stdout and not target.exists()
+
+
 @pytest.mark.parametrize("args", [
     ("check", spec("trivial"), "--nmax", "0"),
     ("check", spec("trivial"), "--nmax", "-3"),

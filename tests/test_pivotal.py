@@ -67,7 +67,7 @@ def test_attach_pivotal_refuses_an_index_out_of_range():
     count = len(enumerate_pivotal_structures(v3))
     assert attach_pivotal(v3, str(count - 1)).pivotal is not None
     for index in (-1, "-1", -count, count):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="pivotal index"):
             attach_pivotal(v3, index)
 
 
