@@ -544,12 +544,17 @@ def pentagon_failures(category: Category, stop_after=None):
     The identity checked, with all products exact:
         [F^{fcd}_e]_{gl} [F^{abl}_e]_{fk}
             = sum_h [F^{abc}_g]_{fh} [F^{ahd}_e]_{gk} [F^{bcd}_k]_{hl}
-    over source labelings (f, g) and target labelings (l, k).  The tuples
-    come from fusion channels: for (a, b, c, d) in label order, f in a (x) b,
-    g in f (x) c and e in g (x) d, grouped by e in label order.  Entries are
-    read from the F-table, and a factor is zero unless its four fusion
-    conditions hold, as in ``Category.f_entry``.  Failures are listed in
-    label order of (a, b, c, d, e).
+    over source labelings (f, g) and target labelings (l, k).  The
+    equations come from the F-block layout (``FusionRing.blocks``): each
+    block (a, b, c, g) with an f-list is paired with each block
+    (b, c, d, k) with an l-list and the same middle (b, c), and for every
+    e with N_gd^e N_ak^e each f of the first block meets each l of the
+    second.  h runs over the intersection of the two blocks' h-lists,
+    the h in b (x) c with N_ah^g N_hd^k > 0, and the left side is zero
+    unless N_fl^e > 0.  [F^{ahd}_e]_{gk} does not depend on f or l and is
+    read once per (pair, e, h), [F^{abc}_g]_{fh} once per (pair, e, f, h).
+    The failing tuples are collected, then listed in label order of
+    (a, b, c, d, e): the first ``stop_after`` of them when it is given.
 
     Tuples with the unit 1 among a, b, c, d are skipped when (i) N(1,x,y)
     = N(x,1,y) = delta_xy for all labels and (ii) every stored entry with 1
@@ -560,42 +565,46 @@ def pentagon_failures(category: Category, stop_after=None):
     entries, which (ii) makes 1.  Otherwise every tuple is checked.  An
     equation is a signed sum of at most W + 1 triple products (the left
     side is 1 times two entries; W is the most channels of any b (x) c),
-    decided exactly on the integer residues of ``cyclo.triple_residues``.
+    decided exactly on the integer residues of ``cyclo.triple_residues``;
+    an omitted entry is 1 (residue ``one``).
     """
     ring = category.ring
-    ch, N, unit = ring.channels, ring.N, ring.unit
+    N = ring.N
     F = category.F.entries
     m, one, res = triple_residues(list(F.values()),
                                   max(ring.fanout.values()) + 1)
-    R = dict(zip(F, res))
-    labels = ring.labels
-    if _unit_tuples_implied(ring, F):
-        labels = tuple(x for x in labels if x != unit)
-    fails = []
-    for a in labels:
-        for b in labels:
-            ab = ch(a, b)
-            if not ab:
-                continue
-            for c in labels:
-                fg = [(f, g) for f in ab for g in ch(f, c)]
-                bc = ch(b, c)
-                for d in labels:
-                    sources = {}
-                    for f, g in fg:
-                        for e in ch(g, d):
-                            sources.setdefault(e, []).append((f, g))
-                    cd = ch(c, d)
-                    for e in sorted(sources, key=ring.index):
-                        targets = [(l, k) for l in cd for k in ch(b, l)
-                                   if (a, k, e) in N]
-                        if _pentagon_holds(R, one, m, N, a, b, c, d, e,
-                                           sources[e], targets, bc):
-                            continue
-                        fails.append((a, b, c, d, e))
-                        if stop_after and len(fails) >= stop_after:
-                            return fails
-    return fails
+    get = dict(zip(F, res)).get
+    skip = ring.unit if _unit_tuples_implied(ring, F) else None
+    right = {}  # (b, c) -> the blocks (b, c, d, k) with an l-list
+    for (b, c, d, k), (hs, ls) in ring.blocks.items():
+        if ls and d != skip:
+            right.setdefault((b, c), []).append((d, k, hs, ls))
+    fails = set()
+    for (a, b, c, g), (fs, hs) in ring.blocks.items():
+        if not fs or skip in (a, b, c):
+            continue
+        for d, k, hs_k, ls in right.get((b, c), ()):
+            for e in ring.channels(g, d):
+                if (a, k, e) not in N:
+                    continue
+                mid = []  # (h, [F^{ahd}_e]_{gk}) over the shared h-lists
+                for h in hs:
+                    if h in hs_k:
+                        mid.append((h, get((a, h, d, e, g, k), one)))
+                for f in fs:
+                    row = []
+                    for h, x in mid:
+                        row.append((h, get((a, b, c, g, f, h), one) * x))
+                    for l in ls:
+                        acc = one * get((f, c, d, e, g, l), one) \
+                            * get((a, b, l, e, f, k), one) \
+                            if (f, l, e) in N else 0
+                        for h, x in row:
+                            acc -= x * get((b, c, d, k, h, l), one)
+                        if acc % m:
+                            fails.add((a, b, c, d, e))
+    fails = sorted(fails, key=lambda t: tuple(map(ring.index, t)))
+    return fails[:stop_after] if stop_after else fails
 
 
 def _unit_tuples_implied(ring: FusionRing, F) -> bool:
@@ -604,24 +613,6 @@ def _unit_tuples_implied(ring: FusionRing, F) -> bool:
     return all(ring.channels(u, x) == (x,) == ring.channels(x, u)
                and N[(u, x, x)] == 1 == N[(x, u, x)] for x in ring.labels) \
         and all(v == 1 for key, v in F.items() if u in key[:3])
-
-
-def _pentagon_holds(R, one, m, N, a, b, c, d, e, sources, targets, bc):
-    """The equations of one 5-tuple on residues mod m; R maps an F key to
-    its residue, and an omitted entry is 1 (residue ``one``)."""
-    get = R.get
-    for f, g in sources:
-        for l, k in targets:
-            acc = one * get((f, c, d, e, g, l), one) * get((a, b, l, e, f, k), one) \
-                if (f, l, e) in N else 0
-            for h in bc:
-                if (a, h, g) in N and (h, d, k) in N:
-                    acc -= (get((a, b, c, g, f, h), one)
-                            * get((a, h, d, e, g, k), one)
-                            * get((b, c, d, k, h, l), one))
-            if acc % m:
-                return False
-    return True
 
 
 def _pivotal_checks(category: Category, earlier):
@@ -727,21 +718,24 @@ def _gauge_value(u, ring, a, b, c) -> Cyc:
 def gauge_transform(category: Category, u) -> Category:
     """Rescale the fusion-channel bases by u and transport F and t.
 
-    F-symbols pick up the standard four gauge factors.  The pivotal
-    coefficients are transported so that the identity-on-labels functor with
-    structure u preserves the pivotal structure; operationally the duality
-    transformation of that functor is the ratio of evaluation normalizations
-    times the gauge entry on the (dual a, a; unit) channel.
+    F-symbols pick up the standard four gauge factors: [F^{abc}_d]_{ef}
+    is scaled by g(a,b,e) g(e,c,d) g(b,c,f)^-1 g(a,f,d)^-1, where each
+    admissible channel's gauge value g and its inverse are read once.  The
+    pivotal coefficients are transported so that the identity-on-labels
+    functor with structure u preserves the pivotal structure; operationally
+    the duality transformation of that functor is the ratio of evaluation
+    normalizations times the gauge entry on the (dual a, a; unit) channel.
     """
     ring = category.ring
     # read every entry first, so a bad one is named in label order
     g = {key: _gauge_value(u, ring, *key) for key in ring.admissible_triples()}
+    g_inv = {key: val.inverse() for key, val in g.items()}
     entries = {}
     for (a, b, c, d), (es, fs) in ring.blocks.items():
         for e in es:
             for f in fs:
-                val = category.F.get((a, b, c, d, e, f)) \
-                    * g[(a, b, e)] * g[(e, c, d)] / (g[(b, c, f)] * g[(a, f, d)])
+                val = category.F.get((a, b, c, d, e, f)) * g[(a, b, e)] \
+                    * g[(e, c, d)] * g_inv[(b, c, f)] * g_inv[(a, f, d)]
                 if val != 1:
                     entries[(a, b, c, d, e, f)] = val
     conductor = category.conductor

@@ -63,17 +63,30 @@ def _positive_int(text: str) -> int:
     return value
 
 
+PIVOTAL_FORMS = "canonical | first | K | index K"
+
+
+def _pivotal_choice(text: str):
+    """The choice that ``--pivotal`` names for ``attach_pivotal``:
+    'canonical', 'first' or an index K (written K or ``index K``)."""
+    words = text.split()
+    if words in (["canonical"], ["first"]):
+        return words[0]
+    if len(words) == 2 and words[0] == "index":
+        words = words[1:]
+    if len(words) == 1:
+        try:
+            return int(words[0])
+        except ValueError:
+            pass
+    raise ValueError(f"--pivotal {text!r} is not one of: {PIVOTAL_FORMS}")
+
+
 def _ensure_pivotal(cat: Category, choice) -> Category:
     if cat.pivotal is not None and choice is None:
         return cat
-    if choice is None:
-        choice = "canonical"
     try:
-        if choice == "canonical":
-            return attach_pivotal(cat, "canonical")
-        if choice.startswith("index"):
-            return attach_pivotal(cat, int(choice.split()[-1].replace("index", "") or 0))
-        return attach_pivotal(cat, choice)
+        return attach_pivotal(cat, "canonical" if choice is None else choice)
     except ValueError as exc:
         raise _Semantic(f"pivotal data absent and not derivable: {exc}") from None
 
@@ -92,11 +105,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ind(args) -> int:
+    choice = None if args.pivotal is None else _pivotal_choice(args.pivotal)
     cat = load_category(args.spec)
     report_v = validate(cat)
     if not report_v.valid:
         raise _Semantic(f"spec invalid: {report_v.first_failure()}")
-    cat = _ensure_pivotal(cat, args.pivotal)
+    cat = _ensure_pivotal(cat, choice)
     n_values = _parse_range(args.n)
     r_values = _parse_range(args.r) if args.r else (1,)
     obj = ObjectExpr.parse(args.object, cat.labels)
@@ -209,6 +223,7 @@ def cmd_emit(args) -> int:
                           standard_bicharacter, standard_cocycle,
                           solve_pentagon_rank2)
 
+    choice = None if args.pivotal == "none" else _pivotal_choice(args.pivotal)
     if args.family == "pointed":
         cat = build_pointed(args.order, standard_cocycle(args.order, args.level),
                             conductor=args.conductor)
@@ -223,8 +238,8 @@ def cmd_emit(args) -> int:
     else:
         raise _Semantic(f"unknown family {args.family!r}")
     report = validate(cat)
-    if report.valid and args.pivotal != "none":
-        cat = attach_pivotal(cat, args.pivotal)
+    if report.valid and choice is not None:
+        cat = attach_pivotal(cat, choice)
         report = validate(cat)
     if not report.valid:
         raise _Semantic(f"generated spec invalid: {report.first_failure()}")
@@ -249,7 +264,8 @@ def build_parser():
     i.add_argument("--r", default=None, help="range A..B (default r = 1)")
     i.add_argument("--format", choices=("json", "csv", "text"), default="text")
     i.add_argument("--pivotal", default=None,
-                   help="canonical | first | index (when absent in the spec)")
+                   help=f"{PIVOTAL_FORMS} (default: the spec's own, else "
+                   "canonical)")
     i.add_argument("--dump", action="store_true",
                    help="render the rotation block matrices")
     i.set_defaults(fn=cmd_ind)
@@ -276,7 +292,7 @@ def build_parser():
     e.add_argument("--index", type=int, default=0, help="rank2: solution index")
     e.add_argument("--conductor", type=int, default=None)
     e.add_argument("--pivotal", default="canonical",
-                   help="canonical | first | index K | none")
+                   help=f"{PIVOTAL_FORMS} | none")
     e.set_defaults(fn=cmd_emit)
     return p
 

@@ -6,12 +6,14 @@ for the one-graft bend kernel (``indicators.e_map_matrix``), and the
 innermost-first nested coevaluation for ``homcalc.db_prime_vector``, and
 the per-l build of the Frobenius-Schur blocks for the shared middle of
 ``indicators._fs_blocks``, the label loops over every (a, b, c, d) for the
-F-block layout ``FusionRing.blocks``, and the walk over every admissible
-F-block for the F-sanity items of ``category.validate``.  Each takes the
-long way on purpose: whole splice and contraction matrices, the
-evaluation/coevaluation machinery applied twice, every insertion and
-tear-down redone for each l, every channel list filtered label by label,
-and every F-block laid out.
+F-block layout ``FusionRing.blocks``, the walk over every admissible
+F-block for the F-sanity items of ``category.validate``, and the gauge
+transport by one division per F entry for ``category.gauge_transform``.
+Each takes the long way on purpose: whole splice and contraction
+matrices, the evaluation/coevaluation machinery applied twice, every
+insertion and tear-down redone for each l, every channel list filtered
+label by label, every F-block laid out, and every entry divided by its
+own product of two gauge values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from fscat.category import CheckItem
+from fscat.category import (Category, CheckItem, FSymbolSet, PivotalData,
+                            _gauge_value)
 from fscat.cyclo import Cyc
 from fscat.homcalc import (LinMap, TensorWord, contract_pair_matrix,
                            db_prime_vector, drop_unit_letter_matrix,
@@ -215,3 +218,35 @@ def walked_f_items(cat):
                 inv_fail = f"[F^({a},{b},{c})_{d}] is singular"
     return [CheckItem("F", "unit normalization", not unit_fail, unit_fail),
             CheckItem("F", "invertibility", not inv_fail, inv_fail)]
+
+
+# -- the gauge transport by division --------------------------------------------
+
+
+def divided_gauge_transform(category, u):
+    """``category.gauge_transform`` with one division per F entry:
+    [F^{abc}_d]_{ef} g(a,b,e) g(e,c,d) / (g(b,c,f) g(a,f,d)), keys in the
+    order of the block layout; the conductor and the transported pivotal
+    coefficients as there."""
+    ring = category.ring
+    g = {key: _gauge_value(u, ring, *key) for key in ring.admissible_triples()}
+    entries = {}
+    for (a, b, c, d), (es, fs) in ring.blocks.items():
+        for e in es:
+            for f in fs:
+                val = category.F.get((a, b, c, d, e, f)) \
+                    * g[(a, b, e)] * g[(e, c, d)] / (g[(b, c, f)] * g[(a, f, d)])
+                if val != 1:
+                    entries[(a, b, c, d, e, f)] = val
+    conductor = category.conductor
+    for val in entries.values():
+        if conductor % val.conductor:
+            conductor = math.lcm(conductor, val.reduced_key()[0])
+    out = Category(f"{category.name}~gauged", ring, FSymbolSet(entries),
+                   None, conductor)
+    if category.pivotal is not None:
+        t = {a: category.pivotal.t[a]
+             * out.ev_coefficient(a) / category.ev_coefficient(a)
+             for a in ring.labels}
+        out = out.with_pivotal(PivotalData(t))
+    return out

@@ -15,7 +15,8 @@ from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, root_of_unity
 from fscat.indicators import indicator
 from fscat.specio import load_bundled
-from references import walked_f_items, walked_f_layout
+from references import (divided_gauge_transform, walked_f_items,
+                        walked_f_layout)
 
 
 def test_all_bundled_specs_validate(any_bundled):
@@ -117,7 +118,7 @@ def test_pentagon_failures_match_the_five_loop_reference(name):
 
 
 def _assert_pentagon_matches_reference(c, what):
-    for stop in (None, 1):
+    for stop in (None, 1, 3):
         assert pentagon_failures(c, stop_after=stop) == \
             _reference_pentagon_failures(c, stop_after=stop), (what, stop)
 
@@ -497,6 +498,19 @@ def test_randomized_gauges_preserve_validity(name):
         out = gauge_transform(cat, _random_gauge(cat, rng))
         report = validate(out)
         assert report.valid, (name, report.first_failure())
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_gauge_transform_matches_the_division_reference(name):
+    # the spec and its reversal, each under a root-of-unity and a wide gauge
+    cat = bundled(name)
+    for c in (cat, reverse_category(cat)):
+        for u in (_random_gauge(c, SplitMix64(20261019)), _wide_gauge(c)):
+            got, want = gauge_transform(c, u), divided_gauge_transform(c, u)
+            assert list(got.F.entries.items()) == \
+                list(want.F.entries.items()), c.name
+            assert got.conductor == want.conductor, c.name
+            assert got.pivotal.t == want.pivotal.t, c.name
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)

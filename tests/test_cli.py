@@ -136,6 +136,30 @@ def test_emit_refuses_a_pivotal_index_out_of_range(tmp_path, choice):
     assert not out.stdout and not target.exists()
 
 
+def test_emit_index_form_writes_the_same_spec(tmp_path):
+    written = []
+    for choice in ("index 1", "1"):
+        target = tmp_path / f"z3_{len(written)}.json"
+        out = run_cli("emit", "pointed", "--order", "3", "-o", str(target),
+                      "--pivotal", choice)
+        assert out.returncode == 0, out.stderr
+        written.append(target.read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("choice", ["index", "index x", "second", "1 2",
+                                    "index1", ""])
+def test_unknown_pivotal_forms_are_refused(tmp_path, choice):
+    target = tmp_path / "z3.json"
+    for args in (("ind", spec("vec_z3"), "--object", "g", "--n", "1..2"),
+                 ("emit", "pointed", "--order", "3", "-o", str(target))):
+        out = run_cli(*args, "--pivotal", choice)
+        assert out.returncode == 1, args
+        assert out.stderr.startswith("error: ")
+        assert "canonical | first | K | index K" in out.stderr
+        assert not out.stdout and not target.exists()
+
+
 @pytest.mark.parametrize("args", [
     ("check", spec("trivial"), "--nmax", "0"),
     ("check", spec("trivial"), "--nmax", "-3"),
