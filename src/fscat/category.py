@@ -55,6 +55,7 @@ class FusionRing:
         self.N = {k: int(v) for k, v in multiplicities.items() if v}
         self._index = {a: i for i, a in enumerate(self.labels)}
         self._channels = {}
+        self._cache = {}  # the memo kinds of RING_KINDS, for every category
         # {x: the most channels c of any product a (x) x}
         per_pair = Counter((a, b) for a, b, _ in self.N)
         self.fanout = {x: max(per_pair[(a, x)] for a in self.labels)
@@ -252,21 +253,31 @@ class ObjectExpr:
         return f"ObjectExpr({self.terms!r})"
 
 
+# Memo kinds that depend on the fusion rules N alone: the path bases of
+# Hom(root, w) and their indices (``homcalc.paths``, ``homcalc._path_index``),
+# the nonzero rotation orbits (``indicators._orbits``) and the dimension and
+# words of Hom(1, V^n) (``indicators.rotation_operator``).  ``Category.cached``
+# keeps them on the fusion ring, so every category on one ring shares them.
+RING_KINDS = frozenset(("paths", "pidx", "orbits", "rotop"))
+
+
 class Category:
     """A skeletal pivotal fusion category given by exact finite data.
 
-    Instances are immutable after construction; derived data (fusion-path
-    bases, F-blocks, structural matrices) is memoized in ``_cache``, whose
-    writers are idempotent, so concurrent readers are safe.  Single F and
-    F^-1 entries have their own memos, ``_f_entries`` and ``_f_inv_entries``,
-    keyed by the accessor's 6-tuple: each key is filled from the blocks on
-    its first lookup (exact zero when inadmissible), because the
-    hom-space kernels read the same few hundred entries many thousand
-    times.  Every memo fills on demand and belongs to one instance;
-    ``with_pivotal``, ``gauge_transform`` and ``reverse_category`` start
-    empty ones.  The F-block layout is not a memo of the category: it
-    belongs to the fusion ring (``FusionRing.blocks``), which
-    ``with_pivotal`` and ``gauge_transform`` share.
+    Instances are immutable after construction; derived data is memoized
+    through ``cached``, whose writers are idempotent, so concurrent readers
+    are safe.  Single F and F^-1 entries have their own memos,
+    ``_f_entries`` and ``_f_inv_entries``, keyed by the accessor's 6-tuple:
+    each key is filled from the blocks on its first lookup (exact zero when
+    inadmissible), because the hom-space kernels read the same few hundred
+    entries many thousand times.  Every memo fills on demand.  What depends
+    on the F-symbols or the pivotal data (F-blocks, structural matrices,
+    rotations) belongs to one instance, in ``_cache``; ``with_pivotal``,
+    ``gauge_transform`` and ``reverse_category`` start empty ones.  What
+    depends on the fusion rules alone belongs to the fusion ring, which
+    ``with_pivotal`` and ``gauge_transform`` share and ``reverse_category``
+    does not: the F-block layout (``FusionRing.blocks``) and the memo kinds
+    of ``RING_KINDS``, the hom-space bases among them.
     """
 
     def __init__(self, name, ring, f_symbols, pivotal=None, conductor=1):
@@ -310,10 +321,13 @@ class Category:
         return self.require_pivotal().t[a]
 
     def cached(self, key, build):
-        got = self._cache.get(key)
+        """The memo entry ``key`` (a tuple led by its kind), built on a miss;
+        kinds of ``RING_KINDS`` are kept on the fusion ring."""
+        store = self.ring._cache if key[0] in RING_KINDS else self._cache
+        got = store.get(key)
         if got is None:
             got = build()
-            self._cache[key] = got
+            store[key] = got
         return got
 
     def with_pivotal(self, pivotal, suffix=None) -> "Category":
@@ -618,7 +632,7 @@ def _unit_tuples_implied(ring: FusionRing, F) -> bool:
 def _pivotal_checks(category: Category, earlier):
     """Pivotal items; monoidality runs only when ``earlier`` (the report's
     items so far) and the other pivotal items all passed."""
-    from .homcalc import double_dual_inverse  # one convention source
+    from .homcalc import double_dual_inverses  # one convention source
 
     piv = category.pivotal
     unit = category.unit
@@ -646,8 +660,8 @@ def _pivotal_checks(category: Category, earlier):
                                f"not checked: {failed.group}/{failed.name}"))
         return items
     ok, detail = True, ""
-    for (a, b, c) in category.ring.admissible_triples():
-        if piv.t[a] * piv.t[b] != piv.t[c] * double_dual_inverse(category, a, b, c):
+    for (a, b, c), delta_inv in double_dual_inverses(category).items():
+        if piv.t[a] * piv.t[b] != piv.t[c] * delta_inv:
             ok, detail = False, f"monoidality fails on channel ({a},{b};{c})"
             break
     items.append(CheckItem("pivotal", "monoidality", ok, detail))

@@ -47,6 +47,12 @@ pins the rest of each chain to one target path as well, so it makes single
 entries of a bend (its diagonal, say) and nothing else.  Degenerate words
 (hom dimension 0) yield 0x0 blocks that compose legally.
 
+The path bases (``paths``) and their row indices (``_path_index``) depend
+on the fusion rules alone, so ``cat.cached`` keeps them on the fusion ring
+(``category.RING_KINDS``): the categories on one ring, such as its pivotal
+structures and gauges, build each basis once.  The guard is checked on each
+build, so a basis kept on a ring is not counted again.
+
 The builders whose arguments are labels and positions (fuse and split
 steps, dropped unit letters, evaluation pairs, guest-path grafts, the
 coevaluation vectors, the bend hosts ``_bend_tops`` and the bends by
@@ -206,6 +212,8 @@ def paths(cat: Category, letters, root) -> tuple:
 
     The dimension guard is checked on the counted dimension before any path
     is listed, so the path list of a refused hom space is never built.
+    Each path is extended by the channels of its last stage in label order
+    (``FusionRing.channels``), so the paths come out in label order.
     """
     letters = _letters_of(letters)
 
@@ -214,10 +222,7 @@ def paths(cat: Category, letters, root) -> tuple:
         partial = [(cat.unit,)]
         for x in letters:
             partial = [p + (c,) for p in partial for c in cat.channels(p[-1], x)]
-        idx = cat.label_index
-        good = tuple(sorted((p for p in partial if p[-1] == root),
-                            key=lambda p: tuple(idx(x) for x in p)))
-        return good
+        return tuple(p for p in partial if p[-1] == root)
 
     return cat.cached(("paths", letters, root), build)
 
@@ -777,6 +782,16 @@ def double_dual_inverse(cat, a, b, c) -> Cyc:
     return (cat.f_entry(a, b, cd, unit, c, ad)
             * cat.f_entry(b, cd, a, unit, ad, bd)
             * cat.f_entry(cd, a, b, unit, bd, c))
+
+
+def double_dual_inverses(cat) -> dict:
+    """{(a, b, c): ``double_dual_inverse(cat, a, b, c)``} over the admissible
+    triples in label order, memoised per category: the monoidality item of
+    ``validate`` and ``pivotal.enumerate_pivotal_structures`` read the same
+    values.  The dict is shared, so read-only."""
+    return cat.cached(("ddinv",), lambda: {
+        key: double_dual_inverse(cat, *key)
+        for key in cat.ring.admissible_triples()})
 
 
 def double_dual_coefficient(cat, a, b, c) -> Cyc:

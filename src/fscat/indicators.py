@@ -205,8 +205,9 @@ def _orbits(op):
     is constant along an orbit, dim Hom(1, xY) = dim Hom(1, Yx) being the
     multiplicity of x* in Y, so the least word decides it, from integer
     fusion counts: no path list of a zero block is built.  The words are
-    every word over op's support, so the orbits are kept in ``cat.cached``
-    per (support, n); the result is shared, so read-only.
+    every word over op's support, so the orbits depend on the fusion rules
+    alone and are kept on the ring (``cat.cached``) per (support, n); the
+    result is shared, so read-only.
     """
     cat = op.category
 
@@ -269,17 +270,26 @@ class RotationOperator:
 
 
 def rotation_operator(cat: Category, obj, n: int) -> RotationOperator:
+    """The rotation operator of obj on Hom(1, V^(x)n).  Its dimension and
+    words depend on the fusion rules alone and are kept on the ring per
+    (multiplicities, n); the guard is checked on every call."""
     obj = _as_expr(cat, obj)
     if n < 1:
         raise ValueError("n must be positive")
     cat.require_pivotal()
-    support = sorted(obj.support(), key=cat.label_index)
-    # dim Hom(1, V^(x)n) = (N_V)^n[unit, unit] with N_V = sum_a m_a N_a,
-    # counted before any word or path list is built
-    step = {x: obj.multiplicity(x) for x in support}
-    total = path_counts(cat, [step] * n).get(cat.unit, 0)
-    check_dimension_guard(total)
-    words = tuple(itertools.product(support, repeat=n))
+    mults = tuple((x, obj.multiplicity(x))
+                  for x in sorted(obj.support(), key=cat.label_index))
+
+    def build():
+        # dim Hom(1, V^(x)n) = (N_V)^n[unit, unit] with N_V = sum_a m_a N_a,
+        # counted before any word or path list is built
+        total = path_counts(cat, [dict(mults)] * n).get(cat.unit, 0)
+        check_dimension_guard(total)
+        support = [x for x, _ in mults]
+        return total, tuple(itertools.product(support, repeat=n))
+
+    total, words = cat.cached(("rotop", mults, n), build)
+    check_dimension_guard(total)  # refuses an entry kept under a higher guard
     return RotationOperator(cat, obj, n, words, total)
 
 

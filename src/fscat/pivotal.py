@@ -4,7 +4,8 @@ A pivotal structure on skeletal data is one nonzero scalar per simple,
 constrained multiplicatively by t(unit) = 1, t(dual a) = t(a)^-1, and the
 monoidality condition t(a) t(b) delta(a,b,c) = t(c) on every fusion
 channel, where delta is the double-dual tensorator scalar.  delta is read
-in closed form from three F-symbols (``homcalc.double_dual_inverse``),
+in closed form from three F-symbols (``homcalc.double_dual_inverse``, kept
+per category by ``homcalc.double_dual_inverses``, which ``validate`` fills),
 which is exact on F-data that passes the pentagon, so enumeration expects
 validated F-data.  The system is solved exactly: write the exponent lattice
 of the relations, diagonalize over the integers, extract the required roots
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from .category import Category, PivotalData
 from .cyclo import Cyc, root_of_unity
-from .homcalc import LinMap, double_dual_inverse, pivotal_trace
+from .homcalc import LinMap, double_dual_inverses, pivotal_trace
 from .snf import diagonalize
 
 ONE = Cyc.one()
@@ -53,8 +54,15 @@ def enumerate_pivotal_structures(category: Category):
     Returns a canonically sorted list of PivotalData, possibly empty; each
     returned family satisfies every defining relation exactly.  The F-data
     must already pass ``validate``: the relations use the closed-form
-    double-dual scalar, which holds only on pentagon solutions.
+    double-dual scalar, which holds only on pentagon solutions.  The
+    families are memoised per category; each call returns a fresh list.
     """
+    return list(category.cached(
+        ("pivotals",), lambda: tuple(_solve_pivotal_structures(category))))
+
+
+def _solve_pivotal_structures(category: Category):
+    """The sorted list of ``enumerate_pivotal_structures``, solved."""
     ring = category.ring
     unit = ring.unit
     unknowns = [a for a in ring.labels if a != unit]
@@ -67,12 +75,12 @@ def enumerate_pivotal_structures(category: Category):
         rows.append(exps)
         rhs.append(value)
 
-    for (a, b, c) in ring.admissible_triples():
+    for (a, b, c), delta_inv in double_dual_inverses(category).items():
         exps = [0] * len(unknowns)
         for x, s in ((a, 1), (b, 1), (c, -1)):
             if x != unit:
                 exps[pos[x]] += s
-        add_relation(exps, double_dual_inverse(category, a, b, c))
+        add_relation(exps, delta_inv)
     for a in unknowns:
         exps = [0] * len(unknowns)
         exps[pos[a]] += 1

@@ -19,6 +19,7 @@ from fscat.homcalc import (DimensionGuardError, LinMap, TensorWord,
                            pivotal_matrix, pivotal_trace, right_nested,
                            split_step_matrix)
 from fscat.linalg import dense, is_identity, mat_equal, mat_mul
+from fscat.specio import load_bundled
 
 
 def brute_hom_dimension(cat, letters):
@@ -54,6 +55,24 @@ def test_hom_dimension_matches_brute_force(name):
         for letters in itertools.product(cat.labels, repeat=n):
             assert hom_dimension(cat, letters) == \
                 brute_hom_dimension(cat, letters)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_paths_are_the_sorted_enumeration(name):
+    # paths are listed as they are extended, with no sort: every admissible
+    # stage sequence, sorted in label order, on a ring no other test built
+    cat = load_bundled(name)
+    for n in range(5):
+        for letters in itertools.product(cat.labels, repeat=n):
+            by_root = {}
+            for stages in itertools.product(cat.labels, repeat=n):
+                p = (cat.unit,) + stages
+                if all(cat.n(p[i], x, p[i + 1]) for i, x in enumerate(letters)):
+                    by_root.setdefault(p[-1], []).append(p)
+            for root in cat.labels:
+                want = sorted(by_root.get(root, ()),
+                              key=lambda p: [cat.label_index(x) for x in p])
+                assert list(paths(cat, letters, root)) == want, (letters, root)
 
 
 def test_hom_dimension_rigidity_symmetry(any_bundled):

@@ -736,7 +736,7 @@ def test_indicators_reach_n_14_under_the_default_guard(monkeypatch):
             assert nu[14 - r] == galois_conjugate(nu[r]), (name, r)
             assert nu[r] == nu[math.gcd(14, r)], (name, r)
         assert check_power_identity(ty, "sigma", 14)
-        assert max(len(k[1]) for k in ty._cache if k[0] == "paths") == 14
+        assert max(len(k[1]) for k in ty.ring._cache if k[0] == "paths") == 14
 
 
 def test_bend_route_refusal_builds_nothing(monkeypatch):
@@ -753,7 +753,7 @@ def test_bend_route_refusal_builds_nothing(monkeypatch):
                 call()
             assert str(err.value) == \
                 "hom dimension 4096 exceeds FSCAT_NMAX_GUARD=4095"
-        assert not any(key[0] == "paths" for key in ty._cache), name
+        assert not any(key[0] == "paths" for key in ty.ring._cache), name
 
 
 @pytest.mark.parametrize("name,a,period,nmax", [
@@ -897,21 +897,70 @@ def test_indicator_report_flags():
 
 
 def test_dimension_guard():
-    # a fresh category, so any path list in its cache was built by this call
+    # a fresh category on a fresh ring, so any path list in the ring's memo
+    # was built by this call
     fib = load_bundled("fibonacci")
     both = ObjectExpr({"1": 1, "t": 1})
     os.environ["FSCAT_NMAX_GUARD"] = "1"
     try:
         with pytest.raises(DimensionGuardError):
             rotation_operator(fib, "t", 6)
-        assert ("paths", ("t",) * 6, "1") not in fib._cache
+        assert ("paths", ("t",) * 6, "1") not in fib.ring._cache
         with pytest.raises(DimensionGuardError) as err:
             rotation_operator(fib, both, 6)
     finally:
         del os.environ["FSCAT_NMAX_GUARD"]
-    assert not any(key[0] == "paths" for key in fib._cache)
+    assert not any(key[0] == "paths" for key in fib.ring._cache)
     full = sum(hom_dimension(fib, w) for w in itertools.product(("1", "t"), repeat=6))
     assert str(err.value) == f"hom dimension {full} exceeds FSCAT_NMAX_GUARD=1"
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_categories_on_one_ring_share_its_bases(name, monkeypatch):
+    # the path bases, the orbits and the rotation operator's words depend on
+    # the fusion rules alone and are kept on the ring: a gauge and a pivotal
+    # structure of one category read the ring's and agree with a cold load,
+    # and the reversal, on a ring of its own, shares none of them
+    cold = load_bundled(name)
+    cat = load_bundled(name)
+    gauged = _root_gauge(cat, 1)
+    repivoted = cat.with_pivotal(cat.pivotal)
+    words = [w for n in range(1, 4)
+             for w in itertools.product(cat.labels, repeat=n)]
+    for c in (gauged, repivoted):
+        assert c.ring is cat.ring
+        for w in words:
+            assert paths(c, w, cat.unit) is paths(cat, w, cat.unit), w
+        for a in cat.labels:
+            op = rotation_operator(c, a, 3)
+            assert op.words is rotation_operator(cat, a, 3).words
+            assert indicators._orbits(op) is indicators._orbits(
+                rotation_operator(cat, a, 3))
+            for n in range(1, 4):
+                for r in range(n):
+                    assert indicator(c, a, n, r) == indicator(cold, a, n, r)
+                    assert fs_scalar(c, a, n, 0, r) == \
+                        fs_scalar(cold, a, n, 0, r), (c.name, a, n, r)
+    rev = reverse_category(cat)
+    assert rev.ring is not cat.ring and not rev.ring._cache
+    kept = dict(cat.ring._cache)
+    for w in words:
+        got = paths(rev, w, cat.unit)
+        assert not got or got is not paths(cat, w, cat.unit), w
+    for a in cat.labels:
+        indicator(rev, a, 3, 1)
+    assert cat.ring._cache == kept
+    # under a lowered guard a kept rotation operator is refused on every
+    # call, and a fresh load refuses to build the basis again
+    big = max(cat.labels, key=lambda a: hom_dimension(cat, (a,) * 4))
+    dim = rotation_operator(cat, big, 4).total_dimension
+    assert dim > 1 or max(cat.ring.fanout.values()) == 1
+    if dim > 1:
+        monkeypatch.setenv("FSCAT_NMAX_GUARD", str(dim - 1))
+        with pytest.raises(DimensionGuardError):
+            rotation_operator(repivoted, big, 4)
+        with pytest.raises(DimensionGuardError):
+            paths(load_bundled(name), (big,) * 4, cat.unit)
 
 
 @pytest.mark.parametrize("call", [
@@ -925,7 +974,7 @@ def test_dimension_guard_every_hom_space(call, monkeypatch):
     monkeypatch.setenv("FSCAT_NMAX_GUARD", "3")
     with pytest.raises(fscat.DimensionGuardError):
         call(fib)
-    assert max((len(v) for k, v in fib._cache.items() if k[0] == "paths"),
+    assert max((len(v) for k, v in fib.ring._cache.items() if k[0] == "paths"),
                default=0) <= 3
 
 
@@ -938,7 +987,7 @@ def test_fs_refusal_builds_nothing(monkeypatch):
     with pytest.raises(DimensionGuardError) as err:
         fs_scalar(fib, "t", 6, 0, 0)
     assert str(err.value) == "hom dimension 89 exceeds FSCAT_NMAX_GUARD=88"
-    assert not any(key[0] == "paths" for key in fib._cache)
+    assert not any(key[0] == "paths" for key in fib.ring._cache)
     monkeypatch.setenv("FSCAT_NMAX_GUARD", "89")
     assert fs_scalar(fib, "t", 6, 0, 0) == fs_scalar(bundled("fibonacci"),
                                                      "t", 6, 0, 0)
@@ -964,7 +1013,7 @@ def test_every_word_guard_site_refuses_alike(call, word, root, monkeypatch):
         call(fib)
     assert str(err.value) == \
         f"hom dimension {dim} exceeds FSCAT_NMAX_GUARD={dim - 1}"
-    assert not any(key[0] == "paths" for key in fib._cache)
+    assert not any(key[0] == "paths" for key in fib.ring._cache)
     monkeypatch.setenv("FSCAT_NMAX_GUARD", str(dim))
     call(fib)
 
@@ -998,7 +1047,7 @@ def test_two_strand_bend_within_guard(monkeypatch):
     fib = load_bundled("fibonacci")
     monkeypatch.setenv("FSCAT_NMAX_GUARD", "3")
     assert e_map_matrix(fib, ("t",) * 5, 2) == want
-    assert max(len(k[1]) for k in fib._cache if k[0] == "paths") == 5
+    assert max(len(k[1]) for k in fib.ring._cache if k[0] == "paths") == 5
 
 
 def test_zero_space_bend_builds_no_host(monkeypatch):
