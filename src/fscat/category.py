@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .cyclo import Cyc, triple_residues
-from .linalg import eye, mat_inv
+from .linalg import eye, int_det, mat_inv
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -446,9 +446,11 @@ def validate(category: Category) -> ValidationReport:
     lists are the sides that associativity compares.  Under the conditions
     that let ``pentagon_failures`` skip the unit tuples, every unit block
     is [1]; otherwise the unit blocks are walked.
-    A 1x1 block is singular exactly when its entry is a stored zero, and a
-    larger square block is inverted.  Each detail names its item's last
-    failure in label order.
+    A 1x1 block is singular exactly when its entry is a stored zero; a
+    larger square block is certified invertible on the F residues that the
+    pentagon reads too (``_f_residues``), and inverted exactly only when
+    the certificate fails.  Each detail names its item's last failure in
+    label order.
     """
     report = ValidationReport(category=category.name)
     errs = list(category.ring.structural_errors())
@@ -529,15 +531,22 @@ def _invertibility_failure(category: Category) -> str:
     singular, from the layout ``FusionRing.blocks``; '' when there is none.
 
     A block is admissible when it has a row.  A 1x1 block is singular
-    exactly when its entry is a stored zero (an omitted entry is 1); a
-    larger square block is inverted, and the inverse stays in the memo that
-    the kernels read."""
+    exactly when its entry is a stored zero (an omitted entry is 1).  A
+    larger square block is invertible when the determinant of its residues
+    (``_f_residues``; an omitted entry reads ``one``) is nonzero mod m:
+    the residue map is a ring map from the scaled entries D F, so det(D F)
+    and det F are nonzero.  A determinant that is zero mod m proves
+    nothing, and then the block is inverted exactly, which raises when it
+    is singular.  No inverse is kept for a certified block: the kernels
+    build it at their first read (``Category.f_inv_entry``)."""
     blocks = category.ring.blocks
+    m, one, get = _f_residues(category)
     bad = {}
     for key, (es, fs) in blocks.items():
         if es and len(es) != len(fs):
             bad[key] = "not square"
-        elif len(es) > 1:
+        elif len(es) > 1 and not int_det(
+                [[get(key + (e, f), one) for f in fs] for e in es]) % m:
             try:
                 category.f_inv_block(*key)
             except ValueError:
@@ -579,16 +588,15 @@ def pentagon_failures(category: Category, stop_after=None):
     entries, which (ii) makes 1.  Otherwise every tuple is checked.  An
     equation is a signed sum of at most W + 1 triple products (the left
     side is 1 times two entries; W is the most channels of any b (x) c),
-    decided exactly on the integer residues of ``cyclo.triple_residues``;
-    an omitted entry is 1 (residue ``one``).
+    decided exactly on the integer residues of ``cyclo.triple_residues``,
+    taken once per category (``_f_residues``, which ``validate``'s
+    invertibility item reads too); an omitted entry is 1 (residue ``one``).
     """
     ring = category.ring
     N = ring.N
-    F = category.F.entries
-    m, one, res = triple_residues(list(F.values()),
-                                  max(ring.fanout.values()) + 1)
-    get = dict(zip(F, res)).get
-    skip = ring.unit if _unit_tuples_implied(ring, F) else None
+    m, one, get = _f_residues(category)
+    skip = ring.unit if _unit_tuples_implied(ring, category.F.entries) \
+        else None
     right = {}  # (b, c) -> the blocks (b, c, d, k) with an l-list
     for (b, c, d, k), (hs, ls) in ring.blocks.items():
         if ls and d != skip:
@@ -619,6 +627,19 @@ def pentagon_failures(category: Category, stop_after=None):
                             fails.add((a, b, c, d, e))
     fails = sorted(fails, key=lambda t: tuple(map(ring.index, t)))
     return fails[:stop_after] if stop_after else fails
+
+
+def _f_residues(category: Category):
+    """(m, one, get), memoised per category: ``get(key, one)`` is the
+    residue mod m of the stored F entry ``key`` under the ring map of
+    ``cyclo.triple_residues``, exact for the pentagon's sums of at most
+    W + 1 triple products (W the most channels of any product)."""
+    def build():
+        F = category.F.entries
+        m, one, res = triple_residues(
+            list(F.values()), max(category.ring.fanout.values()) + 1)
+        return m, one, dict(zip(F, res)).get
+    return category.cached(("fres",), build)
 
 
 def _unit_tuples_implied(ring: FusionRing, F) -> bool:

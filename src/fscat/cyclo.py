@@ -8,7 +8,9 @@ and FLINT use for number-field elements).  The form is normal:
 ``den > 0``, ``gcd(den, *num) == 1``, and zero is stored with ``den == 1``,
 so two equal elements at the same conductor have identical ``(num, den)``.
 Operands at different conductors are coerced to the lcm conductor first.
-The complex embedding used throughout is ``zeta_N = exp(2*pi*i/N)``.
+The complex embedding used throughout is ``zeta_N = exp(2*pi*i/N)``; it
+is the one use of mpmath, which the first float (``Cyc.embed``) imports, so
+a process that computes only exact values never loads it.
 
 Phi_N is monic, so every power z^k reduces to an integer vector; addition,
 multiplication, coercion and the Galois action therefore run on Python
@@ -30,8 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-
-import mpmath
 
 Rational = Fraction
 
@@ -580,14 +580,18 @@ class Cyc:
     # -- numeric embedding ----------------------------------------------
 
     def embed(self) -> complex:
-        """Evaluate at zeta_N = exp(2*pi*i/N) as a complex double."""
+        """Evaluate at zeta_N = exp(2*pi*i/N) as a complex double.
+
+        Horner's rule in mpmath at 25 more digits than the tallest
+        coefficient has; mpmath is imported by the first call, and zeta_N
+        is computed once per (N, digits) (``_mp_zeta``)."""
         coeffs = self.coeffs
         height = 1
         for c in coeffs:
             height = max(height, abs(c.numerator), c.denominator)
         dps = 25 + len(str(height))
+        mpmath, z = _mp_zeta(self.conductor, dps)
         with mpmath.workdps(dps):
-            z = mpmath.e ** (2j * mpmath.pi / self.conductor)
             acc = mpmath.mpc(0)
             for c in reversed(coeffs):
                 acc = acc * z + mpmath.mpf(c.numerator) / c.denominator
@@ -697,6 +701,17 @@ def root_of_unity(n: int, k: int) -> Cyc:
     if n < 1:
         raise ValueError("conductor must be positive")
     return _raw(n, tuple(_reduce_power(n, k)), 1)
+
+
+@lru_cache(maxsize=None)
+def _mp_zeta(n: int, dps: int):
+    """(mpmath, zeta_n = e^(2 pi i / n) at ``dps`` digits), for ``Cyc.embed``.
+
+    mpmath is imported by the first call, not with ``cyclo``.  The keys are
+    few: one per conductor and digit count of a coefficient height."""
+    import mpmath
+    with mpmath.workdps(dps):
+        return mpmath, mpmath.e ** (2j * mpmath.pi / n)
 
 
 def galois_conjugate(a: Cyc) -> Cyc:

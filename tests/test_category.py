@@ -7,6 +7,7 @@ import pytest
 
 from conftest import ALL_BUNDLED, bundled
 
+from fscat import category as category_module
 from fscat.category import (Category, FSymbolSet, FusionRing, GaugeError,
                             ObjectExpr, ValidationReport, _unit_tuples_implied,
                             fp_dimension, gauge_transform, pentagon_failures,
@@ -633,26 +634,46 @@ def test_entry_outside_the_field_fails_membership():
         "INVALID"]
 
 
-def test_validate_lays_out_only_the_multi_channel_blocks(monkeypatch):
-    # unit normalization and the 1x1 blocks are decided from the fusion
-    # counts and the stored entries; each larger block is laid out once, to
-    # be inverted
-    calls = []
+def test_validate_certifies_blocks_without_inverting_them(monkeypatch):
+    # each block with more than one channel is certified invertible by its
+    # determinant on the F residues, so validate lays out no block and
+    # leaves each exact inverse to the first kernel that reads it
+    laid_out = []
     real = Category.f_block
 
     def counted(self, *key):
-        calls.append(key)
+        laid_out.append(key)
         return real(self, *key)
 
-    monkeypatch.setattr(Category, "f_block", counted)
+    cats = []
     for name in ALL_BUNDLED:
         cat = load_bundled(name)
-        calls.clear()
-        assert validate(cat).valid, name
-        assert sorted(calls) == sorted(
-            k for k, (es, _) in cat.ring.blocks.items() if len(es) > 1), name
-        if name == "ty_z2z2_plus":
-            assert calls == [("sigma", "sigma", "sigma", "sigma")]
+        cats += [cat, reverse_category(load_bundled(name)),
+                 gauge_transform(cat, _random_gauge(cat, SplitMix64(29)))]
+    monkeypatch.setattr(Category, "f_block", counted)
+    for c in cats:
+        laid_out.clear()
+        report = validate(c)
+        assert laid_out == [], c.name
+        assert not [k for k in c._cache if k[0] == "finv"], c.name
+        assert not c._f_inv_entries, c.name
+        items = [i for i in report.items if i.group == "F"
+                 and i.name in ("unit normalization", "invertibility")]
+        assert items == walked_f_items(c), c.name
+        assert report.valid, c.name
+
+
+def test_invertibility_falls_back_to_the_exact_inverse(monkeypatch):
+    # a determinant that is zero mod m proves nothing: the block is then
+    # inverted exactly, with the same report.  No bundled spec takes this
+    # path, so the certificate is made to fail on every block.
+    want = {name: validate(load_bundled(name)).lines() for name in ALL_BUNDLED}
+    monkeypatch.setattr(category_module, "int_det", lambda rows: 0)
+    for name in ALL_BUNDLED:
+        cat = load_bundled(name)
+        assert validate(cat).lines() == want[name], name
+        assert {k[1:] for k in cat._cache if k[0] == "finv"} == {
+            k for k, (es, _) in cat.ring.blocks.items() if len(es) > 1}, name
 
 
 # -- the F-entry memo ------------------------------------------------------------

@@ -1,7 +1,11 @@
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +138,44 @@ def test_embed_accuracy_with_tall_coefficients():
         got = embed_complex(v)
         assert abs(got.real - float(ref.real)) < 1e-12
         assert abs(got.imag - float(ref.imag)) < 1e-12
+
+
+COLD_PATH = """
+import sys
+from fractions import Fraction
+import fscat, fscat.cli
+from fscat.category import validate
+from fscat.cyclo import Cyc
+from fscat.indicators import indicator
+from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
+from fscat.specio import load_bundled
+cat = load_bundled("ty_z2z2_plus")
+assert validate(cat).valid
+index = [s.t for s in enumerate_pivotal_structures(cat)].index(cat.pivotal.t)
+indicator(attach_pivotal(cat, index), "sigma", 4, 1)
+print("mpmath" in sys.modules)
+v = Cyc(8, [Fraction(10**6, 7), Fraction(-123456), Fraction(1, 3), 0])
+e = v.embed()
+print("mpmath" in sys.modules, repr(e.real), repr(e.imag))
+"""
+
+
+def test_exact_work_never_loads_mpmath():
+    # the float embedding imports mpmath at its first call; loading,
+    # validating, enumerating pivotals and an exact indicator need no float
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", COLD_PATH], env=env,
+                         capture_output=True, text=True, check=True)
+    cold, warm = run.stdout.splitlines()
+    assert cold == "False"
+    loaded, real, imag = warm.split()
+    assert loaded == "True"
+    ref = _reference_embed(
+        Cyc(8, [Fraction(10**6, 7), Fraction(-123456), Fraction(1, 3), 0]))
+    assert abs(float(real) - float(ref.real)) < 1e-12
+    assert abs(float(imag) - float(ref.imag)) < 1e-12
 
 
 def test_canonical_form_and_cross_conductor_equality():

@@ -10,9 +10,11 @@ coordinates, so its reference loop runs over the dense rows and visits every
 coordinate; ``columns`` below turns those rows into the column form, and
 ``linalg.dense`` must turn it back.  The product of two column forms,
 ``col_mul``, and ``is_identity_product`` must agree with the dense product
-and ``is_identity`` on both sides of their packed switch.
+and ``is_identity`` on both sides of their packed switch.  The integer
+determinant ``int_det`` must agree with the Leibniz expansion.
 """
 
+import itertools
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -324,3 +326,43 @@ def test_column_product_edge_shapes(shape):
     eye = linalg.eye(rows)
     check_column_product(eye, eye, rows, rows)
     assert linalg.is_identity_product((0, ()), (0, ()))
+
+
+# -- integer determinants ---------------------------------------------------
+
+
+def leibniz(a):
+    """det a as the signed sum over all permutations."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+@given(data=st.data())
+def test_int_det_matches_leibniz(data):
+    n = data.draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.integers(-2 ** 80, 2 ** 80))
+    a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    # zero the first columns of the leading rows, so pivots are missing
+    for i in range(data.draw(st.integers(0, n))):
+        for j in range(data.draw(st.integers(0, n))):
+            a[i][j] = 0
+    before = [list(row) for row in a]
+    assert linalg.int_det(a) == leibniz(a)
+    assert a == before
+
+
+@pytest.mark.parametrize("a, det", [
+    ([], 1), ([[0]], 0), ([[0, 1], [1, 0]], -1),
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+    # the pivot of the second step vanishes only after the first step
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1),
+    ([[1, 2], [2, 4]], 0)])
+def test_int_det_swaps_rows_for_missing_pivots(a, det):
+    assert linalg.int_det(a) == det == leibniz(a)
