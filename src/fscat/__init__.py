@@ -4,12 +4,10 @@ from .category import (Category, FSymbolSet, FusionRing, MissingPivotalError,
                        ObjectExpr, PivotalData, SpecError, ValidationReport,
                        fp_dimension, gauge_transform, reverse_category,
                        validate)
-from .cyclo import Cyc, Rational, embed_complex, field_arith, galois_conjugate, \
-    root_of_unity
-from .homcalc import (FusionTree, LinMap, TensorWord, assoc_matrix,
-                      close_loop, coev_matrix, double_dual_coefficient,
-                      dual_morphism, ev_matrix, hom_basis, hom_dimension,
-                      pivotal_matrix)
+from .cyclo import Cyc, galois_conjugate, root_of_unity
+from .homcalc import (LinMap, TensorWord, assoc_matrix, close_loop,
+                      coev_matrix, double_dual_coefficient, dual_morphism,
+                      ev_matrix, hom_dimension, pivotal_matrix)
 from .indicators import (DimensionGuardError, IndicatorReport,
                          RotationOperator, check_fs_theorems,
                          check_power_identity, check_reversal_symmetry, e_map,

@@ -234,7 +234,11 @@ def cmd_emit(args) -> int:
         cat = build_tambara_yamagami(orders, standard_bicharacter(orders), tau,
                                      conductor=args.conductor)
     elif args.family == "rank2":
-        cat = solve_pentagon_rank2()[args.index]
+        solutions = solve_pentagon_rank2()
+        if not 0 <= args.index < len(solutions):
+            raise _Semantic(f"rank2 solution index {args.index} is out of "
+                            f"range 0..{len(solutions) - 1}")
+        cat = solutions[args.index]
     else:
         raise _Semantic(f"unknown family {args.family!r}")
     report = validate(cat)
@@ -284,13 +288,14 @@ def build_parser():
     e = sub.add_parser("emit", help="write a generated spec file")
     e.add_argument("family", choices=("pointed", "ty", "rank2"))
     e.add_argument("-o", "--output", required=True)
-    e.add_argument("--order", type=int, default=2, help="pointed: group order")
+    e.add_argument("--order", type=_positive_int, default=2,
+                   help="pointed: group order")
     e.add_argument("--level", type=int, default=0, help="pointed: cocycle level")
     e.add_argument("--orders", default="2", help="ty: cyclic orders, comma-separated")
     e.add_argument("--sign", type=int, choices=(1, -1), default=1,
                    help="ty: sign of tau = sign/sqrt(|A|)")
     e.add_argument("--index", type=int, default=0, help="rank2: solution index")
-    e.add_argument("--conductor", type=int, default=None)
+    e.add_argument("--conductor", type=_positive_int, default=None)
     e.add_argument("--pivotal", default="canonical",
                    help=f"{PIVOTAL_FORMS} | none")
     e.set_defaults(fn=cmd_emit)

@@ -33,8 +33,6 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd
 
-Rational = Fraction
-
 _F0 = Fraction(0)
 
 
@@ -716,19 +714,3 @@ def _mp_zeta(n: int, dps: int):
 
 def galois_conjugate(a: Cyc) -> Cyc:
     return a.conjugate()
-
-
-def embed_complex(a: Cyc) -> complex:
-    return a.embed()
-
-
-def field_arith(a: Cyc, b: Cyc, op: str) -> Cyc:
-    ops = {
-        "add": Cyc.__add__,
-        "sub": Cyc.__sub__,
-        "mul": Cyc.__mul__,
-        "div": Cyc.__truediv__,
-    }
-    if op not in ops:
-        raise ValueError(f"unknown field operation {op!r}")
-    return ops[op](a, b)

@@ -138,15 +138,6 @@ def right_nested(n: int):
     return tree
 
 
-def left_nested(n: int):
-    if n < 1:
-        raise ValueError("parenthesization needs at least one letter")
-    tree = 0
-    for i in range(1, n):
-        tree = (tree, i)
-    return tree
-
-
 def paren_leaves(paren):
     if isinstance(paren, int):
         return (paren,)
@@ -171,14 +162,6 @@ class TensorWord:
 
     def __len__(self):
         return len(self.letters)
-
-
-@dataclass(frozen=True)
-class FusionTree:
-    """An admissible fusion path indexing one basis vector of Hom(1, word)."""
-
-    word: TensorWord
-    path: tuple
 
 
 # -- path bases ------------------------------------------------------------
@@ -229,12 +212,6 @@ def paths(cat: Category, letters, root) -> tuple:
 
 def hom_dimension(cat: Category, word) -> int:
     return len(paths(cat, word, cat.unit))
-
-
-def hom_basis(cat: Category, word):
-    if not isinstance(word, TensorWord):
-        word = TensorWord.of(word)
-    return [FusionTree(word, p) for p in paths(cat, word.letters, cat.unit)]
 
 
 def dual_word(cat: Category, letters) -> tuple:
@@ -815,36 +792,33 @@ def close_loop(cat, m: LinMap, side: str, count: int) -> LinMap:
     if not 1 <= count <= n:
         raise ValueError("strand count out of range")
     piv = cat.require_pivotal()
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    left = side == "left"
     out = m
     for _ in range(count):
         letters = out.source.letters
-        blocks = {}
-        if side == "left":
-            b = letters[0]
-            rest = letters[1:]
-            ext = extend(cat, out, left_letters=(cat.dual(b),))
-            for r in cat.labels:
-                att = attach_pair_matrix(cat, rest, r, 0, cat.dual(b))
-                con = contract_pair_matrix(cat, (cat.dual(b),) + letters, r, 0)
-                blocks[r] = mat_mul(dense(con), mat_mul(ext.block(r),
-                                                        dense(att)))
+        # the closed strand b, its dual bd attached on the same side, the
+        # coevaluation pair inserted at ``at`` and evaluated at ``cut``
+        b = letters[0] if left else letters[-1]
+        bd = cat.dual(b)
+        rest = letters[1:] if left else letters[:-1]
+        if left:
+            ext = extend(cat, out, left_letters=(bd,))
+            at, label, host, cut = 0, bd, (bd,) + letters, 0
             scale = piv.t[b].inverse()
-            out = LinMap(cat, TensorWord.of(rest), TensorWord.of(rest),
-                         blocks).scaled(scale)
-        elif side == "right":
-            b = letters[-1]
-            rest = letters[:-1]
-            ext = extend(cat, out, right_letters=(cat.dual(b),))
-            for r in cat.labels:
-                att = attach_pair_matrix(cat, rest, r, len(rest), b)
-                con = contract_pair_matrix(cat, letters + (cat.dual(b),), r,
-                                           len(letters) - 1)
-                blocks[r] = mat_mul(dense(con), mat_mul(ext.block(r),
-                                                        dense(att)))
-            out = LinMap(cat, TensorWord.of(rest), TensorWord.of(rest),
-                         blocks).scaled(piv.t[b])
         else:
-            raise ValueError("side must be 'left' or 'right'")
+            ext = extend(cat, out, right_letters=(bd,))
+            at, label, host = len(rest), b, letters + (bd,)
+            cut = len(letters) - 1
+            scale = piv.t[b]
+        blocks = {}
+        for r in cat.labels:
+            att = attach_pair_matrix(cat, rest, r, at, label)
+            con = contract_pair_matrix(cat, host, r, cut)
+            blocks[r] = mat_mul(dense(con), mat_mul(ext.block(r), dense(att)))
+        out = LinMap(cat, TensorWord.of(rest), TensorWord.of(rest),
+                     blocks).scaled(scale)
     return out
 
 

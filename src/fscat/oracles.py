@@ -1,11 +1,14 @@
-"""Independent ground truth and constructors for the bundled families.
+"""Classical ground truth and constructors for the bundled families.
 
-The character-theoretic indicator and the brute-force tensor-invariant
-oracle know nothing about F-symbols; they provide the classical values the
-categorical machinery must reproduce.  The constructors build pointed categories,
-Tambara-Yamagami categories and the rank-2 pentagon solutions as exact
-category data, and never assume the pentagon: generated data is certified
-by the validator.
+The character tables of D4 and Q8 and the character-theoretic indicator
+``char_indicator`` know nothing about F-symbols; they give the classical
+values the categorical machinery must reproduce, and the benchmark goldens
+read them.  The constructors build pointed categories, Tambara-Yamagami
+categories and the rank-2 pentagon solutions as exact category data (used
+by ``fscat emit`` and the bundled-spec generator), and never assume the
+pentagon: generated data is certified by the validator.  The other
+classical oracles (cyclic and S3 tables, matrix representations and the
+brute-force tensor-invariant indicator) are test references.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from fractions import Fraction
 
 from .category import Category, FSymbolSet, FusionRing, SpecError
 from .cyclo import Cyc, root_of_unity
-from .linalg import eye, mat_mul
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -24,10 +26,6 @@ ZERO = Cyc.zero()
 
 class CocycleError(ValueError):
     """The supplied 3-cochain is not a normalized 3-cocycle."""
-
-
-class SizeGuardError(ValueError):
-    """Brute-force oracle sizes are capped at degree 3 and n = 5."""
 
 
 # -- concrete finite groups -------------------------------------------------
@@ -70,19 +68,6 @@ class _Group:
             out = self.mult(out, g)
             k += 1
         return k
-
-
-def cyclic_group(n: int) -> _Group:
-    return _Group(f"Z{n}", range(n), lambda a, b: (a + b) % n, 0)
-
-
-def s3_group() -> _Group:
-    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
-
-    def mult(p, q):  # (p*q)(x) = p(q(x))
-        return tuple(p[q[i]] for i in range(3))
-
-    return _Group("S3", perms, mult, (0, 1, 2))
 
 
 def d4_group() -> _Group:
@@ -142,21 +127,6 @@ class CharacterTable:
             out = self.group.mult(out, g)
         return self.class_of(out)
 
-    def orthogonality_defect(self):
-        """Exact inner products <chi_i, chi_j> minus the identity matrix."""
-        names = sorted(self.characters)
-        out = []
-        for ni in names:
-            row = []
-            for nj in names:
-                acc = ZERO
-                for k, size in enumerate(self.class_sizes):
-                    acc = acc + size * self.characters[ni][k] * \
-                        self.characters[nj][k].conjugate()
-                row.append(acc / self.order - (1 if ni == nj else 0))
-            out.append(row)
-        return out
-
 
 def _table(group: _Group, characters) -> CharacterTable:
     classes = group.conjugacy_classes()
@@ -166,39 +136,6 @@ def _table(group: _Group, characters) -> CharacterTable:
         class_sizes=tuple(len(cls) for cls in classes),
         characters=characters,
     )
-
-
-def cyclic_table(n: int) -> CharacterTable:
-    g = cyclic_group(n)
-    chars = {f"chi{j}": tuple(root_of_unity(n, j * k) for k in range(n))
-             for j in range(n)}
-    return _table(g, chars)
-
-
-def s3_table() -> CharacterTable:
-    g = s3_group()
-    classes = g.conjugacy_classes()
-
-    def kind(cls):
-        rep = cls[0]
-        fixed = sum(1 for i in range(3) if rep[i] == i)
-        return {3: "e", 1: "t", 0: "c"}[fixed]
-
-    by_kind = {kind(cls): i for i, cls in enumerate(classes)}
-    n = len(classes)
-
-    def from_values(vals):
-        out = [None] * n
-        for k, v in vals.items():
-            out[by_kind[k]] = Cyc.rational(v)
-        return tuple(out)
-
-    chars = {
-        "trivial": from_values({"e": 1, "t": 1, "c": 1}),
-        "sign": from_values({"e": 1, "t": -1, "c": 1}),
-        "std": from_values({"e": 2, "t": 0, "c": -1}),
-    }
-    return _table(g, chars)
 
 
 def d4_table() -> CharacterTable:
@@ -275,148 +212,6 @@ def char_indicator(table: CharacterTable, character, n: int, r: int) -> Cyc:
     for k, size in enumerate(table.class_sizes):
         acc = acc + size * chi[table.power_class(k, m)] ** d
     return acc / table.order
-
-
-# -- matrix representations and the brute-force oracle ----------------------
-
-
-@dataclass
-class MatrixRep:
-    """Explicit invertible matrices over Cyc, one per group element."""
-
-    name: str
-    group: _Group
-    matrices: dict  # element -> matrix
-    degree: int
-
-    def character(self):
-        out = []
-        for cls in self.group.conjugacy_classes():
-            m = self.matrices[cls[0]]
-            out.append(sum((m[i][i] for i in range(self.degree)), ZERO))
-        return tuple(out)
-
-
-def _rep_from_generators(group: _Group, gens: dict, name: str) -> MatrixRep:
-    degree = len(next(iter(gens.values())))
-    mats = {group.identity: eye(degree)}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s, m in gens.items():
-                h = group.mult(s, g)
-                if h not in mats:
-                    mats[h] = mat_mul(m, mats[g])
-                    nxt.append(h)
-        frontier = nxt
-    if len(mats) != group.order:
-        raise ValueError("generators do not generate the group")
-    return MatrixRep(name, group, mats, degree)
-
-
-def s3_reps():
-    g = s3_group()
-    one = ONE
-    r = (1, 2, 0)
-    s = (1, 0, 2)
-    std = _rep_from_generators(
-        g, {r: [[ZERO, -one], [one, -one]], s: [[ZERO, one], [one, ZERO]]}, "std")
-    triv = MatrixRep("trivial", g, {e: [[one]] for e in g.elements}, 1)
-    sgn_vals = {}
-    for e in g.elements:
-        fixed = sum(1 for i in range(3) if e[i] == i)
-        sgn_vals[e] = [[one if fixed in (3, 0) else -one]]
-    sgn = MatrixRep("sign", g, sgn_vals, 1)
-    return {"trivial": triv, "sign": sgn, "std": std}
-
-
-def q8_reps():
-    g = q8_group()
-    i = root_of_unity(4, 1)
-    base = {
-        "e": [[ONE, ZERO], [ZERO, ONE]],
-        "i": [[i, ZERO], [ZERO, -i]],
-        "j": [[ZERO, -ONE], [ONE, ZERO]],
-        "k": [[ZERO, -i], [-i, ZERO]],
-    }
-    mats = {}
-    for (s, u) in g.elements:
-        mats[(s, u)] = [[s * x for x in row] for row in base[u]]
-    dim2 = MatrixRep("dim2", g, mats, 2)
-    out = {"dim2": dim2}
-    table = q8_table()
-    for name in table.characters:
-        if name == "dim2":
-            continue
-        chi = table.characters[name]
-        vals = {e: [[chi[table.class_of(e)]]] for e in g.elements}
-        out[name] = MatrixRep(name, g, vals, 1)
-    return out
-
-
-def _kron(a, b):
-    if not a or not b:
-        return []
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
-    out = [[ZERO] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            x = a[i][j]
-            if not x:
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    if b[k][l]:
-                        out[i * rb + k][j * cb + l] = x * b[k][l]
-    return out
-
-
-def brute_force_indicator(rep: MatrixRep, n: int, r: int) -> Cyc:
-    """Trace of (cyclic rotation)^r on the invariant subspace of V^(x)n.
-
-    Builds the exact averaging projector and the rotation permutation on
-    the n-fold tensor power; no category machinery is involved.
-    """
-    if rep.degree > 3 or n > 5:
-        raise SizeGuardError("brute force capped at degree 3, n <= 5")
-    d = rep.degree
-    dim = d ** n
-    proj = [[ZERO] * dim for _ in range(dim)]
-    for g in rep.group.elements:
-        m = [[ONE]]
-        for _ in range(n):
-            m = _kron(m, rep.matrices[g])
-        for i in range(dim):
-            row = m[i]
-            pi = proj[i]
-            for j in range(dim):
-                if row[j]:
-                    pi[j] = pi[j] + row[j]
-    scale = Fraction(1, rep.group.order)
-    proj = [[x * scale for x in row] for row in proj]
-
-    def rotate(t):  # e_{i1,...,in} -> e_{i2,...,in,i1}
-        digits = []
-        for _ in range(n):
-            digits.append(t % d)
-            t //= d
-        digits.reverse()
-        digits = digits[1:] + digits[:1]
-        out = 0
-        for x in digits:
-            out = out * d + x
-        return out
-
-    acc = ZERO
-    for t in range(dim):
-        # Tr(C^r P): row index is the r-fold rotated image of the column index
-        row = t
-        for _ in range(r % n):
-            row = rotate(row)
-        acc = acc + proj[row][t]
-    return acc
 
 
 # -- category constructors ---------------------------------------------------

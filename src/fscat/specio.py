@@ -175,9 +175,3 @@ def bundled_text(name: str) -> str:
 
 def load_bundled(name: str) -> Category:
     return category_from_dict(json.loads(bundled_text(name)))
-
-
-def bundled_path(name: str):
-    if name not in BUNDLED:
-        raise KeyError(f"no bundled spec named {name!r}")
-    return resources.files("fscat").joinpath(f"specs/{name}.json")

@@ -17,8 +17,8 @@ from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
 from fscat.homcalc import LinMap, pivotal_trace
 from fscat.indicators import (check_power_identity, check_reversal_symmetry,
                               fs_scalar, indicator)
-from fscat.oracles import (brute_force_indicator, char_indicator, d4_table,
-                           q8_reps, q8_table, s3_reps, s3_table)
+from fscat.oracles import char_indicator, d4_table, q8_table
+from references import brute_force_indicator, q8_reps, s3_reps, s3_table
 
 
 def _line(num, ok, text):

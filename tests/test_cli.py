@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fscat.specio import bundled_path
+from references import bundled_path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -170,6 +170,24 @@ def test_vacuous_runs_are_refused_at_parse_time(args):
     out = run_cli(*args)
     assert out.returncode == 2
     assert "is not a positive integer" in out.stderr and not out.stdout
+
+
+@pytest.mark.parametrize("args, named", [
+    (("pointed", "--order", "0"), "--order"),
+    (("pointed", "--order", "-2"), "--order"),
+    (("pointed", "--order", "3", "--conductor", "0"), "--conductor"),
+    (("rank2", "--index", "5"), "index 5"),
+    # yang_lee has no canonical structure, so take the first one
+    (("rank2", "--index", "-1", "--pivotal", "first"), "index -1"),
+])
+def test_emit_refuses_bad_sizes(tmp_path, args, named):
+    target = tmp_path / "out.json"
+    out = run_cli("emit", *args, "-o", str(target))
+    assert out.returncode != 0
+    assert "Traceback" not in out.stderr
+    errors = [line for line in out.stderr.splitlines() if "error: " in line]
+    assert len(errors) == 1 and named in errors[0], out.stderr
+    assert not out.stdout and not target.exists()
 
 
 def test_emit_families(tmp_path):

@@ -20,7 +20,8 @@ import pytest
 
 from fscat.cli import main
 from fscat.pivotal import attach_pivotal
-from fscat.specio import bundled_names, bundled_path, load_bundled, save_category
+from fscat.specio import bundled_names, load_bundled, save_category
+from references import bundled_path
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from fscat.cyclo import (Cyc, cyclotomic_polynomial, embed_complex, euler_phi,
-                         field_arith, galois_conjugate, root_of_unity)
+from fscat.cyclo import (Cyc, cyclotomic_polynomial, euler_phi,
+                         galois_conjugate, root_of_unity)
 
 
 def z(n, k=1):
@@ -58,18 +58,6 @@ def test_derived_product():
     assert val == Fraction(1, 2)
 
 
-def test_field_arith_dispatch():
-    a, b = z(8) + 1, z(8, 3)
-    assert field_arith(a, b, "add") == a + b
-    assert field_arith(a, b, "sub") == a - b
-    assert field_arith(a, b, "mul") == a * b
-    assert field_arith(a, b, "div") * b == a
-    with pytest.raises(ZeroDivisionError):
-        field_arith(a, Cyc.zero(), "div")
-    with pytest.raises(ValueError):
-        field_arith(a, b, "pow")
-
-
 def _lcg_sample(n, count, seed):
     state = seed
     out = []
@@ -103,17 +91,17 @@ def test_galois_conjugation_is_a_ring_automorphism(n):
     assert galois_conjugate(a + b) == galois_conjugate(a) + galois_conjugate(b)
     assert galois_conjugate(galois_conjugate(a)) == a
     assert galois_conjugate(Cyc.rational(Fraction(7, 3))) == Fraction(7, 3)
-    emb = embed_complex(galois_conjugate(a))
-    want = embed_complex(a).conjugate()
+    emb = galois_conjugate(a).embed()
+    want = a.embed().conjugate()
     assert abs(emb - want) < 1e-12
 
 
 def test_embed_values():
-    e6 = embed_complex(z(6))
+    e6 = z(6).embed()
     assert abs(e6 - complex(0.5, math.sin(math.pi / 3))) < 1e-14
-    assert embed_complex(Cyc.rational(-1)) == complex(-1.0, 0.0)
+    assert Cyc.rational(-1).embed() == complex(-1.0, 0.0)
     # 2 cos 72 = golden ratio - 1
-    gold = embed_complex(z(5) + z(5, 4))
+    gold = (z(5) + z(5, 4)).embed()
     assert abs(gold.real - (math.sqrt(5) - 1) / 2) < 1e-14
     assert abs(gold.imag) < 1e-14
 
@@ -135,7 +123,7 @@ def test_embed_accuracy_with_tall_coefficients():
     b = Cyc(8, [Fraction(3, 2), Fraction(10**5), 1, Fraction(-1, 9)])
     for v in (a, b, a + b):
         ref = _reference_embed(v)
-        got = embed_complex(v)
+        got = v.embed()
         assert abs(got.real - float(ref.real)) < 1e-12
         assert abs(got.imag - float(ref.imag)) < 1e-12
 

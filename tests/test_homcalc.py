@@ -14,12 +14,13 @@ from fscat.homcalc import (DimensionGuardError, LinMap, TensorWord,
                            close_loop, db_prime_vector, db_vector,
                            double_dual_coefficient,
                            drop_unit_letter_matrix, dual_morphism, ev_matrix,
-                           fuse_step_matrix, graft_path_matrix, hom_basis,
-                           hom_dimension, left_nested, path_counts, paths,
+                           fuse_step_matrix, graft_path_matrix,
+                           hom_dimension, path_counts, paths,
                            pivotal_matrix, pivotal_trace, right_nested,
                            split_step_matrix)
 from fscat.linalg import dense, is_identity, mat_equal, mat_mul
 from fscat.specio import load_bundled
+from references import left_nested
 
 
 def brute_hom_dimension(cat, letters):
@@ -85,16 +86,13 @@ def test_hom_dimension_rigidity_symmetry(any_bundled):
 
 def test_hom_basis_examples():
     fib = bundled("fibonacci")
-    trees = hom_basis(fib, ("t", "t", "t"))
-    assert len(trees) == 1
-    assert trees[0].path == ("1", "t", "t", "1")
-    assert trees[0].word == TensorWord.of(("t", "t", "t"))
+    assert paths(fib, ("t", "t", "t"), fib.unit) == (("1", "t", "t", "1"),)
+    assert paths(fib, TensorWord.of(("t", "t", "t")), "1") == \
+        (("1", "t", "t", "1"),)
     # the unit word has the single path (1, 1)
-    triv = hom_basis(fib, ("1",))
-    assert len(triv) == 1 and triv[0].path == ("1", "1")
+    assert paths(fib, ("1",), fib.unit) == (("1", "1"),)
     ty = bundled("ty_z2z2_plus")
-    sig = hom_basis(ty, ("sigma", "sigma"))
-    assert len(sig) == 1 and sig[0].path == ("1", "sigma", "1")
+    assert paths(ty, ("sigma", "sigma"), ty.unit) == (("1", "sigma", "1"),)
 
 
 def test_basis_is_lexicographic(any_bundled):

@@ -6,8 +6,8 @@ import pytest
 
 import fscat
 from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled
-from references import (spliced_db_prime_vector, spliced_e_map_matrix,
-                        unshared_fs_blocks)
+from references import (s3_table, spliced_db_prime_vector,
+                        spliced_e_map_matrix, unshared_fs_blocks)
 
 from fscat.category import (MissingPivotalError, ObjectExpr, gauge_transform,
                             reverse_category)
@@ -29,7 +29,7 @@ from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _bend_value,
                               is_spherical, qn_distance, rotation_operator)
 from fscat.linalg import (_packs, dense, eye, is_identity, mat_mul, mat_trace,
                           mat_vec, zeros)
-from fscat.oracles import char_indicator, d4_table, q8_table, s3_table
+from fscat.oracles import char_indicator, d4_table, q8_table
 from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
 from fscat.specio import load_bundled
 
