@@ -6,8 +6,7 @@ from .category import (Category, FSymbolSet, FusionRing, MissingPivotalError,
                        validate)
 from .cyclo import Cyc, galois_conjugate, root_of_unity
 from .homcalc import (LinMap, TensorWord, assoc_matrix, close_loop,
-                      coev_matrix, double_dual_coefficient, dual_morphism,
-                      ev_matrix, hom_dimension, pivotal_matrix)
+                      double_dual_coefficient, dual_morphism)
 from .indicators import (DimensionGuardError, IndicatorReport,
                          RotationOperator, check_fs_theorems,
                          check_power_identity, check_reversal_symmetry, e_map,
@@ -16,7 +15,7 @@ from .indicators import (DimensionGuardError, IndicatorReport,
 from .pivotal import (attach_pivotal, canonical_flags,
                       enumerate_pivotal_structures, global_dimension,
                       is_pseudo_unitary, normed_square)
-from .specio import (SpecFormatError, bundled_names, load_bundled,
-                     load_category, save_category)
+from .specio import (SpecFormatError, load_bundled, load_category,
+                     save_category)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

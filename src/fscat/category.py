@@ -187,16 +187,10 @@ class FusionRing:
 
 
 class FSymbolSet:
-    """Sparse F-symbol table; omitted admissible entries default to 1.
-
-    ``reversed_from`` is set on a reversal's table (``reverse_category``):
-    the parent's table, whose block (c, b, a, d) is the inverse of this
-    table's block (a, b, c, d).
-    """
+    """Sparse F-symbol table; omitted admissible entries default to 1."""
 
     def __init__(self, entries):
         self.entries = dict(entries)
-        self.reversed_from = None
 
     def get(self, key):
         return self.entries.get(key, ONE)
@@ -355,17 +349,9 @@ class Category:
         return self.cached(("fblk", a, b, c, d), build)
 
     def f_inv_block(self, a, b, c, d):
-        """Inverse block, rows indexed by the f-list, columns by the e-list.
-
-        On a reversal (``FSymbolSet.reversed_from``) it is the parent's block
-        [F^{cba}_d], whose e-list is this block's f-list: read, not inverted.
-        """
+        """Inverse block, rows indexed by the f-list, columns by the e-list."""
         def build():
-            parent = self.F.reversed_from
-            if parent is None:
-                return mat_inv(self.f_block(a, b, c, d))
-            es, fs = self.f_rowcols(a, b, c, d)
-            return [[parent.get((c, b, a, d, f, e)) for e in es] for f in fs]
+            return mat_inv(self.f_block(a, b, c, d))
         return self.cached(("finv", a, b, c, d), build)
 
     def f_entry(self, a, b, c, d, e, f) -> Cyc:
@@ -809,9 +795,7 @@ def reverse_category(category: Category) -> Category:
     """The same data with the tensor product taken in the reverse order.
 
     Fusion multiplicities transpose and each F-block becomes the inverse of
-    the block with the outer labels swapped, so each inverse block of the
-    reversal is the parent's F-block: ``f_inv_block`` reads it from the
-    parent's F-symbols at its first use.  The pivotal coefficients
+    the block with the outer labels swapped.  The pivotal coefficients
     invert, t_rev(a) = t(a)^-1 = t(a*): reversal exchanges left and right
     duals, so the left trace of the reversed category is the right trace of
     the original, and nu_{n,k} of the reversal is nu_{n,n-k}.
@@ -832,7 +816,5 @@ def reverse_category(category: Category) -> Category:
                     entries[(a, b, c, d, e, f)] = val
     pivotal = None if category.pivotal is None else PivotalData(
         {a: t.inverse() for a, t in category.pivotal.t.items()})
-    f_symbols = FSymbolSet(entries)
-    f_symbols.reversed_from = category.F
-    return Category(f"{category.name}~rev", rev_ring, f_symbols, pivotal,
-                    category.conductor)
+    return Category(f"{category.name}~rev", rev_ring, FSymbolSet(entries),
+                    pivotal, category.conductor)

@@ -210,10 +210,6 @@ def paths(cat: Category, letters, root) -> tuple:
     return cat.cached(("paths", letters, root), build)
 
 
-def hom_dimension(cat: Category, word) -> int:
-    return len(paths(cat, word, cat.unit))
-
-
 def dual_word(cat: Category, letters) -> tuple:
     return tuple(cat.dual(x) for x in reversed(_letters_of(letters)))
 
@@ -688,35 +684,7 @@ def extend(cat, m: LinMap, left_letters=(), right_letters=()) -> LinMap:
     return LinMap(cat, TensorWord.of(src), TensorWord.of(tgt), blocks)
 
 
-# -- public structural matrices ----------------------------------------------
-
-
-def pivotal_matrix(cat, word) -> LinMap:
-    """Diagonal action of the pivotal isomorphism on a tensor word."""
-    cat.require_pivotal()
-    letters = _letters_of(word)
-    coeff = math.prod(map(cat.t, letters), start=ONE)
-    blocks = {}
-    for r in cat.labels:
-        n = len(paths(cat, letters, r))
-        blocks[r] = [[coeff if i == j else ZERO for j in range(n)]
-                     for i in range(n)]
-    return LinMap(cat, TensorWord.of(letters), TensorWord.of(letters), blocks)
-
-
-def ev_matrix(cat, a) -> LinMap:
-    """Evaluation dual(a) (x) a -> empty word, on all roots."""
-    letters = (cat.dual(a), a)
-    blocks = {r: dense(contract_pair_matrix(cat, letters, r, 0))
-              for r in cat.labels}
-    return LinMap(cat, TensorWord.of(letters), TensorWord.of(()), blocks)
-
-
-def coev_matrix(cat, a) -> LinMap:
-    """Coevaluation: empty word -> a (x) dual(a), on all roots."""
-    letters = (a, cat.dual(a))
-    blocks = {r: dense(attach_pair_matrix(cat, (), r, 0, a)) for r in cat.labels}
-    return LinMap(cat, TensorWord.of(()), TensorWord.of(letters), blocks)
+# -- duals and double duals -------------------------------------------------
 
 
 def dual_morphism(cat, m: LinMap) -> LinMap:

@@ -163,10 +163,6 @@ BUNDLED = (
 )
 
 
-def bundled_names():
-    return BUNDLED
-
-
 def bundled_text(name: str) -> str:
     if name not in BUNDLED:
         raise KeyError(f"no bundled spec named {name!r}")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from fscat.specio import bundled_names, load_bundled
+from fscat.specio import BUNDLED, load_bundled
 
 # Property tests run the same examples everywhere, never time out on a
 # loaded host, and write no example database.
@@ -19,7 +19,7 @@ def bundled(name):
     return _CACHE[name]
 
 
-ALL_BUNDLED = tuple(bundled_names())
+ALL_BUNDLED = BUNDLED
 
 # every bundled spec that is pseudo-unitary with its canonical pivotal
 PSEUDO_UNITARY = tuple(n for n in ALL_BUNDLED if n != "yang_lee")

@@ -18,9 +18,11 @@ own product of two gauge values.
 The classical group oracles live here too: the cyclic and S3 character
 tables, explicit matrix representations of S3 and Q8, and the brute-force
 indicator, the trace of the cyclic rotation on the invariants of V^(x)n,
-which gates ``oracles.char_indicator``.  So do ``left_nested``, the
-left-nested parenthesization the associator tests move from, and
-``bundled_path``, the file behind a bundled spec for the CLI tests.
+which gates ``oracles.char_indicator``.  So do the pivotal, evaluation
+and coevaluation maps as whole ``LinMap``s, which the rigidity and
+pivotal tests compose, ``left_nested``, the left-nested parenthesization
+the associator tests move from, and ``bundled_path``, the file behind a
+bundled spec for the CLI tests.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from importlib import resources
 from fscat.category import (Category, CheckItem, FSymbolSet, PivotalData,
                             _gauge_value)
 from fscat.cyclo import Cyc, root_of_unity
-from fscat.homcalc import (LinMap, TensorWord, contract_pair_matrix,
-                           db_prime_vector, drop_unit_letter_matrix,
-                           dual_morphism, fuse_step_matrix, graft_path_matrix,
+from fscat.homcalc import (LinMap, TensorWord, _letters_of, attach_pair_matrix,
+                           contract_pair_matrix, db_prime_vector,
+                           drop_unit_letter_matrix, dual_morphism,
+                           fuse_step_matrix, graft_path_matrix,
                            insert_vector_matrix, paths, splice_host_matrix)
 from fscat.indicators import _accumulate, _right_block
 from fscat.linalg import dense, eye, mat_mul, mat_vec, zeros
@@ -470,6 +473,37 @@ def brute_force_indicator(rep: MatrixRep, n: int, r: int) -> Cyc:
             row = rotate(row)
         acc = acc + proj[row][t]
     return acc
+
+
+# -- structural matrices ----------------------------------------------------------
+
+
+def pivotal_matrix(cat, word) -> LinMap:
+    """Diagonal action of the pivotal isomorphism on a tensor word."""
+    cat.require_pivotal()
+    letters = _letters_of(word)
+    coeff = math.prod(map(cat.t, letters), start=ONE)
+    blocks = {}
+    for r in cat.labels:
+        n = len(paths(cat, letters, r))
+        blocks[r] = [[coeff if i == j else ZERO for j in range(n)]
+                     for i in range(n)]
+    return LinMap(cat, TensorWord.of(letters), TensorWord.of(letters), blocks)
+
+
+def ev_matrix(cat, a) -> LinMap:
+    """Evaluation dual(a) (x) a -> empty word, on all roots."""
+    letters = (cat.dual(a), a)
+    blocks = {r: dense(contract_pair_matrix(cat, letters, r, 0))
+              for r in cat.labels}
+    return LinMap(cat, TensorWord.of(letters), TensorWord.of(()), blocks)
+
+
+def coev_matrix(cat, a) -> LinMap:
+    """Coevaluation: empty word -> a (x) dual(a), on all roots."""
+    letters = (a, cat.dual(a))
+    blocks = {r: dense(attach_pair_matrix(cat, (), r, 0, a)) for r in cat.labels}
+    return LinMap(cat, TensorWord.of(()), TensorWord.of(letters), blocks)
 
 
 # -- parenthesizations and spec files ---------------------------------------------

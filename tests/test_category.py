@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -16,8 +15,6 @@ from fscat.category import (Category, FSymbolSet, FusionRing, GaugeError,
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, root_of_unity
 from fscat.indicators import indicator
-from fscat.linalg import mat_inv
-from fscat.pivotal import enumerate_pivotal_structures
 from fscat.specio import load_bundled
 from references import (divided_gauge_transform, walked_f_items,
                         walked_f_layout)
@@ -719,33 +716,7 @@ def test_reverse_twice_gives_back_the_data(any_bundled):
     assert twice.ring.N == cat.ring.N
     assert _same_f_data(twice, cat)
     assert twice.pivotal.t == cat.pivotal.t
-
-
-def _count_mat_inv(monkeypatch):
-    """The list of block sizes ``linalg.mat_inv`` is called on, from now
-    on, under every name an fscat module binds it to."""
-    calls = []
-
-    def counted(m):
-        calls.append(len(m))
-        return mat_inv(m)
-
-    for name, module in list(sys.modules.items()):
-        if (name == "fscat" or name.startswith("fscat.")) and \
-                getattr(module, "mat_inv", None) is mat_inv:
-            monkeypatch.setattr(module, "mat_inv", counted)
-    return calls
-
-
-def test_reverse_twice_reads_back_the_stored_entries(any_bundled,
-                                                     monkeypatch):
-    # the second reversal's F is the first one's inverse blocks, which are
-    # the spec's own blocks read back: no block is inverted to build it
-    cat = any_bundled
-    rev = reverse_category(cat)
-    calls = _count_mat_inv(monkeypatch)
-    twice = reverse_category(rev)
-    assert calls == []
+    # the second reversal stores the spec's own entries, exactly
     assert twice.F.entries == {k: v for k, v in cat.F.entries.items()
                                if v != 1}
     for a in cat.labels:
@@ -753,46 +724,6 @@ def test_reverse_twice_reads_back_the_stored_entries(any_bundled,
             for r in range(n + 1):
                 assert indicator(twice, a, n, r) == indicator(cat, a, n, r), \
                     (a, n, r)
-
-
-def _reversal_bases():
-    """(label, category): the bundled specs, the pivotal structures of
-    vec_z3 and one root-of-unity gauge of each spec."""
-    for name in ALL_BUNDLED:
-        cat = load_bundled(name)
-        yield name, cat
-        yield f"{name} gauged", gauge_transform(
-            cat, _random_gauge(cat, SplitMix64(31)))
-    v3 = load_bundled("vec_z3")
-    for i, piv in enumerate(enumerate_pivotal_structures(v3)):
-        yield f"vec_z3 pivotal {i}", v3.with_pivotal(piv)
-
-
-def test_reversal_inverse_blocks_are_the_parents_blocks():
-    # block (a, b, c, d) of a reversal is the inverse of the parent's block
-    # (c, b, a, d), so its inverse is that block, read back exactly; a
-    # pivotal change of the reversal keeps the same F and the same reads
-    for label, cat in _reversal_bases():
-        rev = reverse_category(cat)
-        for c in (rev, rev.with_pivotal(rev.pivotal)):
-            for key, (es, _) in c.ring.blocks.items():
-                if es:
-                    assert c.f_inv_block(*key) == mat_inv(c.f_block(*key)), \
-                        (label, key)
-
-
-def test_kernels_on_a_reversal_invert_no_block(monkeypatch):
-    revs = [reverse_category(load_bundled(name)) for name in ALL_BUNDLED]
-    calls = _count_mat_inv(monkeypatch)
-    for rev in revs:
-        for a in rev.labels:
-            for n in range(1, 5):
-                for r in range(n + 1):
-                    indicator(rev, a, n, r)
-    assert calls == []
-    # not vacuous: the kernels did read multi-channel inverse blocks
-    assert any(len(rev._cache[k]) > 1 for rev in revs for k in rev._cache
-               if k[0] == "finv")
 
 
 def test_reverse_vec_z3_relabels():

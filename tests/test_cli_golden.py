@@ -20,7 +20,7 @@ import pytest
 
 from fscat.cli import main
 from fscat.pivotal import attach_pivotal
-from fscat.specio import bundled_names, load_bundled, save_category
+from fscat.specio import BUNDLED, load_bundled, save_category
 from references import bundled_path
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -84,7 +84,7 @@ def test_ind_output_matches_golden_bytes(spec, fmt):
     assert run_ind(spec, fmt) == golden_file(spec, fmt).read_bytes()
 
 
-@pytest.mark.parametrize("spec", bundled_names())
+@pytest.mark.parametrize("spec", BUNDLED)
 def test_check_output_matches_golden_bytes(spec):
     assert run_check(bundled_path(spec)) == check_file(spec).read_bytes()
 
@@ -100,7 +100,7 @@ if __name__ == "__main__":
         for fmt in FORMATS:
             golden_file(name, fmt).write_bytes(run_ind(name, fmt))
             print(f"wrote {golden_file(name, fmt).name}")
-    for name in bundled_names():
+    for name in BUNDLED:
         check_file(name).write_bytes(run_check(bundled_path(name)))
         print(f"wrote {check_file(name).name}")
     with tempfile.TemporaryDirectory() as tmp:

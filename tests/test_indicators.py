@@ -15,7 +15,7 @@ from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
 from fscat.homcalc import (LinMap, attach_pair_matrix, db_prime_vector,
                            db_vector, dual_morphism, graft_path_matrix,
-                           hom_dimension, insert_vector_matrix, path_counts,
+                           insert_vector_matrix, path_counts,
                            pivotal_trace, splice_host_matrix,
                            split_step_matrix)
 from fscat.homcalc import _bend_columns, _bend_entries, paths
@@ -377,7 +377,7 @@ def test_zero_blocks_are_dropped_not_walked(name):
         for n in range(1, 7):
             got = _rotation_pass(warm, [(obj, n)])[0]
             assert got == _walk_every_orbit(ref, obj, n), (str(obj), n)
-            zero_words += sum(not hom_dimension(cat, w)
+            zero_words += sum(not paths(cat, w, cat.unit)
                               for w in rotation_operator(cat, obj, n).words)
     assert zero_words or name == "trivial"
     for key in warm._cache:
@@ -405,7 +405,7 @@ def test_nonzero_orbits_are_kept_per_support(name):
             for w in itertools.product((a, b), repeat=n):
                 orbit = {w[j:] + w[:j] for j in range(n)}
                 least = min(orbit, key=lambda v: list(map(cat.label_index, v)))
-                if w == least and hom_dimension(cat, w):
+                if w == least and paths(cat, w, cat.unit):
                     want.append((w, len(orbit)))
             assert sorted(got) == sorted(want), (a, b, n)
 
@@ -678,7 +678,7 @@ def test_shared_memos_give_cold_results(name):
     turns = [(ObjectExpr.simple(a), n) for a in cat.labels
              for n in range(1, 6)]
     turns += [(ObjectExpr.simple(a), n) for a in cat.labels for n in (7, 8)
-              if 0 < hom_dimension(cat, (a,) * n) <= 16]
+              if 0 < len(paths(cat, (a,) * n, cat.unit)) <= 16]
     first = _rotation_pass(warm, turns)
     assert first == _rotation_pass(warm, turns)
     assert first == _rotation_pass(cat.with_pivotal(cat.pivotal), turns)
@@ -911,7 +911,7 @@ def test_dimension_guard():
     finally:
         del os.environ["FSCAT_NMAX_GUARD"]
     assert not any(key[0] == "paths" for key in fib.ring._cache)
-    full = sum(hom_dimension(fib, w) for w in itertools.product(("1", "t"), repeat=6))
+    full = sum(len(paths(fib, w, fib.unit)) for w in itertools.product(("1", "t"), repeat=6))
     assert str(err.value) == f"hom dimension {full} exceeds FSCAT_NMAX_GUARD=1"
 
 
@@ -952,7 +952,7 @@ def test_categories_on_one_ring_share_its_bases(name, monkeypatch):
     assert cat.ring._cache == kept
     # under a lowered guard a kept rotation operator is refused on every
     # call, and a fresh load refuses to build the basis again
-    big = max(cat.labels, key=lambda a: hom_dimension(cat, (a,) * 4))
+    big = max(cat.labels, key=lambda a: len(paths(cat, (a,) * 4, cat.unit)))
     dim = rotation_operator(cat, big, 4).total_dimension
     assert dim > 1 or max(cat.ring.fanout.values()) == 1
     if dim > 1:
@@ -1060,7 +1060,7 @@ def test_zero_space_bend_builds_no_host(monkeypatch):
 
 def _walked_trace(cat, word, r):
     """Trace of r single-letter rotations walked from `word` itself."""
-    m = eye(hom_dimension(cat, word))
+    m = eye(len(paths(cat, word, cat.unit)))
     for _ in range(r if len(word) > 1 else 0):
         m = mat_mul(e_map_matrix(cat, word, 1), m)
         word = word[1:] + word[:1]
