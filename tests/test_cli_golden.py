@@ -1,10 +1,12 @@
-"""Byte-for-byte pins of `fscat ind` json and csv output and of the
-`fscat check` theorem suite.
+"""Byte-for-byte pins of `fscat ind` json and csv output, of its rotation
+matrix dump and of the `fscat check` theorem suite.
 
 The files in ``tests/golden/`` hold the exact stdout of one indicator table
-per bundled spec, covering conductors 1, 3, 4, 5, 8 and 12, and of
-``fscat check --nmax 4`` on every bundled spec and on one non-spherical
-pivotal structure (``vec_z3`` with structure 1, t(g) = zeta_3^(+-1)).  Any
+per bundled spec, covering conductors 1, 3, 4, 5, 8 and 12, of one
+``--dump`` run (the rendered rotation matrices of every word, then the
+table), and of ``fscat check --nmax 4`` on every bundled spec and on one
+non-spherical pivotal structure (``vec_z3`` with structure 1,
+t(g) = zeta_3^(+-1)).  Any
 change to the field kernel, the encoding, the float embedding or the suite
 that alters a single byte of the output fails here.  To rebuild the pins
 after an intended output change, run
@@ -59,6 +61,17 @@ def run_ind(spec: str, fmt: str) -> bytes:
                      "--n", "1..4", *extra, "--format", fmt])
 
 
+# the dump pin: every rendered rotation matrix of fibonacci's t up to n = 3
+DUMP = ("fibonacci", "t", "1..3")
+DUMP_FILE = GOLDEN / "ind_dump_fibonacci.txt"
+
+
+def run_dump() -> bytes:
+    spec, obj, n = DUMP
+    return run_main(["ind", str(bundled_path(spec)), "--object", obj,
+                     "--n", n, "--dump"])
+
+
 # the non-spherical pin: vec_z3 with its enumerated pivotal structure 1
 NON_SPHERICAL = ("vec_z3", 1)
 
@@ -84,6 +97,10 @@ def test_ind_output_matches_golden_bytes(spec, fmt):
     assert run_ind(spec, fmt) == golden_file(spec, fmt).read_bytes()
 
 
+def test_ind_dump_matches_golden_bytes():
+    assert run_dump() == DUMP_FILE.read_bytes()
+
+
 @pytest.mark.parametrize("spec", BUNDLED)
 def test_check_output_matches_golden_bytes(spec):
     assert run_check(bundled_path(spec)) == check_file(spec).read_bytes()
@@ -100,6 +117,8 @@ if __name__ == "__main__":
         for fmt in FORMATS:
             golden_file(name, fmt).write_bytes(run_ind(name, fmt))
             print(f"wrote {golden_file(name, fmt).name}")
+    DUMP_FILE.write_bytes(run_dump())
+    print(f"wrote {DUMP_FILE.name}")
     for name in BUNDLED:
         check_file(name).write_bytes(run_check(bundled_path(name)))
         print(f"wrote {check_file(name).name}")
