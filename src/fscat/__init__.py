@@ -5,8 +5,7 @@ from .category import (Category, FSymbolSet, FusionRing, MissingPivotalError,
                        fp_dimension, gauge_transform, reverse_category,
                        validate)
 from .cyclo import Cyc, galois_conjugate, root_of_unity
-from .homcalc import (LinMap, TensorWord, assoc_matrix, close_loop,
-                      double_dual_coefficient, dual_morphism)
+from .homcalc import LinMap, pivotal_dimension, pivotal_trace
 from .indicators import (DimensionGuardError, IndicatorReport,
                          RotationOperator, check_fs_theorems,
                          check_power_identity, check_reversal_symmetry, e_map,

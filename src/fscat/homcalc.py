@@ -1,4 +1,4 @@
-"""Fusion-path bases for Hom(1, word) and exact structural-morphism matrices.
+"""Fusion-path bases for Hom(1, word), the maps between them, pivotal traces.
 
 Basis convention
 ----------------
@@ -8,36 +8,29 @@ left-to-right fusion paths ``(p_0, p_1, ..., p_n)`` anchored at the unit
 with the category's label order as alphabet.  This basis is intrinsic to
 the left-nested parenthesization and is transported to every other
 parenthesization along the unique coherence isomorphism, so maps between
-canonical hom-spaces never need explicit bracket bookkeeping.  The
-associator is grafted too: ``assoc_matrix`` carries each labeled-tree basis
-to the path basis through ``_graft_coeffs``, the one re-association
-primitive.
+canonical hom-spaces never need explicit bracket bookkeeping, and a word
+is a plain tuple of letters.
 
-Morphisms versus hom-space maps
--------------------------------
-A ``LinMap`` carries one matrix per "root" label r, the block on
-``Hom(r, word)``.  Maps that come from genuine morphisms ``W -> W'`` have
-blocks for every simple root; set-level maps between hom-spaces (the
-rotation maps of the indicator machinery) exist only on the unit root.
-Operations that extend or bend a map (``close_loop``, ``dual_morphism``)
-require morphism-backed inputs.
+A ``LinMap`` carries one matrix per root label r, the block on
+``Hom(r, word)``.  Its pivotal trace (``pivotal_trace``) is the sum of the
+blocks' ordinary traces weighted by the pivotal dimensions of the roots
+(``pivotal_dimension``), which is all the library reads of a trace.
 
 Every path-basis matrix is laid out by one kernel, ``_path_columns``: a
 local move sends each source path to weighted target paths, and the kernel
 lays the weights out on the target path basis, one column of nonzero
 ``(row, coeff)`` pairs per source path (the column form of ``linalg``).
-The same loop takes other source bases by their keys: the merged (s, p)
-pairs of the left operator extension and the labeled trees of the
-associator.  The move builders return the column form, because nearly all
-of them are applied to one vector (``mat_vec``); the ``LinMap`` blocks, the
-walk's rotations (``indicators.e_map_matrix``) and every operand of
-``mat_mul`` are dense rows, converted once by ``linalg.dense``.  Removals
-are single-vertex moves (fuse, drop a unit letter, evaluation).  Every
-insertion is a graft, which re-associates a unit-rooted guest subword into
-the running path by a chain of elementary inverse F-moves
-(``_graft_coeffs``): ``graft_path_matrix`` grafts one guest path (a
-coevaluation pair is its path (1, b, 1)), and ``insert_vector_matrix`` and
-``splice_host_matrix`` graft with the guest or the host vector fixed.  A
+The same loop takes any other source basis by its keys.  The move builders
+return the column form, because nearly all of them are applied to one
+vector (``mat_vec``); the ``LinMap`` blocks, the walk's rotations
+(``indicators.e_map_matrix``) and every operand of ``mat_mul`` are dense
+rows, converted once by ``linalg.dense``.  Removals are single-vertex
+moves (fuse, drop a unit letter, evaluation).  Every insertion is a graft,
+which re-associates a unit-rooted guest subword into the running path by a
+chain of elementary inverse F-moves (``_graft_coeffs``):
+``graft_path_matrix`` grafts one guest path (a coevaluation pair is its
+path (1, b, 1)), and ``insert_vector_matrix`` and ``splice_host_matrix``
+graft with the guest or the host vector fixed.  A
 k-strand bend is one graft too (``_bend_columns``): the word is spliced
 once into the nested coevaluation of its first k letters, and the loop
 closures that follow keep only the paths that retrace their stages around
@@ -55,7 +48,7 @@ build, so a basis kept on a ring is not counted again.
 
 The builders whose arguments are labels and positions (fuse and split
 steps, dropped unit letters, evaluation pairs, guest-path grafts, the
-coevaluation vectors, the bend hosts ``_bend_tops`` and the bends by
+nested coevaluation vectors, the bend hosts ``_bend_tops`` and the bends by
 columns ``_bend_columns``) are memoised per category in ``cat.cached``,
 and so are two stages of the Frobenius-Schur endomorphisms: the right
 coevaluation blocks (``indicators._right_block``) and the torn-down middle
@@ -74,11 +67,10 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 
 from .category import Category
 from .cyclo import Cyc
-from .linalg import dense, eye, is_identity, mat_inv, mat_mul, mat_vec, zeros
+from .linalg import eye, mat_trace, mat_vec
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -125,52 +117,7 @@ def _refuse_above(dim, guard):
             f"hom dimension {dim} exceeds {DIM_GUARD_ENV}={guard}")
 
 
-# -- parenthesizations ----------------------------------------------------
-
-
-def right_nested(n: int):
-    """Paren tree (0, (1, (2, ...))); a bare leaf for n = 1."""
-    if n < 1:
-        raise ValueError("parenthesization needs at least one letter")
-    tree = n - 1
-    for i in range(n - 2, -1, -1):
-        tree = (i, tree)
-    return tree
-
-
-def paren_leaves(paren):
-    if isinstance(paren, int):
-        return (paren,)
-    return paren_leaves(paren[0]) + paren_leaves(paren[1])
-
-
-@dataclass(frozen=True)
-class TensorWord:
-    """A sequence of simple labels with a parenthesization descriptor."""
-
-    letters: tuple
-    paren: object
-
-    @staticmethod
-    def of(letters, paren=None) -> "TensorWord":
-        letters = tuple(letters)
-        if paren is None:
-            paren = right_nested(len(letters)) if letters else ()
-        if letters and paren_leaves(paren) != tuple(range(len(letters))):
-            raise ValueError("parenthesization does not match the letters")
-        return TensorWord(letters, paren)
-
-    def __len__(self):
-        return len(self.letters)
-
-
 # -- path bases ------------------------------------------------------------
-
-
-def _letters_of(word) -> tuple:
-    if isinstance(word, TensorWord):
-        return word.letters
-    return tuple(word)
 
 
 def path_counts(cat: Category, steps) -> dict:
@@ -198,7 +145,7 @@ def paths(cat: Category, letters, root) -> tuple:
     Each path is extended by the channels of its last stage in label order
     (``FusionRing.channels``), so the paths come out in label order.
     """
-    letters = _letters_of(letters)
+    letters = tuple(letters)
 
     def build():
         check_word_guard(cat, letters, root)
@@ -211,24 +158,26 @@ def paths(cat: Category, letters, root) -> tuple:
 
 
 def dual_word(cat: Category, letters) -> tuple:
-    return tuple(cat.dual(x) for x in reversed(_letters_of(letters)))
+    return tuple(cat.dual(x) for x in reversed(letters))
 
 
 # -- LinMap ------------------------------------------------------------------
 
 
 class LinMap:
-    """Exact matrices between canonical hom-space bases, one per root."""
+    """Exact matrices between canonical hom-space bases, one per root.
+
+    A map that comes from a genuine morphism ``W -> W'`` has a block on
+    ``Hom(r, W)`` for every simple root r; a set-level map between hom
+    spaces (a rotation of the indicator machinery, ``indicators.e_map``)
+    has only its unit-root block.
+    """
 
     def __init__(self, cat, source, target, blocks):
         self.cat = cat
-        self.source = source if isinstance(source, TensorWord) else TensorWord.of(source)
-        self.target = target if isinstance(target, TensorWord) else TensorWord.of(target)
+        self.source = tuple(source)
+        self.target = tuple(target)
         self.blocks = blocks
-
-    @property
-    def matrix(self):
-        return self.block(self.cat.unit)
 
     def block(self, root):
         try:
@@ -238,30 +187,8 @@ class LinMap:
                 f"no block at root {root!r}; this LinMap is a hom-space map, "
                 "not a morphism") from None
 
-    def roots(self):
-        return tuple(self.blocks)
-
-    def compose(self, other: "LinMap") -> "LinMap":
-        """self after other."""
-        if other.target.letters != self.source.letters:
-            raise ValueError("composition word mismatch")
-        roots = [r for r in self.blocks if r in other.blocks]
-        blocks = {r: mat_mul(self.blocks[r], other.blocks[r]) for r in roots}
-        return LinMap(self.cat, other.source, self.target, blocks)
-
-    def scaled(self, c) -> "LinMap":
-        c = Cyc._promote(c)
-        return LinMap(self.cat, self.source, self.target,
-                      {r: [[c * x for x in row] for row in blk]
-                       for r, blk in self.blocks.items()})
-
-    def is_identity(self) -> bool:
-        if self.source.letters != self.target.letters:
-            return False
-        return all(is_identity(blk) for blk in self.blocks.values())
-
     def render(self) -> str:
-        lines = [f"LinMap {self.source.letters} -> {self.target.letters}"]
+        lines = [f"LinMap {self.source} -> {self.target}"]
         for r, blk in self.blocks.items():
             lines.append(f"  root {r}: {len(blk)} x {len(blk[0]) if blk else 0}")
             for row in blk:
@@ -270,10 +197,10 @@ class LinMap:
 
     @staticmethod
     def identity(cat, letters, roots=None) -> "LinMap":
-        letters = _letters_of(letters)
+        letters = tuple(letters)
         roots = cat.labels if roots is None else roots
         blocks = {r: eye(len(paths(cat, letters, r))) for r in roots}
-        return LinMap(cat, TensorWord.of(letters), TensorWord.of(letters), blocks)
+        return LinMap(cat, letters, letters, blocks)
 
 
 # -- the grafting kernel -----------------------------------------------------
@@ -318,8 +245,7 @@ def _path_columns(cat, keys, tgt, root, moves):
     one column per key of ``keys``.
 
     The keys are the source paths of a local move, or any other source
-    basis (the merged (s, p) pairs of ``_merge_basis_matrix``, the labeled
-    trees of ``_tree_matrix``).  ``moves(key)`` yields ``(q, coeff)`` pairs;
+    basis.  ``moves(key)`` yields ``(q, coeff)`` pairs;
     column ``key`` accumulates ``coeff`` at row ``q``.  Zero coefficients,
     sums that cancel and target paths that are not admissible are dropped.
     """
@@ -491,12 +417,6 @@ def _nested_coevaluation(cat, pairs):
 
 
 @_memoised
-def db_vector(cat, letters):
-    """Coevaluation of a word: unit-rooted vector over letters + dual word."""
-    return _nested_coevaluation(cat, [(y, cat.dual(y)) for y in letters])
-
-
-@_memoised
 def db_prime_vector(cat, letters):
     """Right-dual coevaluation: unit-rooted vector over dual word + letters.
     The tests check it against splicing the pairs innermost first."""
@@ -614,108 +534,18 @@ def _bend_entries(cat, letters, k, pairs):
     return total
 
 
-# -- operator extension ------------------------------------------------------
-
-
-def _right_extend_blocks(cat, src_letters, tgt_letters, blocks, b):
-    """Blocks of (m (x) id_b) from blocks of m, for every root."""
-    def moves(p):
-        s = p[-2]
-        col = _path_index(cat, src_letters, s)[p[:-1]]
-        return [(q + (p[-1],), row[col])
-                for q, row in zip(paths(cat, tgt_letters, s), blocks[s])]
-    return {r: dense(_path_columns(cat, paths(cat, src_letters + (b,), r),
-                                   tgt_letters + (b,), r, moves))
-            for r in cat.labels}
-
-
-def _merge_basis_matrix(cat, b, letters, root):
-    """Change of basis identifying Hom(root, b (x) W) with channel-summed
-    Hom(s, W) blocks; columns are (inner path) pairs, rows are paths of
-    (b,) + letters.  Each inner path p is grafted after b."""
-    letters = tuple(letters)
-    cols = [(s, p) for s in cat.labels if cat.n(b, s, root)
-            for p in paths(cat, letters, s)]
-    return cols, dense(_path_columns(
-        cat, cols, (b,) + letters, root,
-        lambda col: [((cat.unit, b) + chain[1:], coeff) for chain, coeff
-                     in _graft_coeffs(cat, b, letters, col[1])]))
-
-
-def _left_extend_blocks(cat, src_letters, tgt_letters, blocks, b):
-    """Blocks of (id_b (x) m) from blocks of m, for every root."""
-    out = {}
-    for r in cat.labels:
-        src_cols, src_merge = _merge_basis_matrix(cat, b, src_letters, r)
-        tgt_cols, tgt_merge = _merge_basis_matrix(cat, b, tgt_letters, r)
-        inner = zeros(len(tgt_cols), len(src_cols))
-        for ci, (s, p) in enumerate(src_cols):
-            if s not in blocks:
-                continue
-            blk = blocks[s]
-            col = _path_index(cat, src_letters, s)[p]
-            for ri, (s2, q) in enumerate(tgt_cols):
-                if s2 != s:
-                    continue
-                val = blk[_path_index(cat, tgt_letters, s)[q]][col]
-                if val:
-                    inner[ri][ci] = val
-        src_inv = mat_inv(src_merge)
-        out[r] = mat_mul(tgt_merge, mat_mul(inner, src_inv))
-    return out
-
-
-def extend(cat, m: LinMap, left_letters=(), right_letters=()) -> LinMap:
-    """id (x) m (x) id as a morphism-backed LinMap."""
-    src = m.source.letters
-    tgt = m.target.letters
-    blocks = dict(m.blocks)
-    if set(blocks) != set(cat.labels):
-        raise ValueError("operator extension needs a morphism-backed LinMap "
-                         "(blocks at every root)")
-    for b in right_letters:
-        blocks = _right_extend_blocks(cat, src, tgt, blocks, b)
-        src = src + (b,)
-        tgt = tgt + (b,)
-    for b in reversed(tuple(left_letters)):
-        blocks = _left_extend_blocks(cat, src, tgt, blocks, b)
-        src = (b,) + src
-        tgt = (b,) + tgt
-    return LinMap(cat, TensorWord.of(src), TensorWord.of(tgt), blocks)
-
-
-# -- duals and double duals -------------------------------------------------
-
-
-def dual_morphism(cat, m: LinMap) -> LinMap:
-    """The dual f -> f* between the dual words, via bend-all-strands closure."""
-    w1 = m.source.letters
-    w2 = m.target.letters
-    dw1 = dual_word(cat, w1)
-    dw2 = dual_word(cat, w2)
-    db_letters, db_vec = db_vector(cat, w1)
-
-    mid = extend(cat, m, left_letters=dw2, right_letters=dw1)
-    blocks = {}
-    for r in cat.labels:
-        ins = insert_vector_matrix(cat, dw2, r, len(dw2), db_letters, db_vec)
-        mat = mat_mul(mid.block(r), dense(ins))
-        cur = dw2 + w2 + dw1
-        k = len(w2)
-        for j in range(k):
-            pos = k - 1 - j
-            step = contract_pair_matrix(cat, cur, r, pos)
-            mat = mat_mul(dense(step), mat)
-            cur = cur[:pos] + cur[pos + 2:]
-        assert cur == dw1
-        blocks[r] = mat
-    return LinMap(cat, TensorWord.of(dw2), TensorWord.of(dw1), blocks)
+# -- double duals and pivotal traces ----------------------------------------
 
 
 def double_dual_inverse(cat, a, b, c) -> Cyc:
-    """1 / ``double_dual_coefficient(cat, a, b, c)``, from three F-symbols.
+    """1 / delta, delta the skeletal double-dual tensorator scalar on the
+    (a, b; c) channel, from three F-symbols.
 
-    With x* the dual of x and 1 the unit, the product is
+    delta is the inverse of the raw double dual of the channel vertex, the
+    orientation that makes pivotal monoidality t(a) t(b) delta = t(c)
+    transform consistently with the rotation maps under gauge changes; for
+    dual-pair-symmetric data the two orientations agree.  With x* the dual
+    of x and 1 the unit, the product is
     [F^{a,b,c*}_1]_{c,a*} [F^{b,c*,a}_1]_{a*,b*} [F^{c*,a,b}_1]_{b*,c}.
     Each factor is the only entry of a 1x1 block, so it is nonzero whenever
     every F-block is invertible.  The form holds on pentagon solutions
@@ -739,129 +569,31 @@ def double_dual_inverses(cat) -> dict:
         for key in cat.ring.admissible_triples()})
 
 
-def double_dual_coefficient(cat, a, b, c) -> Cyc:
-    """Scalar of the skeletal double-dual tensorator on the (a, b; c) channel.
-
-    The inverse of the raw double dual of the channel vertex, which is the
-    orientation that makes pivotal monoidality t(a) t(b) delta = t(c)
-    transform consistently with the rotation maps under gauge changes; for
-    dual-pair-symmetric data the two orientations agree.  Closed form in
-    F-symbols (``double_dual_inverse``), valid on data that passes the
-    pentagon.
-    """
-    return double_dual_inverse(cat, a, b, c).inverse()
-
-
-def close_loop(cat, m: LinMap, side: str, count: int) -> LinMap:
-    """Partial pivotal trace over the count left- or rightmost strands."""
-    if m.source.letters != m.target.letters:
-        raise ValueError("close_loop needs an endomorphism")
-    n = len(m.source.letters)
-    if not 1 <= count <= n:
-        raise ValueError("strand count out of range")
-    piv = cat.require_pivotal()
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    left = side == "left"
-    out = m
-    for _ in range(count):
-        letters = out.source.letters
-        # the closed strand b, its dual bd attached on the same side, the
-        # coevaluation pair inserted at ``at`` and evaluated at ``cut``
-        b = letters[0] if left else letters[-1]
-        bd = cat.dual(b)
-        rest = letters[1:] if left else letters[:-1]
-        if left:
-            ext = extend(cat, out, left_letters=(bd,))
-            at, label, host, cut = 0, bd, (bd,) + letters, 0
-            scale = piv.t[b].inverse()
-        else:
-            ext = extend(cat, out, right_letters=(bd,))
-            at, label, host = len(rest), b, letters + (bd,)
-            cut = len(letters) - 1
-            scale = piv.t[b]
-        blocks = {}
-        for r in cat.labels:
-            att = attach_pair_matrix(cat, rest, r, at, label)
-            con = contract_pair_matrix(cat, host, r, cut)
-            blocks[r] = mat_mul(dense(con), mat_mul(ext.block(r), dense(att)))
-        out = LinMap(cat, TensorWord.of(rest), TensorWord.of(rest),
-                     blocks).scaled(scale)
-    return out
+def pivotal_dimension(cat, a, side: str) -> Cyc:
+    """The left or right pivotal dimension of the simple a, the pivotal
+    trace of its identity: d_l(a) = ev(a) / t(a), d_r(a) = t(a) ev(a*),
+    with ev the evaluation scalar fixed by the zig-zags."""
+    t = cat.require_pivotal().t[a]
+    if side == "left":
+        return cat.ev_coefficient(a) / t
+    if side == "right":
+        return t * cat.ev_coefficient(cat.dual(a))
+    raise ValueError("side must be 'left' or 'right'")
 
 
 def pivotal_trace(cat, m: LinMap, side: str) -> Cyc:
-    """Full left or right pivotal trace of a morphism-backed endomorphism."""
-    closed = close_loop(cat, m, side, len(m.source.letters))
-    return closed.block(cat.unit)[0][0]
+    """Full left or right pivotal trace of a morphism-backed endomorphism.
 
-
-# -- the associator ----------------------------------------------------------
-
-
-def _trees(cat, letters, paren):
-    """(labeled tree, root) pairs of a paren tree over ``letters``.
-
-    A leaf is its letter and a node is ``(left, right, channel)``.
+    The category is semisimple, so the trace of m on W is the sum over the
+    simples r of the ordinary trace of its block on Hom(r, W) times the
+    pivotal dimension of r (``pivotal_dimension``).  The tests check it
+    against closing the strands one by one with the evaluation and
+    coevaluation maps.
     """
-    if isinstance(paren, int):
-        return [(letters[paren], letters[paren])]
-    return [((left, right, c), c)
-            for left, cl in _trees(cat, letters, paren[0])
-            for right, cr in _trees(cat, letters, paren[1])
-            for c in cat.channels(cl, cr)]
-
-
-def _inorder_key(cat, tree):
-    if not isinstance(tree, tuple):
-        return (cat.label_index(tree),)
-    left, right, c = tree
-    return (_inorder_key(cat, left) + (cat.label_index(c),)
-            + _inorder_key(cat, right))
-
-
-def _tree_paths(cat, tree):
-    """(letters, {path: coeff}): a labeled tree in the fusion-path basis.
-
-    The right subtree's paths are grafted into each path of the left
-    subtree; the chains that end at the node's channel are kept.
-    """
-    if not isinstance(tree, tuple):
-        return (tree,), {(cat.unit, tree): ONE}
-    left, right, c = tree
-    lx, lterms = _tree_paths(cat, left)
-    rx, rterms = _tree_paths(cat, right)
-    out = {}
-    for p, a in lterms.items():
-        for rho, b in rterms.items():
-            for chain, coeff in _graft_coeffs(cat, p[-1], rx, rho):
-                if chain[-1] == c:
-                    q = p + chain[1:]
-                    out[q] = out.get(q, ZERO) + a * b * coeff
-    return lx + rx, out
-
-
-def _tree_matrix(cat, letters, paren, root):
-    """Columns: the labeled trees of ``paren`` at ``root`` in in-order label
-    order; rows: the fusion paths of ``letters`` at ``root``."""
-    trees = sorted((t for t, c in _trees(cat, letters, paren) if c == root),
-                   key=lambda t: _inorder_key(cat, t))
-    return dense(_path_columns(cat, trees, letters, root,
-                               lambda tree: _tree_paths(cat, tree)[1].items()))
-
-
-def assoc_matrix(cat, letters, paren_from, paren_to) -> LinMap:
-    """The unique coherence composite between two parenthesizations.
-
-    Expressed in the parenthesization-intrinsic labeled-tree bases (which
-    coincide with the fusion-path bases on left-nested words).  Each tree
-    basis is carried to the path basis by grafting (``_tree_matrix``), so
-    the composite is T_to^-1 T_from at every root; Mac Lane coherence makes
-    it the composite of F-moves along any route.
-    """
-    letters = tuple(letters)
-    blocks = {r: mat_mul(mat_inv(_tree_matrix(cat, letters, paren_to, r)),
-                         _tree_matrix(cat, letters, paren_from, r))
-              for r in cat.labels}
-    return LinMap(cat, TensorWord.of(letters, paren_from),
-                  TensorWord.of(letters, paren_to), blocks)
+    if m.source != m.target:
+        raise ValueError("a pivotal trace needs an endomorphism")
+    if set(m.blocks) != set(cat.labels):
+        raise ValueError("a pivotal trace needs a morphism-backed LinMap "
+                         "(blocks at every root)")
+    return sum((mat_trace(m.blocks[r]) * pivotal_dimension(cat, r, side)
+                for r in cat.labels), ZERO)

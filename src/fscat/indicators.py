@@ -37,14 +37,14 @@ from dataclasses import dataclass, field
 from .category import Category, ObjectExpr, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
-from .homcalc import (DimensionGuardError, LinMap, TensorWord,
-                      _bend_columns, _bend_entries, _memoised,
-                      attach_pair_matrix, check_dimension_guard,
-                      check_word_guard, contract_pair_matrix, db_prime_vector,
+from .homcalc import (DimensionGuardError, LinMap, _bend_columns,
+                      _bend_entries, _memoised, attach_pair_matrix,
+                      check_dimension_guard, check_word_guard,
+                      contract_pair_matrix, db_prime_vector,
                       drop_unit_letter_matrix, dual_word, fuse_step_matrix,
                       graft_path_matrix, insert_vector_matrix, path_counts,
-                      paths, pivotal_trace)
-from .linalg import (col_mul, dense, eye, is_identity, is_identity_product,
+                      paths, pivotal_dimension)
+from .linalg import (col_mul, dense, is_identity, is_identity_product,
                      mat_equal, mat_mul, mat_trace, mat_vec)
 from .pivotal import is_pseudo_unitary
 
@@ -106,10 +106,9 @@ def e_map(cat: Category, word, k: int) -> LinMap:
     This is a map of hom-spaces, not a morphism of the category, so the
     returned LinMap carries only the unit-root block.
     """
-    letters = word.letters if isinstance(word, TensorWord) else tuple(word)
-    mat = e_map_matrix(cat, letters, k)
-    return LinMap(cat, TensorWord.of(letters), TensorWord.of(_rot(letters, k)),
-                  {cat.unit: mat})
+    letters = tuple(word)
+    return LinMap(cat, letters, _rot(letters, k),
+                  {cat.unit: e_map_matrix(cat, letters, k)})
 
 
 def _orbit_walk(cat, word):
@@ -262,12 +261,6 @@ class RotationOperator:
     words: tuple
     total_dimension: int
 
-    def block(self, word):
-        """Unit-root matrix H(word) -> H(rot_1(word))."""
-        if self.n == 1:
-            return eye(len(paths(self.category, word, self.category.unit)))
-        return e_map_matrix(self.category, word, 1)
-
 
 def rotation_operator(cat: Category, obj, n: int) -> RotationOperator:
     """The rotation operator of obj on Hom(1, V^(x)n).  Its dimension and
@@ -352,13 +345,10 @@ def check_power_identity(cat: Category, obj, n: int) -> bool:
 
 
 def is_spherical(cat: Category) -> bool:
-    """Equality of left and right traces on identities of simples, which
+    """Equality of left and right pivotal dimensions of the simples, which
     determines it on all endomorphisms in the semisimple skeletal setting."""
-    for a in cat.labels:
-        ident = LinMap.identity(cat, (a,))
-        if pivotal_trace(cat, ident, "left") != pivotal_trace(cat, ident, "right"):
-            return False
-    return True
+    return all(pivotal_dimension(cat, a, "left")
+               == pivotal_dimension(cat, a, "right") for a in cat.labels)
 
 
 # -- Frobenius-Schur endomorphisms ---------------------------------------------
@@ -559,10 +549,8 @@ def check_fs_theorems(cat: Category, n_max: int = 5):
                      galois_conjugate(nu(a, n, r)) == nu(a, n, n - r)),
     ]
     not_spherical = None if is_spherical(cat) else "not spherical"
-    ptr_l = {a: pivotal_trace(cat, LinMap.identity(cat, (a,)), "left")
-             for a in labels}
-    ptr_r = {a: pivotal_trace(cat, LinMap.identity(cat, (a,)), "right")
-             for a in labels}
+    ptr_l = {a: pivotal_dimension(cat, a, "left") for a in labels}
+    ptr_r = {a: pivotal_dimension(cat, a, "right") for a in labels}
     checks += [
         _theorem("trace formula nu_n = ptr_l(FS^(n))", by_n,
                  lambda a, n: nu(a, n) == ptr_l[a] * fs(a, n, 0, 0),

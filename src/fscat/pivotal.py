@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .category import Category, PivotalData
 from .cyclo import Cyc, root_of_unity
-from .homcalc import LinMap, double_dual_inverses, pivotal_trace
+from .homcalc import double_dual_inverses, pivotal_dimension
 from .snf import diagonalize
 
 ONE = Cyc.one()
@@ -179,7 +179,7 @@ def canonical_flags(category: Category, solutions):
         cat = category.with_pivotal(piv)
         ok = True
         for a in cat.labels:
-            tr = pivotal_trace(cat, LinMap.identity(cat, (a,)), "right")
+            tr = pivotal_dimension(cat, a, "right")
             if abs(tr.embed() - fp_dimension(cat, a)) >= 1e-9:
                 ok = False
                 break
@@ -213,10 +213,8 @@ def attach_pivotal(category: Category, choice="canonical") -> Category:
 
 def normed_square(category: Category, a) -> Cyc:
     """|a|^2 = catr(j) catr(dual(j^-1)); independent of pivotal rescaling."""
-    category.require_pivotal()
-    ident = LinMap.identity(category, (a,))
-    return pivotal_trace(category, ident, "left") * \
-        pivotal_trace(category, ident, "right")
+    return pivotal_dimension(category, a, "left") * \
+        pivotal_dimension(category, a, "right")
 
 
 def global_dimension(category: Category) -> Cyc:

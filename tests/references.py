@@ -1,7 +1,19 @@
 """Test-only references that route through the general morphism machinery.
 
+The morphism layer lives here: ``LinMap`` composition and scaling, the
+operator extension id (x) m (x) id (``extend``, whose left half changes
+basis by an inverted merge matrix), the dual of a morphism
+(``dual_morphism``, with the word coevaluation ``db_vector``), and the
+loop closure that closes a morphism's strands one at a time
+(``close_loop``).  Closing every strand (``closed_loop_trace``) is the
+reference for ``homcalc.pivotal_trace``, which reads the trace off the
+blocks and the pivotal dimensions.  The associator between two
+parenthesizations (``assoc_matrix``, over labeled trees grafted into the
+path basis, with ``left_nested``, ``right_nested`` and ``paren_leaves``)
+is here too: the library needs no parenthesization.
+
 The nested double-dual route is the reference for the closed-form
-double-dual scalar (``homcalc.double_dual_coefficient``), the spliced bend
+double-dual scalar (``homcalc.double_dual_inverse``), the spliced bend
 for the one-graft bend kernel (``indicators.e_map_matrix``), and the
 innermost-first nested coevaluation for ``homcalc.db_prime_vector``, and
 the per-l build of the Frobenius-Schur blocks for the shared middle of
@@ -20,9 +32,8 @@ tables, explicit matrix representations of S3 and Q8, and the brute-force
 indicator, the trace of the cyclic rotation on the invariants of V^(x)n,
 which gates ``oracles.char_indicator``.  So do the pivotal, evaluation
 and coevaluation maps as whole ``LinMap``s, which the rigidity and
-pivotal tests compose, ``left_nested``, the left-nested parenthesization
-the associator tests move from, and ``bundled_path``, the file behind a
-bundled spec for the CLI tests.
+pivotal tests compose, and ``bundled_path``, the file behind a bundled
+spec for the CLI tests.
 """
 
 from __future__ import annotations
@@ -36,18 +47,189 @@ from importlib import resources
 from fscat.category import (Category, CheckItem, FSymbolSet, PivotalData,
                             _gauge_value)
 from fscat.cyclo import Cyc, root_of_unity
-from fscat.homcalc import (LinMap, TensorWord, _letters_of, attach_pair_matrix,
-                           contract_pair_matrix, db_prime_vector,
-                           drop_unit_letter_matrix, dual_morphism,
+from fscat import homcalc
+from fscat.homcalc import (LinMap, _graft_coeffs, _memoised,
+                           _nested_coevaluation, _path_index,
+                           attach_pair_matrix, contract_pair_matrix,
+                           db_prime_vector, drop_unit_letter_matrix, dual_word,
                            fuse_step_matrix, graft_path_matrix,
                            insert_vector_matrix, paths, splice_host_matrix)
 from fscat.indicators import _accumulate, _right_block
-from fscat.linalg import dense, eye, mat_mul, mat_vec, zeros
+from fscat.linalg import (dense, eye, is_identity, mat_inv, mat_mul, mat_vec,
+                          zeros)
 from fscat.oracles import CharacterTable, _Group, _table, q8_group, q8_table
 from fscat.specio import BUNDLED
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
+
+
+# -- the morphism layer: whole LinMaps, operator extension, duals, loops ------
+#
+# The builders below lay their matrices out with the library's kernel,
+# looked up on the module (``homcalc._path_columns``) so that a test that
+# replaces the kernel reaches them too.
+
+
+def compose(f: LinMap, g: LinMap) -> LinMap:
+    """f after g, on the roots both have."""
+    if g.target != f.source:
+        raise ValueError("composition word mismatch")
+    return LinMap(f.cat, g.source, f.target,
+                  {r: mat_mul(f.blocks[r], g.blocks[r])
+                   for r in f.blocks if r in g.blocks})
+
+
+def scaled(m: LinMap, c) -> LinMap:
+    c = Cyc._promote(c)
+    return LinMap(m.cat, m.source, m.target,
+                  {r: [[c * x for x in row] for row in blk]
+                   for r, blk in m.blocks.items()})
+
+
+def is_identity_map(m: LinMap) -> bool:
+    return m.source == m.target and all(map(is_identity, m.blocks.values()))
+
+
+def _right_extend_blocks(cat, src_letters, tgt_letters, blocks, b):
+    """Blocks of (m (x) id_b) from blocks of m, for every root."""
+    def moves(p):
+        s = p[-2]
+        col = _path_index(cat, src_letters, s)[p[:-1]]
+        return [(q + (p[-1],), row[col])
+                for q, row in zip(paths(cat, tgt_letters, s), blocks[s])]
+    return {r: dense(homcalc._path_columns(
+                cat, paths(cat, src_letters + (b,), r), tgt_letters + (b,), r,
+                moves))
+            for r in cat.labels}
+
+
+def _merge_basis_matrix(cat, b, letters, root):
+    """Change of basis identifying Hom(root, b (x) W) with channel-summed
+    Hom(s, W) blocks; columns are (inner path) pairs, rows are paths of
+    (b,) + letters.  Each inner path p is grafted after b."""
+    letters = tuple(letters)
+    cols = [(s, p) for s in cat.labels if cat.n(b, s, root)
+            for p in paths(cat, letters, s)]
+    return cols, dense(homcalc._path_columns(
+        cat, cols, (b,) + letters, root,
+        lambda col: [((cat.unit, b) + chain[1:], coeff) for chain, coeff
+                     in _graft_coeffs(cat, b, letters, col[1])]))
+
+
+def _left_extend_blocks(cat, src_letters, tgt_letters, blocks, b):
+    """Blocks of (id_b (x) m) from blocks of m, for every root."""
+    out = {}
+    for r in cat.labels:
+        src_cols, src_merge = _merge_basis_matrix(cat, b, src_letters, r)
+        tgt_cols, tgt_merge = _merge_basis_matrix(cat, b, tgt_letters, r)
+        inner = zeros(len(tgt_cols), len(src_cols))
+        for ci, (s, p) in enumerate(src_cols):
+            if s not in blocks:
+                continue
+            blk = blocks[s]
+            col = _path_index(cat, src_letters, s)[p]
+            for ri, (s2, q) in enumerate(tgt_cols):
+                if s2 != s:
+                    continue
+                val = blk[_path_index(cat, tgt_letters, s)[q]][col]
+                if val:
+                    inner[ri][ci] = val
+        src_inv = mat_inv(src_merge)
+        out[r] = mat_mul(tgt_merge, mat_mul(inner, src_inv))
+    return out
+
+
+def extend(cat, m: LinMap, left_letters=(), right_letters=()) -> LinMap:
+    """id (x) m (x) id as a morphism-backed LinMap."""
+    src = m.source
+    tgt = m.target
+    blocks = dict(m.blocks)
+    if set(blocks) != set(cat.labels):
+        raise ValueError("operator extension needs a morphism-backed LinMap "
+                         "(blocks at every root)")
+    for b in right_letters:
+        blocks = _right_extend_blocks(cat, src, tgt, blocks, b)
+        src = src + (b,)
+        tgt = tgt + (b,)
+    for b in reversed(tuple(left_letters)):
+        blocks = _left_extend_blocks(cat, src, tgt, blocks, b)
+        src = (b,) + src
+        tgt = (b,) + tgt
+    return LinMap(cat, src, tgt, blocks)
+
+
+@_memoised
+def db_vector(cat, letters):
+    """Coevaluation of a word: unit-rooted vector over letters + dual word."""
+    return _nested_coevaluation(cat, [(y, cat.dual(y)) for y in letters])
+
+
+def dual_morphism(cat, m: LinMap) -> LinMap:
+    """The dual f -> f* between the dual words, via bend-all-strands closure."""
+    w1 = m.source
+    w2 = m.target
+    dw1 = dual_word(cat, w1)
+    dw2 = dual_word(cat, w2)
+    db_letters, db_vec = db_vector(cat, w1)
+
+    mid = extend(cat, m, left_letters=dw2, right_letters=dw1)
+    blocks = {}
+    for r in cat.labels:
+        ins = insert_vector_matrix(cat, dw2, r, len(dw2), db_letters, db_vec)
+        mat = mat_mul(mid.block(r), dense(ins))
+        cur = dw2 + w2 + dw1
+        k = len(w2)
+        for j in range(k):
+            pos = k - 1 - j
+            step = contract_pair_matrix(cat, cur, r, pos)
+            mat = mat_mul(dense(step), mat)
+            cur = cur[:pos] + cur[pos + 2:]
+        assert cur == dw1
+        blocks[r] = mat
+    return LinMap(cat, dw2, dw1, blocks)
+
+
+def close_loop(cat, m: LinMap, side: str, count: int) -> LinMap:
+    """Partial pivotal trace over the count left- or rightmost strands."""
+    if m.source != m.target:
+        raise ValueError("close_loop needs an endomorphism")
+    n = len(m.source)
+    if not 1 <= count <= n:
+        raise ValueError("strand count out of range")
+    piv = cat.require_pivotal()
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    left = side == "left"
+    out = m
+    for _ in range(count):
+        letters = out.source
+        # the closed strand b, its dual bd attached on the same side, the
+        # coevaluation pair inserted at ``at`` and evaluated at ``cut``
+        b = letters[0] if left else letters[-1]
+        bd = cat.dual(b)
+        rest = letters[1:] if left else letters[:-1]
+        if left:
+            ext = extend(cat, out, left_letters=(bd,))
+            at, label, host, cut = 0, bd, (bd,) + letters, 0
+            scale = piv.t[b].inverse()
+        else:
+            ext = extend(cat, out, right_letters=(bd,))
+            at, label, host = len(rest), b, letters + (bd,)
+            cut = len(letters) - 1
+            scale = piv.t[b]
+        blocks = {}
+        for r in cat.labels:
+            att = attach_pair_matrix(cat, rest, r, at, label)
+            con = contract_pair_matrix(cat, host, r, cut)
+            blocks[r] = mat_mul(dense(con), mat_mul(ext.block(r), dense(att)))
+        out = scaled(LinMap(cat, rest, rest, blocks), scale)
+    return out
+
+
+def closed_loop_trace(cat, m: LinMap, side: str) -> Cyc:
+    """``homcalc.pivotal_trace`` by closing every strand of m in turn."""
+    return close_loop(cat, m, side, len(m.source)).block(cat.unit)[0][0]
 
 
 # -- the nested double-dual route ---------------------------------------------
@@ -64,11 +246,12 @@ def vertex_linmap(cat, a, b, c) -> LinMap:
         if r == c:
             mat[tgt.index((cat.unit, a, c))][0] = ONE
         blocks[r] = mat
-    return LinMap(cat, TensorWord.of((c,)), TensorWord.of((a, b)), blocks)
+    return LinMap(cat, (c,), (a, b), blocks)
 
 
 def nested_double_dual_coefficient(cat, a, b, c) -> Cyc:
-    """``homcalc.double_dual_coefficient`` by double dualization of the
+    """The double-dual tensorator scalar on the (a, b; c) channel, the
+    inverse of ``homcalc.double_dual_inverse``, by double dualization of the
     channel vertex through the evaluation/coevaluation machinery."""
     dd = dual_morphism(cat, dual_morphism(cat, vertex_linmap(cat, a, b, c)))
     return dd.block(c)[0][0].inverse()
@@ -481,14 +664,14 @@ def brute_force_indicator(rep: MatrixRep, n: int, r: int) -> Cyc:
 def pivotal_matrix(cat, word) -> LinMap:
     """Diagonal action of the pivotal isomorphism on a tensor word."""
     cat.require_pivotal()
-    letters = _letters_of(word)
+    letters = tuple(word)
     coeff = math.prod(map(cat.t, letters), start=ONE)
     blocks = {}
     for r in cat.labels:
         n = len(paths(cat, letters, r))
         blocks[r] = [[coeff if i == j else ZERO for j in range(n)]
                      for i in range(n)]
-    return LinMap(cat, TensorWord.of(letters), TensorWord.of(letters), blocks)
+    return LinMap(cat, letters, letters, blocks)
 
 
 def ev_matrix(cat, a) -> LinMap:
@@ -496,17 +679,27 @@ def ev_matrix(cat, a) -> LinMap:
     letters = (cat.dual(a), a)
     blocks = {r: dense(contract_pair_matrix(cat, letters, r, 0))
               for r in cat.labels}
-    return LinMap(cat, TensorWord.of(letters), TensorWord.of(()), blocks)
+    return LinMap(cat, letters, (), blocks)
 
 
 def coev_matrix(cat, a) -> LinMap:
     """Coevaluation: empty word -> a (x) dual(a), on all roots."""
     letters = (a, cat.dual(a))
     blocks = {r: dense(attach_pair_matrix(cat, (), r, 0, a)) for r in cat.labels}
-    return LinMap(cat, TensorWord.of(()), TensorWord.of(letters), blocks)
+    return LinMap(cat, (), letters, blocks)
 
 
-# -- parenthesizations and spec files ---------------------------------------------
+# -- the associator ------------------------------------------------------------
+
+
+def right_nested(n: int):
+    """Paren tree (0, (1, (2, ...))); a bare leaf for n = 1."""
+    if n < 1:
+        raise ValueError("parenthesization needs at least one letter")
+    tree = n - 1
+    for i in range(n - 2, -1, -1):
+        tree = (i, tree)
+    return tree
 
 
 def left_nested(n: int):
@@ -517,6 +710,86 @@ def left_nested(n: int):
     for i in range(1, n):
         tree = (tree, i)
     return tree
+
+
+def paren_leaves(paren):
+    if isinstance(paren, int):
+        return (paren,)
+    return paren_leaves(paren[0]) + paren_leaves(paren[1])
+
+
+def _trees(cat, letters, paren):
+    """(labeled tree, root) pairs of a paren tree over ``letters``.
+
+    A leaf is its letter and a node is ``(left, right, channel)``.
+    """
+    if isinstance(paren, int):
+        return [(letters[paren], letters[paren])]
+    return [((left, right, c), c)
+            for left, cl in _trees(cat, letters, paren[0])
+            for right, cr in _trees(cat, letters, paren[1])
+            for c in cat.channels(cl, cr)]
+
+
+def _inorder_key(cat, tree):
+    if not isinstance(tree, tuple):
+        return (cat.label_index(tree),)
+    left, right, c = tree
+    return (_inorder_key(cat, left) + (cat.label_index(c),)
+            + _inorder_key(cat, right))
+
+
+def _tree_paths(cat, tree):
+    """(letters, {path: coeff}): a labeled tree in the fusion-path basis.
+
+    The right subtree's paths are grafted into each path of the left
+    subtree; the chains that end at the node's channel are kept.
+    """
+    if not isinstance(tree, tuple):
+        return (tree,), {(cat.unit, tree): ONE}
+    left, right, c = tree
+    lx, lterms = _tree_paths(cat, left)
+    rx, rterms = _tree_paths(cat, right)
+    out = {}
+    for p, a in lterms.items():
+        for rho, b in rterms.items():
+            for chain, coeff in _graft_coeffs(cat, p[-1], rx, rho):
+                if chain[-1] == c:
+                    q = p + chain[1:]
+                    out[q] = out.get(q, ZERO) + a * b * coeff
+    return lx + rx, out
+
+
+def _tree_matrix(cat, letters, paren, root):
+    """Columns: the labeled trees of ``paren`` at ``root`` in in-order label
+    order; rows: the fusion paths of ``letters`` at ``root``."""
+    trees = sorted((t for t, c in _trees(cat, letters, paren) if c == root),
+                   key=lambda t: _inorder_key(cat, t))
+    return dense(homcalc._path_columns(
+        cat, trees, letters, root,
+        lambda tree: _tree_paths(cat, tree)[1].items()))
+
+
+def assoc_matrix(cat, letters, paren_from, paren_to) -> LinMap:
+    """The unique coherence composite between two parenthesizations.
+
+    Expressed in the parenthesization-intrinsic labeled-tree bases (which
+    coincide with the fusion-path bases on left-nested words).  Each tree
+    basis is carried to the path basis by grafting (``_tree_matrix``), so
+    the composite is T_to^-1 T_from at every root; Mac Lane coherence makes
+    it the composite of F-moves along any route.
+    """
+    letters = tuple(letters)
+    for paren in (paren_from, paren_to):
+        if paren_leaves(paren) != tuple(range(len(letters))):
+            raise ValueError("parenthesization does not match the letters")
+    blocks = {r: mat_mul(mat_inv(_tree_matrix(cat, letters, paren_to, r)),
+                         _tree_matrix(cat, letters, paren_from, r))
+              for r in cat.labels}
+    return LinMap(cat, letters, letters, blocks)
+
+
+# -- spec files -----------------------------------------------------------------
 
 
 def bundled_path(name: str):

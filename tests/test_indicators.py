@@ -6,7 +6,8 @@ import pytest
 
 import fscat
 from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled
-from references import (s3_table, spliced_db_prime_vector,
+from references import (closed_loop_trace, compose, db_vector, dual_morphism,
+                        s3_table, spliced_db_prime_vector,
                         spliced_e_map_matrix, unshared_fs_blocks)
 
 from fscat.category import (MissingPivotalError, ObjectExpr, gauge_transform,
@@ -14,9 +15,8 @@ from fscat.category import (MissingPivotalError, ObjectExpr, gauge_transform,
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
 from fscat.homcalc import (LinMap, attach_pair_matrix, db_prime_vector,
-                           db_vector, dual_morphism, graft_path_matrix,
-                           insert_vector_matrix, path_counts,
-                           pivotal_trace, splice_host_matrix,
+                           graft_path_matrix, insert_vector_matrix,
+                           path_counts, pivotal_trace, splice_host_matrix,
                            split_step_matrix)
 from fscat.homcalc import _bend_columns, _bend_entries, paths
 from fscat import indicators
@@ -37,9 +37,9 @@ from fscat.specio import load_bundled
 def test_e_map_examples():
     v2 = bundled("vec_z2")
     m = e_map(v2, ("g", "g"), 1)
-    assert m.matrix == [[Cyc.one()]]
+    assert m.block(v2.unit) == [[Cyc.one()]]
     fib = bundled("fibonacci")
-    m = e_map(fib, ("t", "t", "t"), 1).matrix
+    m = e_map(fib, ("t", "t", "t"), 1).block(fib.unit)
     assert len(m) == 1
     cube = m[0][0] ** 3
     assert cube == 1
@@ -420,9 +420,10 @@ def test_rotation_operator_structure():
     fib = bundled("fibonacci")
     op = rotation_operator(fib, "1", 3)
     assert op.total_dimension == 1
-    assert is_identity(op.block(("1", "1", "1")))  # block maps to itself
+    # the block maps to itself
+    assert is_identity(e_map_matrix(fib, ("1", "1", "1"), 1))
     op = rotation_operator(fib, "t", 4)
-    m = op.block(("t",) * 4)
+    m = e_map_matrix(fib, ("t",) * 4, 1)
     # M is 2x2 with M^4 = id
     assert len(m) == 2
     power = m
@@ -529,7 +530,6 @@ def test_ptr_examples():
 
 
 def _pseudo_random_map(cat, src, tgt, seed):
-    from fscat.homcalc import TensorWord, paths
     state = seed
     blocks = {}
     for r in cat.labels:
@@ -542,17 +542,19 @@ def _pseudo_random_map(cat, src, tgt, seed):
                 row.append(Cyc.rational(state % 5 - 2))
             blk.append(row)
         blocks[r] = blk
-    return LinMap(cat, TensorWord.of(src), TensorWord.of(tgt), blocks)
+    return LinMap(cat, src, tgt, blocks)
 
 
 def test_ptr_cyclicity():
+    # on the route that closes the strands one by one, the reference of
+    # pivotal_trace (which is cyclic by construction, block by block)
     fib = bundled("fibonacci")
     src, tgt = ("t", "t"), ("t", "1", "t")
     f = _pseudo_random_map(fib, tgt, src, seed=5)   # f: W -> V
     g = _pseudo_random_map(fib, src, tgt, seed=9)   # g: V -> W
     for side in ("left", "right"):
-        assert pivotal_trace(fib, f.compose(g), side) == \
-            pivotal_trace(fib, g.compose(f), side)
+        assert closed_loop_trace(fib, compose(f, g), side) == \
+            closed_loop_trace(fib, compose(g, f), side)
 
 
 def test_is_spherical_examples():
@@ -651,8 +653,8 @@ def test_fs_guard_applies_on_a_memo_hit(monkeypatch):
 # the label-keyed builders memoised in ``cat.cached``, by their memo kind
 MEMOISED_BUILDERS = {name: getattr(fscat.homcalc, name) for name in (
     "fuse_step_matrix", "drop_unit_letter_matrix", "contract_pair_matrix",
-    "graft_path_matrix", "db_vector", "db_prime_vector", "_bend_tops",
-    "_bend_columns")}
+    "graft_path_matrix", "db_prime_vector", "_bend_tops", "_bend_columns")}
+MEMOISED_BUILDERS["db_vector"] = db_vector
 MEMOISED_BUILDERS["_right_block"] = _right_block
 MEMOISED_BUILDERS["_prefix_product"] = _prefix_product
 MEMOISED_BUILDERS["_torn_down"] = _torn_down

@@ -8,7 +8,8 @@ each workload, and runs that self-check, so a library change that leaves a
 listed span unreachable fails here and not only in a traced benchmark run.
 A second test reads every ``from fscat.<mod> import <names>`` in the
 benchmark scripts, without running them, and asserts that each name
-resolves.
+resolves, and so does each attribute the scripts read off an imported name
+(``LinMap.identity``, say).
 """
 
 import ast
@@ -57,11 +58,15 @@ def test_traced_spans_receive_calls():
 
 def test_perfbench_imports_resolve():
     # every ``from fscat.<mod> import <names>`` in the benchmark scripts,
-    # also those inside functions the benchmark itself never runs
+    # also those inside functions the benchmark itself never runs (such as
+    # ``make_golden.py``, which reads pivotal traces of identities), and
+    # every ``name.attr`` read off a name so imported
     found = 0
+    attrs = 0
     for path in sorted(glob.glob(os.path.join(PERFBENCH, "*.py"))):
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
+        imported = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 0 and \
                     (node.module or "").startswith("fscat."):
@@ -70,4 +75,13 @@ def test_perfbench_imports_resolve():
                     found += 1
                     assert hasattr(mod, alias.name), \
                         (os.path.basename(path), node.module, alias.name)
-    assert found
+                    imported[alias.asname or alias.name] = \
+                        getattr(mod, alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in imported:
+                attrs += 1
+                assert hasattr(imported[node.value.id], node.attr), \
+                    (os.path.basename(path), node.value.id, node.attr)
+    assert found and attrs
