@@ -330,9 +330,8 @@ class Category:
             store[key] = got
         return got
 
-    def with_pivotal(self, pivotal, suffix=None) -> "Category":
-        name = self.name if suffix is None else f"{self.name}{suffix}"
-        return Category(name, self.ring, self.F, pivotal, self.conductor)
+    def with_pivotal(self, pivotal) -> "Category":
+        return Category(self.name, self.ring, self.F, pivotal, self.conductor)
 
     # -- F-symbol access --------------------------------------------------
 
@@ -343,10 +342,8 @@ class Category:
 
     def f_block(self, a, b, c, d):
         """The matrix [F^{abc}_d] over (e-list, f-list)."""
-        def build():
-            es, fs = self.f_rowcols(a, b, c, d)
-            return [[self.F.get((a, b, c, d, e, f)) for f in fs] for e in es]
-        return self.cached(("fblk", a, b, c, d), build)
+        es, fs = self.f_rowcols(a, b, c, d)
+        return [[self.F.get((a, b, c, d, e, f)) for f in fs] for e in es]
 
     def f_inv_block(self, a, b, c, d):
         """Inverse block, rows indexed by the f-list, columns by the e-list."""

@@ -196,10 +196,9 @@ class LinMap:
         return "\n".join(lines)
 
     @staticmethod
-    def identity(cat, letters, roots=None) -> "LinMap":
+    def identity(cat, letters) -> "LinMap":
         letters = tuple(letters)
-        roots = cat.labels if roots is None else roots
-        blocks = {r: eye(len(paths(cat, letters, r))) for r in roots}
+        blocks = {r: eye(len(paths(cat, letters, r))) for r in cat.labels}
         return LinMap(cat, letters, letters, blocks)
 
 

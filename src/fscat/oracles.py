@@ -138,25 +138,16 @@ def _table(group: _Group, characters) -> CharacterTable:
     )
 
 
-def d4_table() -> CharacterTable:
-    g = d4_group()
-    classes = g.conjugacy_classes()
-
-    def kind(cls):
-        rep = cls[0]
-        if rep == (0, 0):
-            return "e"
-        if rep == (2, 0):
-            return "z"
-        if rep[1] == 0:
-            return "r"
-        return "s" if rep[0] % 2 == 0 else "rs"
-
-    by_kind = {kind(cls): i for i, cls in enumerate(classes)}
-    n = len(classes)
+def _order8_table(group: _Group, kind, a, b, ab) -> CharacterTable:
+    """The character table of a nonabelian group of order 8.  ``kind`` names
+    the class of a representative: "e", "z" (the central involution), ``a``,
+    ``b`` or ``ab``, the class of their product; the four linear characters
+    are the signs on the classes ``a`` and ``b``, then one of degree 2."""
+    by_kind = {kind(cls[0]): i
+               for i, cls in enumerate(group.conjugacy_classes())}
 
     def from_values(vals):
-        out = [None] * n
+        out = [None] * len(by_kind)
         for k, v in vals.items():
             out[by_kind[k]] = Cyc.rational(v)
         return tuple(out)
@@ -164,38 +155,23 @@ def d4_table() -> CharacterTable:
     chars = {}
     for (ea, eb) in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
         chars[f"lin{(1 - ea) // 2}{(1 - eb) // 2}"] = from_values(
-            {"e": 1, "z": 1, "r": ea, "s": eb, "rs": ea * eb})
-    chars["dim2"] = from_values({"e": 2, "z": -2, "r": 0, "s": 0, "rs": 0})
-    return _table(g, chars)
+            {"e": 1, "z": 1, a: ea, b: eb, ab: ea * eb})
+    chars["dim2"] = from_values({"e": 2, "z": -2, a: 0, b: 0, ab: 0})
+    return _table(group, chars)
+
+
+def d4_table() -> CharacterTable:
+    def kind(rep):
+        if rep[1]:
+            return "s" if rep[0] % 2 == 0 else "rs"
+        return {0: "e", 2: "z"}.get(rep[0], "r")
+    return _order8_table(d4_group(), kind, "r", "s", "rs")
 
 
 def q8_table() -> CharacterTable:
-    g = q8_group()
-    classes = g.conjugacy_classes()
-
-    def kind(cls):
-        rep = cls[0]
-        if rep == (1, "e"):
-            return "e"
-        if rep == (-1, "e"):
-            return "z"
-        return rep[1]
-
-    by_kind = {kind(cls): i for i, cls in enumerate(classes)}
-    n = len(classes)
-
-    def from_values(vals):
-        out = [None] * n
-        for k, v in vals.items():
-            out[by_kind[k]] = Cyc.rational(v)
-        return tuple(out)
-
-    chars = {}
-    for (ei, ej) in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-        chars[f"lin{(1 - ei) // 2}{(1 - ej) // 2}"] = from_values(
-            {"e": 1, "z": 1, "i": ei, "j": ej, "k": ei * ej})
-    chars["dim2"] = from_values({"e": 2, "z": -2, "i": 0, "j": 0, "k": 0})
-    return _table(g, chars)
+    def kind(rep):
+        return {(1, "e"): "e", (-1, "e"): "z"}.get(rep, rep[1])
+    return _order8_table(q8_group(), kind, "i", "j", "k")
 
 
 def char_indicator(table: CharacterTable, character, n: int, r: int) -> Cyc:
