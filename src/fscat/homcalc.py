@@ -52,14 +52,22 @@ nested coevaluation vectors, the bend hosts ``_bend_tops`` and the bends by
 columns ``_bend_columns``) are memoised per category in ``cat.cached``,
 and so are two stages of the Frobenius-Schur endomorphisms: the right
 coevaluation blocks (``indicators._right_block``) and the torn-down middle
-that every l of an (n, r) shares (``indicators._torn_down``).  In a sweep
-of those endomorphisms about three calls in four repeat an earlier one,
-and a bend host depends only on the bent letters, so every bend of a word
-with the same head shares it.  The results are shared, so callers must not
-mutate them.  ``insert_vector_matrix`` and ``splice_host_matrix`` are not
-memoised: their key would hold a ``Cyc`` vector, and hashing an irrational
-``Cyc`` reduces it, which solves a linear system.  The Frobenius-Schur
-insertions are reached once per (n, r), through the shared middle.
+that every l of an (n, r) shares (``indicators._torn_down``).  A bend host
+depends only on the bent letters, so every bend of a word with the same
+head shares it.  The results are shared, so callers must not mutate them.
+``insert_vector_matrix`` and ``splice_host_matrix`` are not memoised:
+their key would hold a ``Cyc`` vector, and hashing an irrational ``Cyc``
+reduces it, which solves a linear system.  The Frobenius-Schur insertions
+are reached once per (n, r), through the shared middle.
+
+Below the builders, the unpinned graft chains are shared per category
+(``_graft_moves``, memo kind ``"graft"``): the chains of one stage label,
+guest word and guest path are made once and read by every graft builder,
+these two included.  Different builds graft the same guest path into the
+same stage, so in a sweep of the Frobenius-Schur endomorphisms nine graft
+calls in ten or more read a chain the category already made.  The pinned
+chains of the bends (``_bend_terms``, ``_bend_entries``) are not kept:
+nearly every one is distinct, so a memo would only cost.
 """
 
 from __future__ import annotations
@@ -216,6 +224,8 @@ def _graft_coeffs(cat: Category, lam, letters, path, pin=(), coeff=ONE):
     ``lam (x) path[-1]``; for a unit-rooted graft it is forced back to lam.
     ``pin[j]`` fixes sigma_j for 0 < j < len(pin), so only the chains that
     follow it are made; later stages are free.  ``coeff`` seeds every chain.
+    The unpinned, unseeded chains are kept per category by ``_graft_moves``;
+    the pinned chains of the bends are made afresh on every call.
     """
     states = [((lam,), coeff)]
     for j, y in enumerate(letters, start=1):
@@ -265,12 +275,20 @@ def _graft_moves(cat, i, guest_letters, terms):
     """Moves of a unit-rooted guest grafted at position i of a host path.
 
     ``terms`` lists ``(host path, guest path, weight)``; each
-    ``_graft_coeffs`` chain, seeded with its weight, lands on the joined path.
+    ``_graft_coeffs`` chain lands on the joined path, scaled by the weight.
+    The unseeded chains are kept per category (kind ``"graft"``, as
+    (sigma[1:], coeff) pairs); exact products are associative, so the
+    values are those of the seeded chains.  They hold inverse F entries, so
+    they are not kept on the ring.
     """
     for p, rho, c in terms:
-        for chain, coeff in _graft_coeffs(cat, p[i], guest_letters, rho,
-                                          coeff=c):
-            yield p[:i + 1] + chain[1:] + p[i + 1:], coeff
+        lam = p[i]
+        chains = cat.cached(("graft", lam, guest_letters, rho), lambda: tuple(
+            (chain[1:], g) for chain, g
+            in _graft_coeffs(cat, lam, guest_letters, rho)))
+        head, tail = p[:i + 1], p[i + 1:]
+        for mid, g in chains:
+            yield head + mid + tail, c * g
 
 
 def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest_vec):

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import json
 import math
 import os
 
@@ -18,7 +20,7 @@ from fscat.homcalc import (LinMap, attach_pair_matrix, db_prime_vector,
                            graft_path_matrix, insert_vector_matrix,
                            path_counts, pivotal_trace, splice_host_matrix,
                            split_step_matrix)
-from fscat.homcalc import _bend_columns, _bend_entries, paths
+from fscat.homcalc import _bend_columns, _bend_entries, _graft_coeffs, paths
 from fscat import indicators
 from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _bend_value,
                               _factors, _fs_blocks, _prefix_product,
@@ -640,14 +642,78 @@ def test_fs_guard_applies_on_a_memo_hit(monkeypatch):
     monkeypatch.delenv("FSCAT_NMAX_GUARD", raising=False)
     fs_scalar(fib, "t", 5, 0, 0)
     assert ("_torn_down", ("t",), "t", 5, 0) in fib._cache
+    chains = [key for key in fib._cache if key[0] == "graft"]
+    assert chains
     monkeypatch.setenv("FSCAT_NMAX_GUARD", "3")
     with pytest.raises(DimensionGuardError):
         fs_scalar(fib, "t", 5, 1, 0)
-    # a refused request builds no middle of its own
+    # a refused request builds no middle of its own, and no graft chain
     with pytest.raises(DimensionGuardError):
         fs_scalar(fib, "t", 5, 0, 1)
     assert [key for key in fib._cache if key[0] == "_torn_down"] == \
         [("_torn_down", ("t",), "t", 5, 0)]
+    assert [key for key in fib._cache if key[0] == "graft"] == chains
+
+
+def _cold_chains(cat, lam, letters, rho):
+    """The unseeded, unpinned graft chains as the ``"graft"`` memo keeps
+    them, (sigma[1:], coeff) pairs, computed afresh."""
+    return tuple((chain[1:], coeff)
+                 for chain, coeff in _graft_coeffs(cat, lam, letters, rho))
+
+
+def test_each_graft_chain_is_computed_once_per_category(monkeypatch):
+    # an FS sweep and a rotation pass on each of two categories on one
+    # ring: every unpinned chain is computed once per category and kept,
+    # and the pinned chains of the bends are computed but never kept
+    unpinned, pinned = collections.Counter(), []
+    real = fscat.homcalc._graft_coeffs
+
+    def counted(cat, lam, letters, path, pin=(), coeff=Cyc.one()):
+        if pin:
+            pinned.append(lam)
+        else:
+            unpinned[(id(cat), lam, letters, path)] += 1
+        return real(cat, lam, letters, path, pin, coeff)
+
+    monkeypatch.setattr(fscat.homcalc, "_graft_coeffs", counted)
+    fib = load_bundled("fibonacci")
+    cats = (fib, fib.with_pivotal(fib.pivotal))
+    for cat in cats:
+        for n in range(1, 7):
+            for l in range(n):
+                for r in range(n - l):
+                    fs_scalar(cat, "t", n, l, r)
+        _rotation_pass(cat, [("t", n) for n in range(2, 9)])
+    assert pinned and set(unpinned.values()) == {1}
+    assert sorted(unpinned) == sorted(
+        (id(cat), *key[1:]) for cat in cats for key in cat._cache
+        if key[0] == "graft")
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_a_gauge_reads_its_own_graft_chains(name):
+    # the chains hold inverse F entries, so they are kept per category and
+    # not on the ring: a gauge built after its base filled its store makes
+    # its own chains, and its FS scalars are the ungauged golden ones
+    with open(os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench", "golden", "fs.json"),
+            encoding="utf-8") as fh:
+        golden = json.load(fh)[name]
+    cat = load_bundled(name)
+    cases = [(a, n, l, r) for a in cat.labels for n in range(1, 5)
+             for l in range(n) for r in range(n - l)]
+    want = [Cyc.decode(golden[a][f"{n},{l},{r}"]) for a, n, l, r in cases]
+    assert [fs_scalar(cat, *case) for case in cases] == want
+    gauged = _root_gauge(cat, 2 + ALL_BUNDLED.index(name))
+    assert gauged.ring is cat.ring
+    assert [fs_scalar(gauged, *case) for case in cases] == want
+    chains = {key: got for key, got in gauged._cache.items()
+              if key[0] == "graft"}
+    assert chains
+    cold = gauged.with_pivotal(gauged.pivotal)
+    for key, got in chains.items():
+        assert got == _cold_chains(cold, *key[1:]), key
 
 
 # the label-keyed builders memoised in ``cat.cached``, by their memo kind
@@ -658,6 +724,7 @@ MEMOISED_BUILDERS["db_vector"] = db_vector
 MEMOISED_BUILDERS["_right_block"] = _right_block
 MEMOISED_BUILDERS["_prefix_product"] = _prefix_product
 MEMOISED_BUILDERS["_torn_down"] = _torn_down
+MEMOISED_BUILDERS["graft"] = _cold_chains
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)

@@ -55,6 +55,28 @@ def test_no_runs_is_refused_before_any_run(runs, monkeypatch):
     assert exc.value.code == 2 and calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "0", "--sweep"], ["--n", "-1"], ["--n", "3", "--l", "-1"],
+    ["--n", "3", "--r", "-1"], ["--n", "3", "--l", "5"],
+    ["--n", "3", "--l", "2", "--r", "1"],
+], ids=" ".join)
+def test_an_fs_request_out_of_range_is_refused_before_any_run(argv,
+                                                              monkeypatch):
+    # an empty sweep would time nothing, and l + r + 1 > n would fail in
+    # every child: both exit 2, as --runs 0 does
+    calls = fake_runs(monkeypatch, [])
+    with pytest.raises(SystemExit) as exc:
+        time_runs.main(["fs", "fibonacci", "--object", "t", *argv, "A"])
+    assert exc.value.code == 2 and calls == []
+
+
+def test_the_largest_fs_request_is_run(monkeypatch):
+    calls = fake_runs(monkeypatch, [(1.0, 10.0, 0, b"0.5\n[1]")])
+    assert time_runs.main(["fs", "fibonacci", "--object", "t", "--n", "3",
+                           "--l", "2", "--r", "0", "A", "--runs", "1"]) == 0
+    assert calls == ["A"]
+
+
 def test_a_failed_run_is_not_timed(monkeypatch, capsys):
     fake_runs(monkeypatch, [(1.0, 10.0, 0, b"0.5\n[1]"),
                             (9.0, 99.0, 1, b""),

@@ -94,6 +94,13 @@ TIMED = {"ind": (), "fs": (("fs_scalar", "s"),),
 DEFAULT_RUNS = {"ind": 3, "fs": 3, "validate": 5, "import": 5}
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def spec_path(checkout, spec):
     if os.path.exists(spec):
         return os.path.abspath(spec)
@@ -154,15 +161,17 @@ def parse_args(argv):
         m.add_argument("--runs", type=positive_int, default=runs)
     sub["ind"].add_argument("--n", required=True, help="as `fscat ind --n`")
     sub["ind"].add_argument("--r", help="as `fscat ind --r`")
-    sub["fs"].add_argument("--n", type=int, required=True)
-    sub["fs"].add_argument("--l", type=int, default=0)
-    sub["fs"].add_argument("--r", type=int, default=0)
+    sub["fs"].add_argument("--n", type=positive_int, required=True)
+    sub["fs"].add_argument("--l", type=non_negative_int, default=0)
+    sub["fs"].add_argument("--r", type=non_negative_int, default=0)
     sub["fs"].add_argument("--sweep", action="store_true",
                            help="every l + r + 1 <= N in one process; "
                                 "ignores --l and --r")
     args = p.parse_args(argv)
     if len(args.checkouts) > 2:
         sub[args.mode].error("give one or two checkouts")
+    if args.mode == "fs" and not args.sweep and args.l + args.r + 1 > args.n:
+        sub["fs"].error("need --l + --r + 1 <= --n")
     return args
 
 
