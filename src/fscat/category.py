@@ -253,12 +253,27 @@ class ObjectExpr:
         return f"ObjectExpr({self.terms!r})"
 
 
-# Memo kinds that depend on the fusion rules N alone: the path bases of
-# Hom(root, w) and their indices (``homcalc.paths``, ``homcalc._path_index``),
-# the nonzero rotation orbits (``indicators._orbits``) and the dimension and
-# words of Hom(1, V^n) (``indicators.rotation_operator``).  ``Category.cached``
-# keeps them on the fusion ring, so every category on one ring shares them.
-RING_KINDS = frozenset(("paths", "pidx", "orbits", "rotop"))
+# The memo kinds kept on the fusion ring, which depend on the fusion rules
+# alone; ``memoised(ring=True)`` adds each at import, before its first write.
+RING_KINDS = set()
+
+
+def memoised(kind=None, ring=False):
+    """Keep ``build(cat, *args)`` in ``cat.cached`` under ``(kind, *args)``,
+    the kind defaulting to the builder's name, and on the fusion ring with
+    ``ring`` (``RING_KINDS``).  The arguments are the key as given, so words
+    must be tuples; callers share the result and must not mutate it."""
+    def decorate(build):
+        name = kind or build.__name__
+        if ring:
+            RING_KINDS.add(name)
+
+        @functools.wraps(build)
+        def memo(cat, *args):
+            return cat.cached((name, *args), lambda: build(cat, *args))
+        memo.kind = name
+        return memo
+    return decorate
 
 
 class Category:
@@ -266,18 +281,22 @@ class Category:
 
     Instances are immutable after construction; derived data is memoized
     through ``cached``, whose writers are idempotent, so concurrent readers
-    are safe.  Single F and F^-1 entries have their own memos,
-    ``_f_entries`` and ``_f_inv_entries``, keyed by the accessor's 6-tuple:
-    each key is filled from the blocks on its first lookup (exact zero when
-    inadmissible), because the hom-space kernels read the same few hundred
-    entries many thousand times.  Every memo fills on demand.  What depends
-    on the F-symbols or the pivotal data (F-blocks, structural matrices,
-    rotations) belongs to one instance, in ``_cache``; ``with_pivotal``,
-    ``gauge_transform`` and ``reverse_category`` start empty ones.  What
-    depends on the fusion rules alone belongs to the fusion ring, which
-    ``with_pivotal`` and ``gauge_transform`` share and ``reverse_category``
-    does not: the F-block layout (``FusionRing.blocks``) and the memo kinds
-    of ``RING_KINDS``, the hom-space bases among them.
+    are safe; each memo kind is declared by ``memoised`` on its builder.
+    What depends on the F-symbols or the pivotal data (F-blocks, structural
+    matrices, rotations) belongs to one instance, in ``_cache``;
+    ``with_pivotal``, ``gauge_transform`` and ``reverse_category`` start
+    empty ones.  What depends on the fusion rules alone belongs to the
+    fusion ring, which ``with_pivotal`` and ``gauge_transform`` share and
+    ``reverse_category`` does not: the F-block layout (``FusionRing.blocks``)
+    and the memo kinds of ``RING_KINDS``, the hom-space bases among them.
+
+    Single F and F^-1 entries bypass ``cached``, as do the ring's channel
+    lists (``FusionRing._channels``), because the kernels read them most:
+    ``f_inv_entry`` about 25,000 times in one ``power-identity`` benchmark
+    pass, at 0.25 us per kept entry against 0.40 us through ``cached``
+    (Intel Xeon, 2 vCPUs, best of 15).  ``_f_entries`` and
+    ``_f_inv_entries`` are keyed by the accessor's 6-tuple, each filled
+    from the blocks on its first lookup (exact zero when inadmissible).
     """
 
     def __init__(self, name, ring, f_symbols, pivotal=None, conductor=1):
@@ -345,11 +364,10 @@ class Category:
         es, fs = self.f_rowcols(a, b, c, d)
         return [[self.F.get((a, b, c, d, e, f)) for f in fs] for e in es]
 
+    @memoised("finv")
     def f_inv_block(self, a, b, c, d):
         """Inverse block, rows indexed by the f-list, columns by the e-list."""
-        def build():
-            return mat_inv(self.f_block(a, b, c, d))
-        return self.cached(("finv", a, b, c, d), build)
+        return mat_inv(self.f_block(a, b, c, d))
 
     def f_entry(self, a, b, c, d, e, f) -> Cyc:
         """[F^{abc}_d]_{ef}, or exact zero when the tuple is inadmissible."""
@@ -377,16 +395,15 @@ class Category:
             self._f_inv_entries[key] = got
         return got
 
+    @memoised("ev")
     def ev_coefficient(self, a) -> Cyc:
         """Scalar on evaluation dual(a) (x) a -> unit fixed by the zig-zags."""
-        def build():
-            top = self.f_entry(a, self.dual(a), a, a, self.unit, self.unit)
-            if not top:
-                raise SpecError(
-                    f"[F^({a},{self.dual(a)},{a})_{a}] vanishes at the unit "
-                    "channel; duality cannot be normalized")
-            return top.inverse()
-        return self.cached(("ev", a), build)
+        top = self.f_entry(a, self.dual(a), a, a, self.unit, self.unit)
+        if not top:
+            raise SpecError(
+                f"[F^({a},{self.dual(a)},{a})_{a}] vanishes at the unit "
+                "channel; duality cannot be normalized")
+        return top.inverse()
 
     def __repr__(self):
         piv = "with pivotal" if self.pivotal is not None else "no pivotal"
@@ -537,13 +554,13 @@ def _invertibility_failure(category: Category) -> str:
     is singular.  No inverse is kept for a certified block: the kernels
     build it at their first read (``Category.f_inv_entry``)."""
     blocks = category.ring.blocks
-    m, one, get = _f_residues(category)
+    m, one, res = _f_residues(category)
     bad = {}
     for key, (es, fs) in blocks.items():
         if es and len(es) != len(fs):
             bad[key] = "not square"
         elif len(es) > 1 and not int_det(
-                [[get(key + (e, f), one) for f in fs] for e in es]) % m:
+                [[res.get(key + (e, f), one) for f in fs] for e in es]) % m:
             try:
                 category.f_inv_block(*key)
             except ValueError:
@@ -591,7 +608,8 @@ def pentagon_failures(category: Category, stop_after=None):
     """
     ring = category.ring
     N = ring.N
-    m, one, get = _f_residues(category)
+    m, one, res = _f_residues(category)
+    get = res.get
     skip = ring.unit if _unit_tuples_implied(ring, category.F.entries) \
         else None
     right = {}  # (b, c) -> the blocks (b, c, d, k) with an l-list
@@ -626,17 +644,16 @@ def pentagon_failures(category: Category, stop_after=None):
     return fails[:stop_after] if stop_after else fails
 
 
+@memoised("fres")
 def _f_residues(category: Category):
-    """(m, one, get), memoised per category: ``get(key, one)`` is the
-    residue mod m of the stored F entry ``key`` under the ring map of
+    """(m, one, residues), memoised per category: ``residues.get(key, one)``
+    is the residue mod m of the F entry ``key`` under the ring map of
     ``cyclo.triple_residues``, exact for the pentagon's sums of at most
     W + 1 triple products (W the most channels of any product)."""
-    def build():
-        F = category.F.entries
-        m, one, res = triple_residues(
-            list(F.values()), max(category.ring.fanout.values()) + 1)
-        return m, one, dict(zip(F, res)).get
-    return category.cached(("fres",), build)
+    F = category.F.entries
+    m, one, res = triple_residues(
+        list(F.values()), max(category.ring.fanout.values()) + 1)
+    return m, one, dict(zip(F, res))
 
 
 def _unit_tuples_implied(ring: FusionRing, F) -> bool:

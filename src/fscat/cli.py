@@ -46,11 +46,13 @@ class SplitMix64:
 
 
 def _parse_range(text: str):
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+    """The integers of ``K`` or ``LO..HI``, 0 <= LO <= HI; a ValueError
+    names the text otherwise."""
+    lo, dots, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError(f"bad range {text!r}") from None
     if lo > hi or lo < 0:
         raise ValueError(f"bad range {text!r}")
     return tuple(range(lo, hi + 1))
@@ -228,7 +230,12 @@ def cmd_emit(args) -> int:
         cat = build_pointed(args.order, standard_cocycle(args.order, args.level),
                             conductor=args.conductor)
     elif args.family == "ty":
-        orders = tuple(int(x) for x in args.orders.split(","))
+        orders = args.orders.split(",")
+        bad = [x for x in orders if not x.isdecimal() or int(x) < 1]
+        if bad:
+            raise ValueError(f"bad entry {bad[0]!r} in --orders "
+                             f"{args.orders!r}: need positive integers")
+        orders = tuple(map(int, orders))
         size = math.prod(orders)
         tau = Cyc.rational(args.sign) / sqrt_int(size)
         cat = build_tambara_yamagami(orders, standard_bicharacter(orders), tau,

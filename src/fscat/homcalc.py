@@ -40,28 +40,29 @@ pins the rest of each chain to one target path as well, so it makes single
 entries of a bend (its diagonal, say) and nothing else.  Degenerate words
 (hom dimension 0) yield 0x0 blocks that compose legally.
 
-The path bases (``paths``) and their row indices (``_path_index``) depend
-on the fusion rules alone, so ``cat.cached`` keeps them on the fusion ring
-(``category.RING_KINDS``): the categories on one ring, such as its pivotal
-structures and gauges, build each basis once.  The guard is checked on each
-build, so a basis kept on a ring is not counted again.
+Every memo here is declared by ``category.memoised`` on its builder and
+kept in ``cat.cached`` under the builder's arguments, which are labels,
+positions and tuples of them; every result is shared, so callers must not
+mutate it.  The path bases (``paths``) and their row indices
+(``_path_index``) depend on the fusion rules alone, so they are kept on
+the fusion ring (``category.RING_KINDS``): the categories on one ring, such
+as its pivotal structures and gauges, build each basis once.  The guard is
+checked on each build, so a basis kept on a ring is not counted again.
 
-The builders whose arguments are labels and positions (fuse and split
-steps, dropped unit letters, evaluation pairs, guest-path grafts, the
-nested coevaluation vectors, the bend hosts ``_bend_tops`` and the bends by
-columns ``_bend_columns``) are memoised per category in ``cat.cached``,
-and so are two stages of the Frobenius-Schur endomorphisms: the right
-coevaluation blocks (``indicators._right_block``) and the torn-down middle
-that every l of an (n, r) shares (``indicators._torn_down``).  A bend host
-depends only on the bent letters, so every bend of a word with the same
-head shares it.  The results are shared, so callers must not mutate them.
+Per category are kept the fuse and split steps, dropped unit letters,
+evaluation pairs, guest-path grafts, the nested coevaluation vectors, the
+bend hosts ``_bend_tops`` and the bends by columns ``_bend_columns``, and
+two stages of the Frobenius-Schur endomorphisms: the right coevaluation
+blocks (``indicators._right_block``) and the torn-down middle that every l
+of an (n, r) shares (``indicators._torn_down``).  A bend host depends only
+on the bent letters, so every bend of a word with the same head shares it.
 ``insert_vector_matrix`` and ``splice_host_matrix`` are not memoised:
 their key would hold a ``Cyc`` vector, and hashing an irrational ``Cyc``
 reduces it, which solves a linear system.  The Frobenius-Schur insertions
 are reached once per (n, r), through the shared middle.
 
 Below the builders, the unpinned graft chains are shared per category
-(``_graft_moves``, memo kind ``"graft"``): the chains of one stage label,
+(``_graft_chains``, memo kind ``"graft"``): the chains of one stage label,
 guest word and guest path are made once and read by every graft builder,
 these two included.  Different builds graft the same guest path into the
 same stage, so in a sweep of the Frobenius-Schur endomorphisms nine graft
@@ -72,11 +73,10 @@ nearly every one is distinct, so a memo would only cost.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 
-from .category import Category
+from .category import Category, memoised
 from .cyclo import Cyc
 from .linalg import eye, mat_trace, mat_vec
 
@@ -145,6 +145,7 @@ def path_counts(cat: Category, steps) -> dict:
     return counts
 
 
+@memoised("paths", ring=True)
 def paths(cat: Category, letters, root) -> tuple:
     """All admissible fusion paths through ``letters`` from unit to root.
 
@@ -153,16 +154,11 @@ def paths(cat: Category, letters, root) -> tuple:
     Each path is extended by the channels of its last stage in label order
     (``FusionRing.channels``), so the paths come out in label order.
     """
-    letters = tuple(letters)
-
-    def build():
-        check_word_guard(cat, letters, root)
-        partial = [(cat.unit,)]
-        for x in letters:
-            partial = [p + (c,) for p in partial for c in cat.channels(p[-1], x)]
-        return tuple(p for p in partial if p[-1] == root)
-
-    return cat.cached(("paths", letters, root), build)
+    check_word_guard(cat, letters, root)
+    partial = [(cat.unit,)]
+    for x in letters:
+        partial = [p + (c,) for p in partial for c in cat.channels(p[-1], x)]
+    return tuple(p for p in partial if p[-1] == root)
 
 
 def dual_word(cat: Category, letters) -> tuple:
@@ -224,7 +220,7 @@ def _graft_coeffs(cat: Category, lam, letters, path, pin=(), coeff=ONE):
     ``lam (x) path[-1]``; for a unit-rooted graft it is forced back to lam.
     ``pin[j]`` fixes sigma_j for 0 < j < len(pin), so only the chains that
     follow it are made; later stages are free.  ``coeff`` seeds every chain.
-    The unpinned, unseeded chains are kept per category by ``_graft_moves``;
+    The unpinned, unseeded chains are kept per category by ``_graft_chains``;
     the pinned chains of the bends are made afresh on every call.
     """
     states = [((lam,), coeff)]
@@ -243,10 +239,9 @@ def _graft_coeffs(cat: Category, lam, letters, path, pin=(), coeff=ONE):
     return states
 
 
+@memoised("pidx", ring=True)
 def _path_index(cat, letters, root):
-    def build():
-        return {p: i for i, p in enumerate(paths(cat, letters, root))}
-    return cat.cached(("pidx", tuple(letters), root), build)
+    return {p: i for i, p in enumerate(paths(cat, letters, root))}
 
 
 def _path_columns(cat, keys, tgt, root, moves):
@@ -271,23 +266,25 @@ def _path_columns(cat, keys, tgt, root, moves):
     return len(tidx), tuple(cols)
 
 
+@memoised("graft")
+def _graft_chains(cat, lam, guest_letters, rho):
+    """The unseeded ``_graft_coeffs`` chains, as (sigma[1:], coeff) pairs,
+    kept per category: they hold inverse F entries, so not on the ring."""
+    return tuple((chain[1:], g) for chain, g
+                 in _graft_coeffs(cat, lam, guest_letters, rho))
+
+
 def _graft_moves(cat, i, guest_letters, terms):
     """Moves of a unit-rooted guest grafted at position i of a host path.
 
-    ``terms`` lists ``(host path, guest path, weight)``; each
-    ``_graft_coeffs`` chain lands on the joined path, scaled by the weight.
-    The unseeded chains are kept per category (kind ``"graft"``, as
-    (sigma[1:], coeff) pairs); exact products are associative, so the
-    values are those of the seeded chains.  They hold inverse F entries, so
-    they are not kept on the ring.
+    ``terms`` lists ``(host path, guest path, weight)``; each chain of
+    ``_graft_chains`` lands on the joined path, scaled by the weight.
+    Exact products are associative, so the values are those of the chains
+    seeded by the weight.
     """
     for p, rho, c in terms:
-        lam = p[i]
-        chains = cat.cached(("graft", lam, guest_letters, rho), lambda: tuple(
-            (chain[1:], g) for chain, g
-            in _graft_coeffs(cat, lam, guest_letters, rho)))
         head, tail = p[:i + 1], p[i + 1:]
-        for mid, g in chains:
+        for mid, g in _graft_chains(cat, p[i], guest_letters, rho):
             yield head + mid + tail, c * g
 
 
@@ -328,24 +325,7 @@ def splice_host_matrix(cat, host_letters, host_vec, i, guest_letters):
 # -- elementary vertex steps -------------------------------------------------
 
 
-def _memoised(build):
-    """Memoise the label-keyed builder ``build(cat, letters, *args)``.
-
-    The result is kept in ``cat.cached`` under the builder's name, its
-    letters and its label and position arguments, and it is shared by every
-    later call: callers must not mutate it.
-    """
-    kind = build.__name__
-
-    @functools.wraps(build)
-    def builder(cat, letters, *args):
-        letters = tuple(letters)
-        return cat.cached((kind, letters, *args),
-                          lambda: build(cat, letters, *args))
-    return builder
-
-
-@_memoised
+@memoised()
 def fuse_step_matrix(cat, letters, root, i, w):
     """Fuse adjacent letters (x_i, x_{i+1}) into the channel w."""
     u, v = letters[i], letters[i + 1]
@@ -356,7 +336,7 @@ def fuse_step_matrix(cat, letters, root, i, w):
                     cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], w))])
 
 
-@_memoised
+@memoised()
 def split_step_matrix(cat, letters, root, i, u, v):
     """Split the letter x_i into the admissible pair (u, v).  The library
     inserts by grafts; this inverse of the fuse step is a test reference."""
@@ -371,7 +351,7 @@ def split_step_matrix(cat, letters, root, i, u, v):
                    for s in cat.channels(p[i], u)])
 
 
-@_memoised
+@memoised()
 def drop_unit_letter_matrix(cat, letters, root, i):
     """Remove the unit letter at position i; the path drops its stage p_i."""
     assert letters[i] == cat.unit
@@ -380,7 +360,7 @@ def drop_unit_letter_matrix(cat, letters, root, i):
         lambda p: [(p[:i + 1] + p[i + 2:], ONE)])
 
 
-@_memoised
+@memoised()
 def contract_pair_matrix(cat, letters, root, i):
     """Evaluation on the adjacent dual pair at positions (i, i+1).
 
@@ -399,7 +379,7 @@ def contract_pair_matrix(cat, letters, root, i):
         if p[i + 2] == p[i] else ())
 
 
-@_memoised
+@memoised()
 def graft_path_matrix(cat, letters, root, i, guest_letters, rho):
     """Graft the unit-rooted guest path rho through ``guest_letters`` at
     position i: ``insert_vector_matrix`` with that basis vector as guest.
@@ -433,7 +413,7 @@ def _nested_coevaluation(cat, pairs):
     return cur, vec
 
 
-@_memoised
+@memoised()
 def db_prime_vector(cat, letters):
     """Right-dual coevaluation: unit-rooted vector over dual word + letters.
     The tests check it against splicing the pairs innermost first."""
@@ -444,7 +424,7 @@ def db_prime_vector(cat, letters):
 # -- the bend ----------------------------------------------------------------
 
 
-@_memoised
+@memoised()
 def _bend_columns(cat, letters, k):
     """E(w, k), the k-strand bend of the word w = x_1 ... x_n, in column
     form on the unit-root path bases; kept per word and k for the bend
@@ -475,7 +455,7 @@ def _bend_columns(cat, letters, k):
                          lambda rho: _bend_terms(cat, letters, k, tops, rho))
 
 
-@_memoised
+@memoised()
 def _bend_tops(cat, head):
     """The nested coevaluation host of a bend of ``head``, by top.
 
@@ -576,14 +556,14 @@ def double_dual_inverse(cat, a, b, c) -> Cyc:
             * cat.f_entry(cd, a, b, unit, bd, c))
 
 
+@memoised("ddinv")
 def double_dual_inverses(cat) -> dict:
     """{(a, b, c): ``double_dual_inverse(cat, a, b, c)``} over the admissible
     triples in label order, memoised per category: the monoidality item of
     ``validate`` and ``pivotal.enumerate_pivotal_structures`` read the same
     values.  The dict is shared, so read-only."""
-    return cat.cached(("ddinv",), lambda: {
-        key: double_dual_inverse(cat, *key)
-        for key in cat.ring.admissible_triples()})
+    return {key: double_dual_inverse(cat, *key)
+            for key in cat.ring.admissible_triples()}
 
 
 def pivotal_dimension(cat, a, side: str) -> Cyc:

@@ -34,11 +34,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .category import Category, ObjectExpr, reverse_category
+from .category import Category, ObjectExpr, memoised, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, _bend_columns,
-                      _bend_entries, _memoised, attach_pair_matrix,
+                      _bend_entries, attach_pair_matrix,
                       check_dimension_guard, check_word_guard,
                       contract_pair_matrix, db_prime_vector,
                       drop_unit_letter_matrix, dual_word, fuse_step_matrix,
@@ -72,6 +72,7 @@ def _rot(word, k):
 # -- the rotation map ---------------------------------------------------------
 
 
+@memoised("emap")
 def e_map_matrix(cat: Category, letters, k: int):
     """Unit-root matrix of the k-block rotation map; cached per word.
 
@@ -88,16 +89,11 @@ def e_map_matrix(cat: Category, letters, k: int):
     multiplies it whole, and the memo of ``_bend_columns`` serves the bend
     route above the walk.
     """
-    letters = tuple(letters)
     n = len(letters)
     if not 1 <= k < n:
         raise ValueError(f"split position must satisfy 1 <= k < {n}")
-
-    def build():
-        cat.require_pivotal()
-        return dense(_bend_columns.__wrapped__(cat, letters, k))
-
-    return cat.cached(("emap", letters, k), build)
+    cat.require_pivotal()
+    return dense(_bend_columns.__wrapped__(cat, letters, k))
 
 
 def e_map(cat: Category, word, k: int) -> LinMap:
@@ -111,6 +107,7 @@ def e_map(cat: Category, word, k: int) -> LinMap:
                   {cat.unit: e_map_matrix(cat, letters, k)})
 
 
+@memoised("walk")
 def _orbit_walk(cat, word):
     """Walk the single-letter rotation n times from `word`; cached per word.
 
@@ -120,21 +117,18 @@ def _orbit_walk(cat, word):
     an orbit has the same traces.  Used up to n = WALK_MAX_N, and as the
     reference of the bend route above it.
     """
-    def build():
-        n = len(word)
-        if n == 1:  # rotating one letter over the top is the identity
-            return {1: len(paths(cat, word, cat.unit))}, True
-        traces = {}
-        m, cur = None, word
-        for r in range(1, n + 1):
-            e = e_map_matrix(cat, cur, 1)
-            m = e if m is None else mat_mul(e, m)
-            cur = _rot(cur, 1)
-            if cur == word:
-                traces[r] = mat_trace(m)
-        return traces, is_identity(m)
-
-    return cat.cached(("walk", word), build)
+    n = len(word)
+    if n == 1:  # rotating one letter over the top is the identity
+        return {1: len(paths(cat, word, cat.unit))}, True
+    traces = {}
+    m, cur = None, word
+    for r in range(1, n + 1):
+        e = e_map_matrix(cat, cur, 1)
+        m = e if m is None else mat_mul(e, m)
+        cur = _rot(cur, 1)
+        if cur == word:
+            traces[r] = mat_trace(m)
+    return traces, is_identity(m)
 
 
 # the largest n whose indicators and power identity walk the single-strand
@@ -154,7 +148,7 @@ def _factors(r):
     return tuple((2 * i, 2) for i in range(m)) + ((2 * m, r - 2 * m),)
 
 
-@_memoised
+@memoised()
 def _prefix_product(cat, word, m):
     """P_m = F_m ... F_1 in column form, F_i = E(rot_2(i-1) word, 2), a map
     from the paths of word to those of rot_2m word; kept per word and m for
@@ -163,6 +157,7 @@ def _prefix_product(cat, word, m):
     return f if m == 1 else col_mul(f, _prefix_product(cat, word, m - 1))
 
 
+@memoised("bendtr")
 def _bend_value(cat, word, r):
     """tr E^r on the block of `word`, where rot_r(word) = word, read off
     genuine bends, or for r = n whether E^n = id there; cached per word.
@@ -177,51 +172,42 @@ def _bend_value(cat, word, r):
     exactly (``linalg.is_identity_product``).  No bend has more than 2
     strands, so none builds a word longer than n letters.
     """
-    def build():
-        j, k = _factors(r)[-1]
-        m = j // 2
-        ps = paths(cat, word, cat.unit)
-        if not m:
-            return _bend_entries(cat, word, r, [(p, p, ONE) for p in ps])
-        last = _rot(word, j)
-        prefix = _prefix_product(cat, word, m)
-        if r == len(word):
-            return is_identity_product(_bend_columns(cat, last, k), prefix)
-        rows = paths(cat, last, cat.unit)
-        return _bend_entries(cat, last, k, [
-            (rows[i], q, x) for q, col in zip(ps, prefix[1]) for i, x in col])
-
-    return cat.cached(("bendtr", word, r), build)
+    j, k = _factors(r)[-1]
+    m = j // 2
+    ps = paths(cat, word, cat.unit)
+    if not m:
+        return _bend_entries(cat, word, r, [(p, p, ONE) for p in ps])
+    last = _rot(word, j)
+    prefix = _prefix_product(cat, word, m)
+    if r == len(word):
+        return is_identity_product(_bend_columns(cat, last, k), prefix)
+    rows = paths(cat, last, cat.unit)
+    return _bend_entries(cat, last, k, [
+        (rows[i], q, x) for q, col in zip(ps, prefix[1]) for i, x in col])
 
 
-def _orbits(op):
-    """(least rotation, orbit length) of each rotation orbit of op.words
-    whose block is nonzero, in label order: an orbit's first word in
-    op.words is its least one.
+@memoised("orbits", ring=True)
+def _orbits(cat, support, n):
+    """(least rotation, orbit length) of each rotation orbit of the words
+    of n letters over ``support`` (in label order) whose block is nonzero,
+    in label order: an orbit's first word is its least one.
 
     A zero block has every trace 0 and satisfies E^n = id vacuously, so it
     is dropped before anything is walked, bent or multiplied.  Dimension
     is constant along an orbit, dim Hom(1, xY) = dim Hom(1, Yx) being the
     multiplicity of x* in Y, so the least word decides it, from integer
-    fusion counts: no path list of a zero block is built.  The words are
-    every word over op's support, so the orbits depend on the fusion rules
-    alone and are kept on the ring (``cat.cached``) per (support, n); the
+    fusion counts: no path list of a zero block is built.  The orbits
+    depend on the fusion rules alone, so they are kept on the ring; the
     result is shared, so read-only.
     """
-    cat = op.category
-
-    def build():
-        seen, out = set(), []
-        for w in op.words:
-            if w not in seen:
-                orbit = {_rot(w, j) for j in range(op.n)}
-                seen |= orbit
-                if path_counts(cat, ({x: 1} for x in w)).get(cat.unit, 0):
-                    out.append((w, len(orbit)))
-        return tuple(out)
-
-    support = tuple(sorted(op.obj.support(), key=cat.label_index))
-    return cat.cached(("orbits", support, op.n), build)
+    seen, out = set(), []
+    for w in itertools.product(support, repeat=n):
+        if w not in seen:
+            orbit = {_rot(w, j) for j in range(n)}
+            seen |= orbit
+            if path_counts(cat, ({x: 1} for x in w)).get(cat.unit, 0):
+                out.append((w, len(orbit)))
+    return tuple(out)
 
 
 def _orbit_values(cat, orbits, n, r):
@@ -258,32 +244,38 @@ class RotationOperator:
     category: Category
     obj: ObjectExpr
     n: int
-    words: tuple
+    support: tuple  # the simples of V, in label order
     total_dimension: int
+
+    @property
+    def words(self):
+        """Every word of n letters over the support, in label order."""
+        return tuple(itertools.product(self.support, repeat=self.n))
+
+
+@memoised("rotop", ring=True)
+def _rotation_dimension(cat, mults, n):
+    """dim Hom(1, V^(x)n) = (N_V)^n[unit, unit] with N_V = sum_a m_a N_a,
+    V given by its (simple, multiplicity) pairs; counted before any word or
+    path list is built, and kept on the ring."""
+    total = path_counts(cat, [dict(mults)] * n).get(cat.unit, 0)
+    check_dimension_guard(total)
+    return total
 
 
 def rotation_operator(cat: Category, obj, n: int) -> RotationOperator:
-    """The rotation operator of obj on Hom(1, V^(x)n).  Its dimension and
-    words depend on the fusion rules alone and are kept on the ring per
+    """The rotation operator of obj on Hom(1, V^(x)n).  Its dimension
+    depends on the fusion rules alone and is kept on the ring per
     (multiplicities, n); the guard is checked on every call."""
     obj = _as_expr(cat, obj)
     if n < 1:
         raise ValueError("n must be positive")
     cat.require_pivotal()
-    mults = tuple((x, obj.multiplicity(x))
-                  for x in sorted(obj.support(), key=cat.label_index))
-
-    def build():
-        # dim Hom(1, V^(x)n) = (N_V)^n[unit, unit] with N_V = sum_a m_a N_a,
-        # counted before any word or path list is built
-        total = path_counts(cat, [dict(mults)] * n).get(cat.unit, 0)
-        check_dimension_guard(total)
-        support = [x for x, _ in mults]
-        return total, tuple(itertools.product(support, repeat=n))
-
-    total, words = cat.cached(("rotop", mults, n), build)
+    support = tuple(sorted(obj.support(), key=cat.label_index))
+    total = _rotation_dimension(
+        cat, tuple((x, obj.multiplicity(x)) for x in support), n)
     check_dimension_guard(total)  # refuses an entry kept under a higher guard
-    return RotationOperator(cat, obj, n, words, total)
+    return RotationOperator(cat, obj, n, support, total)
 
 
 def _fixed_slot_count(obj: ObjectExpr, word, r: int) -> int:
@@ -306,7 +298,7 @@ def indicator(cat: Category, obj, n: int, r: int) -> Cyc:
     rr = r % n
     if rr == 0:
         return Cyc.rational(op.total_dimension)
-    orbits = [(w, d) for w, d in _orbits(op) if rr % d == 0]
+    orbits = [(w, d) for w, d in _orbits(cat, op.support, n) if rr % d == 0]
     total = ZERO
     for (w, d), tr in zip(orbits, _orbit_values(cat, orbits, n, rr)):
         if tr:
@@ -327,7 +319,7 @@ def check_power_identity(cat: Category, obj, n: int) -> bool:
     grow like FPdim^max(n, 2k), so this part runs at word lengths up to 5.
     """
     obj = _as_expr(cat, obj)
-    orbits = _orbits(rotation_operator(cat, obj, n))
+    orbits = _orbits(cat, rotation_operator(cat, obj, n).support, n)
     for (w, _), ok in zip(orbits, _orbit_values(cat, orbits, n, n)):
         if not ok:
             return False
@@ -363,7 +355,7 @@ def _accumulate(state, word, vec):
         state[word] = vec
 
 
-@_memoised
+@memoised()
 def _right_block(cat: Category, support, c, r: int):
     """{word: vector} on Hom(c, -) after the right block of r coevaluations;
     shared, so read-only.  By associativity, it is the state for r - 1 with
@@ -379,7 +371,7 @@ def _right_block(cat: Category, support, c, r: int):
     return state
 
 
-@_memoised
+@memoised()
 def _torn_down(cat: Category, support, c, n: int, r: int):
     """The middle of FS^{(n,l,r)} on Hom(c, -), shared by every l of (n, r);
     read-only.

@@ -15,7 +15,7 @@ character torsor on top of one particular solution.
 
 from __future__ import annotations
 
-from .category import Category, PivotalData
+from .category import Category, PivotalData, memoised
 from .cyclo import Cyc, root_of_unity
 from .homcalc import double_dual_inverses, pivotal_dimension
 from .snf import diagonalize
@@ -57,12 +57,12 @@ def enumerate_pivotal_structures(category: Category):
     double-dual scalar, which holds only on pentagon solutions.  The
     families are memoised per category; each call returns a fresh list.
     """
-    return list(category.cached(
-        ("pivotals",), lambda: tuple(_solve_pivotal_structures(category))))
+    return list(_solve_pivotal_structures(category))
 
 
+@memoised("pivotals")
 def _solve_pivotal_structures(category: Category):
-    """The sorted list of ``enumerate_pivotal_structures``, solved."""
+    """The sorted families of ``enumerate_pivotal_structures``, solved."""
     ring = category.ring
     unit = ring.unit
     unknowns = [a for a in ring.labels if a != unit]
@@ -109,7 +109,7 @@ def _solve_pivotal_structures(category: Category):
     for i in range(nrows):
         if i >= rank:
             if u_transform(i) != 1:
-                return []
+                return ()
 
     particular = []
     orders = []
@@ -161,8 +161,7 @@ def _solve_pivotal_structures(category: Category):
     def sort_key(piv):
         return tuple(_encode_key(piv.t[a]) for a in ring.labels)
 
-    solutions.sort(key=sort_key)
-    return solutions
+    return tuple(sorted(solutions, key=sort_key))
 
 
 def _encode_key(value: Cyc):

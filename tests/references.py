@@ -45,13 +45,13 @@ from fractions import Fraction
 from importlib import resources
 
 from fscat.category import (Category, CheckItem, FSymbolSet, PivotalData,
-                            _gauge_value)
+                            _gauge_value, memoised)
 from fscat.cyclo import Cyc, root_of_unity
 from fscat import homcalc
-from fscat.homcalc import (LinMap, _graft_coeffs, _memoised,
-                           _nested_coevaluation, _path_index,
-                           attach_pair_matrix, contract_pair_matrix,
-                           db_prime_vector, drop_unit_letter_matrix, dual_word,
+from fscat.homcalc import (LinMap, _graft_coeffs, _nested_coevaluation,
+                           _path_index, attach_pair_matrix,
+                           contract_pair_matrix, db_prime_vector,
+                           drop_unit_letter_matrix, dual_word,
                            fuse_step_matrix, graft_path_matrix,
                            insert_vector_matrix, paths, splice_host_matrix)
 from fscat.indicators import _accumulate, _right_block
@@ -159,7 +159,7 @@ def extend(cat, m: LinMap, left_letters=(), right_letters=()) -> LinMap:
     return LinMap(cat, src, tgt, blocks)
 
 
-@_memoised
+@memoised()
 def db_vector(cat, letters):
     """Coevaluation of a word: unit-rooted vector over letters + dual word."""
     return _nested_coevaluation(cat, [(y, cat.dual(y)) for y in letters])

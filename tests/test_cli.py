@@ -190,6 +190,22 @@ def test_emit_refuses_bad_sizes(tmp_path, args, named):
     assert not out.stdout and not target.exists()
 
 
+@pytest.mark.parametrize("args, named", [
+    *((("ind", spec("fibonacci"), "--object", "t", "--n", text),
+       f"bad range {text!r}")
+      for text in ("3..", "..4", "a", "1..2..3", "1..x")),
+    *((("emit", "ty", "--orders", text),
+       f"bad entry {bad!r} in --orders {text!r}: need positive integers")
+      for text, bad in (("2,x", "x"), ("", ""), ("2,,2", ""))),
+])
+def test_malformed_ranges_and_orders_are_named(tmp_path, args, named):
+    target = tmp_path / "out.json"
+    out = run_cli(*args, *(("-o", str(target)) if args[0] == "emit" else ()))
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [f"error: {named}"]
+    assert not out.stdout and not target.exists()
+
+
 def test_emit_families(tmp_path):
     target = tmp_path / "z3.json"
     out = run_cli("emit", "pointed", "--order", "3", "--level", "0",

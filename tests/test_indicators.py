@@ -1,19 +1,25 @@
+import ast
 import collections
+import glob
+import inspect
 import itertools
 import json
 import math
 import os
+import sys
 
 import pytest
 
 import fscat
+import references
 from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled
 from references import (closed_loop_trace, compose, db_vector, dual_morphism,
                         s3_table, spliced_db_prime_vector,
                         spliced_e_map_matrix, unshared_fs_blocks)
 
-from fscat.category import (MissingPivotalError, ObjectExpr, gauge_transform,
-                            reverse_category)
+from fscat.category import (RING_KINDS, Category, FusionRing,
+                            MissingPivotalError, ObjectExpr, gauge_transform,
+                            memoised, reverse_category, validate)
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
 from fscat.homcalc import (LinMap, attach_pair_matrix, db_prime_vector,
@@ -399,10 +405,10 @@ def test_nonzero_orbits_are_kept_per_support(name):
     warm = cat.with_pivotal(cat.pivotal)
     for a, b in itertools.combinations(cat.labels, 2):
         for n in range(1, 5):
-            got = indicators._orbits(
-                rotation_operator(warm, ObjectExpr({a: 1, b: 1}), n))
-            assert indicators._orbits(
-                rotation_operator(warm, ObjectExpr({a: 2, b: 1}), n)) is got
+            one, two = (rotation_operator(warm, ObjectExpr({a: m, b: 1}), n)
+                        for m in (1, 2))
+            got = indicators._orbits(warm, one.support, n)
+            assert indicators._orbits(warm, two.support, n) is got
             want = []
             for w in itertools.product((a, b), repeat=n):
                 orbit = {w[j:] + w[:j] for j in range(n)}
@@ -716,27 +722,60 @@ def test_a_gauge_reads_its_own_graft_chains(name):
         assert got == _cold_chains(cold, *key[1:]), key
 
 
-# the label-keyed builders memoised in ``cat.cached``, by their memo kind
-MEMOISED_BUILDERS = {name: getattr(fscat.homcalc, name) for name in (
-    "fuse_step_matrix", "drop_unit_letter_matrix", "contract_pair_matrix",
-    "graft_path_matrix", "db_prime_vector", "_bend_tops", "_bend_columns")}
-MEMOISED_BUILDERS["db_vector"] = db_vector
-MEMOISED_BUILDERS["_right_block"] = _right_block
-MEMOISED_BUILDERS["_prefix_product"] = _prefix_product
-MEMOISED_BUILDERS["_torn_down"] = _torn_down
-MEMOISED_BUILDERS["graft"] = _cold_chains
+def _memoised_builders():
+    """{memo kind: builder} of every function that carries
+    ``category.memoised``, in the library and in the test references."""
+    spaces = [vars(mod) for name, mod in sorted(sys.modules.items())
+              if name.startswith("fscat.")]
+    spaces += [vars(Category), vars(references)]
+    found = {id(f): f for space in spaces for f in space.values()
+             if callable(f) and isinstance(getattr(f, "kind", None), str)}
+    kinds = [f.kind for f in found.values()]
+    assert len(kinds) == len(set(kinds)), sorted(kinds)
+    return {f.kind: f for f in found.values()}
+
+
+def _on_a_fresh_ring(cat):
+    """``cat`` with empty stores, its ring's included."""
+    ring = cat.ring
+    return Category(cat.name, FusionRing(ring.labels, ring.unit, ring.dual,
+                                         ring.N),
+                    cat.F, cat.pivotal, cat.conductor)
+
+
+def test_every_memo_is_declared_by_memoised():
+    # one idiom: ``Category.cached`` is called only by the decorator, and
+    # the ring kinds are those the decorated builders declare
+    lines, start = inspect.getsourcelines(memoised)
+    src = os.path.dirname(os.path.abspath(fscat.__file__))
+    sites = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        sites += [(os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "cached"]
+    assert len(sites) == 1 and sites[0][0] == "category.py" and \
+        start <= sites[0][1] < start + len(lines), sites
+    assert RING_KINDS == {"paths", "pidx", "orbits", "rotop"}
+    assert RING_KINDS < set(_memoised_builders())
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_shared_memos_give_cold_results(name):
     # a caller that mutated a shared matrix, vector, bend host or
     # right-block state would change the second warm pass, or the cached
-    # builds, against cold categories; the FS sweep reaches the FS
-    # builders but ``db_vector``, which the dual of the identity on (a, a)
-    # reaches, and the rotation pass reaches the bend hosts, and at n = 7
-    # and 8 the prefix products (every spec has a nonzero a^7 or a^8 of
-    # dimension <= 16, the unit's at least)
-    cat = bundled(name)
+    # builds, against cold categories; every kind the warm passes write,
+    # on the category and on its ring, is compared with a build on a
+    # category with fresh stores.  The FS sweep reaches the FS builders
+    # but ``db_vector``, which the dual of the identity on (a, a) reaches,
+    # and the rotation pass reaches the bend hosts, and at n = 7 and 8 the
+    # prefix products (every spec has a nonzero a^7 or a^8 of dimension
+    # <= 16, the unit's at least); validation and the pivotal enumeration
+    # reach the F residues, the double duals and the pivotal structures,
+    # and the split steps are the test reference's
+    cat = load_bundled(name)
     cases = [(a, n, l, r) for a in cat.labels for n in range(1, 5)
              for l in range(n) for r in range(n - l)]
     warm = cat.with_pivotal(cat.pivotal)
@@ -755,13 +794,17 @@ def test_shared_memos_give_cold_results(name):
              for a in cat.labels]
     assert duals == [dual_morphism(warm, LinMap.identity(warm, (a, a))).blocks
                      for a in cat.labels]
+    assert validate(warm).valid
+    assert enumerate_pivotal_structures(warm)
+    for u, v, x in cat.ring.admissible_triples():
+        split_step_matrix(warm, (x,), x, 0, u, v)
+    builders = _memoised_builders()
     kinds = set()
-    for key, got in warm._cache.items():
-        if key[0] in MEMOISED_BUILDERS:
-            kinds.add(key[0])
-            build = MEMOISED_BUILDERS[key[0]]
-            assert got == build(cat.with_pivotal(cat.pivotal), *key[1:]), key
-    assert kinds == set(MEMOISED_BUILDERS)
+    for key, got in [*warm.ring._cache.items(), *warm._cache.items()]:
+        kinds.add(key[0])
+        build = builders[key[0]]
+        assert got == build(_on_a_fresh_ring(cat), *key[1:]), key
+    assert kinds == set(builders)
 
 
 def test_trace_formula_routes_agree(any_bundled):
@@ -986,8 +1029,8 @@ def test_dimension_guard():
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_categories_on_one_ring_share_its_bases(name, monkeypatch):
-    # the path bases, the orbits and the rotation operator's words depend on
-    # the fusion rules alone and are kept on the ring: a gauge and a pivotal
+    # the path bases, the orbits and the rotation operator's dimension depend
+    # on the fusion rules alone and are kept on the ring: a gauge and a pivotal
     # structure of one category read the ring's and agree with a cold load,
     # and the reversal, on a ring of its own, shares none of them
     cold = load_bundled(name)
@@ -1002,9 +1045,11 @@ def test_categories_on_one_ring_share_its_bases(name, monkeypatch):
             assert paths(c, w, cat.unit) is paths(cat, w, cat.unit), w
         for a in cat.labels:
             op = rotation_operator(c, a, 3)
-            assert op.words is rotation_operator(cat, a, 3).words
-            assert indicators._orbits(op) is indicators._orbits(
-                rotation_operator(cat, a, 3))
+            assert cat.ring._cache[("rotop", ((a, 1),), 3)] \
+                == op.total_dimension
+            assert ("rotop", ((a, 1),), 3) not in c._cache
+            assert indicators._orbits(c, op.support, 3) is \
+                indicators._orbits(cat, op.support, 3)
             for n in range(1, 4):
                 for r in range(n):
                     assert indicator(c, a, n, r) == indicator(cold, a, n, r)
@@ -1093,7 +1138,7 @@ def test_bend_hosts_are_counted_once_per_head(monkeypatch):
     # once per call, however many orbits and factors share it
     ty = load_bundled("ty_z2z2_plus")
     obj = ObjectExpr({"a": 1, "sigma": 1})
-    orbits = indicators._orbits(rotation_operator(ty, obj, 8))
+    orbits = indicators._orbits(ty, rotation_operator(ty, obj, 8).support, 8)
     for call, r in ((lambda: check_power_identity(ty, obj, 8), 8),
                     (lambda: indicator(ty, obj, 8, 5), 5)):
         counted = []

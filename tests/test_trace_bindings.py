@@ -17,6 +17,7 @@ import glob
 import importlib
 import os
 import sys
+from collections import Counter
 
 import fscat.cli  # noqa: F401  (the tracer wraps names in every layer)
 from fscat import indicators
@@ -43,7 +44,11 @@ MINIATURES = {
 
 
 def test_traced_spans_receive_calls():
+    # the tracer counts the memo kinds it names by their key strings, and
+    # ``homcalc.paths.builds`` and ``indicators.e_map_matrix.builds`` are
+    # the ``paths`` and ``emap`` misses: a renamed kind would read 0
     assert set(MINIATURES) == set(REQUIRED_SPANS)
+    misses = Counter()
     for name, request in MINIATURES.items():
         tracer = Tracer()
         tracer.install()  # raises if any wrapper is left unbound
@@ -54,6 +59,9 @@ def test_traced_spans_receive_calls():
             tracer.active = False
             tracer.uninstall()
         assert self_check(name, tracer) == [], name
+        misses.update({kind: tracer.counts[f"cache.{kind}.misses"]
+                       for kind in ("paths", "pidx", "emap", "finv")})
+    assert all(misses.values()), misses
 
 
 def test_perfbench_imports_resolve():

@@ -29,11 +29,6 @@ from fscat.specio import save_category
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "fscat" / "specs"
 
 
-def named(cat, name):
-    cat.name = name
-    return cat
-
-
 def build_all():
     fib, yang_lee = solve_pentagon_rank2()
     specs = {
