@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fscat.cyclo import Cyc, triple_residues
+from fscat.cyclo import Cyc, root_of_unity, triple_residues
 
 CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 24)
 
@@ -101,6 +101,11 @@ def ref_rational(q):
     return 1, (Fraction(q),)
 
 
+def ref_monomial(n, k, q):
+    """q z^k at conductor n, reduced modulo the reference Phi_n."""
+    return n, ref_reduce(n, [Fraction(0)] * k + [Fraction(q)])
+
+
 # -- strategies -----------------------------------------------------------
 
 coordinates = st.one_of(
@@ -123,6 +128,20 @@ def related_triples(draw):
     n = draw(st.sampled_from(CONDUCTORS))
     divisors = tuple(d for d in CONDUCTORS if n % d == 0)
     return tuple(draw(elements(divisors)) for _ in range(3))
+
+
+nonzero_rationals = st.fractions(
+    min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@st.composite
+def monomials(draw):
+    """(n, k, q, q zeta_n^k): every conductor of the list, every k < n, so
+    the powers with k >= phi(n) come reduced, and a signed rational q."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    k = draw(st.integers(0, n - 1))
+    q = draw(nonzero_rationals)
+    return n, k, q, q * root_of_unity(n, k)
 
 
 def assert_normal(x):
@@ -191,6 +210,30 @@ def test_inverse_and_division(a, b):
     check(quotient, ref_mul(ref(b), ref(inv)))
     assert quotient * a == b
     assert a ** -1 == inv
+
+
+def check_monomial_inverse(n, k, q, m, b):
+    check(m, ref_monomial(n, k, q))
+    inv = m.inverse()
+    check(inv, ref_monomial(n, (n - k) % n, 1 / q))
+    quotient = b / m
+    check(quotient, ref_mul(ref(b), ref(inv)))
+    assert quotient * m == b
+    assert m ** -1 == inv
+
+
+@given(monomials(), elements())
+def test_monomial_inverse_and_division(monomial, b):
+    check_monomial_inverse(*monomial, b)
+
+
+def test_every_monomial_power_inverts():
+    # each root of unity of each conductor, with both signs
+    b = Cyc(3, (Fraction(1, 2), -2))
+    for n in CONDUCTORS:
+        for k in range(n):
+            for q in (Fraction(-3, 7), 1):
+                check_monomial_inverse(n, k, q, q * root_of_unity(n, k), b)
 
 
 @given(elements(), st.fractions(min_value=-5, max_value=5, max_denominator=7))
