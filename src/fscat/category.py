@@ -285,7 +285,10 @@ class Category:
     What depends on the F-symbols or the pivotal data (F-blocks, structural
     matrices, rotations) belongs to one instance, in ``_cache``;
     ``with_pivotal``, ``gauge_transform`` and ``reverse_category`` start
-    empty ones.  What depends on the fusion rules alone belongs to the
+    empty ones.  A ``gauge_transform`` copy, and each ``with_pivotal`` copy
+    of it, keeps a private link to its base and gauge (``_gauge``) and
+    reads the base's F^-1 blocks instead of inverting its own
+    (``f_inv_block``).  What depends on the fusion rules alone belongs to the
     fusion ring, which ``with_pivotal`` and ``gauge_transform`` share and
     ``reverse_category`` does not: the F-block layout (``FusionRing.blocks``)
     and the memo kinds of ``RING_KINDS``, the hom-space bases among them.
@@ -308,6 +311,7 @@ class Category:
         self._cache = {}
         self._f_entries = {}
         self._f_inv_entries = {}
+        self._gauge = None  # (base, g, g_inv) of a gauge_transform copy
 
     # -- basic views ----------------------------------------------------
 
@@ -350,7 +354,9 @@ class Category:
         return got
 
     def with_pivotal(self, pivotal) -> "Category":
-        return Category(self.name, self.ring, self.F, pivotal, self.conductor)
+        out = Category(self.name, self.ring, self.F, pivotal, self.conductor)
+        out._gauge = self._gauge
+        return out
 
     # -- F-symbol access --------------------------------------------------
 
@@ -366,8 +372,26 @@ class Category:
 
     @memoised("finv")
     def f_inv_block(self, a, b, c, d):
-        """Inverse block, rows indexed by the f-list, columns by the e-list."""
-        return mat_inv(self.f_block(a, b, c, d))
+        """Inverse block, rows indexed by the f-list, columns by the e-list.
+
+        A 1x1 block inverts its entry.  A larger block of a
+        ``gauge_transform`` copy scales its base's inverse block,
+        [F'^-1]_{fe} = g(b,c,f) g(a,f,d) [F^-1]_{fe} g^-1(a,b,e) g^-1(e,c,d),
+        so only a category that is no gauge copy runs ``mat_inv``.  A
+        singular block raises ``ValueError`` either way."""
+        es, fs = self.f_rowcols(a, b, c, d)
+        if len(es) == 1 == len(fs):
+            entry = self.F.get((a, b, c, d, es[0], fs[0]))
+            if not entry:
+                raise ValueError("singular matrix")
+            return [[entry.inverse()]]
+        if self._gauge is None:
+            return mat_inv(self.f_block(a, b, c, d))
+        base, g, g_inv = self._gauge
+        rows = [g[(b, c, f)] * g[(a, f, d)] for f in fs]
+        cols = [g_inv[(a, b, e)] * g_inv[(e, c, d)] for e in es]
+        return [[r * x * k for x, k in zip(row, cols)]
+                for r, row in zip(rows, base.f_inv_block(a, b, c, d))]
 
     def f_entry(self, a, b, c, d, e, f) -> Cyc:
         """[F^{abc}_d]_{ef}, or exact zero when the tuple is inadmissible."""
@@ -794,6 +818,7 @@ def gauge_transform(category: Category, u) -> Category:
             conductor = math.lcm(conductor, val.reduced_key()[0])
     out = Category(f"{category.name}~gauged", ring, FSymbolSet(entries),
                    None, conductor)
+    out._gauge = (category, g, g_inv)
     if category.pivotal is not None:
         # operational transport: the pivotal coordinate rides along the
         # shift of the evaluation normalization, which is exactly the

@@ -17,8 +17,9 @@ multiplication, coercion and the Galois action therefore run on Python
 integers alone, through one integer power-reduction table per conductor.
 ``Fraction`` appears only at the edges: the public constructor, the
 ``coeffs`` view, ``reduced_key`` and the spec encoding.  Division is exact
-too: the inverse of x is the product c of its other Galois conjugates over
-the field norm c * x, a nonzero rational.
+too: a rational multiple of a root of unity, (p/q) z^j, inverts to
+(q/p) z^(N-j); any other x inverts to the product c of its other Galois
+conjugates over the field norm c * x, a nonzero rational.
 
 The same numerator layout, evaluated at z = 2^s (Kronecker substitution),
 packs whole matrices into Python integers for ``linalg.mat_mul``; the
@@ -272,6 +273,21 @@ def _reduce_power(n: int, k: int) -> list[int]:
     return row
 
 
+@lru_cache(maxsize=None)
+def _monomials(n: int) -> dict:
+    """{numerators of s z^j at conductor n: (j, s)}, 0 <= j < n, s = +-1.
+
+    Each z^j reduces to a primitive integer vector (z^j / g lies in
+    Z[z] for no integer g > 1), so a nonzero element is a rational multiple
+    of a power of z exactly when its numerators over their gcd are a key."""
+    out = {}
+    for j in range(n):
+        row = _reduce_power(n, j)
+        out.setdefault(tuple(row), (j, 1))
+        out.setdefault(tuple(-x for x in row), (j, -1))
+    return out
+
+
 def _image(num, n: int, step: int) -> list[int]:
     """Numerators of sum_j num[j] z_n^(j*step) on the power basis at n."""
     table = _power_table(n)
@@ -468,6 +484,15 @@ class Cyc:
         if n == 1:
             p, q = self.num[0], self.den
             return _raw(1, (q,), p) if p > 0 else _raw(1, (-q,), -p)
+        g = gcd(*self.num)
+        power = _monomials(n).get(tuple(x // g for x in self.num))
+        if power is not None:
+            # self = (s g / den) z^j, so its inverse is (s den / g) z^(n - j)
+            j, s = power
+            q = s * self.den
+            out = _make(n, [x * q for x in _reduce_power(n, n - j)], g)
+            assert (out * self) == 1, "monomial inverse is wrong"
+            return out
         c = _ONE
         for k in range(2, n):
             if gcd(k, n) == 1:

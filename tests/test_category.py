@@ -15,6 +15,7 @@ from fscat.category import (Category, FSymbolSet, FusionRing, GaugeError,
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, root_of_unity
 from fscat.indicators import indicator
+from fscat.linalg import mat_inv
 from fscat.specio import load_bundled
 from references import (divided_gauge_transform, walked_f_items,
                         walked_f_layout)
@@ -561,6 +562,20 @@ def test_report_names_a_zero_one_by_one_block_singular():
         pentagon="('t', 't', 't', 't', '1')", pivotal="F/invertibility")
 
 
+def test_a_zero_one_by_one_block_raises_the_singular_matrix_error():
+    # the 1x1 inverse skips Gauss-Jordan but keeps its error, on the
+    # category and on a gauge copy of it; no ZeroDivisionError escapes
+    cat = _fib_with({"ttt1tt": Cyc.zero()})
+    gauged = gauge_transform(cat, _random_gauge(cat, SplitMix64(3)))
+    for c in (cat, gauged):
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            c.f_inv_block("t", "t", "t", "1")
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            c.f_inv_entry("t", "t", "t", "1", "t", "t")
+    assert "FAIL F: invertibility  [[F^(t,t,t)_1] is singular]" in \
+        validate(cat).lines()
+
+
 def test_report_names_a_two_by_two_block_with_proportional_rows_singular():
     fib = bundled("fibonacci")
     cat = _fib_with({"ttttt1": fib.F.get(tuple("tttt11")),
@@ -674,6 +689,29 @@ def test_invertibility_falls_back_to_the_exact_inverse(monkeypatch):
         assert validate(cat).lines() == want[name], name
         assert {k[1:] for k in cat._cache if k[0] == "finv"} == {
             k for k, (es, _) in cat.ring.blocks.items() if len(es) > 1}, name
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_gauge_copies_transport_the_base_inverse_blocks(name, monkeypatch):
+    # a gauge copy (and a gauge of it, and its with_pivotal copy) inverts
+    # none of its own blocks: a 1x1 block inverts its entry, a larger one
+    # scales the base's inverse block, which the base inverts once for all
+    inverted = []
+    monkeypatch.setattr(category_module, "mat_inv",
+                        lambda m: inverted.append(m) or mat_inv(m))
+    base = load_bundled(name)
+    gauges = [_random_gauge(base, SplitMix64(seed)) for seed in (41, 43)]
+    gauges.append(_wide_gauge(base))
+    for i, u in enumerate(gauges):
+        gauged = gauge_transform(base, u)
+        for c in (gauged, gauge_transform(gauged, gauges[i - 1]),
+                  gauged.with_pivotal(gauged.pivotal)):
+            for key in c.ring.blocks:
+                assert c.f_inv_block(*key) == mat_inv(c.f_block(*key)), \
+                    (c.name, key)
+    assert inverted == [base.f_block(*key)
+                        for key, (es, _) in base.ring.blocks.items()
+                        if len(es) > 1]
 
 
 # -- the F-entry memo ------------------------------------------------------------

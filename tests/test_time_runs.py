@@ -15,6 +15,7 @@ import time_runs  # noqa: E402
 @pytest.mark.parametrize("mode", [
     ["ind", "fibonacci", "--object", "t", "--n", "1"],
     ["fs", "fibonacci", "--object", "t", "--n", "2"],
+    ["gauge", "fibonacci", "--trials", "2"],
     ["validate"],
     ["import"],
 ], ids=lambda argv: argv[0])

@@ -6,6 +6,7 @@
     python3 tools/time_runs.py fs fibonacci --object t --n 9 PARENT_DIR CHANGE_DIR
     python3 tools/time_runs.py fs fibonacci --object t --n 8 --sweep \\
         PARENT_DIR CHANGE_DIR
+    python3 tools/time_runs.py gauge rep_s3 --trials 50 PARENT_DIR CHANGE_DIR
     python3 tools/time_runs.py validate PARENT_DIR CHANGE_DIR --runs 10
     python3 tools/time_runs.py import PARENT_DIR CHANGE_DIR --runs 10
 
@@ -18,6 +19,10 @@ checkout.  Each mode times, and compares as output:
 * ``fs``: the ``fs_scalar(cat, OBJECT, N, L, R)`` call alone on SPEC with
   its pivotal data, or with ``--sweep`` every l + r + 1 <= N in that order
   on the one category, as ``fscat check`` does; the scalars' ``repr``.
+* ``gauge``: the gauge trials of ``fscat gauge-check SPEC --trials T``
+  (seed 0) alone: after the validation and the table of every nu_{n,r},
+  n <= 4, on SPEC, each trial's ``gauge_transform`` and its nu_{n,r}; the
+  trials' values' ``repr`` (a child whose trial changes a value fails).
 * ``validate``, per spec bundled in the last checkout: a cold
   ``category.validate``, then the call that decides its pentagon item,
   ``pentagon_failures(stop_after=1)``, on a copy with empty memos (on the
@@ -64,6 +69,27 @@ values = [fs_scalar(cat, a, n, l, r) for l, r in cases]
 print(time.perf_counter() - start)
 print(repr(values if sys.argv[6:] else values[0]))
 """
+GAUGE = """
+import sys, time
+from fscat.category import gauge_transform, validate
+from fscat.cli import SplitMix64, _random_gauge
+from fscat.indicators import indicator
+from fscat.specio import load_category
+cat = load_category(sys.argv[1])
+assert validate(cat).valid
+cells = [(a, n, r) for a in cat.labels for n in range(1, 5)
+         for r in range(1, n + 1)]
+base = [indicator(cat, *cell) for cell in cells]
+rng = SplitMix64(0)
+start = time.perf_counter()
+trials = []
+for _ in range(int(sys.argv[2])):
+    gauged = gauge_transform(cat, _random_gauge(cat, rng))
+    trials.append([indicator(gauged, *cell) for cell in cells])
+print(time.perf_counter() - start)
+assert all(values == base for values in trials)
+print(repr(trials))
+"""
 VALIDATE = """
 import sys, time
 from fscat.category import pentagon_failures, validate
@@ -89,9 +115,10 @@ validate(load_bundled("fibonacci"))
 print("mpmath" in sys.modules)
 """
 TIMED = {"ind": (), "fs": (("fs_scalar", "s"),),
+         "gauge": (("trials", "s"),),
          "validate": (("validate", "ms"), ("pentagon", "ms")),
          "import": (("import", "ms"),)}
-DEFAULT_RUNS = {"ind": 3, "fs": 3, "validate": 5, "import": 5}
+DEFAULT_RUNS = {"ind": 3, "fs": 3, "gauge": 3, "validate": 5, "import": 5}
 
 
 def non_negative_int(text: str) -> int:
@@ -136,6 +163,8 @@ def child_argv(args, checkout, case):
         return ["-c", FS, spec_path(checkout, args.spec), args.object,
                 str(args.n), str(args.l), str(args.r),
                 *(["sweep"] if args.sweep else [])]
+    if args.mode == "gauge":
+        return ["-c", GAUGE, spec_path(checkout, args.spec), str(args.trials)]
     if args.mode == "validate":
         return ["-c", VALIDATE, spec_path(checkout, case)]
     return ["-c", IMPORT]
@@ -153,8 +182,9 @@ def parse_args(argv):
     sub = {}
     for mode, runs in DEFAULT_RUNS.items():
         m = sub[mode] = modes.add_parser(mode)
-        if mode in ("ind", "fs"):
+        if mode in ("ind", "fs", "gauge"):
             m.add_argument("spec")
+        if mode in ("ind", "fs"):
             m.add_argument("--object", required=True, help="a simple label")
         m.add_argument("checkouts", nargs="+", metavar="CHECKOUT",
                        help="one or two checkout directories")
@@ -167,6 +197,8 @@ def parse_args(argv):
     sub["fs"].add_argument("--sweep", action="store_true",
                            help="every l + r + 1 <= N in one process; "
                                 "ignores --l and --r")
+    sub["gauge"].add_argument("--trials", type=positive_int, default=20,
+                              help="as `fscat gauge-check --trials`")
     args = p.parse_args(argv)
     if len(args.checkouts) > 2:
         sub[args.mode].error("give one or two checkouts")
