@@ -76,7 +76,8 @@ from fscat.cli import SplitMix64, _random_gauge
 from fscat.indicators import indicator
 from fscat.specio import load_category
 cat = load_category(sys.argv[1])
-assert validate(cat).valid
+if not validate(cat).valid:
+    sys.exit("spec invalid")
 cells = [(a, n, r) for a in cat.labels for n in range(1, 5)
          for r in range(1, n + 1)]
 base = [indicator(cat, *cell) for cell in cells]
@@ -87,7 +88,8 @@ for _ in range(int(sys.argv[2])):
     gauged = gauge_transform(cat, _random_gauge(cat, rng))
     trials.append([indicator(gauged, *cell) for cell in cells])
 print(time.perf_counter() - start)
-assert all(values == base for values in trials)
+if any(values != base for values in trials):
+    sys.exit("a gauge trial changed a nu value")
 print(repr(trials))
 """
 VALIDATE = """
