@@ -1,11 +1,10 @@
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
-from conftest import ALL_BUNDLED, bundled
+from conftest import ALL_BUNDLED, bundled, random_gauge, wide_gauge
 
 from fscat import category as category_module
 from fscat.category import (Category, FSymbolSet, FusionRing, GaugeError,
@@ -160,20 +159,10 @@ def test_unit_skip_refused_on_a_broken_unit_row(name):
         _assert_pentagon_matches_reference(broken, key)
 
 
-def _wide_gauge(cat):
-    """Gauge entries 2, 3/5 and 1 + zeta_N in turn: not roots of unity, so
-    the gauged table has larger heights and denominators."""
-    values = (Cyc.rational(2), Cyc.rational(Fraction(3, 5)),
-              1 + root_of_unity(cat.conductor, 1))
-    triples = [t for t in cat.ring.admissible_triples()
-               if cat.unit not in t[:2]]
-    return {t: values[i % 3] for i, t in enumerate(triples)}
-
-
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_pentagon_on_wide_gauges_matches_the_reference(name):
     # every mutation of a small table, 40 drawn ones of a larger table
-    gauged = gauge_transform(bundled(name), _wide_gauge(bundled(name)))
+    gauged = gauge_transform(bundled(name), wide_gauge(bundled(name)))
     mutations = list(_single_entry_mutations(gauged))
     if len(mutations) > 40:
         mutations = random.Random(name).sample(mutations, 40)
@@ -308,7 +297,7 @@ def test_block_layout_matches_the_label_loops(name):
     # one pass over the stored rows lays out every block with both channel
     # lists in label order, on broken and multiplicity-2 rings too
     cat = bundled(name)
-    gauged = gauge_transform(cat, _random_gauge(cat, SplitMix64(5)))
+    gauged = gauge_transform(cat, random_gauge(cat, SplitMix64(5)))
     assert gauged.ring.blocks is cat.ring.blocks
     rings = [("spec", cat.ring), ("reversed", reverse_category(cat).ring),
              *_ring_breakages(cat.ring, random.Random(name))]
@@ -329,7 +318,7 @@ def _f_sanity_cases(name):
     cat = bundled(name)
     yield "spec", cat
     yield "reversed", reverse_category(cat)
-    yield "wide gauge", gauge_transform(cat, _wide_gauge(cat))
+    yield "wide gauge", gauge_transform(cat, wide_gauge(cat))
     for what, ring in _ring_breakages(cat.ring, random.Random(name)):
         yield what, Category(cat.name, ring, cat.F, cat.pivotal, cat.conductor)
     for (a, b, c, d), (es, fs) in walked_f_layout(cat.ring).items():
@@ -438,15 +427,6 @@ def test_object_expr_grammar():
 # -- gauge transformation ------------------------------------------------------
 
 
-def _random_gauge(cat, rng):
-    u = {}
-    for (a, b, c) in cat.ring.admissible_triples():
-        if a == cat.unit or b == cat.unit:
-            continue
-        u[(a, b, c)] = root_of_unity(cat.conductor, rng.next() % cat.conductor)
-    return u
-
-
 def _same_f_data(c1, c2):
     # omitted admissible entries default to 1, so compare semantically
     for (a, b, c, d), (es, fs) in walked_f_layout(c1.ring).items():
@@ -497,7 +477,7 @@ def test_randomized_gauges_preserve_validity(name):
     rng = SplitMix64(20240809)
     trials = 20
     for _ in range(trials):
-        out = gauge_transform(cat, _random_gauge(cat, rng))
+        out = gauge_transform(cat, random_gauge(cat, rng))
         report = validate(out)
         assert report.valid, (name, report.first_failure())
 
@@ -507,7 +487,7 @@ def test_gauge_transform_matches_the_division_reference(name):
     # the spec and its reversal, each under a root-of-unity and a wide gauge
     cat = bundled(name)
     for c in (cat, reverse_category(cat)):
-        for u in (_random_gauge(c, SplitMix64(20261019)), _wide_gauge(c)):
+        for u in (random_gauge(c, SplitMix64(20261019)), wide_gauge(c)):
             got, want = gauge_transform(c, u), divided_gauge_transform(c, u)
             assert list(got.F.entries.items()) == \
                 list(want.F.entries.items()), c.name
@@ -566,7 +546,7 @@ def test_a_zero_one_by_one_block_raises_the_singular_matrix_error():
     # the 1x1 inverse skips Gauss-Jordan but keeps its error, on the
     # category and on a gauge copy of it; no ZeroDivisionError escapes
     cat = _fib_with({"ttt1tt": Cyc.zero()})
-    gauged = gauge_transform(cat, _random_gauge(cat, SplitMix64(3)))
+    gauged = gauge_transform(cat, random_gauge(cat, SplitMix64(3)))
     for c in (cat, gauged):
         with pytest.raises(ValueError, match="^singular matrix$"):
             c.f_inv_block("t", "t", "t", "1")
@@ -664,7 +644,7 @@ def test_validate_certifies_blocks_without_inverting_them(monkeypatch):
     for name in ALL_BUNDLED:
         cat = load_bundled(name)
         cats += [cat, reverse_category(load_bundled(name)),
-                 gauge_transform(cat, _random_gauge(cat, SplitMix64(29)))]
+                 gauge_transform(cat, random_gauge(cat, SplitMix64(29)))]
     monkeypatch.setattr(Category, "f_block", counted)
     for c in cats:
         laid_out.clear()
@@ -700,8 +680,8 @@ def test_gauge_copies_transport_the_base_inverse_blocks(name, monkeypatch):
     monkeypatch.setattr(category_module, "mat_inv",
                         lambda m: inverted.append(m) or mat_inv(m))
     base = load_bundled(name)
-    gauges = [_random_gauge(base, SplitMix64(seed)) for seed in (41, 43)]
-    gauges.append(_wide_gauge(base))
+    gauges = [random_gauge(base, SplitMix64(seed)) for seed in (41, 43)]
+    gauges.append(wide_gauge(base))
     for i, u in enumerate(gauges):
         gauged = gauge_transform(base, u)
         for c in (gauged, gauge_transform(gauged, gauges[i - 1]),
@@ -720,7 +700,7 @@ def test_gauge_copies_transport_the_base_inverse_blocks(name, monkeypatch):
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_f_entry_memo_matches_the_blocks(name):
     cat = bundled(name)
-    gauged = gauge_transform(cat, _random_gauge(cat, SplitMix64(11)))
+    gauged = gauge_transform(cat, random_gauge(cat, SplitMix64(11)))
     # each category starts with an empty memo; the first sweep over a block
     # fills it and the second reads it back
     for c in (cat.with_pivotal(cat.pivotal), reverse_category(cat), gauged):

@@ -2,9 +2,12 @@ import math
 
 import pytest
 
-from conftest import PSEUDO_UNITARY, bundled
+from conftest import (ALL_BUNDLED, PSEUDO_UNITARY, bundled, random_gauge,
+                      wide_gauge)
 
-from fscat.category import fp_dimension, validate
+from fscat.category import (fp_dimension, gauge_transform, reverse_category,
+                            validate)
+from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc
 from fscat.homcalc import LinMap, pivotal_trace
 from fscat.pivotal import (attach_pivotal, canonical_flags,
@@ -69,6 +72,40 @@ def test_attach_pivotal_refuses_an_index_out_of_range():
     for index in (-1, "-1", -count, count):
         with pytest.raises(ValueError, match="pivotal index"):
             attach_pivotal(v3, index)
+
+
+def _families(cat, sols):
+    return {tuple(s.t[a] for a in cat.labels) for s in sols}
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_enumeration_commutes_with_gauges(name):
+    # t'(a) = t(a) ev'(a) / ev(a) carries the base's structures onto the
+    # gauged category's, as sets, for root-of-unity and wide gauges alike
+    base = bundled(name)
+    sols = enumerate_pivotal_structures(base)
+    gauges = [random_gauge(base, SplitMix64(seed)) for seed in (41, 43)]
+    gauges.append(wide_gauge(base))
+    for i, u in enumerate(gauges):
+        gauged = gauge_transform(base, u)
+        if name == "vec_z3" and i == 2:
+            # its roots are not roots of unity: refused, not mis-solved
+            with pytest.raises(ArithmeticError, match="non-root-of-unity"):
+                enumerate_pivotal_structures(gauged)
+            continue
+        ratio = {a: gauged.ev_coefficient(a) / base.ev_coefficient(a)
+                 for a in base.labels}
+        want = {tuple(s.t[a] * ratio[a] for a in base.labels) for s in sols}
+        assert _families(gauged, enumerate_pivotal_structures(gauged)) == want
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_enumeration_of_the_reversal_inverts(name):
+    base = bundled(name)
+    rev = reverse_category(base)
+    want = {tuple(s.t[a].inverse() for a in base.labels)
+            for s in enumerate_pivotal_structures(base)}
+    assert _families(rev, enumerate_pivotal_structures(rev)) == want
 
 
 # -- dimension theory -----------------------------------------------------------
