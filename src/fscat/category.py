@@ -202,9 +202,6 @@ class PivotalData:
 
     t: dict
 
-    def __call__(self, a):
-        return self.t[a]
-
 
 class ObjectExpr:
     """Formal direct sum of simples with nonnegative multiplicities."""

@@ -89,7 +89,7 @@ def _ensure_pivotal(cat: Category, choice) -> Category:
         return cat
     try:
         return attach_pivotal(cat, "canonical" if choice is None else choice)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise _Semantic(f"pivotal data absent and not derivable: {exc}") from None
 
 

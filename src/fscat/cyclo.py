@@ -288,6 +288,20 @@ def _monomials(n: int) -> dict:
     return out
 
 
+def _root_exponent(x):
+    """(k, m) with x = z_m^k, 0 <= k < m and gcd(k, m) = 1, or None when x
+    is no root of unity.  A root of unity at conductor n is +-z_n^j, so its
+    denominator is 1 and its numerators are a key of ``_monomials(n)``."""
+    n = x.conductor
+    power = _monomials(n).get(x.num) if x.den == 1 else None
+    if power is None:
+        return None
+    j, s = power
+    e = 2 * j if s > 0 else (2 * j + n) % (2 * n)  # x = z_2n^e, -1 = z_2n^n
+    g = gcd(e, 2 * n)
+    return e // g, 2 * n // g
+
+
 def _image(num, n: int, step: int) -> list[int]:
     """Numerators of sum_j num[j] z_n^(j*step) on the power basis at n."""
     table = _power_table(n)

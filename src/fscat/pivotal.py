@@ -8,44 +8,32 @@ in closed form from three F-symbols (``homcalc.double_dual_inverse``, kept
 per category by ``homcalc.double_dual_inverses``, which ``validate`` fills),
 which is exact on F-data that passes the pentagon, so enumeration expects
 validated F-data.  The system is solved exactly: write the exponent lattice
-of the relations, diagonalize over the integers, extract the required roots
-(which are roots of unity for these systems), and enumerate the finite
-character torsor on top of one particular solution.
+of the relations, diagonalize it over the integers, read each required
+d-th root off the field's table of monomials +-z^j (``cyclo._root_exponent``;
+the root of a scalar that is no root of unity is refused with
+``ArithmeticError``, not searched for), enumerate the finite character
+torsor on top of that particular solution, and keep each candidate that
+satisfies every relation.
 """
 
 from __future__ import annotations
 
-from .category import Category, PivotalData, memoised
-from .cyclo import Cyc, root_of_unity
+import itertools
+
+from .category import Category, PivotalData, fp_dimension, memoised
+from .cyclo import Cyc, _root_exponent, root_of_unity
 from .homcalc import double_dual_inverses, pivotal_dimension
 from .snf import diagonalize
 
 ONE = Cyc.one()
 
 
-def _unit_root_order(c: Cyc):
-    """Multiplicative order of c if it is a root of unity, else None."""
-    n = c.reduced_key()[0]
-    bound = n if n % 2 == 0 else 2 * n
-    acc = ONE
-    for m in range(1, bound + 1):
-        acc = acc * c
-        if acc == 1:
-            return m
-    return None
-
-
 def _root_of_value(c: Cyc, d: int):
-    """Some x with x^d = c, for c a root of unity; None when unsupported."""
+    """Some x with x^d = c: c when d = 1; for c = z_m^k, z_(m d)^k; else None."""
     if d == 1:
         return c
-    order = _unit_root_order(c)
-    if order is None:
-        return None
-    for j in range(order):
-        if c == root_of_unity(order, j):
-            return root_of_unity(order * d, j)
-    return None
+    root = _root_exponent(c)
+    return None if root is None else root_of_unity(root[1] * d, root[0])
 
 
 def enumerate_pivotal_structures(category: Category):
@@ -64,104 +52,65 @@ def enumerate_pivotal_structures(category: Category):
 def _solve_pivotal_structures(category: Category):
     """The sorted families of ``enumerate_pivotal_structures``, solved."""
     ring = category.ring
-    unit = ring.unit
+    unit, dual = ring.unit, ring.dual
     unknowns = [a for a in ring.labels if a != unit]
     pos = {a: i for i, a in enumerate(unknowns)}
-
+    deltas = double_dual_inverses(category)
+    # t(a) t(b) t(c)^-1 = delta^-1(a, b, c) per channel, t(a) t(a*) = 1
+    relations = [(((a, 1), (b, 1), (c, -1)), value)
+                 for (a, b, c), value in deltas.items()]
+    relations += [(((a, 1), (dual[a], 1)), ONE) for a in unknowns]
     rows = []
-    rhs = []
-
-    def add_relation(exps, value):
-        rows.append(exps)
-        rhs.append(value)
-
-    for (a, b, c), delta_inv in double_dual_inverses(category).items():
+    for terms, _ in relations:
         exps = [0] * len(unknowns)
-        for x, s in ((a, 1), (b, 1), (c, -1)):
+        for x, s in terms:
             if x != unit:
                 exps[pos[x]] += s
-        add_relation(exps, delta_inv)
-    for a in unknowns:
-        exps = [0] * len(unknowns)
-        exps[pos[a]] += 1
-        if ring.dual[a] != unit:
-            exps[pos[ring.dual[a]]] += 1
-        add_relation(exps, ONE)
+        rows.append(exps)
 
     u, d, v = diagonalize(rows)
-    nrows, ncols = len(rows), len(unknowns)
-
-    def u_transform(i):
-        acc = ONE
-        for k, e in enumerate(u[i]):
-            if e:
-                acc = acc * rhs[k] ** e
-        return acc
-
-    rank = 0
-    for i in range(min(nrows, ncols)):
-        if d[i][i]:
-            rank += 1
-    if rank < ncols:
+    rank = sum(1 for i in range(min(len(rows), len(unknowns))) if d[i][i])
+    if rank < len(unknowns):
         raise ArithmeticError(
             "pivotal solution space is not finite; the exponent lattice of "
             "the relations does not have full column rank")
-    for i in range(nrows):
-        if i >= rank:
-            if u_transform(i) != 1:
-                return ()
+    # the right-hand sides in the diagonal basis: z_i^(d_i) = c_i
+    cs = []
+    for row in u:
+        acc = ONE
+        for e, (_, value) in zip(row, relations):
+            if e:
+                acc = acc * value ** e
+        cs.append(acc)
+    if any(c != 1 for c in cs[rank:]):
+        return ()
 
-    particular = []
-    orders = []
+    roots = []
     for i in range(rank):
         di = d[i][i]
-        ci = u_transform(i)
-        zi = _root_of_value(ci, di)
+        zi = _root_of_value(cs[i], di)
         if zi is None:
             raise ArithmeticError(
                 f"needed a degree-{di} root of a non-root-of-unity scalar; "
                 "this enumeration supports root-of-unity systems only")
-        particular.append(zi)
-        orders.append(di)
+        roots.append([zi * root_of_unity(di, j) for j in range(di)])
 
     solutions = []
-    combo = [0] * rank
-
-    def emit():
-        z = [particular[i] * root_of_unity(orders[i], combo[i])
-             for i in range(rank)]
+    for z in itertools.product(*roots):
         t = {unit: ONE}
-        for a in unknowns:
+        for a, exps in zip(unknowns, v):
             acc = ONE
-            for i in range(rank):
-                e = v[pos[a]][i]
+            for e, root in zip(exps, z):
                 if e:
-                    acc = acc * z[i] ** e
+                    acc = acc * root ** e
             t[a] = acc
-        for exps, value in zip(rows, rhs):
-            acc = ONE
-            for a in unknowns:
-                e = exps[pos[a]]
-                if e:
-                    acc = acc * t[a] ** e
-            if acc != value:
-                return
-        solutions.append(PivotalData(t))
-
-    def rec(i):
-        if i == rank:
-            emit()
-            return
-        for j in range(orders[i]):
-            combo[i] = j
-            rec(i + 1)
-
-    rec(0)
-
-    def sort_key(piv):
-        return tuple(_encode_key(piv.t[a]) for a in ring.labels)
-
-    return tuple(sorted(solutions, key=sort_key))
+        monoidal = all(t[a] * t[b] == t[c] * value
+                       for (a, b, c), value in deltas.items())
+        if monoidal and all(t[a] * t[dual[a]] == 1 for a in unknowns):
+            solutions.append(PivotalData(t))
+    return tuple(sorted(
+        solutions,
+        key=lambda piv: tuple(_encode_key(piv.t[a]) for a in ring.labels)))
 
 
 def _encode_key(value: Cyc):
@@ -171,18 +120,13 @@ def _encode_key(value: Cyc):
 
 def canonical_flags(category: Category, solutions):
     """True where a solution realizes catr(j) = FPdim on every simple."""
-    from .category import fp_dimension
-
+    fpdim = {a: fp_dimension(category, a) for a in category.labels}
     flags = []
     for piv in solutions:
         cat = category.with_pivotal(piv)
-        ok = True
-        for a in cat.labels:
-            tr = pivotal_dimension(cat, a, "right")
-            if abs(tr.embed() - fp_dimension(cat, a)) >= 1e-9:
-                ok = False
-                break
-        flags.append(ok)
+        flags.append(all(
+            abs(pivotal_dimension(cat, a, "right").embed() - fpdim[a]) < 1e-9
+            for a in cat.labels))
     return flags
 
 
@@ -225,8 +169,6 @@ def global_dimension(category: Category) -> Cyc:
 
 def is_pseudo_unitary(category: Category):
     """(verdict, gap): |dim(C) - sum FPdim^2| < 1e-9 decides the verdict."""
-    from .category import fp_dimension
-
     dim = global_dimension(category).embed()
     fp = sum(fp_dimension(category, a) ** 2 for a in category.labels)
     gap = abs(dim - fp)

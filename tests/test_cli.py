@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import bundled, wide_gauge
 from references import bundled_path
+
+from fscat.category import gauge_transform
+from fscat.specio import save_category
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -94,6 +98,21 @@ def test_ind_requires_derivable_pivotal(tmp_path):
     out = run_cli("ind", str(bare), "--object", "t", "--n", "1..2",
                   "--pivotal", "first")
     assert out.returncode == 0
+
+
+def test_ind_names_a_refused_enumeration(tmp_path):
+    # the wide gauge of vec_z3 is valid, but its pivotal relations need
+    # cube roots of scalars that are no roots of unity, which the solver
+    # refuses; ``ind`` reports that on one line instead of a traceback
+    v3 = bundled("vec_z3")
+    path = tmp_path / "wide.json"
+    save_category(gauge_transform(v3, wide_gauge(v3)).with_pivotal(None), path)
+    assert run_cli("validate", str(path)).returncode == 0
+    out = run_cli("ind", str(path), "--object", "g", "--n", "2")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: pivotal data absent and not derivable: ")
+    assert "non-root-of-unity" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_ind_object_grammar_error():

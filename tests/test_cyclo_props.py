@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fscat import cyclo
 from fscat.cyclo import Cyc, root_of_unity, triple_residues
 
 CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 24)
@@ -234,6 +235,22 @@ def test_every_monomial_power_inverts():
         for k in range(n):
             for q in (Fraction(-3, 7), 1):
                 check_monomial_inverse(n, k, q, q * root_of_unity(n, k), b)
+
+
+def test_root_exponent_reads_every_root_of_unity():
+    # s z_n^k = z_m^j with j / m the reduced k / n, plus 1/2 when s = -1;
+    # its rational multiples other than itself are no roots of unity
+    for n in CONDUCTORS:
+        for k in range(n):
+            for s in (1, -1):
+                x = s * root_of_unity(n, k)
+                want = Fraction(2 * k + (n if s < 0 else 0), 2 * n) % 1
+                assert cyclo._root_exponent(x) == \
+                    (want.numerator, want.denominator), (n, k, s)
+                for q in (2, Fraction(1, 3), Fraction(-3, 7)):
+                    assert cyclo._root_exponent(q * x) is None, (n, k, s, q)
+    for x in (Cyc.zero(), 1 + root_of_unity(4, 1), 2 + root_of_unity(5, 2)):
+        assert cyclo._root_exponent(x) is None, x
 
 
 @given(elements(), st.fractions(min_value=-5, max_value=5, max_denominator=7))

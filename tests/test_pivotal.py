@@ -8,9 +8,9 @@ from conftest import (ALL_BUNDLED, PSEUDO_UNITARY, bundled, random_gauge,
 from fscat.category import (fp_dimension, gauge_transform, reverse_category,
                             validate)
 from fscat.cli import SplitMix64
-from fscat.cyclo import Cyc
+from fscat.cyclo import Cyc, root_of_unity
 from fscat.homcalc import LinMap, pivotal_trace
-from fscat.pivotal import (attach_pivotal, canonical_flags,
+from fscat.pivotal import (_root_of_value, attach_pivotal, canonical_flags,
                            enumerate_pivotal_structures, global_dimension,
                            is_pseudo_unitary, normed_square)
 
@@ -74,6 +74,47 @@ def test_attach_pivotal_refuses_an_index_out_of_range():
             attach_pivotal(v3, index)
 
 
+def _searched_root(c, d):
+    """The d-th root of a root of unity c found by search: the order m of c
+    by repeated products, then the j with c = z_m^j by comparison, then
+    z_(m d)^j; None when no power of c up to the bound is 1."""
+    if d == 1:
+        return c
+    n = c.reduced_key()[0]
+    acc = Cyc.one()
+    for m in range(1, 2 * n + 1):
+        acc = acc * c
+        if acc == 1:
+            j = next(j for j in range(m) if c == root_of_unity(m, j))
+            return root_of_unity(m * d, j)
+    return None
+
+
+def test_roots_are_read_as_the_search_found_them():
+    # the same element at the same conductor, so every enumerated t(a)
+    # keeps its repr
+    for n in (1, 3, 4, 5, 7, 8, 9, 12, 15, 24):
+        for k in range(n):
+            for s in (1, -1):
+                c = s * root_of_unity(n, k)
+                for d in (1, 2, 3, 4):
+                    got, want = _root_of_value(c, d), _searched_root(c, d)
+                    assert (repr(got), got.conductor) == \
+                        (repr(want), want.conductor), (n, k, s, d)
+                    assert got ** d == c
+    for c in (Cyc.rational(2), 1 + root_of_unity(4, 1)):
+        assert _root_of_value(c, 1) is c
+        assert _root_of_value(c, 3) is None is _searched_root(c, 3)
+
+
+def _foreign_gauge(cat, m):
+    """Gauge entries z_m^j with m prime to the conductor or a multiple of it:
+    their relations need roots of roots of unity other than 1."""
+    triples = [t for t in cat.ring.admissible_triples()
+               if cat.unit not in t[:2]]
+    return {t: root_of_unity(m, (5 * i + 1) % m) for i, t in enumerate(triples)}
+
+
 def _families(cat, sols):
     return {tuple(s.t[a] for a in cat.labels) for s in sols}
 
@@ -86,6 +127,7 @@ def test_enumeration_commutes_with_gauges(name):
     sols = enumerate_pivotal_structures(base)
     gauges = [random_gauge(base, SplitMix64(seed)) for seed in (41, 43)]
     gauges.append(wide_gauge(base))
+    gauges += [_foreign_gauge(base, m) for m in (7, 8, 12)]
     for i, u in enumerate(gauges):
         gauged = gauge_transform(base, u)
         if name == "vec_z3" and i == 2:
