@@ -108,8 +108,9 @@ def test_roots_are_read_as_the_search_found_them():
 
 
 def _foreign_gauge(cat, m):
-    """Gauge entries z_m^j with m prime to the conductor or a multiple of it:
-    their relations need roots of roots of unity other than 1."""
+    """Gauge entries z_m^j at a conductor m of the gauge's choosing; on
+    vec_z3 (m = 7, 8, 12) the relations need roots of z_7, -z_8^3 and
+    z_12^3, where the bundled data only ever need roots of 1."""
     triples = [t for t in cat.ring.admissible_triples()
                if cat.unit not in t[:2]]
     return {t: root_of_unity(m, (5 * i + 1) % m) for i, t in enumerate(triples)}
