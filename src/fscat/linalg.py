@@ -34,6 +34,9 @@ broke even between 27 and 64 multiply-adds).
 ``mat_vec`` takes the column form and does one multiply-add per stored
 nonzero that meets a nonzero coordinate of the vector: the path-move
 matrices it is applied to are sparse, and so are the vectors they move.
+``vec_mat`` is its transpose partner: a row vector times a column form, one
+dot product per stored column over the row's nonzeros, for the row
+functionals that read many vectors through one chain of matrices.
 ``col_mul`` multiplies two column forms the same way, one multiply-add per
 pair of stored nonzeros that meet, unless that count reaches
 ``_PACK_FRACTION`` of rows * inner * cols: then it converts both with
@@ -119,6 +122,23 @@ def mat_vec(a, v, out=None):
         if y:
             for i, x in col:
                 out[i] = out[i] + x * y
+    return out
+
+
+def vec_mat(phi, a):
+    """The row vector phi a for ``a`` in column form: one dot product per
+    stored column, over the nonzeros of phi only; ``mat_vec``'s transpose."""
+    rows, cols = a
+    if len(phi) != rows:
+        raise ValueError("matrix shape mismatch")
+    out = []
+    for col in cols:
+        acc = ZERO
+        for i, x in col:
+            y = phi[i]
+            if y:
+                acc = acc + y * x
+        out.append(acc)
     return out
 
 

@@ -8,7 +8,9 @@ both through the module's size selection and forced through the packed
 kernel.  ``mat_vec`` takes the column form and skips the vector's zero
 coordinates, so its reference loop runs over the dense rows and visits every
 coordinate; ``columns`` below turns those rows into the column form, and
-``linalg.dense`` must turn it back.  The product of two column forms,
+``linalg.dense`` must turn it back.  Its transpose partner ``vec_mat``
+skips the row vector's zero coordinates and must agree with the dense loop
+and with ``mat_vec`` through (phi a) v = phi (a v).  The product of two column forms,
 ``col_mul``, and ``is_identity_product`` must agree with the dense product
 and ``is_identity`` on both sides of their packed switch.  The integer
 determinant ``int_det`` must agree with the Leibniz expansion.
@@ -178,13 +180,19 @@ def mat_vec_operands(draw, conductors):
     else:
         cell = entries(na)
     a = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    return a, draw(vectors(cols, nv))
+
+
+@st.composite
+def vectors(draw, size, n):
+    """``size`` coordinates at conductor n: any, all zero, or one nonzero."""
     kind = draw(st.sampled_from(("any", "zero", "one nonzero")))
-    v = [Cyc.zero()] * cols
+    v = [Cyc.zero()] * size
     if kind == "any":
-        v = [draw(entries(nv)) for _ in range(cols)]
-    elif kind == "one nonzero" and cols:
-        v[draw(st.integers(0, cols - 1))] = draw(entries(nv).filter(bool))
-    return a, v
+        v = [draw(entries(n)) for _ in range(size)]
+    elif kind == "one nonzero" and size:
+        v[draw(st.integers(0, size - 1))] = draw(entries(n).filter(bool))
+    return v
 
 
 @pytest.mark.parametrize("conductors", CONDUCTOR_PAIRS,
@@ -227,6 +235,43 @@ def test_mat_vec_reads_every_nonzero_coordinate():
 def test_mat_vec_empty_shapes(rows, cols):
     a = [[root_of_unity(8, 1)] * cols for _ in range(rows)]
     assert linalg.mat_vec(columns(a, cols), [Cyc.one()] * cols) == [0] * rows
+
+
+# -- vec_mat ------------------------------------------------------------------
+
+
+def reference_vec_mat(phi, a, width):
+    return [sum((phi[i] * a[i][j] for i in range(len(a))), Cyc.zero())
+            for j in range(width)]
+
+
+def dot(x, y):
+    return sum((p * q for p, q in zip(x, y)), Cyc.zero())
+
+
+@pytest.mark.parametrize("conductors", CONDUCTOR_PAIRS,
+                         ids=[f"{a}x{b}" for a, b in CONDUCTOR_PAIRS])
+@given(data=st.data())
+def test_vec_mat_matches_reference_loop(conductors, data):
+    # a row vector of the second conductor times a matrix of the first,
+    # against the dense loop; then (phi a) v = phi (a v) with mat_vec
+    a, v = data.draw(mat_vec_operands(conductors))
+    phi = data.draw(vectors(len(a), conductors[1]))
+    cols = columns(a, len(v))
+    row = linalg.vec_mat(phi, cols)
+    assert row == reference_vec_mat(phi, a, len(v))
+    assert dot(row, v) == dot(phi, linalg.mat_vec(cols, v))
+
+
+def test_vec_mat_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        linalg.vec_mat([Cyc.one()], columns([[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+def test_vec_mat_empty_shapes(rows, cols):
+    a = [[root_of_unity(8, 1)] * cols for _ in range(rows)]
+    assert linalg.vec_mat([Cyc.one()] * rows, columns(a, cols)) == [0] * cols
 
 
 @pytest.mark.parametrize("a, v", [([[1, 1]], [1]), ([[1]], [1, 1]),
