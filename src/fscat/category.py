@@ -253,6 +253,8 @@ class ObjectExpr:
 # The memo kinds kept on the fusion ring, which depend on the fusion rules
 # alone; ``memoised(ring=True)`` adds each at import, before its first write.
 RING_KINDS = set()
+# what ``Category.cached`` reads for a key not built yet: None is a result
+_MISSING = object()
 
 
 def memoised(kind=None, ring=False):
@@ -344,8 +346,8 @@ class Category:
         """The memo entry ``key`` (a tuple led by its kind), built on a miss;
         kinds of ``RING_KINDS`` are kept on the fusion ring."""
         store = self.ring._cache if key[0] in RING_KINDS else self._cache
-        got = store.get(key)
-        if got is None:
+        got = store.get(key, _MISSING)
+        if got is _MISSING:
             got = build()
             store[key] = got
         return got

@@ -52,9 +52,12 @@ checked on each build, so a basis kept on a ring is not counted again.
 Per category are kept the fuse and split steps, dropped unit letters,
 evaluation pairs, guest-path grafts, the nested coevaluation vectors, the
 bend hosts ``_bend_tops`` and the bends by columns ``_bend_columns``, and
-two stages of the Frobenius-Schur endomorphisms: the right coevaluation
-blocks (``indicators._right_block``) and the torn-down middle that every l
-of an (n, r) shares (``indicators._torn_down``).  A bend host depends only
+four stages of the Frobenius-Schur endomorphisms: the right coevaluation
+blocks (``indicators._right_block``), the torn-down middle that every l
+of an (n, r) shares (``indicators._torn_down``), the closing functional
+that every r of an (n, l) shares (``indicators._closing_functional``) and
+its reads through the chunk grafts (``indicators._fs_read``), which keep
+no graft matrix of their own.  A bend host depends only
 on the bent letters, so every bend of a word with the same head shares it.
 ``insert_vector_matrix`` and ``splice_host_matrix`` are not memoised:
 their key would hold a ``Cyc`` vector, and hashing an irrational ``Cyc``

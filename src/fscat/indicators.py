@@ -24,7 +24,13 @@ letters.  Block monoidality itself is checked at n <= 5.  The
 Frobenius-Schur endomorphisms are built independently, from dual bases of
 the composition pairing transported through the trivial component, so the
 trace formula is a genuine cross-check between two routes and not a
-definition.
+definition.  Their build meets in the middle, at the torn word: the
+forward half, the coevaluations inserted and the middle chunk torn down,
+is shared by every l of an (n, r) (``_torn_down``); the backward half, the
+chunk grafted back and the three loops closed, is one row functional per
+torn word, shared by every r of an (n, l) (``_closing_functional``, read
+through each graft by ``_fs_read``).  The words of 2n - 1 letters are
+still counted against the guard on every request.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .homcalc import (DimensionGuardError, LinMap, _bend_columns,
                       graft_path_matrix, insert_vector_matrix, path_counts,
                       paths, pivotal_dimension)
 from .linalg import (col_mul, dense, is_identity, is_identity_product,
-                     mat_equal, mat_mul, mat_trace, mat_vec)
+                     mat_equal, mat_mul, mat_trace, mat_vec, vec_mat)
 from .pivotal import is_pseudo_unitary
 
 ONE = Cyc.one()
@@ -407,19 +413,67 @@ def _torn_down(cat: Category, support, c, n: int, r: int):
     return tuple(out)
 
 
+@memoised()
+def _closing_functional(cat: Category, word, c, l: int):
+    """(c_out, phi): the three loop closures of FS^{(n,l,r)} on Hom(c, word)
+    as one row vector, phi = e_0 C_last ... C_first; read-only.
+
+    n follows from len(word) = 2n - 1, and the closing positions depend on
+    n and l alone: the left loop (positions l-1 .. 0), then the middle and
+    the right ones, which stand next to each other (positions n-l-1 .. 1).
+    So every r of an (n, l) reads the same functional.  The closures'
+    words are listed forward, then phi is built backward through the
+    ``contract_pair_matrix`` columns (``linalg.vec_mat``), starting from
+    the one path of the closed word (c_out,).  None where a closure meets
+    no dual pair, or where Hom(c, c_out) is zero.
+    """
+    n = (len(word) + 1) // 2
+    chain, cur = [], word
+    for pos in (*range(l - 1, -1, -1), *range(n - l - 1, 0, -1)):
+        if cat.dual(cur[pos]) != cur[pos + 1]:
+            return None
+        chain.append((cur, pos))
+        cur = cur[:pos] + cur[pos + 2:]
+    assert len(cur) == 1
+    if not paths(cat, cur, c):
+        return None
+    phi = [ONE]
+    for letters, pos in reversed(chain):
+        phi = vec_mat(phi, contract_pair_matrix(cat, letters, c, pos))
+    return cur[0], phi
+
+
+@memoised()
+def _fs_read(cat: Category, cur, c, l: int, chunk, pi):
+    """(c_out, psi): the closing functional of FS^{(n,l,r)} read through the
+    graft of the chunk's path pi at position l of the torn word ``cur``, a
+    row vector on Hom(c, cur); None where no closure is made.  psi subsumes
+    the graft, so the graft matrix itself is not kept."""
+    closing = _closing_functional(cat, cur[:l] + chunk + cur[l:], c, l)
+    if closing is None:
+        return None
+    c_out, phi = closing
+    return c_out, vec_mat(phi, graft_path_matrix.__wrapped__(cat, cur, c, l,
+                                                             chunk, pi))
+
+
 def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
     """Matrix of FS^{(n,l,r)} on Hom(c, V) blocks, V the sum of `support`.
 
-    The left coevaluation block, with the middle one spliced into it, is one
+    The build meets in the middle, at the torn word.  Forward: the left
+    coevaluation block, with the middle one spliced into it, is one
     ``db_prime_vector``, inserted in front of the right block
     (``_right_block``), and the middle loop's n letters are torn down to the
     unit.  None of that depends on l, only on m = n - 1 - r = l + (n - k),
-    so it is built once per (n, r) and shared by every l (``_torn_down``);
-    each l scales a torn state by the inverse pivotal scalars of its left
-    letters, grafts the chunk back at position l and closes the three
-    loops.  The inserted words of 2n - 1 letters are still the longest
-    built, and they are counted against the guard on every request, before
-    the shared middle is read or built.  Returns {(c_in, c_out): Cyc};
+    so it is built once per (n, r) and shared by every l (``_torn_down``).
+    Backward: grafting the chunk back at position l and closing the three
+    loops is linear and depends on (n, l) alone, so it is one row
+    functional per torn word, chunk and path, shared by every r
+    (``_fs_read`` over ``_closing_functional``).  Each request only scales
+    the dot product of the two halves by the inverse pivotal scalars of its
+    left letters.  The inserted words of 2n - 1 letters are still the
+    longest built, and they are counted against the guard on every request,
+    before either half is read or built.  Returns {(c_in, c_out): Cyc};
     multiplicity-free direct sums only, so a repeated label is refused.
     """
     k = l + r + 1
@@ -441,35 +495,27 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
     # right-closure shaped, so their coevaluations carry the inverse and
     # direct pivotal scalars of their letters (the middle loop is
     # chirality-matched and carries none)
-    scale = functools.cache(lambda ua: math.prod(
-        (cat.t(y).inverse() for y in ua), start=ONE))
-    # close the three loops: the left one (positions l-1 .. 0), then the
-    # middle and the right ones, which stand next to each other
-    closing = [*range(l - 1, -1, -1), *range(r + nk, 0, -1)]
+    scales = {}
     out = {}
     for c in support:
-        # rebuild each torn chunk along its pi at position l
-        state = {}
-        for u, cur, chunk, pi, vec in _torn_down(cat, support, c, n, r):
-            if nk < len(u):
-                vec = [scale(u[nk:]) * x for x in vec]
-            graft = graft_path_matrix(cat, cur, c, l, chunk, pi)
-            word = cur[:l] + chunk + cur[l:]
-            state[word] = mat_vec(graft, vec, state.get(word))
         final = {}
-        for word, vec in state.items():
-            cur, v = word, vec
-            for pos in closing:
-                if cat.dual(cur[pos]) != cur[pos + 1]:
-                    break
-                v = mat_vec(contract_pair_matrix(cat, cur, c, pos), v)
-                cur = cur[:pos] + cur[pos + 2:]
-            else:
-                assert len(cur) == 1
-                _accumulate(final, cur, v)
-        for word, vec in final.items():
-            if vec[0] or word == (c,):
-                out[(c, word[0])] = vec[0]
+        for u, cur, chunk, pi, vec in _torn_down(cat, support, c, n, r):
+            read = _fs_read(cat, cur, c, l, chunk, pi)
+            if read is None:
+                continue
+            c_out, psi = read
+            x = ZERO
+            for p, y in zip(psi, vec):
+                if p and y:
+                    x = x + p * y
+            if x and nk < len(u):
+                ua = u[nk:]
+                if ua not in scales:
+                    scales[ua] = math.prod((cat.t(y).inverse() for y in ua),
+                                           start=ONE)
+                x = scales[ua] * x
+            final[c_out] = final[c_out] + x if c_out in final else x
+        out.update(((c, c_out), val) for c_out, val in final.items() if val)
         out.setdefault((c, c), ZERO)
     return out
 

@@ -12,7 +12,7 @@ import pytest
 
 import fscat
 import references
-from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled
+from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled, random_gauge
 from references import (closed_loop_trace, compose, db_vector, dual_morphism,
                         s3_table, spliced_db_prime_vector,
                         spliced_e_map_matrix, unshared_fs_blocks)
@@ -604,11 +604,11 @@ def test_fs_blocks_refuse_a_repeated_label():
         _fs_blocks(fib, ("t", "1", "1"), 2, 0, 0)
 
 
-@pytest.mark.parametrize("name", ALL_BUNDLED)
-def test_fs_blocks_match_the_unshared_route(name):
-    # the middle shared by every l of an (n, r) against the per-l build,
-    # block for block: every simple at n <= 5, every two-term sum at n <= 4
-    cat = bundled(name).with_pivotal(bundled(name).pivotal)
+def _check_fs_blocks_against_the_unshared_route(cat):
+    """The forward middle shared by every l of an (n, r) and the backward
+    closing functional shared by every r of an (n, l), against the build of
+    each (l, r) alone, block for block: every simple at n <= 5, every
+    two-term sum at n <= 4."""
     supports = [((a,), 5) for a in cat.labels]
     supports += [(pair, 4) for pair in itertools.combinations(cat.labels, 2)]
     for support, nmax in supports:
@@ -617,7 +617,33 @@ def test_fs_blocks_match_the_unshared_route(name):
                 for r in range(n - l):
                     assert _fs_blocks(cat, support, n, l, r) == \
                         unshared_fs_blocks(cat, support, n, l, r), \
-                        (support, n, l, r)
+                        (cat.name, support, n, l, r)
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_fs_blocks_match_the_unshared_route(name):
+    _check_fs_blocks_against_the_unshared_route(
+        bundled(name).with_pivotal(bundled(name).pivotal))
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_fs_blocks_match_the_unshared_route_on_a_reversal_and_a_gauge(name):
+    cat = bundled(name)
+    rng = SplitMix64(9100 + ALL_BUNDLED.index(name))
+    for other in (reverse_category(cat),
+                  gauge_transform(cat, random_gauge(cat, rng))):
+        _check_fs_blocks_against_the_unshared_route(other)
+
+
+def test_fs_blocks_match_the_unshared_route_on_every_pivotal_of_vec_z3():
+    # vec_z3 has pivotal structures that are not spherical, so there the
+    # left and right closures carry different scalars
+    base = bundled("vec_z3")
+    structures = enumerate_pivotal_structures(base)
+    cats = [attach_pivotal(base, i) for i in range(len(structures))]
+    assert not all(is_spherical(cat) for cat in cats)
+    for cat in cats:
+        _check_fs_blocks_against_the_unshared_route(cat)
 
 
 def test_fs_middle_is_built_once_per_n_and_r(monkeypatch):
@@ -641,23 +667,67 @@ def test_fs_middle_is_built_once_per_n_and_r(monkeypatch):
         == [(("t",), "t", 5, r) for r in range(5)]
 
 
+def test_fs_closing_functional_is_built_once_per_word_and_l(monkeypatch):
+    # the 15 (l, r) of Fibonacci t at n = 5 close loops on one word of 9
+    # letters, so they build five closing functionals, one per l; the first
+    # r of an l builds its functional and its chunk reads, and every later r
+    # of that l reads them and builds neither
+    reads = []
+    real = Category.cached
+
+    def counted(cat, key, build):
+        built = []
+        got = real(cat, key, lambda: built.append(key) or build())
+        reads.append((key, bool(built)))
+        return got
+
+    monkeypatch.setattr(Category, "cached", counted)
+    fib = load_bundled("fibonacci")
+    word = ("t",) * 9
+    seen = set()
+    for r in range(5):
+        for l in range(5 - r):
+            del reads[:]
+            fs_scalar(fib, "t", 5, l, r)
+            fs = [(key, built) for key, built in reads
+                  if key[0] in ("_fs_read", "_closing_functional")]
+            assert fs and {key[3] for key, _ in fs} == {l}
+            built = [key for key, built in fs if built]
+            if l in seen:
+                assert not built, (l, r)
+            else:
+                assert ("_closing_functional", word, "t", l) in built
+            seen.add(l)
+    assert sorted(key[1:] for key in fib._cache
+                  if key[0] == "_closing_functional") == \
+        [(word, "t", l) for l in range(5)]
+
+
 def test_fs_guard_applies_on_a_memo_hit(monkeypatch):
     # FS^(5,1,0) reads the middle FS^(5,0,0) built, but its words of 9
-    # letters are still counted against the guard on the request
+    # letters are still counted against the guard on the request; so are
+    # those of FS^(5,0,1), which reads the closing functional FS^(5,0,0) built
     fib = load_bundled("fibonacci")
     monkeypatch.delenv("FSCAT_NMAX_GUARD", raising=False)
     fs_scalar(fib, "t", 5, 0, 0)
     assert ("_torn_down", ("t",), "t", 5, 0) in fib._cache
+    closing = ("_closing_functional", ("t",) * 9, "t", 0)
+    assert closing in fib._cache
     chains = [key for key in fib._cache if key[0] == "graft"]
-    assert chains
+    reads = [key for key in fib._cache if key[0] == "_fs_read"]
+    assert chains and reads
     monkeypatch.setenv("FSCAT_NMAX_GUARD", "3")
     with pytest.raises(DimensionGuardError):
         fs_scalar(fib, "t", 5, 1, 0)
-    # a refused request builds no middle of its own, and no graft chain
+    # a refused request builds no middle, no closing functional and no
+    # chunk read of its own, and no graft chain
     with pytest.raises(DimensionGuardError):
         fs_scalar(fib, "t", 5, 0, 1)
     assert [key for key in fib._cache if key[0] == "_torn_down"] == \
         [("_torn_down", ("t",), "t", 5, 0)]
+    assert [key for key in fib._cache
+            if key[0] == "_closing_functional"] == [closing]
+    assert [key for key in fib._cache if key[0] == "_fs_read"] == reads
     assert [key for key in fib._cache if key[0] == "graft"] == chains
 
 

@@ -15,6 +15,8 @@ import time_runs  # noqa: E402
 @pytest.mark.parametrize("mode", [
     ["ind", "fibonacci", "--object", "t", "--n", "1"],
     ["fs", "fibonacci", "--object", "t", "--n", "2"],
+    pytest.param(["fs", "fibonacci", "--object", "t", "--n", "3", "--sweep"],
+                 id="fs-sweep"),
     ["gauge", "fibonacci", "--trials", "2"],
     ["validate"],
     ["import"],
