@@ -676,9 +676,9 @@ def test_fs_closing_functional_is_built_once_per_word_and_l(monkeypatch):
     real = Category.cached
 
     def counted(cat, key, build):
-        built = []
-        got = real(cat, key, lambda: built.append(key) or build())
-        reads.append((key, bool(built)))
+        made = []
+        got = real(cat, key, lambda: made.append(key) or build())
+        reads.append((key, bool(made)))
         return got
 
     monkeypatch.setattr(Category, "cached", counted)
@@ -689,10 +689,10 @@ def test_fs_closing_functional_is_built_once_per_word_and_l(monkeypatch):
         for l in range(5 - r):
             del reads[:]
             fs_scalar(fib, "t", 5, l, r)
-            fs = [(key, built) for key, built in reads
+            fs = [(key, made) for key, made in reads
                   if key[0] in ("_fs_read", "_closing_functional")]
             assert fs and {key[3] for key, _ in fs} == {l}
-            built = [key for key, built in fs if built]
+            built = [key for key, made in fs if made]
             if l in seen:
                 assert not built, (l, r)
             else:
