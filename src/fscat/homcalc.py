@@ -27,10 +27,11 @@ vector (``mat_vec``); the ``LinMap`` blocks, the walk's rotations
 rows, converted once by ``linalg.dense``.  Removals are single-vertex
 moves (fuse, drop a unit letter, evaluation).  Every insertion is a graft,
 which re-associates a unit-rooted guest subword into the running path by a
-chain of elementary inverse F-moves (``_graft_coeffs``):
-``graft_path_matrix`` grafts one guest path (a coevaluation pair is its
-path (1, b, 1)), and ``insert_vector_matrix`` and ``splice_host_matrix``
-graft with the guest or the host vector fixed.  A
+chain of elementary inverse F-moves (``_graft_coeffs``).
+``insert_vector_matrix`` grafts a fixed guest vector into every host path
+and ``splice_host_matrix`` every guest path into a fixed host vector; the
+fixed vector is passed as its nonzero ``(path, coeff)`` terms, so one
+guest path, a coevaluation pair's (1, b, 1) say, is one term.  A
 k-strand bend is one graft too (``_bend_columns``): the word is spliced
 once into the nested coevaluation of its first k letters, and the loop
 closures that follow keep only the paths that retrace their stages around
@@ -50,7 +51,7 @@ as its pivotal structures and gauges, build each basis once.  The guard is
 checked on each build, so a basis kept on a ring is not counted again.
 
 Per category are kept the fuse and split steps, dropped unit letters,
-evaluation pairs, guest-path grafts, the nested coevaluation vectors, the
+evaluation pairs, the nested coevaluation terms (``db_prime_vector``), the
 bend hosts ``_bend_tops`` and the bends by columns ``_bend_columns``, and
 four stages of the Frobenius-Schur endomorphisms: the right coevaluation
 blocks (``indicators._right_block``), the torn-down middle that every l
@@ -60,14 +61,16 @@ its reads through the chunk grafts (``indicators._fs_read``), which keep
 no graft matrix of their own.  A bend host depends only
 on the bent letters, so every bend of a word with the same head shares it.
 ``insert_vector_matrix`` and ``splice_host_matrix`` are not memoised:
-their key would hold a ``Cyc`` vector, and hashing an irrational ``Cyc``
-reduces it, which solves a linear system.  The Frobenius-Schur insertions
-are reached once per (n, r), through the shared middle.
+their key would hold ``Cyc`` coefficients, and hashing an irrational
+``Cyc`` reduces it, which solves a linear system.  Each Frobenius-Schur
+insertion is reached through a memo of its stage: the coevaluation pairs
+once per right block, the nested coevaluations once per (n, r), through
+the shared middle, and each chunk graft once per ``indicators._fs_read``.
 
 Below the builders, the unpinned graft chains are shared per category
 (``_graft_chains``, memo kind ``"graft"``): the chains of one stage label,
-guest word and guest path are made once and read by every graft builder,
-these two included.  Different builds graft the same guest path into the
+guest word and guest path are made once and read by both insertion
+builders.  Different builds graft the same guest path into the
 same stage, so in a sweep of the Frobenius-Schur endomorphisms nine graft
 calls in ten or more read a chain the category already made.  The pinned
 chains of the bends (``_bend_terms``, ``_bend_entries``) are not kept:
@@ -291,34 +294,29 @@ def _graft_moves(cat, i, guest_letters, terms):
             yield head + mid + tail, c * g
 
 
-def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest_vec):
+def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest):
     """Matrix of v -> (id (x) u (x) id) o v on Hom(root, -) bases.
 
-    ``u`` is the fixed unit-rooted vector ``guest_vec`` (coefficients over
-    ``paths(guest_letters, unit)``), inserted at letter position ``i``.
+    ``u`` is a fixed unit-rooted vector through ``guest_letters``, inserted
+    at letter position ``i`` and passed as its nonzero ``(path, coeff)``
+    terms: a guest path rho is ``((rho, ONE),)``, a coevaluation pair
+    (b, b*) its one path ``(((1, b, 1), ONE),)``.
     """
-    host_letters = tuple(host_letters)
-    guest_letters = tuple(guest_letters)
     comb = host_letters[:i] + guest_letters + host_letters[i:]
-    guest = [(rho, c) for rho, c in
-             zip(paths(cat, guest_letters, cat.unit), guest_vec) if c]
     return _path_columns(
         cat, paths(cat, host_letters, root), comb, root,
         lambda p: _graft_moves(cat, i, guest_letters,
                                [(p, rho, c) for rho, c in guest]))
 
 
-def splice_host_matrix(cat, host_letters, host_vec, i, guest_letters):
-    """Matrix of v -> (id (x) v (x) id) o u, with the host vector u fixed.
+def splice_host_matrix(cat, host_letters, host, i, guest_letters):
+    """Matrix of v -> (id (x) v (x) id) o u, with the host vector u fixed
+    and passed as its nonzero ``(path, coeff)`` terms.
 
     Both the host and the variable guest are unit-rooted; this is the shape
     of the coevaluation "wrap" that bends strands over the top.
     """
-    host_letters = tuple(host_letters)
-    guest_letters = tuple(guest_letters)
     comb = host_letters[:i] + guest_letters + host_letters[i:]
-    host = [(p, c) for p, c in
-            zip(paths(cat, host_letters, cat.unit), host_vec) if c]
     return _path_columns(
         cat, paths(cat, guest_letters, cat.unit), comb, cat.unit,
         lambda rho: _graft_moves(cat, i, guest_letters,
@@ -382,43 +380,29 @@ def contract_pair_matrix(cat, letters, root, i):
         if p[i + 2] == p[i] else ())
 
 
-@memoised()
-def graft_path_matrix(cat, letters, root, i, guest_letters, rho):
-    """Graft the unit-rooted guest path rho through ``guest_letters`` at
-    position i: ``insert_vector_matrix`` with that basis vector as guest.
-    It equals inserting a unit letter and splitting it along rho."""
-    return _path_columns(
-        cat, paths(cat, letters, root),
-        letters[:i] + guest_letters + letters[i:], root,
-        lambda p: _graft_moves(cat, i, guest_letters, [(p, rho, ONE)]))
-
-
-def attach_pair_matrix(cat, letters, root, i, b):
-    """Coevaluation insertion of the pair (b, dual b) at position i: the
-    graft of the pair's one path (1, b, 1)."""
-    return graft_path_matrix(cat, letters, root, i, (b, cat.dual(b)),
-                             (cat.unit, b, cat.unit))
-
-
 # -- coevaluation vectors ----------------------------------------------------
 
 
 def _nested_coevaluation(cat, pairs):
-    """(word, unit-rooted vector) of nested coevaluations of ``pairs``,
-    spliced outermost first into the middle of the running vector as the
-    fixed host (grafting is associative): each splice has one column."""
-    cur = ()
-    vec = [ONE]
+    """(word, terms) of the nested coevaluations of ``pairs``, the terms the
+    nonzero ``(path, coeff)`` pairs of the unit-rooted vector.  Each pair is
+    spliced, outermost first, into the middle of the running vector as the
+    fixed host (grafting is associative): the splice has one column, the
+    pair's one path, and its entries are the next terms."""
+    cur, terms = (), (((cat.unit,), ONE),)
     for pair in pairs:
         mid = len(cur) // 2
-        vec = mat_vec(splice_host_matrix(cat, cur, vec, mid, pair), [ONE])
+        (col,) = splice_host_matrix(cat, cur, terms, mid, pair)[1]
         cur = cur[:mid] + pair + cur[mid:]
-    return cur, vec
+        ps = paths(cat, cur, cat.unit)
+        terms = tuple((ps[row], c) for row, c in col)
+    return cur, terms
 
 
 @memoised()
 def db_prime_vector(cat, letters):
-    """Right-dual coevaluation: unit-rooted vector over dual word + letters.
+    """Right-dual coevaluation of ``letters``: (dual word + letters, the
+    nonzero ``(path, coeff)`` terms of its unit-rooted vector), read-only.
     The tests check it against splicing the pairs innermost first."""
     return _nested_coevaluation(cat, [(cat.dual(y), y)
                                       for y in reversed(letters)])
@@ -462,8 +446,8 @@ def _bend_columns(cat, letters, k):
 def _bend_tops(cat, head):
     """The nested coevaluation host of a bend of ``head``, by top.
 
-    Returns ((top, weight, tails), ...), one per distinct p[:k+1] of a host
-    path p of ``db_prime_vector(cat, head)`` with h[p] != 0 (k = len(head)):
+    Returns ((top, weight, tails), ...), one per distinct p[:k+1] over the
+    terms (p, h[p]) of ``db_prime_vector(cat, head)`` (k = len(head)):
     ``weight`` is the product of the loop closures and the pivotal scale,
     which read only the top, and ``tails`` lists (p[k+1:], h[p]).  Tops of
     weight zero are left out.  Every bend of a word starting with ``head``
@@ -471,15 +455,13 @@ def _bend_tops(cat, head):
     """
     k = len(head)
     unit = cat.unit
-    host, hvec = db_prime_vector(cat, head)
     last = head[-1]
     outer = (mat_vec(contract_pair_matrix(cat, (cat.dual(last), last), unit, 0),
                      [ONE])[0]
              * math.prod(map(cat.t, head), start=ONE).inverse())
     tops = {}
-    for p, c in zip(paths(cat, host, unit), hvec):
-        if c:
-            tops.setdefault(p[:k + 1], []).append((p[k + 1:], c))
+    for p, c in db_prime_vector(cat, head)[1]:
+        tops.setdefault(p[:k + 1], []).append((p[k + 1:], c))
     weighted = []
     for top, tails in tops.items():
         w = outer

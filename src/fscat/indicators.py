@@ -44,12 +44,11 @@ from .category import Category, ObjectExpr, memoised, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, _bend_columns,
-                      _bend_entries, attach_pair_matrix,
-                      check_dimension_guard, check_word_guard,
+                      _bend_entries, check_dimension_guard, check_word_guard,
                       contract_pair_matrix, db_prime_vector,
                       drop_unit_letter_matrix, dual_word, fuse_step_matrix,
-                      graft_path_matrix, insert_vector_matrix, path_counts,
-                      paths, pivotal_dimension)
+                      insert_vector_matrix, path_counts, paths,
+                      pivotal_dimension)
 from .linalg import (col_mul, dense, is_identity, is_identity_product,
                      mat_equal, mat_mul, mat_trace, mat_vec, vec_mat)
 from .pivotal import is_pseudo_unitary
@@ -350,28 +349,23 @@ def is_spherical(cat: Category) -> bool:
 # -- Frobenius-Schur endomorphisms ---------------------------------------------
 
 
-def _accumulate(state, word, vec):
-    if not vec or not any(vec):
-        return
-    if word in state:
-        state[word] = [x + y for x, y in zip(state[word], vec)]
-    else:
-        state[word] = vec
-
-
 @memoised()
 def _right_block(cat: Category, support, c, r: int):
-    """{word: vector} on Hom(c, -) after the right block of r coevaluations;
-    shared, so read-only.  By associativity, it is the state for r - 1 with
-    each pair (y, y*) attached at position r and scaled by t(y)."""
+    """{word: nonzero vector} on Hom(c, -) after the right block of r
+    coevaluations; shared, so read-only.  By associativity, it is the state
+    for r - 1 with each pair (y, y*) inserted at position r, as the graft of
+    its one path (1, y, 1), and scaled by t(y).  Each word comes from one
+    (word, y), so nothing is summed."""
     if not r:
         return {(c,): [ONE]}
     state = {}
     for word, vec in _right_block(cat, support, c, r - 1).items():
         for y in support:
-            got = mat_vec(attach_pair_matrix(cat, word, c, r, y), vec)
-            _accumulate(state, word[:r] + (y, cat.dual(y)) + word[r:],
-                        [cat.t(y) * x for x in got])
+            pair = (y, cat.dual(y))
+            got = mat_vec(insert_vector_matrix(
+                cat, word, c, r, pair, (((cat.unit, y, cat.unit), ONE),)), vec)
+            if any(got):
+                state[word[:r] + pair + word[r:]] = [cat.t(y) * x for x in got]
     return state
 
 
@@ -391,10 +385,10 @@ def _torn_down(cat: Category, support, c, n: int, r: int):
     m = n - 1 - r
     out = []
     for u in itertools.product(support, repeat=m):
-        comb_letters, comb_vec = db_prime_vector(cat, u)
+        comb_letters, comb = db_prime_vector(cat, u)
         for word, vec in _right_block(cat, support, c, r).items():
             state = mat_vec(insert_vector_matrix(cat, word, c, 0, comb_letters,
-                                                 comb_vec), vec)
+                                                 comb), vec)
             if not any(state):
                 continue
             word = comb_letters + word
@@ -447,14 +441,15 @@ def _closing_functional(cat: Category, word, c, l: int):
 def _fs_read(cat: Category, cur, c, l: int, chunk, pi):
     """(c_out, psi): the closing functional of FS^{(n,l,r)} read through the
     graft of the chunk's path pi at position l of the torn word ``cur``, a
-    row vector on Hom(c, cur); None where no closure is made.  psi subsumes
-    the graft, so the graft matrix itself is not kept."""
+    row vector on Hom(c, cur); None where no closure is made.  The graft is
+    the insertion of the one term (pi, 1); psi subsumes it, so only psi is
+    kept."""
     closing = _closing_functional(cat, cur[:l] + chunk + cur[l:], c, l)
     if closing is None:
         return None
     c_out, phi = closing
-    return c_out, vec_mat(phi, graft_path_matrix.__wrapped__(cat, cur, c, l,
-                                                             chunk, pi))
+    return c_out, vec_mat(phi, insert_vector_matrix(cat, cur, c, l, chunk,
+                                                    ((pi, ONE),)))
 
 
 def _fs_blocks(cat: Category, support, n: int, l: int, r: int):

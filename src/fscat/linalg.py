@@ -110,14 +110,12 @@ def dense(a):
     return out
 
 
-def mat_vec(a, v, out=None):
-    """a v for ``a`` in column form, over the nonzeros of a and of v only;
-    with ``out``, a v is added into that list in place, which is returned."""
+def mat_vec(a, v):
+    """a v for ``a`` in column form, over the nonzeros of a and of v only."""
     rows, cols = a
-    if len(cols) != len(v) or out is not None and len(out) != rows:
+    if len(cols) != len(v):
         raise ValueError("matrix shape mismatch")
-    if out is None:
-        out = [ZERO] * rows
+    out = [ZERO] * rows
     for col, y in zip(cols, v):
         if y:
             for i, x in col:

@@ -3,6 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+# the gauges of ``fscat gauge-check``: entries zeta_N^k, k drawn from a
+# ``cli.SplitMix64``, so the tests and the command draw the same ones
+from fscat.cli import _random_gauge as random_gauge  # noqa: F401
 from fscat.cyclo import Cyc, root_of_unity
 from fscat.specio import BUNDLED, load_bundled
 
@@ -23,16 +26,6 @@ def bundled(name):
 
 
 ALL_BUNDLED = BUNDLED
-
-
-def random_gauge(cat, rng):
-    """Gauge entries zeta_N^k, k drawn from ``rng`` (a ``cli.SplitMix64``)."""
-    u = {}
-    for (a, b, c) in cat.ring.admissible_triples():
-        if a == cat.unit or b == cat.unit:
-            continue
-        u[(a, b, c)] = root_of_unity(cat.conductor, rng.next() % cat.conductor)
-    return u
 
 
 def wide_gauge(cat):

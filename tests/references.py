@@ -33,7 +33,10 @@ indicator, the trace of the cyclic rotation on the invariants of V^(x)n,
 which gates ``oracles.char_indicator``.  So do the pivotal, evaluation
 and coevaluation maps as whole ``LinMap``s, which the rigidity and
 pivotal tests compose, and ``bundled_path``, the file behind a bundled
-spec for the CLI tests.
+spec for the CLI tests.  So do the grafts of one guest path
+(``graft_path_matrix``, and ``attach_pair_matrix`` for a coevaluation
+pair), which the library makes as one-term ``insert_vector_matrix``
+calls, and ``term_vector``, the dense vector of a list of path terms.
 """
 
 from __future__ import annotations
@@ -49,12 +52,11 @@ from fscat.category import (Category, CheckItem, FSymbolSet, PivotalData,
 from fscat.cyclo import Cyc, root_of_unity
 from fscat import homcalc
 from fscat.homcalc import (LinMap, _graft_coeffs, _nested_coevaluation,
-                           _path_index, attach_pair_matrix,
-                           contract_pair_matrix, db_prime_vector,
+                           _path_index, contract_pair_matrix, db_prime_vector,
                            drop_unit_letter_matrix, dual_word,
-                           fuse_step_matrix, graft_path_matrix,
-                           insert_vector_matrix, paths, splice_host_matrix)
-from fscat.indicators import _accumulate, _right_block
+                           fuse_step_matrix, insert_vector_matrix, paths,
+                           splice_host_matrix)
+from fscat.indicators import _right_block
 from fscat.linalg import (dense, eye, is_identity, mat_inv, mat_mul, mat_vec,
                           zeros)
 from fscat.oracles import CharacterTable, _Group, _table, q8_group, q8_table
@@ -159,9 +161,40 @@ def extend(cat, m: LinMap, left_letters=(), right_letters=()) -> LinMap:
     return LinMap(cat, src, tgt, blocks)
 
 
+# -- single-path insertions and unit-rooted vectors ---------------------------
+
+
+def graft_path_matrix(cat, letters, root, i, guest_letters, rho):
+    """Graft the unit-rooted guest path rho through ``guest_letters`` at
+    position i: ``insert_vector_matrix`` with the one term (rho, 1).  It
+    equals inserting a unit letter and splitting it along rho."""
+    return insert_vector_matrix(cat, letters, root, i, guest_letters,
+                                ((rho, ONE),))
+
+
+def pair_path(cat, b):
+    """The one unit-rooted path (1, b, 1) of the pair (b, b*)."""
+    return cat.unit, b, cat.unit
+
+
+def attach_pair_matrix(cat, letters, root, i, b):
+    """Coevaluation insertion of the pair (b, dual b) at position i: the
+    graft of its one path."""
+    return graft_path_matrix(cat, letters, root, i, (b, cat.dual(b)),
+                             pair_path(cat, b))
+
+
+def term_vector(cat, letters, terms):
+    """The unit-rooted vector over ``paths(letters, unit)`` whose nonzero
+    ``(path, coeff)`` terms are ``terms``, as a dense list."""
+    coeffs = dict(terms)
+    return [coeffs.get(p, ZERO) for p in paths(cat, letters, cat.unit)]
+
+
 @memoised()
 def db_vector(cat, letters):
-    """Coevaluation of a word: unit-rooted vector over letters + dual word."""
+    """Coevaluation of a word: (letters + dual word, the nonzero (path,
+    coeff) terms of its unit-rooted vector)."""
     return _nested_coevaluation(cat, [(y, cat.dual(y)) for y in letters])
 
 
@@ -171,12 +204,12 @@ def dual_morphism(cat, m: LinMap) -> LinMap:
     w2 = m.target
     dw1 = dual_word(cat, w1)
     dw2 = dual_word(cat, w2)
-    db_letters, db_vec = db_vector(cat, w1)
+    db_letters, db_terms = db_vector(cat, w1)
 
     mid = extend(cat, m, left_letters=dw2, right_letters=dw1)
     blocks = {}
     for r in cat.labels:
-        ins = insert_vector_matrix(cat, dw2, r, len(dw2), db_letters, db_vec)
+        ins = insert_vector_matrix(cat, dw2, r, len(dw2), db_letters, db_terms)
         mat = mat_mul(mid.block(r), dense(ins))
         cur = dw2 + w2 + dw1
         k = len(w2)
@@ -275,7 +308,8 @@ def spliced_e_map_matrix(cat, letters, k):
     for j in range(k):
         # Hom(1, x* x) is spanned by its one path (1, x*, 1)
         host = (cat.dual(letters[j]), letters[j])
-        splice = dense(splice_host_matrix(cat, host, [ONE], 1, cur))
+        splice = dense(splice_host_matrix(
+            cat, host, ((pair_path(cat, host[0]), ONE),), 1, cur))
         m = splice if m is None else mat_mul(splice, m)
         cur = host[:1] + cur + host[1:]
     for pos in range(k - 1, -1, -1):
@@ -292,12 +326,23 @@ def spliced_db_prime_vector(cat, letters):
     cur, vec = (), [ONE]
     for y in letters:
         host = (cat.dual(y), y)
-        vec = mat_vec(splice_host_matrix(cat, host, [ONE], 1, cur), vec)
+        vec = mat_vec(splice_host_matrix(
+            cat, host, ((pair_path(cat, host[0]), ONE),), 1, cur), vec)
         cur = host[:1] + cur + host[1:]
     return cur, vec
 
 
 # -- the Frobenius-Schur blocks, one l at a time ------------------------------
+
+
+def _accumulate(state, word, vec):
+    """Add the vector ``vec`` on ``word`` into ``state``, unless it is zero."""
+    if not any(vec):
+        return
+    if word in state:
+        state[word] = [x + y for x, y in zip(state[word], vec)]
+    else:
+        state[word] = vec
 
 
 def _extract_insert(cat, word, root, src, length, dst, state_vec, out):
@@ -336,11 +381,11 @@ def unshared_fs_blocks(cat, support, n, l, r):
         for ua in itertools.product(support, repeat=l):
             scale = math.prod((cat.t(y).inverse() for y in ua), start=ONE)
             for ub in itertools.product(support, repeat=nk):
-                comb_letters, comb_vec = db_prime_vector(cat, ub + ua)
-                comb_vec = [scale * x for x in comb_vec] if ua else comb_vec
+                comb_letters, comb = db_prime_vector(cat, ub + ua)
+                comb = [(p, scale * x) for p, x in comb] if ua else comb
                 for word, vec in _right_block(cat, support, c, r).items():
                     mat = insert_vector_matrix(cat, word, c, 0, comb_letters,
-                                               comb_vec)
+                                               comb)
                     _accumulate(state, comb_letters + word, mat_vec(mat, vec))
         new = {}
         for word, vec in state.items():

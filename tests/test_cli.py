@@ -36,7 +36,7 @@ def test_validate_good_spec():
 
 def test_validate_truncated_file(tmp_path):
     bad = tmp_path / "broken.json"
-    bad.write_text(open(spec("fibonacci")).read()[:100])
+    bad.write_text(Path(spec("fibonacci")).read_text()[:100])
     out = run_cli("validate", str(bad))
     assert out.returncode == 2
 
@@ -47,7 +47,7 @@ def test_validate_missing_file():
 
 
 def test_validate_broken_pentagon(tmp_path):
-    doc = json.loads(open(spec("fibonacci")).read())
+    doc = json.loads(Path(spec("fibonacci")).read_text())
     for rec in doc["F"]:
         if (rec["e"], rec["f"]) == ("1", "1"):
             rec["value"]["c"] = ["-" + c if not c.startswith("-") else c[1:]
@@ -88,7 +88,7 @@ def test_ind_json_csv_agree_and_deterministic():
 
 
 def test_ind_requires_derivable_pivotal(tmp_path):
-    doc = json.loads(open(spec("yang_lee")).read())
+    doc = json.loads(Path(spec("yang_lee")).read_text())
     del doc["pivotal"]
     bare = tmp_path / "yl.json"
     bare.write_text(json.dumps(doc))
@@ -247,7 +247,7 @@ def test_emit_families(tmp_path):
 
 
 def _fib_doc():
-    return json.loads(open(spec("fibonacci")).read())
+    return json.loads(Path(spec("fibonacci")).read_text())
 
 
 # malformed spec documents, each a parse failure that names its field

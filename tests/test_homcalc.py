@@ -10,18 +10,19 @@ from fscat.category import gauge_transform, reverse_category
 from fscat.cyclo import Cyc, root_of_unity
 from fscat import homcalc
 from fscat.homcalc import (DimensionGuardError, LinMap, check_word_guard,
-                           db_prime_vector, double_dual_inverse,
-                           drop_unit_letter_matrix, fuse_step_matrix,
-                           graft_path_matrix, path_counts, paths,
+                           contract_pair_matrix, db_prime_vector,
+                           double_dual_inverse, drop_unit_letter_matrix,
+                           fuse_step_matrix, path_counts, paths,
                            pivotal_dimension, pivotal_trace, split_step_matrix)
 from fscat.linalg import dense, is_identity, mat_equal, mat_mul
 from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
 from fscat.specio import load_bundled
 import references
-from references import (assoc_matrix, close_loop, closed_loop_trace,
-                        coev_matrix, compose, db_vector, dual_morphism,
-                        ev_matrix, is_identity_map, left_nested,
-                        pivotal_matrix, right_nested, scaled)
+from references import (assoc_matrix, attach_pair_matrix, close_loop,
+                        closed_loop_trace, coev_matrix, compose, db_vector,
+                        dual_morphism, ev_matrix, graft_path_matrix,
+                        is_identity_map, left_nested, pivotal_matrix,
+                        right_nested, scaled)
 
 
 def brute_hom_dimension(cat, letters):
@@ -181,7 +182,6 @@ def test_assoc_left_to_right_is_the_f_block(name):
 
 def test_zigzag_identities(any_bundled):
     cat = any_bundled
-    from fscat.homcalc import attach_pair_matrix, contract_pair_matrix
     for a in cat.labels:
         ast = cat.dual(a)
         for r in cat.labels:
@@ -398,7 +398,6 @@ def test_pivotal_trace_refusals():
 def test_degenerate_word_blocks_compose():
     v2 = bundled("vec_z2")
     # (g, g, g) has hom dimension 0; maps through it are 0x0 and legal
-    from fscat.homcalc import attach_pair_matrix, contract_pair_matrix
     att = attach_pair_matrix(v2, ("g", "g", "g"), "1", 0, "g")
     con = contract_pair_matrix(v2, ("g", "g", "g", "g", "g"), "1", 0)
     assert mat_mul(dense(con), dense(att)) == []
@@ -499,8 +498,8 @@ def _path_move_calls(cat):
             calls["insert_vector_matrix"] += [
                 (word, root, i, *db_vector(cat, u)) for u in guests]
     for u, g in itertools.product(guests, short):
-        host, vec = db_prime_vector(cat, u)
-        calls["splice_host_matrix"] += [(host, vec, i, g)
+        host, terms = db_prime_vector(cat, u)
+        calls["splice_host_matrix"] += [(host, terms, i, g)
                                         for i in range(len(host) + 1)]
     calls["_bend_columns"] = [(w, k) for w in _words(cat, 4)
                               for k in range(1, len(w))]
@@ -531,8 +530,9 @@ def test_path_columns_match_the_dense_loop(name, monkeypatch):
     for builder, calls in _path_move_calls(cat).items():
         fresh = cat.with_pivotal(cat.pivotal)  # no memoised build is reused
         nonzeros.clear()
-        # the associator and the merge basis of the left operator extension
-        # are references; they lay out their columns with the same kernel
+        # the associator, the merge basis of the left operator extension
+        # and the one-path grafts are references; they lay out their
+        # columns with the same kernel
         owner = homcalc if hasattr(homcalc, builder) else references
         for args in calls:
             getattr(owner, builder)(fresh, *args)

@@ -13,17 +13,17 @@ import pytest
 import fscat
 import references
 from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled, random_gauge
-from references import (closed_loop_trace, compose, db_vector, dual_morphism,
-                        s3_table, spliced_db_prime_vector,
-                        spliced_e_map_matrix, unshared_fs_blocks)
+from references import (attach_pair_matrix, closed_loop_trace, compose,
+                        db_vector, dual_morphism, graft_path_matrix, s3_table,
+                        spliced_db_prime_vector, spliced_e_map_matrix,
+                        term_vector, unshared_fs_blocks)
 
 from fscat.category import (RING_KINDS, Category, FusionRing,
                             MissingPivotalError, ObjectExpr, gauge_transform,
                             memoised, reverse_category, validate)
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
-from fscat.homcalc import (LinMap, attach_pair_matrix, db_prime_vector,
-                           graft_path_matrix, insert_vector_matrix,
+from fscat.homcalc import (LinMap, db_prime_vector, insert_vector_matrix,
                            path_counts, pivotal_trace, splice_host_matrix,
                            split_step_matrix)
 from fscat.homcalc import _bend_columns, _bend_entries, _graft_coeffs, paths
@@ -103,8 +103,8 @@ def test_bend_matches_spliced_oracle(name):
     assert compared
 
 
-def _scaled(scale, vec):
-    return [scale * x for x in vec]
+def _scaled(scale, terms):
+    return [(p, scale * x) for p, x in terms]
 
 
 def _t_product(cat, letters, inverse=False):
@@ -127,11 +127,15 @@ def _stage_cats(name):
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_db_prime_vector_matches_spliced_oracle(name):
-    # outermost pair first, against innermost pair first
+    # outermost pair first, against innermost pair first; the terms are
+    # the nonzero coordinates, each path once
     for cat in _stage_cats(name):
         for m in range(5):
             for head in itertools.product(cat.labels, repeat=m):
-                assert db_prime_vector(cat, head) == \
+                letters, terms = db_prime_vector(cat, head)
+                assert all(x for _, x in terms)
+                assert len(dict(terms)) == len(terms)
+                assert (letters, term_vector(cat, letters, terms)) == \
                     spliced_db_prime_vector(cat, head), (cat.name, head)
 
 
@@ -145,13 +149,15 @@ def test_fs_combo_is_one_nested_coevaluation(name):
                 for l in range(1, m + 1):
                     ub, ua = word[:m - l], word[m - l:]
                     scale = _t_product(cat, ua, inverse=True)
-                    a_letters, a_vec = db_prime_vector(cat, ua)
-                    b_letters, b_vec = db_prime_vector(cat, ub)
+                    a_letters, a_terms = db_prime_vector(cat, ua)
+                    b_letters, b_terms = db_prime_vector(cat, ub)
                     mat = splice_host_matrix(cat, a_letters,
-                                             _scaled(scale, a_vec), l, b_letters)
-                    letters, vec = db_prime_vector(cat, ub + ua)
+                                             _scaled(scale, a_terms), l,
+                                             b_letters)
+                    letters, terms = db_prime_vector(cat, ub + ua)
                     assert a_letters[:l] + b_letters + a_letters[l:] == letters
-                    assert mat_vec(mat, b_vec) == _scaled(scale, vec), \
+                    assert mat_vec(mat, term_vector(cat, b_letters, b_terms)) \
+                        == term_vector(cat, letters, _scaled(scale, terms)), \
                         (cat.name, ua, ub)
 
 
@@ -164,9 +170,10 @@ def test_right_block_is_the_inserted_coevaluation(name):
             for r in range(5):
                 want = {}
                 for u in itertools.product(cat.labels, repeat=r):
-                    g_letters, g_vec = db_vector(cat, u)
-                    g_vec = _scaled(_t_product(cat, u), g_vec)
-                    mat = insert_vector_matrix(cat, (c,), c, 1, g_letters, g_vec)
+                    g_letters, g_terms = db_vector(cat, u)
+                    g_terms = _scaled(_t_product(cat, u), g_terms)
+                    mat = insert_vector_matrix(cat, (c,), c, 1, g_letters,
+                                               g_terms)
                     vec = mat_vec(mat, [Cyc.one()])
                     if any(vec):
                         want[(c,) + g_letters] = vec
@@ -648,13 +655,17 @@ def test_fs_blocks_match_the_unshared_route_on_every_pivotal_of_vec_z3():
 
 def test_fs_middle_is_built_once_per_n_and_r(monkeypatch):
     # the 15 (l, r) of Fibonacci t at n = 5 share five middles, one per r,
-    # and each inserts one comb into the one word of its right block
+    # and each inserts one comb into the one word of its right block; a
+    # comb insertion's guest is the memoised terms of a db_prime_vector
+    # word, where the coevaluation pairs and the chunks pass one path
     calls = []
     real = indicators.insert_vector_matrix
 
-    def counted(*args):
-        calls.append(args[:4])
-        return real(*args)
+    def counted(cat, word, root, i, guest_letters, guest):
+        u = guest_letters[len(guest_letters) // 2:]
+        if guest is db_prime_vector(cat, u)[1]:
+            calls.append((word, root, i, guest_letters))
+        return real(cat, word, root, i, guest_letters, guest)
 
     monkeypatch.setattr(indicators, "insert_vector_matrix", counted)
     fib = load_bundled("fibonacci")
@@ -814,11 +825,13 @@ def _on_a_fresh_ring(cat):
 
 
 def test_every_memo_is_declared_by_memoised():
-    # one idiom: ``Category.cached`` is called only by the decorator, and
-    # the ring kinds are those the decorated builders declare
+    # one idiom: ``Category.cached`` is called only by the decorator, the
+    # ring kinds are those the decorated builders declare, and only
+    # ``e_map_matrix`` reads past a builder's memo (``__wrapped__``), to
+    # keep the dense bend under its own kind
     lines, start = inspect.getsourcelines(memoised)
     src = os.path.dirname(os.path.abspath(fscat.__file__))
-    sites = []
+    sites, unwrapped = [], []
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
@@ -826,8 +839,15 @@ def test_every_memo_is_declared_by_memoised():
                   for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "cached"]
+        unwrapped += [(os.path.basename(path), fn.name)
+                      for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "__wrapped__"]
     assert len(sites) == 1 and sites[0][0] == "category.py" and \
         start <= sites[0][1] < start + len(lines), sites
+    assert unwrapped == [("indicators.py", "e_map_matrix")], unwrapped
     assert RING_KINDS == {"paths", "pidx", "orbits", "rotop"}
     assert RING_KINDS < set(_memoised_builders())
 

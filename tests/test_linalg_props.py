@@ -205,22 +205,6 @@ def test_mat_vec_matches_reference_loop(conductors, data):
     assert linalg.mat_vec(cols, v) == reference_mat_vec(a, v)
 
 
-@given(data=st.data())
-def test_mat_vec_adds_into_out(data):
-    # a v added into a running sum, in place, equals the sum of the products
-    a, v = data.draw(mat_vec_operands((5, 8)))
-    start = [data.draw(entries(5)) for _ in a]
-    out = list(start)
-    got = linalg.mat_vec(columns(a, len(v)), v, out)
-    assert got is out
-    assert got == [x + y for x, y in zip(start, reference_mat_vec(a, v))]
-
-
-def test_mat_vec_rejects_an_out_of_the_wrong_length():
-    with pytest.raises(ValueError, match="matrix shape mismatch"):
-        linalg.mat_vec(columns([[1, 1]]), [1, 1], [Cyc.zero()] * 2)
-
-
 def test_mat_vec_reads_every_nonzero_coordinate():
     a = [[root_of_unity(5, i + 2 * j) for j in range(4)] for i in range(3)]
     for j in range(4):

@@ -152,8 +152,11 @@ def run_once(checkout, argv):
     proc.stdout.close()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
+    # the child is reaped here, so tell the Popen object, which would
+    # otherwise warn that it is collected while still running
+    proc.returncode = os.waitstatus_to_exitcode(status)
     # ru_maxrss is in kilobytes on Linux
-    return wall, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status), out
+    return wall, usage.ru_maxrss / 1024, proc.returncode, out
 
 
 def child_argv(args, checkout, case):
