@@ -25,7 +25,9 @@ return the column form, because nearly all of them are applied to one
 vector (``mat_vec``); the ``LinMap`` blocks, the walk's rotations
 (``indicators.e_map_matrix``) and every operand of ``mat_mul`` are dense
 rows, converted once by ``linalg.dense``.  Removals are single-vertex
-moves (fuse, drop a unit letter, evaluation).  Every insertion is a graft,
+moves (fuse, evaluation); a unit letter needs no move of its own, since
+by the unit axiom its paths are those of the word without it, in the same
+order.  Every insertion is a graft,
 which re-associates a unit-rooted guest subword into the running path by a
 chain of elementary inverse F-moves (``_graft_coeffs``).
 ``insert_vector_matrix`` grafts a fixed guest vector into every host path
@@ -50,22 +52,24 @@ the fusion ring (``category.RING_KINDS``): the categories on one ring, such
 as its pivotal structures and gauges, build each basis once.  The guard is
 checked on each build, so a basis kept on a ring is not counted again.
 
-Per category are kept the fuse and split steps, dropped unit letters,
-evaluation pairs, the nested coevaluation terms (``db_prime_vector``), the
-bend hosts ``_bend_tops`` and the bends by columns ``_bend_columns``, and
-four stages of the Frobenius-Schur endomorphisms: the right coevaluation
-blocks (``indicators._right_block``), the torn-down middle that every l
-of an (n, r) shares (``indicators._torn_down``), the closing functional
-that every r of an (n, l) shares (``indicators._closing_functional``) and
-its reads through the chunk grafts (``indicators._fs_read``), which keep
-no graft matrix of their own.  A bend host depends only
-on the bent letters, so every bend of a word with the same head shares it.
-``insert_vector_matrix`` and ``splice_host_matrix`` are not memoised:
-their key would hold ``Cyc`` coefficients, and hashing an irrational
-``Cyc`` reduces it, which solves a linear system.  Each Frobenius-Schur
-insertion is reached through a memo of its stage: the coevaluation pairs
-once per right block, the nested coevaluations once per (n, r), through
-the shared middle, and each chunk graft once per ``indicators._fs_read``.
+Per category are kept the fuse steps, evaluation pairs, the nested
+coevaluation terms (``db_prime_vector``), the bend hosts ``_bend_tops``
+and the bends by columns ``_bend_columns``, and three stages of the
+Frobenius-Schur endomorphisms: the right coevaluation blocks
+(``indicators._right_block``), the torn-down middle that every l of an
+(n, r) shares (``indicators._torn_down``), and the closing functional,
+read through each chunk graft, that every r of an (n, l) shares
+(``indicators._closing_functional``), which keeps no graft matrix.  The
+split step, the fuse step's inverse, is a test reference and is not
+kept.  A bend host depends only on the bent letters, so every bend of a
+word with the same head shares it.  ``insert_vector_matrix`` and
+``splice_host_matrix`` are not memoised: their key would hold ``Cyc``
+coefficients, and hashing an irrational ``Cyc`` reduces it, which solves
+a linear system.  Each Frobenius-Schur insertion is reached through a
+memo of its stage: the coevaluation pairs once per right block, the
+nested coevaluations once per (n, r), through the shared middle, and
+each chunk graft once per torn word, chunk and l, through
+``indicators._closing_functional``.
 
 Below the builders, the unpinned graft chains are shared per category
 (``_graft_chains``, memo kind ``"graft"``): the chains of one stage label,
@@ -337,10 +341,10 @@ def fuse_step_matrix(cat, letters, root, i, w):
                     cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], w))])
 
 
-@memoised()
 def split_step_matrix(cat, letters, root, i, u, v):
     """Split the letter x_i into the admissible pair (u, v).  The library
-    inserts by grafts; this inverse of the fuse step is a test reference."""
+    inserts by grafts; this inverse of the fuse step is a test reference,
+    not memoised."""
     x = letters[i]
     if not cat.n(u, v, x):
         raise ValueError(f"({u},{v}) is not an admissible splitting of {x}")
@@ -350,15 +354,6 @@ def split_step_matrix(cat, letters, root, i, u, v):
         lambda p: [(p[:i + 1] + (s,) + p[i + 1:],
                     cat.f_inv_entry(p[i], u, v, p[i + 1], x, s))
                    for s in cat.channels(p[i], u)])
-
-
-@memoised()
-def drop_unit_letter_matrix(cat, letters, root, i):
-    """Remove the unit letter at position i; the path drops its stage p_i."""
-    assert letters[i] == cat.unit
-    return _path_columns(
-        cat, paths(cat, letters, root), letters[:i] + letters[i + 1:], root,
-        lambda p: [(p[:i + 1] + p[i + 2:], ONE)])
 
 
 @memoised()

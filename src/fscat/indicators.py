@@ -28,9 +28,9 @@ definition.  Their build meets in the middle, at the torn word: the
 forward half, the coevaluations inserted and the middle chunk torn down,
 is shared by every l of an (n, r) (``_torn_down``); the backward half, the
 chunk grafted back and the three loops closed, is one row functional per
-torn word, shared by every r of an (n, l) (``_closing_functional``, read
-through each graft by ``_fs_read``).  The words of 2n - 1 letters are
-still counted against the guard on every request.
+torn word and chunk path, shared by every r of an (n, l)
+(``_closing_functional``).  The words of 2n - 1 letters are still counted
+against the guard on every request.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ from .cyclo import Cyc, galois_conjugate
 from .homcalc import (DimensionGuardError, LinMap, _bend_columns,
                       _bend_entries, check_dimension_guard, check_word_guard,
                       contract_pair_matrix, db_prime_vector,
-                      drop_unit_letter_matrix, dual_word, fuse_step_matrix,
-                      insert_vector_matrix, path_counts, paths,
-                      pivotal_dimension)
+                      dual_word, fuse_step_matrix, insert_vector_matrix,
+                      path_counts, paths, pivotal_dimension)
 from .linalg import (col_mul, dense, is_identity, is_identity_product,
                      mat_equal, mat_mul, mat_trace, mat_vec, vec_mat)
 from .pivotal import is_pseudo_unitary
@@ -377,10 +376,14 @@ def _torn_down(cat: Category, support, c, n: int, r: int):
     For each word u of the m = n - 1 - r left and middle letters, the
     nested coevaluation ``db_prime_vector(u)`` is inserted in front of each
     word of the right block (``_right_block``), and the n letters from
-    position m on, the middle loop's chunk, are torn down to the unit along
-    each path pi of the chunk: fuse steps, then the unit letter dropped.
-    Returns a tuple of (u, torn word, chunk, pi, vector), one per surviving
-    tear-down.  No pivotal scalar of u is applied: it depends on l.
+    position m on, the middle loop's chunk, are fused down to the unit
+    along each path pi of the chunk.  The unit letter left at position m is
+    not moved: by the unit axiom N(a, 1, b) = delta_ab, which ``validate``
+    checks, every path through it has p[m + 1] = p[m], so dropping that
+    stage is an order-preserving bijection of the path bases and the
+    vector already has the coordinates of the torn word.  Returns a tuple
+    of (u, torn word, chunk, pi, vector), one per surviving tear-down.  No
+    pivotal scalar of u is applied: it depends on l.
     """
     m = n - 1 - r
     out = []
@@ -402,54 +405,46 @@ def _torn_down(cat: Category, support, c, n: int, r: int):
                     if not any(vec):
                         break
                 else:
-                    vec = mat_vec(drop_unit_letter_matrix(cat, cur, c, m), vec)
                     out.append((u, cur[:m] + cur[m + 1:], chunk, pi, vec))
     return tuple(out)
 
 
 @memoised()
-def _closing_functional(cat: Category, word, c, l: int):
-    """(c_out, phi): the three loop closures of FS^{(n,l,r)} on Hom(c, word)
-    as one row vector, phi = e_0 C_last ... C_first; read-only.
+def _closing_functional(cat: Category, cur, c, l: int, chunk):
+    """(c_out, {pi: psi}): the chunk grafted back at position l of the torn
+    word ``cur`` and the three loop closures of FS^{(n,l,r)}, read as one
+    row vector psi on Hom(c, cur) per path pi of the chunk; read-only.
 
-    n follows from len(word) = 2n - 1, and the closing positions depend on
-    n and l alone: the left loop (positions l-1 .. 0), then the middle and
-    the right ones, which stand next to each other (positions n-l-1 .. 1).
-    So every r of an (n, l) reads the same functional.  The closures'
-    words are listed forward, then phi is built backward through the
-    ``contract_pair_matrix`` columns (``linalg.vec_mat``), starting from
-    the one path of the closed word (c_out,).  None where a closure meets
-    no dual pair, or where Hom(c, c_out) is zero.
+    n = len(chunk), and the closing positions depend on n and l alone: the
+    left loop (positions l-1 .. 0), then the middle and the right ones,
+    which stand next to each other (positions n-l-1 .. 1).  So every r of
+    an (n, l) reads the same functional.  The closures' words are listed
+    forward, then phi = e_0 C_last ... C_first is built backward through
+    the ``contract_pair_matrix`` columns (``linalg.vec_mat``), starting from
+    the one path of the closed word (c_out,), and read through the graft of
+    each pi, the insertion of the one term (pi, 1): psi = phi G_pi.  Only
+    the psi are kept.  None where a closure meets no dual pair, or where
+    Hom(c, c_out) is zero.
     """
-    n = (len(word) + 1) // 2
-    chain, cur = [], word
+    n = len(chunk)
+    word = cur[:l] + chunk + cur[l:]
+    chain = []
     for pos in (*range(l - 1, -1, -1), *range(n - l - 1, 0, -1)):
-        if cat.dual(cur[pos]) != cur[pos + 1]:
+        if cat.dual(word[pos]) != word[pos + 1]:
             return None
-        chain.append((cur, pos))
-        cur = cur[:pos] + cur[pos + 2:]
-    assert len(cur) == 1
-    if not paths(cat, cur, c):
+        chain.append((word, pos))
+        word = word[:pos] + word[pos + 2:]
+    assert len(word) == 1
+    if not paths(cat, word, c):
         return None
     phi = [ONE]
     for letters, pos in reversed(chain):
         phi = vec_mat(phi, contract_pair_matrix(cat, letters, c, pos))
-    return cur[0], phi
-
-
-@memoised()
-def _fs_read(cat: Category, cur, c, l: int, chunk, pi):
-    """(c_out, psi): the closing functional of FS^{(n,l,r)} read through the
-    graft of the chunk's path pi at position l of the torn word ``cur``, a
-    row vector on Hom(c, cur); None where no closure is made.  The graft is
-    the insertion of the one term (pi, 1); psi subsumes it, so only psi is
-    kept."""
-    closing = _closing_functional(cat, cur[:l] + chunk + cur[l:], c, l)
-    if closing is None:
-        return None
-    c_out, phi = closing
-    return c_out, vec_mat(phi, insert_vector_matrix(cat, cur, c, l, chunk,
-                                                    ((pi, ONE),)))
+    reads = {}
+    for pi in paths(cat, chunk, cat.unit):
+        reads[pi] = vec_mat(phi, insert_vector_matrix(cat, cur, c, l, chunk,
+                                                      ((pi, ONE),)))
+    return word[0], reads
 
 
 def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
@@ -458,18 +453,20 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
     The build meets in the middle, at the torn word.  Forward: the left
     coevaluation block, with the middle one spliced into it, is one
     ``db_prime_vector``, inserted in front of the right block
-    (``_right_block``), and the middle loop's n letters are torn down to the
-    unit.  None of that depends on l, only on m = n - 1 - r = l + (n - k),
-    so it is built once per (n, r) and shared by every l (``_torn_down``).
-    Backward: grafting the chunk back at position l and closing the three
-    loops is linear and depends on (n, l) alone, so it is one row
-    functional per torn word, chunk and path, shared by every r
-    (``_fs_read`` over ``_closing_functional``).  Each request only scales
-    the dot product of the two halves by the inverse pivotal scalars of its
-    left letters.  The inserted words of 2n - 1 letters are still the
-    longest built, and they are counted against the guard on every request,
-    before either half is read or built.  Returns {(c_in, c_out): Cyc};
-    multiplicity-free direct sums only, so a repeated label is refused.
+    (``_right_block``), and the middle loop's n letters are fused down to
+    the unit letter, which has the coordinates of the torn word.  None of
+    that depends on l, only on m = n - 1 - r = l + (n - k), so it is built
+    once per (n, r) and shared by every l (``_torn_down``).  Backward:
+    grafting the chunk back at position l and closing the three loops is
+    linear and depends on (n, l) alone, so it is one row functional per
+    torn word and chunk path, those of one torn word and chunk built
+    together and shared by every r (``_closing_functional``).  Each request
+    only scales the dot product of the two halves by the inverse pivotal
+    scalars of its left letters.  The inserted words of 2n - 1 letters are
+    still the longest built, and they are counted against the guard on
+    every request, before either half is read or built.  Returns
+    {(c_in, c_out): Cyc}; multiplicity-free direct sums only, so a repeated
+    label is refused.
     """
     k = l + r + 1
     if not (l >= 0 and r >= 0 and k <= n):
@@ -495,12 +492,12 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
     for c in support:
         final = {}
         for u, cur, chunk, pi, vec in _torn_down(cat, support, c, n, r):
-            read = _fs_read(cat, cur, c, l, chunk, pi)
-            if read is None:
+            closing = _closing_functional(cat, cur, c, l, chunk)
+            if closing is None:
                 continue
-            c_out, psi = read
+            c_out, reads = closing
             x = ZERO
-            for p, y in zip(psi, vec):
+            for p, y in zip(reads[pi], vec):
                 if p and y:
                     x = x + p * y
             if x and nk < len(u):

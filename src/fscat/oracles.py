@@ -415,6 +415,6 @@ def solve_pentagon_rank2() -> list:
             ("t", "t", "t", "t", "t", "t"): -x,
         }
         cat = Category(name, ring, FSymbolSet(entries), None, 5)
-        assert not pentagon_failures(cat, stop_after=1)
+        assert not pentagon_failures(cat)
         out.append(cat)
     return out

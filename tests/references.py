@@ -36,7 +36,9 @@ pivotal tests compose, and ``bundled_path``, the file behind a bundled
 spec for the CLI tests.  So do the grafts of one guest path
 (``graft_path_matrix``, and ``attach_pair_matrix`` for a coevaluation
 pair), which the library makes as one-term ``insert_vector_matrix``
-calls, and ``term_vector``, the dense vector of a list of path terms.
+calls, the removal of a unit letter (``drop_unit_letter_matrix``), which
+the library never applies because it changes no coordinate, and
+``term_vector``, the dense vector of a list of path terms.
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ from fscat.cyclo import Cyc, root_of_unity
 from fscat import homcalc
 from fscat.homcalc import (LinMap, _graft_coeffs, _nested_coevaluation,
                            _path_index, contract_pair_matrix, db_prime_vector,
-                           drop_unit_letter_matrix, dual_word,
-                           fuse_step_matrix, insert_vector_matrix, paths,
-                           splice_host_matrix)
+                           dual_word, fuse_step_matrix, insert_vector_matrix,
+                           paths, splice_host_matrix)
 from fscat.indicators import _right_block
 from fscat.linalg import (dense, eye, is_identity, mat_inv, mat_mul, mat_vec,
                           zeros)
@@ -182,6 +183,16 @@ def attach_pair_matrix(cat, letters, root, i, b):
     graft of its one path."""
     return graft_path_matrix(cat, letters, root, i, (b, cat.dual(b)),
                              pair_path(cat, b))
+
+
+def drop_unit_letter_matrix(cat, letters, root, i):
+    """Remove the unit letter at position i; the path drops its stage p_i.
+    Under the unit axiom this is the identity on path coordinates, which is
+    why the library's tear-down never applies it."""
+    assert letters[i] == cat.unit
+    return homcalc._path_columns(
+        cat, paths(cat, letters, root), letters[:i] + letters[i + 1:], root,
+        lambda p: [(p[:i + 1] + p[i + 2:], ONE)])
 
 
 def term_vector(cat, letters, terms):

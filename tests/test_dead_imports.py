@@ -1,0 +1,64 @@
+"""No module of the library or of ``tools/`` imports a name it never uses.
+
+No linter runs on this repository, so this test reads the sources with
+``ast``.  Each name bound by a module-level import in ``src/fscat/*.py``
+and in ``tools/*.py`` must be read somewhere in its module, be listed in
+the module's ``__all__`` (the package's re-exports), or be imported from
+that module by another module of the same directory, as ``cli`` imports
+``DimensionGuardError`` from ``indicators``.
+"""
+
+import ast
+import glob
+import importlib
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _dead_imports(directory, package=None):
+    """(module, name, line) of every module-level import in ``directory``
+    that breaks the rule; ``package`` names the modules' import package,
+    whose ``__all__`` lists are read."""
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)[:-3]] = ast.parse(fh.read(), path)
+    imported_from = {mod: set() for mod in trees}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                src = node.module.rsplit(".", 1)[-1]
+                if src in trees and src != mod:
+                    imported_from[src].update(a.name for a in node.names)
+    dead = []
+    for mod, tree in trees.items():
+        exported = set()
+        if package:
+            name = package if mod == "__init__" else f"{package}.{mod}"
+            exported = set(getattr(importlib.import_module(name), "__all__",
+                                   ()))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            dead += [(mod, name, node.lineno) for name in bound
+                     if name not in read | exported | imported_from[mod]]
+    return dead
+
+
+@pytest.mark.parametrize("directory,package", [
+    (os.path.join(ROOT, "src", "fscat"), "fscat"),
+    (os.path.join(ROOT, "tools"), None),
+], ids=["fscat", "tools"])
+def test_every_module_level_import_is_used(directory, package):
+    assert _dead_imports(directory, package) == []

@@ -11,18 +11,18 @@ from fscat.cyclo import Cyc, root_of_unity
 from fscat import homcalc
 from fscat.homcalc import (DimensionGuardError, LinMap, check_word_guard,
                            contract_pair_matrix, db_prime_vector,
-                           double_dual_inverse, drop_unit_letter_matrix,
-                           fuse_step_matrix, path_counts, paths,
-                           pivotal_dimension, pivotal_trace, split_step_matrix)
+                           double_dual_inverse, fuse_step_matrix,
+                           path_counts, paths, pivotal_dimension,
+                           pivotal_trace, split_step_matrix)
 from fscat.linalg import dense, is_identity, mat_equal, mat_mul
 from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
 from fscat.specio import load_bundled
 import references
 from references import (assoc_matrix, attach_pair_matrix, close_loop,
                         closed_loop_trace, coev_matrix, compose, db_vector,
-                        dual_morphism, ev_matrix, graft_path_matrix,
-                        is_identity_map, left_nested, pivotal_matrix,
-                        right_nested, scaled)
+                        drop_unit_letter_matrix, dual_morphism, ev_matrix,
+                        graft_path_matrix, is_identity_map, left_nested,
+                        pivotal_matrix, right_nested, scaled)
 
 
 def brute_hom_dimension(cat, letters):
@@ -425,18 +425,26 @@ def test_fuse_undoes_split(name):
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_drop_undoes_add_unit_letter(name):
-    # a unit letter is inserted as the graft of its one path (1, 1)
+    # a unit letter is inserted as the graft of its one path (1, 1); by the
+    # unit axiom the path bases with and without it have the same size and
+    # order, so the drop and the graft are each the identity, which is why
+    # the FS tear-down applies neither
     cat = bundled(name)
     unit = cat.unit
     for word in _words(cat, 3):
         for i in range(len(word) + 1):
             padded = word[:i] + (unit,) + word[i:]
             for root in cat.labels:
+                ps = paths(cat, word, root)
+                assert [p[:i + 1] + p[i + 2:]
+                        for p in paths(cat, padded, root)] == list(ps)
                 add = graft_path_matrix(cat, word, root, i, (unit,),
                                         (unit, unit))
-                m = mat_mul(dense(drop_unit_letter_matrix(cat, padded, root, i)),
-                            dense(add))
-                assert is_identity(m), (word, i, root)
+                drop = drop_unit_letter_matrix(cat, padded, root, i)
+                for m in (add, drop):
+                    assert m[0] == len(m[1]) == len(ps), (word, i, root)
+                    assert is_identity(dense(m)), (word, i, root)
+                assert is_identity(mat_mul(dense(drop), dense(add)))
 
 
 def reference_path_matrix(cat, keys, tgt, root, moves):

@@ -30,11 +30,11 @@ from fscat.homcalc import _bend_columns, _bend_entries, _graft_coeffs, paths
 from fscat import indicators
 from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _bend_value,
                               _factors, _fs_blocks, _prefix_product,
-                              _right_block, _torn_down,
-                              check_fs_theorems, check_power_identity,
-                              check_reversal_symmetry, e_map, e_map_matrix,
-                              fs_scalar, indicator, indicator_report,
-                              is_spherical, qn_distance, rotation_operator)
+                              _right_block, check_fs_theorems,
+                              check_power_identity, check_reversal_symmetry,
+                              e_map, e_map_matrix, fs_scalar, indicator,
+                              indicator_report, is_spherical, qn_distance,
+                              rotation_operator)
 from fscat.linalg import (_packs, dense, eye, is_identity, mat_mul, mat_trace,
                           mat_vec, zeros)
 from fscat.oracles import char_indicator, d4_table, q8_table
@@ -680,9 +680,10 @@ def test_fs_middle_is_built_once_per_n_and_r(monkeypatch):
 
 def test_fs_closing_functional_is_built_once_per_word_and_l(monkeypatch):
     # the 15 (l, r) of Fibonacci t at n = 5 close loops on one word of 9
-    # letters, so they build five closing functionals, one per l; the first
-    # r of an l builds its functional and its chunk reads, and every later r
-    # of that l reads them and builds neither
+    # letters, torn down to one word of 4 letters and one chunk of 5, so
+    # they build five closing functionals, one per l, each with the reads of
+    # every chunk path; the first r of an l builds its functional, and every
+    # later r of that l reads it and builds nothing
     reads = []
     real = Category.cached
 
@@ -694,24 +695,27 @@ def test_fs_closing_functional_is_built_once_per_word_and_l(monkeypatch):
 
     monkeypatch.setattr(Category, "cached", counted)
     fib = load_bundled("fibonacci")
-    word = ("t",) * 9
+    torn, chunk = ("t",) * 4, ("t",) * 5
     seen = set()
     for r in range(5):
         for l in range(5 - r):
             del reads[:]
             fs_scalar(fib, "t", 5, l, r)
             fs = [(key, made) for key, made in reads
-                  if key[0] in ("_fs_read", "_closing_functional")]
+                  if key[0] == "_closing_functional"]
             assert fs and {key[3] for key, _ in fs} == {l}
             built = [key for key, made in fs if made]
             if l in seen:
                 assert not built, (l, r)
             else:
-                assert ("_closing_functional", word, "t", l) in built
+                assert built == [("_closing_functional", torn, "t", l, chunk)]
+                c_out, psis = fib._cache[built[0]]
+                assert c_out == "t"
+                assert list(psis) == list(paths(fib, chunk, fib.unit))
             seen.add(l)
     assert sorted(key[1:] for key in fib._cache
                   if key[0] == "_closing_functional") == \
-        [(word, "t", l) for l in range(5)]
+        [(torn, "t", l, chunk) for l in range(5)]
 
 
 def test_fs_guard_applies_on_a_memo_hit(monkeypatch):
@@ -722,23 +726,21 @@ def test_fs_guard_applies_on_a_memo_hit(monkeypatch):
     monkeypatch.delenv("FSCAT_NMAX_GUARD", raising=False)
     fs_scalar(fib, "t", 5, 0, 0)
     assert ("_torn_down", ("t",), "t", 5, 0) in fib._cache
-    closing = ("_closing_functional", ("t",) * 9, "t", 0)
+    closing = ("_closing_functional", ("t",) * 4, "t", 0, ("t",) * 5)
     assert closing in fib._cache
     chains = [key for key in fib._cache if key[0] == "graft"]
-    reads = [key for key in fib._cache if key[0] == "_fs_read"]
-    assert chains and reads
+    assert chains
     monkeypatch.setenv("FSCAT_NMAX_GUARD", "3")
     with pytest.raises(DimensionGuardError):
         fs_scalar(fib, "t", 5, 1, 0)
     # a refused request builds no middle, no closing functional and no
-    # chunk read of its own, and no graft chain
+    # graft chain of its own
     with pytest.raises(DimensionGuardError):
         fs_scalar(fib, "t", 5, 0, 1)
     assert [key for key in fib._cache if key[0] == "_torn_down"] == \
         [("_torn_down", ("t",), "t", 5, 0)]
     assert [key for key in fib._cache
             if key[0] == "_closing_functional"] == [closing]
-    assert [key for key in fib._cache if key[0] == "_fs_read"] == reads
     assert [key for key in fib._cache if key[0] == "graft"] == chains
 
 
@@ -863,8 +865,7 @@ def test_shared_memos_give_cold_results(name):
     # and the rotation pass reaches the bend hosts, and at n = 7 and 8 the
     # prefix products (every spec has a nonzero a^7 or a^8 of dimension
     # <= 16, the unit's at least); validation and the pivotal enumeration
-    # reach the F residues, the double duals and the pivotal structures,
-    # and the split steps are the test reference's
+    # reach the F residues, the double duals and the pivotal structures
     cat = load_bundled(name)
     cases = [(a, n, l, r) for a in cat.labels for n in range(1, 5)
              for l in range(n) for r in range(n - l)]
@@ -886,8 +887,6 @@ def test_shared_memos_give_cold_results(name):
                      for a in cat.labels]
     assert validate(warm).valid
     assert enumerate_pivotal_structures(warm)
-    for u, v, x in cat.ring.admissible_triples():
-        split_step_matrix(warm, (x,), x, 0, u, v)
     builders = _memoised_builders()
     kinds = set()
     for key, got in [*warm.ring._cache.items(), *warm._cache.items()]:

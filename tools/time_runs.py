@@ -25,9 +25,10 @@ checkout.  Each mode times, and compares as output:
   trials' values' ``repr`` (a child whose trial changes a value fails).
 * ``validate``, per spec bundled in the last checkout: a cold
   ``category.validate``, then the call that decides its pentagon item,
-  ``pentagon_failures(stop_after=1)``, on a copy with empty memos (on the
-  validated category it would read the memoised F residues and look nearly
-  free); ``report.lines()``.
+  ``pentagon_failures``, on a copy with empty memos (on the validated
+  category it would read the memoised F residues and look nearly free);
+  ``report.lines()``.  The call passes no option, so older checkouts, whose
+  ``pentagon_failures`` took a ``stop_after`` limit, run it too.
 * ``import``: ``import fscat, fscat.cli``, which the benchmark's
   ``setup_s`` includes but its layer tracer cannot see; whether mpmath is
   loaded after a ``validate`` of the bundled Fibonacci spec, printed too.
@@ -102,7 +103,7 @@ report = validate(cat)
 print(time.perf_counter() - start)
 fresh = cat.with_pivotal(cat.pivotal)
 start = time.perf_counter()
-pentagon_failures(fresh, stop_after=1)
+pentagon_failures(fresh)
 print(time.perf_counter() - start)
 print("\\n".join(report.lines()))
 """
