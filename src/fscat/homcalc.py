@@ -16,22 +16,26 @@ A ``LinMap`` carries one matrix per root label r, the block on
 blocks' ordinary traces weighted by the pivotal dimensions of the roots
 (``pivotal_dimension``), which is all the library reads of a trace.
 
-Every path-basis matrix is laid out by one kernel, ``_path_columns``: a
-local move sends each source path to weighted target paths, and the kernel
-lays the weights out on the target path basis, one column of nonzero
-``(row, coeff)`` pairs per source path (the column form of ``linalg``).
-The same loop takes any other source basis by its keys.  The move builders
-return the column form, because nearly all of them are applied to one
-vector (``mat_vec``); the ``LinMap`` blocks, the walk's rotations
-(``indicators.e_map_matrix``) and every operand of ``mat_mul`` are dense
-rows, converted once by ``linalg.dense``.  Removals are single-vertex
-moves (fuse, evaluation); a unit letter needs no move of its own, since
-by the unit axiom its paths are those of the word without it, in the same
-order.  Every insertion is a graft,
-which re-associates a unit-rooted guest subword into the running path by a
-chain of elementary inverse F-moves (``_graft_coeffs``).
-``insert_vector_matrix`` grafts a fixed guest vector into every host path
-and ``splice_host_matrix`` every guest path into a fixed host vector; the
+A local move sends each source path to weighted target paths, and each
+move builder lays it out in one of the two sparse forms of ``linalg``,
+chosen by its ``keys`` argument.  Without keys, ``_path_columns`` lays it
+out on the target path basis over every source path, one column of
+nonzero ``(row, coeff)`` pairs per source path (the column form); the
+same loop takes any other source basis by its keys.  With keys, the
+source paths a vector holds, ``_keyed_columns`` names each column by its
+source path and each entry by its target path (the keyed form), so no
+basis of either word is listed: the Frobenius-Schur build moves its
+vectors this way, by their nonzero coordinates, with ``mat_vec`` and
+``vec_mat``.  The bends and the test references take the column form;
+the ``LinMap`` blocks, the walk's rotations (``indicators.e_map_matrix``)
+and every operand of ``mat_mul`` are dense rows, converted once by
+``linalg.dense``.  Removals are single-vertex moves (fuse, evaluation); a
+unit letter needs no move of its own, since by the unit axiom its paths
+are those of the word without it, in the same order.  Every insertion is
+a graft, which re-associates a unit-rooted guest subword into the running
+path by a chain of elementary inverse F-moves (``_graft_coeffs``).
+``insert_vector_matrix`` grafts a fixed guest vector into each host path
+and ``splice_host_matrix`` each guest path into a fixed host vector; the
 fixed vector is passed as its nonzero ``(path, coeff)`` terms, so one
 guest path, a coevaluation pair's (1, b, 1) say, is one term.  A
 k-strand bend is one graft too (``_bend_columns``): the word is spliced
@@ -52,15 +56,18 @@ the fusion ring (``category.RING_KINDS``): the categories on one ring, such
 as its pivotal structures and gauges, build each basis once.  The guard is
 checked on each build, so a basis kept on a ring is not counted again.
 
-Per category are kept the fuse steps, evaluation pairs, the nested
-coevaluation terms (``db_prime_vector``), the bend hosts ``_bend_tops``
-and the bends by columns ``_bend_columns``, and three stages of the
-Frobenius-Schur endomorphisms: the right coevaluation blocks
-(``indicators._right_block``), the torn-down middle that every l of an
-(n, r) shares (``indicators._torn_down``), and the closing functional,
-read through each chunk graft, that every r of an (n, l) shares
-(``indicators._closing_functional``), which keeps no graft matrix.  The
-split step, the fuse step's inverse, is a test reference and is not
+Per category are kept the evaluation pairs over whole bases (the bends
+read them), the nested coevaluation terms (``db_prime_vector``), the
+bend hosts ``_bend_tops`` and the bends by columns ``_bend_columns``, and
+four stages of the Frobenius-Schur endomorphisms: the right coevaluation
+blocks (``indicators._right_block``), the torn-down middle that every l of
+an (n, r) shares (``indicators._torn_down``), the closing rows of the
+words below the top one (``indicators._closing_row``), and the closing
+functional, read through each chunk graft, that every r of an (n, l)
+shares (``indicators._closing_functional``), which keeps no graft matrix.
+A keyed build is never kept: its keys are the paths of one vector.  So
+no memo holds a path of a (2n - 1)-letter word of that build.  The
+fuse step and the split step, its inverse and a test reference, are not
 kept.  A bend host depends only on the bent letters, so every bend of a
 word with the same head shares it.  ``insert_vector_matrix`` and
 ``splice_host_matrix`` are not memoised: their key would hold ``Cyc``
@@ -88,7 +95,7 @@ import os
 
 from .category import Category, memoised
 from .cyclo import Cyc
-from .linalg import eye, mat_trace, mat_vec
+from .linalg import _coeff, eye, mat_trace, mat_vec
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -276,6 +283,31 @@ def _path_columns(cat, keys, tgt, root, moves):
     return len(tidx), tuple(cols)
 
 
+def _keyed_columns(keys, moves):
+    """Keyed form (``linalg``) of a local move on the source paths ``keys``:
+    column ``key`` accumulates each ``(q, coeff)`` of ``moves(key)`` under
+    the target path q.  Zero coefficients and sums that cancel are dropped.
+    No target basis is read: a move lands only on admissible paths, since
+    an F entry of an inadmissible tuple is zero."""
+    out = {}
+    for key in keys:
+        col = {}
+        for q, val in moves(key):
+            if val:
+                col[q] = col[q] + val if q in col else val
+        out[key] = tuple(filter(_coeff, col.items()))
+    return out
+
+
+def _move_columns(cat, keys, src, tgt, root, moves):
+    """A local move from Hom(root, src) to Hom(root, tgt): in column form
+    over every path of Hom(root, src) when ``keys`` is None, else in keyed
+    form over the source paths ``keys``."""
+    if keys is None:
+        return _path_columns(cat, paths(cat, src, root), tgt, root, moves)
+    return _keyed_columns(keys, moves)
+
+
 @memoised("graft")
 def _graft_chains(cat, lam, guest_letters, rho):
     """The unseeded ``_graft_coeffs`` chains, as (sigma[1:], coeff) pairs,
@@ -298,31 +330,35 @@ def _graft_moves(cat, i, guest_letters, terms):
             yield head + mid + tail, c * g
 
 
-def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest):
-    """Matrix of v -> (id (x) u (x) id) o v on Hom(root, -) bases.
+def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest, *,
+                         keys=None):
+    """Matrix of v -> (id (x) u (x) id) o v on Hom(root, -) bases, over the
+    host paths ``keys`` in keyed form, or over all of them in column form.
 
     ``u`` is a fixed unit-rooted vector through ``guest_letters``, inserted
     at letter position ``i`` and passed as its nonzero ``(path, coeff)``
     terms: a guest path rho is ``((rho, ONE),)``, a coevaluation pair
     (b, b*) its one path ``(((1, b, 1), ONE),)``.
     """
-    comb = host_letters[:i] + guest_letters + host_letters[i:]
-    return _path_columns(
-        cat, paths(cat, host_letters, root), comb, root,
+    return _move_columns(
+        cat, keys, host_letters,
+        host_letters[:i] + guest_letters + host_letters[i:], root,
         lambda p: _graft_moves(cat, i, guest_letters,
                                [(p, rho, c) for rho, c in guest]))
 
 
-def splice_host_matrix(cat, host_letters, host, i, guest_letters):
+def splice_host_matrix(cat, host_letters, host, i, guest_letters, *,
+                       keys=None):
     """Matrix of v -> (id (x) v (x) id) o u, with the host vector u fixed
-    and passed as its nonzero ``(path, coeff)`` terms.
+    and passed as its nonzero ``(path, coeff)`` terms, over the guest paths
+    ``keys`` in keyed form, or over all of them in column form.
 
     Both the host and the variable guest are unit-rooted; this is the shape
     of the coevaluation "wrap" that bends strands over the top.
     """
-    comb = host_letters[:i] + guest_letters + host_letters[i:]
-    return _path_columns(
-        cat, paths(cat, guest_letters, cat.unit), comb, cat.unit,
+    return _move_columns(
+        cat, keys, guest_letters,
+        host_letters[:i] + guest_letters + host_letters[i:], cat.unit,
         lambda rho: _graft_moves(cat, i, guest_letters,
                                  [(p, rho, c) for p, c in host]))
 
@@ -330,13 +366,13 @@ def splice_host_matrix(cat, host_letters, host, i, guest_letters):
 # -- elementary vertex steps -------------------------------------------------
 
 
-@memoised()
-def fuse_step_matrix(cat, letters, root, i, w):
-    """Fuse adjacent letters (x_i, x_{i+1}) into the channel w."""
+def fuse_step_matrix(cat, letters, root, i, w, *, keys=None):
+    """Fuse adjacent letters (x_i, x_{i+1}) into the channel w, over the
+    source paths ``keys`` in keyed form, or over all of them in column
+    form; not memoised."""
     u, v = letters[i], letters[i + 1]
-    return _path_columns(
-        cat, paths(cat, letters, root),
-        letters[:i] + (w,) + letters[i + 2:], root,
+    return _move_columns(
+        cat, keys, letters, letters[:i] + (w,) + letters[i + 2:], root,
         lambda p: [(p[:i + 1] + p[i + 2:],
                     cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], w))])
 
@@ -356,9 +392,9 @@ def split_step_matrix(cat, letters, root, i, u, v):
                    for s in cat.channels(p[i], u)])
 
 
-@memoised()
-def contract_pair_matrix(cat, letters, root, i):
-    """Evaluation on the adjacent dual pair at positions (i, i+1).
+def _contract_moves(cat, letters, i):
+    """The move of the evaluation on the dual pair at (i, i + 1): a path p
+    with p[i + 2] = p[i] goes to p[:i + 1] + p[i + 3:].
 
     The pair must be (c*, c) up to which side carries the star; the scalar
     is the zig-zag normalization of the evaluation whose shape matches,
@@ -368,11 +404,28 @@ def contract_pair_matrix(cat, letters, root, i):
     if cat.dual(u) != v:
         raise ValueError(f"letters ({u},{v}) are not a dual pair")
     mu = cat.ev_coefficient(v)
-    return _path_columns(
-        cat, paths(cat, letters, root), letters[:i] + letters[i + 2:], root,
-        lambda p: [(p[:i + 1] + p[i + 3:],
-                    mu * cat.f_entry(p[i], u, v, p[i], p[i + 1], cat.unit))]
-        if p[i + 2] == p[i] else ())
+    return lambda p: [(p[:i + 1] + p[i + 3:],
+                       mu * cat.f_entry(p[i], u, v, p[i], p[i + 1], cat.unit))
+                      ] if p[i + 2] == p[i] else ()
+
+
+@memoised("contract_pair_matrix")
+def _contraction(cat, letters, root, i):
+    """``contract_pair_matrix`` in column form over every source path, kept
+    per category: the bends read it."""
+    return _path_columns(cat, paths(cat, letters, root),
+                         letters[:i] + letters[i + 2:], root,
+                         _contract_moves(cat, letters, i))
+
+
+def contract_pair_matrix(cat, letters, root, i, *, keys=None):
+    """Evaluation on the adjacent dual pair at positions (i, i+1)
+    (``_contract_moves``): over every source path in column form, kept per
+    category (``_contraction``), or over the source paths ``keys`` in keyed
+    form, built afresh."""
+    if keys is None:
+        return _contraction(cat, letters, root, i)
+    return _keyed_columns(keys, _contract_moves(cat, letters, i))
 
 
 # -- coevaluation vectors ----------------------------------------------------
@@ -382,15 +435,21 @@ def _nested_coevaluation(cat, pairs):
     """(word, terms) of the nested coevaluations of ``pairs``, the terms the
     nonzero ``(path, coeff)`` pairs of the unit-rooted vector.  Each pair is
     spliced, outermost first, into the middle of the running vector as the
-    fixed host (grafting is associative): the splice has one column, the
-    pair's one path, and its entries are the next terms."""
+    fixed host (grafting is associative): the splice is keyed by the pair's
+    one path (1, x, 1), and its one column is the next terms, so no path
+    basis of the word is listed.  The word is still counted against the
+    guard first (``check_word_guard``): each running word is the last with
+    some dual pairs taken out, and the product of a dual pair contains the
+    unit, so no running word has a larger hom space than the last."""
+    check_word_guard(cat, tuple(x for x, _ in pairs)
+                     + tuple(y for _, y in reversed(pairs)), cat.unit)
     cur, terms = (), (((cat.unit,), ONE),)
     for pair in pairs:
         mid = len(cur) // 2
-        (col,) = splice_host_matrix(cat, cur, terms, mid, pair)[1]
+        (terms,) = splice_host_matrix(cat, cur, terms, mid, pair,
+                                      keys=((cat.unit, pair[0], cat.unit),)
+                                      ).values()
         cur = cur[:mid] + pair + cur[mid:]
-        ps = paths(cat, cur, cat.unit)
-        terms = tuple((ps[row], c) for row, c in col)
     return cur, terms
 
 

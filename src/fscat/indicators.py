@@ -29,8 +29,11 @@ forward half, the coevaluations inserted and the middle chunk torn down,
 is shared by every l of an (n, r) (``_torn_down``); the backward half, the
 chunk grafted back and the three loops closed, is one row functional per
 torn word and chunk path, shared by every r of an (n, l)
-(``_closing_functional``).  The words of 2n - 1 letters are still counted
-against the guard on every request.
+(``_closing_functional``).  Both halves move their vectors by their
+nonzero coordinates, keyed by path, so no basis of the words of 2n - 1
+letters is listed, and only vectors over the torn word of n - 1 letters
+are kept.  Those words are still counted against the guard on every
+request.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from .category import Category, ObjectExpr, memoised, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, _bend_columns,
-                      _bend_entries, check_dimension_guard, check_word_guard,
-                      contract_pair_matrix, db_prime_vector,
+                      _bend_entries, _path_index, check_dimension_guard,
+                      check_word_guard, contract_pair_matrix, db_prime_vector,
                       dual_word, fuse_step_matrix, insert_vector_matrix,
                       path_counts, paths, pivotal_dimension)
 from .linalg import (col_mul, dense, is_identity, is_identity_product,
@@ -350,22 +353,57 @@ def is_spherical(cat: Category) -> bool:
 
 @memoised()
 def _right_block(cat: Category, support, c, r: int):
-    """{word: nonzero vector} on Hom(c, -) after the right block of r
-    coevaluations; shared, so read-only.  By associativity, it is the state
-    for r - 1 with each pair (y, y*) inserted at position r, as the graft of
-    its one path (1, y, 1), and scaled by t(y).  Each word comes from one
-    (word, y), so nothing is summed."""
+    """{word: {path: coeff}} on Hom(c, -) after the right block of r
+    coevaluations, each vector by its nonzero coordinates; shared, so
+    read-only.  By associativity, it is the state for r - 1 with one more
+    pair inserted (``_pair_step``)."""
     if not r:
-        return {(c,): [ONE]}
+        return {(c,): {(cat.unit, c): ONE}}
+    return _pair_step(cat, support, c, r, _right_block(cat, support, c, r - 1))
+
+
+def _pair_step(cat, support, c, r, block):
+    """The right-block state ``block`` of r - 1 pairs with each pair
+    (y, y*) inserted at position r, as the graft of its one path (1, y, 1)
+    over the paths each vector holds, and scaled by t(y).  Each word comes
+    from one (word, y), so nothing is summed."""
     state = {}
-    for word, vec in _right_block(cat, support, c, r - 1).items():
+    for word, vec in block.items():
         for y in support:
             pair = (y, cat.dual(y))
             got = mat_vec(insert_vector_matrix(
-                cat, word, c, r, pair, (((cat.unit, y, cat.unit), ONE),)), vec)
-            if any(got):
-                state[word[:r] + pair + word[r:]] = [cat.t(y) * x for x in got]
+                cat, word, c, r, pair, (((cat.unit, y, cat.unit), ONE),),
+                keys=vec), vec)
+            if got:
+                ty = cat.t(y)
+                state[word[:r] + pair + word[r:]] = {p: ty * x
+                                                     for p, x in got.items()}
     return state
+
+
+def _fused_down(cat, word, c, m, chunk, state):
+    """(pi, vector) for each path pi of the chunk word[m:m + n] along which
+    its n letters fuse down to a nonzero vector on the unit letter at m.
+
+    Fuse step j takes the letters at (m, m + 1) into pi[j + 2] on the paths
+    the vector holds, so the vector after j steps depends on pi[:j + 2]
+    alone.  The chunk paths come in label order, and each one reuses the
+    steps of the longest prefix it shares with the one before.
+    """
+    n = len(chunk)
+    stack, prev = [state], ()
+    for pi in paths(cat, chunk, cat.unit):
+        same = next((j for j, (x, y) in enumerate(zip(pi, prev)) if x != y),
+                    len(prev))
+        del stack[max(same - 1, 1):]
+        while stack[-1] and len(stack) < n:
+            j, vec = len(stack) - 1, stack[-1]
+            cur = word[:m] + (pi[j + 1],) + word[m + j + 1:]
+            stack.append(mat_vec(fuse_step_matrix(cat, cur, c, m, pi[j + 2],
+                                                  keys=vec), vec))
+        if stack[-1] and len(stack) == n:
+            yield pi, stack[-1]
+        prev = pi
 
 
 @memoised()
@@ -377,74 +415,105 @@ def _torn_down(cat: Category, support, c, n: int, r: int):
     nested coevaluation ``db_prime_vector(u)`` is inserted in front of each
     word of the right block (``_right_block``), and the n letters from
     position m on, the middle loop's chunk, are fused down to the unit
-    along each path pi of the chunk.  The unit letter left at position m is
+    along each path pi of the chunk (``_fused_down``); every insertion and
+    step is keyed by the paths its vector holds, so no basis of the
+    (2n - 1)-letter word is listed.  The unit letter left at position m is
     not moved: by the unit axiom N(a, 1, b) = delta_ab, which ``validate``
     checks, every path through it has p[m + 1] = p[m], so dropping that
-    stage is an order-preserving bijection of the path bases and the
-    vector already has the coordinates of the torn word.  Returns a tuple
-    of (u, torn word, chunk, pi, vector), one per surviving tear-down.  No
-    pivotal scalar of u is applied: it depends on l.
+    stage is a bijection onto the paths of the torn word, and the vector is
+    kept dense over that short basis (n - 1 letters).  At m = 0 the right
+    block is the whole word, so its last pair is inserted here rather than
+    kept.  Returns a tuple of (u, torn word, chunk, pi, vector), one per
+    surviving tear-down.  No pivotal scalar of u is applied: it depends on
+    l.
     """
     m = n - 1 - r
+    if m or not r:
+        right = _right_block(cat, support, c, r)
+    else:
+        right = _pair_step(cat, support, c, r,
+                           _right_block(cat, support, c, r - 1))
     out = []
     for u in itertools.product(support, repeat=m):
         comb_letters, comb = db_prime_vector(cat, u)
-        for word, vec in _right_block(cat, support, c, r).items():
-            state = mat_vec(insert_vector_matrix(cat, word, c, 0, comb_letters,
-                                                 comb), vec)
-            if not any(state):
+        for word, vec in right.items():
+            state = mat_vec(insert_vector_matrix(
+                cat, word, c, 0, comb_letters, comb, keys=vec), vec)
+            if not state:
                 continue
             word = comb_letters + word
-            chunk = word[m:m + n]
-            for pi in paths(cat, chunk, cat.unit):
-                vec, cur = state, word
-                for j in range(n - 1):
-                    vec = mat_vec(fuse_step_matrix(cat, cur, c, m, pi[j + 2]),
-                                  vec)
-                    cur = cur[:m] + (pi[j + 2],) + cur[m + 2:]
-                    if not any(vec):
-                        break
-                else:
-                    out.append((u, cur[:m] + cur[m + 1:], chunk, pi, vec))
+            chunk, torn = word[m:m + n], word[:m] + word[m + n:]
+            tidx = _path_index(cat, torn, c)
+            for pi, vec in _fused_down(cat, word, c, m, chunk, state):
+                dense_vec = [ZERO] * len(tidx)
+                for p, x in vec.items():
+                    dense_vec[tidx[p[:m + 1] + p[m + 2:]]] = x
+                out.append((u, torn, chunk, pi, dense_vec))
     return tuple(out)
+
+
+def _closing_step(cat: Category, word, c, positions):
+    """The row vector phi = e_0 C_last ... C_first on Hom(c, word), by its
+    nonzero coordinates: C_i the contractions at ``positions`` in turn,
+    each a position of the word the ones before leave, and e_0 the one path
+    of the closed word.  None where a closure meets no dual pair, or where
+    the closed word has no path to c.
+
+    phi is the row of the word left by the first contraction
+    (``_closing_row``), pulled back through that contraction
+    (``linalg.vec_mat`` in keyed form).  The contraction takes p to
+    p[:pos + 1] + p[pos + 3:] where p[pos + 2] = p[pos], so it is keyed by
+    the paths it takes into the row's.
+    """
+    if not positions:
+        closed = paths(cat, word, c)
+        return {closed[0]: ONE} if closed else None
+    pos = positions[0]
+    if cat.dual(word[pos]) != word[pos + 1]:
+        return None
+    phi = _closing_row(cat, word[:pos] + word[pos + 2:], c, positions[1:])
+    if phi is None:
+        return None
+    keys = [q[:pos + 1] + (s, q[pos]) + q[pos + 1:] for q in phi
+            for s in cat.channels(q[pos], word[pos])]
+    return vec_mat(phi, contract_pair_matrix(cat, word, c, pos, keys=keys))
+
+
+# the rows below the top word, kept per category: the closings of one (n, l)
+# on different torn words meet the same shorter words; the top word's row
+# is made by ``_closing_functional`` and not kept
+_closing_row = memoised("_closing_row")(_closing_step)
 
 
 @memoised()
 def _closing_functional(cat: Category, cur, c, l: int, chunk):
-    """(c_out, {pi: psi}): the chunk grafted back at position l of the torn
+    """(c, {pi: psi}): the chunk grafted back at position l of the torn
     word ``cur`` and the three loop closures of FS^{(n,l,r)}, read as one
     row vector psi on Hom(c, cur) per path pi of the chunk; read-only.
 
     n = len(chunk), and the closing positions depend on n and l alone: the
     left loop (positions l-1 .. 0), then the middle and the right ones,
     which stand next to each other (positions n-l-1 .. 1).  So every r of
-    an (n, l) reads the same functional.  The closures' words are listed
-    forward, then phi = e_0 C_last ... C_first is built backward through
-    the ``contract_pair_matrix`` columns (``linalg.vec_mat``), starting from
-    the one path of the closed word (c_out,), and read through the graft of
-    each pi, the insertion of the one term (pi, 1): psi = phi G_pi.  Only
-    the psi are kept.  None where a closure meets no dual pair, or where
-    Hom(c, c_out) is zero.
+    an (n, l) reads the same functional.  The closures make one row phi on
+    Hom(c, -) of the (2n - 1)-letter word (``_closing_step``), by its
+    nonzero coordinates; it is read through the graft of each pi, the
+    insertion of the one term (pi, 1) keyed by the paths of ``cur``:
+    psi = phi G_pi, dense over that short basis.  Only the psi are kept.
+    None where phi is: the closed word (c_out,) has a path to c only when
+    c_out = c.
     """
     n = len(chunk)
-    word = cur[:l] + chunk + cur[l:]
-    chain = []
-    for pos in (*range(l - 1, -1, -1), *range(n - l - 1, 0, -1)):
-        if cat.dual(word[pos]) != word[pos + 1]:
-            return None
-        chain.append((word, pos))
-        word = word[:pos] + word[pos + 2:]
-    assert len(word) == 1
-    if not paths(cat, word, c):
+    phi = _closing_step(cat, cur[:l] + chunk + cur[l:], c,
+                        (*range(l - 1, -1, -1), *range(n - l - 1, 0, -1)))
+    if phi is None:
         return None
-    phi = [ONE]
-    for letters, pos in reversed(chain):
-        phi = vec_mat(phi, contract_pair_matrix(cat, letters, c, pos))
+    torn = paths(cat, cur, c)
     reads = {}
     for pi in paths(cat, chunk, cat.unit):
-        reads[pi] = vec_mat(phi, insert_vector_matrix(cat, cur, c, l, chunk,
-                                                      ((pi, ONE),)))
-    return word[0], reads
+        psi = vec_mat(phi, insert_vector_matrix(cat, cur, c, l, chunk,
+                                                ((pi, ONE),), keys=torn))
+        reads[pi] = [psi.get(p, ZERO) for p in torn]
+    return c, reads
 
 
 def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
@@ -460,13 +529,17 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
     grafting the chunk back at position l and closing the three loops is
     linear and depends on (n, l) alone, so it is one row functional per
     torn word and chunk path, those of one torn word and chunk built
-    together and shared by every r (``_closing_functional``).  Each request
+    together and shared by every r (``_closing_functional``).  Every move
+    of either half is keyed by the paths its vector holds, and only the
+    nonzero coordinates are moved, so no basis of the inserted words of
+    2n - 1 letters is listed; the torn vectors and the functionals are
+    kept dense over the torn word's basis of n - 1 letters.  Each request
     only scales the dot product of the two halves by the inverse pivotal
-    scalars of its left letters.  The inserted words of 2n - 1 letters are
-    still the longest built, and they are counted against the guard on
-    every request, before either half is read or built.  Returns
-    {(c_in, c_out): Cyc}; multiplicity-free direct sums only, so a repeated
-    label is refused.
+    scalars of its left letters.  The inserted words are still counted
+    against the guard on every request, before either half is read or
+    built, so the guard refuses what it refused when their bases were
+    listed.  Returns {(c_in, c_out): Cyc}; multiplicity-free direct sums
+    only, so a repeated label is refused.
     """
     k = l + r + 1
     if not (l >= 0 and r >= 0 and k <= n):

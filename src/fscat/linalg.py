@@ -31,12 +31,21 @@ keep the entrywise ``Cyc`` loop: for them the scan and the packing cost
 more than the loop saves (square products at conductors 1, 5, 8 and 12
 broke even between 27 and 64 multiply-adds).
 
-``mat_vec`` takes the column form and does one multiply-add per stored
-nonzero that meets a nonzero coordinate of the vector: the path-move
-matrices it is applied to are sparse, and so are the vectors they move.
-``vec_mat`` is its transpose partner: a row vector times a column form, one
-dot product per stored column over the row's nonzeros, for the row
-functionals that read many vectors through one chain of matrices.
+The keyed form is a column form whose rows and columns are named by keys
+instead of positions: a dict from each source key to its column, a tuple
+of the ``(target key, coeff)`` pairs with coeff != 0.  ``homcalc`` builds
+its local moves in this form over the paths a vector holds, so no whole
+path basis is listed, and a keyed vector is the dict of its nonzero
+coordinates.
+
+``mat_vec`` applies either form to a vector of the same kind and does one
+multiply-add per stored nonzero that meets a nonzero coordinate of the
+vector: the path-move matrices it is applied to are sparse, and so are the
+vectors they move.  In keyed form it reads the vector's keys only, so a
+zero coordinate is never visited.  ``vec_mat`` is its transpose partner: a
+keyed row vector times the keyed form, one dot product per stored column
+over the row's nonzeros, for the row functionals that are pulled back
+through a chain of moves.
 ``col_mul`` multiplies two column forms the same way, one multiply-add per
 pair of stored nonzeros that meet, unless that count reaches
 ``_PACK_FRACTION`` of rows * inner * cols: then it converts both with
@@ -52,12 +61,13 @@ takes the determinants of F-blocks' residues with it.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import itemgetter, mul
 
 from .cyclo import Cyc, kron_operands, kron_pack, signed_slots
 
 ZERO = Cyc.zero()
 ONE = Cyc.one()
+_coeff = itemgetter(1)  # of a (key, coeff) pair
 
 
 def zeros(rows: int, cols: int):
@@ -111,7 +121,19 @@ def dense(a):
 
 
 def mat_vec(a, v):
-    """a v for ``a`` in column form, over the nonzeros of a and of v only."""
+    """a v, over the nonzeros of a and of v only.
+
+    In column form v is a list, and so is a v.  In keyed form v is a dict
+    {key: coeff} of nonzero coordinates, every key of which has a column in
+    ``a``; a v is the dict of its nonzero coordinates, and sums that cancel
+    are dropped.
+    """
+    if isinstance(v, dict):
+        out = {}
+        for key, y in v.items():
+            for q, x in a[key]:
+                out[q] = out[q] + x * y if q in out else x * y
+        return dict(filter(_coeff, out.items()))
     rows, cols = a
     if len(cols) != len(v):
         raise ValueError("matrix shape mismatch")
@@ -124,19 +146,18 @@ def mat_vec(a, v):
 
 
 def vec_mat(phi, a):
-    """The row vector phi a for ``a`` in column form: one dot product per
-    stored column, over the nonzeros of phi only; ``mat_vec``'s transpose."""
-    rows, cols = a
-    if len(phi) != rows:
-        raise ValueError("matrix shape mismatch")
-    out = []
-    for col in cols:
-        acc = ZERO
-        for i, x in col:
-            y = phi[i]
-            if y:
-                acc = acc + y * x
-        out.append(acc)
+    """The row vector phi a for ``a`` in keyed form: one dot product per
+    stored column, over the nonzeros of phi only; ``mat_vec``'s transpose.
+    phi is a dict {key: coeff} of nonzero coordinates, and so is phi a."""
+    out = {}
+    for key, col in a.items():
+        acc = None
+        for q, x in col:
+            y = phi.get(q)
+            if y is not None:
+                acc = y * x if acc is None else acc + y * x
+        if acc:
+            out[key] = acc
     return out
 
 

@@ -394,7 +394,8 @@ def unshared_fs_blocks(cat, support, n, l, r):
             for ub in itertools.product(support, repeat=nk):
                 comb_letters, comb = db_prime_vector(cat, ub + ua)
                 comb = [(p, scale * x) for p, x in comb] if ua else comb
-                for word, vec in _right_block(cat, support, c, r).items():
+                for word, terms in _right_block(cat, support, c, r).items():
+                    vec = [terms.get(p, ZERO) for p in paths(cat, word, c)]
                     mat = insert_vector_matrix(cat, word, c, 0, comb_letters,
                                                comb)
                     _accumulate(state, comb_letters + word, mat_vec(mat, vec))

@@ -547,6 +547,44 @@ def test_path_columns_match_the_dense_loop(name, monkeypatch):
         assert any(nonzeros), builder
 
 
+# (source word, target word, root) of each keyed builder's arguments
+_KEYED_BASES = {
+    "fuse_step_matrix": lambda cat, word, root, i, w:
+        (word, word[:i] + (w,) + word[i + 2:], root),
+    "contract_pair_matrix": lambda cat, word, root, i:
+        (word, word[:i] + word[i + 2:], root),
+    "insert_vector_matrix": lambda cat, word, root, i, g, terms:
+        (word, word[:i] + g + word[i:], root),
+    "splice_host_matrix": lambda cat, host, terms, i, g:
+        (g, host[:i] + g + host[i:], cat.unit),
+}
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_keyed_builds_match_the_column_form(name):
+    # a build keyed by every source path is the column form over the whole
+    # basis with its rows named by their target paths, column for column;
+    # keyed by a part of the basis, it has the columns of that part only
+    cat = bundled(name)
+    calls = _path_move_calls(cat)
+    nonzeros = 0
+    for builder, bases in _KEYED_BASES.items():
+        build = getattr(homcalc, builder)
+        for args in calls[builder]:
+            src, tgt, root = bases(cat, *args)
+            sources, targets = paths(cat, src, root), paths(cat, tgt, root)
+            rows, cols = build(cat, *args)
+            assert rows == len(targets)
+            want = {p: tuple((targets[i], x) for i, x in col)
+                    for p, col in zip(sources, cols)}
+            assert build(cat, *args, keys=sources) == want, (builder, args)
+            part = sources[::2]
+            assert build(cat, *args, keys=part) == \
+                {p: want[p] for p in part}, (builder, args)
+            nonzeros += sum(map(len, cols))
+    assert nonzeros
+
+
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_word_guard_refuses_exactly_above_the_guard(name, monkeypatch):
     # a word whose product of fanouts exceeds the guard is counted and

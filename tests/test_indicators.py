@@ -24,8 +24,8 @@ from fscat.category import (RING_KINDS, Category, FusionRing,
 from fscat.cli import SplitMix64
 from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
 from fscat.homcalc import (LinMap, db_prime_vector, insert_vector_matrix,
-                           path_counts, pivotal_trace, splice_host_matrix,
-                           split_step_matrix)
+                           path_counts, pivotal_dimension, pivotal_trace,
+                           splice_host_matrix, split_step_matrix)
 from fscat.homcalc import _bend_columns, _bend_entries, _graft_coeffs, paths
 from fscat import indicators
 from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _bend_value,
@@ -164,7 +164,8 @@ def test_fs_combo_is_one_nested_coevaluation(name):
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_right_block_is_the_inserted_coevaluation(name):
     # the right block by attached pairs is the insertion of the t-scaled
-    # coevaluation of the whole block at position 1
+    # coevaluation of the whole block at position 1, each vector kept as
+    # its nonzero coordinates
     for cat in _stage_cats(name):
         for c in cat.labels:
             for r in range(5):
@@ -175,8 +176,10 @@ def test_right_block_is_the_inserted_coevaluation(name):
                     mat = insert_vector_matrix(cat, (c,), c, 1, g_letters,
                                                g_terms)
                     vec = mat_vec(mat, [Cyc.one()])
+                    word = (c,) + g_letters
                     if any(vec):
-                        want[(c,) + g_letters] = vec
+                        want[word] = {p: x for p, x
+                                      in zip(paths(cat, word, c), vec) if x}
                 assert _right_block(cat, cat.labels, c, r) == want, \
                     (cat.name, c, r)
 
@@ -661,11 +664,11 @@ def test_fs_middle_is_built_once_per_n_and_r(monkeypatch):
     calls = []
     real = indicators.insert_vector_matrix
 
-    def counted(cat, word, root, i, guest_letters, guest):
+    def counted(cat, word, root, i, guest_letters, guest, keys=None):
         u = guest_letters[len(guest_letters) // 2:]
         if guest is db_prime_vector(cat, u)[1]:
             calls.append((word, root, i, guest_letters))
-        return real(cat, word, root, i, guest_letters, guest)
+        return real(cat, word, root, i, guest_letters, guest, keys=keys)
 
     monkeypatch.setattr(indicators, "insert_vector_matrix", counted)
     fib = load_bundled("fibonacci")
@@ -742,6 +745,61 @@ def test_fs_guard_applies_on_a_memo_hit(monkeypatch):
     assert [key for key in fib._cache
             if key[0] == "_closing_functional"] == [closing]
     assert [key for key in fib._cache if key[0] == "graft"] == chains
+
+
+def _label_tuples(obj, labels):
+    """Every tuple of labels inside ``obj``, through tuples, lists and the
+    keys and values of dicts: the words and paths a memo holds."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _label_tuples(key, labels)
+            yield from _label_tuples(value, labels)
+    elif isinstance(obj, (tuple, list)):
+        if obj and isinstance(obj, tuple) and all(
+                isinstance(x, str) and x in labels for x in obj):
+            yield obj
+        else:
+            for x in obj:
+                yield from _label_tuples(x, labels)
+
+
+@pytest.mark.parametrize("name,a", [("fibonacci", "t"),
+                                    ("ty_z2z2_plus", "sigma")])
+def test_fs_sweep_lists_no_basis_of_the_long_word(name, a):
+    # every (l, r) at n = 5 inserts and tears down on words of 9 letters,
+    # but keyed by the paths its vectors hold: no path basis of a 9-letter
+    # word is listed on the ring, and no memo keeps a word of 9 letters or a
+    # path through one (a path starts at the unit and has one stage more
+    # than its word has letters)
+    n, long = 5, 9
+    cat = _on_a_fresh_ring(load_bundled(name))
+    for l in range(n):
+        for r in range(n - l):
+            fs_scalar(cat, a, n, l, r)
+    listed = [key for key in cat.ring._cache if key[0] in ("paths", "pidx")]
+    assert listed and max(len(key[1]) for key in listed) < long
+    labels = set(cat.labels)
+    letters = [len(t) - (t[0] == cat.unit)
+               for store in (cat._cache, cat.ring._cache)
+               for t in _label_tuples(store, labels)]
+    assert letters and max(letters) < long
+
+
+@pytest.mark.parametrize("name,a,n", [("ty_z2z2_plus", "sigma", 8),
+                                      ("fibonacci", "t", 11),
+                                      ("ising", "sigma", 14)],
+                         ids=["ty_z2z2_plus", "fibonacci", "ising"])
+def test_trace_formula_past_the_default_guard(name, a, n, monkeypatch):
+    # nu_n = ptr_l(id) FS^(n) where the FS words of 2n - 1 letters are above
+    # the default guard (Hom(a, a^(2n-1)) has dimension 16,384, 10,946 and
+    # 8,192): with the guard raised, the keyed build lists no basis of them
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", "16384")
+    cat = load_bundled(name)
+    ptrl = pivotal_dimension(cat, a, "left")
+    assert indicator(cat, a, n, 1) == ptrl * fs_scalar(cat, a, n, 0, 0)
+    monkeypatch.delenv("FSCAT_NMAX_GUARD")
+    with pytest.raises(DimensionGuardError):
+        fs_scalar(load_bundled(name), a, n, 0, 0)
 
 
 def _cold_chains(cat, lam, letters, rho):

@@ -8,11 +8,14 @@ both through the module's size selection and forced through the packed
 kernel.  ``mat_vec`` takes the column form and skips the vector's zero
 coordinates, so its reference loop runs over the dense rows and visits every
 coordinate; ``columns`` below turns those rows into the column form, and
-``linalg.dense`` must turn it back.  Its transpose partner ``vec_mat``
-skips the row vector's zero coordinates and must agree with the dense loop
-and with ``mat_vec`` through (phi a) v = phi (a v).  The product of two column forms,
-``col_mul``, and ``is_identity_product`` must agree with the dense product
-and ``is_identity`` on both sides of their packed switch.  The integer
+``linalg.dense`` must turn it back.  The keyed form names rows and
+columns by keys (``keyed`` below), and vectors over it are the dicts of
+their nonzero coordinates: there ``mat_vec`` must equal the column form's
+product, and its transpose partner ``vec_mat`` the dense loop and
+``mat_vec`` through (phi a) v = phi (a v).  The product
+of two column forms, ``col_mul``, and ``is_identity_product`` must agree
+with the dense product and ``is_identity`` on both sides of their packed
+switch.  The integer
 determinant ``int_det`` must agree with the Leibniz expansion.
 """
 
@@ -221,7 +224,7 @@ def test_mat_vec_empty_shapes(rows, cols):
     assert linalg.mat_vec(columns(a, cols), [Cyc.one()] * cols) == [0] * rows
 
 
-# -- vec_mat ------------------------------------------------------------------
+# -- the keyed form: vec_mat, and mat_vec by keys ---------------------------
 
 
 def reference_vec_mat(phi, a, width):
@@ -233,29 +236,48 @@ def dot(x, y):
     return sum((p * q for p, q in zip(x, y)), Cyc.zero())
 
 
+def keyed(a, width):
+    """The keyed form of the dense rows ``a``, ``width`` columns wide:
+    column j under the key ("col", j), its nonzeros under ("row", i)."""
+    return {("col", j): tuple((("row", i), x) for i, x in col)
+            for j, col in enumerate(columns(a, width)[1])}
+
+
+def named(vec, tag):
+    """The nonzero coordinates of the list ``vec``, under (tag, i)."""
+    return {(tag, i): x for i, x in enumerate(vec) if x}
+
+
 @pytest.mark.parametrize("conductors", CONDUCTOR_PAIRS,
                          ids=[f"{a}x{b}" for a, b in CONDUCTOR_PAIRS])
 @given(data=st.data())
 def test_vec_mat_matches_reference_loop(conductors, data):
-    # a row vector of the second conductor times a matrix of the first,
-    # against the dense loop; then (phi a) v = phi (a v) with mat_vec
+    # a row vector of the second conductor times a matrix of the first, by
+    # keys, against the dense loop; then (phi a) v = phi (a v) with mat_vec
     a, v = data.draw(mat_vec_operands(conductors))
     phi = data.draw(vectors(len(a), conductors[1]))
-    cols = columns(a, len(v))
-    row = linalg.vec_mat(phi, cols)
-    assert row == reference_vec_mat(phi, a, len(v))
-    assert dot(row, v) == dot(phi, linalg.mat_vec(cols, v))
-
-
-def test_vec_mat_rejects_a_row_of_the_wrong_length():
-    with pytest.raises(ValueError, match="matrix shape mismatch"):
-        linalg.vec_mat([Cyc.one()], columns([[1, 1], [1, 1]]))
+    row = linalg.vec_mat(named(phi, "row"), keyed(a, len(v)))
+    assert row == named(reference_vec_mat(phi, a, len(v)), "col")
+    assert dot([row.get(("col", j), 0) for j in range(len(v))], v) == \
+        dot(phi, linalg.mat_vec(columns(a, len(v)), v))
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
 def test_vec_mat_empty_shapes(rows, cols):
     a = [[root_of_unity(8, 1)] * cols for _ in range(rows)]
-    assert linalg.vec_mat([Cyc.one()] * rows, columns(a, cols)) == [0] * cols
+    assert linalg.vec_mat(named([Cyc.one()] * rows, "row"),
+                          keyed(a, cols)) == {}
+
+
+@pytest.mark.parametrize("conductors", CONDUCTOR_PAIRS,
+                         ids=[f"{a}x{b}" for a, b in CONDUCTOR_PAIRS])
+@given(data=st.data())
+def test_keyed_mat_vec_matches_the_column_form(conductors, data):
+    # by keys, mat_vec takes and gives only nonzero coordinates, equal to
+    # the column form's product
+    a, v = data.draw(mat_vec_operands(conductors))
+    assert linalg.mat_vec(keyed(a, len(v)), named(v, "col")) == \
+        named(linalg.mat_vec(columns(a, len(v)), v), "row")
 
 
 @pytest.mark.parametrize("a, v", [([[1, 1]], [1]), ([[1]], [1, 1]),
