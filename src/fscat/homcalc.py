@@ -17,18 +17,17 @@ blocks' ordinary traces weighted by the pivotal dimensions of the roots
 (``pivotal_dimension``), which is all the library reads of a trace.
 
 A local move sends each source path to weighted target paths, and each
-move builder lays it out in one of the two sparse forms of ``linalg``,
-chosen by its ``keys`` argument.  Without keys, ``_path_columns`` lays it
-out on the target path basis over every source path, one column of
-nonzero ``(row, coeff)`` pairs per source path (the column form); the
-same loop takes any other source basis by its keys.  With keys, the
-source paths a vector holds, ``_keyed_columns`` names each column by its
-source path and each entry by its target path (the keyed form), so no
-basis of either word is listed: the Frobenius-Schur build moves its
-vectors this way, by their nonzero coordinates, with ``mat_vec`` and
-``vec_mat``.  The bends and the test references take the column form;
-the ``LinMap`` blocks, the walk's rotations (``indicators.e_map_matrix``)
-and every operand of ``mat_mul`` are dense rows, converted once by
+move builder lays it out in the keyed form of ``linalg`` over the source
+paths ``keys`` it is given (``_keyed_columns``): each column is named by
+its source path and each entry by its target path, so no basis of either
+word is listed.  A builder's words and root name its two hom spaces; it
+reads only the letters its move needs.  The Frobenius-Schur build moves
+its vectors this way, by their nonzero coordinates, with ``mat_vec`` and
+``vec_mat``.  The bends alone are laid out on the target path basis, in
+the column form (``_path_columns``), because their products go to
+``mat_mul``; the ``LinMap`` blocks, the walk's rotations
+(``indicators.e_map_matrix``) and every operand of ``mat_mul`` are dense
+rows, converted from the column form once by
 ``linalg.dense``.  Removals are single-vertex moves (fuse, evaluation); a
 unit letter needs no move of its own, since by the unit axiom its paths
 are those of the word without it, in the same order.  Every insertion is
@@ -56,22 +55,19 @@ the fusion ring (``category.RING_KINDS``): the categories on one ring, such
 as its pivotal structures and gauges, build each basis once.  The guard is
 checked on each build, so a basis kept on a ring is not counted again.
 
-Per category are kept the evaluation pairs over whole bases (the bends
-read them), the nested coevaluation terms (``db_prime_vector``), the
-bend hosts ``_bend_tops`` and the bends by columns ``_bend_columns``, and
-four stages of the Frobenius-Schur endomorphisms: the right coevaluation
-blocks (``indicators._right_block``), the torn-down middle that every l of
-an (n, r) shares (``indicators._torn_down``), the closing rows of the
-words below the top one (``indicators._closing_row``), and the closing
-functional, read through each chunk graft, that every r of an (n, l)
-shares (``indicators._closing_functional``), which keeps no graft matrix.
-A keyed build is never kept: its keys are the paths of one vector.  So
-no memo holds a path of a (2n - 1)-letter word of that build.  The
-fuse step and the split step, its inverse and a test reference, are not
-kept.  A bend host depends only on the bent letters, so every bend of a
-word with the same head shares it.  ``insert_vector_matrix`` and
-``splice_host_matrix`` are not memoised: their key would hold ``Cyc``
-coefficients, and hashing an irrational ``Cyc`` reduces it, which solves
+Per category are kept the nested coevaluation terms (``db_prime_vector``),
+the bend hosts ``_bend_tops`` and the bends by columns ``_bend_columns``,
+and four stages of the Frobenius-Schur endomorphisms: the right
+coevaluation blocks (``indicators._right_block``), the torn-down middle
+that every l of an (n, r) shares (``indicators._torn_down``), the closing
+rows of the words below the top one (``indicators._closing_row``), and
+the closing functional, read through each chunk graft, that every r of an
+(n, l) shares (``indicators._closing_functional``), which keeps no graft
+matrix.  A bend host depends only on the bent letters, so every bend of a
+word with the same head shares it.  No move builder is memoised: its keys
+are the paths of one vector, so no memo holds a path of a (2n - 1)-letter
+word of that build, and the insertions' keys would hold ``Cyc``
+coefficients too, whose hashing reduces an irrational ``Cyc`` by solving
 a linear system.  Each Frobenius-Schur insertion is reached through a
 memo of its stage: the coevaluation pairs once per right block, the
 nested coevaluations once per (n, r), through the shared middle, and
@@ -95,7 +91,7 @@ import os
 
 from .category import Category, memoised
 from .cyclo import Cyc
-from .linalg import _coeff, eye, mat_trace, mat_vec
+from .linalg import _coeff, eye, mat_trace
 
 ONE = Cyc.one()
 ZERO = Cyc.zero()
@@ -263,10 +259,10 @@ def _path_index(cat, letters, root):
 
 def _path_columns(cat, keys, tgt, root, moves):
     """Column form (``linalg``) of a map into the Hom(root, tgt) path basis,
-    one column per key of ``keys``.
+    one column per key of ``keys``: the layout of the bends.
 
-    The keys are the source paths of a local move, or any other source
-    basis.  ``moves(key)`` yields ``(q, coeff)`` pairs;
+    The keys are the source paths of the bend, or any other source basis.
+    ``moves(key)`` yields ``(q, coeff)`` pairs;
     column ``key`` accumulates ``coeff`` at row ``q``.  Zero coefficients,
     sums that cancel and target paths that are not admissible are dropped.
     """
@@ -284,7 +280,8 @@ def _path_columns(cat, keys, tgt, root, moves):
 
 
 def _keyed_columns(keys, moves):
-    """Keyed form (``linalg``) of a local move on the source paths ``keys``:
+    """Keyed form (``linalg``) of a local move on the source paths ``keys``,
+    the layout of every move builder:
     column ``key`` accumulates each ``(q, coeff)`` of ``moves(key)`` under
     the target path q.  Zero coefficients and sums that cancel are dropped.
     No target basis is read: a move lands only on admissible paths, since
@@ -297,15 +294,6 @@ def _keyed_columns(keys, moves):
                 col[q] = col[q] + val if q in col else val
         out[key] = tuple(filter(_coeff, col.items()))
     return out
-
-
-def _move_columns(cat, keys, src, tgt, root, moves):
-    """A local move from Hom(root, src) to Hom(root, tgt): in column form
-    over every path of Hom(root, src) when ``keys`` is None, else in keyed
-    form over the source paths ``keys``."""
-    if keys is None:
-        return _path_columns(cat, paths(cat, src, root), tgt, root, moves)
-    return _keyed_columns(keys, moves)
 
 
 @memoised("graft")
@@ -331,65 +319,54 @@ def _graft_moves(cat, i, guest_letters, terms):
 
 
 def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest, *,
-                         keys=None):
-    """Matrix of v -> (id (x) u (x) id) o v on Hom(root, -) bases, over the
-    host paths ``keys`` in keyed form, or over all of them in column form.
+                         keys):
+    """Matrix of v -> (id (x) u (x) id) o v on Hom(root, -), over the host
+    paths ``keys``.
 
     ``u`` is a fixed unit-rooted vector through ``guest_letters``, inserted
     at letter position ``i`` and passed as its nonzero ``(path, coeff)``
     terms: a guest path rho is ``((rho, ONE),)``, a coevaluation pair
     (b, b*) its one path ``(((1, b, 1), ONE),)``.
     """
-    return _move_columns(
-        cat, keys, host_letters,
-        host_letters[:i] + guest_letters + host_letters[i:], root,
-        lambda p: _graft_moves(cat, i, guest_letters,
-                               [(p, rho, c) for rho, c in guest]))
+    return _keyed_columns(keys, lambda p: _graft_moves(
+        cat, i, guest_letters, [(p, rho, c) for rho, c in guest]))
 
 
-def splice_host_matrix(cat, host_letters, host, i, guest_letters, *,
-                       keys=None):
+def splice_host_matrix(cat, host_letters, host, i, guest_letters, *, keys):
     """Matrix of v -> (id (x) v (x) id) o u, with the host vector u fixed
     and passed as its nonzero ``(path, coeff)`` terms, over the guest paths
-    ``keys`` in keyed form, or over all of them in column form.
+    ``keys``.
 
     Both the host and the variable guest are unit-rooted; this is the shape
     of the coevaluation "wrap" that bends strands over the top.
     """
-    return _move_columns(
-        cat, keys, guest_letters,
-        host_letters[:i] + guest_letters + host_letters[i:], cat.unit,
-        lambda rho: _graft_moves(cat, i, guest_letters,
-                                 [(p, rho, c) for p, c in host]))
+    return _keyed_columns(keys, lambda rho: _graft_moves(
+        cat, i, guest_letters, [(p, rho, c) for p, c in host]))
 
 
 # -- elementary vertex steps -------------------------------------------------
 
 
-def fuse_step_matrix(cat, letters, root, i, w, *, keys=None):
+def fuse_step_matrix(cat, letters, root, i, w, *, keys):
     """Fuse adjacent letters (x_i, x_{i+1}) into the channel w, over the
-    source paths ``keys`` in keyed form, or over all of them in column
-    form; not memoised."""
+    source paths ``keys``."""
     u, v = letters[i], letters[i + 1]
-    return _move_columns(
-        cat, keys, letters, letters[:i] + (w,) + letters[i + 2:], root,
-        lambda p: [(p[:i + 1] + p[i + 2:],
-                    cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], w))])
+    return _keyed_columns(keys, lambda p: [
+        (p[:i + 1] + p[i + 2:],
+         cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], w))])
 
 
-def split_step_matrix(cat, letters, root, i, u, v):
-    """Split the letter x_i into the admissible pair (u, v).  The library
-    inserts by grafts; this inverse of the fuse step is a test reference,
-    not memoised."""
+def split_step_matrix(cat, letters, root, i, u, v, *, keys):
+    """Split the letter x_i into the admissible pair (u, v), over the source
+    paths ``keys``.  The library inserts by grafts; this inverse of the
+    fuse step is a test reference."""
     x = letters[i]
     if not cat.n(u, v, x):
         raise ValueError(f"({u},{v}) is not an admissible splitting of {x}")
-    return _path_columns(
-        cat, paths(cat, letters, root),
-        letters[:i] + (u, v) + letters[i + 1:], root,
-        lambda p: [(p[:i + 1] + (s,) + p[i + 1:],
-                    cat.f_inv_entry(p[i], u, v, p[i + 1], x, s))
-                   for s in cat.channels(p[i], u)])
+    return _keyed_columns(keys, lambda p: [
+        (p[:i + 1] + (s,) + p[i + 1:],
+         cat.f_inv_entry(p[i], u, v, p[i + 1], x, s))
+        for s in cat.channels(p[i], u)])
 
 
 def _contract_moves(cat, letters, i):
@@ -409,22 +386,9 @@ def _contract_moves(cat, letters, i):
                       ] if p[i + 2] == p[i] else ()
 
 
-@memoised("contract_pair_matrix")
-def _contraction(cat, letters, root, i):
-    """``contract_pair_matrix`` in column form over every source path, kept
-    per category: the bends read it."""
-    return _path_columns(cat, paths(cat, letters, root),
-                         letters[:i] + letters[i + 2:], root,
-                         _contract_moves(cat, letters, i))
-
-
-def contract_pair_matrix(cat, letters, root, i, *, keys=None):
+def contract_pair_matrix(cat, letters, root, i, *, keys):
     """Evaluation on the adjacent dual pair at positions (i, i+1)
-    (``_contract_moves``): over every source path in column form, kept per
-    category (``_contraction``), or over the source paths ``keys`` in keyed
-    form, built afresh."""
-    if keys is None:
-        return _contraction(cat, letters, root, i)
+    (``_contract_moves``), over the source paths ``keys``."""
     return _keyed_columns(keys, _contract_moves(cat, letters, i))
 
 
@@ -509,9 +473,10 @@ def _bend_tops(cat, head):
     """
     k = len(head)
     unit = cat.unit
-    last = head[-1]
-    outer = (mat_vec(contract_pair_matrix(cat, (cat.dual(last), last), unit, 0),
-                     [ONE])[0]
+    pair = cat.dual(head[-1]), head[-1]
+    (closure,) = contract_pair_matrix(cat, pair, unit, 0,
+                                      keys=((unit, pair[0], unit),)).values()
+    outer = (sum((x for _, x in closure), ZERO)
              * math.prod(map(cat.t, head), start=ONE).inverse())
     tops = {}
     for p, c in db_prime_vector(cat, head)[1]:

@@ -31,9 +31,9 @@ chunk grafted back and the three loops closed, is one row functional per
 torn word and chunk path, shared by every r of an (n, l)
 (``_closing_functional``).  Both halves move their vectors by their
 nonzero coordinates, keyed by path, so no basis of the words of 2n - 1
-letters is listed, and only vectors over the torn word of n - 1 letters
-are kept.  Those words are still counted against the guard on every
-request.
+letters is listed, and only the nonzero coordinates of vectors over the
+torn word of n - 1 letters are kept.  Those words are still counted
+against the guard on every request.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .category import Category, ObjectExpr, memoised, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, _bend_columns,
-                      _bend_entries, _path_index, check_dimension_guard,
+                      _bend_entries, check_dimension_guard,
                       check_word_guard, contract_pair_matrix, db_prime_vector,
                       dual_word, fuse_step_matrix, insert_vector_matrix,
                       path_counts, paths, pivotal_dimension)
@@ -421,7 +421,7 @@ def _torn_down(cat: Category, support, c, n: int, r: int):
     not moved: by the unit axiom N(a, 1, b) = delta_ab, which ``validate``
     checks, every path through it has p[m + 1] = p[m], so dropping that
     stage is a bijection onto the paths of the torn word, and the vector is
-    kept dense over that short basis (n - 1 letters).  At m = 0 the right
+    kept as {torn path: coeff} (n - 1 letters).  At m = 0 the right
     block is the whole word, so its last pair is inserted here rather than
     kept.  Returns a tuple of (u, torn word, chunk, pi, vector), one per
     surviving tear-down.  No pivotal scalar of u is applied: it depends on
@@ -443,12 +443,9 @@ def _torn_down(cat: Category, support, c, n: int, r: int):
                 continue
             word = comb_letters + word
             chunk, torn = word[m:m + n], word[:m] + word[m + n:]
-            tidx = _path_index(cat, torn, c)
             for pi, vec in _fused_down(cat, word, c, m, chunk, state):
-                dense_vec = [ZERO] * len(tidx)
-                for p, x in vec.items():
-                    dense_vec[tidx[p[:m + 1] + p[m + 2:]]] = x
-                out.append((u, torn, chunk, pi, dense_vec))
+                out.append((u, torn, chunk, pi, {p[:m + 1] + p[m + 2:]: x
+                                                 for p, x in vec.items()}))
     return tuple(out)
 
 
@@ -487,9 +484,9 @@ _closing_row = memoised("_closing_row")(_closing_step)
 
 @memoised()
 def _closing_functional(cat: Category, cur, c, l: int, chunk):
-    """(c, {pi: psi}): the chunk grafted back at position l of the torn
-    word ``cur`` and the three loop closures of FS^{(n,l,r)}, read as one
-    row vector psi on Hom(c, cur) per path pi of the chunk; read-only.
+    """{pi: psi}: the chunk grafted back at position l of the torn word
+    ``cur`` and the three loop closures of FS^{(n,l,r)}, read as one row
+    vector psi on Hom(c, cur) per path pi of the chunk; read-only.
 
     n = len(chunk), and the closing positions depend on n and l alone: the
     left loop (positions l-1 .. 0), then the middle and the right ones,
@@ -498,9 +495,8 @@ def _closing_functional(cat: Category, cur, c, l: int, chunk):
     Hom(c, -) of the (2n - 1)-letter word (``_closing_step``), by its
     nonzero coordinates; it is read through the graft of each pi, the
     insertion of the one term (pi, 1) keyed by the paths of ``cur``:
-    psi = phi G_pi, dense over that short basis.  Only the psi are kept.
-    None where phi is: the closed word (c_out,) has a path to c only when
-    c_out = c.
+    psi = phi G_pi, by its nonzero coordinates.  Only the psi are kept.
+    None where phi is.
     """
     n = len(chunk)
     phi = _closing_step(cat, cur[:l] + chunk + cur[l:], c,
@@ -508,12 +504,9 @@ def _closing_functional(cat: Category, cur, c, l: int, chunk):
     if phi is None:
         return None
     torn = paths(cat, cur, c)
-    reads = {}
-    for pi in paths(cat, chunk, cat.unit):
-        psi = vec_mat(phi, insert_vector_matrix(cat, cur, c, l, chunk,
-                                                ((pi, ONE),), keys=torn))
-        reads[pi] = [psi.get(p, ZERO) for p in torn]
-    return c, reads
+    return {pi: vec_mat(phi, insert_vector_matrix(cat, cur, c, l, chunk,
+                                                  ((pi, ONE),), keys=torn))
+            for pi in paths(cat, chunk, cat.unit)}
 
 
 def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
@@ -533,13 +526,15 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
     of either half is keyed by the paths its vector holds, and only the
     nonzero coordinates are moved, so no basis of the inserted words of
     2n - 1 letters is listed; the torn vectors and the functionals are
-    kept dense over the torn word's basis of n - 1 letters.  Each request
-    only scales the dot product of the two halves by the inverse pivotal
-    scalars of its left letters.  The inserted words are still counted
-    against the guard on every request, before either half is read or
-    built, so the guard refuses what it refused when their bases were
-    listed.  Returns {(c_in, c_out): Cyc}; multiplicity-free direct sums
-    only, so a repeated label is refused.
+    kept by their nonzero coordinates on the torn word of n - 1 letters,
+    and each dot product of the two halves runs over the torn vector's
+    keys.  Each request only scales it by the inverse pivotal scalars of
+    its left letters.  The inserted words are still counted against the
+    guard on every request, before either half is read or built, so the
+    guard refuses what it refused when their bases were listed.  The
+    closed word (c,) is the only one with a path to c, so the blocks are
+    diagonal: returns {(c, c): Cyc}.  Multiplicity-free direct sums only,
+    so a repeated label is refused.
     """
     k = l + r + 1
     if not (l >= 0 and r >= 0 and k <= n):
@@ -563,25 +558,24 @@ def _fs_blocks(cat: Category, support, n: int, l: int, r: int):
     scales = {}
     out = {}
     for c in support:
-        final = {}
+        total = ZERO
         for u, cur, chunk, pi, vec in _torn_down(cat, support, c, n, r):
-            closing = _closing_functional(cat, cur, c, l, chunk)
-            if closing is None:
+            reads = _closing_functional(cat, cur, c, l, chunk)
+            if reads is None:
                 continue
-            c_out, reads = closing
+            psi = reads[pi]
             x = ZERO
-            for p, y in zip(reads[pi], vec):
-                if p and y:
-                    x = x + p * y
+            for p, y in vec.items():
+                if p in psi:
+                    x = x + psi[p] * y
             if x and nk < len(u):
                 ua = u[nk:]
                 if ua not in scales:
                     scales[ua] = math.prod((cat.t(y).inverse() for y in ua),
                                            start=ONE)
                 x = scales[ua] * x
-            final[c_out] = final[c_out] + x if c_out in final else x
-        out.update(((c, c_out), val) for c_out, val in final.items() if val)
-        out.setdefault((c, c), ZERO)
+            total = total + x
+        out[(c, c)] = total
     return out
 
 
@@ -590,11 +584,7 @@ def fs_scalar(cat: Category, a, n: int, l: int, r: int) -> Cyc:
     when its longest word is above the dimension guard."""
     if a not in cat.ring._index:
         raise ValueError(f"unknown label {a!r}")
-    blocks = _fs_blocks(cat, (a,), n, l, r)
-    for (ci, co), val in blocks.items():
-        if ci != co and val:
-            raise AssertionError("FS endomorphism left the simple object")
-    return blocks[(a, a)]
+    return _fs_blocks(cat, (a,), n, l, r)[(a, a)]
 
 
 # -- assembled theorem checks ---------------------------------------------------

@@ -1,11 +1,15 @@
-"""Exact matrices of Cyc values, dense or by columns, treated immutably.
+"""Exact matrices of Cyc values, dense or sparse, treated immutably.
 
-A dense matrix is a list of rows.  The column form ``(rows, columns)`` keeps
-only the nonzeros: ``columns[j]`` is a tuple of the ``(row, coeff)`` pairs of
-column j with coeff != 0.  The path-move builders of ``homcalc`` make their
-matrices column by column, and nearly all of them are applied to one
-vector, so they return the column form; whatever multiplies or inverts
-whole matrices converts once with ``dense``.
+A dense matrix is a list of rows.  Two sparse forms keep only the
+nonzeros.  The keyed form names rows and columns by keys: a dict from each
+source key to its column, a tuple of the ``(target key, coeff)`` pairs with
+coeff != 0.  The local moves of ``homcalc`` are built in it over the paths
+a vector holds, so no whole path basis is listed, and a keyed vector is
+the dict of its nonzero coordinates.  The column form ``(rows, columns)``
+names them by position: ``columns[j]`` is a tuple of the ``(row, coeff)``
+pairs of column j with coeff != 0.  It is the layout of the bends, whose
+products are packed into ``mat_mul``, which needs positions; whatever
+multiplies or inverts whole matrices converts once with ``dense``.
 
 ``mat_mul`` multiplies whole matrices on Python integers by Kronecker
 substitution, the packed layout ANTIC and FLINT use for number-field
@@ -31,21 +35,13 @@ keep the entrywise ``Cyc`` loop: for them the scan and the packing cost
 more than the loop saves (square products at conductors 1, 5, 8 and 12
 broke even between 27 and 64 multiply-adds).
 
-The keyed form is a column form whose rows and columns are named by keys
-instead of positions: a dict from each source key to its column, a tuple
-of the ``(target key, coeff)`` pairs with coeff != 0.  ``homcalc`` builds
-its local moves in this form over the paths a vector holds, so no whole
-path basis is listed, and a keyed vector is the dict of its nonzero
-coordinates.
-
-``mat_vec`` applies either form to a vector of the same kind and does one
-multiply-add per stored nonzero that meets a nonzero coordinate of the
-vector: the path-move matrices it is applied to are sparse, and so are the
-vectors they move.  In keyed form it reads the vector's keys only, so a
-zero coordinate is never visited.  ``vec_mat`` is its transpose partner: a
-keyed row vector times the keyed form, one dot product per stored column
-over the row's nonzeros, for the row functionals that are pulled back
-through a chain of moves.
+``mat_vec`` applies the keyed form to a keyed vector and does one
+multiply-add per stored nonzero of each column the vector's keys name: the
+path-move matrices it is applied to are sparse, and so are the vectors
+they move, and a zero coordinate is never visited.  ``vec_mat`` is its
+transpose partner: a keyed row vector times the keyed form, one dot
+product per stored column over the row's nonzeros, for the row
+functionals that are pulled back through a chain of moves.
 ``col_mul`` multiplies two column forms the same way, one multiply-add per
 pair of stored nonzeros that meet, unless that count reaches
 ``_PACK_FRACTION`` of rows * inner * cols: then it converts both with
@@ -121,28 +117,17 @@ def dense(a):
 
 
 def mat_vec(a, v):
-    """a v, over the nonzeros of a and of v only.
+    """a v for ``a`` in keyed form, over the nonzeros of a and of v only.
 
-    In column form v is a list, and so is a v.  In keyed form v is a dict
-    {key: coeff} of nonzero coordinates, every key of which has a column in
-    ``a``; a v is the dict of its nonzero coordinates, and sums that cancel
-    are dropped.
+    v is a dict {key: coeff} of nonzero coordinates, every key of which has
+    a column in ``a`` (a KeyError otherwise); a v is the dict of its
+    nonzero coordinates, and sums that cancel are dropped.
     """
-    if isinstance(v, dict):
-        out = {}
-        for key, y in v.items():
-            for q, x in a[key]:
-                out[q] = out[q] + x * y if q in out else x * y
-        return dict(filter(_coeff, out.items()))
-    rows, cols = a
-    if len(cols) != len(v):
-        raise ValueError("matrix shape mismatch")
-    out = [ZERO] * rows
-    for col, y in zip(cols, v):
-        if y:
-            for i, x in col:
-                out[i] = out[i] + x * y
-    return out
+    out = {}
+    for key, y in v.items():
+        for q, x in a[key]:
+            out[q] = out[q] + x * y if q in out else x * y
+    return dict(filter(_coeff, out.items()))
 
 
 def vec_mat(phi, a):

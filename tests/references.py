@@ -1,5 +1,11 @@
 """Test-only references that route through the general morphism machinery.
 
+The library builds its local moves keyed by the paths a vector holds.
+The references take whole path bases: ``whole_basis`` lays a move out
+over every source path onto the target basis, in the column form of
+``linalg``, which ``dense`` turns into rows and ``col_vec`` applies to a
+dense vector.
+
 The morphism layer lives here: ``LinMap`` composition and scaling, the
 operator extension id (x) m (x) id (``extend``, whose left half changes
 basis by an inverted merge matrix), the dual of a morphism
@@ -58,8 +64,7 @@ from fscat.homcalc import (LinMap, _graft_coeffs, _nested_coevaluation,
                            dual_word, fuse_step_matrix, insert_vector_matrix,
                            paths, splice_host_matrix)
 from fscat.indicators import _right_block
-from fscat.linalg import (dense, eye, is_identity, mat_inv, mat_mul, mat_vec,
-                          zeros)
+from fscat.linalg import dense, eye, is_identity, mat_inv, mat_mul, zeros
 from fscat.oracles import CharacterTable, _Group, _table, q8_group, q8_table
 from fscat.specio import BUNDLED
 
@@ -67,9 +72,54 @@ ONE = Cyc.one()
 ZERO = Cyc.zero()
 
 
+# -- whole path bases ---------------------------------------------------------
+
+
+# (source word, target word, root) of each move builder's arguments, by name
+KEYED_BASES = {
+    "fuse_step_matrix": lambda cat, word, root, i, w:
+        (word, word[:i] + (w,) + word[i + 2:], root),
+    "split_step_matrix": lambda cat, word, root, i, u, v:
+        (word, word[:i] + (u, v) + word[i + 1:], root),
+    "contract_pair_matrix": lambda cat, word, root, i:
+        (word, word[:i] + word[i + 2:], root),
+    "insert_vector_matrix": lambda cat, word, root, i, g, terms:
+        (word, word[:i] + g + word[i:], root),
+    "splice_host_matrix": lambda cat, host, terms, i, g:
+        (g, host[:i] + g + host[i:], cat.unit),
+}
+
+
+def whole_basis(build, cat, *args):
+    """The column form of the move builder ``build`` on ``args``, keyed by
+    every path of its source hom space and laid out on the path basis of
+    its target (``KEYED_BASES``).  A target path missing from that basis
+    raises a KeyError here, where the library's keyed form has no basis to
+    drop it from."""
+    src, tgt, root = KEYED_BASES[build.__name__](cat, *args)
+    sources = paths(cat, src, root)
+    tidx = _path_index(cat, tgt, root)
+    cols = build(cat, *args, keys=sources)
+    return len(tidx), tuple(tuple((tidx[q], x) for q, x in cols[p])
+                            for p in sources)
+
+
+def col_vec(a, v):
+    """a v for ``a`` in column form and a dense list v."""
+    rows, cols = a
+    if len(cols) != len(v):
+        raise ValueError("matrix shape mismatch")
+    out = [ZERO] * rows
+    for col, y in zip(cols, v):
+        if y:
+            for i, x in col:
+                out[i] = out[i] + x * y
+    return out
+
+
 # -- the morphism layer: whole LinMaps, operator extension, duals, loops ------
 #
-# The builders below lay their matrices out with the library's kernel,
+# The builders below that lay out their own moves use the library's kernel,
 # looked up on the module (``homcalc._path_columns``) so that a test that
 # replaces the kernel reaches them too.
 
@@ -169,8 +219,8 @@ def graft_path_matrix(cat, letters, root, i, guest_letters, rho):
     """Graft the unit-rooted guest path rho through ``guest_letters`` at
     position i: ``insert_vector_matrix`` with the one term (rho, 1).  It
     equals inserting a unit letter and splitting it along rho."""
-    return insert_vector_matrix(cat, letters, root, i, guest_letters,
-                                ((rho, ONE),))
+    return whole_basis(insert_vector_matrix, cat, letters, root, i,
+                       guest_letters, ((rho, ONE),))
 
 
 def pair_path(cat, b):
@@ -220,13 +270,14 @@ def dual_morphism(cat, m: LinMap) -> LinMap:
     mid = extend(cat, m, left_letters=dw2, right_letters=dw1)
     blocks = {}
     for r in cat.labels:
-        ins = insert_vector_matrix(cat, dw2, r, len(dw2), db_letters, db_terms)
+        ins = whole_basis(insert_vector_matrix, cat, dw2, r, len(dw2),
+                          db_letters, db_terms)
         mat = mat_mul(mid.block(r), dense(ins))
         cur = dw2 + w2 + dw1
         k = len(w2)
         for j in range(k):
             pos = k - 1 - j
-            step = contract_pair_matrix(cat, cur, r, pos)
+            step = whole_basis(contract_pair_matrix, cat, cur, r, pos)
             mat = mat_mul(dense(step), mat)
             cur = cur[:pos] + cur[pos + 2:]
         assert cur == dw1
@@ -265,7 +316,7 @@ def close_loop(cat, m: LinMap, side: str, count: int) -> LinMap:
         blocks = {}
         for r in cat.labels:
             att = attach_pair_matrix(cat, rest, r, at, label)
-            con = contract_pair_matrix(cat, host, r, cut)
+            con = whole_basis(contract_pair_matrix, cat, host, r, cut)
             blocks[r] = mat_mul(dense(con), mat_mul(ext.block(r), dense(att)))
         out = scaled(LinMap(cat, rest, rest, blocks), scale)
     return out
@@ -319,12 +370,13 @@ def spliced_e_map_matrix(cat, letters, k):
     for j in range(k):
         # Hom(1, x* x) is spanned by its one path (1, x*, 1)
         host = (cat.dual(letters[j]), letters[j])
-        splice = dense(splice_host_matrix(
-            cat, host, ((pair_path(cat, host[0]), ONE),), 1, cur))
+        splice = dense(whole_basis(splice_host_matrix, cat, host,
+                                   ((pair_path(cat, host[0]), ONE),), 1, cur))
         m = splice if m is None else mat_mul(splice, m)
         cur = host[:1] + cur + host[1:]
     for pos in range(k - 1, -1, -1):
-        m = mat_mul(dense(contract_pair_matrix(cat, cur, cat.unit, pos)), m)
+        m = mat_mul(dense(whole_basis(contract_pair_matrix, cat, cur,
+                                      cat.unit, pos)), m)
         cur = cur[:pos] + cur[pos + 2:]
     scale = math.prod(map(cat.t, letters[:k]), start=ONE).inverse()
     return [[scale * x for x in row] for row in m]
@@ -337,8 +389,9 @@ def spliced_db_prime_vector(cat, letters):
     cur, vec = (), [ONE]
     for y in letters:
         host = (cat.dual(y), y)
-        vec = mat_vec(splice_host_matrix(
-            cat, host, ((pair_path(cat, host[0]), ONE),), 1, cur), vec)
+        vec = col_vec(whole_basis(splice_host_matrix, cat, host,
+                                  ((pair_path(cat, host[0]), ONE),), 1, cur),
+                      vec)
         cur = host[:1] + cur + host[1:]
     return cur, vec
 
@@ -365,18 +418,19 @@ def _extract_insert(cat, word, root, src, length, dst, state_vec, out):
         vec = state_vec
         cur = word
         for j in range(length - 1):
-            mat = fuse_step_matrix(cat, cur, root, src, pi[j + 2])
-            vec = mat_vec(mat, vec)
+            mat = whole_basis(fuse_step_matrix, cat, cur, root, src,
+                              pi[j + 2])
+            vec = col_vec(mat, vec)
             cur = cur[:src] + (pi[j + 2],) + cur[src + 2:]
             if not any(vec):
                 break
         else:
-            vec = mat_vec(drop_unit_letter_matrix(cat, cur, root, src), vec)
+            vec = col_vec(drop_unit_letter_matrix(cat, cur, root, src), vec)
             cur = cur[:src] + cur[src + 1:]
             # rebuild the same chunk along pi at the destination
             graft = graft_path_matrix(cat, cur, root, dst, chunk, pi)
             _accumulate(out, cur[:dst] + chunk + cur[dst:],
-                        mat_vec(graft, vec))
+                        col_vec(graft, vec))
 
 
 def unshared_fs_blocks(cat, support, n, l, r):
@@ -396,9 +450,9 @@ def unshared_fs_blocks(cat, support, n, l, r):
                 comb = [(p, scale * x) for p, x in comb] if ua else comb
                 for word, terms in _right_block(cat, support, c, r).items():
                     vec = [terms.get(p, ZERO) for p in paths(cat, word, c)]
-                    mat = insert_vector_matrix(cat, word, c, 0, comb_letters,
-                                               comb)
-                    _accumulate(state, comb_letters + word, mat_vec(mat, vec))
+                    mat = whole_basis(insert_vector_matrix, cat, word, c, 0,
+                                      comb_letters, comb)
+                    _accumulate(state, comb_letters + word, col_vec(mat, vec))
         new = {}
         for word, vec in state.items():
             _extract_insert(cat, word, c, l + nk, n, l, vec, new)
@@ -409,7 +463,8 @@ def unshared_fs_blocks(cat, support, n, l, r):
             for pos in closing:
                 if cat.dual(cur[pos]) != cur[pos + 1]:
                     break
-                v = mat_vec(contract_pair_matrix(cat, cur, c, pos), v)
+                v = col_vec(whole_basis(contract_pair_matrix, cat, cur, c,
+                                        pos), v)
                 cur = cur[:pos] + cur[pos + 2:]
             else:
                 assert len(cur) == 1
@@ -734,7 +789,7 @@ def pivotal_matrix(cat, word) -> LinMap:
 def ev_matrix(cat, a) -> LinMap:
     """Evaluation dual(a) (x) a -> empty word, on all roots."""
     letters = (cat.dual(a), a)
-    blocks = {r: dense(contract_pair_matrix(cat, letters, r, 0))
+    blocks = {r: dense(whole_basis(contract_pair_matrix, cat, letters, r, 0))
               for r in cat.labels}
     return LinMap(cat, letters, (), blocks)
 

@@ -1,11 +1,13 @@
-"""No module of the library or of ``tools/`` imports a name it never uses.
+"""No module of the library, of ``tools/`` or of the tests imports a name
+it never uses.
 
 No linter runs on this repository, so this test reads the sources with
-``ast``.  Each name bound by a module-level import in ``src/fscat/*.py``
-and in ``tools/*.py`` must be read somewhere in its module, be listed in
-the module's ``__all__`` (the package's re-exports), or be imported from
-that module by another module of the same directory, as ``cli`` imports
-``DimensionGuardError`` from ``indicators``.
+``ast``.  Each name bound by a module-level import in ``src/fscat/*.py``,
+``tools/*.py`` and ``tests/*.py`` must be read somewhere in its module, be
+listed in the module's ``__all__`` (the package's re-exports), or be
+imported from that module by another module of the same directory, as
+``cli`` imports ``DimensionGuardError`` from ``indicators``.  An import
+made for its side effect says so with ``# noqa: F401`` on its line.
 """
 
 import ast
@@ -22,10 +24,12 @@ def _dead_imports(directory, package=None):
     """(module, name, line) of every module-level import in ``directory``
     that breaks the rule; ``package`` names the modules' import package,
     whose ``__all__`` lists are read."""
-    trees = {}
+    trees, lines = {}, {}
     for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
+        mod = os.path.basename(path)[:-3]
         with open(path, encoding="utf-8") as fh:
-            trees[os.path.basename(path)[:-3]] = ast.parse(fh.read(), path)
+            text = fh.read()
+        trees[mod], lines[mod] = ast.parse(text, path), text.splitlines()
     imported_from = {mod: set() for mod in trees}
     for mod, tree in trees.items():
         for node in ast.walk(tree):
@@ -51,6 +55,8 @@ def _dead_imports(directory, package=None):
                 bound = [a.asname or a.name for a in node.names]
             else:
                 continue
+            if "# noqa: F401" in lines[mod][node.lineno - 1]:
+                continue
             dead += [(mod, name, node.lineno) for name in bound
                      if name not in read | exported | imported_from[mod]]
     return dead
@@ -59,6 +65,7 @@ def _dead_imports(directory, package=None):
 @pytest.mark.parametrize("directory,package", [
     (os.path.join(ROOT, "src", "fscat"), "fscat"),
     (os.path.join(ROOT, "tools"), None),
-], ids=["fscat", "tools"])
+    (os.path.join(ROOT, "tests"), None),
+], ids=["fscat", "tools", "tests"])
 def test_every_module_level_import_is_used(directory, package):
     assert _dead_imports(directory, package) == []

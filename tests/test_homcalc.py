@@ -18,11 +18,12 @@ from fscat.linalg import dense, is_identity, mat_equal, mat_mul
 from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
 from fscat.specio import load_bundled
 import references
-from references import (assoc_matrix, attach_pair_matrix, close_loop,
-                        closed_loop_trace, coev_matrix, compose, db_vector,
-                        drop_unit_letter_matrix, dual_morphism, ev_matrix,
-                        graft_path_matrix, is_identity_map, left_nested,
-                        pivotal_matrix, right_nested, scaled)
+from references import (KEYED_BASES, assoc_matrix, attach_pair_matrix,
+                        close_loop, closed_loop_trace, coev_matrix, compose,
+                        db_vector, drop_unit_letter_matrix, dual_morphism,
+                        ev_matrix, graft_path_matrix, is_identity_map,
+                        left_nested, pivotal_matrix, right_nested, scaled,
+                        whole_basis)
 
 
 def brute_hom_dimension(cat, letters):
@@ -186,11 +187,11 @@ def test_zigzag_identities(any_bundled):
         ast = cat.dual(a)
         for r in cat.labels:
             att = attach_pair_matrix(cat, (a,), r, 0, a)
-            con = contract_pair_matrix(cat, (a, ast, a), r, 1)
+            con = whole_basis(contract_pair_matrix, cat, (a, ast, a), r, 1)
             assert is_identity(mat_mul(dense(con), dense(att))), \
                 (a, r, "zigzag 1")
             att = attach_pair_matrix(cat, (ast,), r, 1, a)
-            con = contract_pair_matrix(cat, (ast, a, ast), r, 0)
+            con = whole_basis(contract_pair_matrix, cat, (ast, a, ast), r, 0)
             assert is_identity(mat_mul(dense(con), dense(att))), \
                 (a, r, "zigzag 2")
 
@@ -399,7 +400,8 @@ def test_degenerate_word_blocks_compose():
     v2 = bundled("vec_z2")
     # (g, g, g) has hom dimension 0; maps through it are 0x0 and legal
     att = attach_pair_matrix(v2, ("g", "g", "g"), "1", 0, "g")
-    con = contract_pair_matrix(v2, ("g", "g", "g", "g", "g"), "1", 0)
+    con = whole_basis(contract_pair_matrix, v2, ("g", "g", "g", "g", "g"),
+                      "1", 0)
     assert mat_mul(dense(con), dense(att)) == []
 
 
@@ -418,8 +420,11 @@ def test_fuse_undoes_split(name):
                     continue
                 split = word[:i] + (u, v) + word[i + 1:]
                 for root in cat.labels:
-                    m = mat_mul(dense(fuse_step_matrix(cat, split, root, i, x)),
-                                dense(split_step_matrix(cat, word, root, i, u, v)))
+                    m = mat_mul(
+                        dense(whole_basis(fuse_step_matrix, cat, split, root,
+                                          i, x)),
+                        dense(whole_basis(split_step_matrix, cat, word, root,
+                                          i, u, v)))
                     assert is_identity(m), (word, i, u, v, root)
 
 
@@ -475,14 +480,15 @@ def _parens(n, first=0):
 def _path_move_calls(cat):
     """{builder name: argument tuples} of every builder of a path-basis
     matrix, over words of at most two letters (three for the removals, four
-    for the bends and the labeled trees) and guests of at most two."""
+    for the bends and the labeled trees) and guests of at most two.  The
+    insertions include the grafts of one guest path, a coevaluation pair's
+    among them."""
     unit, dual = cat.unit, cat.dual
     short, guests = list(_words(cat, 2)), list(_words(cat, 2))[1:]
     calls = {name: [] for name in (
         "fuse_step_matrix", "split_step_matrix", "drop_unit_letter_matrix",
-        "contract_pair_matrix", "graft_path_matrix", "attach_pair_matrix",
-        "insert_vector_matrix", "splice_host_matrix", "_bend_columns",
-        "_tree_matrix", "_merge_basis_matrix")}
+        "contract_pair_matrix", "insert_vector_matrix", "splice_host_matrix",
+        "_bend_columns", "_tree_matrix", "_merge_basis_matrix")}
     for word, root in itertools.product(_words(cat, 3), cat.labels):
         for i in range(len(word) - 1):
             calls["fuse_step_matrix"] += [
@@ -498,10 +504,8 @@ def _path_move_calls(cat):
             if cat.n(u, v, x)]
         calls["_merge_basis_matrix"] += [(b, word, root) for b in cat.labels]
         for i in range(len(word) + 1):
-            calls["attach_pair_matrix"] += [(word, root, i, b)
-                                            for b in cat.labels]
-            calls["graft_path_matrix"] += [
-                (word, root, i, g, rho) for g in guests
+            calls["insert_vector_matrix"] += [
+                (word, root, i, g, ((rho, Cyc.one()),)) for g in guests
                 for rho in paths(cat, g, unit)]
             calls["insert_vector_matrix"] += [
                 (word, root, i, *db_vector(cat, u)) for u in guests]
@@ -517,72 +521,68 @@ def _path_move_calls(cat):
     return calls
 
 
+def _checked_keyed_build(cat, build, args, moved):
+    """``whole_basis`` of ``build`` on ``args``, checked against the
+    in-place loop over the moves that its one ``_keyed_columns`` call adds
+    to ``moved``; and ``build`` keyed by half the source paths, checked to
+    hold exactly their columns of the build keyed by all of them."""
+    src, tgt, root = KEYED_BASES[build.__name__](cat, *args)
+    sources = paths(cat, src, root)
+    del moved[:]
+    got = whole_basis(build, cat, *args)
+    (moves,) = moved
+    assert dense(got) == reference_path_matrix(cat, sources, tgt, root,
+                                               moves), (build, args)
+    whole = build(cat, *args, keys=sources)
+    part = sources[::2]
+    assert build(cat, *args, keys=part) == {p: whole[p] for p in part}, \
+        (build, args)
+    return got
+
+
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_path_columns_match_the_dense_loop(name, monkeypatch):
-    # every builder of a path-basis matrix makes its columns with
-    # _path_columns; each build must densify to the in-place loop over the
-    # same keys and moves, and every builder must make at least one nonzero
-    # entry
-    kernel = homcalc._path_columns
-    nonzeros = []
+    # every builder of a path-basis matrix lays out its moves with a kernel
+    # of homcalc, and each build must match the in-place loop over the same
+    # keys and moves.  The bends and the references use _path_columns,
+    # whose builds must densify to the loop.  The move builders use
+    # _keyed_columns: keyed by every source path, a build must name only
+    # admissible targets (whole_basis raises on any other) and lay out to
+    # the loop, and keyed by half of them it must hold exactly those
+    # columns.  Every builder must make at least one nonzero entry
+    columns, keyed = homcalc._path_columns, homcalc._keyed_columns
+    nonzeros, moved = [], []
 
     def checked(cat, keys, tgt, root, moves):
-        got = kernel(cat, keys, tgt, root, moves)
+        got = columns(cat, keys, tgt, root, moves)
         assert dense(got) == reference_path_matrix(cat, keys, tgt, root,
                                                    moves), (keys, tgt, root)
         nonzeros.append(sum(map(len, got[1])))
         return got
 
-    monkeypatch.setattr(homcalc, "_path_columns", checked)
+    def recorded(keys, moves):
+        moved.append(moves)
+        return keyed(keys, moves)
+
     cat = bundled(name)
-    for builder, calls in _path_move_calls(cat).items():
+    move_calls = _path_move_calls(cat)
+    monkeypatch.setattr(homcalc, "_path_columns", checked)
+    monkeypatch.setattr(homcalc, "_keyed_columns", recorded)
+    for builder, calls in move_calls.items():
         fresh = cat.with_pivotal(cat.pivotal)  # no memoised build is reused
         nonzeros.clear()
-        # the associator, the merge basis of the left operator extension
-        # and the one-path grafts are references; they lay out their
-        # columns with the same kernel
-        owner = homcalc if hasattr(homcalc, builder) else references
-        for args in calls:
-            getattr(owner, builder)(fresh, *args)
+        if builder in KEYED_BASES:
+            build = getattr(homcalc, builder)
+            for args in calls:
+                got = _checked_keyed_build(fresh, build, args, moved)
+                nonzeros.append(sum(map(len, got[1])))
+        else:
+            # the associator, the merge basis of the left operator extension
+            # and the unit-letter drop are references
+            owner = homcalc if hasattr(homcalc, builder) else references
+            for args in calls:
+                getattr(owner, builder)(fresh, *args)
         assert any(nonzeros), builder
-
-
-# (source word, target word, root) of each keyed builder's arguments
-_KEYED_BASES = {
-    "fuse_step_matrix": lambda cat, word, root, i, w:
-        (word, word[:i] + (w,) + word[i + 2:], root),
-    "contract_pair_matrix": lambda cat, word, root, i:
-        (word, word[:i] + word[i + 2:], root),
-    "insert_vector_matrix": lambda cat, word, root, i, g, terms:
-        (word, word[:i] + g + word[i:], root),
-    "splice_host_matrix": lambda cat, host, terms, i, g:
-        (g, host[:i] + g + host[i:], cat.unit),
-}
-
-
-@pytest.mark.parametrize("name", ALL_BUNDLED)
-def test_keyed_builds_match_the_column_form(name):
-    # a build keyed by every source path is the column form over the whole
-    # basis with its rows named by their target paths, column for column;
-    # keyed by a part of the basis, it has the columns of that part only
-    cat = bundled(name)
-    calls = _path_move_calls(cat)
-    nonzeros = 0
-    for builder, bases in _KEYED_BASES.items():
-        build = getattr(homcalc, builder)
-        for args in calls[builder]:
-            src, tgt, root = bases(cat, *args)
-            sources, targets = paths(cat, src, root), paths(cat, tgt, root)
-            rows, cols = build(cat, *args)
-            assert rows == len(targets)
-            want = {p: tuple((targets[i], x) for i, x in col)
-                    for p, col in zip(sources, cols)}
-            assert build(cat, *args, keys=sources) == want, (builder, args)
-            part = sources[::2]
-            assert build(cat, *args, keys=part) == \
-                {p: want[p] for p in part}, (builder, args)
-            nonzeros += sum(map(len, cols))
-    assert nonzeros
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)

@@ -13,10 +13,11 @@ import pytest
 import fscat
 import references
 from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled, random_gauge
-from references import (attach_pair_matrix, closed_loop_trace, compose,
-                        db_vector, dual_morphism, graft_path_matrix, s3_table,
-                        spliced_db_prime_vector, spliced_e_map_matrix,
-                        term_vector, unshared_fs_blocks)
+from references import (attach_pair_matrix, closed_loop_trace, col_vec,
+                        compose, db_vector, dual_morphism, graft_path_matrix,
+                        s3_table, spliced_db_prime_vector,
+                        spliced_e_map_matrix, term_vector, unshared_fs_blocks,
+                        whole_basis)
 
 from fscat.category import (RING_KINDS, Category, FusionRing,
                             MissingPivotalError, ObjectExpr, gauge_transform,
@@ -36,7 +37,7 @@ from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _bend_value,
                               indicator_report, is_spherical, qn_distance,
                               rotation_operator)
 from fscat.linalg import (_packs, dense, eye, is_identity, mat_mul, mat_trace,
-                          mat_vec, zeros)
+                          zeros)
 from fscat.oracles import char_indicator, d4_table, q8_table
 from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
 from fscat.specio import load_bundled
@@ -151,12 +152,11 @@ def test_fs_combo_is_one_nested_coevaluation(name):
                     scale = _t_product(cat, ua, inverse=True)
                     a_letters, a_terms = db_prime_vector(cat, ua)
                     b_letters, b_terms = db_prime_vector(cat, ub)
-                    mat = splice_host_matrix(cat, a_letters,
-                                             _scaled(scale, a_terms), l,
-                                             b_letters)
+                    mat = whole_basis(splice_host_matrix, cat, a_letters,
+                                      _scaled(scale, a_terms), l, b_letters)
                     letters, terms = db_prime_vector(cat, ub + ua)
                     assert a_letters[:l] + b_letters + a_letters[l:] == letters
-                    assert mat_vec(mat, term_vector(cat, b_letters, b_terms)) \
+                    assert col_vec(mat, term_vector(cat, b_letters, b_terms)) \
                         == term_vector(cat, letters, _scaled(scale, terms)), \
                         (cat.name, ua, ub)
 
@@ -173,9 +173,9 @@ def test_right_block_is_the_inserted_coevaluation(name):
                 for u in itertools.product(cat.labels, repeat=r):
                     g_letters, g_terms = db_vector(cat, u)
                     g_terms = _scaled(_t_product(cat, u), g_terms)
-                    mat = insert_vector_matrix(cat, (c,), c, 1, g_letters,
-                                               g_terms)
-                    vec = mat_vec(mat, [Cyc.one()])
+                    mat = whole_basis(insert_vector_matrix, cat, (c,), c, 1,
+                                      g_letters, g_terms)
+                    vec = col_vec(mat, [Cyc.one()])
                     word = (c,) + g_letters
                     if any(vec):
                         want[word] = {p: x for p, x
@@ -208,8 +208,8 @@ def _unit_letter_split(cat, letters, root, i, chunk, pi):
     for col, p in enumerate(src):
         m[tgt.index(p[:i + 1] + p[i:])][col] = Cyc.one()
     for j in range(len(chunk) - 1, 0, -1):
-        m = mat_mul(dense(split_step_matrix(cat, cur, root, i, pi[j], chunk[j])),
-                    m)
+        m = mat_mul(dense(whole_basis(split_step_matrix, cat, cur, root, i,
+                                      pi[j], chunk[j])), m)
         cur = cur[:i] + (pi[j], chunk[j]) + cur[i + 1:]
     return m
 
@@ -664,7 +664,7 @@ def test_fs_middle_is_built_once_per_n_and_r(monkeypatch):
     calls = []
     real = indicators.insert_vector_matrix
 
-    def counted(cat, word, root, i, guest_letters, guest, keys=None):
+    def counted(cat, word, root, i, guest_letters, guest, *, keys):
         u = guest_letters[len(guest_letters) // 2:]
         if guest is db_prime_vector(cat, u)[1]:
             calls.append((word, root, i, guest_letters))
@@ -712,8 +712,7 @@ def test_fs_closing_functional_is_built_once_per_word_and_l(monkeypatch):
                 assert not built, (l, r)
             else:
                 assert built == [("_closing_functional", torn, "t", l, chunk)]
-                c_out, psis = fib._cache[built[0]]
-                assert c_out == "t"
+                psis = fib._cache[built[0]]
                 assert list(psis) == list(paths(fib, chunk, fib.unit))
             seen.add(l)
     assert sorted(key[1:] for key in fib._cache

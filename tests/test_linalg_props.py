@@ -5,14 +5,14 @@ The reference below multiplies entry by entry with ``Cyc`` arithmetic (which
 difference comes from the packed integer kernel: its scan, slot width,
 signed unpacking, folding mod Phi_N or denominators.  Each property runs
 both through the module's size selection and forced through the packed
-kernel.  ``mat_vec`` takes the column form and skips the vector's zero
-coordinates, so its reference loop runs over the dense rows and visits every
-coordinate; ``columns`` below turns those rows into the column form, and
-``linalg.dense`` must turn it back.  The keyed form names rows and
-columns by keys (``keyed`` below), and vectors over it are the dicts of
-their nonzero coordinates: there ``mat_vec`` must equal the column form's
-product, and its transpose partner ``vec_mat`` the dense loop and
-``mat_vec`` through (phi a) v = phi (a v).  The product
+kernel.  ``columns`` below turns dense rows into the column form, and
+``linalg.dense`` must turn it back.  The keyed form names rows and columns
+by keys (``keyed`` below), and vectors over it are the dicts of their
+nonzero coordinates (``named``): there ``mat_vec`` must equal the
+reference loop, which runs over the dense rows and visits every
+coordinate, and the column form's product (``col_mul``), and must refuse
+a coordinate with no column; its transpose partner ``vec_mat`` must equal
+the dense loop and ``mat_vec`` through (phi a) v = phi (a v).  The product
 of two column forms, ``col_mul``, and ``is_identity_product`` must agree
 with the dense product and ``is_identity`` on both sides of their packed
 switch.  The integer
@@ -155,7 +155,7 @@ def test_rational_results_come_back_at_conductor_one(n):
         assert out[i][i].conductor == 1 and out[i][i] == 6
 
 
-# -- mat_vec ------------------------------------------------------------------
+# -- mat_vec, on the keyed form -----------------------------------------------
 
 
 def reference_mat_vec(a, v):
@@ -171,6 +171,18 @@ def columns(a, width=None):
         raise ValueError("matrix shape mismatch")
     return len(a), tuple(tuple((i, row[j]) for i, row in enumerate(a) if row[j])
                          for j in range(width))
+
+
+def keyed(a, width):
+    """The keyed form of the dense rows ``a``, ``width`` columns wide:
+    column j under the key ("col", j), its nonzeros under ("row", i)."""
+    return {("col", j): tuple((("row", i), x) for i, x in col)
+            for j, col in enumerate(columns(a, width)[1])}
+
+
+def named(vec, tag):
+    """The nonzero coordinates of the list ``vec``, under (tag, i)."""
+    return {(tag, i): x for i, x in enumerate(vec) if x}
 
 
 @st.composite
@@ -203,9 +215,9 @@ def vectors(draw, size, n):
 @given(data=st.data())
 def test_mat_vec_matches_reference_loop(conductors, data):
     a, v = data.draw(mat_vec_operands(conductors))
-    cols = columns(a, len(v))
-    assert linalg.dense(cols) == a
-    assert linalg.mat_vec(cols, v) == reference_mat_vec(a, v)
+    assert linalg.dense(columns(a, len(v))) == a
+    assert linalg.mat_vec(keyed(a, len(v)), named(v, "col")) == \
+        named(reference_mat_vec(a, v), "row")
 
 
 def test_mat_vec_reads_every_nonzero_coordinate():
@@ -213,18 +225,42 @@ def test_mat_vec_reads_every_nonzero_coordinate():
     for j in range(4):
         v = [Cyc.zero()] * 4
         v[j] = root_of_unity(8, j) + 2
-        assert linalg.mat_vec(columns(a), v) == reference_mat_vec(a, v)
+        assert linalg.mat_vec(keyed(a, 4), named(v, "col")) == \
+            named(reference_mat_vec(a, v), "row")
     v = [root_of_unity(8, j) + 2 for j in range(4)]
-    assert linalg.mat_vec(columns(a), v) == reference_mat_vec(a, v)
+    assert linalg.mat_vec(keyed(a, 4), named(v, "col")) == \
+        named(reference_mat_vec(a, v), "row")
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
 def test_mat_vec_empty_shapes(rows, cols):
     a = [[root_of_unity(8, 1)] * cols for _ in range(rows)]
-    assert linalg.mat_vec(columns(a, cols), [Cyc.one()] * cols) == [0] * rows
+    assert linalg.mat_vec(keyed(a, cols), named([Cyc.one()] * cols, "col")) \
+        == {}
 
 
-# -- the keyed form: vec_mat, and mat_vec by keys ---------------------------
+@pytest.mark.parametrize("conductors", CONDUCTOR_PAIRS,
+                         ids=[f"{a}x{b}" for a, b in CONDUCTOR_PAIRS])
+@given(data=st.data())
+def test_keyed_mat_vec_matches_the_column_form(conductors, data):
+    # by keys, mat_vec takes and gives only nonzero coordinates, equal to
+    # the column form's product with v as its one column
+    a, v = data.draw(mat_vec_operands(conductors))
+    _, (col,) = linalg.col_mul(columns(a, len(v)),
+                               columns([[y] for y in v], 1))
+    assert linalg.mat_vec(keyed(a, len(v)), named(v, "col")) == \
+        {("row", i): x for i, x in col}
+
+
+@pytest.mark.parametrize("a, v", [([[1, 1]], [1, 1, 1]), ([[1]], [1, 1]),
+                                  ([], [1])])
+def test_mat_vec_rejects_shape_mismatch(a, v):
+    # a coordinate with no column in the keyed form is refused, not dropped
+    with pytest.raises(KeyError):
+        linalg.mat_vec(keyed(a, len(a[0]) if a else 0), named(v, "col"))
+
+
+# -- vec_mat ------------------------------------------------------------------
 
 
 def reference_vec_mat(phi, a, width):
@@ -234,18 +270,6 @@ def reference_vec_mat(phi, a, width):
 
 def dot(x, y):
     return sum((p * q for p, q in zip(x, y)), Cyc.zero())
-
-
-def keyed(a, width):
-    """The keyed form of the dense rows ``a``, ``width`` columns wide:
-    column j under the key ("col", j), its nonzeros under ("row", i)."""
-    return {("col", j): tuple((("row", i), x) for i, x in col)
-            for j, col in enumerate(columns(a, width)[1])}
-
-
-def named(vec, tag):
-    """The nonzero coordinates of the list ``vec``, under (tag, i)."""
-    return {(tag, i): x for i, x in enumerate(vec) if x}
 
 
 @pytest.mark.parametrize("conductors", CONDUCTOR_PAIRS,
@@ -258,8 +282,9 @@ def test_vec_mat_matches_reference_loop(conductors, data):
     phi = data.draw(vectors(len(a), conductors[1]))
     row = linalg.vec_mat(named(phi, "row"), keyed(a, len(v)))
     assert row == named(reference_vec_mat(phi, a, len(v)), "col")
+    av = linalg.mat_vec(keyed(a, len(v)), named(v, "col"))
     assert dot([row.get(("col", j), 0) for j in range(len(v))], v) == \
-        dot(phi, linalg.mat_vec(columns(a, len(v)), v))
+        dot(phi, [av.get(("row", i), 0) for i in range(len(a))])
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
@@ -267,24 +292,6 @@ def test_vec_mat_empty_shapes(rows, cols):
     a = [[root_of_unity(8, 1)] * cols for _ in range(rows)]
     assert linalg.vec_mat(named([Cyc.one()] * rows, "row"),
                           keyed(a, cols)) == {}
-
-
-@pytest.mark.parametrize("conductors", CONDUCTOR_PAIRS,
-                         ids=[f"{a}x{b}" for a, b in CONDUCTOR_PAIRS])
-@given(data=st.data())
-def test_keyed_mat_vec_matches_the_column_form(conductors, data):
-    # by keys, mat_vec takes and gives only nonzero coordinates, equal to
-    # the column form's product
-    a, v = data.draw(mat_vec_operands(conductors))
-    assert linalg.mat_vec(keyed(a, len(v)), named(v, "col")) == \
-        named(linalg.mat_vec(columns(a, len(v)), v), "row")
-
-
-@pytest.mark.parametrize("a, v", [([[1, 1]], [1]), ([[1]], [1, 1]),
-                                  ([[1, 1], [1]], [1, 1])])
-def test_mat_vec_rejects_shape_mismatch(a, v):
-    with pytest.raises(ValueError, match="matrix shape mismatch"):
-        linalg.mat_vec(columns(a), v)
 
 
 # -- products of column forms ---------------------------------------------------
