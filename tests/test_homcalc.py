@@ -542,47 +542,62 @@ def _checked_keyed_build(cat, build, args, moved):
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_path_columns_match_the_dense_loop(name, monkeypatch):
-    # every builder of a path-basis matrix lays out its moves with a kernel
-    # of homcalc, and each build must match the in-place loop over the same
-    # keys and moves.  The bends and the references use _path_columns,
-    # whose builds must densify to the loop.  The move builders use
-    # _keyed_columns: keyed by every source path, a build must name only
-    # admissible targets (whole_basis raises on any other) and lay out to
-    # the loop, and keyed by half of them it must hold exactly those
-    # columns.  Every builder must make at least one nonzero entry
-    columns, keyed = homcalc._path_columns, homcalc._keyed_columns
-    nonzeros, moved = [], []
+    # the bends and the references lay out their moves with _path_columns;
+    # each build must densify to the in-place loop over the same keys and
+    # moves, and every builder must make at least one nonzero entry.  The
+    # keyed move builders are checked in
+    # test_keyed_builds_match_the_column_form
+    kernel = homcalc._path_columns
+    nonzeros = []
 
     def checked(cat, keys, tgt, root, moves):
-        got = columns(cat, keys, tgt, root, moves)
+        got = kernel(cat, keys, tgt, root, moves)
         assert dense(got) == reference_path_matrix(cat, keys, tgt, root,
                                                    moves), (keys, tgt, root)
         nonzeros.append(sum(map(len, got[1])))
         return got
 
+    monkeypatch.setattr(homcalc, "_path_columns", checked)
+    cat = bundled(name)
+    for builder, calls in _path_move_calls(cat).items():
+        if builder in KEYED_BASES:
+            continue
+        fresh = cat.with_pivotal(cat.pivotal)  # no memoised build is reused
+        nonzeros.clear()
+        # the associator, the merge basis of the left operator extension
+        # and the unit-letter drop are references
+        owner = homcalc if hasattr(homcalc, builder) else references
+        for args in calls:
+            getattr(owner, builder)(fresh, *args)
+        assert any(nonzeros), builder
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_keyed_builds_match_the_column_form(name, monkeypatch):
+    # the move builders lay out their moves with _keyed_columns.  Keyed by
+    # every source path, a build must name only admissible targets
+    # (whole_basis raises on any other), and its column form on the whole
+    # target basis must equal the in-place loop over the same keys and
+    # moves; keyed by half of them it must hold exactly those columns.
+    # Every builder must make at least one nonzero entry
+    kernel = homcalc._keyed_columns
+    moved = []
+
     def recorded(keys, moves):
         moved.append(moves)
-        return keyed(keys, moves)
+        return kernel(keys, moves)
 
     cat = bundled(name)
     move_calls = _path_move_calls(cat)
-    monkeypatch.setattr(homcalc, "_path_columns", checked)
     monkeypatch.setattr(homcalc, "_keyed_columns", recorded)
-    for builder, calls in move_calls.items():
+    for builder in KEYED_BASES:
         fresh = cat.with_pivotal(cat.pivotal)  # no memoised build is reused
-        nonzeros.clear()
-        if builder in KEYED_BASES:
-            build = getattr(homcalc, builder)
-            for args in calls:
-                got = _checked_keyed_build(fresh, build, args, moved)
-                nonzeros.append(sum(map(len, got[1])))
-        else:
-            # the associator, the merge basis of the left operator extension
-            # and the unit-letter drop are references
-            owner = homcalc if hasattr(homcalc, builder) else references
-            for args in calls:
-                getattr(owner, builder)(fresh, *args)
-        assert any(nonzeros), builder
+        build = getattr(homcalc, builder)
+        nonzeros = 0
+        for args in move_calls[builder]:
+            got = _checked_keyed_build(fresh, build, args, moved)
+            nonzeros += sum(map(len, got[1]))
+        assert nonzeros, builder
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
