@@ -407,6 +407,8 @@ class Category:
 
         The index order is (..., f, e): the inverse block's rows are the
         f-list and its columns the e-list, the transpose of ``f_entry``.
+        An entry equal to 1 is stored as the ``ONE`` singleton, so a kernel
+        can skip multiplying by it with an identity test.
         """
         key = (a, b, c, d, f, e)
         got = self._f_inv_entries.get(key)
@@ -415,6 +417,8 @@ class Category:
             got = ZERO
             if e in es and f in fs:
                 got = self.f_inv_block(a, b, c, d)[fs.index(f)][es.index(e)]
+                if got == 1:
+                    got = ONE
             self._f_inv_entries[key] = got
         return got
 

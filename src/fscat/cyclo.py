@@ -712,6 +712,7 @@ def _make(n: int, num: list, den: int) -> Cyc:
 
 _ZERO = _raw(1, (0,), 1)
 _ONE = _raw(1, (1,), 1)
+_MINUS_ONE = _raw(1, (-1,), 1)
 
 
 def _fraction_str(c: Fraction) -> str:
@@ -734,9 +735,13 @@ def _parse_fraction(s) -> Fraction:
 
 
 def root_of_unity(n: int, k: int) -> Cyc:
-    """zeta_n^k in canonical form at conductor n."""
+    """zeta_n^k in canonical form at conductor n, or at conductor 1 when it
+    is +-1 (2k = 0 mod n), so that the rational fast paths of ``Cyc`` see
+    it; 1 is the ``Cyc.one()`` singleton."""
     if n < 1:
         raise ValueError("conductor must be positive")
+    if not 2 * k % n:
+        return _ONE if not k % n else _MINUS_ONE
     return _raw(n, tuple(_reduce_power(n, k)), 1)
 
 

@@ -20,31 +20,36 @@ A local move sends each source path to weighted target paths, and each
 move builder lays it out in the keyed form of ``linalg`` over the source
 paths ``keys`` it is given (``_keyed_columns``): each column is named by
 its source path and each entry by its target path, so no basis of either
-word is listed.  A builder's words and root name its two hom spaces; it
-reads only the letters its move needs.  The Frobenius-Schur build moves
-its vectors this way, by their nonzero coordinates, with ``mat_vec`` and
-``vec_mat``.  The bends alone are laid out on the target path basis, in
-the column form (``_path_columns``), because their products go to
-``mat_mul``; the ``LinMap`` blocks, the walk's rotations
+word is listed.  A builder takes only the letters, position and fixed
+vector its move reads, no root and no word it does not read.  The
+Frobenius-Schur build moves its vectors this way, by their nonzero
+coordinates, with ``mat_vec`` and ``vec_mat``.  The bends alone are laid
+out on the target path basis, in the column form, because their products
+go to ``mat_mul``; the ``LinMap`` blocks, the walk's rotations
 (``indicators.e_map_matrix``) and every operand of ``mat_mul`` are dense
-rows, converted from the column form once by
-``linalg.dense``.  Removals are single-vertex moves (fuse, evaluation); a
-unit letter needs no move of its own, since by the unit axiom its paths
-are those of the word without it, in the same order.  Every insertion is
-a graft, which re-associates a unit-rooted guest subword into the running
-path by a chain of elementary inverse F-moves (``_graft_coeffs``).
-``insert_vector_matrix`` grafts a fixed guest vector into each host path
-and ``splice_host_matrix`` each guest path into a fixed host vector; the
-fixed vector is passed as its nonzero ``(path, coeff)`` terms, so one
-guest path, a coevaluation pair's (1, b, 1) say, is one term.  A
-k-strand bend is one graft too (``_bend_columns``): the word is spliced
-once into the nested coevaluation of its first k letters, and the loop
-closures that follow keep only the paths that retrace their stages around
-each closed pair, so the first k stages of each graft chain are pinned to
-the host path's and only those chains are generated.  ``_bend_entries``
-pins the rest of each chain to one target path as well, so it makes single
-entries of a bend (its diagonal, say) and nothing else.  Degenerate words
-(hom dimension 0) yield 0x0 blocks that compose legally.
+rows, converted from the column form once by ``linalg.dense``.  Removals
+are single-vertex moves (fuse, evaluation); a unit letter needs no move of
+its own, since by the unit axiom its paths are those of the word without
+it, in the same order.  Every insertion is a graft, which re-associates a
+unit-rooted guest subword into the running path by a chain of elementary
+inverse F-moves (``_graft_coeffs``).  ``insert_vector_matrix`` grafts a
+fixed guest vector into each host path and ``splice_host_matrix`` each
+guest path into a fixed host vector; the fixed vector is passed as its
+nonzero ``(path, coeff)`` terms, so one guest path, a coevaluation pair's
+(1, b, 1) say, is one term.  A k-strand bend is one graft too
+(``_bend_columns``): the word is spliced once into the nested coevaluation
+of its first k letters, and the loop closures that follow keep only the
+paths that retrace their stages around each closed pair, so the first k
+stages of each graft chain are pinned to the host path's and only those
+chains are generated.  One kernel walks them, per source path
+(``_bend_grafts``): the k pinned stages directly, to the first zero F^-1
+factor, then the free chains from stage k, the unit; a factor that is the
+``ONE`` singleton is not multiplied, and ``_bend_columns`` lands each term
+on its row of the rotated word's basis as it goes.  ``_bend_entries``
+reads the same kernel with the free stages pinned to one target path as
+well, so it makes single entries of a bend (its diagonal, say) and nothing
+else.  Degenerate words (hom dimension 0) yield 0x0 blocks that compose
+legally.
 
 Every memo here is declared by ``category.memoised`` on its builder and
 kept in ``cat.cached`` under the builder's arguments, which are labels,
@@ -55,24 +60,26 @@ the fusion ring (``category.RING_KINDS``): the categories on one ring, such
 as its pivotal structures and gauges, build each basis once.  The guard is
 checked on each build, so a basis kept on a ring is not counted again.
 
-Per category are kept the nested coevaluation terms (``db_prime_vector``),
-the bend hosts ``_bend_tops`` and the bends by columns ``_bend_columns``,
-and four stages of the Frobenius-Schur endomorphisms: the right
-coevaluation blocks (``indicators._right_block``), the torn-down middle
-that every l of an (n, r) shares (``indicators._torn_down``), the closing
-rows of the words below the top one (``indicators._closing_row``), and
-the closing functional, read through each chunk graft, that every r of an
-(n, l) shares (``indicators._closing_functional``), which keeps no graft
-matrix.  A bend host depends only on the bent letters, so every bend of a
-word with the same head shares it.  No move builder is memoised: its keys
-are the paths of one vector, so no memo holds a path of a (2n - 1)-letter
-word of that build, and the insertions' keys would hold ``Cyc``
-coefficients too, whose hashing reduces an irrational ``Cyc`` by solving
-a linear system.  Each Frobenius-Schur insertion is reached through a
-memo of its stage: the coevaluation pairs once per right block, the
-nested coevaluations once per (n, r), through the shared middle, and
-each chunk graft once per torn word, chunk and l, through
-``indicators._closing_functional``.
+Per category are kept the nested coevaluation terms (``db_prime_vector``,
+each word's one splice onto the terms of the word without its first
+letter, so a bend host of k letters costs one splice once the host of its
+last k - 1 letters is made), the bend hosts ``_bend_tops`` and the bends
+by columns ``_bend_columns``, and four stages of the Frobenius-Schur
+endomorphisms: the right coevaluation blocks
+(``indicators._right_block``), the torn-down middle that every l of an
+(n, r) shares (``indicators._torn_down``), the closing rows of the words below
+the top one (``indicators._closing_row``), and the closing functional,
+read through each chunk graft, that every r of an (n, l) shares
+(``indicators._closing_functional``), which keeps no graft matrix.  A bend
+host depends only on the bent letters, so every bend of a word with the
+same head shares it.  No move builder is memoised: its keys are the paths
+of one vector, so no memo holds a path of a (2n - 1)-letter word of that
+build, and the insertions' keys would hold ``Cyc`` coefficients too, whose
+hashing reduces an irrational ``Cyc`` by solving a linear system.  Each
+Frobenius-Schur insertion is reached through a memo of its stage: the
+coevaluation pairs once per right block, the nested coevaluations once per
+(n, r), through the shared middle, and each chunk graft once per torn
+word, chunk and l, through ``indicators._closing_functional``.
 
 Below the builders, the unpinned graft chains are shared per category
 (``_graft_chains``, memo kind ``"graft"``): the chains of one stage label,
@@ -80,8 +87,8 @@ guest word and guest path are made once and read by both insertion
 builders.  Different builds graft the same guest path into the
 same stage, so in a sweep of the Frobenius-Schur endomorphisms nine graft
 calls in ten or more read a chain the category already made.  The pinned
-chains of the bends (``_bend_terms``, ``_bend_entries``) are not kept:
-nearly every one is distinct, so a memo would only cost.
+chains the bend kernel walks (``_bend_grafts``) are not kept: nearly every
+one is distinct, so a memo would only cost.
 """
 
 from __future__ import annotations
@@ -222,61 +229,36 @@ class LinMap:
 # -- the grafting kernel -----------------------------------------------------
 
 
-def _graft_coeffs(cat: Category, lam, letters, path, pin=(), coeff=ONE):
+def _graft_coeffs(cat: Category, lam, letters, path):
     """Re-associate a subword, fused along ``path``, into a running stage.
 
     Given a stage label ``lam`` and a fusion path ``path`` through
-    ``letters`` (starting at the unit), yield ``(sigma, coeff)`` pairs where
+    ``letters`` (starting at the unit), return ``(sigma, coeff)`` pairs where
     ``sigma = (sigma_0 = lam, ..., sigma_m)`` is the stage chain the grafted
     letters contribute to the ambient path and ``coeff`` is the product of
     inverse-F factors of the elementary moves.  ``sigma_m`` fuses
     ``lam (x) path[-1]``; for a unit-rooted graft it is forced back to lam.
-    ``pin[j]`` fixes sigma_j for 0 < j < len(pin), so only the chains that
-    follow it are made; later stages are free.  ``coeff`` seeds every chain.
-    The unpinned, unseeded chains are kept per category by ``_graft_chains``;
-    the pinned chains of the bends are made afresh on every call.
+    The chains are kept per category by ``_graft_chains``; the bends walk
+    their own pinned chains (``_bend_grafts``).
     """
-    states = [((lam,), coeff)]
+    states = [((lam,), ONE)]
     for j, y in enumerate(letters, start=1):
         prev_rho, rho = path[j - 1], path[j]
         new = []
         for chain, coeff in states:
             s_prev = chain[-1]
-            for s in (pin[j],) if j < len(pin) else cat.channels(s_prev, y):
+            for s in cat.channels(s_prev, y):
                 val = cat.f_inv_entry(lam, prev_rho, y, s, rho, s_prev)
                 if val:
-                    new.append((chain + (s,), coeff * val))
+                    new.append((chain + (s,),
+                                coeff if val is ONE else coeff * val))
         states = new
-        if not states:  # a pinned stage no chain reaches
-            break
     return states
 
 
 @memoised("pidx", ring=True)
 def _path_index(cat, letters, root):
     return {p: i for i, p in enumerate(paths(cat, letters, root))}
-
-
-def _path_columns(cat, keys, tgt, root, moves):
-    """Column form (``linalg``) of a map into the Hom(root, tgt) path basis,
-    one column per key of ``keys``: the layout of the bends.
-
-    The keys are the source paths of the bend, or any other source basis.
-    ``moves(key)`` yields ``(q, coeff)`` pairs;
-    column ``key`` accumulates ``coeff`` at row ``q``.  Zero coefficients,
-    sums that cancel and target paths that are not admissible are dropped.
-    """
-    tidx = _path_index(cat, tgt, root)
-    cols = []
-    for key in keys:
-        col = {}
-        for q, val in moves(key):
-            if val:
-                row = tidx.get(q)
-                if row is not None:
-                    col[row] = col[row] + val if row in col else val
-        cols.append(tuple((i, x) for i, x in col.items() if x))
-    return len(tidx), tuple(cols)
 
 
 def _keyed_columns(keys, moves):
@@ -298,8 +280,8 @@ def _keyed_columns(keys, moves):
 
 @memoised("graft")
 def _graft_chains(cat, lam, guest_letters, rho):
-    """The unseeded ``_graft_coeffs`` chains, as (sigma[1:], coeff) pairs,
-    kept per category: they hold inverse F entries, so not on the ring."""
+    """The ``_graft_coeffs`` chains, as (sigma[1:], coeff) pairs, kept per
+    category: they hold inverse F entries, so not on the ring."""
     return tuple((chain[1:], g) for chain, g
                  in _graft_coeffs(cat, lam, guest_letters, rho))
 
@@ -309,8 +291,6 @@ def _graft_moves(cat, i, guest_letters, terms):
 
     ``terms`` lists ``(host path, guest path, weight)``; each chain of
     ``_graft_chains`` lands on the joined path, scaled by the weight.
-    Exact products are associative, so the values are those of the chains
-    seeded by the weight.
     """
     for p, rho, c in terms:
         head, tail = p[:i + 1], p[i + 1:]
@@ -318,10 +298,8 @@ def _graft_moves(cat, i, guest_letters, terms):
             yield head + mid + tail, c * g
 
 
-def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest, *,
-                         keys):
-    """Matrix of v -> (id (x) u (x) id) o v on Hom(root, -), over the host
-    paths ``keys``.
+def insert_vector_matrix(cat, i, guest_letters, guest, *, keys):
+    """Matrix of v -> (id (x) u (x) id) o v, over the host paths ``keys``.
 
     ``u`` is a fixed unit-rooted vector through ``guest_letters``, inserted
     at letter position ``i`` and passed as its nonzero ``(path, coeff)``
@@ -332,7 +310,7 @@ def insert_vector_matrix(cat, host_letters, root, i, guest_letters, guest, *,
         cat, i, guest_letters, [(p, rho, c) for rho, c in guest]))
 
 
-def splice_host_matrix(cat, host_letters, host, i, guest_letters, *, keys):
+def splice_host_matrix(cat, host, i, guest_letters, *, keys):
     """Matrix of v -> (id (x) v (x) id) o u, with the host vector u fixed
     and passed as its nonzero ``(path, coeff)`` terms, over the guest paths
     ``keys``.
@@ -347,7 +325,7 @@ def splice_host_matrix(cat, host_letters, host, i, guest_letters, *, keys):
 # -- elementary vertex steps -------------------------------------------------
 
 
-def fuse_step_matrix(cat, letters, root, i, w, *, keys):
+def fuse_step_matrix(cat, letters, i, w, *, keys):
     """Fuse adjacent letters (x_i, x_{i+1}) into the channel w, over the
     source paths ``keys``."""
     u, v = letters[i], letters[i + 1]
@@ -356,7 +334,7 @@ def fuse_step_matrix(cat, letters, root, i, w, *, keys):
          cat.f_entry(p[i], u, v, p[i + 2], p[i + 1], w))])
 
 
-def split_step_matrix(cat, letters, root, i, u, v, *, keys):
+def split_step_matrix(cat, letters, i, u, v, *, keys):
     """Split the letter x_i into the admissible pair (u, v), over the source
     paths ``keys``.  The library inserts by grafts; this inverse of the
     fuse step is a test reference."""
@@ -386,7 +364,7 @@ def _contract_moves(cat, letters, i):
                       ] if p[i + 2] == p[i] else ()
 
 
-def contract_pair_matrix(cat, letters, root, i, *, keys):
+def contract_pair_matrix(cat, letters, i, *, keys):
     """Evaluation on the adjacent dual pair at positions (i, i+1)
     (``_contract_moves``), over the source paths ``keys``."""
     return _keyed_columns(keys, _contract_moves(cat, letters, i))
@@ -395,35 +373,31 @@ def contract_pair_matrix(cat, letters, root, i, *, keys):
 # -- coevaluation vectors ----------------------------------------------------
 
 
-def _nested_coevaluation(cat, pairs):
-    """(word, terms) of the nested coevaluations of ``pairs``, the terms the
-    nonzero ``(path, coeff)`` pairs of the unit-rooted vector.  Each pair is
-    spliced, outermost first, into the middle of the running vector as the
-    fixed host (grafting is associative): the splice is keyed by the pair's
-    one path (1, x, 1), and its one column is the next terms, so no path
-    basis of the word is listed.  The word is still counted against the
-    guard first (``check_word_guard``): each running word is the last with
-    some dual pairs taken out, and the product of a dual pair contains the
-    unit, so no running word has a larger hom space than the last."""
-    check_word_guard(cat, tuple(x for x, _ in pairs)
-                     + tuple(y for _, y in reversed(pairs)), cat.unit)
-    cur, terms = (), (((cat.unit,), ONE),)
-    for pair in pairs:
-        mid = len(cur) // 2
-        (terms,) = splice_host_matrix(cat, cur, terms, mid, pair,
-                                      keys=((cat.unit, pair[0], cat.unit),)
-                                      ).values()
-        cur = cur[:mid] + pair + cur[mid:]
-    return cur, terms
-
-
 @memoised()
 def db_prime_vector(cat, letters):
     """Right-dual coevaluation of ``letters``: (dual word + letters, the
     nonzero ``(path, coeff)`` terms of its unit-rooted vector), read-only.
-    The tests check it against splicing the pairs innermost first."""
-    return _nested_coevaluation(cat, [(cat.dual(y), y)
-                                      for y in reversed(letters)])
+
+    The nested coevaluations of the pairs (x*, x), the first letter's
+    innermost: by associativity, the pair of ``letters[0]`` spliced into
+    the middle of the memoised vector of ``letters[1:]``, keyed by the
+    pair's one path (1, x*, 1), so no path basis is listed and a bend host
+    costs one splice (the suffixes of the bend heads are the heads of the
+    next rotations).  The word is counted against the guard first
+    (``check_word_guard``); with a dual pair taken out, whose product
+    contains the unit, no suffix has a larger hom space.  The tests check
+    the vector against splicing the pairs innermost first.
+    """
+    unit = cat.unit
+    if not letters:
+        return (), (((unit,), ONE),)
+    check_word_guard(cat, dual_word(cat, letters) + letters, unit)
+    host, terms = db_prime_vector(cat, letters[1:])
+    mid = len(host) // 2
+    pair = cat.dual(letters[0]), letters[0]
+    (terms,) = splice_host_matrix(cat, terms, mid, pair,
+                                  keys=((unit, pair[0], unit),)).values()
+    return host[:mid] + pair + host[mid:], terms
 
 
 # -- the bend ----------------------------------------------------------------
@@ -441,23 +415,34 @@ def _bend_columns(cat, letters, k):
     position k into the nested coevaluation (H, h) = ``db_prime_vector`` of
     x_1 ... x_k, H = (x_k*, ..., x_1*, x_1, ..., x_k).  A combined path P
     survives the closures only if P[k+i] = P[k-i] for i = 1..k, so for a
-    host path p the graft of w is one ``_graft_coeffs`` call whose first k
-    stages are pinned to p[k-1], ..., p[0] (the unit).  What survives is the
-    graft chain from stage k on, followed by p[k+1:], a path of
-    w[k:] + w[:k].  Closure i < k contributes
-    mu(x_i) [F^{a, x_i*, x_i}_a]_{b, 1} with a = p[k-i], b = p[k-i+1], as
-    in ``contract_pair_matrix``, which also gives the outer closure on
-    Hom(1, x_k* x_k).  The closures and the pivotal scale read only
-    p[:k+1], so they make one weight per such top (``_bend_tops``), which
-    seeds its graft chains; h[p] scales each chain as it lands
-    (``_bend_terms``).  No word longer than max(n, 2k) letters is built.
+    host path p the graft of w has its first k stages pinned to p[k-1],
+    ..., p[0] (the unit).  What survives is the graft chain from stage k
+    on, followed by p[k+1:], a path of w[k:] + w[:k].  Closure i < k
+    contributes mu(x_i) [F^{a, x_i*, x_i}_a]_{b, 1} with a = p[k-i],
+    b = p[k-i+1], as in ``contract_pair_matrix``, which also gives the
+    outer closure on Hom(1, x_k* x_k).  The closures and the pivotal scale
+    read only p[:k+1], so they make one weight per such top
+    (``_bend_tops``), which seeds its chains.  One loop per source path
+    walks them (``_bend_grafts``), and each chain, followed by each tail
+    p[k+1:] of its top and scaled by h[p], lands on its row of the
+    rotated word's basis.  No word longer than max(n, 2k) letters is built.
     """
-    if not paths(cat, letters, cat.unit):
+    unit = cat.unit
+    sources = paths(cat, letters, unit)
+    if not sources:
         return 0, ()  # the rotation of a zero space; its host is never built
     tops = _bend_tops(cat, letters[:k])
-    return _path_columns(cat, paths(cat, letters, cat.unit),
-                         letters[k:] + letters[:k], cat.unit,
-                         lambda rho: _bend_terms(cat, letters, k, tops, rho))
+    tidx = _path_index(cat, letters[k:] + letters[:k], unit)
+    cols = []
+    for rho in sources:
+        col = {}
+        for chain, g, tails in _bend_grafts(cat, letters, k, tops, rho):
+            for q, h in tails:
+                row = tidx[chain + q]
+                x = g if h is ONE else g * h
+                col[row] = col[row] + x if row in col else x
+        cols.append(tuple(filter(_coeff, col.items())))
+    return len(tidx), tuple(cols)
 
 
 @memoised()
@@ -474,7 +459,7 @@ def _bend_tops(cat, head):
     k = len(head)
     unit = cat.unit
     pair = cat.dual(head[-1]), head[-1]
-    (closure,) = contract_pair_matrix(cat, pair, unit, 0,
+    (closure,) = contract_pair_matrix(cat, pair, 0,
                                       keys=((unit, pair[0], unit),)).values()
     outer = (sum((x for _, x in closure), ZERO)
              * math.prod(map(cat.t, head), start=ONE).inverse())
@@ -493,30 +478,57 @@ def _bend_tops(cat, head):
     return tuple(weighted)
 
 
-def _bend_terms(cat, letters, k, tops, rho, pin=()):
-    """(target path, coefficient) terms of E(w, k) on the source path rho.
+def _bend_grafts(cat, letters, k, tops, rho, pin=None):
+    """The graft chains of E(w, k) on the source path rho, the bend kernel.
 
-    ``tops`` is ``_bend_tops`` of w[:k] or a part of it.  Each top seeds one
-    graft of w along rho whose first k stages are pinned to the top,
-    reversed.  With ``pin``, a path of the rotated word, the later stages
-    follow pin's too, so only terms landing on pin are made when every tail
-    in ``tops`` is pin's.
+    ``tops`` is ``_bend_tops`` of w[:k] or a part of it.  For each top,
+    the graft of w along rho has its first k stages pinned to the top,
+    reversed: they are walked directly, each F^-1 factor read once, and a
+    top is left at its first zero factor.  The free stages follow from
+    stage k, the unit, each through the channels of the one before, or,
+    with ``pin`` a path of the rotated word, through pin's stage alone.
+    Returns (chain, coeff, tails) per chain: chain is the graft chain from
+    stage k on, a path of w[k:] from the unit to the top's last stage,
+    coeff the top's weight times its F^-1 factors, and tails the top's.  A factor that is the ``ONE`` singleton
+    is not multiplied.  Nothing is kept: nearly every chain is distinct.
     """
-    for top, weight, tails in tops:
-        for chain, g in _graft_coeffs(cat, top[k], letters, rho,
-                                      top[k::-1] + pin[1:], weight):
-            for q, c in tails:
-                yield chain[k:] + q, g * c
+    f_inv, channels, unit = cat.f_inv_entry, cat.channels, cat.unit
+    out = []
+    for top, g, tails in tops:
+        lam = top[k]
+        for j in range(k):
+            val = f_inv(lam, rho[j], letters[j], top[k - j - 1], rho[j + 1],
+                        top[k - j])
+            if not val:
+                break
+            if val is not ONE:
+                g = g * val
+        else:
+            states = [((unit,), g)]
+            for j in range(k, len(letters)):
+                a, y, b = rho[j], letters[j], rho[j + 1]
+                new = []
+                for chain, x in states:
+                    s_prev = chain[-1]
+                    for s in (channels(s_prev, y) if pin is None
+                              else (pin[j - k + 1],)):
+                        val = f_inv(lam, a, y, s, b, s_prev)
+                        if val:
+                            new.append((chain + (s,),
+                                        x if val is ONE else x * val))
+                states = new
+            out += [(chain, x, tails) for chain, x in states]
+    return out
 
 
 def _bend_entries(cat, letters, k, pairs):
     """Sum of wt * E(w, k)[q, rho] over the (rho, q, wt) triples in pairs.
 
     rho is a path of w and q one of its rotation.  Each entry is made by
-    the terms of ``_bend_columns`` that land on q alone: the host tails are
-    kept only where they equal q's last k stages, and the graft chain is
-    pinned to q's first n - k + 1 stages, so no other entry is generated.
-    The diagonal of a bend with rot_k w = w is the pairs (p, p, 1).
+    the bend kernel (``_bend_grafts``) with every stage pinned: the host
+    tails are kept only where they equal q's last k stages, and the free
+    stages follow q's first n - k + 1, so only the chain that lands on q is
+    made.  The diagonal of a bend with rot_k w = w is the pairs (p, p, 1).
     """
     letters = tuple(letters)
     pairs = list(pairs)
@@ -529,9 +541,9 @@ def _bend_entries(cat, letters, k, pairs):
             by_tail.setdefault(q, []).append((top, w, ((q, c),)))
     total = ZERO
     for rho, q, wt in pairs:
-        for _, g in _bend_terms(cat, letters, k, by_tail.get(q[m + 1:], ()),
-                                rho, q):
-            total = total + wt * g
+        for _, g, ((_, c),) in _bend_grafts(
+                cat, letters, k, by_tail.get(q[m + 1:], ()), rho, q):
+            total = total + wt * g * c
     return total
 
 

@@ -359,10 +359,10 @@ def _right_block(cat: Category, support, c, r: int):
     pair inserted (``_pair_step``)."""
     if not r:
         return {(c,): {(cat.unit, c): ONE}}
-    return _pair_step(cat, support, c, r, _right_block(cat, support, c, r - 1))
+    return _pair_step(cat, support, r, _right_block(cat, support, c, r - 1))
 
 
-def _pair_step(cat, support, c, r, block):
+def _pair_step(cat, support, r, block):
     """The right-block state ``block`` of r - 1 pairs with each pair
     (y, y*) inserted at position r, as the graft of its one path (1, y, 1)
     over the paths each vector holds, and scaled by t(y).  Each word comes
@@ -372,8 +372,8 @@ def _pair_step(cat, support, c, r, block):
         for y in support:
             pair = (y, cat.dual(y))
             got = mat_vec(insert_vector_matrix(
-                cat, word, c, r, pair, (((cat.unit, y, cat.unit), ONE),),
-                keys=vec), vec)
+                cat, r, pair, (((cat.unit, y, cat.unit), ONE),), keys=vec),
+                vec)
             if got:
                 ty = cat.t(y)
                 state[word[:r] + pair + word[r:]] = {p: ty * x
@@ -381,7 +381,7 @@ def _pair_step(cat, support, c, r, block):
     return state
 
 
-def _fused_down(cat, word, c, m, chunk, state):
+def _fused_down(cat, word, m, chunk, state):
     """(pi, vector) for each path pi of the chunk word[m:m + n] along which
     its n letters fuse down to a nonzero vector on the unit letter at m.
 
@@ -399,7 +399,7 @@ def _fused_down(cat, word, c, m, chunk, state):
         while stack[-1] and len(stack) < n:
             j, vec = len(stack) - 1, stack[-1]
             cur = word[:m] + (pi[j + 1],) + word[m + j + 1:]
-            stack.append(mat_vec(fuse_step_matrix(cat, cur, c, m, pi[j + 2],
+            stack.append(mat_vec(fuse_step_matrix(cat, cur, m, pi[j + 2],
                                                   keys=vec), vec))
         if stack[-1] and len(stack) == n:
             yield pi, stack[-1]
@@ -431,19 +431,19 @@ def _torn_down(cat: Category, support, c, n: int, r: int):
     if m or not r:
         right = _right_block(cat, support, c, r)
     else:
-        right = _pair_step(cat, support, c, r,
+        right = _pair_step(cat, support, r,
                            _right_block(cat, support, c, r - 1))
     out = []
     for u in itertools.product(support, repeat=m):
         comb_letters, comb = db_prime_vector(cat, u)
         for word, vec in right.items():
             state = mat_vec(insert_vector_matrix(
-                cat, word, c, 0, comb_letters, comb, keys=vec), vec)
+                cat, 0, comb_letters, comb, keys=vec), vec)
             if not state:
                 continue
             word = comb_letters + word
             chunk, torn = word[m:m + n], word[:m] + word[m + n:]
-            for pi, vec in _fused_down(cat, word, c, m, chunk, state):
+            for pi, vec in _fused_down(cat, word, m, chunk, state):
                 out.append((u, torn, chunk, pi, {p[:m + 1] + p[m + 2:]: x
                                                  for p, x in vec.items()}))
     return tuple(out)
@@ -473,7 +473,7 @@ def _closing_step(cat: Category, word, c, positions):
         return None
     keys = [q[:pos + 1] + (s, q[pos]) + q[pos + 1:] for q in phi
             for s in cat.channels(q[pos], word[pos])]
-    return vec_mat(phi, contract_pair_matrix(cat, word, c, pos, keys=keys))
+    return vec_mat(phi, contract_pair_matrix(cat, word, pos, keys=keys))
 
 
 # the rows below the top word, kept per category: the closings of one (n, l)
@@ -504,7 +504,7 @@ def _closing_functional(cat: Category, cur, c, l: int, chunk):
     if phi is None:
         return None
     torn = paths(cat, cur, c)
-    return {pi: vec_mat(phi, insert_vector_matrix(cat, cur, c, l, chunk,
+    return {pi: vec_mat(phi, insert_vector_matrix(cat, l, chunk,
                                                   ((pi, ONE),), keys=torn))
             for pi in paths(cat, chunk, cat.unit)}
 

@@ -4,7 +4,8 @@ The library builds its local moves keyed by the paths a vector holds.
 The references take whole path bases: ``whole_basis`` lays a move out
 over every source path onto the target basis, in the column form of
 ``linalg``, which ``dense`` turns into rows and ``col_vec`` applies to a
-dense vector.
+dense vector; the moves the references make themselves are laid out the
+same way by ``path_columns``.
 
 The morphism layer lives here: ``LinMap`` composition and scaling, the
 operator extension id (x) m (x) id (``extend``, whose left half changes
@@ -20,7 +21,10 @@ is here too: the library needs no parenthesization.
 
 The nested double-dual route is the reference for the closed-form
 double-dual scalar (``homcalc.double_dual_inverse``), the spliced bend
-for the one-graft bend kernel (``indicators.e_map_matrix``), and the
+for the one-graft bend kernel (``indicators.e_map_matrix``), the pinned
+bend route (``pinned_bend_columns`` and ``pinned_bend_entries``: pinned
+graft states, term generators and ``path_columns``) for the fused bend
+loop (``homcalc._bend_columns`` and ``_bend_entries``), and the
 innermost-first nested coevaluation for ``homcalc.db_prime_vector``, and
 the per-l build of the Frobenius-Schur blocks for the shared middle of
 ``indicators._fs_blocks``, the label loops over every (a, b, c, d) for the
@@ -38,8 +42,9 @@ tables, explicit matrix representations of S3 and Q8, and the brute-force
 indicator, the trace of the cyclic rotation on the invariants of V^(x)n,
 which gates ``oracles.char_indicator``.  So do the pivotal, evaluation
 and coevaluation maps as whole ``LinMap``s, which the rigidity and
-pivotal tests compose, and ``bundled_path``, the file behind a bundled
-spec for the CLI tests.  So do the grafts of one guest path
+pivotal tests compose, the word coevaluation ``db_vector`` with its
+outermost-first ``nested_coevaluation``, and ``bundled_path``, the file
+behind a bundled spec for the CLI tests.  So do the grafts of one guest path
 (``graft_path_matrix``, and ``attach_pair_matrix`` for a coevaluation
 pair), which the library makes as one-term ``insert_vector_matrix``
 calls, the removal of a unit letter (``drop_unit_letter_matrix``), which
@@ -58,11 +63,10 @@ from importlib import resources
 from fscat.category import (Category, CheckItem, FSymbolSet, PivotalData,
                             _gauge_value, memoised)
 from fscat.cyclo import Cyc, root_of_unity
-from fscat import homcalc
-from fscat.homcalc import (LinMap, _graft_coeffs, _nested_coevaluation,
-                           _path_index, contract_pair_matrix, db_prime_vector,
-                           dual_word, fuse_step_matrix, insert_vector_matrix,
-                           paths, splice_host_matrix)
+from fscat.homcalc import (LinMap, _bend_tops, _graft_coeffs, _path_index,
+                           check_word_guard, contract_pair_matrix,
+                           db_prime_vector, dual_word, fuse_step_matrix,
+                           insert_vector_matrix, paths, splice_host_matrix)
 from fscat.indicators import _right_block
 from fscat.linalg import dense, eye, is_identity, mat_inv, mat_mul, zeros
 from fscat.oracles import CharacterTable, _Group, _table, q8_group, q8_table
@@ -75,33 +79,59 @@ ZERO = Cyc.zero()
 # -- whole path bases ---------------------------------------------------------
 
 
-# (source word, target word, root) of each move builder's arguments, by name
+# (source word, target word, root, the builder's own arguments) of each
+# move builder, from the words, root and moves of a ``whole_basis`` call:
+# the keyed builders read no basis, so they take neither word nor root
+# where their move does not read it
 KEYED_BASES = {
     "fuse_step_matrix": lambda cat, word, root, i, w:
-        (word, word[:i] + (w,) + word[i + 2:], root),
+        (word, word[:i] + (w,) + word[i + 2:], root, (word, i, w)),
     "split_step_matrix": lambda cat, word, root, i, u, v:
-        (word, word[:i] + (u, v) + word[i + 1:], root),
+        (word, word[:i] + (u, v) + word[i + 1:], root, (word, i, u, v)),
     "contract_pair_matrix": lambda cat, word, root, i:
-        (word, word[:i] + word[i + 2:], root),
+        (word, word[:i] + word[i + 2:], root, (word, i)),
     "insert_vector_matrix": lambda cat, word, root, i, g, terms:
-        (word, word[:i] + g + word[i:], root),
+        (word, word[:i] + g + word[i:], root, (i, g, terms)),
     "splice_host_matrix": lambda cat, host, terms, i, g:
-        (g, host[:i] + g + host[i:], cat.unit),
+        (g, host[:i] + g + host[i:], cat.unit, (terms, i, g)),
 }
 
 
 def whole_basis(build, cat, *args):
-    """The column form of the move builder ``build`` on ``args``, keyed by
-    every path of its source hom space and laid out on the path basis of
-    its target (``KEYED_BASES``).  A target path missing from that basis
-    raises a KeyError here, where the library's keyed form has no basis to
-    drop it from."""
-    src, tgt, root = KEYED_BASES[build.__name__](cat, *args)
+    """The column form of the move builder ``build`` on ``args`` (its
+    source word and root, then its move, as ``KEYED_BASES`` reads them),
+    keyed by every path of its source hom space and laid out on the path
+    basis of its target.  A target path missing from that basis raises a
+    KeyError here, where the library's keyed form has no basis to drop it
+    from."""
+    src, tgt, root, build_args = KEYED_BASES[build.__name__](cat, *args)
     sources = paths(cat, src, root)
     tidx = _path_index(cat, tgt, root)
-    cols = build(cat, *args, keys=sources)
+    cols = build(cat, *build_args, keys=sources)
     return len(tidx), tuple(tuple((tidx[q], x) for q, x in cols[p])
                             for p in sources)
+
+
+def path_columns(cat, keys, tgt, root, moves):
+    """Column form (``linalg``) of a map into the Hom(root, tgt) path basis,
+    one column per key of ``keys``: the layout of the references that
+    build over a whole source basis.
+
+    ``moves(key)`` yields ``(q, coeff)`` pairs; column ``key`` accumulates
+    ``coeff`` at row ``q``.  Zero coefficients, sums that cancel and target
+    paths that are not admissible are dropped.
+    """
+    tidx = _path_index(cat, tgt, root)
+    cols = []
+    for key in keys:
+        col = {}
+        for q, val in moves(key):
+            if val:
+                row = tidx.get(q)
+                if row is not None:
+                    col[row] = col[row] + val if row in col else val
+        cols.append(tuple((i, x) for i, x in col.items() if x))
+    return len(tidx), tuple(cols)
 
 
 def col_vec(a, v):
@@ -119,9 +149,8 @@ def col_vec(a, v):
 
 # -- the morphism layer: whole LinMaps, operator extension, duals, loops ------
 #
-# The builders below that lay out their own moves use the library's kernel,
-# looked up on the module (``homcalc._path_columns``) so that a test that
-# replaces the kernel reaches them too.
+# The builders below that lay out their own moves use ``path_columns``,
+# looked up on this module so that a test that replaces it reaches them too.
 
 
 def compose(f: LinMap, g: LinMap) -> LinMap:
@@ -151,7 +180,7 @@ def _right_extend_blocks(cat, src_letters, tgt_letters, blocks, b):
         col = _path_index(cat, src_letters, s)[p[:-1]]
         return [(q + (p[-1],), row[col])
                 for q, row in zip(paths(cat, tgt_letters, s), blocks[s])]
-    return {r: dense(homcalc._path_columns(
+    return {r: dense(path_columns(
                 cat, paths(cat, src_letters + (b,), r), tgt_letters + (b,), r,
                 moves))
             for r in cat.labels}
@@ -164,7 +193,7 @@ def _merge_basis_matrix(cat, b, letters, root):
     letters = tuple(letters)
     cols = [(s, p) for s in cat.labels if cat.n(b, s, root)
             for p in paths(cat, letters, s)]
-    return cols, dense(homcalc._path_columns(
+    return cols, dense(path_columns(
         cat, cols, (b,) + letters, root,
         lambda col: [((cat.unit, b) + chain[1:], coeff) for chain, coeff
                      in _graft_coeffs(cat, b, letters, col[1])]))
@@ -240,7 +269,7 @@ def drop_unit_letter_matrix(cat, letters, root, i):
     Under the unit axiom this is the identity on path coordinates, which is
     why the library's tear-down never applies it."""
     assert letters[i] == cat.unit
-    return homcalc._path_columns(
+    return path_columns(
         cat, paths(cat, letters, root), letters[:i] + letters[i + 1:], root,
         lambda p: [(p[:i + 1] + p[i + 2:], ONE)])
 
@@ -252,11 +281,30 @@ def term_vector(cat, letters, terms):
     return [coeffs.get(p, ZERO) for p in paths(cat, letters, cat.unit)]
 
 
+def nested_coevaluation(cat, pairs):
+    """(word, terms) of the nested coevaluations of ``pairs``, the terms the
+    nonzero ``(path, coeff)`` pairs of the unit-rooted vector.  Each pair is
+    spliced, outermost first, into the middle of the running vector as the
+    fixed host (grafting is associative): the splice is keyed by the pair's
+    one path (1, x, 1), and its one column is the next terms.  The word is
+    counted against the guard first (``check_word_guard``)."""
+    check_word_guard(cat, tuple(x for x, _ in pairs)
+                     + tuple(y for _, y in reversed(pairs)), cat.unit)
+    cur, terms = (), (((cat.unit,), ONE),)
+    for pair in pairs:
+        mid = len(cur) // 2
+        (terms,) = splice_host_matrix(cat, terms, mid, pair,
+                                      keys=((cat.unit, pair[0], cat.unit),)
+                                      ).values()
+        cur = cur[:mid] + pair + cur[mid:]
+    return cur, terms
+
+
 @memoised()
 def db_vector(cat, letters):
     """Coevaluation of a word: (letters + dual word, the nonzero (path,
     coeff) terms of its unit-rooted vector)."""
-    return _nested_coevaluation(cat, [(y, cat.dual(y)) for y in letters])
+    return nested_coevaluation(cat, [(y, cat.dual(y)) for y in letters])
 
 
 def dual_morphism(cat, m: LinMap) -> LinMap:
@@ -380,6 +428,75 @@ def spliced_e_map_matrix(cat, letters, k):
         cur = cur[:pos] + cur[pos + 2:]
     scale = math.prod(map(cat.t, letters[:k]), start=ONE).inverse()
     return [[scale * x for x in row] for row in m]
+
+
+def pinned_graft_coeffs(cat, lam, letters, path, pin, coeff):
+    """``homcalc._graft_coeffs`` with its first stages pinned and a seed:
+    ``pin[j]`` fixes sigma_j for 0 < j < len(pin), so only the chains that
+    follow it are made, later stages are free, and ``coeff`` seeds every
+    chain.  The stages are walked as a list of states, pinned or not."""
+    states = [((lam,), coeff)]
+    for j, y in enumerate(letters, start=1):
+        prev_rho, rho = path[j - 1], path[j]
+        new = []
+        for chain, coeff in states:
+            s_prev = chain[-1]
+            for s in (pin[j],) if j < len(pin) else cat.channels(s_prev, y):
+                val = cat.f_inv_entry(lam, prev_rho, y, s, rho, s_prev)
+                if val:
+                    new.append((chain + (s,), coeff * val))
+        states = new
+        if not states:  # a pinned stage no chain reaches
+            break
+    return states
+
+
+def _pinned_bend_terms(cat, letters, k, tops, rho, pin=()):
+    """(target path, coefficient) terms of E(w, k) on the source path rho.
+
+    ``tops`` is ``homcalc._bend_tops`` of w[:k] or a part of it.  Each top
+    seeds one ``pinned_graft_coeffs`` of w along rho whose first k stages
+    are pinned to the top, reversed.  With ``pin``, a path of the rotated
+    word, the later stages follow pin's too.
+    """
+    for top, weight, tails in tops:
+        for chain, g in pinned_graft_coeffs(cat, top[k], letters, rho,
+                                            top[k::-1] + pin[1:], weight):
+            for q, c in tails:
+                yield chain[k:] + q, g * c
+
+
+def pinned_bend_columns(cat, letters, k):
+    """``homcalc._bend_columns`` through generic layers: every term of the
+    pinned grafts (``_pinned_bend_terms``) laid out by ``path_columns``."""
+    if not paths(cat, letters, cat.unit):
+        return 0, ()
+    tops = _bend_tops(cat, letters[:k])
+    return path_columns(cat, paths(cat, letters, cat.unit),
+                        letters[k:] + letters[:k], cat.unit,
+                        lambda rho: _pinned_bend_terms(cat, letters, k, tops,
+                                                       rho))
+
+
+def pinned_bend_entries(cat, letters, k, pairs):
+    """``homcalc._bend_entries`` through the same terms: the host tails
+    kept where they equal q's last k stages, the later stages pinned to
+    q's first n - k + 1."""
+    letters = tuple(letters)
+    pairs = list(pairs)
+    if not pairs:
+        return ZERO
+    m = len(letters) - k
+    by_tail = {}
+    for top, w, tails in _bend_tops(cat, letters[:k]):
+        for q, c in tails:
+            by_tail.setdefault(q, []).append((top, w, ((q, c),)))
+    total = ZERO
+    for rho, q, wt in pairs:
+        for _, g in _pinned_bend_terms(cat, letters, k,
+                                       by_tail.get(q[m + 1:], ()), rho, q):
+            total = total + wt * g
+    return total
 
 
 def spliced_db_prime_vector(cat, letters):
@@ -877,7 +994,7 @@ def _tree_matrix(cat, letters, paren, root):
     order; rows: the fusion paths of ``letters`` at ``root``."""
     trees = sorted((t for t, c in _trees(cat, letters, paren) if c == root),
                    key=lambda t: _inorder_key(cat, t))
-    return dense(homcalc._path_columns(
+    return dense(path_columns(
         cat, trees, letters, root,
         lambda tree: _tree_paths(cat, tree)[1].items()))
 

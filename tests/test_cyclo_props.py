@@ -237,6 +237,19 @@ def test_every_monomial_power_inverts():
                 check_monomial_inverse(n, k, q, q * root_of_unity(n, k), b)
 
 
+@given(st.integers(1, 48), st.integers(-100, 100))
+def test_root_of_unity_is_the_power_table_element(n, k):
+    # zeta_n^k equals the power-table element z^k at conductor n and the
+    # reference monomial; it lives at conductor 1 exactly when it is +-1,
+    # 2k = 0 mod n, so the rational fast paths see it, and 1 is the
+    # Cyc.one() singleton
+    x = root_of_unity(n, k)
+    assert x == Cyc(n, cyclo._reduce_power(n, k))
+    check(x, ref_monomial(n, k % n, 1))
+    assert (x.conductor == 1) == (2 * k % n == 0)
+    assert (x is Cyc.one()) == (k % n == 0)
+
+
 def test_root_exponent_reads_every_root_of_unity():
     # s z_n^k = z_m^j with j / m the reduced k / n, plus 1/2 when s = -1;
     # its rational multiples other than itself are no roots of unity

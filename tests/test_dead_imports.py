@@ -1,5 +1,5 @@
 """No module of the library, of ``tools/`` or of the tests imports a name
-it never uses.
+it never uses, and the library defines no private helper it never reads.
 
 No linter runs on this repository, so this test reads the sources with
 ``ast``.  Each name bound by a module-level import in ``src/fscat/*.py``,
@@ -8,6 +8,11 @@ listed in the module's ``__all__`` (the package's re-exports), or be
 imported from that module by another module of the same directory, as
 ``cli`` imports ``DimensionGuardError`` from ``indicators``.  An import
 made for its side effect says so with ``# noqa: F401`` on its line.
+
+Each private top-level function or class of ``src/fscat`` (a name with
+one leading underscore) must be read in ``src/fscat`` outside its own
+definition: by name, as an attribute, or in an import.  A helper that only
+the tests use belongs in ``tests/references.py``.
 """
 
 import ast
@@ -69,3 +74,38 @@ def _dead_imports(directory, package=None):
 ], ids=["fscat", "tools", "tests"])
 def test_every_module_level_import_is_used(directory, package):
     assert _dead_imports(directory, package) == []
+
+
+def _unread_private_definitions(directory):
+    """(module, name, line) of every private top-level function or class
+    in ``directory`` that no top-level statement of the directory other
+    than its own definition reads."""
+    defined, reads = [], []
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
+        mod = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) \
+                        and not isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(a.name for a in node.names)
+            reads.append((stmt, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                defined.append((mod, stmt))
+    return [(mod, stmt.name, stmt.lineno) for mod, stmt in defined
+            if not any(stmt.name in names for other, names in reads
+                       if other is not stmt)]
+
+
+def test_every_private_library_definition_is_read():
+    assert _unread_private_definitions(os.path.join(ROOT, "src", "fscat")) \
+        == []

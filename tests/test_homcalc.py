@@ -480,15 +480,15 @@ def _parens(n, first=0):
 def _path_move_calls(cat):
     """{builder name: argument tuples} of every builder of a path-basis
     matrix, over words of at most two letters (three for the removals, four
-    for the bends and the labeled trees) and guests of at most two.  The
-    insertions include the grafts of one guest path, a coevaluation pair's
-    among them."""
+    for the bend oracle and the labeled trees) and guests of at most two.
+    The insertions include the grafts of one guest path, a coevaluation
+    pair's among them."""
     unit, dual = cat.unit, cat.dual
     short, guests = list(_words(cat, 2)), list(_words(cat, 2))[1:]
     calls = {name: [] for name in (
         "fuse_step_matrix", "split_step_matrix", "drop_unit_letter_matrix",
         "contract_pair_matrix", "insert_vector_matrix", "splice_host_matrix",
-        "_bend_columns", "_tree_matrix", "_merge_basis_matrix")}
+        "pinned_bend_columns", "_tree_matrix", "_merge_basis_matrix")}
     for word, root in itertools.product(_words(cat, 3), cat.labels):
         for i in range(len(word) - 1):
             calls["fuse_step_matrix"] += [
@@ -513,8 +513,8 @@ def _path_move_calls(cat):
         host, terms = db_prime_vector(cat, u)
         calls["splice_host_matrix"] += [(host, terms, i, g)
                                         for i in range(len(host) + 1)]
-    calls["_bend_columns"] = [(w, k) for w in _words(cat, 4)
-                              for k in range(1, len(w))]
+    calls["pinned_bend_columns"] = [(w, k) for w in _words(cat, 4)
+                                    for k in range(1, len(w))]
     calls["_tree_matrix"] = [(w, paren, root) for w in _words(cat, 4) if w
                              for paren in _parens(len(w))
                              for root in cat.labels]
@@ -526,28 +526,29 @@ def _checked_keyed_build(cat, build, args, moved):
     in-place loop over the moves that its one ``_keyed_columns`` call adds
     to ``moved``; and ``build`` keyed by half the source paths, checked to
     hold exactly their columns of the build keyed by all of them."""
-    src, tgt, root = KEYED_BASES[build.__name__](cat, *args)
+    src, tgt, root, build_args = KEYED_BASES[build.__name__](cat, *args)
     sources = paths(cat, src, root)
     del moved[:]
     got = whole_basis(build, cat, *args)
     (moves,) = moved
     assert dense(got) == reference_path_matrix(cat, sources, tgt, root,
                                                moves), (build, args)
-    whole = build(cat, *args, keys=sources)
+    whole = build(cat, *build_args, keys=sources)
     part = sources[::2]
-    assert build(cat, *args, keys=part) == {p: whole[p] for p in part}, \
+    assert build(cat, *build_args, keys=part) == {p: whole[p] for p in part}, \
         (build, args)
     return got
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_path_columns_match_the_dense_loop(name, monkeypatch):
-    # the bends and the references lay out their moves with _path_columns;
-    # each build must densify to the in-place loop over the same keys and
-    # moves, and every builder must make at least one nonzero entry.  The
-    # keyed move builders are checked in
-    # test_keyed_builds_match_the_column_form
-    kernel = homcalc._path_columns
+    # the references lay out their moves with path_columns, the bend oracle
+    # among them; each build must densify to the in-place loop over the
+    # same keys and moves, and every builder must make at least one nonzero
+    # entry.  The keyed move builders are checked in
+    # test_keyed_builds_match_the_column_form, and the library's bends
+    # against the oracle in test_bend_kernel_matches_the_pinned_route
+    kernel = references.path_columns
     nonzeros = []
 
     def checked(cat, keys, tgt, root, moves):
@@ -557,18 +558,15 @@ def test_path_columns_match_the_dense_loop(name, monkeypatch):
         nonzeros.append(sum(map(len, got[1])))
         return got
 
-    monkeypatch.setattr(homcalc, "_path_columns", checked)
+    monkeypatch.setattr(references, "path_columns", checked)
     cat = bundled(name)
     for builder, calls in _path_move_calls(cat).items():
         if builder in KEYED_BASES:
             continue
         fresh = cat.with_pivotal(cat.pivotal)  # no memoised build is reused
         nonzeros.clear()
-        # the associator, the merge basis of the left operator extension
-        # and the unit-letter drop are references
-        owner = homcalc if hasattr(homcalc, builder) else references
         for args in calls:
-            getattr(owner, builder)(fresh, *args)
+            getattr(references, builder)(fresh, *args)
         assert any(nonzeros), builder
 
 

@@ -267,6 +267,48 @@ def test_bend_entries_match_the_built_bend(name):
     assert compared
 
 
+def _orbit_words(cat, nmax):
+    """Every rotation of every nonzero orbit word of every simple and every
+    two-term sum, 2 <= n <= nmax, in label order."""
+    objs = [ObjectExpr.simple(a) for a in cat.labels]
+    objs += [ObjectExpr({a: 1, b: 1})
+             for a, b in itertools.combinations(cat.labels, 2)]
+    return sorted({w[j:] + w[:j] for obj in objs for n in range(2, nmax + 1)
+                   for w, _ in indicators._orbits(
+                       cat, rotation_operator(cat, obj, n).support, n)
+                   for j in range(n)})
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_bend_kernel_matches_the_pinned_route(name):
+    # the fused kernel against the generic route it replaced
+    # (references.pinned_bend_columns / pinned_bend_entries: pinned graft
+    # states, term generators and the whole-basis layout): every k of every
+    # rotation of every nonzero orbit word up to n = 7.  The entries are
+    # read at every stored nonzero of the column and at the first path of
+    # the rotated word, weighted apart; the weighted sum must also be that
+    # of the columns
+    cat = bundled(name)
+    compared = 0
+    for w in _orbit_words(cat, 7):
+        ps = paths(cat, w, cat.unit)
+        for k in range(1, len(w)):
+            got = _bend_columns(cat, w, k)
+            assert got == references.pinned_bend_columns(cat, w, k), (w, k)
+            qs = paths(cat, w[k:] + w[:k], cat.unit)
+            entries = {(j, i): x for j, col in enumerate(got[1])
+                       for i, x in col}
+            entries.setdefault((0, 0), Cyc.zero())
+            pairs = [(ps[j], qs[i], Cyc.rational(e + 1))
+                     for e, (j, i) in enumerate(entries)]
+            want = sum((x * entries[key] for key, (_, _, x)
+                        in zip(entries, pairs)), Cyc.zero())
+            assert _bend_entries(cat, w, k, pairs) == want, (w, k)
+            assert references.pinned_bend_entries(cat, w, k, pairs) == want
+            compared += 1
+    assert compared
+
+
 @pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_bend_route_matches_the_walk(name, monkeypatch):
     # above WALK_MAX_N every indicator cell and power-identity flag is read
@@ -664,11 +706,11 @@ def test_fs_middle_is_built_once_per_n_and_r(monkeypatch):
     calls = []
     real = indicators.insert_vector_matrix
 
-    def counted(cat, word, root, i, guest_letters, guest, *, keys):
+    def counted(cat, i, guest_letters, guest, *, keys):
         u = guest_letters[len(guest_letters) // 2:]
         if guest is db_prime_vector(cat, u)[1]:
-            calls.append((word, root, i, guest_letters))
-        return real(cat, word, root, i, guest_letters, guest, keys=keys)
+            calls.append((i, guest_letters))
+        return real(cat, i, guest_letters, guest, keys=keys)
 
     monkeypatch.setattr(indicators, "insert_vector_matrix", counted)
     fib = load_bundled("fibonacci")
@@ -802,27 +844,38 @@ def test_trace_formula_past_the_default_guard(name, a, n, monkeypatch):
 
 
 def _cold_chains(cat, lam, letters, rho):
-    """The unseeded, unpinned graft chains as the ``"graft"`` memo keeps
-    them, (sigma[1:], coeff) pairs, computed afresh."""
+    """The graft chains as the ``"graft"`` memo keeps them, (sigma[1:],
+    coeff) pairs, computed afresh."""
     return tuple((chain[1:], coeff)
                  for chain, coeff in _graft_coeffs(cat, lam, letters, rho))
 
 
 def test_each_graft_chain_is_computed_once_per_category(monkeypatch):
     # an FS sweep and a rotation pass on each of two categories on one
-    # ring: every unpinned chain is computed once per category and kept,
-    # and the pinned chains of the bends are computed but never kept
+    # ring: every graft chain is computed once per category and kept, and
+    # the chains of the bends, walked by the bend kernel, are computed but
+    # never kept: the kernel reads no graft chain, so the graft memo holds
+    # exactly the chains computed outside it
     unpinned, pinned = collections.Counter(), []
     real = fscat.homcalc._graft_coeffs
+    real_kernel = fscat.homcalc._bend_grafts
 
-    def counted(cat, lam, letters, path, pin=(), coeff=Cyc.one()):
-        if pin:
-            pinned.append(lam)
-        else:
-            unpinned[(id(cat), lam, letters, path)] += 1
-        return real(cat, lam, letters, path, pin, coeff)
+    def counted(cat, lam, letters, path):
+        assert not bending, "the bend kernel read a graft chain"
+        unpinned[(id(cat), lam, letters, path)] += 1
+        return real(cat, lam, letters, path)
+
+    bending = []
+
+    def kernel(cat, letters, k, tops, rho, pin=None):
+        bending.append(True)
+        got = real_kernel(cat, letters, k, tops, rho, pin)
+        bending.pop()
+        pinned.extend(got)
+        return got
 
     monkeypatch.setattr(fscat.homcalc, "_graft_coeffs", counted)
+    monkeypatch.setattr(fscat.homcalc, "_bend_grafts", kernel)
     fib = load_bundled("fibonacci")
     cats = (fib, fib.with_pivotal(fib.pivotal))
     for cat in cats:
