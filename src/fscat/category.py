@@ -138,8 +138,8 @@ class FusionRing:
         One pass over the stored rows finds every failing case; a detail
         names the last one in label order (pairs (a, b), triples (a, b, c)).
         Associativity compares the N-weighted sums over the two sides of
-        each block of ``blocks``.  The ring must be free of structural
-        errors.
+        each block of ``blocks``, which are the sides' lengths when the ring
+        is multiplicity-free.  The ring must be free of structural errors.
         """
         unit, dual, labels, N = self.unit, self.dual, self.labels, self.N
 
@@ -171,10 +171,13 @@ class FusionRing:
             dual_bad = "dual(unit) != unit"
         out.append(("dual", not dual_bad, dual_bad))
 
-        # (a b) c and a (b c) hold d with the same multiplicity
+        # (a b) c and a (b c) hold d with the same multiplicity; with every
+        # N = 1 each side's weighted sum is its channel count
         assoc_bad = {}
+        free = self.is_multiplicity_free()
         for (a, b, c, d), (es, fs) in self.blocks.items():
-            if (sum(N[(a, b, e)] * N[(e, c, d)] for e in es)
+            if (len(es) != len(fs) if free else
+                    sum(N[(a, b, e)] * N[(e, c, d)] for e in es)
                     != sum(N[(b, c, f)] * N[(a, f, d)] for f in fs)):
                 assoc_bad.setdefault((a, b, c), []).append(d)
         assoc = ""
@@ -485,8 +488,9 @@ def validate(category: Category) -> ValidationReport:
     F sanity lays out only the blocks it must.  The shape of a block is
     read off the ring's layout (``FusionRing.blocks``), whose two channel
     lists are the sides that associativity compares.  Under the conditions
-    that let ``pentagon_failures`` skip the unit tuples, every unit block
-    is [1]; otherwise the unit blocks are walked.
+    that let ``pentagon_failures`` skip the unit tuples, decided once per
+    category (``_unit_tuples_implied``), every unit block is [1];
+    otherwise the unit blocks are walked.
     A 1x1 block is singular exactly when its entry is a stored zero; a
     larger square block is certified invertible on the F residues that the
     pentagon reads too (``_f_residues``), and inverted exactly only when
@@ -530,7 +534,7 @@ def validate(category: Category) -> ValidationReport:
     for name, ok, detail in ring.ring_axiom_checks():
         report.items.append(CheckItem("ring", name, ok, detail))
 
-    unit_fail = "" if _unit_tuples_implied(ring, category.F.entries) \
+    unit_fail = "" if _unit_tuples_implied(category) \
         else _unit_block_failure(category)
     report.items.append(CheckItem("F", "unit normalization", not unit_fail,
                                   unit_fail))
@@ -637,8 +641,7 @@ def pentagon_failures(category: Category):
     N = ring.N
     m, one, res = _f_residues(category)
     get = res.get
-    skip = ring.unit if _unit_tuples_implied(ring, category.F.entries) \
-        else None
+    skip = ring.unit if _unit_tuples_implied(category) else None
     right = {}  # (b, c) -> the blocks (b, c, d, k) with an l-list
     for (b, c, d, k), (hs, ls) in ring.blocks.items():
         if ls and d != skip:
@@ -682,12 +685,17 @@ def _f_residues(category: Category):
     return m, one, dict(zip(F, res))
 
 
-def _unit_tuples_implied(ring: FusionRing, F) -> bool:
-    """Conditions (i) and (ii) of ``pentagon_failures``."""
+@memoised("units")
+def _unit_tuples_implied(category: Category) -> bool:
+    """Conditions (i) and (ii) of ``pentagon_failures``, decided once per
+    category: ``validate`` reads the verdict for its unit item, and the
+    pentagon for its skip."""
+    ring = category.ring
     u, N = ring.unit, ring.N
     return all(ring.channels(u, x) == (x,) == ring.channels(x, u)
                and N[(u, x, x)] == 1 == N[(x, u, x)] for x in ring.labels) \
-        and all(v == 1 for key, v in F.items() if u in key[:3])
+        and all(v == 1 for key, v in category.F.entries.items()
+                if u in key[:3])
 
 
 def _pivotal_checks(category: Category, earlier):

@@ -16,7 +16,9 @@ Phi_N is monic, so every power z^k reduces to an integer vector; addition,
 multiplication, coercion and the Galois action therefore run on Python
 integers alone, through one integer power-reduction table per conductor.
 ``Fraction`` appears only at the edges: the public constructor, the
-``coeffs`` view, ``reduced_key`` and the spec encoding.  Division is exact
+``coeffs`` view, ``reduced_key`` and the spec encoding; ``decode`` reads
+the ``p`` and ``p/q`` strings that ``encode`` writes with ``int``, and
+only other spellings of a rational through ``Fraction``.  Division is exact
 too: a rational multiple of a root of unity, (p/q) z^j, inverts to
 (q/p) z^(N-j); any other x inverts to the product c of its other Galois
 conjugates over the field norm c * x, a nonzero rational.
@@ -663,8 +665,11 @@ class Cyc:
         if n > 2 * len(coeffs) ** 2:
             raise ValueError(f"encoding field 'N' = {n} is too large for "
                              f"{len(coeffs)} coordinates")
-        coeffs = [_parse_fraction(s) for s in coeffs]
-        return Cyc(n, coeffs)
+        terms = [_parse_ratio(s) for s in coeffs]
+        if len(terms) != euler_phi(n):
+            raise ValueError("coefficient vector has wrong length for conductor")
+        den = math.lcm(*(q for _, q in terms))
+        return _make(n, [p * (den // q) for p, q in terms], den)
 
     def __repr__(self):
         n, coeffs = self.conductor, self.coeffs
@@ -719,6 +724,25 @@ def _fraction_str(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
+
+
+def _parse_ratio(s) -> tuple[int, int]:
+    """(p, q), q > 0, with p/q the value of the rational string s.
+
+    The spellings ``p`` and ``p/q`` in ASCII digits (p with an optional
+    minus sign, q != 0), the ones ``Cyc.encode`` writes, are read with
+    ``int`` alone; every other one goes through ``_parse_fraction``, so the
+    grammar and its errors are those of ``Fraction``."""
+    if isinstance(s, str) and s.isascii():
+        p, slash, q = s.partition("/")
+        if (p[1:] if p[:1] == "-" else p).isdigit() and (
+                not slash or q.isdigit() and q.strip("0")):
+            try:
+                return int(p), int(q) if slash else 1
+            except ValueError:  # past the interpreter's digit limit
+                pass
+    x = _parse_fraction(s)
+    return x.numerator, x.denominator
 
 
 def _parse_fraction(s) -> Fraction:

@@ -714,8 +714,12 @@ def qn_distance(value: Cyc, n: int) -> float:
     """Numeric distance from the Galois-average projection onto Q(zeta_n).
 
     The projection averages over the Galois maps fixing Q(zeta_n) inside
-    the compositum; a zero distance certifies membership.
+    the compositum; a zero distance certifies membership.  A rational
+    value is its own projection, so its distance is 0.0 with no
+    projection taken.
     """
+    if value.is_rational():
+        return 0.0
     v = value.reduced()
     m = math.lcm(v.conductor, n)
     v = v.at_conductor(m)

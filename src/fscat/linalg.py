@@ -51,15 +51,20 @@ and 12, the summed time of both routes was least with the switch at 0.015
 to 0.025 (the packed product wins from about 0.15 at width 8, 0.05 at 16
 and 0.01 at 64).
 
-``int_det`` is the one helper on plain integers: ``category.validate``
-takes the determinants of F-blocks' residues with it.
+Two helpers run on plain integers: ``category.validate`` takes the
+determinants of F-blocks' residues with ``int_det``, and ``mat_inv``
+inverts a matrix of rationals (every entry at conductor 1) by the same
+fraction-free elimination, carried on to Gauss-Jordan form
+(``_rational_inv``); only a matrix with an entry at a larger conductor
+runs Gauss-Jordan on ``Cyc`` values.
 """
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter, mul
 
-from .cyclo import Cyc, kron_operands, kron_pack, signed_slots
+from .cyclo import Cyc, _make, kron_operands, kron_pack, signed_slots
 
 ZERO = Cyc.zero()
 ONE = Cyc.one()
@@ -206,10 +211,15 @@ def is_identity(a):
 
 
 def mat_inv(a):
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
+    """Exact inverse by Gauss-Jordan elimination; raises on singular input.
+
+    A matrix whose entries all have conductor 1 is inverted on Python
+    integers (``_rational_inv``), any other on ``Cyc`` values."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse needs a square matrix")
+    if all(x.conductor == 1 for row in a for x in row):
+        return _rational_inv(a)
     work = [list(row) + irow for row, irow in zip(a, eye(n))]
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col]), None)
@@ -223,6 +233,36 @@ def mat_inv(a):
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
+
+
+def _rational_inv(a):
+    """The inverse of a square matrix of rationals at conductor 1, by
+    fraction-free (Bareiss) Gauss-Jordan elimination of [D a | I], D the
+    lcm of the denominators.  After the step on column k every entry is,
+    up to sign, a minor of order k + 1 of the row-swapped [D a | I], so each
+    division by the previous pivot is exact; the last pivot p leaves
+    [p I | p (D a)^-1], and a^-1 = D (D a)^-1."""
+    n = len(a)
+    den = math.lcm(*(x.den for row in a for x in row))
+    work = [[x.num[0] * (den // x.den) for x in row]
+            + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if work[r][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        work[k], work[piv] = work[piv], work[k]
+        row_k = work[k]
+        pivot = row_k[k]
+        for r in range(n):
+            if r != k:
+                lead = work[r][k]
+                work[r] = [(x * pivot - lead * y) // prev
+                           for x, y in zip(work[r], row_k)]
+        prev = pivot
+    if prev < 0:
+        prev, den = -prev, -den
+    return [[_make(1, [den * x], prev) for x in row[n:]] for row in work]
 
 
 def int_det(a):

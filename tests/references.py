@@ -43,8 +43,9 @@ indicator, the trace of the cyclic rotation on the invariants of V^(x)n,
 which gates ``oracles.char_indicator``.  So do the pivotal, evaluation
 and coevaluation maps as whole ``LinMap``s, which the rigidity and
 pivotal tests compose, the word coevaluation ``db_vector`` with its
-outermost-first ``nested_coevaluation``, and ``bundled_path``, the file
-behind a bundled spec for the CLI tests.  So do the grafts of one guest path
+outermost-first ``nested_coevaluation``, ``bundled_path``, the file
+behind a bundled spec for the CLI tests, and ``fraction_decode``, the
+spec-scalar decoding through ``Fraction`` for ``Cyc.decode``.  So do the grafts of one guest path
 (``graft_path_matrix``, and ``attach_pair_matrix`` for a coevaluation
 pair), which the library makes as one-term ``insert_vector_matrix``
 calls, the removal of a unit letter (``drop_unit_letter_matrix``), which
@@ -1025,3 +1026,29 @@ def bundled_path(name: str):
     if name not in BUNDLED:
         raise KeyError(f"no bundled spec named {name!r}")
     return resources.files("fscat").joinpath(f"specs/{name}.json")
+
+
+def fraction_decode(data) -> Cyc:
+    """``Cyc.decode`` by the ``Fraction`` route: every coordinate string is
+    parsed by ``Fraction`` and the vector built by the validating ``Cyc``
+    constructor.  The reference for the library's integer reading of the
+    ``p`` and ``p/q`` strings; the checks and messages are the library's."""
+    if not isinstance(data, dict) or set(data) != {"N", "c"}:
+        raise ValueError(f"bad cyclotomic encoding: {data!r}")
+    n, strings = data["N"], data["c"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"bad conductor in encoding: {n!r}")
+    if not isinstance(strings, list):
+        raise ValueError(f"encoding field 'c' must be a list: {strings!r}")
+    if n > 2 * len(strings) ** 2:
+        raise ValueError(f"encoding field 'N' = {n} is too large for "
+                         f"{len(strings)} coordinates")
+    coeffs = []
+    for s in strings:
+        if not isinstance(s, str):
+            raise ValueError(f"rational entries must be strings, got {s!r}")
+        try:
+            coeffs.append(Fraction(s))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad rational string {s!r}") from exc
+    return Cyc(n, coeffs)

@@ -132,14 +132,14 @@ def _unit_keys(cat):
 def test_unit_skip_refused_on_a_non_normalized_unit_entry(name):
     # condition (ii) fails, so every unit tuple is checked, as the reference does
     cat = bundled(name)
-    assert _unit_tuples_implied(cat.ring, cat.F.entries)
+    assert _unit_tuples_implied(cat)
     keys = list(_unit_keys(cat))
     for key in random.Random(name).sample(keys, min(4, len(keys))):
         for value in (-1, 2):
             entries = {**cat.F.entries, key: Cyc.rational(value)}
             mutated = Category(cat.name + "~unit", cat.ring,
                                FSymbolSet(entries), cat.pivotal, cat.conductor)
-            assert not _unit_tuples_implied(mutated.ring, entries)
+            assert not _unit_tuples_implied(mutated)
             _assert_pentagon_matches_reference(mutated, (key, value))
 
 
@@ -152,7 +152,7 @@ def test_unit_skip_refused_on_a_broken_unit_row(name):
         ring = FusionRing(cat.labels, u, cat.ring.dual, {**cat.ring.N, key: 1})
         broken = Category(cat.name + "~row", ring, cat.F, cat.pivotal,
                           cat.conductor)
-        assert not _unit_tuples_implied(ring, cat.F.entries)
+        assert not _unit_tuples_implied(broken)
         _assert_pentagon_matches_reference(broken, key)
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from fscat import cyclo
 from fscat.cyclo import Cyc, root_of_unity, triple_residues
+from references import fraction_decode
 
 CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 24)
 
@@ -325,6 +326,45 @@ def test_encode_decode_round_trip(a):
     assert_normal(back)
     assert back == a and hash(back) == hash(a)
     assert back.encode() == enc
+
+
+# spellings of a coordinate off the integer reading of ``p`` and ``p/q``,
+# one past the interpreter's digit limit for ``int``, and entries that are
+# no string
+SPELLINGS = ("+3", " 1/2", "3/6", "-0", "0/5", "1/0", "-4/00", "1.5", "1e3",
+             "x", "1_000", "\u0663", "1/-2", "--1", "-", "/2", "1/", "1/2/3",
+             "9" * 5000, 3, 1.5, None, ["1"])
+digits = st.text("0123456789", min_size=1, max_size=25)
+coordinate_strings = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.builds("{}{}/{}".format, st.sampled_from(("", "-")), digits, digits),
+    st.sampled_from(SPELLINGS))
+
+
+@st.composite
+def encodings(draw):
+    """{"N": n, "c": strings}: phi(n) coordinates, or one more or fewer."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    size = max(0, len(ref_phi(n)) - 1 + draw(st.sampled_from((0, 0, -1, 1))))
+    return {"N": n, "c": draw(st.lists(coordinate_strings, min_size=size,
+                                       max_size=size))}
+
+
+def decoded(decode, data):
+    """(conductor, num, den) of ``decode(data)``, or its ValueError's text."""
+    try:
+        x = decode(data)
+    except ValueError as exc:
+        return str(exc)
+    return x.conductor, x.num, x.den
+
+
+@given(encodings())
+def test_decode_matches_the_fraction_route(data):
+    got = decoded(Cyc.decode, data)
+    assert got == decoded(fraction_decode, data)
+    if not isinstance(got, str):
+        assert_normal(Cyc.decode(data))
 
 
 @given(elements(), st.integers(-12, 12))

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -577,6 +578,20 @@ def test_indicators_are_cyclotomic_integers(any_bundled):
             _, coeffs = val.reduced_key()
             assert all(c.denominator == 1 for c in coeffs), (a, n, val)
             assert qn_distance(val, n) < 1e-12
+
+
+@pytest.mark.parametrize("value", [
+    Cyc.zero(), Cyc.rational(12), Cyc.rational(Fraction(-7, 3)),
+    Cyc(4, [Fraction(5, 2), 0]), Cyc(12, [-1, 0, 0, 0])], ids=repr)
+def test_qn_distance_of_a_rational_takes_no_projection(value, monkeypatch):
+    # a rational value, at any conductor, is its own Galois average
+    def refuse(*args):
+        raise AssertionError("a projection was taken")
+    for name in ("reduced", "galois", "embed"):
+        monkeypatch.setattr(Cyc, name, refuse)
+    for n in (1, 2, 3, 4, 8):
+        got = qn_distance(value, n)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 # -- pivotal traces --------------------------------------------------------------

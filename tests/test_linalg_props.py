@@ -424,3 +424,44 @@ def test_int_det_matches_leibniz(data):
     ([[1, 2], [2, 4]], 0)])
 def test_int_det_swaps_rows_for_missing_pivots(a, det):
     assert linalg.int_det(a) == det == leibniz(a)
+
+
+# -- inverses ---------------------------------------------------------------
+
+
+def inverse_or_error(a):
+    try:
+        return linalg.mat_inv(a)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(data=st.data())
+def test_rational_inverse_matches_the_cyc_elimination(data):
+    # the same matrix lifted to conductor 4 takes the Cyc Gauss-Jordan path
+    n = data.draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.fractions(min_value=-4, max_value=4,
+                                   max_denominator=6),
+                      st.integers(-2 ** 70, 2 ** 70))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    # zero leading columns, so pivots are missing, or repeat a row scaled,
+    # so the matrix is singular
+    for i in range(data.draw(st.integers(0, n))):
+        for j in range(data.draw(st.integers(0, n))):
+            rows[i][j] = 0
+    if n > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        q = data.draw(st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=4))
+        rows[j] = [q * x for x in rows[i]]
+    a = [[Cyc.rational(Fraction(x)) for x in row] for row in rows]
+    got = inverse_or_error(a)
+    assert got == inverse_or_error([[x.at_conductor(4) for x in row]
+                                    for row in a])
+    if got == "singular matrix":
+        return
+    assert all(x.conductor == 1 and x.den > 0
+               and math.gcd(x.den, x.num[0]) == 1 for row in got for x in row)
+    assert linalg.is_identity(linalg.mat_mul(a, got))

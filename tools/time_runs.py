@@ -23,7 +23,8 @@ checkout.  Each mode times, and compares as output:
   (seed 0) alone: after the validation and the table of every nu_{n,r},
   n <= 4, on SPEC, each trial's ``gauge_transform`` and its nu_{n,r}; the
   trials' values' ``repr`` (a child whose trial changes a value fails).
-* ``validate``, per spec bundled in the last checkout: a cold
+* ``validate``, per spec bundled in the last checkout: the
+  ``load_category`` of the spec file (which decodes every scalar), a cold
   ``category.validate``, then the call that decides its pentagon item,
   ``pentagon_failures``, on a copy with empty memos (on the validated
   category it would read the memoised F residues and look nearly free);
@@ -97,7 +98,9 @@ VALIDATE = """
 import sys, time
 from fscat.category import pentagon_failures, validate
 from fscat.specio import load_category
+start = time.perf_counter()
 cat = load_category(sys.argv[1])
+print(time.perf_counter() - start)
 start = time.perf_counter()
 report = validate(cat)
 print(time.perf_counter() - start)
@@ -119,7 +122,8 @@ print("mpmath" in sys.modules)
 """
 TIMED = {"ind": (), "fs": (("fs_scalar", "s"),),
          "gauge": (("trials", "s"),),
-         "validate": (("validate", "ms"), ("pentagon", "ms")),
+         "validate": (("load_category", "ms"), ("validate", "ms"),
+                      ("pentagon", "ms")),
          "import": (("import", "ms"),)}
 DEFAULT_RUNS = {"ind": 3, "fs": 3, "gauge": 3, "validate": 5, "import": 5}
 
