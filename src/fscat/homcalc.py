@@ -23,11 +23,11 @@ its source path and each entry by its target path, so no basis of either
 word is listed.  A builder takes only the letters, position and fixed
 vector its move reads, no root and no word it does not read.  The
 Frobenius-Schur build moves its vectors this way, by their nonzero
-coordinates, with ``mat_vec`` and ``vec_mat``.  The bends alone are laid
-out on the target path basis, in the column form, because their products
-go to ``mat_mul``; the ``LinMap`` blocks, the walk's rotations
-(``indicators.e_map_matrix``) and every operand of ``mat_mul`` are dense
-rows, converted from the column form once by ``linalg.dense``.  Removals
+coordinates, with ``mat_vec`` and ``vec_mat``, and the bends are keyed
+the same way, over every source path, for ``linalg.col_mul`` to multiply.
+The ``LinMap`` blocks, the walk's rotations (``indicators.e_map_matrix``)
+and every operand of ``mat_mul`` are dense rows, converted from the keyed
+form once by ``linalg.dense`` on a path index (``_path_index``).  Removals
 are single-vertex moves (fuse, evaluation); a unit letter needs no move of
 its own, since by the unit axiom its paths are those of the word without
 it, in the same order.  Every insertion is a graft, which re-associates a
@@ -44,12 +44,12 @@ stages of each graft chain are pinned to the host path's and only those
 chains are generated.  One kernel walks them, per source path
 (``_bend_grafts``): the k pinned stages directly, to the first zero F^-1
 factor, then the free chains from stage k, the unit; a factor that is the
-``ONE`` singleton is not multiplied, and ``_bend_columns`` lands each term
-on its row of the rotated word's basis as it goes.  ``_bend_entries``
-reads the same kernel with the free stages pinned to one target path as
-well, so it makes single entries of a bend (its diagonal, say) and nothing
-else.  Degenerate words (hom dimension 0) yield 0x0 blocks that compose
-legally.
+``ONE`` singleton is not multiplied, and ``_bend_columns`` accumulates
+each term under its target path, a path of the rotated word, as it goes.
+``_bend_entries`` reads the same kernel with the free stages pinned to one
+target path as well, so it makes single entries of a bend (its diagonal,
+say) and nothing else.  Degenerate words (hom dimension 0) yield 0x0
+blocks that compose legally.
 
 Every memo here is declared by ``category.memoised`` on its builder and
 kept in ``cat.cached`` under the builder's arguments, which are labels,
@@ -347,9 +347,10 @@ def split_step_matrix(cat, letters, i, u, v, *, keys):
         for s in cat.channels(p[i], u)])
 
 
-def _contract_moves(cat, letters, i):
-    """The move of the evaluation on the dual pair at (i, i + 1): a path p
-    with p[i + 2] = p[i] goes to p[:i + 1] + p[i + 3:].
+def contract_pair_matrix(cat, letters, i, *, keys):
+    """Evaluation on the adjacent dual pair at positions (i, i+1), over the
+    source paths ``keys``: a path p with p[i + 2] = p[i] goes to
+    p[:i + 1] + p[i + 3:].
 
     The pair must be (c*, c) up to which side carries the star; the scalar
     is the zig-zag normalization of the evaluation whose shape matches,
@@ -359,15 +360,10 @@ def _contract_moves(cat, letters, i):
     if cat.dual(u) != v:
         raise ValueError(f"letters ({u},{v}) are not a dual pair")
     mu = cat.ev_coefficient(v)
-    return lambda p: [(p[:i + 1] + p[i + 3:],
-                       mu * cat.f_entry(p[i], u, v, p[i], p[i + 1], cat.unit))
-                      ] if p[i + 2] == p[i] else ()
-
-
-def contract_pair_matrix(cat, letters, i, *, keys):
-    """Evaluation on the adjacent dual pair at positions (i, i+1)
-    (``_contract_moves``), over the source paths ``keys``."""
-    return _keyed_columns(keys, _contract_moves(cat, letters, i))
+    return _keyed_columns(keys, lambda p: [
+        (p[:i + 1] + p[i + 3:],
+         mu * cat.f_entry(p[i], u, v, p[i], p[i + 1], cat.unit))
+    ] if p[i + 2] == p[i] else ())
 
 
 # -- coevaluation vectors ----------------------------------------------------
@@ -405,9 +401,10 @@ def db_prime_vector(cat, letters):
 
 @memoised()
 def _bend_columns(cat, letters, k):
-    """E(w, k), the k-strand bend of the word w = x_1 ... x_n, in column
-    form on the unit-root path bases; kept per word and k for the bend
-    route of the indicators, so read-only.
+    """E(w, k), the k-strand bend of the word w = x_1 ... x_n, in the keyed
+    form of ``linalg`` over every unit-rooted path of w, a column with no
+    entries kept; kept per word and k for the bend route of the
+    indicators, so read-only.
 
     The bend splices w into the host pairs (x_j*, x_j), j = 1..k, closes the
     pairs (x_i*, x_i) innermost first and scales by 1 / (t(x_1) ... t(x_k)).
@@ -424,25 +421,24 @@ def _bend_columns(cat, letters, k):
     read only p[:k+1], so they make one weight per such top
     (``_bend_tops``), which seeds its chains.  One loop per source path
     walks them (``_bend_grafts``), and each chain, followed by each tail
-    p[k+1:] of its top and scaled by h[p], lands on its row of the
-    rotated word's basis.  No word longer than max(n, 2k) letters is built.
+    p[k+1:] of its top and scaled by h[p], accumulates under that target
+    path, a path of the rotated word; no row number is looked up.  No word
+    longer than max(n, 2k) letters is built.
     """
-    unit = cat.unit
-    sources = paths(cat, letters, unit)
+    sources = paths(cat, letters, cat.unit)
     if not sources:
-        return 0, ()  # the rotation of a zero space; its host is never built
+        return {}  # the rotation of a zero space; its host is never built
     tops = _bend_tops(cat, letters[:k])
-    tidx = _path_index(cat, letters[k:] + letters[:k], unit)
-    cols = []
+    out = {}
     for rho in sources:
         col = {}
         for chain, g, tails in _bend_grafts(cat, letters, k, tops, rho):
             for q, h in tails:
-                row = tidx[chain + q]
+                p = chain + q
                 x = g if h is ONE else g * h
-                col[row] = col[row] + x if row in col else x
-        cols.append(tuple(filter(_coeff, col.items())))
-    return len(tidx), tuple(cols)
+                col[p] = col[p] + x if p in col else x
+        out[rho] = tuple(filter(_coeff, col.items()))
+    return out
 
 
 @memoised()

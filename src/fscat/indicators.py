@@ -11,7 +11,7 @@ Up to n = WALK_MAX_N (5) each orbit's single-strand powers are walked
 once: the walk records every trace the indicators read and whether the
 n-th power is the identity.  Above, by block monoidality, the r-th power
 is a product of genuine bends of at most 2 strands (``_factors``): the
-prefix P_m of m = (r - 1) // 2 bends E(rot_2i w, 2), built by columns and
+prefix P_m of m = (r - 1) // 2 bends E(rot_2i w, 2), keyed by path and
 kept per word for every r, then a last bend of r - 2m strands.  A trace is
 read off without forming the power: the pinned diagonal of E(w, r) for
 r <= 2, and for 2 < r < n the entries of the last bend at the nonzeros of
@@ -47,7 +47,7 @@ from .category import Category, ObjectExpr, memoised, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, _bend_columns,
-                      _bend_entries, check_dimension_guard,
+                      _bend_entries, _path_index, check_dimension_guard,
                       check_word_guard, contract_pair_matrix, db_prime_vector,
                       dual_word, fuse_step_matrix, insert_vector_matrix,
                       path_counts, paths, pivotal_dimension)
@@ -87,7 +87,7 @@ def e_map_matrix(cat: Category, letters, k: int):
     t(x_1)^-1 ... t(x_k)^-1 C_1 ... C_k S_k ... S_1: S_j splices the
     current word into the host pair (x_j*, x_j), and C_i closes the pair
     (x_i*, x_i), innermost first.  It is the dense form of the bend's
-    column build (``homcalc._bend_columns``): the k splices are one splice
+    keyed build (``homcalc._bend_columns``): the k splices are one splice
     into the nested coevaluation of x_1 ... x_k, and the closures pin its
     graft chains, so the matrix goes straight from the paths of the word to
     those of its rotation and no hom space longer than max(n, 2k) letters is
@@ -100,7 +100,9 @@ def e_map_matrix(cat: Category, letters, k: int):
     if not 1 <= k < n:
         raise ValueError(f"split position must satisfy 1 <= k < {n}")
     cat.require_pivotal()
-    return dense(_bend_columns.__wrapped__(cat, letters, k))
+    return dense(_bend_columns.__wrapped__(cat, letters, k),
+                 _path_index(cat, _rot(letters, k), cat.unit),
+                 paths(cat, letters, cat.unit))
 
 
 def e_map(cat: Category, word, k: int) -> LinMap:
@@ -157,7 +159,7 @@ def _factors(r):
 
 @memoised()
 def _prefix_product(cat, word, m):
-    """P_m = F_m ... F_1 in column form, F_i = E(rot_2(i-1) word, 2), a map
+    """P_m = F_m ... F_1 in keyed form, F_i = E(rot_2(i-1) word, 2), a map
     from the paths of word to those of rot_2m word; kept per word and m for
     every r of the orbit, so read-only."""
     f = _bend_columns(cat, _rot(word, 2 * m - 2), 2)
@@ -174,23 +176,23 @@ def _bend_value(cat, word, r):
     P_m = ``_prefix_product(word, m)`` of 2-strand bends, then the last
     factor L = E(rot_2m word, r - 2m).  For r <= 2, m = 0 and the trace is
     the pinned diagonal of E(word, r).  For 2 < r < n only the entries of L
-    that meet the nonzeros of P_m are made; for r = n, L is built by columns
-    too and L P_m (``linalg.col_mul``) is compared with the identity
-    exactly (``linalg.is_identity_product``).  No bend has more than 2
-    strands, so none builds a word longer than n letters.
+    that meet the nonzeros of P_m are made: each stored (rho, x) of P_m's
+    column q is the triple (rho, q, x) of ``_bend_entries``.  For r = n, L
+    is built keyed by path too and L P_m (``linalg.col_mul``) is compared
+    with the identity exactly (``linalg.is_identity_product``).  No bend
+    has more than 2 strands, so none builds a word longer than n letters.
     """
     j, k = _factors(r)[-1]
     m = j // 2
-    ps = paths(cat, word, cat.unit)
     if not m:
-        return _bend_entries(cat, word, r, [(p, p, ONE) for p in ps])
+        return _bend_entries(cat, word, r, [
+            (p, p, ONE) for p in paths(cat, word, cat.unit)])
     last = _rot(word, j)
     prefix = _prefix_product(cat, word, m)
     if r == len(word):
         return is_identity_product(_bend_columns(cat, last, k), prefix)
-    rows = paths(cat, last, cat.unit)
     return _bend_entries(cat, last, k, [
-        (rows[i], q, x) for q, col in zip(ps, prefix[1]) for i, x in col])
+        (rho, q, x) for q, col in prefix.items() for rho, x in col])
 
 
 @memoised("orbits", ring=True)

@@ -1,15 +1,13 @@
 """Exact matrices of Cyc values, dense or sparse, treated immutably.
 
-A dense matrix is a list of rows.  Two sparse forms keep only the
-nonzeros.  The keyed form names rows and columns by keys: a dict from each
-source key to its column, a tuple of the ``(target key, coeff)`` pairs with
-coeff != 0.  The local moves of ``homcalc`` are built in it over the paths
-a vector holds, so no whole path basis is listed, and a keyed vector is
-the dict of its nonzero coordinates.  The column form ``(rows, columns)``
-names them by position: ``columns[j]`` is a tuple of the ``(row, coeff)``
-pairs of column j with coeff != 0.  It is the layout of the bends, whose
-products are packed into ``mat_mul``, which needs positions; whatever
-multiplies or inverts whole matrices converts once with ``dense``.
+A dense matrix is a list of rows.  The one sparse form, the keyed form,
+keeps only the nonzeros and names rows and columns by keys: a dict from
+each source key to its column, a tuple of the ``(target key, coeff)``
+pairs with coeff != 0.  The local moves and the bends of ``homcalc`` are
+built in it, keyed by path, and a keyed vector is the dict of its nonzero
+coordinates.  Whatever multiplies or inverts whole matrices converts once
+with ``dense``, which takes the positions from a row index and a column
+order.
 
 ``mat_mul`` multiplies whole matrices on Python integers by Kronecker
 substitution, the packed layout ANTIC and FLINT use for number-field
@@ -42,14 +40,14 @@ they move, and a zero coordinate is never visited.  ``vec_mat`` is its
 transpose partner: a keyed row vector times the keyed form, one dot
 product per stored column over the row's nonzeros, for the row
 functionals that are pulled back through a chain of moves.
-``col_mul`` multiplies two column forms the same way, one multiply-add per
+``col_mul`` multiplies two keyed forms the same way, one multiply-add per
 pair of stored nonzeros that meet, unless that count reaches
-``_PACK_FRACTION`` of rows * inner * cols: then it converts both with
-``dense`` and runs ``mat_mul``; ``is_identity_product`` reads its
-result.  On random square operands of width 8 to 64 at conductors 1, 5, 8
-and 12, the summed time of both routes was least with the switch at 0.015
-to 0.025 (the packed product wins from about 0.15 at width 8, 0.05 at 16
-and 0.01 at 64).
+``_PACK_FRACTION`` of rows * inner * cols: then it numbers a's keys and
+its distinct targets, converts both with ``dense`` and runs ``mat_mul``;
+``is_identity_product`` reads its result.  On random square operands of
+width 8 to 64 at conductors 1, 5, 8 and 12, the summed time of both routes
+was least with the switch at 0.015 to 0.025 (the packed product wins from
+about 0.15 at width 8, 0.05 at 16 and 0.01 at 64).
 
 Two helpers run on plain integers: ``category.validate`` takes the
 determinants of F-blocks' residues with ``int_det``, and ``mat_inv``
@@ -82,7 +80,7 @@ def eye(n: int):
 # rows * inner * cols from which a product runs on packed integers
 _PACK_MIN = 64
 # multiply-adds over the nonzeros, as a fraction of rows * inner * cols, from
-# which a product of column forms runs on packed integers (``_packs``)
+# which a product of keyed forms runs on packed integers (``_packs``)
 _PACK_FRACTION = 0.02
 
 
@@ -111,13 +109,13 @@ def mat_mul(a, b):
     return out
 
 
-def dense(a):
-    """The dense rows of the column form ``a``."""
-    rows, cols = a
-    out = zeros(rows, len(cols))
-    for j, col in enumerate(cols):
-        for i, x in col:
-            out[i][j] = x
+def dense(a, index, cols):
+    """The dense rows of the keyed form ``a``: column j is a's column under
+    the key cols[j], and target key q lands in row index[q]."""
+    out = zeros(len(index), len(cols))
+    for j, key in enumerate(cols):
+        for q, x in a[key]:
+            out[index[q]][j] = x
     return out
 
 
@@ -152,44 +150,44 @@ def vec_mat(phi, a):
 
 
 def _packs(a, b):
-    """Whether the product a b of column forms goes to the packed
+    """Whether the product a b of keyed forms goes to the packed
     ``mat_mul``: when its multiply-adds over the nonzeros reach
-    ``_PACK_FRACTION`` of the dense count, which is at least ``_PACK_MIN``."""
-    (rows, a_cols), (inner, b_cols) = a, b
-    size = rows * inner * len(b_cols)
-    work = sum(len(a_cols[k]) for col in b_cols for k, _ in col)
+    ``_PACK_FRACTION`` of the dense count, which is at least ``_PACK_MIN``.
+    a is taken as square, as a rotation keeps the hom dimension."""
+    size = len(a) ** 2 * len(b)
+    work = sum(len(a[k]) for col in b.values() for k, _ in col)
     return 0 < work and size >= _PACK_MIN and work >= _PACK_FRACTION * size
 
 
 def col_mul(a, b):
-    """a b in column form, for a and b in column form.
+    """a b in keyed form, for a and b in keyed form: every target of b is
+    a key of a (a KeyError otherwise).
 
     Column j of a b is a applied to column j of b, formed over the nonzeros
-    of both, unless the product is dense enough to pack (``_packs``)."""
-    (rows, a_cols), (inner, b_cols) = a, b
-    if len(a_cols) != inner:
-        raise ValueError("matrix shape mismatch")
+    of both, unless the product is dense enough to pack (``_packs``): then
+    a's keys are numbered as the inner dimension and its distinct targets
+    as the rows."""
     if _packs(a, b):
-        out = mat_mul(dense(a), dense(b))
-        return rows, tuple(tuple((i, row[j]) for i, row in enumerate(out)
-                                 if row[j]) for j in range(len(b_cols)))
-    cols = []
-    for col in b_cols:
+        rows = list(dict.fromkeys(q for col in a.values() for q, _ in col))
+        out = mat_mul(dense(a, {q: i for i, q in enumerate(rows)}, list(a)),
+                      dense(b, {k: i for i, k in enumerate(a)}, list(b)))
+        return {key: tuple((q, row[j]) for q, row in zip(rows, out) if row[j])
+                for j, key in enumerate(b)}
+    out = {}
+    for key, col in b.items():
         acc = {}
         for k, y in col:
-            for i, x in a_cols[k]:
-                acc[i] = acc[i] + x * y if i in acc else x * y
-        cols.append(tuple((i, x) for i, x in acc.items() if x))
-    return rows, tuple(cols)
+            for q, x in a[k]:
+                acc[q] = acc[q] + x * y if q in acc else x * y
+        out[key] = tuple(filter(_coeff, acc.items()))
+    return out
 
 
 def is_identity_product(a, b):
-    """Whether a b is the identity, for a and b in column form: column j of
-    the product ``col_mul`` forms must be e_j exactly.  For monomial
-    factors this is O(n)."""
-    rows, cols = col_mul(a, b)
-    return rows == len(cols) and all(col == ((j, 1),)
-                                     for j, col in enumerate(cols))
+    """Whether a b is the identity, for a and b in keyed form: each column
+    k of the product ``col_mul`` forms must be ((k, 1),) exactly.  For
+    monomial factors this is O(n)."""
+    return all(col == ((k, 1),) for k, col in col_mul(a, b).items())
 
 
 def mat_trace(a):

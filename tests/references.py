@@ -1,11 +1,13 @@
 """Test-only references that route through the general morphism machinery.
 
-The library builds its local moves keyed by the paths a vector holds.
-The references take whole path bases: ``whole_basis`` lays a move out
-over every source path onto the target basis, in the column form of
-``linalg``, which ``dense`` turns into rows and ``col_vec`` applies to a
-dense vector; the moves the references make themselves are laid out the
-same way by ``path_columns``.
+The library builds its local moves and bends keyed by path, in the keyed
+form of ``linalg``.  The references take whole path bases, in a column
+form of their own, ``(rows, columns)``: ``columns[j]`` lists the
+``(row, coeff)`` pairs of column j with coeff != 0.  ``whole_basis`` lays
+a move out in it over every source path onto the target basis, which
+``col_dense`` turns into rows and ``col_vec`` applies to a dense vector;
+the moves the references make themselves are laid out the same way by
+``path_columns``.
 
 The morphism layer lives here: ``LinMap`` composition and scaling, the
 operator extension id (x) m (x) id (``extend``, whose left half changes
@@ -69,7 +71,7 @@ from fscat.homcalc import (LinMap, _bend_tops, _graft_coeffs, _path_index,
                            db_prime_vector, dual_word, fuse_step_matrix,
                            insert_vector_matrix, paths, splice_host_matrix)
 from fscat.indicators import _right_block
-from fscat.linalg import dense, eye, is_identity, mat_inv, mat_mul, zeros
+from fscat.linalg import eye, is_identity, mat_inv, mat_mul, zeros
 from fscat.oracles import CharacterTable, _Group, _table, q8_group, q8_table
 from fscat.specio import BUNDLED
 
@@ -135,6 +137,16 @@ def path_columns(cat, keys, tgt, root, moves):
     return len(tidx), tuple(cols)
 
 
+def col_dense(a):
+    """The dense rows of the column form ``a``."""
+    rows, cols = a
+    out = zeros(rows, len(cols))
+    for j, col in enumerate(cols):
+        for i, x in col:
+            out[i][j] = x
+    return out
+
+
 def col_vec(a, v):
     """a v for ``a`` in column form and a dense list v."""
     rows, cols = a
@@ -181,7 +193,7 @@ def _right_extend_blocks(cat, src_letters, tgt_letters, blocks, b):
         col = _path_index(cat, src_letters, s)[p[:-1]]
         return [(q + (p[-1],), row[col])
                 for q, row in zip(paths(cat, tgt_letters, s), blocks[s])]
-    return {r: dense(path_columns(
+    return {r: col_dense(path_columns(
                 cat, paths(cat, src_letters + (b,), r), tgt_letters + (b,), r,
                 moves))
             for r in cat.labels}
@@ -194,7 +206,7 @@ def _merge_basis_matrix(cat, b, letters, root):
     letters = tuple(letters)
     cols = [(s, p) for s in cat.labels if cat.n(b, s, root)
             for p in paths(cat, letters, s)]
-    return cols, dense(path_columns(
+    return cols, col_dense(path_columns(
         cat, cols, (b,) + letters, root,
         lambda col: [((cat.unit, b) + chain[1:], coeff) for chain, coeff
                      in _graft_coeffs(cat, b, letters, col[1])]))
@@ -321,13 +333,13 @@ def dual_morphism(cat, m: LinMap) -> LinMap:
     for r in cat.labels:
         ins = whole_basis(insert_vector_matrix, cat, dw2, r, len(dw2),
                           db_letters, db_terms)
-        mat = mat_mul(mid.block(r), dense(ins))
+        mat = mat_mul(mid.block(r), col_dense(ins))
         cur = dw2 + w2 + dw1
         k = len(w2)
         for j in range(k):
             pos = k - 1 - j
             step = whole_basis(contract_pair_matrix, cat, cur, r, pos)
-            mat = mat_mul(dense(step), mat)
+            mat = mat_mul(col_dense(step), mat)
             cur = cur[:pos] + cur[pos + 2:]
         assert cur == dw1
         blocks[r] = mat
@@ -366,7 +378,8 @@ def close_loop(cat, m: LinMap, side: str, count: int) -> LinMap:
         for r in cat.labels:
             att = attach_pair_matrix(cat, rest, r, at, label)
             con = whole_basis(contract_pair_matrix, cat, host, r, cut)
-            blocks[r] = mat_mul(dense(con), mat_mul(ext.block(r), dense(att)))
+            blocks[r] = mat_mul(col_dense(con),
+                                mat_mul(ext.block(r), col_dense(att)))
         out = scaled(LinMap(cat, rest, rest, blocks), scale)
     return out
 
@@ -419,13 +432,14 @@ def spliced_e_map_matrix(cat, letters, k):
     for j in range(k):
         # Hom(1, x* x) is spanned by its one path (1, x*, 1)
         host = (cat.dual(letters[j]), letters[j])
-        splice = dense(whole_basis(splice_host_matrix, cat, host,
-                                   ((pair_path(cat, host[0]), ONE),), 1, cur))
+        splice = col_dense(whole_basis(splice_host_matrix, cat, host,
+                                       ((pair_path(cat, host[0]), ONE),), 1,
+                                       cur))
         m = splice if m is None else mat_mul(splice, m)
         cur = host[:1] + cur + host[1:]
     for pos in range(k - 1, -1, -1):
-        m = mat_mul(dense(whole_basis(contract_pair_matrix, cat, cur,
-                                      cat.unit, pos)), m)
+        m = mat_mul(col_dense(whole_basis(contract_pair_matrix, cat, cur,
+                                          cat.unit, pos)), m)
         cur = cur[:pos] + cur[pos + 2:]
     scale = math.prod(map(cat.t, letters[:k]), start=ONE).inverse()
     return [[scale * x for x in row] for row in m]
@@ -469,14 +483,19 @@ def _pinned_bend_terms(cat, letters, k, tops, rho, pin=()):
 
 def pinned_bend_columns(cat, letters, k):
     """``homcalc._bend_columns`` through generic layers: every term of the
-    pinned grafts (``_pinned_bend_terms``) laid out by ``path_columns``."""
-    if not paths(cat, letters, cat.unit):
-        return 0, ()
+    pinned grafts (``_pinned_bend_terms``) laid out by ``path_columns``,
+    then keyed by path as the library keys it."""
+    sources = paths(cat, letters, cat.unit)
+    if not sources:
+        return {}
     tops = _bend_tops(cat, letters[:k])
-    return path_columns(cat, paths(cat, letters, cat.unit),
-                        letters[k:] + letters[:k], cat.unit,
-                        lambda rho: _pinned_bend_terms(cat, letters, k, tops,
-                                                       rho))
+    rotated = letters[k:] + letters[:k]
+    _, cols = path_columns(cat, sources, rotated, cat.unit,
+                           lambda rho: _pinned_bend_terms(cat, letters, k,
+                                                          tops, rho))
+    qs = paths(cat, rotated, cat.unit)
+    return {rho: tuple((qs[i], x) for i, x in col)
+            for rho, col in zip(sources, cols)}
 
 
 def pinned_bend_entries(cat, letters, k, pairs):
@@ -907,7 +926,8 @@ def pivotal_matrix(cat, word) -> LinMap:
 def ev_matrix(cat, a) -> LinMap:
     """Evaluation dual(a) (x) a -> empty word, on all roots."""
     letters = (cat.dual(a), a)
-    blocks = {r: dense(whole_basis(contract_pair_matrix, cat, letters, r, 0))
+    blocks = {r: col_dense(whole_basis(contract_pair_matrix, cat, letters,
+                                       r, 0))
               for r in cat.labels}
     return LinMap(cat, letters, (), blocks)
 
@@ -915,7 +935,8 @@ def ev_matrix(cat, a) -> LinMap:
 def coev_matrix(cat, a) -> LinMap:
     """Coevaluation: empty word -> a (x) dual(a), on all roots."""
     letters = (a, cat.dual(a))
-    blocks = {r: dense(attach_pair_matrix(cat, (), r, 0, a)) for r in cat.labels}
+    blocks = {r: col_dense(attach_pair_matrix(cat, (), r, 0, a))
+              for r in cat.labels}
     return LinMap(cat, (), letters, blocks)
 
 
@@ -995,7 +1016,7 @@ def _tree_matrix(cat, letters, paren, root):
     order; rows: the fusion paths of ``letters`` at ``root``."""
     trees = sorted((t for t, c in _trees(cat, letters, paren) if c == root),
                    key=lambda t: _inorder_key(cat, t))
-    return dense(path_columns(
+    return col_dense(path_columns(
         cat, trees, letters, root,
         lambda tree: _tree_paths(cat, tree)[1].items()))
 

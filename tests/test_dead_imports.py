@@ -11,8 +11,12 @@ made for its side effect says so with ``# noqa: F401`` on its line.
 
 Each private top-level function or class of ``src/fscat`` (a name with
 one leading underscore) must be read in ``src/fscat`` outside its own
-definition: by name, as an attribute, or in an import.  A helper that only
-the tests use belongs in ``tests/references.py``.
+definition: by name, as an attribute, or in an import.  Each public
+top-level function or class must be read the same way outside its own
+definition in ``src/fscat``, ``tools/`` or ``perfbench/``, where a string
+constant naming it counts too (``perfbench/tracing.py`` binds
+``split_step_matrix`` by its name), or be listed in ``fscat.__all__``.  A
+helper that only the tests use belongs in ``tests/references.py``.
 """
 
 import ast
@@ -21,6 +25,8 @@ import importlib
 import os
 
 import pytest
+
+import fscat
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -76,12 +82,16 @@ def test_every_module_level_import_is_used(directory, package):
     assert _dead_imports(directory, package) == []
 
 
-def _unread_private_definitions(directory):
-    """(module, name, line) of every private top-level function or class
-    in ``directory`` that no top-level statement of the directory other
-    than its own definition reads."""
+def _unread_definitions(directory, public, readers=()):
+    """(module, name, line) of every top-level function or class in
+    ``directory``, public or private (one leading underscore), that no
+    top-level statement of ``directory`` or of ``readers`` other than its
+    own definition reads: by name, as an attribute, in an import, or, for
+    a public name, as a string constant."""
     defined, reads = [], []
-    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))) + [
+            path for reader in readers
+            for path in sorted(glob.glob(os.path.join(reader, "*.py")))]:
         mod = os.path.basename(path)[:-3]
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
@@ -95,11 +105,15 @@ def _unread_private_definitions(directory):
                     names.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     names.update(a.name for a in node.names)
+                elif public and isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    names.add(node.value)
             reads.append((stmt, names))
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) \
-                    and stmt.name.startswith("_") \
-                    and not stmt.name.startswith("__"):
+            if os.path.dirname(path) == directory \
+                    and isinstance(stmt, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not stmt.name.startswith("__") \
+                    and stmt.name.startswith("_") != public:
                 defined.append((mod, stmt))
     return [(mod, stmt.name, stmt.lineno) for mod, stmt in defined
             if not any(stmt.name in names for other, names in reads
@@ -107,5 +121,12 @@ def _unread_private_definitions(directory):
 
 
 def test_every_private_library_definition_is_read():
-    assert _unread_private_definitions(os.path.join(ROOT, "src", "fscat")) \
+    assert _unread_definitions(os.path.join(ROOT, "src", "fscat"), False) \
         == []
+
+
+def test_every_public_library_definition_is_read_or_exported():
+    unread = _unread_definitions(
+        os.path.join(ROOT, "src", "fscat"), True,
+        [os.path.join(ROOT, "tools"), os.path.join(ROOT, "perfbench")])
+    assert [d for d in unread if d[1] not in fscat.__all__] == []

@@ -14,16 +14,16 @@ from fscat.homcalc import (DimensionGuardError, LinMap, check_word_guard,
                            double_dual_inverse, fuse_step_matrix,
                            path_counts, paths, pivotal_dimension,
                            pivotal_trace, split_step_matrix)
-from fscat.linalg import dense, is_identity, mat_equal, mat_mul
+from fscat.linalg import is_identity, mat_equal, mat_mul
 from fscat.pivotal import attach_pivotal, enumerate_pivotal_structures
 from fscat.specio import load_bundled
 import references
 from references import (KEYED_BASES, assoc_matrix, attach_pair_matrix,
-                        close_loop, closed_loop_trace, coev_matrix, compose,
-                        db_vector, drop_unit_letter_matrix, dual_morphism,
-                        ev_matrix, graft_path_matrix, is_identity_map,
-                        left_nested, pivotal_matrix, right_nested, scaled,
-                        whole_basis)
+                        close_loop, closed_loop_trace, coev_matrix, col_dense,
+                        compose, db_vector, drop_unit_letter_matrix,
+                        dual_morphism, ev_matrix, graft_path_matrix,
+                        is_identity_map, left_nested, pivotal_matrix,
+                        right_nested, scaled, whole_basis)
 
 
 def brute_hom_dimension(cat, letters):
@@ -188,11 +188,11 @@ def test_zigzag_identities(any_bundled):
         for r in cat.labels:
             att = attach_pair_matrix(cat, (a,), r, 0, a)
             con = whole_basis(contract_pair_matrix, cat, (a, ast, a), r, 1)
-            assert is_identity(mat_mul(dense(con), dense(att))), \
+            assert is_identity(mat_mul(col_dense(con), col_dense(att))), \
                 (a, r, "zigzag 1")
             att = attach_pair_matrix(cat, (ast,), r, 1, a)
             con = whole_basis(contract_pair_matrix, cat, (ast, a, ast), r, 0)
-            assert is_identity(mat_mul(dense(con), dense(att))), \
+            assert is_identity(mat_mul(col_dense(con), col_dense(att))), \
                 (a, r, "zigzag 2")
 
 
@@ -402,7 +402,7 @@ def test_degenerate_word_blocks_compose():
     att = attach_pair_matrix(v2, ("g", "g", "g"), "1", 0, "g")
     con = whole_basis(contract_pair_matrix, v2, ("g", "g", "g", "g", "g"),
                       "1", 0)
-    assert mat_mul(dense(con), dense(att)) == []
+    assert mat_mul(col_dense(con), col_dense(att)) == []
 
 
 def _words(cat, max_len):
@@ -421,10 +421,10 @@ def test_fuse_undoes_split(name):
                 split = word[:i] + (u, v) + word[i + 1:]
                 for root in cat.labels:
                     m = mat_mul(
-                        dense(whole_basis(fuse_step_matrix, cat, split, root,
-                                          i, x)),
-                        dense(whole_basis(split_step_matrix, cat, word, root,
-                                          i, u, v)))
+                        col_dense(whole_basis(fuse_step_matrix, cat, split,
+                                              root, i, x)),
+                        col_dense(whole_basis(split_step_matrix, cat, word,
+                                              root, i, u, v)))
                     assert is_identity(m), (word, i, u, v, root)
 
 
@@ -448,8 +448,8 @@ def test_drop_undoes_add_unit_letter(name):
                 drop = drop_unit_letter_matrix(cat, padded, root, i)
                 for m in (add, drop):
                     assert m[0] == len(m[1]) == len(ps), (word, i, root)
-                    assert is_identity(dense(m)), (word, i, root)
-                assert is_identity(mat_mul(dense(drop), dense(add)))
+                    assert is_identity(col_dense(m)), (word, i, root)
+                assert is_identity(mat_mul(col_dense(drop), col_dense(add)))
 
 
 def reference_path_matrix(cat, keys, tgt, root, moves):
@@ -531,8 +531,8 @@ def _checked_keyed_build(cat, build, args, moved):
     del moved[:]
     got = whole_basis(build, cat, *args)
     (moves,) = moved
-    assert dense(got) == reference_path_matrix(cat, sources, tgt, root,
-                                               moves), (build, args)
+    assert col_dense(got) == reference_path_matrix(cat, sources, tgt, root,
+                                                   moves), (build, args)
     whole = build(cat, *build_args, keys=sources)
     part = sources[::2]
     assert build(cat, *build_args, keys=part) == {p: whole[p] for p in part}, \
@@ -553,8 +553,9 @@ def test_path_columns_match_the_dense_loop(name, monkeypatch):
 
     def checked(cat, keys, tgt, root, moves):
         got = kernel(cat, keys, tgt, root, moves)
-        assert dense(got) == reference_path_matrix(cat, keys, tgt, root,
-                                                   moves), (keys, tgt, root)
+        assert col_dense(got) == reference_path_matrix(cat, keys, tgt, root,
+                                                       moves), \
+            (keys, tgt, root)
         nonzeros.append(sum(map(len, got[1])))
         return got
 

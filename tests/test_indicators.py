@@ -14,9 +14,9 @@ import pytest
 import fscat
 import references
 from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled, random_gauge
-from references import (attach_pair_matrix, closed_loop_trace, col_vec,
-                        compose, db_vector, dual_morphism, graft_path_matrix,
-                        s3_table, spliced_db_prime_vector,
+from references import (attach_pair_matrix, closed_loop_trace, col_dense,
+                        col_vec, compose, db_vector, dual_morphism,
+                        graft_path_matrix, s3_table, spliced_db_prime_vector,
                         spliced_e_map_matrix, term_vector, unshared_fs_blocks,
                         whole_basis)
 
@@ -28,7 +28,8 @@ from fscat.cyclo import Cyc, galois_conjugate, root_of_unity
 from fscat.homcalc import (LinMap, db_prime_vector, insert_vector_matrix,
                            path_counts, pivotal_dimension, pivotal_trace,
                            splice_host_matrix, split_step_matrix)
-from fscat.homcalc import _bend_columns, _bend_entries, _graft_coeffs, paths
+from fscat.homcalc import (_bend_columns, _bend_entries, _graft_coeffs,
+                           _path_index, paths)
 from fscat import indicators
 from fscat.indicators import (WALK_MAX_N, DimensionGuardError, _bend_value,
                               _factors, _fs_blocks, _prefix_product,
@@ -209,8 +210,8 @@ def _unit_letter_split(cat, letters, root, i, chunk, pi):
     for col, p in enumerate(src):
         m[tgt.index(p[:i + 1] + p[i:])][col] = Cyc.one()
     for j in range(len(chunk) - 1, 0, -1):
-        m = mat_mul(dense(whole_basis(split_step_matrix, cat, cur, root, i,
-                                      pi[j], chunk[j])), m)
+        m = mat_mul(col_dense(whole_basis(split_step_matrix, cat, cur, root,
+                                          i, pi[j], chunk[j])), m)
         cur = cur[:i] + (pi[j], chunk[j]) + cur[i + 1:]
     return m
 
@@ -228,11 +229,11 @@ def test_insertions_are_grafts(name):
                 for i, root in itertools.product(range(m + 1), cat.labels):
                     for b in cat.labels:
                         got = attach_pair_matrix(cat, word, root, i, b)
-                        assert dense(got) == _pair_by_closed_form(
+                        assert col_dense(got) == _pair_by_closed_form(
                             cat, word, root, i, b), (cat.name, word, root, i, b)
                     for chunk, pi in chunks:
                         got = graft_path_matrix(cat, word, root, i, chunk, pi)
-                        assert dense(got) == _unit_letter_split(
+                        assert col_dense(got) == _unit_letter_split(
                             cat, word, root, i, chunk, pi), \
                             (cat.name, word, root, i, pi)
 
@@ -249,7 +250,9 @@ def test_bend_entries_match_the_built_bend(name):
             ps = paths(c, w, c.unit)
             for k in range(1, len(w)):
                 e = e_map_matrix(c, w, k)
-                assert dense(_bend_columns(c, w, k)) == e, (c.name, w, k)
+                assert dense(_bend_columns(c, w, k),
+                             _path_index(c, w[k:] + w[:k], c.unit), ps) == e, \
+                    (c.name, w, k)
                 rw = w[k:] + w[:k]
                 if rw == w:
                     weights = [Cyc.rational(i + 1) for i in range(len(ps))]
@@ -297,11 +300,11 @@ def test_bend_kernel_matches_the_pinned_route(name):
             got = _bend_columns(cat, w, k)
             assert got == references.pinned_bend_columns(cat, w, k), (w, k)
             qs = paths(cat, w[k:] + w[:k], cat.unit)
-            entries = {(j, i): x for j, col in enumerate(got[1])
-                       for i, x in col}
-            entries.setdefault((0, 0), Cyc.zero())
-            pairs = [(ps[j], qs[i], Cyc.rational(e + 1))
-                     for e, (j, i) in enumerate(entries)]
+            entries = {(rho, q): x for rho, col in got.items()
+                       for q, x in col}
+            entries.setdefault((ps[0], qs[0]), Cyc.zero())
+            pairs = [(rho, q, Cyc.rational(e + 1))
+                     for e, (rho, q) in enumerate(entries)]
             want = sum((x * entries[key] for key, (_, _, x)
                         in zip(entries, pairs)), Cyc.zero())
             assert _bend_entries(cat, w, k, pairs) == want, (w, k)
@@ -371,22 +374,21 @@ def test_power_identity_sees_one_perturbed_entry(name, a, n, monkeypatch):
     m = count - 1
     last = real(cat, word, n - 2 * m)
     assert _packs(last, _prefix_product(cat, word, m)) == (name == "fibonacci")
+    ps = paths(cat, word, cat.unit)  # of every rotation of w = a^n
     perturbed = 0
     for c in range(count):
-        rows, cols = real(cat, word, 2 if c < m else n - 2 * m)
-        for j in range(c, len(cols), count):
-            col = cols[j]
-            bad = [col[:e] + ((i, x + 1),) + col[e + 1:]
-                   for e, (i, x) in enumerate(col)]
-            held = {i for i, _ in col}
-            bad += [col + ((i, Cyc.one()),) for i in range(rows)
-                    if i not in held][:1]
+        cols = real(cat, word, 2 if c < m else n - 2 * m)
+        for rho in ps[c::count]:
+            col = cols[rho]
+            bad = [col[:e] + ((q, x + 1),) + col[e + 1:]
+                   for e, (q, x) in enumerate(col)]
+            held = {q for q, _ in col}
+            bad += [col + ((q, Cyc.one()),) for q in ps if q not in held][:1]
             for got in bad:
-                assert product_is_identity(c, lambda _, j=j, got=got: (
-                    rows, cols[:j] + (got,) + cols[j + 1:])) is False, \
-                    (c, j, got)
+                assert product_is_identity(c, lambda _, rho=rho, got=got: {
+                    **cols, rho: got}) is False, (c, rho, got)
                 perturbed += 1
-    assert perturbed >= 2 * len(paths(cat, word, cat.unit))
+    assert perturbed >= 2 * len(ps)
 
 
 def _rotation_pass(cat, cases):

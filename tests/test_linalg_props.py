@@ -5,17 +5,17 @@ The reference below multiplies entry by entry with ``Cyc`` arithmetic (which
 difference comes from the packed integer kernel: its scan, slot width,
 signed unpacking, folding mod Phi_N or denominators.  Each property runs
 both through the module's size selection and forced through the packed
-kernel.  ``columns`` below turns dense rows into the column form, and
-``linalg.dense`` must turn it back.  The keyed form names rows and columns
-by keys (``keyed`` below), and vectors over it are the dicts of their
-nonzero coordinates (``named``): there ``mat_vec`` must equal the
-reference loop, which runs over the dense rows and visits every
-coordinate, and the column form's product (``col_mul``), and must refuse
-a coordinate with no column; its transpose partner ``vec_mat`` must equal
-the dense loop and ``mat_vec`` through (phi a) v = phi (a v).  The product
-of two column forms, ``col_mul``, and ``is_identity_product`` must agree
-with the dense product and ``is_identity`` on both sides of their packed
-switch.  The integer
+kernel.  The keyed form names rows and columns by keys (``keyed`` below
+turns dense rows into it, and ``linalg.dense`` must turn it back), and
+vectors over it are the dicts of their nonzero coordinates (``named``):
+there ``mat_vec`` must equal the reference loop, which runs over the dense
+rows and visits every coordinate, and the product ``col_mul`` with the
+vector as its one column, and must refuse a coordinate with no column;
+its transpose partner ``vec_mat`` must equal the dense loop and
+``mat_vec`` through (phi a) v = phi (a v).  The product of two keyed
+forms, ``col_mul``, and ``is_identity_product`` must agree with the dense
+product and the identity on the measured packed switch and forced to
+either side of it, and must refuse a target with no column.  The integer
 determinant ``int_det`` must agree with the Leibniz expansion.
 """
 
@@ -162,22 +162,20 @@ def reference_mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v))), Cyc.zero()) for row in a]
 
 
-def columns(a, width=None):
-    """The column form of the dense rows ``a``, ``width`` columns wide (the
-    first row's length by default); a ragged row is a shape mismatch."""
-    if width is None:
-        width = len(a[0]) if a else 0
+def keyed(a, width, src="col", tgt="row"):
+    """The keyed form of the dense rows ``a``, ``width`` columns wide:
+    column j under the key (src, j), its nonzeros under (tgt, i); a ragged
+    row is a shape mismatch."""
     if any(len(row) != width for row in a):
         raise ValueError("matrix shape mismatch")
-    return len(a), tuple(tuple((i, row[j]) for i, row in enumerate(a) if row[j])
-                         for j in range(width))
+    return {(src, j): tuple(((tgt, i), row[j]) for i, row in enumerate(a)
+                            if row[j])
+            for j in range(width)}
 
 
-def keyed(a, width):
-    """The keyed form of the dense rows ``a``, ``width`` columns wide:
-    column j under the key ("col", j), its nonzeros under ("row", i)."""
-    return {("col", j): tuple((("row", i), x) for i, x in col)
-            for j, col in enumerate(columns(a, width)[1])}
+def index(tag, n):
+    """The row index {(tag, i): i} of n rows."""
+    return {(tag, i): i for i in range(n)}
 
 
 def named(vec, tag):
@@ -215,7 +213,8 @@ def vectors(draw, size, n):
 @given(data=st.data())
 def test_mat_vec_matches_reference_loop(conductors, data):
     a, v = data.draw(mat_vec_operands(conductors))
-    assert linalg.dense(columns(a, len(v))) == a
+    assert linalg.dense(keyed(a, len(v)), index("row", len(a)),
+                        list(index("col", len(v)))) == a
     assert linalg.mat_vec(keyed(a, len(v)), named(v, "col")) == \
         named(reference_mat_vec(a, v), "row")
 
@@ -244,12 +243,11 @@ def test_mat_vec_empty_shapes(rows, cols):
 @given(data=st.data())
 def test_keyed_mat_vec_matches_the_column_form(conductors, data):
     # by keys, mat_vec takes and gives only nonzero coordinates, equal to
-    # the column form's product with v as its one column
+    # the product of columns col_mul with v as its one column
     a, v = data.draw(mat_vec_operands(conductors))
-    _, (col,) = linalg.col_mul(columns(a, len(v)),
-                               columns([[y] for y in v], 1))
-    assert linalg.mat_vec(keyed(a, len(v)), named(v, "col")) == \
-        {("row", i): x for i, x in col}
+    (col,) = linalg.col_mul(keyed(a, len(v)),
+                            keyed([[y] for y in v], 1, "v", "col")).values()
+    assert linalg.mat_vec(keyed(a, len(v)), named(v, "col")) == dict(col)
 
 
 @pytest.mark.parametrize("a, v", [([[1, 1]], [1, 1, 1]), ([[1]], [1, 1]),
@@ -294,12 +292,12 @@ def test_vec_mat_empty_shapes(rows, cols):
                           keyed(a, cols)) == {}
 
 
-# -- products of column forms ---------------------------------------------------
+# -- products of keyed forms -------------------------------------------------
 
 
 @contextmanager
 def pack_switch(packed):
-    """Force products of column forms through the packed ``mat_mul``
+    """Force products of keyed forms through the packed ``mat_mul``
     (whenever they have a multiply-add) or over their nonzeros."""
     saved = linalg._PACK_FRACTION, linalg._PACK_MIN
     linalg._PACK_FRACTION, linalg._PACK_MIN = (0, 0) if packed else (math.inf, 0)
@@ -310,24 +308,35 @@ def pack_switch(packed):
 
 
 def check_column_product(a, b, inner, cols):
-    """col_mul and is_identity_product of the column forms of the dense
-    ``a`` (rows x inner) and ``b`` (inner x cols) against the dense loop."""
+    """col_mul and is_identity_product of the keyed forms of the dense
+    ``a`` (rows x inner) and ``b`` (inner x cols) against the dense loop,
+    on the measured switch and forced to either side of it.  a's targets
+    and b's keys share the tag "out", so a b is the identity when each
+    column ("out", j) is ((("out", j), 1),)."""
+    rows = len(a)
     want = [[sum((a[i][k] * b[k][j] for k in range(inner)), Cyc.zero())
-             for j in range(cols)] for i in range(len(a))]
-    want_identity = len(a) == cols and linalg.is_identity(want)
-    ca, cb = columns(a, inner), columns(b, cols)
-    work = sum(len(ca[1][k]) for col in cb[1] for k, _ in col)
+             for j in range(cols)] for i in range(rows)]
+    want_identity = cols <= rows and all(
+        want[i][j] == (1 if i == j else 0)
+        for i in range(rows) for j in range(cols))
+    ka, kb = keyed(a, inner, "mid", "out"), keyed(b, cols, "out", "mid")
+    work = sum(len(ka[k]) for col in kb.values() for k, _ in col)
+    size = rows * inner * cols
+    if rows == inner:  # the switch counts the dense product of a square a
+        assert linalg._packs(ka, kb) == (
+            0 < work and size >= linalg._PACK_MIN
+            and work >= linalg._PACK_FRACTION * size)
     for packed in (None, False, True):
         if packed is None:  # the measured switch
-            got = linalg.col_mul(ca, cb), linalg.is_identity_product(ca, cb)
+            got = linalg.col_mul(ka, kb), linalg.is_identity_product(ka, kb)
         else:
             with pack_switch(packed):
-                assert linalg._packs(ca, cb) == (packed and work > 0)
-                got = linalg.col_mul(ca, cb), linalg.is_identity_product(ca, cb)
-        (rows, got_cols), identity = got
-        assert (rows, len(got_cols)) == (len(a), cols)
-        assert linalg.dense(got[0]) == want
-        assert all(x for col in got_cols for _, x in col)
+                assert linalg._packs(ka, kb) == (packed and work > 0)
+                got = linalg.col_mul(ka, kb), linalg.is_identity_product(ka, kb)
+        product, identity = got
+        assert list(product) == list(kb)
+        assert linalg.dense(product, index("out", rows), list(kb)) == want
+        assert all(x for col in product.values() for _, x in col)
         assert identity == want_identity
 
 
@@ -383,7 +392,25 @@ def test_column_product_edge_shapes(shape):
     check_column_product(a, b, inner, cols)
     eye = linalg.eye(rows)
     check_column_product(eye, eye, rows, rows)
-    assert linalg.is_identity_product((0, ()), (0, ()))
+    # a cyclic permutation: every column one entry 1, off the diagonal
+    check_column_product([row[1:] + row[:1] for row in eye], eye, rows, rows)
+    for packed in (False, True):
+        with pack_switch(packed):
+            assert linalg.col_mul({}, {}) == {}
+            assert linalg.is_identity_product({}, {})
+
+
+@pytest.mark.parametrize("packed", (False, True))
+def test_column_product_refuses_a_target_with_no_column(packed):
+    # as in mat_vec, a target of b that is no key of a is refused, not
+    # dropped, on both sides of the switch
+    z = root_of_unity(8, 3)
+    a = keyed([[z, 1], [2, z]], 2, "mid", "out")
+    b = {("out", 0): ((("mid", 0), z), (("mid", 2), Cyc.one()))}
+    with pack_switch(packed):
+        for product in (linalg.col_mul, linalg.is_identity_product):
+            with pytest.raises(KeyError):
+                product(a, b)
 
 
 # -- integer determinants ---------------------------------------------------
