@@ -101,8 +101,7 @@ def e_map_matrix(cat: Category, letters, k: int):
         raise ValueError(f"split position must satisfy 1 <= k < {n}")
     cat.require_pivotal()
     return dense(_bend_columns.__wrapped__(cat, letters, k),
-                 _path_index(cat, _rot(letters, k), cat.unit),
-                 paths(cat, letters, cat.unit))
+                 _path_index(cat, _rot(letters, k), cat.unit))
 
 
 def e_map(cat: Category, word, k: int) -> LinMap:

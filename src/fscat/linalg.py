@@ -6,8 +6,8 @@ each source key to its column, a tuple of the ``(target key, coeff)``
 pairs with coeff != 0.  The local moves and the bends of ``homcalc`` are
 built in it, keyed by path, and a keyed vector is the dict of its nonzero
 coordinates.  Whatever multiplies or inverts whole matrices converts once
-with ``dense``, which takes the positions from a row index and a column
-order.
+with ``dense``, which takes the rows' positions from a row index and the
+columns' from the key order.
 
 ``mat_mul`` multiplies whole matrices on Python integers by Kronecker
 substitution, the packed layout ANTIC and FLINT use for number-field
@@ -109,12 +109,12 @@ def mat_mul(a, b):
     return out
 
 
-def dense(a, index, cols):
-    """The dense rows of the keyed form ``a``: column j is a's column under
-    the key cols[j], and target key q lands in row index[q]."""
-    out = zeros(len(index), len(cols))
-    for j, key in enumerate(cols):
-        for q, x in a[key]:
+def dense(a, index):
+    """The dense rows of the keyed form ``a``: column j is a's j-th column,
+    in key order, and target key q lands in row index[q]."""
+    out = zeros(len(index), len(a))
+    for j, col in enumerate(a.values()):
+        for q, x in col:
             out[index[q]][j] = x
     return out
 
@@ -169,8 +169,8 @@ def col_mul(a, b):
     as the rows."""
     if _packs(a, b):
         rows = list(dict.fromkeys(q for col in a.values() for q, _ in col))
-        out = mat_mul(dense(a, {q: i for i, q in enumerate(rows)}, list(a)),
-                      dense(b, {k: i for i, k in enumerate(a)}, list(b)))
+        out = mat_mul(dense(a, {q: i for i, q in enumerate(rows)}),
+                      dense(b, {k: i for i, k in enumerate(a)}))
         return {key: tuple((q, row[j]) for q, row in zip(rows, out) if row[j])
                 for j, key in enumerate(b)}
     out = {}
@@ -184,10 +184,13 @@ def col_mul(a, b):
 
 
 def is_identity_product(a, b):
-    """Whether a b is the identity, for a and b in keyed form: each column
+    """Whether a b is the identity, for a and b in keyed form.  A keyed
+    form does not record its rows, so a is taken as square, as in
+    ``_packs``: b must have as many columns as a has keys, and each column
     k of the product ``col_mul`` forms must be ((k, 1),) exactly.  For
     monomial factors this is O(n)."""
-    return all(col == ((k, 1),) for k, col in col_mul(a, b).items())
+    return len(a) == len(b) and all(col == ((k, 1),)
+                                    for k, col in col_mul(a, b).items())
 
 
 def mat_trace(a):

@@ -250,8 +250,9 @@ def test_bend_entries_match_the_built_bend(name):
             ps = paths(c, w, c.unit)
             for k in range(1, len(w)):
                 e = e_map_matrix(c, w, k)
+                assert list(_bend_columns(c, w, k)) == list(ps)
                 assert dense(_bend_columns(c, w, k),
-                             _path_index(c, w[k:] + w[:k], c.unit), ps) == e, \
+                             _path_index(c, w[k:] + w[:k], c.unit)) == e, \
                     (c.name, w, k)
                 rw = w[k:] + w[:k]
                 if rw == w:
