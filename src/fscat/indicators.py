@@ -29,11 +29,15 @@ forward half, the coevaluations inserted and the middle chunk torn down,
 is shared by every l of an (n, r) (``_torn_down``); the backward half, the
 chunk grafted back and the three loops closed, is one row functional per
 torn word and chunk path, shared by every r of an (n, l)
-(``_closing_functional``).  Both halves move their vectors by their
-nonzero coordinates, keyed by path, so no basis of the words of 2n - 1
-letters is listed, and only the nonzero coordinates of vectors over the
-torn word of n - 1 letters are kept.  Those words are still counted
-against the guard on every request.
+(``_closing_functional``).  The backward half is read from the small side:
+the closing row of the long word has few nonzeros, and each one fixes its
+torn path and its graft chain, so only the chunk paths that make that chain
+are walked (``homcalc._chain_grafts``), and no chunk is grafted over the
+torn basis.  Both halves move their vectors by their nonzero coordinates,
+keyed by path, so no basis of the words of 2n - 1 letters is listed, and
+only the nonzero coordinates of vectors over the torn word of n - 1
+letters are kept.  Those words are still counted against the guard on
+every request.
 """
 
 from __future__ import annotations
@@ -47,12 +51,14 @@ from .category import Category, ObjectExpr, memoised, reverse_category
 from .cyclo import Cyc, galois_conjugate
 # DimensionGuardError is re-exported: callers import it from here
 from .homcalc import (DimensionGuardError, LinMap, _bend_columns,
-                      _bend_entries, _path_index, check_dimension_guard,
-                      check_word_guard, contract_pair_matrix, db_prime_vector,
-                      dual_word, fuse_step_matrix, insert_vector_matrix,
-                      path_counts, paths, pivotal_dimension)
-from .linalg import (col_mul, dense, is_identity, is_identity_product,
-                     mat_equal, mat_mul, mat_trace, mat_vec, vec_mat)
+                      _bend_entries, _chain_grafts, _path_index,
+                      check_dimension_guard, check_word_guard,
+                      contract_pair_matrix, db_prime_vector, dual_word,
+                      fuse_step_matrix, insert_vector_matrix, path_counts,
+                      paths, pivotal_dimension)
+from .linalg import (_coeff, col_mul, dense, is_identity,
+                     is_identity_product, mat_equal, mat_mul, mat_trace,
+                     mat_vec, vec_mat)
 from .pivotal import is_pseudo_unitary
 
 ONE = Cyc.one()
@@ -494,20 +500,29 @@ def _closing_functional(cat: Category, cur, c, l: int, chunk):
     which stand next to each other (positions n-l-1 .. 1).  So every r of
     an (n, l) reads the same functional.  The closures make one row phi on
     Hom(c, -) of the (2n - 1)-letter word (``_closing_step``), by its
-    nonzero coordinates; it is read through the graft of each pi, the
-    insertion of the one term (pi, 1) keyed by the paths of ``cur``:
-    psi = phi G_pi, by its nonzero coordinates.  Only the psi are kept.
-    None where phi is.
+    nonzero coordinates, and psi = phi G_pi, G_pi the graft of the chunk
+    path pi at position l.  It is read off phi's support, not grafted over
+    the paths of ``cur``: a path q of the long word fixes its torn path
+    p = q[:l+1] + q[l+n+1:], its stage lam = q[l] and its graft chain
+    q[l:l+n+1], so psi[p] sums phi[q] times the coefficient of that chain
+    in the graft of pi at lam, and ``homcalc._chain_grafts`` lists the pi
+    whose graft has it.  The psi are kept in ``paths(chunk)`` order, each
+    by its nonzero coordinates; no torn basis is listed.  None where phi
+    is.
     """
     n = len(chunk)
     phi = _closing_step(cat, cur[:l] + chunk + cur[l:], c,
                         (*range(l - 1, -1, -1), *range(n - l - 1, 0, -1)))
     if phi is None:
         return None
-    torn = paths(cat, cur, c)
-    return {pi: vec_mat(phi, insert_vector_matrix(cat, l, chunk,
-                                                  ((pi, ONE),), keys=torn))
-            for pi in paths(cat, chunk, cat.unit)}
+    reads = {pi: {} for pi in paths(cat, chunk, cat.unit)}
+    for q, x in phi.items():
+        p = q[:l + 1] + q[l + n + 1:]
+        for pi, g in _chain_grafts(cat, chunk, q[l:l + n + 1]):
+            psi = reads[pi]
+            y = x if g is ONE else x * g
+            psi[p] = psi[p] + y if p in psi else y
+    return {pi: dict(filter(_coeff, psi.items())) for pi, psi in reads.items()}
 
 
 def _fs_blocks(cat: Category, support, n: int, l: int, r: int):

@@ -29,15 +29,18 @@ graft states, term generators and ``path_columns``) for the fused bend
 loop (``homcalc._bend_columns`` and ``_bend_entries``), and the
 innermost-first nested coevaluation for ``homcalc.db_prime_vector``, and
 the per-l build of the Frobenius-Schur blocks for the shared middle of
-``indicators._fs_blocks``, the label loops over every (a, b, c, d) for the
+``indicators._fs_blocks``, each chunk path grafted over the whole torn
+basis (``grafted_closing_functional``) for the closing read of
+``indicators._closing_functional``, the label loops over every (a, b, c, d) for the
 F-block layout ``FusionRing.blocks``, the walk over every admissible
 F-block for the F-sanity items of ``category.validate``, and the gauge
 transport by one division per F entry for ``category.gauge_transform``.
 Each takes the long way on purpose: whole splice and contraction
 matrices, the evaluation/coevaluation machinery applied twice, every
-insertion and tear-down redone for each l, every channel list filtered
-label by label, every F-block laid out, and every entry divided by its
-own product of two gauge values.
+insertion and tear-down redone for each l, every chunk graft laid over
+the whole torn basis, every channel list filtered label by label, every
+F-block laid out, and every entry divided by its own product of two gauge
+values.
 
 The classical group oracles live here too: the cyclic and S3 character
 tables, explicit matrix representations of S3 and Q8, and the brute-force
@@ -70,8 +73,8 @@ from fscat.homcalc import (LinMap, _bend_tops, _graft_coeffs, _path_index,
                            check_word_guard, contract_pair_matrix,
                            db_prime_vector, dual_word, fuse_step_matrix,
                            insert_vector_matrix, paths, splice_host_matrix)
-from fscat.indicators import _right_block
-from fscat.linalg import eye, is_identity, mat_inv, mat_mul, zeros
+from fscat.indicators import _closing_step, _right_block
+from fscat.linalg import eye, is_identity, mat_inv, mat_mul, vec_mat, zeros
 from fscat.oracles import CharacterTable, _Group, _table, q8_group, q8_table
 from fscat.specio import BUNDLED
 
@@ -611,6 +614,22 @@ def unshared_fs_blocks(cat, support, n, l, r):
                 out[(c, word[0])] = vec[0]
         out.setdefault((c, c), ZERO)
     return out
+
+
+def grafted_closing_functional(cat, cur, c, l, chunk):
+    """``indicators._closing_functional`` with each chunk path grafted over
+    the whole torn basis: the closing row phi read through the
+    ``insert_vector_matrix`` of the one term (pi, 1) at position l, keyed
+    by every path of Hom(c, cur), with ``linalg.vec_mat``."""
+    n = len(chunk)
+    phi = _closing_step(cat, cur[:l] + chunk + cur[l:], c,
+                        (*range(l - 1, -1, -1), *range(n - l - 1, 0, -1)))
+    if phi is None:
+        return None
+    torn = paths(cat, cur, c)
+    return {pi: vec_mat(phi, insert_vector_matrix(cat, l, chunk,
+                                                  ((pi, ONE),), keys=torn))
+            for pi in paths(cat, chunk, cat.unit)}
 
 
 # -- the F-block layout and the F-sanity walk -----------------------------------

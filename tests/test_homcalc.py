@@ -411,6 +411,35 @@ def _words(cat, max_len):
 
 
 @pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_chain_grafts_transpose_the_graft_chains(name):
+    # the chain-pinned walk lists, for one stage chain, the guest paths
+    # whose free graft makes that chain, with the same coefficient: over
+    # every stage, unit-rooted guest word of at most 4 letters and stage
+    # chain through it; a chain that no guest makes gives nothing
+    cat = bundled(name)
+    made = 0
+    for word in _words(cat, 4):
+        guests = paths(cat, word, cat.unit)
+        if not guests:
+            continue
+        for lam in cat.labels:
+            want = {}
+            for rho in guests:
+                for chain, g in homcalc._graft_coeffs(cat, lam, word, rho):
+                    want.setdefault(chain, []).append((rho, g))
+            chains = [(lam,)]
+            for y in word:
+                chains = [s + (t,) for s in chains
+                          for t in cat.channels(s[-1], y)]
+            assert set(want) <= set(chains)
+            for chain in chains:
+                assert homcalc._chain_grafts(cat, word, chain) == \
+                    want.get(chain, []), (word, chain)
+            made += len(want)
+    assert made
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
 def test_fuse_undoes_split(name):
     cat = bundled(name)
     for word in _words(cat, 3):

@@ -16,7 +16,8 @@ import references
 from conftest import ALL_BUNDLED, PSEUDO_UNITARY, bundled, random_gauge
 from references import (attach_pair_matrix, closed_loop_trace, col_dense,
                         col_vec, compose, db_vector, dual_morphism,
-                        graft_path_matrix, s3_table, spliced_db_prime_vector,
+                        graft_path_matrix, grafted_closing_functional,
+                        s3_table, spliced_db_prime_vector,
                         spliced_e_map_matrix, term_vector, unshared_fs_blocks,
                         whole_basis)
 
@@ -716,6 +717,43 @@ def test_fs_blocks_match_the_unshared_route_on_every_pivotal_of_vec_z3():
         _check_fs_blocks_against_the_unshared_route(cat)
 
 
+def _check_closing_functionals_against_the_grafted_read(cat):
+    """Every closing functional the FS sweep of
+    ``_check_fs_blocks_against_the_unshared_route`` builds, read off the
+    closing row's support, against each chunk path grafted over the whole
+    torn basis: dict for dict, each psi without a zero coordinate."""
+    supports = [((a,), 5) for a in cat.labels]
+    supports += [(pair, 4) for pair in itertools.combinations(cat.labels, 2)]
+    for support, nmax in supports:
+        for n in range(1, nmax + 1):
+            for l in range(n):
+                for r in range(n - l):
+                    _fs_blocks(cat, support, n, l, r)
+    built = [key for key in cat._cache if key[0] == "_closing_functional"]
+    assert built
+    for key in built:
+        reads = cat._cache[key]
+        assert reads == grafted_closing_functional(cat, *key[1:]), key
+        assert reads is None or all(all(psi.values())
+                                    for psi in reads.values()), key
+
+
+@pytest.mark.parametrize("name", ALL_BUNDLED)
+def test_closing_functional_matches_the_grafted_read(name):
+    cat = bundled(name)
+    rng = SplitMix64(9200 + ALL_BUNDLED.index(name))
+    for other in (cat.with_pivotal(cat.pivotal), reverse_category(cat),
+                  gauge_transform(cat, random_gauge(cat, rng))):
+        _check_closing_functionals_against_the_grafted_read(other)
+
+
+def test_closing_functional_matches_the_grafted_read_on_every_pivotal_of_vec_z3():
+    base = bundled("vec_z3")
+    for i in range(len(enumerate_pivotal_structures(base))):
+        _check_closing_functionals_against_the_grafted_read(
+            attach_pivotal(base, i))
+
+
 def test_fs_middle_is_built_once_per_n_and_r(monkeypatch):
     # the 15 (l, r) of Fibonacci t at n = 5 share five middles, one per r,
     # and each inserts one comb into the one word of its right block; a
@@ -859,6 +897,22 @@ def test_trace_formula_past_the_default_guard(name, a, n, monkeypatch):
     monkeypatch.delenv("FSCAT_NMAX_GUARD")
     with pytest.raises(DimensionGuardError):
         fs_scalar(load_bundled(name), a, n, 0, 0)
+
+
+@pytest.mark.parametrize("name,a,n", [("ty_z2z2_plus", "sigma", 8),
+                                      ("fibonacci", "t", 11)],
+                         ids=["ty_z2z2_plus", "fibonacci"])
+def test_generalized_trace_formula_past_the_default_guard(name, a, n,
+                                                          monkeypatch):
+    # nu_{n,k} = ptr_l(a) FS^(n,k-1,0) for every k, odd l = k - 1 included,
+    # with the FS words of 2n - 1 letters above the default guard: each
+    # chunk graft is read off the closing row's support
+    monkeypatch.setenv("FSCAT_NMAX_GUARD", "16384")
+    cat = load_bundled(name)
+    ptrl = pivotal_dimension(cat, a, "left")
+    for k in range(1, n + 1):
+        assert indicator(cat, a, n, k) == \
+            ptrl * fs_scalar(cat, a, n, k - 1, 0), k
 
 
 def _cold_chains(cat, lam, letters, rho):

@@ -30,12 +30,24 @@ def test_each_mode_runs_on_this_checkout(mode, capsys):
     assert "identical across the runs that exited 0: yes" in out
 
 
+@pytest.mark.parametrize("guard,failed", [("3", 1), ("1000", 0)])
+def test_the_guard_reaches_the_children(guard, failed, capsys):
+    # Hom(t, t^5) of FS^(3,0,0) on Fibonacci has dimension 5: a guard of 3
+    # refuses it in the child, which exits non-zero and is not timed
+    argv = ["fs", "fibonacci", "--object", "t", "--n", "3", "--guard", guard,
+            ROOT, "--runs", "1"]
+    assert time_runs.main(argv) == failed
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["time_runs.py", *argv]) + "\n")
+    assert f"1 runs, {failed} exited non-zero" in out
+
+
 def fake_runs(monkeypatch, results):
     """Replace ``run_once`` by one that returns ``results`` in turn and
     records the checkout of each call."""
     calls, results = [], iter(results)
 
-    def run_once(checkout, argv):
+    def run_once(checkout, argv, env=None):
         calls.append(checkout)
         return next(results)
     monkeypatch.setattr(time_runs, "run_once", run_once)

@@ -6,6 +6,8 @@
     python3 tools/time_runs.py fs fibonacci --object t --n 9 PARENT_DIR CHANGE_DIR
     python3 tools/time_runs.py fs fibonacci --object t --n 8 --sweep \\
         PARENT_DIR CHANGE_DIR
+    python3 tools/time_runs.py fs ty_z2z2_plus --object sigma --n 10 --l 1 \\
+        --guard 1000000000 PARENT_DIR CHANGE_DIR
     python3 tools/time_runs.py gauge rep_s3 --trials 50 PARENT_DIR CHANGE_DIR
     python3 tools/time_runs.py validate PARENT_DIR CHANGE_DIR --runs 10
     python3 tools/time_runs.py import PARENT_DIR CHANGE_DIR --runs 10
@@ -33,6 +35,11 @@ checkout.  Each mode times, and compares as output:
 * ``import``: ``import fscat, fscat.cli``, which the benchmark's
   ``setup_s`` includes but its layer tracer cannot see; whether mpmath is
   loaded after a ``validate`` of the bundled Fibonacci spec, printed too.
+
+``ind`` and ``fs`` take ``--guard G``, which sets ``FSCAT_NMAX_GUARD=G`` in
+every child's environment, so a request past the default guard is timed
+and the guard shows in the echoed command line.  Without it the children
+inherit the caller's environment.
 
 Each round runs every case once in each checkout; with two checkouts, odd
 rounds start with the second, so a drift in host load falls on both.  For
@@ -146,10 +153,12 @@ def bundled_specs(checkout):
     return sorted(f[:-5] for f in os.listdir(folder) if f.endswith(".json"))
 
 
-def run_once(checkout, argv):
+def run_once(checkout, argv, env=None):
     """(wall seconds, peak RSS in MB, exit code, stdout bytes) of one run of
-    ``python ARGV`` on the checkout's own ``src/``."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    ``python ARGV`` on the checkout's own ``src/``, with the variables of
+    ``env`` added to the environment."""
+    env = dict(os.environ, **(env or {}),
+               PYTHONPATH=os.path.join(checkout, "src"))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv],
                             cwd=checkout, env=env, stdout=subprocess.PIPE)
@@ -196,6 +205,8 @@ def parse_args(argv):
             m.add_argument("spec")
         if mode in ("ind", "fs"):
             m.add_argument("--object", required=True, help="a simple label")
+            m.add_argument("--guard", type=positive_int,
+                           help="FSCAT_NMAX_GUARD of the children")
         m.add_argument("checkouts", nargs="+", metavar="CHECKOUT",
                        help="one or two checkout directories")
         m.add_argument("--runs", type=positive_int, default=runs)
@@ -221,6 +232,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parse_args(argv)
     checkouts, timed = args.checkouts, TIMED[args.mode]
+    guard = getattr(args, "guard", None)
+    env = {"FSCAT_NMAX_GUARD": str(guard)} if guard else None
     cases = bundled_specs(checkouts[-1]) if args.mode == "validate" else [""]
     # (case, checkout) -> the runs that exited 0, each its timings in the
     # units of TIMED, process seconds and MB; their outputs; the failures
@@ -232,7 +245,7 @@ def main(argv=None) -> int:
         for case in cases:
             for checkout in order:
                 wall, rss, code, out = run_once(
-                    checkout, child_argv(args, checkout, case))
+                    checkout, child_argv(args, checkout, case), env)
                 print(f"{case} run {i + 1}/{args.runs} {checkout}: "
                       f"{wall:.3f} s, {rss:.1f} MB, exit {code}".lstrip(),
                       file=sys.stderr)
